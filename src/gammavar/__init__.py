@@ -7,7 +7,16 @@ stochastic integrals against independent-increment ensembles.  Everything an
 experiment reports is reproducible from (seed, config).
 """
 
-from ._version import __version__
+import os
+
+# single-threaded BLAS keeps report bytes independent of machine load; this
+# must run before numpy loads, so before any submodule import (a value the
+# user set still wins)
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from ._version import __version__  # noqa: E402
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 from .groupings import Grouping, SizeLimitError, bell_number, enumerate_groupings
 from .measures import (

@@ -1,12 +1,6 @@
-import os
 import sys
 
-# single-threaded BLAS keeps report bytes independent of machine load;
-# must be set before numpy loads
-for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
-
-from gammavar.cli import main  # noqa: E402
+from gammavar.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -320,7 +320,7 @@ def randomisation_identity_sweep(
                     for i in part
                 ]
             )  # (g, k, paths*dim)
-            combos = np.einsum("pk,gkf->gpf", patterns, stacked)
+            combos = np.matmul(patterns, stacked)  # (g, patterns, paths*dim)
             combos = combos.reshape(len(part), patterns.shape[0], n_paths, dim)
             path_stats = np.mean(norm_sq(combos), axis=1)  # (g, paths)
             for row, i in enumerate(part):

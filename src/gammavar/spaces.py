@@ -16,6 +16,10 @@ import numpy as np
 # to this absolute precision.
 WEIGHT_TOL = 1e-12
 
+# NormedSpace folds l1/linf/lp norms across columns below this dimension; from
+# 8 entries on numpy sums an axis pairwise, so the fold would change the bits.
+_COLUMN_FOLD_DIM_LIMIT = 8
+
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -149,11 +153,39 @@ class NormedSpace:
         arr = np.asarray(values, dtype=float)
         if self.p == 2.0:
             return np.sqrt(np.einsum("...i,...i->...", arr, arr))
+        if arr.ndim and 0 < arr.shape[-1] < _COLUMN_FOLD_DIM_LIMIT:
+            return self._column_norm(arr)
         if self.p == 1.0:
             return np.sum(np.abs(arr), axis=-1)
         if math.isinf(self.p):
             return np.max(np.abs(arr), axis=-1)
         return np.sum(np.abs(arr) ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def _column_norm(self, arr: np.ndarray) -> np.ndarray:
+        """The l1, linf or lp reduction folded one column at a time.
+
+        A reduction over a short last axis runs a tiny inner loop per vector;
+        folding columns runs one vectorised pass per coordinate instead. Below
+        _COLUMN_FOLD_DIM_LIMIT numpy adds a last axis left to right, as the
+        fold does, so both give the same bits. The caller's array is never
+        written.
+        """
+        lp = not (self.p == 1.0 or math.isinf(self.p))
+        if lp:
+            # the same elementwise power as the axis reduction, on the whole
+            # array, so a vectorised pow loop sees the same contiguous input
+            arr = np.abs(arr) ** self.p
+        combine = np.maximum if math.isinf(self.p) else np.add
+        out = np.abs(arr[..., 0])
+        if out.ndim == 0:
+            # 1-D input: np.float64 scalars throughout, no in-place ops
+            for j in range(1, arr.shape[-1]):
+                out = combine(out, np.abs(arr[..., j]))
+        else:
+            column = np.empty_like(out)
+            for j in range(1, arr.shape[-1]):
+                combine(out, np.abs(arr[..., j], out=column), out=out)
+        return out ** (1.0 / self.p) if lp else out
 
     def norm_sq(self, values) -> np.ndarray:
         if self.p == 2.0:

@@ -137,6 +137,17 @@ def lp_norm_reference(vector, p: float) -> float:
     return sum(abs(float(v)) ** p for v in vector) ** (1.0 / p)
 
 
+def lp_norm_axis_reference(values, p: float) -> np.ndarray:
+    """l_p norm (p != 2) over the last axis by numpy's axis reductions, the
+    formulas NormedSpace.norm uses from dimension 8 on."""
+    arr = np.asarray(values, dtype=float)
+    if p == 1.0:
+        return np.sum(np.abs(arr), axis=-1)
+    if math.isinf(p):
+        return np.max(np.abs(arr), axis=-1)
+    return np.sum(np.abs(arr) ** p, axis=-1) ** (1.0 / p)
+
+
 def rademacher_moment_reference(vectors, p: float) -> float:
     """Mean of ||sum_n s_n x_n||_p^2 over all 2^k sign assignments, brute force."""
     vectors = [[float(v) for v in vec] for vec in vectors]

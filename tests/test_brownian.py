@@ -14,16 +14,19 @@ from gammavar import (
     StepFunction,
     check_randomisation_identity,
     dump_ensemble,
+    enumerate_groupings,
     induced_randomized_measure,
     integral_moment,
     load_ensemble_paths,
     measure_from_density,
+    rademacher_sum_sq,
     randomisation_identity_sweep,
     sample_brownian,
     stochastic_integral,
     verify_integral_identity,
 )
 from gammavar.brownian import BINARY_MAGIC, BINARY_VERSION
+from gammavar.norms import block_sums
 
 
 def _scalar_density(weights, values):
@@ -309,6 +312,21 @@ class TestRandomisationIdentity:
         assert [c.grouping for c in checks] == groupings
         # same covered atom set: the unsigned side is shared across groupings
         assert checks[0].plain == checks[1].plain
+
+    @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l1(2)])
+    def test_sweep_matches_the_exact_sign_enumeration(self, space):
+        # the sweep's batched matmul against rademacher_sum_sq's own
+        # enumeration over the same block sums, one grouping at a time
+        measure = self._measure(seed=57, n_atoms=5, space=space, n_paths=300)
+        covering = list(enumerate_groupings(5, covering_only=True))
+        picks = np.random.default_rng(57).choice(len(covering), size=15, replace=False)
+        groupings = [covering[i] for i in picks]
+        checks = randomisation_identity_sweep(measure, groupings)
+        for grouping, check in zip(groupings, checks):
+            exact = rademacher_sum_sq(
+                block_sums(measure.contributions, grouping), measure.empirical_space
+            )
+            assert abs(check.signed.value - exact.value) <= 1e-12 * exact.value
 
     def test_sign_enumeration_cap(self):
         measure = self._measure(seed=55, n_atoms=21, dim=1, n_paths=10)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -187,3 +188,47 @@ class TestErrorHandling:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+_BLAS_PIN_PROBE = """
+import os, sys
+
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import gammavar
+print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+class TestBlasThreadPin:
+    def _probe(self, **blas_env):
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        env.update(blas_env)
+        result = subprocess.run(
+            [sys.executable, "-c", _BLAS_PIN_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    def test_import_pins_blas_before_numpy_loads(self):
+        # covers both entry points: `python -m gammavar` and the `gammavar`
+        # script (gammavar.cli:main) import the package first
+        assert self._probe() == ["1", "1"]
+
+    def test_a_value_the_user_set_wins(self):
+        assert self._probe(OPENBLAS_NUM_THREADS="2") == ["2", "2"]

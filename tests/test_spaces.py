@@ -101,6 +101,19 @@ class TestNormedSpace:
         assert space.norm(values).shape == (2, 3)
         np.testing.assert_allclose(space.norm(values), values.max(axis=-1))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    @pytest.mark.parametrize("lead", [(), (0,), (5,), (3, 4)])
+    def test_column_kernels_match_axis_reductions_bitwise(self, p, dim, lead):
+        space = NormedSpace(dim, p)
+        values = np.random.default_rng(dim).standard_normal(lead + (dim,)) * 10.0
+        before = values.copy()
+        got = space.norm(values)
+        assert np.array_equal(got, ref.lp_norm_axis_reference(values, p))
+        assert np.array_equal(values, before)
+        if lead == ():
+            assert type(got) is np.float64
+
     def test_hilbert_detection(self):
         assert NormedSpace.l2(5).is_hilbert
         assert NormedSpace(1, math.inf).is_hilbert  # every norm on R^1
