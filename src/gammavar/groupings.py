@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 # Exhaustive enumeration walks Bell(N)-many covering groupings; contiguous
 # enumeration walks 2^(N-1) interval partitions.
 MAX_ATOMS_ALL = 12
@@ -81,6 +83,11 @@ class Grouping:
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return f"Grouping([{inner}], n_atoms={self.n_atoms})"
+
+
+def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """Sum values (atom-indexed on axis 0) over each block of the grouping."""
+    return np.stack([np.sum(values[list(b)], axis=0) for b in grouping.blocks])
 
 
 @lru_cache(maxsize=None)

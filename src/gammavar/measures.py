@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupings import Grouping
 from .spaces import AtomPartition, NormedSpace
 
 
@@ -50,18 +49,6 @@ class _AtomIndexed:
 class VectorMeasure(_AtomIndexed):
     """An X-valued measure on the atoms: values[n] = F(A_n)."""
 
-    def evaluate(self, atoms) -> np.ndarray:
-        """F of a union of atoms; additivity is exact by construction."""
-        idx = self.partition._indices(atoms)
-        return np.sum(self.values[idx], axis=0)
-
-    def total(self) -> np.ndarray:
-        return np.sum(self.values, axis=0)
-
-    def block_values(self, grouping: Grouping) -> np.ndarray:
-        """Stack of F(B) over the grouping's blocks, shape (n_blocks, dim)."""
-        return np.stack([np.sum(self.values[list(b)], axis=0) for b in grouping.blocks])
-
 
 class StepFunction(_AtomIndexed):
     """A piecewise-constant X-valued density: values[n] = phi_n on atom A_n."""
@@ -74,21 +61,6 @@ class DiscreteOperator(_AtomIndexed):
     @property
     def columns(self) -> np.ndarray:
         return self.values
-
-    def apply(self, coefficients) -> np.ndarray:
-        """Image of sum_n c_n e_n, i.e. columns weighted by the coefficients."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape[-1] != self.n_atoms:
-            raise ValueError(
-                f"coefficient length {c.shape[-1]} does not match {self.n_atoms} atoms"
-            )
-        return c @ self.values
-
-    def indicator_image(self, atom: int) -> np.ndarray:
-        """Image of the plain indicator 1_{A_n} = sqrt(mu(A_n)) e_n."""
-        if not 0 <= atom < self.n_atoms:
-            raise ValueError(f"atom index must lie in [0, {self.n_atoms - 1}]")
-        return np.sqrt(self.partition.weights[atom]) * self.values[atom]
 
 
 def operator_from_measure(measure: VectorMeasure) -> DiscreteOperator:

@@ -19,21 +19,19 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groupings import Grouping, enumerate_groupings
+from .groupings import Grouping, block_sums, enumerate_groupings
 from .measures import DiscreteOperator, VectorMeasure, operator_from_measure
 from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
-    N_BATCHES,
-    _batch_sizes,
+    _coefficient_batches,
     _estimate_from_moments,
     compare_estimates,
     gaussian_sum_sq,
     rademacher_sum_sq,
 )
-from .spaces import EmpiricalL2Space, NormedSpace
 
 VARIATION_MODES = ("fast_path", "exhaustive", "contiguous")
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
@@ -77,11 +75,6 @@ class DualityReport:
         }
 
 
-def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Sum values (atom-indexed on axis 0) over each block of the grouping."""
-    return np.stack([np.sum(values[list(b)], axis=0) for b in grouping.blocks])
-
-
 def _normalized_vectors(measure: VectorMeasure) -> np.ndarray:
     return measure.values / np.sqrt(measure.partition.weights)[:, None]
 
@@ -96,24 +89,19 @@ def _grouping_matrix(measure: VectorMeasure, grouping: Grouping) -> np.ndarray:
     groupings for paired comparisons.
     """
     weights = measure.partition.weights
+    scaled = block_sums(measure.values, grouping) / block_sums(weights, grouping)[:, None]
     mat = np.zeros_like(measure.values)
-    for block in grouping.blocks:
-        idx = list(block)
-        mass = float(np.sum(weights[idx]))
-        value = np.sum(measure.values[idx], axis=0)
-        mat[idx] = np.sqrt(weights[idx])[:, None] * (value / mass)[None, :]
-    return mat
+    for block, row in zip(grouping.blocks, scaled):
+        mat[list(block)] = row
+    return np.sqrt(weights)[:, None] * mat
 
 
 def grouping_moment_exact(measure: VectorMeasure, grouping: Grouping) -> float:
     """Hilbert closed form of a grouping's squared moment: sum ||F(B)||^2/mu(B)."""
-    weights = measure.partition.weights
+    masses = block_sums(measure.partition.weights, grouping)
     total = 0.0
-    for block in grouping.blocks:
-        idx = list(block)
-        mass = float(np.sum(weights[idx]))
-        value = np.sum(measure.values[idx], axis=0)
-        total += float(measure.space.norm_sq(value)) / mass
+    for value, mass in zip(block_sums(measure.values, grouping), masses):
+        total += float(measure.space.norm_sq(value)) / float(mass)
     return total
 
 
@@ -130,17 +118,8 @@ class SharedDrawMoments:
         self.measure = measure
         self.exact = measure.space.is_hilbert
         if not self.exact:
-            if stream is None or samples < 2:
-                raise ValueError(
-                    "Monte Carlo estimation requires a RandomStream and at least 2 samples"
-                )
-            blocks = []
-            for batch, size in enumerate(_batch_sizes(samples)):
-                if size == 0:
-                    continue
-                rng = stream.substream(batch).generator()
-                blocks.append(rng.standard_normal((size, measure.n_atoms)))
-            self._draws = np.concatenate(blocks, axis=0)
+            batches = _coefficient_batches(stream, samples, measure.n_atoms, "gaussian")
+            self._draws = np.concatenate(list(batches), axis=0)
 
     def moment(self, grouping: Grouping) -> SumEstimate:
         if self.exact:
@@ -157,21 +136,22 @@ class SharedDrawMoments:
         return _estimate_from_moments(n, float(np.sum(stats)), float(np.sum(stats * stats)))
 
 
+def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
+    """Search order: the higher value wins; ties go to fewer blocks, then to the
+    lexicographically smallest block structure."""
+    return value > best_value or (
+        value == best_value and grouping.sort_key() < best.sort_key()
+    )
+
+
 def _search_best(
     candidates: Iterable[Grouping], evaluate
 ) -> tuple[Grouping, SumEstimate]:
-    """Maximize the estimate over candidates.  Ties go to fewer blocks, then to
-    the lexicographically smallest block structure."""
+    """Maximize the estimate over candidates, in the order of _beats."""
     best = None
     for grouping in candidates:
         estimate = evaluate(grouping)
-        if best is None:
-            best = (grouping, estimate)
-            continue
-        if estimate.value > best[1].value or (
-            estimate.value == best[1].value
-            and grouping.sort_key() < best[0].sort_key()
-        ):
+        if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
             best = (grouping, estimate)
     if best is None:
         raise ValueError("no candidate groupings to search")
@@ -250,15 +230,12 @@ def total_variation_norm(measure: VectorMeasure) -> float:
 # --- randomized variation ------------------------------------------------------
 
 
-def _greedy_trajectory(
-    values: np.ndarray, space, evaluate
-) -> Iterator[Grouping]:
+def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
     """Groupings visited by greedy merging from the finest covering grouping.
 
     Each round merges the pair of blocks whose merge most increases the
     objective; stops when no merge improves it.
     """
-    n_atoms = values.shape[0]
     current = Grouping.finest(n_atoms)
     yield current
     current_value = evaluate(current).value
@@ -271,9 +248,7 @@ def _greedy_trajectory(
             merged_blocks.append(current.blocks[i] + current.blocks[j])
             candidate = Grouping(merged_blocks, n_atoms)
             value = evaluate(candidate).value
-            if best is None or value > best[1] or (
-                value == best[1] and candidate.sort_key() < best[0].sort_key()
-            ):
+            if best is None or _beats(value, candidate, best[1], best[0]):
                 best = (candidate, value)
         if best is None or best[1] <= current_value:
             return
@@ -327,12 +302,12 @@ def randomized_variation_norm(
     elif mode_used == "contiguous":
         candidates = enumerate_groupings(n_atoms, "contiguous")
     elif mode_used == "greedy":
-        candidates = _greedy_trajectory(arr, space, evaluate)
+        candidates = _greedy_trajectory(n_atoms, evaluate)
     else:  # contiguous+greedy
         def chain() -> Iterator[Grouping]:
             if n_atoms <= 20:
                 yield from enumerate_groupings(n_atoms, "contiguous")
-            yield from _greedy_trajectory(arr, space, evaluate)
+            yield from _greedy_trajectory(n_atoms, evaluate)
 
         candidates = chain()
 

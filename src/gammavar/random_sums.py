@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .spaces import EmpiricalL2Space, NormedSpace
+from .spaces import EmpiricalL2Space
 
 # Exact sign enumeration is capped at 2^20 patterns.
 ENUMERATION_LIMIT = 20
@@ -125,16 +126,24 @@ def _check_values(values, space) -> np.ndarray:
     return arr
 
 
-def _require_sampling(stream, samples: int) -> None:
+def _coefficient_batches(
+    stream, samples: int, k: int, kind: str
+) -> Iterator[np.ndarray]:
+    """Coefficient draws of shape (size, k), "gaussian" or "rademacher", in
+    the N_BATCHES fixed batches, each drawn from its own substream."""
     if stream is None or samples < 2:
         raise ValueError(
             "Monte Carlo estimation requires a RandomStream and at least 2 samples"
         )
-
-
-def _batch_sizes(samples: int) -> list[int]:
     base, extra = divmod(samples, N_BATCHES)
-    return [base + (1 if b < extra else 0) for b in range(N_BATCHES)]
+    # batches past the sample count are empty and get no substream
+    for batch in range(min(samples, N_BATCHES)):
+        size = base + (1 if batch < extra else 0)
+        rng = stream.substream(batch).generator()
+        if kind == "gaussian":
+            yield rng.standard_normal((size, k))
+        else:
+            yield rng.integers(0, 2, size=(size, k)).astype(float) * 2.0 - 1.0
 
 
 def _estimate_from_moments(n: int, total: float, total_sq: float) -> SumEstimate:
@@ -159,26 +168,14 @@ def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
     )
 
 
-def _draw_coefficients(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
-    if kind == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-
-
 def _monte_carlo_moment(
     values: np.ndarray, space, stream: RandomStream, samples: int, kind: str
 ) -> SumEstimate:
     """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams."""
-    _require_sampling(stream, samples)
-    k = values.shape[0]
     n = total = total_sq = 0
-    for batch, size in enumerate(_batch_sizes(samples)):
-        if size == 0:
-            continue
-        rng = stream.substream(batch).generator()
-        coeffs = _draw_coefficients(rng, kind, (size, k))
+    for coeffs in _coefficient_batches(stream, samples, values.shape[0], kind):
         stats = space.norm_sq(coeffs @ values)
-        n += size
+        n += coeffs.shape[0]
         total += float(np.sum(stats))
         total_sq += float(np.sum(stats * stats))
     return _estimate_from_moments(n, total, total_sq)
@@ -195,29 +192,19 @@ def _empirical_moment(
         # Rademacher coefficients alike
         path_stats = np.sum(base.norm_sq(values), axis=0)
         return _estimate_from_path_stats(path_stats)
-    if kind == "rademacher" and k <= ENUMERATION_LIMIT:
-        flat = values.reshape(k, n_paths * dim)
-        patterns = _sign_patterns(k)
-        path_sums = np.zeros(n_paths)
-        chunk = max(1, _CHUNK_FLOATS // max(1, n_paths * dim))
-        for start in range(0, patterns.shape[0], chunk):
-            part = patterns[start : start + chunk]
-            combos = (part @ flat).reshape(part.shape[0], n_paths, dim)
-            path_sums += np.sum(base.norm_sq(combos), axis=0)
-        return _estimate_from_path_stats(path_sums / patterns.shape[0])
-    # Monte Carlo over coefficients, still paired over paths
-    _require_sampling(stream, samples)
     flat = values.reshape(k, n_paths * dim)
+
+    def path_norm_sq(combos: np.ndarray) -> np.ndarray:
+        return base.norm_sq(combos.reshape(combos.shape[0], n_paths, dim))
+
+    if kind == "rademacher" and k <= ENUMERATION_LIMIT:
+        return _estimate_from_path_stats(_sign_average(flat, path_norm_sq))
+    # Monte Carlo over coefficients, still paired over paths
     path_sums = np.zeros(n_paths)
     drawn = 0
-    for batch, size in enumerate(_batch_sizes(samples)):
-        if size == 0:
-            continue
-        rng = stream.substream(batch).generator()
-        coeffs = _draw_coefficients(rng, kind, (size, k))
-        combos = (coeffs @ flat).reshape(size, n_paths, dim)
-        path_sums += np.sum(base.norm_sq(combos), axis=0)
-        drawn += size
+    for coeffs in _coefficient_batches(stream, samples, k, kind):
+        path_sums += np.sum(path_norm_sq(coeffs @ flat), axis=0)
+        drawn += coeffs.shape[0]
     return _estimate_from_path_stats(path_sums / drawn)
 
 
@@ -238,6 +225,31 @@ def _sign_patterns(k: int) -> np.ndarray:
     return patterns
 
 
+def _sign_average(values: np.ndarray, norm_sq):
+    """Average over all sign patterns e of norm_sq(sum_m e_m x_m).
+
+    values holds one flattened x_m per row; norm_sq maps the (patterns, m)
+    combinations to statistics indexed by pattern on axis 0.  Patterns are
+    swept in chunks of at most _CHUNK_FLOATS combined floats, and the chunk
+    sums are added in pattern order."""
+    patterns = _sign_patterns(values.shape[0])
+    total = 0.0
+    chunk = max(1, _CHUNK_FLOATS // max(1, values.shape[1]))
+    for start in range(0, patterns.shape[0], chunk):
+        total += np.sum(norm_sq(patterns[start : start + chunk] @ values), axis=0)
+    return total / patterns.shape[0]
+
+
+def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:
+    """The exact Hilbert-space moment sum_n ||x_n||_2^2."""
+    return SumEstimate(
+        value=float(np.sum(space.norm_sq(arr))),
+        std_error=0.0,
+        samples=0,
+        method=METHOD_EXACT_HILBERT,
+    )
+
+
 def gaussian_sum_sq(
     values, space, stream: RandomStream | None = None, samples: int = 0
 ) -> SumEstimate:
@@ -251,12 +263,7 @@ def gaussian_sum_sq(
     if isinstance(space, EmpiricalL2Space):
         return _empirical_moment(arr, space, stream, samples, "gaussian")
     if space.is_hilbert:
-        return SumEstimate(
-            value=float(np.sum(space.norm_sq(arr))),
-            std_error=0.0,
-            samples=0,
-            method=METHOD_EXACT_HILBERT,
-        )
+        return _hilbert_moment(arr, space)
     return _monte_carlo_moment(arr, space, stream, samples, "gaussian")
 
 
@@ -272,22 +279,10 @@ def rademacher_sum_sq(
     if isinstance(space, EmpiricalL2Space):
         return _empirical_moment(arr, space, stream, samples, "rademacher")
     if space.is_hilbert:
+        return _hilbert_moment(arr, space)
+    if arr.shape[0] <= ENUMERATION_LIMIT:
         return SumEstimate(
-            value=float(np.sum(space.norm_sq(arr))),
-            std_error=0.0,
-            samples=0,
-            method=METHOD_EXACT_HILBERT,
-        )
-    k = arr.shape[0]
-    if k <= ENUMERATION_LIMIT:
-        patterns = _sign_patterns(k)
-        value = 0.0
-        chunk = max(1, _CHUNK_FLOATS // max(1, arr.shape[1]))
-        for start in range(0, patterns.shape[0], chunk):
-            part = patterns[start : start + chunk]
-            value += float(np.sum(space.norm_sq(part @ arr)))
-        return SumEstimate(
-            value=value / patterns.shape[0],
+            value=float(_sign_average(arr, space.norm_sq)),
             std_error=0.0,
             samples=0,
             method=METHOD_EXACT_ENUMERATION,

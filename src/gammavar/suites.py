@@ -27,7 +27,7 @@ from .embeddings import (
     run_embedding_trials,
     sup_norm_witness,
 )
-from .groupings import Grouping, enumerate_groupings
+from .groupings import Grouping, block_sums, enumerate_groupings
 from .measures import (
     StepFunction,
     VectorMeasure,
@@ -35,6 +35,7 @@ from .measures import (
     operator_from_measure,
 )
 from .norms import (
+    VARIATION_MODES,
     SharedDrawMoments,
     gamma_summing_norm,
     gamma_variation_norm,
@@ -488,6 +489,14 @@ def _identity_records(index: int, label: str, report) -> list[CheckRecord]:
     return records
 
 
+def _search_modes(mode: str) -> tuple[str, str]:
+    """engine.mode as (variation mode, randomized search mode).  The variation
+    norm has no "auto" or "greedy" search and takes its fast path for both;
+    the randomized search has no fast path and searches "auto" for it."""
+    variation = mode if mode in VARIATION_MODES else "fast_path"
+    return variation, "auto" if mode == "fast_path" else mode
+
+
 def _identity_instance(args) -> list[CheckRecord]:
     index, norm_tag, dim, n_atoms, stream, paths, samples, mode, z = args
     rng = stream.substream(0).generator()
@@ -505,7 +514,7 @@ def _identity_instance(args) -> list[CheckRecord]:
 def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("thm-3-3")
-    mode = "auto" if config.mode == "fast_path" else config.mode
+    _, mode = _search_modes(config.mode)
     if config.density_values is not None:
         report = verify_integral_identity(
             config.density(),
@@ -730,7 +739,7 @@ def _divergence_point(args) -> list[CheckRecord]:
         exact_value, exact_detail = exact.norm, "exhaustive grouping search, exact"
     else:
         moments = [
-            rademacher_sum_sq(measure.block_values(g), measure.space)
+            rademacher_sum_sq(block_sums(measure.values, g), measure.space)
             for g in _fixed_grouping_family(n)
         ]
         exact_value = math.sqrt(max(m.value for m in moments))
@@ -756,10 +765,7 @@ def _divergence_point(args) -> list[CheckRecord]:
         else:
             family = _fixed_grouping_family(n)
             per_grouping = [
-                rademacher_sum_sq(
-                    np.stack([contributions[list(b)].sum(axis=0) for b in g.blocks]),
-                    empirical_space,
-                )
+                rademacher_sum_sq(block_sums(contributions, g), empirical_space)
                 for g in family
             ]
             estimate = max(per_grouping, key=lambda e: e.value)
@@ -972,18 +978,18 @@ def run_norms(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
     """All norms of the configured measure or density, with the duality check."""
     measure = config.measure()
     root = config.root_stream("norms")
-    mode = "fast_path" if config.mode == "auto" else config.mode
+    variation_mode, randomized_mode = _search_modes(config.mode)
     needs_mc = not measure.space.is_hilbert
     stream = root.substream(0) if needs_mc else None
     samples = config.samples if needs_mc else 0
 
-    variation = gamma_variation_norm(measure, stream, samples, mode=mode)
+    variation = gamma_variation_norm(measure, stream, samples, mode=variation_mode)
     duality = verify_duality(measure, root.substream(1), samples, z=config.z)
     tv = total_variation_norm(measure)
     randomized = randomized_variation_norm(
         measure.values,
         measure.space,
-        mode="auto" if config.mode in ("auto", "fast_path") else config.mode,
+        mode=randomized_mode,
         stream=root.substream(2),
         samples=config.samples,
     )
@@ -1032,7 +1038,7 @@ def run_integrate(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
         raise ConfigError("input: the integrate command needs density values")
     density = config.density()
     root = config.root_stream("integrate")
-    mode = "auto" if config.mode == "fast_path" else config.mode
+    _, mode = _search_modes(config.mode)
     report = verify_integral_identity(
         density,
         config.paths,

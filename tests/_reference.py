@@ -126,6 +126,21 @@ def groupings_reference(n: int):
             yield from set_partitions_reference(subset)
 
 
+def block_sums_reference(values, blocks) -> np.ndarray:
+    """Per-block sums of atom-indexed values (any trailing shape), one Python
+    float addition at a time in block order."""
+    arr = np.asarray(values, dtype=float)
+    tail = arr.shape[1:]
+    out = np.empty((len(blocks),) + tail)
+    for m, block in enumerate(blocks):
+        for pos in np.ndindex(*tail):
+            total = 0.0
+            for atom in block:
+                total += float(arr[(atom,) + pos])
+            out[(m,) + pos] = total
+    return out
+
+
 def canonical_blocks(blocks) -> frozenset:
     """Order-free form of a block collection, for set comparisons."""
     return frozenset(frozenset(b) for b in blocks)

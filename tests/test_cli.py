@@ -86,6 +86,18 @@ class TestNormsCommand:
         assert "27644437" in capsys.readouterr().err
 
 
+    def test_greedy_mode_runs_the_variation_fast_path(self, tmp_path, capsys):
+        # the variation norm has no greedy search; only the randomized search
+        # merges greedily
+        path = _norms_config(tmp_path, engine={"mode": "greedy"})
+        code = main(["norms", "--config", path])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        details = {check["name"]: check.get("detail", "") for check in checks}
+        assert code == EXIT_PASS
+        assert details["gamma-variation"].startswith("mode=fast_path ")
+        assert details["randomized-variation"].startswith("mode=greedy ")
+
+
 class TestVerifyCommand:
     def test_small_divergence_suite_with_chart(self, tmp_path, capsys):
         document = {

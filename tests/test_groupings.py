@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from gammavar import Grouping, SizeLimitError, bell_number, enumerate_groupings
-from gammavar.groupings import MAX_ATOMS_ALL, MAX_ATOMS_CONTIGUOUS
+from gammavar.groupings import MAX_ATOMS_ALL, MAX_ATOMS_CONTIGUOUS, block_sums
 
 
 class TestGrouping:
@@ -135,3 +139,37 @@ class TestEnumeration:
             next(enumerate_groupings(0, "all"))
         with pytest.raises(ValueError):
             next(enumerate_groupings(3, "sideways"))
+
+
+@st.composite
+def _grouped_values(draw):
+    """A grouping of at most 7 atoms (uncovered atoms allowed) and
+    atom-indexed values with 1, 2 or 3 axes."""
+    n_atoms = draw(st.integers(1, 7))
+    # label each atom with its block, or with -1 to leave it uncovered
+    labels = draw(
+        st.lists(st.integers(-1, n_atoms - 1), min_size=n_atoms, max_size=n_atoms)
+        .filter(lambda ls: any(label >= 0 for label in ls))
+    )
+    blocks = [
+        [a for a, label in enumerate(labels) if label == b]
+        for b in sorted(set(labels) - {-1})
+    ]
+    tail = draw(st.sampled_from([(), (2,), (3, 2)]))
+    values = draw(
+        arrays(float, (n_atoms,) + tail, elements=st.floats(-1e3, 1e3, width=64))
+    )
+    return Grouping(blocks, n_atoms), values
+
+
+class TestBlockSums:
+    @settings(derandomize=True, deadline=None)
+    @given(_grouped_values())
+    def test_matches_the_per_block_brute_force(self, case):
+        grouping, values = case
+        got = block_sums(values, grouping)
+        want = ref.block_sums_reference(values, grouping.blocks)
+        assert got.shape == want.shape
+        # the two may associate a block's additions differently
+        scale = float(np.max(np.abs(values), initial=0.0)) * grouping.n_atoms
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

@@ -8,6 +8,7 @@ from gammavar import (
     DiscreteOperator,
     Grouping,
     NormedSpace,
+    RandomStream,
     StepFunction,
     VectorMeasure,
     density_from_document,
@@ -16,8 +17,11 @@ from gammavar import (
     measure_from_document,
     measure_from_operator,
     operator_from_measure,
+    sample_brownian,
+    stochastic_integral,
     to_document,
 )
+from gammavar.groupings import block_sums
 
 
 def _measure(weights, values, space=None):
@@ -27,27 +31,33 @@ def _measure(weights, values, space=None):
 
 
 class TestVectorMeasure:
-    def test_evaluate_is_additive_on_unit_vectors(self):
+    def test_block_sums_are_additive_on_unit_vectors(self):
         measure = _measure([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(measure.evaluate([0, 1]), [1.0, 1.0])
-        np.testing.assert_allclose(measure.evaluate([0]), [1.0, 0.0])
+        blocks = block_sums(measure.values, Grouping([[0, 1]], 2))
+        np.testing.assert_allclose(blocks, [[1.0, 1.0]])
+        blocks = block_sums(measure.values, Grouping([[0]], 2))
+        np.testing.assert_allclose(blocks, [[1.0, 0.0]])
 
-    def test_evaluate_scalar_values(self):
+    def test_block_sums_of_scalar_values(self):
         measure = _measure([0.2, 0.3, 0.5], [[2.0], [3.0], [-1.0]])
-        np.testing.assert_allclose(measure.evaluate([0, 2]), [1.0])
+        np.testing.assert_allclose(
+            block_sums(measure.values, Grouping([[0, 2]], 3)), [[1.0]]
+        )
 
     def test_empty_atom_set_is_rejected(self):
-        measure = _measure([0.5, 0.5], [[1.0], [2.0]])
+        density = StepFunction(AtomPartition([0.5, 0.5]), NormedSpace.l2(1), [1.0, 2.0])
+        ensemble = sample_brownian(density.partition, 4, RandomStream(0, (0,)))
         with pytest.raises(ValueError):
-            measure.evaluate([])
+            stochastic_integral(density, ensemble, [])
 
     def test_total_sums_all_atoms(self):
         measure = _measure([0.25, 0.75], [[1.0, 2.0], [3.0, -2.0]])
-        np.testing.assert_allclose(measure.total(), [4.0, 0.0])
+        total = block_sums(measure.values, Grouping([[0, 1]], 2))
+        np.testing.assert_allclose(total, [[4.0, 0.0]])
 
     def test_block_values_follow_the_grouping(self):
         measure = _measure([0.2, 0.3, 0.5], [[1.0], [2.0], [4.0]])
-        blocks = measure.block_values(Grouping([[0, 2], [1]], 3))
+        blocks = block_sums(measure.values, Grouping([[0, 2], [1]], 3))
         np.testing.assert_allclose(blocks, [[5.0], [2.0]])
 
     def test_one_dimensional_values_are_promoted(self):
@@ -104,30 +114,11 @@ class TestConversions:
         np.testing.assert_allclose(back.values, measure.values, atol=1e-12)
 
     def test_indicator_image_recovers_the_measure(self):
-        # T applied to the plain indicator of an atom is F of that atom
+        # T applied to the plain indicator 1_{A_n} = sqrt(mu(A_n)) e_n is F(A_n)
         measure = _measure([0.25, 0.75], [[1.0, 2.0], [3.0, -1.0]])
         operator = operator_from_measure(measure)
-        for n in range(2):
-            np.testing.assert_allclose(
-                operator.indicator_image(n), measure.values[n], atol=1e-15
-            )
-
-    def test_operator_apply_contracts_coefficients(self):
-        operator = DiscreteOperator(
-            AtomPartition([0.5, 0.5]), NormedSpace.l2(2), [[1.0, 0.0], [0.0, 2.0]]
-        )
-        np.testing.assert_allclose(operator.apply([3.0, -1.0]), [3.0, -2.0])
-        batch = operator.apply(np.eye(2))
-        np.testing.assert_allclose(batch, operator.columns)
-        with pytest.raises(ValueError):
-            operator.apply([1.0, 2.0, 3.0])
-
-    def test_indicator_image_bounds(self):
-        operator = DiscreteOperator(
-            AtomPartition([0.5, 0.5]), NormedSpace.l2(1), [[1.0], [2.0]]
-        )
-        with pytest.raises(ValueError):
-            operator.indicator_image(2)
+        images = np.sqrt(operator.partition.weights)[:, None] * operator.columns
+        np.testing.assert_allclose(images, measure.values, atol=1e-15)
 
 
 class TestDocuments:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from gammavar import (
@@ -200,6 +203,23 @@ class TestRademacherSumSq:
         expected = ref.rademacher_moment_reference(values, p)
         assert estimate.method == METHOD_EXACT_ENUMERATION
         assert abs(estimate.value - expected) <= 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from([1.0, 1.5, math.inf]),
+        st.data(),
+    )
+    def test_enumeration_matches_the_reference_on_random_families(
+        self, k, dim, p, data
+    ):
+        values = data.draw(
+            arrays(float, (k, dim), elements=st.floats(-10.0, 10.0, width=64))
+        )
+        estimate = rademacher_sum_sq(values, NormedSpace(dim, p))
+        expected = ref.rademacher_moment_reference(values, p)
+        assert abs(estimate.value - expected) <= 1e-12 * expected + 1e-280
 
     def test_monte_carlo_engages_past_the_enumeration_cap(self):
         rng = np.random.default_rng(33)
