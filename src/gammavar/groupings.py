@@ -85,9 +85,47 @@ class Grouping:
         return f"Grouping([{inner}], n_atoms={self.n_atoms})"
 
 
+def _block_sum(values: np.ndarray, atoms: list[int]) -> np.ndarray:
+    return np.sum(values[atoms], axis=0)
+
+
 def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
     """Sum values (atom-indexed on axis 0) over each block of the grouping."""
-    return np.stack([np.sum(values[list(b)], axis=0) for b in grouping.blocks])
+    return np.stack([_block_sum(values, list(b)) for b in grouping.blocks])
+
+
+def subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of values (atom-indexed on axis 0) over every subset of atoms,
+    indexed by bitmask (bit a set for atom a); row 0 is zero.
+
+    Each row is the block sum block_sums gives for that block, bit for bit.
+    """
+    n_atoms = values.shape[0]
+    table = np.zeros((1 << n_atoms,) + values.shape[1:])
+    for mask in range(1, 1 << n_atoms):
+        table[mask] = _block_sum(values, [a for a in range(n_atoms) if mask >> a & 1])
+    return table
+
+
+def label_masks(labels: np.ndarray) -> np.ndarray:
+    """Atom bitmask of every label in every row of a label array: column m of
+    the (rows, slots) result sets bit a for each atom a labelled m."""
+    rows, slots = labels.shape
+    masks = np.zeros(rows * slots, dtype=np.int64)
+    offsets = np.arange(0, rows * slots, slots)
+    for atom in range(slots - 1):
+        masks[offsets + labels[:, atom + 1]] += 1 << atom
+    return masks.reshape(rows, slots)
+
+
+def grouping_from_labels(labels: np.ndarray) -> Grouping:
+    """The grouping one label row encodes: atom a sits in block labels[a + 1],
+    and label 0 marks the uncovered atoms."""
+    marks = labels[1:]
+    return Grouping(
+        [np.flatnonzero(marks == m) for m in range(1, int(marks.max()) + 1)],
+        marks.size,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +140,27 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + value)
         row = nxt
     return row[0]
+
+
+def check_enumeration_size(n_atoms: int, mode: str, field: str | None = None) -> None:
+    """Raise SizeLimitError if enumerating the groupings of n_atoms atoms in
+    mode "all" or "contiguous" passes its cap.  field, the config field that
+    asked for the enumeration, starts the message."""
+    if mode == "all" and n_atoms > MAX_ATOMS_ALL:
+        message = (
+            f"exhaustive enumeration is capped at {MAX_ATOMS_ALL} atoms "
+            f"(Bell({n_atoms}) = {bell_number(n_atoms)} covering groupings); "
+            f"got {n_atoms}"
+        )
+    elif mode == "contiguous" and n_atoms > MAX_ATOMS_CONTIGUOUS:
+        message = (
+            f"contiguous enumeration is capped at {MAX_ATOMS_CONTIGUOUS} atoms "
+            f"(2^({n_atoms}-1) = {2 ** (n_atoms - 1)} interval partitions); "
+            f"got {n_atoms}"
+        )
+    else:
+        return
+    raise SizeLimitError(f"{field}: {message}" if field else message)
 
 
 def _partitions_of(elements: tuple[int, ...]) -> Iterator[list[list[int]]]:
@@ -151,13 +210,8 @@ def enumerate_groupings(
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
+    check_enumeration_size(n_atoms, mode)
     if mode == "all":
-        if n_atoms > MAX_ATOMS_ALL:
-            raise SizeLimitError(
-                f"exhaustive enumeration is capped at {MAX_ATOMS_ALL} atoms "
-                f"(Bell({n_atoms}) = {bell_number(n_atoms)} covering groupings); "
-                f"got {n_atoms}"
-            )
         if covering_only:
             for blocks in _partitions_of(tuple(range(n_atoms))):
                 yield Grouping(blocks, n_atoms)
@@ -168,13 +222,61 @@ def enumerate_groupings(
                 for blocks in _partitions_of(covered):
                     yield Grouping(blocks, n_atoms)
     elif mode == "contiguous":
-        if n_atoms > MAX_ATOMS_CONTIGUOUS:
-            raise SizeLimitError(
-                f"contiguous enumeration is capped at {MAX_ATOMS_CONTIGUOUS} atoms "
-                f"(2^({n_atoms}-1) = {2 ** (n_atoms - 1)} interval partitions); "
-                f"got {n_atoms}"
-            )
         for blocks in _interval_groupings(n_atoms, covering=covering_only):
             yield Grouping(blocks, n_atoms)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
+
+
+def grouping_labels(n_atoms: int, max_rows: int) -> Iterator[np.ndarray]:
+    """Every grouping of n_atoms atoms, as rows of int8 block labels.
+
+    A row is a restricted-growth string over n_atoms + 1 slots (Knuth, TAOCP
+    4A, 7.2.1.5): slot 0 is labelled 0, and every later label is at most one
+    more than the largest before it.  Atom a sits in block labels[a + 1];
+    the atoms sharing slot 0's label 0 are uncovered, and blocks 1, 2, ...
+    are numbered by their smallest atom, as Grouping orders them.  The
+    Bell(n_atoms + 1) - 1 rows (every string but the all-zero one, which
+    covers no atom) come in lexicographic order, in arrays of at most
+    max_rows rows.
+
+    Raises SizeLimitError above MAX_ATOMS_ALL atoms.
+    """
+    check_enumeration_size(n_atoms, "all")
+    slots = n_atoms + 1
+    # tails[r, m]: strings that complete a prefix with r slots left and
+    # largest label m (labels 0..m keep m, label m + 1 raises it)
+    tails = np.ones((slots, slots + 1), dtype=np.int64)
+    for r in range(1, slots):
+        tails[r, :-1] = np.arange(1, slots + 1) * tails[r - 1, :-1] + tails[r - 1, 1:]
+
+    def extend(labels, tops):
+        counts = tops + 2
+        parents = np.repeat(np.arange(labels.shape[0]), counts)
+        label = np.arange(parents.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return (
+            np.column_stack((labels[parents], label.astype(np.int8))),
+            np.maximum(tops[parents], label),
+        )
+
+    def walk(labels, tops):
+        left = slots - labels.shape[1]
+        sizes = tails[left, tops]
+        if sizes.sum() <= max_rows:
+            for _ in range(left):
+                labels, tops = extend(labels, tops)
+            if np.any(tops > 0):
+                yield labels[tops > 0]
+        elif labels.shape[0] == 1:
+            yield from walk(*extend(labels, tops))
+        else:
+            # consecutive runs of prefixes whose completions fit max_rows
+            ends = np.cumsum(sizes)
+            start = 0
+            while start < labels.shape[0]:
+                stop = int(np.searchsorted(ends, ends[start] - sizes[start] + max_rows, "right"))
+                stop = max(stop, start + 1)
+                yield from walk(labels[start:stop], tops[start:stop])
+                start = stop
+
+    yield from walk(np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64))

@@ -19,19 +19,31 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groupings import Grouping, block_sums, enumerate_groupings
+from .groupings import (
+    Grouping,
+    block_sums,
+    enumerate_groupings,
+    grouping_from_labels,
+    grouping_labels,
+    label_masks,
+    subset_sums,
+)
 from .measures import DiscreteOperator, VectorMeasure, operator_from_measure
 from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
+    _CHUNK_FLOATS,
+    _check_values,
     _coefficient_batches,
     _estimate_from_moments,
     compare_estimates,
     gaussian_sum_sq,
+    rademacher_moments,
     rademacher_sum_sq,
 )
+from .spaces import NormedSpace
 
 VARIATION_MODES = ("fast_path", "exhaustive", "contiguous")
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
@@ -256,6 +268,36 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
         yield current
 
 
+def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> Grouping:
+    """The winner of the exhaustive search over (N, d) values, in the order of
+    _beats.  Groupings come as label rows and their block sums from a table
+    of every subset's sum; all rows with k blocks are evaluated in one batch,
+    and Grouping objects are built only for the rows that tie at the running
+    maximum."""
+    n_atoms, dim = arr.shape
+    table = subset_sums(arr)
+    best_value, best = -np.inf, None
+    # a chunk's block sums hold at most rows * n_atoms * dim floats
+    max_rows = max(1, _CHUNK_FLOATS // (n_atoms * dim))
+    for labels in grouping_labels(n_atoms, max_rows):
+        masks = label_masks(labels)
+        block_counts = labels.max(axis=1)
+        for k in range(1, int(block_counts.max()) + 1):
+            rows = block_counts == k
+            if not rows.any():
+                continue
+            values = rademacher_moments(table[masks[rows, 1 : k + 1]], space)
+            top = values.max()
+            # a tie with more blocks than the best can only lose
+            if not top >= best_value or (top == best_value and k > best.n_blocks):
+                continue
+            ties = (grouping_from_labels(row) for row in labels[rows][values == top])
+            candidate = min(ties, key=Grouping.sort_key)
+            if _beats(top, candidate, best_value, best):
+                best_value, best = top, candidate
+    return best
+
+
 def randomized_variation_norm(
     values,
     space,
@@ -273,11 +315,28 @@ def randomized_variation_norm(
     exhaustive for N <= 12 and contiguous-plus-greedy-merge beyond that.
     Objectives are exact sign enumerations up to 20 blocks; the stream and
     samples are only consulted past that.
+
+    The winner has the highest objective, then the smallest sort_key.  On
+    (N, d) values the exhaustive search walks label arrays
+    (groupings.grouping_labels) and evaluates all groupings with k blocks in
+    one batch (random_sums.rademacher_moments), bit for bit as one
+    rademacher_sum_sq call per grouping would; the reported moment is the
+    winner's rademacher_sum_sq.  Ensemble values and the other modes
+    evaluate one grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
         raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
     arr = np.asarray(values, dtype=float)
     n_atoms = arr.shape[0]
+    if mode == "auto":
+        mode_used = "exhaustive" if n_atoms <= 12 else "contiguous+greedy"
+    else:
+        mode_used = mode
+
+    if mode_used == "exhaustive" and isinstance(space, NormedSpace):
+        grouping = _exhaustive_label_search(_check_values(arr, space), space)
+        moment = rademacher_sum_sq(block_sums(arr, grouping), space)
+        return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 
     cache: dict[Grouping, SumEstimate] = {}
     counter = itertools.count()
@@ -291,11 +350,6 @@ def randomized_variation_norm(
             )
             cache[grouping] = found
         return found
-
-    if mode == "auto":
-        mode_used = "exhaustive" if n_atoms <= 12 else "contiguous+greedy"
-    else:
-        mode_used = mode
 
     if mode_used == "exhaustive":
         candidates: Iterable[Grouping] = enumerate_groupings(n_atoms, "all")

@@ -20,6 +20,8 @@ import numpy as np
 
 from .spaces import EmpiricalL2Space
 
+# Monte Carlo estimates need at least this many samples for a std error.
+MIN_SAMPLES = 2
 # Exact sign enumeration is capped at 2^20 patterns.
 ENUMERATION_LIMIT = 20
 # Fixed Monte Carlo batch structure (thread-count independent determinism).
@@ -131,9 +133,10 @@ def _coefficient_batches(
 ) -> Iterator[np.ndarray]:
     """Coefficient draws of shape (size, k), "gaussian" or "rademacher", in
     the N_BATCHES fixed batches, each drawn from its own substream."""
-    if stream is None or samples < 2:
+    if stream is None or samples < MIN_SAMPLES:
         raise ValueError(
-            "Monte Carlo estimation requires a RandomStream and at least 2 samples"
+            "Monte Carlo estimation requires a RandomStream and at least "
+            f"{MIN_SAMPLES} samples"
         )
     base, extra = divmod(samples, N_BATCHES)
     # batches past the sample count are empty and get no substream
@@ -238,6 +241,30 @@ def _sign_average(values: np.ndarray, norm_sq):
     for start in range(0, patterns.shape[0], chunk):
         total += np.sum(norm_sq(patterns[start : start + chunk] @ values), axis=0)
     return total / patterns.shape[0]
+
+
+def rademacher_moments(blocks: np.ndarray, space) -> np.ndarray:
+    """Exact E || sum_m r_m x_m ||^2 of each family in a (families, k, dim)
+    stack over a NormedSpace, k <= ENUMERATION_LIMIT.
+
+    Row i equals rademacher_sum_sq(blocks[i], space).value bit for bit: the
+    same Hilbert closed form, or the same sign matmul, norm and sum over
+    patterns, batched over families in chunks of at most _CHUNK_FLOATS
+    combined floats.
+    """
+    if space.is_hilbert:
+        return np.sum(space.norm_sq(blocks), axis=-1)
+    patterns = _sign_patterns(blocks.shape[1])
+    per_family = patterns.shape[0] * blocks.shape[2]
+    if per_family > _CHUNK_FLOATS:
+        # one family's sweep is chunked itself; keep its chunk order
+        return np.array([_sign_average(family, space.norm_sq) for family in blocks])
+    step = _CHUNK_FLOATS // per_family
+    totals = np.empty(blocks.shape[0])
+    for start in range(0, blocks.shape[0], step):
+        combos = np.matmul(patterns, blocks[start : start + step])
+        totals[start : start + step] = np.sum(space.norm_sq(combos), axis=-1)
+    return totals / patterns.shape[0]
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .brownian import (
+    MIN_PATHS,
     induced_randomized_measure,
     randomisation_identity_sweep,
     sample_brownian,
@@ -27,7 +28,12 @@ from .embeddings import (
     run_embedding_trials,
     sup_norm_witness,
 )
-from .groupings import Grouping, block_sums, enumerate_groupings
+from .groupings import (
+    Grouping,
+    block_sums,
+    check_enumeration_size,
+    enumerate_groupings,
+)
 from .measures import (
     StepFunction,
     VectorMeasure,
@@ -44,6 +50,7 @@ from .norms import (
     verify_duality,
 )
 from .random_sums import (
+    MIN_SAMPLES,
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
@@ -221,9 +228,10 @@ def _expect_mapping(doc, name: str) -> dict:
     return doc
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name}: expected a positive integer, got {value!r}")
+def _positive_int(value, name: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        expected = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}")
     return value
 
 
@@ -297,8 +305,8 @@ def resolve_config(
     seed = engine["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"engine.seed: expected a nonnegative integer, got {seed!r}")
-    samples = _positive_int(engine["samples"], "engine.samples")
-    paths = _positive_int(engine["paths"], "engine.paths")
+    samples = _positive_int(engine["samples"], "engine.samples", MIN_SAMPLES)
+    paths = _positive_int(engine["paths"], "engine.paths", MIN_PATHS)
     z = engine["z"]
     if not isinstance(z, (int, float)) or isinstance(z, bool) or not z > 0:
         raise ConfigError(f"engine.z: expected a positive number, got {z!r}")
@@ -356,7 +364,42 @@ def resolve_config(
     )
     if measure_values is not None or density_values is not None:
         config.measure()  # validate shapes and finiteness up front
+    _check_size_caps(config, suite_name)
     return config
+
+
+def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
+    """Raise SizeLimitError before any work starts when the run would
+    enumerate groupings past a cap; the message starts with the field that
+    asked for the enumeration."""
+    has_input = config.measure_values is not None or config.density_values is not None
+    if suite_name in ("finest-partition", "randomisation"):
+        # both suites enumerate every covering grouping
+        if suite_name == "finest-partition" and has_input:
+            check_enumeration_size(config.partition.n_atoms, "all", "partition")
+        else:
+            n_atoms = _positive_int(config.suite["n_atoms"], "suite.n_atoms")
+            check_enumeration_size(n_atoms, "all", "suite.n_atoms")
+    if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
+        # grid points within both limits run an exhaustive search
+        limit = min(
+            _positive_int(config.suite["exhaustive_limit"], "suite.exhaustive_limit", 0),
+            _positive_int(config.suite["dense_limit"], "suite.dense_limit", 0),
+        )
+        for n in config.suite["n_grid"]:
+            if _positive_int(n, "suite.n_grid") <= limit:
+                check_enumeration_size(n, "all", "suite.exhaustive_limit")
+    # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches a
+    # configured density or its own instances
+    if config.mode in ("exhaustive", "contiguous") and suite_name in (None, "thm-3-3"):
+        if suite_name == "thm-3-3" and config.density_values is None:
+            n_atoms = _positive_int(config.suite["n_atoms"], "suite.n_atoms")
+        elif has_input:
+            n_atoms = config.partition.n_atoms
+        else:
+            return
+        enumeration = "all" if config.mode == "exhaustive" else "contiguous"
+        check_enumeration_size(n_atoms, enumeration, "engine.mode")
 
 
 def _ordered_map(fn: Callable, items: list, threads: int) -> list:

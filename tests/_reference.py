@@ -178,19 +178,31 @@ def rademacher_moment_reference(vectors, p: float) -> float:
     return total / count
 
 
-def randomized_variation_reference(values, p: float) -> float:
-    """Brute-force randomized variation: max of the sign moment over every
-    disjoint block collection, no weight normalization."""
+def randomized_variation_search_reference(values, p: float):
+    """Brute-force randomized variation search: the largest sign moment over
+    every disjoint block collection, no weight normalization, and the block
+    collection attaining it.  Ties go to fewer blocks, then to the
+    lexicographically smallest blocks (sorted by first atom, each ascending).
+    Returns (moment, blocks)."""
     values = [[float(v) for v in vec] for vec in values]
     dim = len(values[0])
-    best = 0.0
+    best = None
     for blocks in groupings_reference(len(values)):
         sums = [
             [sum(values[i][j] for i in block) for j in range(dim)]
             for block in blocks
         ]
-        best = max(best, rademacher_moment_reference(sums, p))
-    return math.sqrt(best)
+        moment = rademacher_moment_reference(sums, p)
+        key = (-moment, len(blocks), [list(b) for b in blocks])
+        if best is None or key < best:
+            best = key
+    return -best[0], best[2]
+
+
+def randomized_variation_reference(values, p: float) -> float:
+    """Brute-force randomized variation: the square root of the search's
+    largest sign moment."""
+    return math.sqrt(randomized_variation_search_reference(values, p)[0])
 
 
 def gamma_variation_hilbert_reference(weights, values) -> float:

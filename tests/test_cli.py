@@ -86,6 +86,17 @@ class TestNormsCommand:
         assert "27644437" in capsys.readouterr().err
 
 
+    def test_a_count_below_two_names_its_field(self, tmp_path, capsys):
+        path = _norms_config(tmp_path, space={"dim": 2, "norm": "l1"})
+        assert main(["norms", "--config", path, "--samples", "1"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: engine.samples: ")
+        assert main(["integrate", "--paths", "1"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: engine.paths: ")
+        # a Euclidean norms run draws no samples, yet one sample is refused
+        hilbert = _norms_config(tmp_path, engine={"samples": 1})
+        assert main(["norms", "--config", hilbert]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: engine.samples: ")
+
     def test_greedy_mode_runs_the_variation_fast_path(self, tmp_path, capsys):
         # the variation norm has no greedy search; only the randomized search
         # merges greedily

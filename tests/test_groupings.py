@@ -6,7 +6,16 @@ from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from gammavar import Grouping, SizeLimitError, bell_number, enumerate_groupings
-from gammavar.groupings import MAX_ATOMS_ALL, MAX_ATOMS_CONTIGUOUS, block_sums
+from gammavar.groupings import (
+    MAX_ATOMS_ALL,
+    MAX_ATOMS_CONTIGUOUS,
+    block_sums,
+    check_enumeration_size,
+    grouping_from_labels,
+    grouping_labels,
+    label_masks,
+    subset_sums,
+)
 
 
 class TestGrouping:
@@ -139,6 +148,73 @@ class TestEnumeration:
             next(enumerate_groupings(0, "all"))
         with pytest.raises(ValueError):
             next(enumerate_groupings(3, "sideways"))
+
+
+class TestGroupingLabels:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_are_every_grouping_once(self, n):
+        (labels,) = grouping_labels(n, 1 << 20)
+        assert labels.dtype == np.int8
+        assert labels.shape == (ref.bell_reference(n + 1) - 1, n + 1)
+        groupings = [grouping_from_labels(row) for row in labels]
+        assert len(set(groupings)) == len(groupings)
+        assert set(groupings) == set(enumerate_groupings(n, "all"))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_are_canonical_restricted_growth_strings(self, n):
+        (labels,) = grouping_labels(n, 1 << 20)
+        assert np.all(labels[:, 0] == 0)
+        running = np.maximum.accumulate(labels, axis=1)
+        assert np.all(labels[:, 1:] <= running[:, :-1] + 1)
+        # strictly increasing rows in lexicographic order
+        keys = [tuple(row) for row in labels.tolist()]
+        assert keys == sorted(set(keys))
+        for row in labels[:: max(1, len(labels) // 50)]:
+            marks = row[1:]
+            grouping = grouping_from_labels(row)
+            assert grouping.n_blocks == marks.max()
+            # block m of the grouping holds exactly the atoms labelled m + 1
+            for m, block in enumerate(grouping.blocks, start=1):
+                assert block == tuple(np.flatnonzero(marks == m))
+
+    @pytest.mark.parametrize("max_rows", [1, 2, 5, 17, 200])
+    def test_small_chunks_concatenate_to_the_single_chunk(self, max_rows):
+        (whole,) = grouping_labels(6, 1 << 20)
+        chunks = list(grouping_labels(6, max_rows))
+        assert all(0 < len(chunk) <= max_rows for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    def test_cap_names_the_bell_number(self):
+        with pytest.raises(SizeLimitError, match="27644437"):
+            next(grouping_labels(MAX_ATOMS_ALL + 1, 1 << 20))
+
+    def test_masks_mark_each_labels_atoms(self):
+        (labels,) = grouping_labels(5, 1 << 20)
+        masks = label_masks(labels)
+        for row, row_masks in zip(labels, masks):
+            for m in range(6):
+                atoms = np.flatnonzero(row[1:] == m)
+                assert row_masks[m] == sum(1 << int(a) for a in atoms)
+
+    @pytest.mark.parametrize("tail", [(1,), (2,), (3,), (9,)])
+    def test_subset_sums_equal_block_sums_bitwise(self, tail):
+        # atoms past the first lie below half an ulp of it, so a block's sum
+        # depends on how its additions associate; numpy sums a (size, 1)
+        # block of 8 or more atoms pairwise, so 9 atoms tell the orders apart
+        scales = np.array([1.0] + [1e-17 * (3 + 2 * a) for a in range(8)])
+        values = np.abs(np.random.default_rng(7).standard_normal((9,) + tail))
+        values *= scales.reshape((9,) + (1,) * len(tail))
+        table = subset_sums(values)
+        assert np.all(table[0] == 0.0)
+        for mask in range(1, 1 << 9):
+            atoms = [a for a in range(9) if mask >> a & 1]
+            want = block_sums(values, Grouping([atoms], 9))[0]
+            assert np.array_equal(table[mask], want)
+
+    def test_field_prefixes_the_cap_message(self):
+        with pytest.raises(SizeLimitError, match=r"^engine\.mode: contiguous .* got 21$"):
+            check_enumeration_size(21, "contiguous", "engine.mode")
+        check_enumeration_size(MAX_ATOMS_ALL, "all", "suite.n_atoms")
 
 
 @st.composite

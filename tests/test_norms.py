@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from gammavar import (
@@ -26,6 +29,7 @@ from gammavar import (
     total_variation_norm,
     verify_duality,
 )
+from gammavar import norms, random_sums
 from gammavar.groupings import block_sums
 
 
@@ -327,6 +331,79 @@ class TestRandomizedVariation:
         base = randomized_variation_norm(values, NormedSpace.l1(2))
         scaled = randomized_variation_norm(3.0 * values, NormedSpace.l1(2))
         assert abs(scaled.norm - 3.0 * base.norm) <= 1e-9
+
+
+def _per_grouping_search(values, space):
+    """The exhaustive search one rademacher_sum_sq call per grouping."""
+    return norms._search_best(
+        enumerate_groupings(values.shape[0], "all"),
+        lambda g: rademacher_sum_sq(block_sums(values, g), space),
+    )
+
+
+# repeated and zero atoms: many groupings tie exactly
+_TIE_HEAVY = np.array(
+    [
+        [1.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [1.0, 2.0, 0.0],
+        [-1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [2.0, -1.0, 1.0],
+    ]
+)
+
+
+class TestBatchedExhaustiveSearch:
+    @pytest.mark.parametrize(
+        "p, dim", [(1.0, 2), (1.0, 1), (1.5, 3), (2.0, 2), (3.0, 2), (math.inf, 3)]
+    )
+    def test_matches_the_per_grouping_search(self, p, dim):
+        rng = np.random.default_rng(70 + dim)
+        space = NormedSpace(dim, p)
+        for values in (rng.standard_normal((6, dim)), _TIE_HEAVY[:, :dim]):
+            grouping, moment = _per_grouping_search(values, space)
+            report = randomized_variation_norm(values, space, mode="exhaustive")
+            assert report.grouping == grouping
+            assert report.moment == moment
+            assert report.norm == math.sqrt(moment.value)
+
+    def test_small_chunks_give_the_same_winner(self, monkeypatch):
+        # ties then meet across label chunks, not only inside one batch
+        monkeypatch.setattr(norms, "_CHUNK_FLOATS", 64)
+        monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", 64)
+        rng = np.random.default_rng(75)
+        space = NormedSpace.linf(2)
+        for values in (rng.standard_normal((6, 2)), _TIE_HEAVY[:, :2]):
+            grouping, moment = _per_grouping_search(values, space)
+            report = randomized_variation_norm(values, space)
+            assert (report.grouping, report.moment) == (grouping, moment)
+
+    def test_the_zero_measure_keeps_the_first_atom(self):
+        report = randomized_variation_norm(np.zeros((6, 2)), NormedSpace.l1(2))
+        assert report.grouping == Grouping([[0]], 6)
+        assert report.norm == 0.0
+
+    def test_value_dimension_is_checked(self):
+        with pytest.raises(ValueError, match="space dim"):
+            randomized_variation_norm(np.ones((3, 2)), NormedSpace.l1(3))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: arrays(
+                float, (n, 2), elements=st.integers(-3, 3).map(float)
+            )
+        ),
+        st.sampled_from([1.0, math.inf]),
+    )
+    def test_matches_the_reference_search_on_small_integers(self, values, p):
+        # small integers keep every sum, square and division by 2^(k-1)
+        # exact, so the value and the tie-broken grouping must be equal
+        report = randomized_variation_norm(values, NormedSpace(2, p), mode="exhaustive")
+        moment, blocks = ref.randomized_variation_search_reference(values, p)
+        assert report.moment.value == moment
+        assert report.grouping.to_lists() == blocks
 
 
 class TestDualOperatorRoundTrip:

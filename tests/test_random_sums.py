@@ -16,10 +16,19 @@ from gammavar import (
     gaussian_sum_sq,
     rademacher_sum_sq,
 )
+from gammavar import random_sums
+from gammavar.groupings import (
+    block_sums,
+    grouping_from_labels,
+    grouping_labels,
+    label_masks,
+    subset_sums,
+)
 from gammavar.random_sums import (
     METHOD_EXACT_ENUMERATION,
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
+    rademacher_moments,
 )
 
 
@@ -231,6 +240,44 @@ class TestRademacherSumSq:
         assert mc.method == METHOD_MONTE_CARLO
         assert mc.samples == 40_000
         assert abs(mc.value - float(np.sum(values**2))) <= 3.0 * mc.std_error
+
+
+def _batched_and_single_moments(values, space):
+    """Every grouping's moment from rademacher_moments over the label array,
+    paired with rademacher_sum_sq of its block_sums."""
+    (labels,) = grouping_labels(values.shape[0], 1 << 20)
+    masks = label_masks(labels)
+    table = subset_sums(values)
+    block_counts = labels.max(axis=1)
+    for k in range(1, int(block_counts.max()) + 1):
+        rows = block_counts == k
+        batched = rademacher_moments(table[masks[rows, 1 : k + 1]], space)
+        for row, value in zip(labels[rows], batched):
+            grouping = grouping_from_labels(row)
+            yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
+
+
+class TestRademacherMoments:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_grouping_matches_the_single_family_kernel_bitwise(self, p, dim):
+        rng = np.random.default_rng(int(10 * p) if p < 10 else 99)
+        # magnitudes spread over six decades, so association shows in the bits
+        values = rng.standard_normal((6, dim)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+        pairs = list(_batched_and_single_moments(values, NormedSpace(dim, p)))
+        assert len(pairs) == 876
+        assert all(batched == single for batched, single in pairs)
+
+    @pytest.mark.parametrize("chunk", [1, 40, 200])
+    def test_small_chunks_keep_the_bits(self, monkeypatch, chunk):
+        # 40 and 200 floats split the families into several matmuls; 1 float
+        # is below one family's sweep, which then keeps its own chunk order
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((5, 2))
+        space = NormedSpace(2, 1.5)
+        monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", chunk)
+        pairs = list(_batched_and_single_moments(values, space))
+        assert all(batched == single for batched, single in pairs)
 
 
 class TestEnsembleValues:

@@ -23,6 +23,15 @@ def _by_name(report, name):
     return next(check for check in report.checks if check.name == name)
 
 
+def _sized_input(n_atoms, kind, mode):
+    return {
+        "partition": {"uniform": n_atoms},
+        "space": {"dim": 2, "norm": "l1"},
+        "input": {kind: [[1.0, -0.5]] * n_atoms},
+        "engine": {"mode": mode},
+    }
+
+
 class TestConfigResolution:
     def test_suite_defaults_apply(self):
         config = resolve_config(None, "thm-2-3")
@@ -69,6 +78,47 @@ class TestConfigResolution:
     def test_engine_field_validation(self, engine):
         with pytest.raises(ConfigError):
             resolve_config({"engine": engine})
+
+    @pytest.mark.parametrize(
+        "document, suite_name, field",
+        [
+            ({"suite": {"n_atoms": 13}}, "finest-partition", "suite.n_atoms"),
+            ({"suite": {"n_atoms": 13}}, "randomisation", "suite.n_atoms"),
+            (_sized_input(13, "measure", "exhaustive"), "finest-partition", "partition"),
+            (_sized_input(13, "measure", "exhaustive"), None, "engine.mode"),
+            (_sized_input(21, "density", "contiguous"), None, "engine.mode"),
+            (_sized_input(13, "density", "exhaustive"), "thm-3-3", "engine.mode"),
+            (
+                {"suite": {"n_grid": [4, 13], "exhaustive_limit": 13}},
+                "example-3-4",
+                "suite.exhaustive_limit",
+            ),
+            (
+                {"engine": {"mode": "contiguous"}, "suite": {"n_atoms": 21}},
+                "thm-3-3",
+                "engine.mode",
+            ),
+        ],
+    )
+    def test_enumeration_caps_are_checked_before_any_run(self, document, suite_name, field):
+        with pytest.raises(SizeLimitError) as exc:
+            resolve_config(document, suite_name)
+        assert str(exc.value).startswith(f"{field}: ")
+        assert "got " in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "document, suite_name",
+        [
+            ({"suite": {"n_atoms": 12}}, "finest-partition"),
+            ({"suite": {"n_grid": [4, 13], "exhaustive_limit": 12}}, "example-3-4"),
+            (_sized_input(13, "measure", "greedy"), None),
+            (_sized_input(13, "measure", "auto"), None),
+            (_sized_input(20, "density", "contiguous"), None),
+            ({"engine": {"mode": "exhaustive"}, "suite": {"n_atoms": 13}}, "cor-2-6"),
+        ],
+    )
+    def test_runs_within_the_caps_resolve(self, document, suite_name):
+        resolve_config(document, suite_name)
 
     def test_partition_requires_exactly_one_form(self):
         for bad in ({}, {"uniform": 2, "weights": [0.5, 0.5]}, {"atoms": 3}):
