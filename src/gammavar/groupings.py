@@ -107,17 +107,6 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def label_masks(labels: np.ndarray) -> np.ndarray:
-    """Atom bitmask of every label in every row of a label array: column m of
-    the (rows, slots) result sets bit a for each atom a labelled m."""
-    rows, slots = labels.shape
-    masks = np.zeros(rows * slots, dtype=np.int64)
-    offsets = np.arange(0, rows * slots, slots)
-    for atom in range(slots - 1):
-        masks[offsets + labels[:, atom + 1]] += 1 << atom
-    return masks.reshape(rows, slots)
-
-
 def grouping_from_labels(labels: np.ndarray) -> Grouping:
     """The grouping one label row encodes: atom a sits in block labels[a + 1],
     and label 0 marks the uncovered atoms."""
@@ -228,8 +217,11 @@ def enumerate_groupings(
         raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
-def grouping_labels(n_atoms: int, max_rows: int) -> Iterator[np.ndarray]:
-    """Every grouping of n_atoms atoms, as rows of int8 block labels.
+def grouping_labels(
+    n_atoms: int, max_rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every grouping of n_atoms atoms, as rows of int8 block labels with the
+    atom bitmask of every label.
 
     A row is a restricted-growth string over n_atoms + 1 slots (Knuth, TAOCP
     4A, 7.2.1.5): slot 0 is labelled 0, and every later label is at most one
@@ -237,8 +229,10 @@ def grouping_labels(n_atoms: int, max_rows: int) -> Iterator[np.ndarray]:
     the atoms sharing slot 0's label 0 are uncovered, and blocks 1, 2, ...
     are numbered by their smallest atom, as Grouping orders them.  The
     Bell(n_atoms + 1) - 1 rows (every string but the all-zero one, which
-    covers no atom) come in lexicographic order, in arrays of at most
-    max_rows rows.
+    covers no atom) come in lexicographic order, in pairs (labels, masks) of
+    at most max_rows rows.  Column m of masks, the smallest unsigned integer
+    type that holds n_atoms bits, sets bit a for each atom a labelled m;
+    each label a row gains adds its atom's bit there.
 
     Raises SizeLimitError above MAX_ATOMS_ALL atoms.
     """
@@ -250,25 +244,33 @@ def grouping_labels(n_atoms: int, max_rows: int) -> Iterator[np.ndarray]:
     for r in range(1, slots):
         tails[r, :-1] = np.arange(1, slots + 1) * tails[r - 1, :-1] + tails[r - 1, 1:]
 
-    def extend(labels, tops):
+    def extend(labels, masks, tops):
         counts = tops + 2
-        parents = np.repeat(np.arange(labels.shape[0]), counts)
-        label = np.arange(parents.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = int(counts.sum())
+        label = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)
+        masks = np.repeat(masks, counts, axis=0)
+        # the atom in the new slot adds its bit to the column of its label
+        bit = 1 << (labels.shape[1] - 1)
+        masks.reshape(-1)[np.arange(0, rows * slots, slots) + label] += bit
         return (
-            np.column_stack((labels[parents], label.astype(np.int8))),
-            np.maximum(tops[parents], label),
+            np.column_stack((np.repeat(labels, counts, axis=0), label.astype(np.int8))),
+            masks,
+            np.maximum(np.repeat(tops, counts), label),
         )
 
-    def walk(labels, tops):
+    def walk(labels, masks, tops):
         left = slots - labels.shape[1]
         sizes = tails[left, tops]
         if sizes.sum() <= max_rows:
             for _ in range(left):
-                labels, tops = extend(labels, tops)
-            if np.any(tops > 0):
-                yield labels[tops > 0]
+                labels, masks, tops = extend(labels, masks, tops)
+            # only the all-zero string, first in lexicographic order, covers
+            # no atom
+            first = int(tops[0] == 0)
+            if first < labels.shape[0]:
+                yield labels[first:], masks[first:]
         elif labels.shape[0] == 1:
-            yield from walk(*extend(labels, tops))
+            yield from walk(*extend(labels, masks, tops))
         else:
             # consecutive runs of prefixes whose completions fit max_rows
             ends = np.cumsum(sizes)
@@ -276,7 +278,12 @@ def grouping_labels(n_atoms: int, max_rows: int) -> Iterator[np.ndarray]:
             while start < labels.shape[0]:
                 stop = int(np.searchsorted(ends, ends[start] - sizes[start] + max_rows, "right"))
                 stop = max(stop, start + 1)
-                yield from walk(labels[start:stop], tops[start:stop])
+                part = slice(start, stop)
+                yield from walk(labels[part], masks[part], tops[part])
                 start = stop
 
-    yield from walk(np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64))
+    yield from walk(
+        np.zeros((1, 1), dtype=np.int8),
+        np.zeros((1, slots), dtype=np.min_scalar_type((1 << n_atoms) - 1)),
+        np.zeros(1, dtype=np.int64),
+    )

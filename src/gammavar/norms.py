@@ -2,7 +2,11 @@
 
 For a measure F on weighted atoms, the gamma-variation squared moment of a
 grouping {B_1..B_k} is E || sum_m g_m F(B_m)/sqrt(mu(B_m)) ||^2 with standard
-Gaussian coefficients; the norm is the supremum over groupings.  The dual view
+Gaussian coefficients; the norm is the supremum over groupings.  That is the
+second moment of a centred Gaussian vector with covariance
+Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the grouping searches
+(SharedDrawMoments) are exact in Hilbert spaces, in l1 and in the plane's
+linf, and share one set of Gaussian draws elsewhere.  The dual view
 is the Gaussian-summing norm of the operator with columns F(A_n)/sqrt(mu(A_n)),
 whose squared moment is E || T g ||^2 over the full normalized-indicator basis.
 
@@ -25,7 +29,6 @@ from .groupings import (
     enumerate_groupings,
     grouping_from_labels,
     grouping_labels,
-    label_masks,
     subset_sums,
 )
 from .measures import DiscreteOperator, VectorMeasure, operator_from_measure
@@ -33,13 +36,17 @@ from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
+    METHOD_EXACT_COVARIANCE,
     METHOD_EXACT_HILBERT,
+    METHOD_MONTE_CARLO,
     _CHUNK_FLOATS,
     _check_values,
     _coefficient_batches,
     _estimate_from_moments,
     compare_estimates,
+    covariance_moment,
     gaussian_sum_sq,
+    has_covariance_moment,
     rademacher_moments,
     rademacher_sum_sq,
 )
@@ -118,8 +125,14 @@ def grouping_moment_exact(measure: VectorMeasure, grouping: Grouping) -> float:
 
 
 class SharedDrawMoments:
-    """Squared-moment estimates for many groupings of one measure, reusing one
-    set of Gaussian draws (paired estimates; Hilbert spaces are exact)."""
+    """Squared-moment values of many groupings of one measure.
+
+    Exact where the space gives the moment in closed form: Hilbert spaces
+    take grouping_moment_exact, and l1 in any dimension and linf in the
+    plane take random_sums.covariance_moment of the grouping's covariance
+    Sigma_G = sum_B F(B) F(B)^T / mu(B); these need no stream.  Other spaces
+    share one set of Gaussian draws across all groupings (paired estimates)
+    and need a stream and samples."""
 
     def __init__(
         self,
@@ -128,24 +141,33 @@ class SharedDrawMoments:
         samples: int = 0,
     ):
         self.measure = measure
-        self.exact = measure.space.is_hilbert
-        if not self.exact:
+        space = measure.space
+        if space.is_hilbert:
+            self.method = METHOD_EXACT_HILBERT
+        elif has_covariance_moment(space):
+            self.method = METHOD_EXACT_COVARIANCE
+            # mu(A_n) next to F(A_n), so one block_sums call gives mu(B), F(B)
+            self._masses_values = np.column_stack((measure.partition.weights, measure.values))
+        else:
+            self.method = METHOD_MONTE_CARLO
             batches = _coefficient_batches(stream, samples, measure.n_atoms, "gaussian")
             self._draws = np.concatenate(list(batches), axis=0)
 
     def moment(self, grouping: Grouping) -> SumEstimate:
-        if self.exact:
-            return SumEstimate(
-                value=grouping_moment_exact(self.measure, grouping),
-                std_error=0.0,
-                samples=0,
-                method=METHOD_EXACT_HILBERT,
+        if self.method == METHOD_MONTE_CARLO:
+            stats = self.measure.space.norm_sq(
+                self._draws @ _grouping_matrix(self.measure, grouping)
             )
-        stats = self.measure.space.norm_sq(
-            self._draws @ _grouping_matrix(self.measure, grouping)
-        )
-        n = stats.size
-        return _estimate_from_moments(n, float(np.sum(stats)), float(np.sum(stats * stats)))
+            total, total_sq = float(np.sum(stats)), float(np.sum(stats * stats))
+            return _estimate_from_moments(stats.size, total, total_sq)
+        if self.method == METHOD_EXACT_HILBERT:
+            value = grouping_moment_exact(self.measure, grouping)
+        else:
+            # Sigma_G = sum_B F(B) F(B)^T / mu(B)
+            sums = block_sums(self._masses_values, grouping)
+            scaled = sums[:, 1:] / np.sqrt(sums[:, :1])
+            value = covariance_moment(scaled.T @ scaled, self.measure.space)
+        return SumEstimate(value=value, std_error=0.0, samples=0, method=self.method)
 
 
 def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
@@ -181,8 +203,9 @@ def gamma_variation_norm(
     mode="fast_path" evaluates only the finest covering grouping (the supremum
     sits there; the search modes exist to verify that).  "exhaustive" scans
     every grouping, covering or not; "contiguous" scans interval groupings.
-    Hilbert values are exact; otherwise Monte Carlo draws are shared across
-    all scanned groupings.
+    The scans are exact in Hilbert spaces, l1 and the plane's linf, and
+    share Monte Carlo draws across all scanned groupings elsewhere
+    (SharedDrawMoments).
     """
     if mode not in VARIATION_MODES:
         raise ValueError(f"mode must be one of {VARIATION_MODES}, got {mode!r}")
@@ -279,8 +302,7 @@ def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> Grouping:
     best_value, best = -np.inf, None
     # a chunk's block sums hold at most rows * n_atoms * dim floats
     max_rows = max(1, _CHUNK_FLOATS // (n_atoms * dim))
-    for labels in grouping_labels(n_atoms, max_rows):
-        masks = label_masks(labels)
+    for labels, masks in grouping_labels(n_atoms, max_rows):
         block_counts = labels.max(axis=1)
         for k in range(1, int(block_counts.max()) + 1):
             rows = block_counts == k

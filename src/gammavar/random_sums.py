@@ -3,15 +3,18 @@
 The quantity of interest is E || sum_n c_n x_n ||^2 where the coefficients are
 either independent standard Gaussians or independent Rademacher signs and the
 x_n live in a normed space.  Exact routes: the Hilbert closed form
-sum_n ||x_n||_2^2, and full sign enumeration for small families.  Everything
-else is Monte Carlo with a reproducible substream layout: an estimate is a
-deterministic function of (seed, stream_id, samples), independent of thread
-count, because draws are generated in a fixed number of batches with one
-substream per batch and combined in batch order.
+sum_n ||x_n||_2^2, full sign enumeration for small families, and the closed
+form of a Gaussian sum's moment in its covariance for l1 and the plane's
+linf (covariance_moment).  Everything else is Monte Carlo with a
+reproducible substream layout: an estimate is a deterministic function of
+(seed, stream_id, samples), independent of thread count, because draws are
+generated in a fixed number of batches with one substream per batch and
+combined in batch order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -33,6 +36,7 @@ _CHUNK_FLOATS = 1 << 23
 
 METHOD_EXACT_HILBERT = "exact_hilbert"
 METHOD_EXACT_ENUMERATION = "exact_enumeration"
+METHOD_EXACT_COVARIANCE = "exact_covariance"
 METHOD_MONTE_CARLO = "monte_carlo"
 
 
@@ -72,7 +76,11 @@ class SumEstimate:
 
     @property
     def is_exact(self) -> bool:
-        return self.method in (METHOD_EXACT_HILBERT, METHOD_EXACT_ENUMERATION)
+        return self.method in (
+            METHOD_EXACT_HILBERT,
+            METHOD_EXACT_ENUMERATION,
+            METHOD_EXACT_COVARIANCE,
+        )
 
     def to_document(self) -> dict:
         return {
@@ -275,6 +283,45 @@ def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:
         samples=0,
         method=METHOD_EXACT_HILBERT,
     )
+
+
+def has_covariance_moment(space) -> bool:
+    """Whether covariance_moment has a closed form for the space: l1 in any
+    dimension, linf in the plane."""
+    return space.p == 1.0 or (math.isinf(space.p) and space.dim == 2)
+
+
+def _abs_product_moments(var_u, var_v, cov_uv) -> np.ndarray:
+    """E|U V| of centred Gaussian pairs with the given variances and
+    covariances (Nabeya 1951): (2/pi) sqrt(var_u var_v) (sqrt(1 - r^2) +
+    r asin r) with correlation r, clipped to [-1, 1] against rounding; 0 when
+    either variance is 0."""
+    scale = np.sqrt(np.multiply(var_u, var_v))
+    r = np.divide(cov_uv, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    r = np.clip(r, -1.0, 1.0)
+    return (2.0 / math.pi) * scale * (np.sqrt(1.0 - r * r) + r * np.arcsin(r))
+
+
+def covariance_moment(cov: np.ndarray, space) -> float:
+    """E ||Y||^2 of a centred Gaussian Y in R^d with covariance cov (d x d),
+    exactly, where has_covariance_moment(space) holds.
+
+    l1: (sum_i |Y_i|)^2 has mean sum_i S_ii + 2 sum_{i<j} E|Y_i Y_j|.
+    linf, d = 2: max(a^2, b^2) = (a^2 + b^2)/2 + |(a - b)(a + b)|/2, and
+    U = Y_0 - Y_1, V = Y_0 + Y_1 are again a centred Gaussian pair.
+    """
+    if not has_covariance_moment(space):
+        raise ValueError(f"no covariance closed form for {space!r}")
+    if space.p == 1.0:
+        diag = np.diagonal(cov)
+        i, j = np.triu_indices(space.dim, 1)
+        cross = _abs_product_moments(diag[i], diag[j], cov[i, j])
+        return float(np.sum(diag) + 2.0 * np.sum(cross))
+    s00, s01, s11 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    trace = s00 + s11
+    # rounding can leave a degenerate direction's variance slightly negative
+    var_u, var_v = max(trace - 2.0 * s01, 0.0), max(trace + 2.0 * s01, 0.0)
+    return float(trace / 2.0 + _abs_product_moments(var_u, var_v, s00 - s11) / 2.0)
 
 
 def gaussian_sum_sq(

@@ -867,7 +867,8 @@ def _domination_instance(args) -> CheckRecord:
         count += 1
         moment = shared.moment(grouping)
         if moment.is_exact and finest_moment.is_exact:
-            tolerance = 1e-12
+            # a rounding bound: the moments' rounding error grows with them
+            tolerance = 1e-12 * max(1.0, abs(finest_moment.value))
         else:
             tolerance = z * float(
                 np.hypot(moment.std_error, finest_moment.std_error)

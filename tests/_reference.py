@@ -83,6 +83,47 @@ def lp_cotype2_floor_reference(p: float) -> float:
     return gaussian_abs_moment(p) ** (1.0 / p)
 
 
+def gaussian_norm_sq_plane_reference(cov, p: float) -> float:
+    """E ||Y||_p^2 for a centred Gaussian Y in R^2 with covariance cov, by
+    two-dimensional Gauss-Legendre quadrature over the bivariate normal.
+
+    Y = L z with L = V sqrt(Lambda) from the eigendecomposition of cov, so a
+    singular covariance needs no special case.  In polar coordinates
+    z = r (cos t, sin t) the standard normal density is
+    r exp(-r^2/2) / (2 pi) dr dt, and ||L z||^2 = r^2 ||L u(t)||^2.  The
+    radial integrand is smooth and [0, 12] holds its mass far below 1e-15;
+    the angular one is smooth between the angles where a coordinate of
+    L u(t), or their sum or difference, vanishes (the kinks of the l1 and
+    sup norms), so [0, 2 pi] is split there.
+    """
+    cov = np.asarray(cov, dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    factor = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    cuts = {0.0, 2.0 * math.pi}
+    for form in (factor[0], factor[1], factor[0] - factor[1], factor[0] + factor[1]):
+        # form . (cos t, sin t) vanishes at t0 and t0 + pi
+        t0 = math.atan2(-form[0], form[1]) % math.pi
+        cuts.update((t0, t0 + math.pi))
+    edges = sorted(cuts)
+    angle_nodes, angle_weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            ts, ws = composite_gauss_legendre(lo, hi, segments=1, order=32)
+            angle_nodes.append(ts)
+            angle_weights.append(ws)
+    ts, tw = np.concatenate(angle_nodes), np.concatenate(angle_weights)
+    rs, rw = composite_gauss_legendre(0.0, 12.0, segments=12, order=32)
+    # points of the product grid, radius on axis 0 and angle on axis 1
+    ys = factor @ np.stack((np.cos(ts), np.sin(ts)))
+    ys = rs[:, None, None] * ys.T[None, :, :]
+    if math.isinf(p):
+        norm_sq = np.max(np.abs(ys), axis=-1) ** 2
+    else:
+        norm_sq = np.sum(np.abs(ys) ** p, axis=-1) ** (2.0 / p)
+    density = rs * np.exp(-0.5 * rs * rs) / (2.0 * math.pi)
+    return float(np.sum((rw * density)[:, None] * tw[None, :] * norm_sq))
+
+
 @lru_cache(maxsize=None)
 def bell_reference(n: int) -> int:
     """Bell numbers by the binomial convolution B(n) = sum C(n-1, k) B(k)."""
@@ -139,6 +180,18 @@ def block_sums_reference(values, blocks) -> np.ndarray:
                 total += float(arr[(atom,) + pos])
             out[(m,) + pos] = total
     return out
+
+
+def label_masks_reference(labels) -> np.ndarray:
+    """Atom bitmask of every label in every row of a label array, one scatter
+    per atom: column m of the (rows, slots) result sets bit a for each atom a
+    labelled m (labels[:, a + 1] == m)."""
+    rows, slots = labels.shape
+    masks = np.zeros(rows * slots, dtype=np.int64)
+    offsets = np.arange(0, rows * slots, slots)
+    for atom in range(slots - 1):
+        masks[offsets + labels[:, atom + 1]] += 1 << atom
+    return masks.reshape(rows, slots)
 
 
 def canonical_blocks(blocks) -> frozenset:

@@ -1,12 +1,17 @@
-"""Report bytes of `norms` against golden files.
+"""Report bytes of `norms` and reduced `verify` suites against golden files.
 
-Each tests/golden/<name>.config.json holds a seeded measure, and
-<name>.report.json holds the report that
+Each tests/golden/<name>.config.json holds a config, and <name>.report.json
+holds the report that
 
     python -m gammavar norms --config tests/golden/<name>.config.json
 
-printed for it.  Byte-identical reports are an invariant across changes: a
-change that alters them on purpose regenerates these files and says why.
+printed for a norms-<...> name, or
+
+    python -m gammavar verify <suite> --config tests/golden/<name>.config.json
+
+for a verify-<...> name (VERIFY_SUITES names the suite).  Byte-identical
+reports are an invariant across changes: a change that alters them on
+purpose regenerates these files and says why.
 """
 
 from pathlib import Path
@@ -17,16 +22,32 @@ from gammavar.cli import EXIT_PASS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("*.config.json"))
+NORMS_NAMES = [name for name in NAMES if name.startswith("norms-")]
+VERIFY_SUITES = {
+    "verify-finest-partition-l2": "finest-partition",
+    "verify-randomisation": "randomisation",
+    "verify-thm-2-3": "thm-2-3",
+}
 
 
 def test_the_golden_set_is_present():
-    assert NAMES == ["norms-l1-d2-n8", "norms-linf-d3-n7", "norms-lp1.5-d2-n7"]
+    assert NORMS_NAMES == ["norms-l1-d2-n8", "norms-linf-d3-n7", "norms-lp1.5-d2-n7"]
+    assert NAMES == sorted(NORMS_NAMES + list(VERIFY_SUITES))
 
 
-@pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_norms_report_is_byte_identical(name, threads, capsys):
-    config = GOLDEN / f"{name}.config.json"
-    code = main(["norms", "--config", str(config), "--threads", threads])
+def _assert_golden(name, argv, capsys):
+    code = main(argv + ["--config", str(GOLDEN / f"{name}.config.json")])
     assert code == EXIT_PASS
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", NORMS_NAMES)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_norms_report_is_byte_identical(name, threads, capsys):
+    _assert_golden(name, ["norms", "--threads", threads], capsys)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SUITES))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_report_is_byte_identical(name, threads, capsys):
+    _assert_golden(name, ["verify", VERIFY_SUITES[name], "--threads", threads], capsys)

@@ -13,7 +13,6 @@ from gammavar.groupings import (
     check_enumeration_size,
     grouping_from_labels,
     grouping_labels,
-    label_masks,
     subset_sums,
 )
 
@@ -153,7 +152,7 @@ class TestEnumeration:
 class TestGroupingLabels:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_every_grouping_once(self, n):
-        (labels,) = grouping_labels(n, 1 << 20)
+        ((labels, _),) = grouping_labels(n, 1 << 20)
         assert labels.dtype == np.int8
         assert labels.shape == (ref.bell_reference(n + 1) - 1, n + 1)
         groupings = [grouping_from_labels(row) for row in labels]
@@ -162,7 +161,7 @@ class TestGroupingLabels:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_canonical_restricted_growth_strings(self, n):
-        (labels,) = grouping_labels(n, 1 << 20)
+        ((labels, _),) = grouping_labels(n, 1 << 20)
         assert np.all(labels[:, 0] == 0)
         running = np.maximum.accumulate(labels, axis=1)
         assert np.all(labels[:, 1:] <= running[:, :-1] + 1)
@@ -179,22 +178,29 @@ class TestGroupingLabels:
 
     @pytest.mark.parametrize("max_rows", [1, 2, 5, 17, 200])
     def test_small_chunks_concatenate_to_the_single_chunk(self, max_rows):
-        (whole,) = grouping_labels(6, 1 << 20)
+        ((whole, whole_masks),) = grouping_labels(6, 1 << 20)
         chunks = list(grouping_labels(6, max_rows))
-        assert all(0 < len(chunk) <= max_rows for chunk in chunks)
-        assert np.array_equal(np.concatenate(chunks), whole)
+        assert all(0 < len(labels) <= max_rows for labels, _ in chunks)
+        assert all(len(labels) == len(masks) for labels, masks in chunks)
+        assert np.array_equal(np.concatenate([labels for labels, _ in chunks]), whole)
+        assert np.array_equal(np.concatenate([masks for _, masks in chunks]), whole_masks)
 
     def test_cap_names_the_bell_number(self):
         with pytest.raises(SizeLimitError, match="27644437"):
             next(grouping_labels(MAX_ATOMS_ALL + 1, 1 << 20))
 
     def test_masks_mark_each_labels_atoms(self):
-        (labels,) = grouping_labels(5, 1 << 20)
-        masks = label_masks(labels)
+        ((labels, masks),) = grouping_labels(5, 1 << 20)
         for row, row_masks in zip(labels, masks):
             for m in range(6):
                 atoms = np.flatnonzero(row[1:] == m)
                 assert row_masks[m] == sum(1 << int(a) for a in atoms)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("max_rows", [200, 1 << 20])
+    def test_masks_equal_the_per_atom_scatter(self, n, max_rows):
+        for labels, masks in grouping_labels(n, max_rows):
+            assert np.array_equal(masks, ref.label_masks_reference(labels))
 
     @pytest.mark.parametrize("tail", [(1,), (2,), (3,), (9,)])
     def test_subset_sums_equal_block_sums_bitwise(self, tail):

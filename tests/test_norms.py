@@ -31,6 +31,7 @@ from gammavar import (
 )
 from gammavar import norms, random_sums
 from gammavar.groupings import block_sums
+from gammavar.random_sums import METHOD_EXACT_COVARIANCE, covariance_moment
 
 
 def _random_measure(rng, n_atoms, dim, space=None):
@@ -156,7 +157,8 @@ class TestGroupingMoments:
 
     def test_shared_draws_are_deterministic_and_paired(self):
         rng = np.random.default_rng(56)
-        measure = _random_measure(rng, 4, 2, NormedSpace.l1(2))
+        # linf in R^3 has no covariance closed form, so it keeps the draws
+        measure = _random_measure(rng, 4, 3, NormedSpace.linf(3))
         a = SharedDrawMoments(measure, RandomStream(1, (0,)), 2000)
         b = SharedDrawMoments(measure, RandomStream(1, (0,)), 2000)
         grouping = Grouping([[0, 1], [2], [3]], 4)
@@ -166,9 +168,104 @@ class TestGroupingMoments:
 
     def test_shared_draws_require_sampling_parameters_off_hilbert(self):
         rng = np.random.default_rng(57)
-        measure = _random_measure(rng, 3, 2, NormedSpace.linf(2))
+        measure = _random_measure(rng, 3, 3, NormedSpace.linf(3))
         with pytest.raises(ValueError):
             SharedDrawMoments(measure)
+
+
+# the spaces whose grouping moments have a closed form in the block covariance
+EXACT_OFF_HILBERT = [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)]
+
+
+def _rounding_bound(finest: float) -> float:
+    """The exact-vs-exact tolerance of the finest-partition suite."""
+    return 1e-12 * max(1.0, abs(finest))
+
+
+@st.composite
+def _exact_measures(draw):
+    """A measure of 1-5 atoms with integer-ratio weights in l1(2), l1(3) or
+    linf(2)."""
+    space = draw(st.sampled_from(EXACT_OFF_HILBERT))
+    n_atoms = draw(st.integers(1, 5))
+    counts = np.array(draw(st.lists(st.integers(1, 20), min_size=n_atoms, max_size=n_atoms)))
+    values = draw(
+        arrays(float, (n_atoms, space.dim), elements=st.floats(-1e3, 1e3, width=64))
+    )
+    return VectorMeasure(AtomPartition(counts / counts.sum()), space, values)
+
+
+class TestExactCovarianceMoments:
+    @pytest.mark.parametrize("space", EXACT_OFF_HILBERT, ids=repr)
+    def test_no_stream_and_no_draws_are_needed(self, space):
+        measure = _random_measure(np.random.default_rng(60), 4, space.dim, space)
+        shared = SharedDrawMoments(measure)
+        assert not hasattr(shared, "_draws")
+        for grouping in enumerate_groupings(4, "all"):
+            estimate = shared.moment(grouping)
+            assert estimate.method == METHOD_EXACT_COVARIANCE
+            assert estimate.is_exact
+            assert (estimate.std_error, estimate.samples) == (0.0, 0)
+
+    def test_finest_moment_is_the_covariance_moment_of_the_normalized_atoms(self):
+        measure = _random_measure(np.random.default_rng(61), 5, 3, NormedSpace.l1(3))
+        rows = measure.values / np.sqrt(measure.partition.weights)[:, None]
+        finest = SharedDrawMoments(measure).moment(Grouping.finest(5)).value
+        want = covariance_moment(rows.T @ rows, measure.space)
+        assert abs(finest - want) <= 1e-12 * want
+
+    def test_sup_norm_witness_matches_the_quadrature_constant(self):
+        s = 1.0 / math.sqrt(2.0)
+        measure = VectorMeasure(
+            AtomPartition([0.5, 0.5]), NormedSpace.linf(2), [[s, 0.0], [0.0, s]]
+        )
+        moment = SharedDrawMoments(measure).moment(Grouping.finest(2))
+        assert abs(moment.value - ref.MAX_SQ_TWO_GAUSSIANS) <= 1e-14
+
+    @pytest.mark.parametrize("space", EXACT_OFF_HILBERT, ids=repr)
+    def test_search_modes_find_the_finest_grouping_exactly(self, space):
+        measure = _random_measure(np.random.default_rng(62), 5, space.dim, space)
+        for mode in ("exhaustive", "contiguous"):
+            report = gamma_variation_norm(measure, mode=mode)
+            assert report.grouping == Grouping.finest(5)
+            assert report.moment.is_exact
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures())
+    def test_no_coarsening_beats_the_finest_grouping(self, measure):
+        shared = SharedDrawMoments(measure)
+        finest = shared.moment(Grouping.finest(measure.n_atoms)).value
+        for grouping in enumerate_groupings(measure.n_atoms, "all", covering_only=True):
+            assert shared.moment(grouping).value <= finest + _rounding_bound(finest)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures(), st.floats(1e-3, 1e3))
+    def test_moments_scale_with_the_square(self, measure, c):
+        scaled = VectorMeasure(measure.partition, measure.space, c * measure.values)
+        base, moments = SharedDrawMoments(measure), SharedDrawMoments(scaled)
+        bound = _rounding_bound(c * c * base.moment(Grouping.finest(measure.n_atoms)).value)
+        for grouping in enumerate_groupings(measure.n_atoms, "all", covering_only=True):
+            want = c * c * base.moment(grouping).value
+            assert abs(moments.moment(grouping).value - want) <= bound
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures(), st.randoms(use_true_random=False))
+    def test_moments_do_not_depend_on_the_atom_order(self, measure, random):
+        n_atoms = measure.n_atoms
+        order = list(range(n_atoms))
+        random.shuffle(order)
+        # atom i of the permuted measure is atom order[i] of the original
+        permuted = VectorMeasure(
+            AtomPartition(measure.partition.weights[order]),
+            measure.space,
+            measure.values[order],
+        )
+        position = {atom: i for i, atom in enumerate(order)}
+        base, moments = SharedDrawMoments(measure), SharedDrawMoments(permuted)
+        bound = _rounding_bound(base.moment(Grouping.finest(n_atoms)).value)
+        for grouping in enumerate_groupings(n_atoms, "all", covering_only=True):
+            moved = Grouping([[position[a] for a in b] for b in grouping.blocks], n_atoms)
+            assert abs(moments.moment(moved).value - base.moment(grouping).value) <= bound
 
 
 class TestGammaSummingNorm:

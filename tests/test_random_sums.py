@@ -21,13 +21,15 @@ from gammavar.groupings import (
     block_sums,
     grouping_from_labels,
     grouping_labels,
-    label_masks,
     subset_sums,
 )
 from gammavar.random_sums import (
+    METHOD_EXACT_COVARIANCE,
     METHOD_EXACT_ENUMERATION,
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
+    covariance_moment,
+    has_covariance_moment,
     rademacher_moments,
 )
 
@@ -245,8 +247,7 @@ class TestRademacherSumSq:
 def _batched_and_single_moments(values, space):
     """Every grouping's moment from rademacher_moments over the label array,
     paired with rademacher_sum_sq of its block_sums."""
-    (labels,) = grouping_labels(values.shape[0], 1 << 20)
-    masks = label_masks(labels)
+    ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
     table = subset_sums(values)
     block_counts = labels.max(axis=1)
     for k in range(1, int(block_counts.max()) + 1):
@@ -278,6 +279,70 @@ class TestRademacherMoments:
         monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", chunk)
         pairs = list(_batched_and_single_moments(values, space))
         assert all(batched == single for batched, single in pairs)
+
+
+def _plane_covariances():
+    """Random full-rank, rank-one and zero 2 x 2 covariances."""
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        x = rng.standard_normal((4, 2)) * 10.0 ** rng.integers(-2, 3)
+        yield x.T @ x
+    for direction in ([1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, -1.0], [1.0, -1.0]):
+        v = np.array(direction)
+        yield np.outer(v, v)
+    yield np.zeros((2, 2))
+
+
+class TestCovarianceMoment:
+    def test_closed_forms_exist_for_l1_and_the_plane_sup_norm(self):
+        assert has_covariance_moment(NormedSpace.l1(2))
+        assert has_covariance_moment(NormedSpace.l1(7))
+        assert has_covariance_moment(NormedSpace.linf(2))
+        assert not has_covariance_moment(NormedSpace.linf(3))
+        assert not has_covariance_moment(NormedSpace(2, 1.5))
+        with pytest.raises(ValueError):
+            covariance_moment(np.eye(3), NormedSpace.linf(3))
+
+    def test_identity_gives_the_reference_constants(self):
+        l1 = covariance_moment(np.eye(2), NormedSpace.l1(2))
+        linf = covariance_moment(np.eye(2), NormedSpace.linf(2))
+        assert abs(l1 - ref.ABS_SUM_SQ_TWO_GAUSSIANS) <= 1e-14
+        assert abs(linf - ref.MAX_SQ_TWO_GAUSSIANS) <= 1e-14
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_matches_the_plane_quadrature(self, p):
+        space = NormedSpace(2, p)
+        for cov in _plane_covariances():
+            exact = covariance_moment(cov, space)
+            want = ref.gaussian_norm_sq_plane_reference(cov, p)
+            assert abs(exact - want) <= 1e-12 * max(1.0, want), cov
+
+    @pytest.mark.parametrize("x", [[0.3515100700930197, 0.35151007009301977], [-1.25, -1.25]])
+    def test_rank_one_sup_norm_moment_is_finite(self, x):
+        # Y = g x, so E||Y||_inf^2 = max(x_i^2); for the first x the variance
+        # of Y_0 - Y_1 rounds to -2.8e-17 when formed from the covariance
+        x = np.array([x])
+        cov = x.T @ x
+        assert cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1] <= 0.0
+        value = covariance_moment(cov, NormedSpace.linf(2))
+        assert abs(value - float(np.max(x * x))) <= 1e-15 * float(np.max(x * x))
+
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+    )
+    def test_agrees_with_monte_carlo(self, space):
+        # E||sum_n g_n x_n||^2 is the moment of a Gaussian with covariance X^T X
+        rng = np.random.default_rng(72 + space.dim)
+        for trial in range(8):
+            x = rng.standard_normal((6, space.dim))
+            exact = covariance_moment(x.T @ x, space)
+            mc = gaussian_sum_sq(x, space, RandomStream(72, (space.dim, trial)), 100_000)
+            assert abs(exact - mc.value) <= 3.0 * mc.std_error
+
+    def test_the_method_counts_as_exact(self):
+        estimate = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_COVARIANCE)
+        assert estimate.is_exact
+        assert compare_estimates(estimate, SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)).consistent
 
 
 class TestEnsembleValues:

@@ -23,6 +23,18 @@ def test_abs_sum_sq_constant_comes_from_the_quadrature():
     assert abs(value - (2.0 + 4.0 / math.pi)) <= 1e-13
 
 
+def test_plane_quadrature_reproduces_the_identity_constants():
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    l1 = ref.gaussian_norm_sq_plane_reference(identity, 1.0)
+    linf = ref.gaussian_norm_sq_plane_reference(identity, math.inf)
+    assert abs(l1 - ref.ABS_SUM_SQ_TWO_GAUSSIANS) <= 1e-13
+    assert abs(linf - ref.MAX_SQ_TWO_GAUSSIANS) <= 1e-13
+    # a rank-one covariance: Y = (g, g), so ||Y||_1^2 = 4 g^2, ||Y||_inf^2 = g^2
+    ones = [[1.0, 1.0], [1.0, 1.0]]
+    assert abs(ref.gaussian_norm_sq_plane_reference(ones, 1.0) - 4.0) <= 1e-13
+    assert abs(ref.gaussian_norm_sq_plane_reference(ones, math.inf) - 1.0) <= 1e-13
+
+
 def test_witness_ratio_is_the_root_of_the_max_sq_constant():
     assert abs(ref.WITNESS_RATIO - math.sqrt(ref.MAX_SQ_TWO_GAUSSIANS)) <= 1e-15
 

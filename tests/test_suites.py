@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
 from gammavar import (
     ConfigError,
+    Grouping,
+    SharedDrawMoments,
     SUITE_NAMES,
     SizeLimitError,
     __version__,
@@ -21,6 +24,18 @@ def _names(report):
 
 def _by_name(report, name):
     return next(check for check in report.checks if check.name == name)
+
+
+def _constant_density_input(norm, scale):
+    """A measure with constant density scale * (3, -4): every grouping's
+    gamma-variation moment equals the finest one."""
+    weights = [0.1, 0.15, 0.2, 0.25, 0.3]
+    return {
+        "partition": {"weights": weights},
+        "space": {"dim": 2, "norm": norm},
+        "input": {"measure": [[scale * w * 3.0, scale * w * -4.0] for w in weights]},
+        "suite": {"norms": [norm]},
+    }
 
 
 def _sized_input(n_atoms, kind, mode):
@@ -343,6 +358,39 @@ class TestVerifySuites:
         report = run_suite("finest-partition", config)
         assert report.overall_pass
         assert all(name.startswith("domination-l2-") for name in _names(report))
+
+    @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+    @pytest.mark.parametrize("scale", [100.0, 1000.0, 1e6])
+    def test_domination_ties_pass_at_any_scale(self, norm, scale):
+        # every coarsening ties with the finest grouping; rounding error in
+        # the moments grows with their size and must not read as an excess
+        config = resolve_config(_constant_density_input(norm, scale), "finest-partition")
+        report = run_suite("finest-partition", config)
+        (check,) = report.checks
+        assert check.name == f"domination-{norm}-explicit"
+        assert check.std_errors == {"finest_moment": 0.0}
+        assert check.values["groupings"] == 51
+        assert check.values["failures"] == 0
+        assert report.overall_pass
+
+    @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+    def test_domination_flags_a_relative_excess_above_rounding(self, norm, monkeypatch):
+        target = Grouping([[0, 1], [2], [3], [4]], 5)
+        exact = SharedDrawMoments.moment
+
+        def inflated(self, grouping):
+            estimate = exact(self, grouping)
+            if grouping != target:
+                return estimate
+            finest = exact(self, Grouping.finest(5)).value
+            return dataclasses.replace(estimate, value=estimate.value + 1e-9 * finest)
+
+        monkeypatch.setattr(SharedDrawMoments, "moment", inflated)
+        config = resolve_config(_constant_density_input(norm, 1e6), "finest-partition")
+        (check,) = run_suite("finest-partition", config).checks
+        assert check.verdict == "fail"
+        assert check.values["failures"] == 1
+        assert check.detail == f"worst grouping {target.to_lists()}"
 
     def test_randomisation_suite_small_run(self):
         config = resolve_config(
