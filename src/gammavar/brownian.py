@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupings import Grouping, block_sums
+from .groupings import Grouping, _block_sum
 from .measures import StepFunction, measure_from_density
 from .norms import NormReport, gamma_variation_norm, randomized_variation_norm
 from .random_sums import (
     ENUMERATION_LIMIT,
+    METHOD_MONTE_CARLO,
     Comparison,
     RandomStream,
     SumEstimate,
@@ -32,6 +33,10 @@ from .random_sums import (
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 
 MIN_PATHS = 2
+# Cap on combined floats per sign matmul in the randomisation sweep: 1 MB of
+# product, which with the norms' temporaries stays in a 2 MB per-core L2
+# cache until the norms read it.
+_SWEEP_CHUNK_FLOATS = 1 << 17
 
 BINARY_MAGIC = b"GVLB"
 BINARY_VERSION = 1
@@ -268,56 +273,86 @@ def randomisation_identity_sweep(
 
     Independence and symmetry of the true block values make every sign pattern
     equidistributed, so the sign-enumerated average and the plain moment agree
-    in expectation; both sides here share the measure's path ensemble."""
+    in expectation; both sides here share the measure's path ensemble.
+
+    Each distinct block of the groupings is summed once into a table, in
+    ascending atom order as block_sums sums it, and so is each distinct
+    covered atom set for the plain side; the table never holds a row per
+    subset of atoms, which a few-block grouping of many atoms would make
+    huge.  Groupings with k blocks gather their rows from the table and meet
+    the 2^(k-1) sign patterns in one matmul per chunk of at most
+    _SWEEP_CHUNK_FLOATS combined floats, small enough to stay in cache until
+    the norms read it.  Chunks split only the grouping axis: each grouping's
+    matmul, norms and reductions see the same inputs in any chunk, so the
+    chunk size cannot move a bit.  Path means and errors are taken over the
+    (groupings, paths) statistics of each block count at once.
+    """
     groupings = list(groupings)
-    n_paths, dim = measure.n_paths, measure.space.dim
-    flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
-    norm_sq = measure.space.norm_sq
-
-    plain_cache: dict[tuple[int, ...], SumEstimate] = {}
-
-    def plain_for(grouping: Grouping) -> SumEstimate:
-        covered = grouping.covered
-        found = plain_cache.get(covered)
-        if found is None:
-            value = flat[list(covered)].sum(axis=0).reshape(n_paths, dim)
-            found = _estimate_from_path_stats(norm_sq(value))
-            plain_cache[covered] = found
-        return found
-
-    results: list[RandomisationCheck | None] = [None] * len(groupings)
-    by_blocks: dict[int, list[int]] = {}
-    for i, grouping in enumerate(groupings):
+    for grouping in groupings:
         if grouping.n_blocks > ENUMERATION_LIMIT:
             raise ValueError(
                 f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, "
                 f"got {grouping.n_blocks}"
             )
-        by_blocks.setdefault(grouping.n_blocks, []).append(i)
+    n_paths, dim = measure.n_paths, measure.space.dim
+    flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
+    norm_sq = measure.space.norm_sq
 
-    for k, indices in sorted(by_blocks.items()):
+    n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
+    blocks, block_rows = _distinct_sums(flat, [b for g in groupings for b in g.blocks])
+    first_block = np.cumsum(n_blocks) - n_blocks
+    signed_value = np.empty(len(groupings))
+    signed_error = np.empty(len(groupings))
+    for k in np.unique(n_blocks).tolist():
+        members = np.flatnonzero(n_blocks == k)
+        rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
         patterns = _sign_patterns(k)
-        # chunk so the (chunk, patterns, paths*dim) combo tensor stays small
-        per_row = patterns.shape[0] * n_paths * dim
-        chunk = max(1, (1 << 22) // max(1, per_row))
-        for start in range(0, len(indices), chunk):
-            part = indices[start : start + chunk]
-            # (g, k, paths*dim); block sums of the 2-D view are much faster
-            # than of the 3-D contributions
-            stacked = np.stack([block_sums(flat, groupings[i]) for i in part])
-            combos = np.matmul(patterns, stacked)  # (g, patterns, paths*dim)
-            combos = combos.reshape(len(part), patterns.shape[0], n_paths, dim)
-            path_stats = np.mean(norm_sq(combos), axis=1)  # (g, paths)
-            for row, i in enumerate(part):
-                signed = _estimate_from_path_stats(path_stats[row])
-                plain = plain_for(groupings[i])
-                results[i] = RandomisationCheck(
-                    grouping=groupings[i],
-                    signed=signed,
-                    plain=plain,
-                    comparison=compare_estimates(signed, plain, z=z),
-                )
-    return results  # type: ignore[return-value]
+        chunk = max(1, _SWEEP_CHUNK_FLOATS // (patterns.shape[0] * n_paths * dim))
+        path_stats = np.empty((members.size, n_paths))
+        for start in range(0, members.size, chunk):
+            part = rows[start : start + chunk]
+            combos = np.matmul(patterns, blocks[part])  # (g, patterns, paths*dim)
+            combos = combos.reshape(part.shape[0], patterns.shape[0], n_paths, dim)
+            path_stats[start : start + chunk] = np.mean(norm_sq(combos), axis=1)
+        signed_value[members], signed_error[members] = _path_moments(path_stats)
+
+    covered, covered_rows = _distinct_sums(flat, [g.covered for g in groupings])
+    plain_value, plain_error = _path_moments(norm_sq(covered.reshape(-1, n_paths, dim)))
+    plains = [
+        SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
+        for value, error in zip(plain_value.tolist(), plain_error.tolist())
+    ]
+    checks = []
+    for grouping, value, error, row in zip(
+        groupings, signed_value.tolist(), signed_error.tolist(), covered_rows.tolist()
+    ):
+        signed = SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
+        plain = plains[row]
+        checks.append(
+            RandomisationCheck(grouping, signed, plain, compare_estimates(signed, plain, z=z))
+        )
+    return checks
+
+
+def _distinct_sums(flat: np.ndarray, atom_sets: list) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct atom set, summed as block_sums sums a block, and
+    the row of every set in atom_sets."""
+    index: dict[tuple[int, ...], int] = {}
+    rows = np.array(
+        [index.setdefault(atoms, len(index)) for atoms in atom_sets], dtype=np.int64
+    )
+    table = np.empty((len(index), flat.shape[1]))
+    for atoms, row in index.items():
+        table[row] = _block_sum(flat, list(atoms))
+    return table, rows
+
+
+def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and std error of _estimate_from_path_stats for each row of a
+    (rows, paths) array: numpy reduces a contiguous last axis row by row, so
+    the bits are those of the one-row calls."""
+    m = path_stats.shape[-1]
+    return np.mean(path_stats, axis=-1), np.std(path_stats, axis=-1, ddof=1) / np.sqrt(m)
 
 
 def check_randomisation_identity(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -932,6 +933,17 @@ def _run_domination_suite(config: ExperimentConfig, threads: int) -> SuiteReport
 # --- randomisation: sign-averaged block moments match plain ones -------------------
 
 
+@lru_cache(maxsize=4)
+def _sweep_candidates(n_atoms: int, max_blocks: int) -> tuple[Grouping, ...]:
+    """The covering groupings with at most max_blocks blocks, in enumeration
+    order; every measure of a randomisation run sweeps the same ones."""
+    return tuple(
+        g
+        for g in enumerate_groupings(n_atoms, "all", covering_only=True)
+        if g.n_blocks <= max_blocks
+    )
+
+
 def _randomisation_instance(args) -> CheckRecord:
     index, norm_tag, dim, n_atoms, max_blocks, stream, paths, z = args
     rng = stream.substream(0).generator()
@@ -940,12 +952,9 @@ def _randomisation_instance(args) -> CheckRecord:
     density = StepFunction(partition, space, rng.standard_normal((n_atoms, dim)))
     ensemble = sample_brownian(partition, paths, stream.substream(1))
     empirical = induced_randomized_measure(density, ensemble)
-    groupings = [
-        g
-        for g in enumerate_groupings(n_atoms, "all", covering_only=True)
-        if g.n_blocks <= max_blocks
-    ]
-    results = randomisation_identity_sweep(empirical, groupings, z=z)
+    results = randomisation_identity_sweep(
+        empirical, _sweep_candidates(n_atoms, max_blocks), z=z
+    )
     failures = [r for r in results if not r.consistent]
     worst = max(
         results,

@@ -273,3 +273,58 @@ def gamma_variation_hilbert_reference(weights, values) -> float:
             moment += sum(v * v for v in summed) / mass
         best = max(best, moment)
     return math.sqrt(best)
+
+
+def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 3.0):
+    """The randomisation sweep one grouping at a time, as check documents.
+
+    contributions has shape (atoms, paths, dim); groupings holds each
+    grouping's blocks, each ascending, ordered by first atom.  A grouping's
+    block sums are stacked and met by its 2^(k-1) sign patterns (first sign
+    +1, sign j flipped where bit j - 1 of the row index is set) in one matmul;
+    the signed side averages norm_sq over patterns, the plain side norms the
+    covered atoms' sum.  Each side's value is the path mean, its std error the
+    ddof-1 path std over sqrt(paths).  norm_sq, the space's squared norm over
+    the last axis, is passed in: the two share the norm and nothing else.
+    """
+    arr = np.asarray(contributions, dtype=float)
+    n_atoms, n_paths, dim = arr.shape
+    flat = arr.reshape(n_atoms, n_paths * dim)
+
+    def estimate(path_stats):
+        return {
+            "value": float(np.mean(path_stats)),
+            "std_error": float(np.std(path_stats, ddof=1) / np.sqrt(n_paths)),
+            "samples": n_paths,
+            "method": "monte_carlo",
+        }
+
+    documents = []
+    for blocks in groupings:
+        k = len(blocks)
+        stacked = np.stack([np.sum(flat[list(block)], axis=0) for block in blocks])
+        patterns = np.ones((1 << (k - 1), k))
+        for row in range(patterns.shape[0]):
+            for j in range(1, k):
+                if row >> (j - 1) & 1:
+                    patterns[row, j] = -1.0
+        combos = (patterns @ stacked).reshape(patterns.shape[0], n_paths, dim)
+        signed = estimate(np.mean(norm_sq(combos), axis=0))
+        covered = sorted(atom for block in blocks for atom in block)
+        plain = estimate(norm_sq(np.sum(flat[covered], axis=0).reshape(n_paths, dim)))
+        gap = abs(signed["value"] - plain["value"])
+        tolerance = z * float(np.hypot(signed["std_error"], plain["std_error"]))
+        documents.append(
+            {
+                "grouping": [list(block) for block in blocks],
+                "signed": signed,
+                "plain": plain,
+                "comparison": {
+                    "consistent": gap <= tolerance,
+                    "gap": gap,
+                    "tolerance": tolerance,
+                    "z": z,
+                },
+            }
+        )
+    return documents

@@ -1,8 +1,15 @@
 import math
 import struct
+import tracemalloc
 
+import _reference as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import gammavar.brownian as brownian
 
 from gammavar import (
     AtomPartition,
@@ -25,7 +32,7 @@ from gammavar import (
     stochastic_integral,
     verify_integral_identity,
 )
-from gammavar.brownian import BINARY_MAGIC, BINARY_VERSION
+from gammavar.brownian import BINARY_MAGIC, BINARY_VERSION, EmpiricalVectorMeasure
 from gammavar.groupings import block_sums
 
 
@@ -336,3 +343,152 @@ class TestRandomisationIdentity:
         restricted = check_randomisation_identity(measure, partial)
         assert restricted.comparison.consistent
         assert restricted.plain.value != full.plain.value
+
+
+def _sampled_measure(rng, space, n_atoms, n_paths, density=None):
+    if density is None:
+        density = rng.standard_normal((n_atoms, space.dim))
+    partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
+    ensemble = sample_brownian(partition, n_paths, RandomStream(int(rng.integers(1 << 30)), (0,)))
+    return induced_randomized_measure(StepFunction(partition, space, density), ensemble)
+
+
+def _tie_heavy_measures(rng, space):
+    """A zero atom and two equal atoms: small-integer densities under a
+    sampled ensemble, and small-integer contributions outright."""
+    density = rng.integers(-2, 3, size=(5, space.dim)).astype(float)
+    density[0] = 0.0
+    density[2] = density[1]
+    contributions = rng.integers(-2, 3, size=(5, 40, space.dim)).astype(float)
+    contributions[0] = 0.0
+    contributions[2] = contributions[1]
+    return [
+        _sampled_measure(rng, space, 5, 40, density),
+        EmpiricalVectorMeasure(AtomPartition.uniform(5), space, contributions),
+    ]
+
+
+def _mixed_groupings(rng, n_atoms, count):
+    """Covering and non-covering groupings, in a random order with repeats."""
+    every = list(enumerate_groupings(n_atoms, "all"))
+    picks = [every[i] for i in rng.choice(len(every), size=count)]
+    return picks + [Grouping.finest(n_atoms), Grouping([range(n_atoms)], n_atoms)]
+
+
+def _assert_matches_the_reference(measure, groupings):
+    checks = randomisation_identity_sweep(measure, groupings)
+    want = ref.randomisation_sweep_reference(
+        measure.contributions, measure.space.norm_sq, [g.blocks for g in groupings]
+    )
+    assert [c.to_document() for c in checks] == want
+
+
+SWEEP_SPACES = [
+    NormedSpace.from_tag(dim, tag)
+    for tag in ("l1", "l2", "linf", {"lp": 1.5})
+    for dim in (1, 2, 3)
+]
+
+
+class TestSweepAgainstTheReference:
+    """The batched sweep against the one-grouping-at-a-time loop, field by
+    field with ==, for every chunk size."""
+
+    @pytest.fixture(params=["default", "one-float", "few-rows"])
+    def chunk(self, request, monkeypatch):
+        # one float gives one grouping per chunk; the few-rows size gives
+        # 6, 3 and 1 rows per chunk at 1, 2 and 4+ blocks of 40 paths in R^3
+        sizes = {"one-float": 1, "few-rows": 6 * 40 * 3}
+        if request.param in sizes:
+            monkeypatch.setattr(brownian, "_SWEEP_CHUNK_FLOATS", sizes[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
+    def test_random_measures(self, space, chunk):
+        rng = np.random.default_rng(71)
+        measure = _sampled_measure(rng, space, 5, 40)
+        _assert_matches_the_reference(measure, _mixed_groupings(rng, 5, 60))
+
+    @pytest.mark.parametrize("space", SWEEP_SPACES[::3] + SWEEP_SPACES[2::3], ids=repr)
+    def test_tie_heavy_measures(self, space, chunk):
+        rng = np.random.default_rng(72)
+        for measure in _tie_heavy_measures(rng, space):
+            _assert_matches_the_reference(measure, _mixed_groupings(rng, 5, 40))
+
+    def test_a_wide_measure_sums_only_its_blocks(self, monkeypatch):
+        # 20 atoms in 2 blocks: a table per subset would hold 2^20 rows
+        measure = _sampled_measure(np.random.default_rng(73), NormedSpace.l1(1), 20, 8)
+        grouping = Grouping([range(0, 20, 2), range(1, 20, 2)], 20)
+        rows = []
+        distinct_sums = brownian._distinct_sums
+
+        def recorded(flat, atom_sets):
+            table, index = distinct_sums(flat, atom_sets)
+            rows.append(table.shape[0])
+            return table, index
+
+        monkeypatch.setattr(brownian, "_distinct_sums", recorded)
+        tracemalloc.start()
+        try:
+            check = check_randomisation_identity(measure, grouping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two blocks, then the one covered set
+        assert rows == [2, 1]
+        # a 2^20-row table of 8 paths would take 64 MiB
+        assert peak < 1 << 20
+        assert [check.to_document()] == ref.randomisation_sweep_reference(
+            measure.contributions, measure.space.norm_sq, [grouping.blocks]
+        )
+
+    def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
+        measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(1), 21, 10)
+
+        def refused(flat, atom_sets):
+            pytest.fail("summed blocks of a grouping over the enumeration cap")
+
+        monkeypatch.setattr(brownian, "_distinct_sums", refused)
+        groupings = [Grouping([[0], [1]], 21), Grouping.finest(21)]
+        with pytest.raises(ValueError, match="21"):
+            randomisation_identity_sweep(measure, groupings)
+
+
+@st.composite
+def _hilbert_sweeps(draw):
+    n_atoms = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    n_paths = draw(st.integers(2, 12))
+    magnitude = st.floats(1e-3, 1e3) | st.just(0.0)
+    values = draw(arrays(float, (n_atoms, n_paths, dim), elements=magnitude))
+    signs = draw(arrays(bool, (n_atoms, n_paths, dim)))
+    contributions = np.where(signs, -values, values)
+    groupings = []
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(
+            st.lists(st.integers(0, n_atoms), min_size=n_atoms, max_size=n_atoms).filter(any)
+        )
+        blocks = [
+            [a for a in range(n_atoms) if labels[a] == m] for m in range(1, n_atoms + 1)
+        ]
+        groupings.append(Grouping([b for b in blocks if b], n_atoms))
+    measure = EmpiricalVectorMeasure(
+        AtomPartition.uniform(n_atoms), NormedSpace.l2(dim), contributions
+    )
+    return measure, groupings
+
+
+class TestHilbertSweep:
+    @settings(derandomize=True, deadline=None)
+    @given(_hilbert_sweeps())
+    def test_signs_average_to_the_sum_of_block_norms(self, case):
+        # over the sign patterns every cross term <B_i, B_j> cancels, so in
+        # l2 the signed side is the path mean of sum_m ||B_m||^2
+        measure, groupings = case
+        for grouping, check in zip(groupings, randomisation_identity_sweep(measure, groupings)):
+            per_path = sum(
+                np.sum(np.sum(measure.contributions[list(b)], axis=0) ** 2, axis=-1)
+                for b in grouping.blocks
+            )
+            want = float(np.mean(per_path))
+            assert abs(check.signed.value - want) <= 1e-12 * want

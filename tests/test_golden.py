@@ -14,6 +14,8 @@ reports are an invariant across changes: a change that alters them on
 purpose regenerates these files and says why.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,12 +28,19 @@ NORMS_NAMES = [name for name in NAMES if name.startswith("norms-")]
 VERIFY_SUITES = {
     "verify-finest-partition-l2": "finest-partition",
     "verify-randomisation": "randomisation",
+    "verify-randomisation-lp-d3": "randomisation",
     "verify-thm-2-3": "thm-2-3",
 }
 
 
 def test_the_golden_set_is_present():
     assert NORMS_NAMES == ["norms-l1-d2-n8", "norms-linf-d3-n7", "norms-lp1.5-d2-n7"]
+    assert sorted(VERIFY_SUITES) == [
+        "verify-finest-partition-l2",
+        "verify-randomisation",
+        "verify-randomisation-lp-d3",
+        "verify-thm-2-3",
+    ]
     assert NAMES == sorted(NORMS_NAMES + list(VERIFY_SUITES))
 
 
@@ -51,3 +60,25 @@ def test_norms_report_is_byte_identical(name, threads, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_report_is_byte_identical(name, threads, capsys):
     _assert_golden(name, ["verify", VERIFY_SUITES[name], "--threads", threads], capsys)
+
+
+def test_the_module_entry_point_prints_the_golden_bytes():
+    # a fresh interpreter through `python -m gammavar`, which pins BLAS on
+    # import, at two threads
+    name = "verify-randomisation"
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "gammavar",
+            "verify",
+            VERIFY_SUITES[name],
+            "--threads",
+            "2",
+            "--config",
+            str(GOLDEN / f"{name}.config.json"),
+        ],
+        capture_output=True,
+    )
+    assert result.returncode == EXIT_PASS, result.stderr.decode()
+    assert result.stdout == (GOLDEN / f"{name}.report.json").read_bytes()
