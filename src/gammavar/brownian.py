@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupings import Grouping, _block_sum
+from .groupings import Grouping, _distinct_sums
 from .measures import StepFunction, measure_from_density
 from .norms import NormReport, gamma_variation_norm, randomized_variation_norm
 from .random_sums import (
@@ -27,6 +27,7 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     _estimate_from_path_stats,
+    _path_moments,
     _sign_patterns,
     compare_estimates,
 )
@@ -44,10 +45,16 @@ _HEADER = struct.Struct("<4sIII")  # magic, version, n_paths, n_atoms
 
 
 class BrownianEnsemble:
-    """M sampled paths of independent atom increments, entry n ~ N(0, mu(A_n))."""
+    """M sampled paths of independent atom increments, entry n ~ N(0, mu(A_n)).
+
+    The ensemble keeps a read-only copy of the caller's paths, so changing
+    them afterwards does not change the ensemble."""
 
     def __init__(self, partition: AtomPartition, paths):
-        arr = np.asarray(paths, dtype=float)
+        self._adopt(partition, np.array(paths, dtype=float))
+
+    def _adopt(self, partition: AtomPartition, arr: np.ndarray) -> None:
+        """Take arr itself as the paths, read-only; no one else may hold it."""
         if arr.ndim != 2 or arr.shape[1] != partition.n_atoms:
             raise ValueError(
                 f"paths must have shape (n_paths, {partition.n_atoms}), got {arr.shape}"
@@ -56,7 +63,6 @@ class BrownianEnsemble:
             raise ValueError(
                 f"an ensemble needs at least {MIN_PATHS} paths, got {arr.shape[0]}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         self.partition = partition
         self.paths = arr
@@ -73,14 +79,18 @@ class BrownianEnsemble:
 def sample_brownian(
     partition: AtomPartition, n_paths: int, stream: RandomStream
 ) -> BrownianEnsemble:
-    """Draw an ensemble of independent scaled-Gaussian atom increments."""
+    """Draw an ensemble of independent scaled-Gaussian atom increments.  The
+    draws are scaled in place and become the ensemble's paths uncopied."""
     if n_paths < MIN_PATHS:
         raise ValueError(
             f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
         )
     rng = stream.generator()
-    raw = rng.standard_normal((n_paths, partition.n_atoms))
-    return BrownianEnsemble(partition, raw * np.sqrt(partition.weights)[None, :])
+    paths = rng.standard_normal((n_paths, partition.n_atoms))
+    paths *= np.sqrt(partition.weights)[None, :]
+    ensemble = BrownianEnsemble.__new__(BrownianEnsemble)
+    ensemble._adopt(partition, paths)
+    return ensemble
 
 
 def dump_ensemble(ensemble: BrownianEnsemble, file_path) -> None:
@@ -332,27 +342,6 @@ def randomisation_identity_sweep(
             RandomisationCheck(grouping, signed, plain, compare_estimates(signed, plain, z=z))
         )
     return checks
-
-
-def _distinct_sums(flat: np.ndarray, atom_sets: list) -> tuple[np.ndarray, np.ndarray]:
-    """One row per distinct atom set, summed as block_sums sums a block, and
-    the row of every set in atom_sets."""
-    index: dict[tuple[int, ...], int] = {}
-    rows = np.array(
-        [index.setdefault(atoms, len(index)) for atoms in atom_sets], dtype=np.int64
-    )
-    table = np.empty((len(index), flat.shape[1]))
-    for atoms, row in index.items():
-        table[row] = _block_sum(flat, list(atoms))
-    return table, rows
-
-
-def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and std error of _estimate_from_path_stats for each row of a
-    (rows, paths) array: numpy reduces a contiguous last axis row by row, so
-    the bits are those of the one-row calls."""
-    m = path_stats.shape[-1]
-    return np.mean(path_stats, axis=-1), np.std(path_stats, axis=-1, ddof=1) / np.sqrt(m)
 
 
 def check_randomisation_identity(

@@ -45,6 +45,7 @@ from .random_sums import (
     _estimate_from_moments,
     compare_estimates,
     covariance_moment,
+    ensemble_rademacher_moments,
     gaussian_sum_sq,
     has_covariance_moment,
     rademacher_moments,
@@ -308,7 +309,7 @@ def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> Grouping:
             rows = block_counts == k
             if not rows.any():
                 continue
-            values = rademacher_moments(table[masks[rows, 1 : k + 1]], space)
+            values = rademacher_moments(table, masks[rows, 1 : k + 1], space)
             top = values.max()
             # a tie with more blocks than the best can only lose
             if not top >= best_value or (top == best_value and k > best.n_blocks):
@@ -338,13 +339,15 @@ def randomized_variation_norm(
     Objectives are exact sign enumerations up to 20 blocks; the stream and
     samples are only consulted past that.
 
-    The winner has the highest objective, then the smallest sort_key.  On
-    (N, d) values the exhaustive search walks label arrays
-    (groupings.grouping_labels) and evaluates all groupings with k blocks in
-    one batch (random_sums.rademacher_moments), bit for bit as one
-    rademacher_sum_sq call per grouping would; the reported moment is the
-    winner's rademacher_sum_sq.  Ensemble values and the other modes
-    evaluate one grouping at a time.
+    The winner has the highest objective, then the smallest sort_key.  The
+    exhaustive search is batched, bit for bit as one rademacher_sum_sq call
+    per grouping would be.  On (N, d) values it walks label arrays
+    (groupings.grouping_labels), evaluates all groupings with k blocks in one
+    batch (random_sums.rademacher_moments) and reports the winner's
+    rademacher_sum_sq.  On ensemble values it evaluates every grouping in one
+    call of random_sums.ensemble_rademacher_moments, which sums each
+    distinct block once.  The contiguous and greedy modes evaluate one
+    grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
         raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
@@ -355,9 +358,14 @@ def randomized_variation_norm(
     else:
         mode_used = mode
 
-    if mode_used == "exhaustive" and isinstance(space, NormedSpace):
-        grouping = _exhaustive_label_search(_check_values(arr, space), space)
-        moment = rademacher_sum_sq(block_sums(arr, grouping), space)
+    if mode_used == "exhaustive":
+        if isinstance(space, NormedSpace):
+            grouping = _exhaustive_label_search(_check_values(arr, space), space)
+            moment = rademacher_sum_sq(block_sums(arr, grouping), space)
+        else:
+            every = list(enumerate_groupings(n_atoms, "all"))
+            moments = dict(zip(every, ensemble_rademacher_moments(arr, every, space)))
+            grouping, moment = _search_best(every, moments.__getitem__)
         return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 
     cache: dict[Grouping, SumEstimate] = {}
@@ -373,10 +381,8 @@ def randomized_variation_norm(
             cache[grouping] = found
         return found
 
-    if mode_used == "exhaustive":
-        candidates: Iterable[Grouping] = enumerate_groupings(n_atoms, "all")
-    elif mode_used == "contiguous":
-        candidates = enumerate_groupings(n_atoms, "contiguous")
+    if mode_used == "contiguous":
+        candidates: Iterable[Grouping] = enumerate_groupings(n_atoms, "contiguous")
     elif mode_used == "greedy":
         candidates = _greedy_trajectory(n_atoms, evaluate)
     else:  # contiguous+greedy

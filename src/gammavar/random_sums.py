@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .groupings import Grouping, _distinct_sums
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -33,6 +34,11 @@ N_BATCHES = 8
 EXACT_AGREEMENT_TOL = 1e-9
 # Cap on floats materialized at once when sweeping sign patterns.
 _CHUNK_FLOATS = 1 << 23
+# Cap on combined floats per batch of ensemble groupings: 1 MB of sign
+# products, which stays in a 2 MB per-core L2 cache until the norms read it.
+_ENSEMBLE_CHUNK_FLOATS = 1 << 17
+# Cap on floats in the ensemble kernel's table of distinct block rows (32 MB).
+_ENSEMBLE_TABLE_FLOATS = 1 << 22
 
 METHOD_EXACT_HILBERT = "exact_hilbert"
 METHOD_EXACT_ENUMERATION = "exact_enumeration"
@@ -168,13 +174,24 @@ def _estimate_from_moments(n: int, total: float, total_sq: float) -> SumEstimate
     )
 
 
+def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Path mean and ddof-1 std error over the last axis, for each row of a
+    (..., paths) array; the error is 0 for a single path.  numpy reduces a
+    contiguous last axis row by row, so every row gets the bits of a
+    one-row call."""
+    m = path_stats.shape[-1]
+    mean = np.mean(path_stats, axis=-1)
+    if m < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(path_stats, axis=-1, ddof=1) / np.sqrt(m)
+
+
 def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
-    m = path_stats.size
-    se = float(np.std(path_stats, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    value, se = _path_moments(path_stats)
     return SumEstimate(
-        value=float(np.mean(path_stats)),
-        std_error=se,
-        samples=int(m),
+        value=float(value),
+        std_error=float(se),
+        samples=int(path_stats.size),
         method=METHOD_MONTE_CARLO,
     )
 
@@ -192,6 +209,12 @@ def _monte_carlo_moment(
     return _estimate_from_moments(n, total, total_sq)
 
 
+def _path_norm_sq(base, n_paths: int, dim: int):
+    """base.norm_sq of ensemble values flattened to (..., n_paths * dim)
+    rows, as (..., n_paths) path statistics."""
+    return lambda rows: base.norm_sq(rows.reshape(rows.shape[:-1] + (n_paths, dim)))
+
+
 def _empirical_moment(
     values: np.ndarray, space: EmpiricalL2Space, stream, samples: int, kind: str
 ) -> SumEstimate:
@@ -204,10 +227,7 @@ def _empirical_moment(
         path_stats = np.sum(base.norm_sq(values), axis=0)
         return _estimate_from_path_stats(path_stats)
     flat = values.reshape(k, n_paths * dim)
-
-    def path_norm_sq(combos: np.ndarray) -> np.ndarray:
-        return base.norm_sq(combos.reshape(combos.shape[0], n_paths, dim))
-
+    path_norm_sq = _path_norm_sq(base, n_paths, dim)
     if kind == "rademacher" and k <= ENUMERATION_LIMIT:
         return _estimate_from_path_stats(_sign_average(flat, path_norm_sq))
     # Monte Carlo over coefficients, still paired over paths
@@ -251,28 +271,135 @@ def _sign_average(values: np.ndarray, norm_sq):
     return total / patterns.shape[0]
 
 
-def rademacher_moments(blocks: np.ndarray, space) -> np.ndarray:
-    """Exact E || sum_m r_m x_m ||^2 of each family in a (families, k, dim)
-    stack over a NormedSpace, k <= ENUMERATION_LIMIT.
+def rademacher_moments(table: np.ndarray, rows: np.ndarray, space) -> np.ndarray:
+    """Exact E || sum_m r_m x_m ||^2 over a NormedSpace of each family
+    table[rows[i]], where rows is a (families, k) index array into a table of
+    (dim,) vectors and k <= ENUMERATION_LIMIT.
 
-    Row i equals rademacher_sum_sq(blocks[i], space).value bit for bit: the
-    same Hilbert closed form, or the same sign matmul, norm and sum over
+    Item i equals rademacher_sum_sq(table[rows[i]], space).value bit for bit:
+    the same Hilbert closed form, or the same sign matmul, norm and sum over
     patterns, batched over families in chunks of at most _CHUNK_FLOATS
-    combined floats.
+    combined floats (_sign_means).
     """
     if space.is_hilbert:
-        return np.sum(space.norm_sq(blocks), axis=-1)
-    patterns = _sign_patterns(blocks.shape[1])
-    per_family = patterns.shape[0] * blocks.shape[2]
+        return np.sum(space.norm_sq(table[rows]), axis=-1)
+    chunks = _sign_means(table, rows, space.norm_sq, _CHUNK_FLOATS)
+    return np.concatenate([means for _, means in chunks])
+
+
+def ensemble_rademacher_moments(
+    values, groupings: Sequence[Grouping], space: EmpiricalL2Space
+) -> list[SumEstimate]:
+    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m for each grouping
+    {B_m} of (N, paths, d) ensemble values over an EmpiricalL2Space, where
+    G(B) is the block's sum.
+
+    Item i equals rademacher_sum_sq(block_sums(values, groupings[i]), space)
+    bit for bit.  Each distinct block is summed once (groupings._distinct_sums)
+    into a table of at most _ENSEMBLE_TABLE_FLOATS floats; a candidate list
+    whose distinct blocks do not fit gets one table per run of candidates
+    that do, and a grouping with more blocks than the budget holds gets one
+    of its own.  A Hilbert base keeps only each block's (paths,) squared
+    norms and adds a grouping's rows in block order, as the closed form's sum
+    over blocks does.  Any other base meets the 2^(k-1) sign patterns of
+    the k-block groupings in one matmul per chunk of at most
+    _ENSEMBLE_CHUNK_FLOATS combined floats, which splits only the grouping
+    axis; a grouping whose own sweep passes _CHUNK_FLOATS keeps
+    _sign_average's chunk order.  Path means and errors are taken per chunk.
+    """
+    arr = _check_values(values, space)
+    groupings = list(groupings)
+    _, n_paths, dim = arr.shape
+    hilbert = space.is_hilbert
+    too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
+    if too_many and not hilbert:
+        raise ValueError(
+            f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {too_many[0]}"
+        )
+    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // (n_paths if hilbert else n_paths * dim))
+    value = np.empty(len(groupings))
+    error = np.empty(len(groupings))
+    for part in _table_parts(groupings, max_rows):
+        value[part], error[part] = _table_part_moments(arr, groupings[part], space)
+    return [
+        SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
+        for v, e in zip(value.tolist(), error.tolist())
+    ]
+
+
+def _table_part_moments(
+    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path means and std errors for ensemble_rademacher_moments, from one
+    table of the groupings' distinct blocks, freed on return."""
+    _, n_paths, dim = arr.shape
+    hilbert = space.is_hilbert
+    blocks = [b for g in groupings for b in g.blocks]
+    table, block_rows = _distinct_sums(arr, blocks, space.base.norm_sq if hilbert else None)
+    # (blocks, paths) squared norms, or (blocks, paths * dim) sums
+    table = table.reshape(table.shape[0], -1)
+    n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
+    first_block = np.cumsum(n_blocks) - n_blocks
+    value = np.empty(len(groupings))
+    error = np.empty(len(groupings))
+    for k in np.unique(n_blocks).tolist():
+        members = np.flatnonzero(n_blocks == k)
+        rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
+        if hilbert:
+            chunks = _block_order_sums(table, rows)
+        else:
+            norm_sq = _path_norm_sq(space.base, n_paths, dim)
+            chunks = _sign_means(table, rows, norm_sq, _ENSEMBLE_CHUNK_FLOATS)
+        for chunk, path_stats in chunks:
+            value[members[chunk]], error[members[chunk]] = _path_moments(path_stats)
+    return value, error
+
+
+def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:
+    """Consecutive runs of groupings with at most max_rows distinct blocks
+    between them; a grouping with more blocks than that runs alone."""
+    start, seen = 0, set()
+    for i, grouping in enumerate(groupings):
+        seen.update(grouping.blocks)
+        if len(seen) > max_rows and i > start:
+            yield slice(start, i)
+            start, seen = i, set(grouping.blocks)
+    yield slice(start, len(groupings))
+
+
+def _block_order_sums(table: np.ndarray, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """For each family rows[i], the sum of its table rows, added in block
+    order as np.sum adds a (blocks, paths) array over its first axis, as
+    (families, sums) pairs in chunks of at most _ENSEMBLE_CHUNK_FLOATS
+    floats."""
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // table.shape[1])
+    for start in range(0, rows.shape[0], step):
+        part = rows[start : start + step]
+        total = table[part[:, 0]]
+        for j in range(1, part.shape[1]):
+            total += table[part[:, j]]
+        yield slice(start, start + step), total
+
+
+def _sign_means(
+    table: np.ndarray, rows: np.ndarray, norm_sq, chunk_floats: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """_sign_average of each family table[rows[i]] (k = rows.shape[1] rows
+    of the table), as (families, stats) pairs: norm_sq maps (..., width)
+    combinations to statistics, and a chunk of families meets the sign
+    patterns in one matmul of at most chunk_floats combined floats.  Chunks
+    split only the family axis.  A family whose own sweep passes
+    _CHUNK_FLOATS keeps _sign_average's chunk order."""
+    patterns = _sign_patterns(rows.shape[1])
+    per_family = patterns.shape[0] * table.shape[1]
     if per_family > _CHUNK_FLOATS:
-        # one family's sweep is chunked itself; keep its chunk order
-        return np.array([_sign_average(family, space.norm_sq) for family in blocks])
-    step = _CHUNK_FLOATS // per_family
-    totals = np.empty(blocks.shape[0])
-    for start in range(0, blocks.shape[0], step):
-        combos = np.matmul(patterns, blocks[start : start + step])
-        totals[start : start + step] = np.sum(space.norm_sq(combos), axis=-1)
-    return totals / patterns.shape[0]
+        for i in range(rows.shape[0]):
+            yield slice(i, i + 1), _sign_average(table[rows[i]], norm_sq)[None]
+        return
+    step = max(1, chunk_floats // per_family)
+    for start in range(0, rows.shape[0], step):
+        combos = np.matmul(patterns, table[rows[start : start + step]])
+        yield slice(start, start + step), np.sum(norm_sq(combos), axis=1) / patterns.shape[0]
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

@@ -56,6 +56,7 @@ from .random_sums import (
     SumEstimate,
     METHOD_EXACT_HILBERT,
     compare_estimates,
+    ensemble_rademacher_moments,
     rademacher_sum_sq,
 )
 from .reports import CheckRecord, SuiteReport
@@ -798,8 +799,10 @@ def _divergence_point(args) -> list[CheckRecord]:
     )
 
     if n <= params["empirical_limit"]:
-        ensemble = sample_brownian(partition, paths, stream)
-        contributions = np.ascontiguousarray(ensemble.paths.T)[:, :, None]
+        # keep the contiguous transpose only; the ensemble's paths are freed
+        sampled = sample_brownian(partition, paths, stream).paths
+        contributions = np.ascontiguousarray(sampled.T)[:, :, None]
+        del sampled
         empirical_space = EmpiricalL2Space(NormedSpace.l2(1))
         if n <= params["exhaustive_limit"]:
             report = randomized_variation_norm(
@@ -808,11 +811,10 @@ def _divergence_point(args) -> list[CheckRecord]:
             estimate = report.moment
         else:
             family = _fixed_grouping_family(n)
-            per_grouping = [
-                rademacher_sum_sq(block_sums(contributions, g), empirical_space)
-                for g in family
-            ]
-            estimate = max(per_grouping, key=lambda e: e.value)
+            estimate = max(
+                ensemble_rademacher_moments(contributions, family, empirical_space),
+                key=lambda e: e.value,
+            )
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)
         checks.append(

@@ -275,6 +275,17 @@ def gamma_variation_hilbert_reference(weights, values) -> float:
     return math.sqrt(best)
 
 
+def sign_patterns_reference(k: int) -> np.ndarray:
+    """The 2^(k-1) sign patterns on k coefficients with the first sign +1:
+    sign j is flipped in row r where bit j - 1 of r is set."""
+    patterns = np.ones((1 << (k - 1), k))
+    for row in range(patterns.shape[0]):
+        for j in range(1, k):
+            if row >> (j - 1) & 1:
+                patterns[row, j] = -1.0
+    return patterns
+
+
 def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 3.0):
     """The randomisation sweep one grouping at a time, as check documents.
 
@@ -301,13 +312,8 @@ def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 
 
     documents = []
     for blocks in groupings:
-        k = len(blocks)
         stacked = np.stack([np.sum(flat[list(block)], axis=0) for block in blocks])
-        patterns = np.ones((1 << (k - 1), k))
-        for row in range(patterns.shape[0]):
-            for j in range(1, k):
-                if row >> (j - 1) & 1:
-                    patterns[row, j] = -1.0
+        patterns = sign_patterns_reference(len(blocks))
         combos = (patterns @ stacked).reshape(patterns.shape[0], n_paths, dim)
         signed = estimate(np.mean(norm_sq(combos), axis=0))
         covered = sorted(atom for block in blocks for atom in block)
@@ -328,3 +334,49 @@ def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 
             }
         )
     return documents
+
+
+def ensemble_randomized_search_reference(
+    contributions, norm_sq, hilbert: bool, chunk_floats: int = 1 << 23
+):
+    """The exhaustive randomized variation search over ensemble values, one
+    block collection at a time, as a report document without the mode.
+
+    contributions has shape (atoms, paths, dim).  Each disjoint block
+    collection (blocks ascending, ordered by first atom) has its block sums
+    stacked.  With hilbert, a path's statistic is sum_m norm_sq(B_m), added
+    in block order.  Otherwise it is the mean of norm_sq over the sign
+    patterns, met chunk_floats // (paths * dim) patterns at a time, with the
+    chunk sums added in pattern order.  The value is the path mean and the
+    std error the ddof-1 path std over sqrt(paths).  The winner has the
+    largest value, then the fewest blocks, then the lexicographically
+    smallest blocks.  norm_sq, the base space's squared norm over the last
+    axis, is passed in: the search shares the norm and nothing else.
+    """
+    arr = np.asarray(contributions, dtype=float)
+    n_atoms, n_paths, dim = arr.shape
+    best = None
+    for blocks in groupings_reference(n_atoms):
+        stacked = np.stack([np.sum(arr[list(block)], axis=0) for block in blocks])
+        if hilbert:
+            path_stats = np.sum(norm_sq(stacked), axis=0)
+        else:
+            patterns = sign_patterns_reference(len(blocks))
+            flat = stacked.reshape(len(blocks), n_paths * dim)
+            step = max(1, chunk_floats // (n_paths * dim))
+            total = 0.0
+            for start in range(0, patterns.shape[0], step):
+                combos = patterns[start : start + step] @ flat
+                total += np.sum(norm_sq(combos.reshape(-1, n_paths, dim)), axis=0)
+            path_stats = total / patterns.shape[0]
+        moment = {
+            "value": float(np.mean(path_stats)),
+            "std_error": float(np.std(path_stats, ddof=1) / np.sqrt(n_paths)),
+            "samples": n_paths,
+            "method": "monte_carlo",
+        }
+        key = (-moment["value"], len(blocks), [list(b) for b in blocks])
+        if best is None or key < best[0]:
+            best = (key, moment)
+    (_, _, grouping), moment = best
+    return {"norm": math.sqrt(moment["value"]), "moment": moment, "grouping": grouping}

@@ -75,6 +75,35 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_brownian(AtomPartition.uniform(2), 1, RandomStream(0, (0,)))
 
+    def test_sampled_paths_are_the_scaled_draws_read_only(self):
+        partition = AtomPartition([0.2, 0.3, 0.5])
+        stream = RandomStream(13, (0,))
+        ensemble = sample_brownian(partition, 40, stream)
+        raw = stream.generator().standard_normal((40, 3))
+        assert np.array_equal(ensemble.paths, raw * np.sqrt(partition.weights)[None, :])
+        assert not ensemble.paths.flags.writeable
+
+    def test_sampling_allocates_the_paths_once(self):
+        # the draws are scaled in place and kept; a scaled copy and a
+        # defensive copy each took one more array
+        n_paths, n_atoms = 20_000, 10
+        tracemalloc.start()
+        try:
+            ensemble = sample_brownian(AtomPartition.uniform(n_atoms), n_paths, RandomStream(14, (0,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ensemble.paths.nbytes == n_paths * n_atoms * 8
+        assert peak < 1.25 * ensemble.paths.nbytes
+
+    def test_the_ensemble_copies_the_callers_paths(self):
+        paths = np.arange(12.0).reshape(4, 3)
+        ensemble = BrownianEnsemble(AtomPartition.uniform(3), paths)
+        paths[0, 0] = 99.0
+        assert ensemble.paths[0, 0] == 0.0
+        assert paths.flags.writeable
+        assert not ensemble.paths.flags.writeable
+
     def test_ensemble_validation_and_read_only(self):
         partition = AtomPartition.uniform(3)
         with pytest.raises(ValueError):

@@ -9,7 +9,11 @@ printed for a norms-<...> name, or
 
     python -m gammavar verify <suite> --config tests/golden/<name>.config.json
 
-for a verify-<...> name (VERIFY_SUITES names the suite).  Byte-identical
+for a verify-<...> name (VERIFY_SUITES names the suite), or
+
+    python -m gammavar integrate --config tests/golden/<name>.config.json
+
+for an integrate-<...> name.  Byte-identical
 reports are an invariant across changes: a change that alters them on
 purpose regenerates these files and says why.
 """
@@ -25,23 +29,29 @@ from gammavar.cli import EXIT_PASS, main
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("*.config.json"))
 NORMS_NAMES = [name for name in NAMES if name.startswith("norms-")]
+INTEGRATE_NAMES = [name for name in NAMES if name.startswith("integrate-")]
 VERIFY_SUITES = {
+    "verify-example-3-4": "example-3-4",
     "verify-finest-partition-l2": "finest-partition",
     "verify-randomisation": "randomisation",
     "verify-randomisation-lp-d3": "randomisation",
     "verify-thm-2-3": "thm-2-3",
+    "verify-thm-3-3": "thm-3-3",
 }
 
 
 def test_the_golden_set_is_present():
     assert NORMS_NAMES == ["norms-l1-d2-n8", "norms-linf-d3-n7", "norms-lp1.5-d2-n7"]
+    assert INTEGRATE_NAMES == ["integrate-l1-d3-n5"]
     assert sorted(VERIFY_SUITES) == [
+        "verify-example-3-4",
         "verify-finest-partition-l2",
         "verify-randomisation",
         "verify-randomisation-lp-d3",
         "verify-thm-2-3",
+        "verify-thm-3-3",
     ]
-    assert NAMES == sorted(NORMS_NAMES + list(VERIFY_SUITES))
+    assert NAMES == sorted(NORMS_NAMES + INTEGRATE_NAMES + list(VERIFY_SUITES))
 
 
 def _assert_golden(name, argv, capsys):
@@ -56,16 +66,21 @@ def test_norms_report_is_byte_identical(name, threads, capsys):
     _assert_golden(name, ["norms", "--threads", threads], capsys)
 
 
+@pytest.mark.parametrize("name", INTEGRATE_NAMES)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_integrate_report_is_byte_identical(name, threads, capsys):
+    _assert_golden(name, ["integrate", "--threads", threads], capsys)
+
+
 @pytest.mark.parametrize("name", sorted(VERIFY_SUITES))
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_report_is_byte_identical(name, threads, capsys):
     _assert_golden(name, ["verify", VERIFY_SUITES[name], "--threads", threads], capsys)
 
 
-def test_the_module_entry_point_prints_the_golden_bytes():
+def _module_entry_point_report(name):
     # a fresh interpreter through `python -m gammavar`, which pins BLAS on
     # import, at two threads
-    name = "verify-randomisation"
     result = subprocess.run(
         [
             sys.executable,
@@ -81,4 +96,15 @@ def test_the_module_entry_point_prints_the_golden_bytes():
         capture_output=True,
     )
     assert result.returncode == EXIT_PASS, result.stderr.decode()
-    assert result.stdout == (GOLDEN / f"{name}.report.json").read_bytes()
+    return result.stdout
+
+
+def test_the_module_entry_point_prints_the_golden_bytes():
+    name = "verify-randomisation"
+    assert _module_entry_point_report(name) == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+def test_the_module_entry_point_prints_the_ensemble_search_golden_bytes():
+    # thm-3-3 runs the exhaustive ensemble search in l2, l1 and linf
+    name = "verify-thm-3-3"
+    assert _module_entry_point_report(name) == (GOLDEN / f"{name}.report.json").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from gammavar import (
     gamma_summing_norm,
     gamma_variation_norm,
     grouping_moment_exact,
+    induced_randomized_measure,
     measure_from_density,
     measure_from_operator,
     randomized_variation_norm,
     rademacher_sum_sq,
+    sample_brownian,
     total_variation_norm,
     verify_duality,
 )
@@ -501,6 +504,119 @@ class TestBatchedExhaustiveSearch:
         moment, blocks = ref.randomized_variation_search_reference(values, p)
         assert report.moment.value == moment
         assert report.grouping.to_lists() == blocks
+
+
+ENSEMBLE_BASES = [
+    NormedSpace.from_tag(dim, tag)
+    for tag in ("l1", "l2", "linf", {"lp": 1.5})
+    for dim in (1, 2, 3)
+]
+
+
+def _induced_contributions(rng, base, density, n_paths):
+    """A sampled ensemble's (atoms, paths, dim) contributions, laid out as
+    the integral identity passes them."""
+    partition = AtomPartition(rng.dirichlet(np.ones(density.shape[0])))
+    ensemble = sample_brownian(partition, n_paths, RandomStream(int(rng.integers(1 << 30)), (0,)))
+    return induced_randomized_measure(StepFunction(partition, base, density), ensemble).contributions
+
+
+def _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats=1 << 23):
+    report = randomized_variation_norm(contributions, EmpiricalL2Space(base), mode="exhaustive")
+    want = ref.ensemble_randomized_search_reference(
+        contributions, base.norm_sq, base.is_hilbert, chunk_floats
+    )
+    document = report.to_document()
+    assert document.pop("mode") == "exhaustive"
+    assert document == want
+    return report
+
+
+class TestEnsembleSearchAgainstTheReference:
+    """The batched exhaustive search over ensemble values against the
+    one-grouping-at-a-time search: norm, every moment field and the
+    grouping, with ==."""
+
+    @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
+    def chunk_floats(self, request, monkeypatch):
+        # 12 paths in R^3 make 36 floats a row: 72 floats split a grouping's
+        # sweep into 2-pattern chunks from 3 blocks on
+        if request.param == "one-grouping-chunks":
+            monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", 1)
+        if request.param == "one-grouping-tables":
+            monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 1)
+        if request.param == "chunked-sweeps":
+            monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", 72)
+            return 72
+        return 1 << 23
+
+    @pytest.mark.parametrize("base", ENSEMBLE_BASES, ids=repr)
+    def test_random_ensembles(self, base, chunk_floats):
+        rng = np.random.default_rng(91)
+        contributions = _induced_contributions(rng, base, rng.standard_normal((5, base.dim)), 12)
+        _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
+
+    @pytest.mark.parametrize("base", ENSEMBLE_BASES, ids=repr)
+    def test_a_zero_atom_lets_a_non_covering_grouping_tie(self, base, chunk_floats):
+        rng = np.random.default_rng(92)
+        density = rng.integers(-2, 3, size=(5, base.dim)).astype(float)
+        density[0] = 0.0
+        density[1:] += density[1:] == 0.0
+        contributions = _induced_contributions(rng, base, density, 12)
+        report = _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
+        # the winner without its zero atom ties exactly; the lexicographic
+        # rule keeps the block that holds the atom
+        blocks = [[a for a in block if a != 0] for block in report.grouping.blocks]
+        without = Grouping([b for b in blocks if b], 5)
+        assert without != report.grouping
+        space = EmpiricalL2Space(base)
+        assert rademacher_sum_sq(block_sums(contributions, without), space) == report.moment
+
+    @pytest.mark.parametrize("base", ENSEMBLE_BASES[::3] + ENSEMBLE_BASES[2::3], ids=repr)
+    def test_two_equal_atoms(self, base, chunk_floats):
+        rng = np.random.default_rng(93)
+        contributions = rng.integers(-2, 3, size=(5, 12, base.dim)).astype(float)
+        contributions[3] = contributions[1]
+        _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
+        density = rng.integers(-2, 3, size=(5, base.dim)).astype(float)
+        density[2] = density[0]
+        contributions = _induced_contributions(rng, base, density, 12)
+        _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
+
+    def test_eight_atoms_build_their_table_per_chunk(self, monkeypatch):
+        # 16 rows of 3 paths in R^2: the 255 distinct blocks of the 21146
+        # groupings take many tables, none past the budget
+        tables = []
+        distinct_sums = random_sums._distinct_sums
+
+        def recorded(values, atom_sets, reduce=None):
+            table, rows = distinct_sums(values, atom_sets, reduce)
+            tables.append(table.shape[0])
+            return table, rows
+
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 16 * 3 * 2)
+        monkeypatch.setattr(random_sums, "_distinct_sums", recorded)
+        rng = np.random.default_rng(94)
+        base = NormedSpace.linf(2)
+        contributions = _induced_contributions(rng, base, rng.standard_normal((8, 2)), 3)
+        _assert_ensemble_search_matches_the_reference(contributions, base)
+        assert len(tables) > 1
+        assert max(tables) == 16
+
+    def test_the_integrate_shape_stays_near_the_per_grouping_peak(self):
+        # N = 4 atoms, 100k paths in l2(2), as the default integrate runs it.
+        # One grouping at a time the search peaked at 12.2 MiB traced: a
+        # stack of up to 4 block sums and its parts.  The batched search holds
+        # the 15 distinct blocks' path norms (11.4 MiB) and one block sum's
+        # gather (6.1 MiB) at most.
+        contributions = np.random.default_rng(95).standard_normal((4, 100_000, 2))
+        tracemalloc.start()
+        try:
+            randomized_variation_norm(contributions, EmpiricalL2Space(NormedSpace.l2(2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21 << 20
 
 
 class TestDualOperatorRoundTrip:

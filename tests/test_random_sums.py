@@ -8,15 +8,19 @@ from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from gammavar import (
+    AtomPartition,
     EmpiricalL2Space,
+    Grouping,
     NormedSpace,
     RandomStream,
     SumEstimate,
     compare_estimates,
+    enumerate_groupings,
     gaussian_sum_sq,
     rademacher_sum_sq,
+    sample_brownian,
 )
-from gammavar import random_sums
+from gammavar import random_sums, suites
 from gammavar.groupings import (
     block_sums,
     grouping_from_labels,
@@ -29,6 +33,7 @@ from gammavar.random_sums import (
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
     covariance_moment,
+    ensemble_rademacher_moments,
     has_covariance_moment,
     rademacher_moments,
 )
@@ -252,7 +257,7 @@ def _batched_and_single_moments(values, space):
     block_counts = labels.max(axis=1)
     for k in range(1, int(block_counts.max()) + 1):
         rows = block_counts == k
-        batched = rademacher_moments(table[masks[rows, 1 : k + 1]], space)
+        batched = rademacher_moments(table, masks[rows, 1 : k + 1], space)
         for row, value in zip(labels[rows], batched):
             grouping = grouping_from_labels(row)
             yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
@@ -381,3 +386,78 @@ class TestEnsembleValues:
         space = EmpiricalL2Space(NormedSpace.l2(2))
         with pytest.raises(ValueError):
             gaussian_sum_sq([[1.0, 2.0]], space)
+
+
+ENSEMBLE_BASES = [
+    NormedSpace.from_tag(dim, tag)
+    for tag in ("l1", "l2", "linf", {"lp": 1.5})
+    for dim in (1, 2, 3)
+]
+
+
+def _one_grouping_at_a_time(values, groupings, space):
+    return [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
+
+
+class TestEnsembleRademacherMoments:
+    """The batched ensemble kernel against one rademacher_sum_sq call per
+    grouping, estimate by estimate with ==."""
+
+    @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
+    def budget(self, request, monkeypatch):
+        # 10 paths in R^3 make 30 floats a row: 60 floats split a grouping's
+        # sweep from 3 blocks on; one float gives one grouping per chunk or
+        # per table
+        names = {
+            "one-grouping-chunks": ("_ENSEMBLE_CHUNK_FLOATS", 1),
+            "chunked-sweeps": ("_CHUNK_FLOATS", 60),
+            "one-grouping-tables": ("_ENSEMBLE_TABLE_FLOATS", 1),
+        }
+        if request.param in names:
+            monkeypatch.setattr(random_sums, *names[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("base", ENSEMBLE_BASES, ids=repr)
+    def test_every_grouping_matches_rademacher_sum_sq(self, base, budget):
+        rng = np.random.default_rng(81)
+        # magnitudes spread over six decades, so association shows in the bits
+        values = rng.standard_normal((5, 10, base.dim)) * 10.0 ** rng.integers(-3, 4, (5, 1, 1))
+        every = list(enumerate_groupings(5, "all"))
+        groupings = every + [every[i] for i in rng.choice(len(every), size=20)]
+        space = EmpiricalL2Space(base)
+        got = ensemble_rademacher_moments(values, groupings, space)
+        assert got == _one_grouping_at_a_time(values, groupings, space)
+
+    @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (100, 12)])
+    def test_the_example_3_4_family_matches_rademacher_sum_sq(self, n_atoms, n_paths):
+        partition = AtomPartition.uniform(n_atoms)
+        paths = sample_brownian(partition, n_paths, RandomStream(82, (n_atoms,))).paths
+        contributions = np.ascontiguousarray(paths.T)[:, :, None]
+        family = suites._fixed_grouping_family(n_atoms)
+        space = EmpiricalL2Space(NormedSpace.l2(1))
+        got = ensemble_rademacher_moments(contributions, family, space)
+        assert got == _one_grouping_at_a_time(contributions, family, space)
+
+    def test_a_hilbert_base_takes_any_number_of_blocks(self):
+        values = np.random.default_rng(83).standard_normal((25, 6, 2))
+        space = EmpiricalL2Space(NormedSpace.l2(2))
+        finest = [Grouping.finest(25)]
+        got = ensemble_rademacher_moments(values, finest, space)
+        assert got == _one_grouping_at_a_time(values, finest, space)
+
+    def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
+        def refused(values, atom_sets, reduce=None):
+            pytest.fail("summed blocks of a grouping over the enumeration cap")
+
+        monkeypatch.setattr(random_sums, "_distinct_sums", refused)
+        values = np.ones((21, 4, 2))
+        groupings = [Grouping([[0], [1]], 21), Grouping.finest(21)]
+        with pytest.raises(ValueError, match="21"):
+            ensemble_rademacher_moments(values, groupings, EmpiricalL2Space(NormedSpace.l1(2)))
+
+    def test_values_must_match_the_space(self):
+        space = EmpiricalL2Space(NormedSpace.l1(2))
+        with pytest.raises(ValueError, match="space dim"):
+            ensemble_rademacher_moments(np.ones((3, 4, 3)), [Grouping.finest(3)], space)
+        with pytest.raises(ValueError, match="3 axes"):
+            ensemble_rademacher_moments(np.ones((3, 2)), [Grouping.finest(3)], space)

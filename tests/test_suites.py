@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,8 @@ from gammavar import (
     run_norms,
     run_suite,
 )
+from gammavar import random_sums, suites
+from gammavar.random_sums import RandomStream
 
 
 def _names(report):
@@ -349,6 +352,23 @@ class TestVerifySuites:
         assert abs(tv16.values["total_variation"] - 4.0) <= 1e-9
         exact = _by_name(report, "randomized-exact-n4")
         assert abs(exact.values["randomized_variation"] - 1.0) <= 1e-12
+
+    def test_an_empirical_divergence_point_holds_two_copies_of_the_paths(self, monkeypatch):
+        # 100 atoms, 10k paths: the sampled paths and their contiguous
+        # transpose, then the transpose with one block table or one block
+        # gather at a time.  The table budget is set to 41 rows, as 100k
+        # paths get by default.  Sampling with a copy of the paths and
+        # keeping the ensemble during the search peaked at 4.1x.
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 41 * 10_000)
+        params = dict(suites.SUITE_DEFAULTS["example-3-4"])
+        tracemalloc.start()
+        try:
+            checks = suites._divergence_point((100, params, RandomStream(0, (5, 2)), 10_000, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.verdict for c in checks] == ["pass"] * 3
+        assert peak < 2.5 * (100 * 10_000 * 8)
 
     def test_domination_suite_small_run(self):
         config = resolve_config(
