@@ -26,18 +26,16 @@ from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
+    _ENSEMBLE_CHUNK_FLOATS,
     _estimate_from_path_stats,
     _path_moments,
-    _sign_patterns,
+    _path_norm_sq,
+    _sign_means,
     compare_estimates,
 )
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 
 MIN_PATHS = 2
-# Cap on combined floats per sign matmul in the randomisation sweep: 1 MB of
-# product, which with the norms' temporaries stays in a 2 MB per-core L2
-# cache until the norms read it.
-_SWEEP_CHUNK_FLOATS = 1 << 17
 
 BINARY_MAGIC = b"GVLB"
 BINARY_VERSION = 1
@@ -290,12 +288,14 @@ def randomisation_identity_sweep(
     covered atom set for the plain side; the table never holds a row per
     subset of atoms, which a few-block grouping of many atoms would make
     huge.  Groupings with k blocks gather their rows from the table and meet
-    the 2^(k-1) sign patterns in one matmul per chunk of at most
-    _SWEEP_CHUNK_FLOATS combined floats, small enough to stay in cache until
-    the norms read it.  Chunks split only the grouping axis: each grouping's
-    matmul, norms and reductions see the same inputs in any chunk, so the
-    chunk size cannot move a bit.  Path means and errors are taken over the
-    (groupings, paths) statistics of each block count at once.
+    the 2^(k-1) sign patterns in the sign loop of the ensemble search
+    (random_sums._sign_means): one matmul per chunk of at most
+    _ENSEMBLE_CHUNK_FLOATS combined floats, small enough to stay in cache
+    until the norms read it.  Chunks split only the grouping axis, so the
+    chunk size cannot move a bit; a grouping whose own sweep passes
+    random_sums._CHUNK_FLOATS is swept alone, in pattern chunks.  Path means
+    and errors are taken per chunk.  Sign enumeration holds for every norm,
+    the Euclidean one included.
     """
     groupings = list(groupings)
     for grouping in groupings:
@@ -306,7 +306,7 @@ def randomisation_identity_sweep(
             )
     n_paths, dim = measure.n_paths, measure.space.dim
     flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
-    norm_sq = measure.space.norm_sq
+    path_norm_sq = _path_norm_sq(measure.space, n_paths, dim)
 
     n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
     blocks, block_rows = _distinct_sums(flat, [b for g in groupings for b in g.blocks])
@@ -316,18 +316,13 @@ def randomisation_identity_sweep(
     for k in np.unique(n_blocks).tolist():
         members = np.flatnonzero(n_blocks == k)
         rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
-        patterns = _sign_patterns(k)
-        chunk = max(1, _SWEEP_CHUNK_FLOATS // (patterns.shape[0] * n_paths * dim))
-        path_stats = np.empty((members.size, n_paths))
-        for start in range(0, members.size, chunk):
-            part = rows[start : start + chunk]
-            combos = np.matmul(patterns, blocks[part])  # (g, patterns, paths*dim)
-            combos = combos.reshape(part.shape[0], patterns.shape[0], n_paths, dim)
-            path_stats[start : start + chunk] = np.mean(norm_sq(combos), axis=1)
-        signed_value[members], signed_error[members] = _path_moments(path_stats)
+        chunks = _sign_means(blocks, rows, path_norm_sq, _ENSEMBLE_CHUNK_FLOATS)
+        for chunk, path_stats in chunks:
+            part = members[chunk]
+            signed_value[part], signed_error[part] = _path_moments(path_stats)
 
     covered, covered_rows = _distinct_sums(flat, [g.covered for g in groupings])
-    plain_value, plain_error = _path_moments(norm_sq(covered.reshape(-1, n_paths, dim)))
+    plain_value, plain_error = _path_moments(path_norm_sq(covered))
     plains = [
         SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
         for value, error in zip(plain_value.tolist(), plain_error.tolist())

@@ -2,8 +2,13 @@
 
 A grouping is a finite collection of disjoint nonempty blocks of atom indices.
 It is *covering* when the blocks exhaust all atoms, i.e. when it is a set
-partition.  Enumeration sizes grow as Bell numbers, so the exhaustive mode is
-capped; the caps are named in the errors.
+partition.  The enumerations yield covering groupings only: adding the
+uncovered atoms as one more block never lowers a grouping's moment (for
+Rademacher signs E_r ||S + r X||^2 >= ||S||^2 by convexity; for Gaussians the
+block covariance grows in Loewner order, and Anderson's inequality applies),
+so the set partitions reach every supremum over groupings.  Enumeration sizes
+grow as Bell numbers, so the exhaustive mode is capped; the caps are named in
+the errors.
 """
 
 from __future__ import annotations
@@ -69,10 +74,6 @@ class Grouping:
     def covered(self) -> tuple[int, ...]:
         return tuple(sorted(a for b in self.blocks for a in b))
 
-    @property
-    def is_covering(self) -> bool:
-        return len(self.covered) == self.n_atoms
-
     def sort_key(self):
         """Tie-break key for searches: fewer blocks first, then lexicographic."""
         return (self.n_blocks, self.blocks)
@@ -86,6 +87,12 @@ class Grouping:
 
 
 def _block_sum(values: np.ndarray, atoms: list[int]) -> np.ndarray:
+    """Sum of values over the given atoms (ascending) on axis 0.  A run of
+    consecutive atoms of a C-contiguous array sums from a slice view, which
+    is laid out as the gathered copy would be and so gives its bits."""
+    first, last = atoms[0], atoms[-1]
+    if last - first + 1 == len(atoms) and values.flags.c_contiguous:
+        return np.sum(values[first : last + 1], axis=0)
     return np.sum(values[atoms], axis=0)
 
 
@@ -127,12 +134,10 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
 
 def grouping_from_labels(labels: np.ndarray) -> Grouping:
-    """The grouping one label row encodes: atom a sits in block labels[a + 1],
-    and label 0 marks the uncovered atoms."""
-    marks = labels[1:]
+    """The set partition one label row encodes: atom a sits in block
+    labels[a]."""
     return Grouping(
-        [np.flatnonzero(marks == m) for m in range(1, int(marks.max()) + 1)],
-        marks.size,
+        [np.flatnonzero(labels == m) for m in range(int(labels.max()) + 1)], labels.size
     )
 
 
@@ -183,18 +188,14 @@ def _partitions_of(elements: tuple[int, ...]) -> Iterator[list[list[int]]]:
             yield partial[:i] + [[first] + partial[i]] + partial[i + 1:]
 
 
-def _interval_groupings(n_atoms: int, covering: bool) -> Iterator[list[list[int]]]:
-    """Groupings whose blocks are intervals of consecutive atom indices."""
+def _interval_partitions(n_atoms: int) -> Iterator[list[list[int]]]:
+    """Set partitions whose blocks are intervals of consecutive atom indices."""
 
     def extend(start: int, current: list[list[int]]) -> Iterator[list[list[int]]]:
         if start == n_atoms:
-            if current:
-                yield [list(b) for b in current]
+            yield list(current)
             return
-        # leave atom `start` uncovered
-        if not covering:
-            yield from extend(start + 1, current)
-        # or start a new interval block at `start` with any admissible end
+        # start a new interval block at `start` with any admissible end
         for end in range(start + 1, n_atoms + 1):
             current.append(list(range(start, end)))
             yield from extend(end, current)
@@ -203,15 +204,14 @@ def _interval_groupings(n_atoms: int, covering: bool) -> Iterator[list[list[int]
     yield from extend(0, [])
 
 
-def enumerate_groupings(
-    n_atoms: int, mode: str = "all", covering_only: bool = False
-) -> Iterator[Grouping]:
-    """Yield each grouping of ``n_atoms`` atoms exactly once.
+def enumerate_groupings(n_atoms: int, mode: str = "all") -> Iterator[Grouping]:
+    """Yield each covering grouping of ``n_atoms`` atoms exactly once.
 
-    mode="all" enumerates every grouping (all disjoint nonempty block
-    collections); with covering_only=True this is the Bell(n)-many set
-    partitions.  mode="contiguous" restricts blocks to intervals of
-    consecutive indices; covering interval partitions number 2^(n-1).
+    mode="all" enumerates the Bell(n)-many set partitions, in the
+    restricted-growth order of _partitions_of.  mode="contiguous" restricts
+    blocks to intervals of consecutive indices; those partitions number
+    2^(n-1).  Non-covering groupings are never yielded: they cannot beat the
+    partition that adds their uncovered atoms as one more block.
 
     Raises SizeLimitError above MAX_ATOMS_ALL (=12) atoms for mode="all" and
     above MAX_ATOMS_CONTIGUOUS (=20) for mode="contiguous".
@@ -220,48 +220,38 @@ def enumerate_groupings(
         raise ValueError("n_atoms must be at least 1")
     check_enumeration_size(n_atoms, mode)
     if mode == "all":
-        if covering_only:
-            for blocks in _partitions_of(tuple(range(n_atoms))):
-                yield Grouping(blocks, n_atoms)
-        else:
-            # every grouping is a set partition of some nonempty covered subset
-            for mask in range(1, 1 << n_atoms):
-                covered = tuple(i for i in range(n_atoms) if (mask >> i) & 1)
-                for blocks in _partitions_of(covered):
-                    yield Grouping(blocks, n_atoms)
+        partitions = _partitions_of(tuple(range(n_atoms)))
     elif mode == "contiguous":
-        for blocks in _interval_groupings(n_atoms, covering=covering_only):
-            yield Grouping(blocks, n_atoms)
+        partitions = _interval_partitions(n_atoms)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
+    for blocks in partitions:
+        yield Grouping(blocks, n_atoms)
 
 
 def grouping_labels(
     n_atoms: int, max_rows: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every grouping of n_atoms atoms, as rows of int8 block labels with the
-    atom bitmask of every label.
+    """Every set partition of n_atoms atoms, as rows of int8 block labels
+    with the atom bitmask of every label.
 
-    A row is a restricted-growth string over n_atoms + 1 slots (Knuth, TAOCP
-    4A, 7.2.1.5): slot 0 is labelled 0, and every later label is at most one
-    more than the largest before it.  Atom a sits in block labels[a + 1];
-    the atoms sharing slot 0's label 0 are uncovered, and blocks 1, 2, ...
-    are numbered by their smallest atom, as Grouping orders them.  The
-    Bell(n_atoms + 1) - 1 rows (every string but the all-zero one, which
-    covers no atom) come in lexicographic order, in pairs (labels, masks) of
-    at most max_rows rows.  Column m of masks, the smallest unsigned integer
-    type that holds n_atoms bits, sets bit a for each atom a labelled m;
-    each label a row gains adds its atom's bit there.
+    A row is a restricted-growth string over n_atoms slots (Knuth, TAOCP 4A,
+    7.2.1.5): atom 0 is labelled 0, and every later label is at most one more
+    than the largest before it.  Atom a sits in block labels[a], and blocks
+    0, 1, ... are numbered by their smallest atom, as Grouping orders them.
+    The Bell(n_atoms) rows come in lexicographic order, in pairs (labels,
+    masks) of at most max_rows rows.  Column m of masks, the smallest
+    unsigned integer type that holds n_atoms bits, sets bit a for each atom a
+    in block m; each label a row gains adds its atom's bit there.
 
     Raises SizeLimitError above MAX_ATOMS_ALL atoms.
     """
     check_enumeration_size(n_atoms, "all")
-    slots = n_atoms + 1
     # tails[r, m]: strings that complete a prefix with r slots left and
     # largest label m (labels 0..m keep m, label m + 1 raises it)
-    tails = np.ones((slots, slots + 1), dtype=np.int64)
-    for r in range(1, slots):
-        tails[r, :-1] = np.arange(1, slots + 1) * tails[r - 1, :-1] + tails[r - 1, 1:]
+    tails = np.ones((n_atoms, n_atoms + 1), dtype=np.int64)
+    for r in range(1, n_atoms):
+        tails[r, :-1] = np.arange(1, n_atoms + 1) * tails[r - 1, :-1] + tails[r - 1, 1:]
 
     def extend(labels, masks, tops):
         counts = tops + 2
@@ -269,8 +259,8 @@ def grouping_labels(
         label = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)
         masks = np.repeat(masks, counts, axis=0)
         # the atom in the new slot adds its bit to the column of its label
-        bit = 1 << (labels.shape[1] - 1)
-        masks.reshape(-1)[np.arange(0, rows * slots, slots) + label] += bit
+        bit = 1 << labels.shape[1]
+        masks.reshape(-1)[np.arange(0, rows * n_atoms, n_atoms) + label] += bit
         return (
             np.column_stack((np.repeat(labels, counts, axis=0), label.astype(np.int8))),
             masks,
@@ -278,16 +268,12 @@ def grouping_labels(
         )
 
     def walk(labels, masks, tops):
-        left = slots - labels.shape[1]
+        left = n_atoms - labels.shape[1]
         sizes = tails[left, tops]
         if sizes.sum() <= max_rows:
             for _ in range(left):
                 labels, masks, tops = extend(labels, masks, tops)
-            # only the all-zero string, first in lexicographic order, covers
-            # no atom
-            first = int(tops[0] == 0)
-            if first < labels.shape[0]:
-                yield labels[first:], masks[first:]
+            yield labels, masks
         elif labels.shape[0] == 1:
             yield from walk(*extend(labels, masks, tops))
         else:
@@ -301,8 +287,7 @@ def grouping_labels(
                 yield from walk(labels[part], masks[part], tops[part])
                 start = stop
 
-    yield from walk(
-        np.zeros((1, 1), dtype=np.int8),
-        np.zeros((1, slots), dtype=np.min_scalar_type((1 << n_atoms) - 1)),
-        np.zeros(1, dtype=np.int64),
-    )
+    # atom 0 opens block 0
+    masks = np.zeros((1, n_atoms), dtype=np.min_scalar_type((1 << n_atoms) - 1))
+    masks[0, 0] = 1
+    yield from walk(np.zeros((1, 1), dtype=np.int8), masks, np.zeros(1, dtype=np.int64))

@@ -203,7 +203,9 @@ def gamma_variation_norm(
 
     mode="fast_path" evaluates only the finest covering grouping (the supremum
     sits there; the search modes exist to verify that).  "exhaustive" scans
-    every grouping, covering or not; "contiguous" scans interval groupings.
+    every set partition, "contiguous" the partitions into intervals
+    (groupings.enumerate_groupings: no grouping that leaves atoms uncovered
+    can beat them).
     The scans are exact in Hilbert spaces, l1 and the plane's linf, and
     share Monte Carlo draws across all scanned groupings elsewhere
     (SharedDrawMoments).
@@ -294,22 +296,22 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
 
 def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> Grouping:
     """The winner of the exhaustive search over (N, d) values, in the order of
-    _beats.  Groupings come as label rows and their block sums from a table
-    of every subset's sum; all rows with k blocks are evaluated in one batch,
-    and Grouping objects are built only for the rows that tie at the running
-    maximum."""
+    _beats.  Set partitions come as label rows and their block sums from a
+    table of every subset's sum; all rows with k blocks are evaluated in one
+    batch, and Grouping objects are built only for the rows that tie at the
+    running maximum."""
     n_atoms, dim = arr.shape
     table = subset_sums(arr)
     best_value, best = -np.inf, None
     # a chunk's block sums hold at most rows * n_atoms * dim floats
     max_rows = max(1, _CHUNK_FLOATS // (n_atoms * dim))
     for labels, masks in grouping_labels(n_atoms, max_rows):
-        block_counts = labels.max(axis=1)
+        block_counts = labels.max(axis=1) + 1
         for k in range(1, int(block_counts.max()) + 1):
             rows = block_counts == k
             if not rows.any():
                 continue
-            values = rademacher_moments(table, masks[rows, 1 : k + 1], space)
+            values = rademacher_moments(table, masks[rows, :k], space)
             top = values.max()
             # a tie with more blocks than the best can only lose
             if not top >= best_value or (top == best_value and k > best.n_blocks):
@@ -339,10 +341,12 @@ def randomized_variation_norm(
     Objectives are exact sign enumerations up to 20 blocks; the stream and
     samples are only consulted past that.
 
-    The winner has the highest objective, then the smallest sort_key.  The
-    exhaustive search is batched, bit for bit as one rademacher_sum_sq call
-    per grouping would be.  On (N, d) values it walks label arrays
-    (groupings.grouping_labels), evaluates all groupings with k blocks in one
+    Every search sees covering groupings only (groupings.enumerate_groupings),
+    which reach the supremum over all groupings.  The winner has the highest
+    objective, then the smallest sort_key.  The exhaustive search is batched,
+    bit for bit as one rademacher_sum_sq call per grouping would be.  On
+    (N, d) values it walks label arrays (groupings.grouping_labels), one row
+    per set partition, evaluates all partitions with k blocks in one
     batch (random_sums.rademacher_moments) and reports the winner's
     rademacher_sum_sq.  On ensemble values it evaluates every grouping in one
     call of random_sums.ensemble_rademacher_moments, which sums each

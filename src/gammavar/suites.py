@@ -864,7 +864,7 @@ def _domination_instance(args) -> CheckRecord:
     worst_grouping = finest
     failures = 0
     count = 0
-    for grouping in enumerate_groupings(measure.n_atoms, "all", covering_only=True):
+    for grouping in enumerate_groupings(measure.n_atoms, "all"):
         if grouping == finest:
             continue
         count += 1
@@ -941,7 +941,7 @@ def _sweep_candidates(n_atoms: int, max_blocks: int) -> tuple[Grouping, ...]:
     order; every measure of a randomisation run sweeps the same ones."""
     return tuple(
         g
-        for g in enumerate_groupings(n_atoms, "all", covering_only=True)
+        for g in enumerate_groupings(n_atoms, "all")
         if g.n_blocks <= max_blocks
     )
 

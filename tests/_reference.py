@@ -184,14 +184,14 @@ def block_sums_reference(values, blocks) -> np.ndarray:
 
 def label_masks_reference(labels) -> np.ndarray:
     """Atom bitmask of every label in every row of a label array, one scatter
-    per atom: column m of the (rows, slots) result sets bit a for each atom a
-    labelled m (labels[:, a + 1] == m)."""
-    rows, slots = labels.shape
-    masks = np.zeros(rows * slots, dtype=np.int64)
-    offsets = np.arange(0, rows * slots, slots)
-    for atom in range(slots - 1):
-        masks[offsets + labels[:, atom + 1]] += 1 << atom
-    return masks.reshape(rows, slots)
+    per atom: column m of the (rows, atoms) result sets bit a for each atom a
+    labelled m (labels[:, a] == m)."""
+    rows, n_atoms = labels.shape
+    masks = np.zeros(rows * n_atoms, dtype=np.int64)
+    offsets = np.arange(0, rows * n_atoms, n_atoms)
+    for atom in range(n_atoms):
+        masks[offsets + labels[:, atom]] += 1 << atom
+    return masks.reshape(rows, n_atoms)
 
 
 def canonical_blocks(blocks) -> frozenset:
@@ -231,16 +231,18 @@ def rademacher_moment_reference(vectors, p: float) -> float:
     return total / count
 
 
-def randomized_variation_search_reference(values, p: float):
+def randomized_variation_search_reference(values, p: float, candidates=None):
     """Brute-force randomized variation search: the largest sign moment over
-    every disjoint block collection, no weight normalization, and the block
-    collection attaining it.  Ties go to fewer blocks, then to the
-    lexicographically smallest blocks (sorted by first atom, each ascending).
-    Returns (moment, blocks)."""
+    the candidate block collections (by default every disjoint one), no
+    weight normalization, and the block collection attaining it.  Ties go to
+    fewer blocks, then to the lexicographically smallest blocks (sorted by
+    first atom, each ascending).  Returns (moment, blocks)."""
     values = [[float(v) for v in vec] for vec in values]
     dim = len(values[0])
     best = None
-    for blocks in groupings_reference(len(values)):
+    if candidates is None:
+        candidates = groupings_reference(len(values))
+    for blocks in candidates:
         sums = [
             [sum(values[i][j] for i in block) for j in range(dim)]
             for block in blocks

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gammavar.brownian as brownian
+import gammavar.random_sums as random_sums
 
 from gammavar import (
     AtomPartition,
@@ -345,12 +346,17 @@ class TestRandomisationIdentity:
         # same covered atom set: the unsigned side is shared across groupings
         assert checks[0].plain == checks[1].plain
 
+    @pytest.mark.parametrize("chunk_floats", [None, 1200])
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l1(2)])
-    def test_sweep_matches_the_exact_sign_enumeration(self, space):
+    def test_sweep_matches_the_exact_sign_enumeration(self, space, chunk_floats, monkeypatch):
         # the sweep's batched matmul against rademacher_sum_sq's own
-        # enumeration over the same block sums, one grouping at a time
+        # enumeration over the same block sums, one grouping at a time; with
+        # 1200 floats a grouping of 3 or more blocks of 300 paths in R^2
+        # passes the cap and is swept alone, 2 patterns at a time
+        if chunk_floats is not None:
+            monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", chunk_floats)
         measure = self._measure(seed=57, n_atoms=5, space=space, n_paths=300)
-        covering = list(enumerate_groupings(5, covering_only=True))
+        covering = list(enumerate_groupings(5))
         picks = np.random.default_rng(57).choice(len(covering), size=15, replace=False)
         groupings = [covering[i] for i in picks]
         checks = randomisation_identity_sweep(measure, groupings)
@@ -399,7 +405,7 @@ def _tie_heavy_measures(rng, space):
 
 def _mixed_groupings(rng, n_atoms, count):
     """Covering and non-covering groupings, in a random order with repeats."""
-    every = list(enumerate_groupings(n_atoms, "all"))
+    every = [Grouping(blocks, n_atoms) for blocks in ref.groupings_reference(n_atoms)]
     picks = [every[i] for i in rng.choice(len(every), size=count)]
     return picks + [Grouping.finest(n_atoms), Grouping([range(n_atoms)], n_atoms)]
 
@@ -429,7 +435,7 @@ class TestSweepAgainstTheReference:
         # 6, 3 and 1 rows per chunk at 1, 2 and 4+ blocks of 40 paths in R^3
         sizes = {"one-float": 1, "few-rows": 6 * 40 * 3}
         if request.param in sizes:
-            monkeypatch.setattr(brownian, "_SWEEP_CHUNK_FLOATS", sizes[request.param])
+            monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", sizes[request.param])
         return request.param
 
     @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)

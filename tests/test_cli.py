@@ -108,6 +108,22 @@ class TestNormsCommand:
         assert details["gamma-variation"].startswith("mode=fast_path ")
         assert details["randomized-variation"].startswith("mode=greedy ")
 
+    def test_exhaustive_searches_cover_a_zero_atom(self, tmp_path, capsys):
+        # atom 2 is zero: leaving it out ties exactly, and the searches
+        # report the tied set partitions with the fewest blocks
+        document = {
+            "partition": {"uniform": 3},
+            "space": {"dim": 2, "norm": "l2"},
+            "input": {"measure": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+            "engine": {"mode": "exhaustive"},
+        }
+        code = main(["norms", "--config", _write_config(tmp_path, document)])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        details = {check["name"]: check.get("detail", "") for check in checks}
+        assert code == EXIT_PASS
+        assert details["gamma-variation"] == "mode=exhaustive grouping=[[0], [1], [2]]"
+        assert details["randomized-variation"] == "mode=exhaustive grouping=[[0, 1, 2]]"
+
 
 class TestVerifyCommand:
     def test_small_divergence_suite_with_chart(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from gammavar import Grouping, SizeLimitError, bell_number, enumerate_groupings
 from gammavar.groupings import (
     MAX_ATOMS_ALL,
     MAX_ATOMS_CONTIGUOUS,
+    _block_sum,
     block_sums,
     check_enumeration_size,
     grouping_from_labels,
@@ -32,14 +35,12 @@ class TestGrouping:
     def test_finest_is_all_singletons(self):
         grouping = Grouping.finest(3)
         assert grouping.blocks == ((0,), (1,), (2,))
-        assert grouping.is_covering
+        assert grouping.covered == (0, 1, 2)
         assert grouping.n_blocks == 3
 
-    def test_covered_and_is_covering(self):
-        partial = Grouping([[0, 2]], 4)
-        assert partial.covered == (0, 2)
-        assert not partial.is_covering
-        assert Grouping([[0, 1], [2, 3]], 4).is_covering
+    def test_covered(self):
+        assert Grouping([[0, 2]], 4).covered == (0, 2)
+        assert Grouping([[3, 1], [2, 0]], 4).covered == (0, 1, 2, 3)
 
     def test_sort_key_prefers_fewer_blocks(self):
         merged = Grouping([[0, 1]], 2)
@@ -74,7 +75,7 @@ class TestBellNumbers:
 
 class TestEnumeration:
     def test_covering_partitions_of_three_atoms(self):
-        got = {ref.canonical_blocks(g.blocks) for g in enumerate_groupings(3, "all", covering_only=True)}
+        got = {ref.canonical_blocks(g.blocks) for g in enumerate_groupings(3, "all")}
         want = {
             ref.canonical_blocks(blocks)
             for blocks in ref.set_partitions_reference(range(3))
@@ -84,25 +85,26 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_covering_counts_are_bell_numbers(self, n):
-        count = sum(1 for _ in enumerate_groupings(n, "all", covering_only=True))
+        count = sum(1 for _ in enumerate_groupings(n, "all"))
         assert count == ref.bell_reference(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_all_mode_enumerates_every_partial_partition(self, n):
+    def test_all_mode_enumerates_every_set_partition(self, n):
         got = [ref.canonical_blocks(g.blocks) for g in enumerate_groupings(n, "all")]
         want = {
-            ref.canonical_blocks(blocks) for blocks in ref.groupings_reference(n)
+            ref.canonical_blocks(blocks)
+            for blocks in ref.set_partitions_reference(range(n))
         }
         assert len(got) == len(set(got))  # no duplicates
         assert set(got) == want
-        assert len(got) == ref.bell_reference(n + 1) - 1
+        assert len(got) == ref.bell_reference(n)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_contiguous_covering_counts_compositions(self, n):
-        groupings = list(enumerate_groupings(n, "contiguous", covering_only=True))
+        groupings = list(enumerate_groupings(n, "contiguous"))
         assert len(groupings) == 2 ** (n - 1)
         for grouping in groupings:
-            assert grouping.is_covering
+            assert grouping.covered == tuple(range(n))
             for block in grouping.blocks:
                 assert list(block) == list(range(block[0], block[-1] + 1))
 
@@ -113,7 +115,7 @@ class TestEnumeration:
         got = {ref.canonical_blocks(g.blocks) for g in enumerate_groupings(4, "contiguous")}
         want = {
             ref.canonical_blocks(blocks)
-            for blocks in ref.groupings_reference(4)
+            for blocks in ref.set_partitions_reference(range(4))
             if all(is_interval(sorted(b)) for b in blocks)
         }
         assert got == want
@@ -154,7 +156,7 @@ class TestGroupingLabels:
     def test_rows_are_every_grouping_once(self, n):
         ((labels, _),) = grouping_labels(n, 1 << 20)
         assert labels.dtype == np.int8
-        assert labels.shape == (ref.bell_reference(n + 1) - 1, n + 1)
+        assert labels.shape == (ref.bell_reference(n), n)
         groupings = [grouping_from_labels(row) for row in labels]
         assert len(set(groupings)) == len(groupings)
         assert set(groupings) == set(enumerate_groupings(n, "all"))
@@ -169,12 +171,12 @@ class TestGroupingLabels:
         keys = [tuple(row) for row in labels.tolist()]
         assert keys == sorted(set(keys))
         for row in labels[:: max(1, len(labels) // 50)]:
-            marks = row[1:]
             grouping = grouping_from_labels(row)
-            assert grouping.n_blocks == marks.max()
-            # block m of the grouping holds exactly the atoms labelled m + 1
-            for m, block in enumerate(grouping.blocks, start=1):
-                assert block == tuple(np.flatnonzero(marks == m))
+            assert grouping.n_blocks == row.max() + 1
+            assert grouping.covered == tuple(range(n))
+            # block m of the grouping holds exactly the atoms labelled m
+            for m, block in enumerate(grouping.blocks):
+                assert block == tuple(np.flatnonzero(row == m))
 
     @pytest.mark.parametrize("max_rows", [1, 2, 5, 17, 200])
     def test_small_chunks_concatenate_to_the_single_chunk(self, max_rows):
@@ -192,8 +194,8 @@ class TestGroupingLabels:
     def test_masks_mark_each_labels_atoms(self):
         ((labels, masks),) = grouping_labels(5, 1 << 20)
         for row, row_masks in zip(labels, masks):
-            for m in range(6):
-                atoms = np.flatnonzero(row[1:] == m)
+            for m in range(5):
+                atoms = np.flatnonzero(row == m)
                 assert row_masks[m] == sum(1 << int(a) for a in atoms)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -255,3 +257,31 @@ class TestBlockSums:
         # the two may associate a block's additions differently
         scale = float(np.max(np.abs(values), initial=0.0)) * grouping.n_atoms
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_a_run_of_atoms_sums_without_copying_its_rows(self):
+        values = np.random.default_rng(8).standard_normal((120, 1000))
+        tracemalloc.start()
+        try:
+            total = _block_sum(values, list(range(10, 110)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # gathering the 100 rows would take 100 rows of 8000 bytes
+        assert peak < 4 * values[0].nbytes
+        assert np.array_equal(total, np.sum(values[list(range(10, 110))], axis=0))
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3), (40, 5, 2)])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_keeps_the_bits_of_summing_the_gathered_rows(self, shape, layout):
+        # magnitudes over twelve decades, so the association shows in the bits
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((2 * shape[0],) + shape[1:])
+        values *= 10.0 ** rng.integers(-6, 7, values.shape)
+        values = {
+            "contiguous": values[: shape[0]],
+            "strided": values[::2],
+            "fortran": np.asfortranarray(values[: shape[0]]),
+        }[layout]
+        for atoms in ([7], list(range(3, 12)), list(range(40)), [0, 2, 3, 4], [5, 39]):
+            want = np.sum(values[atoms], axis=0)
+            assert np.array_equal(_block_sum(values, atoms), want)

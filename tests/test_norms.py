@@ -137,16 +137,15 @@ class TestGroupingMoments:
         for _ in range(5):
             measure = _random_measure(rng, 5, 2)
             finest = grouping_moment_exact(measure, Grouping.finest(5))
-            for grouping in enumerate_groupings(5, "all", covering_only=True):
+            for grouping in enumerate_groupings(5, "all"):
                 assert grouping_moment_exact(measure, grouping) <= finest + 1e-12
 
     def test_dropping_blocks_never_increases_the_moment(self):
         rng = np.random.default_rng(54)
         measure = _random_measure(rng, 4, 2)
-        for grouping in enumerate_groupings(4, "all"):
-            covering_value = grouping_moment_exact(
-                measure, Grouping.finest(4)
-            )
+        covering_value = grouping_moment_exact(measure, Grouping.finest(4))
+        for blocks in ref.groupings_reference(4):
+            grouping = Grouping(blocks, 4)
             assert grouping_moment_exact(measure, grouping) <= covering_value + 1e-12
 
     def test_shared_draws_reproduce_the_exact_moment_in_hilbert(self):
@@ -238,7 +237,7 @@ class TestExactCovarianceMoments:
     def test_no_coarsening_beats_the_finest_grouping(self, measure):
         shared = SharedDrawMoments(measure)
         finest = shared.moment(Grouping.finest(measure.n_atoms)).value
-        for grouping in enumerate_groupings(measure.n_atoms, "all", covering_only=True):
+        for grouping in enumerate_groupings(measure.n_atoms, "all"):
             assert shared.moment(grouping).value <= finest + _rounding_bound(finest)
 
     @settings(derandomize=True, deadline=None)
@@ -247,7 +246,7 @@ class TestExactCovarianceMoments:
         scaled = VectorMeasure(measure.partition, measure.space, c * measure.values)
         base, moments = SharedDrawMoments(measure), SharedDrawMoments(scaled)
         bound = _rounding_bound(c * c * base.moment(Grouping.finest(measure.n_atoms)).value)
-        for grouping in enumerate_groupings(measure.n_atoms, "all", covering_only=True):
+        for grouping in enumerate_groupings(measure.n_atoms, "all"):
             want = c * c * base.moment(grouping).value
             assert abs(moments.moment(grouping).value - want) <= bound
 
@@ -266,7 +265,7 @@ class TestExactCovarianceMoments:
         position = {atom: i for i, atom in enumerate(order)}
         base, moments = SharedDrawMoments(measure), SharedDrawMoments(permuted)
         bound = _rounding_bound(base.moment(Grouping.finest(n_atoms)).value)
-        for grouping in enumerate_groupings(n_atoms, "all", covering_only=True):
+        for grouping in enumerate_groupings(n_atoms, "all"):
             moved = Grouping([[position[a] for a in b] for b in grouping.blocks], n_atoms)
             assert abs(moments.moment(moved).value - base.moment(grouping).value) <= bound
 
@@ -391,8 +390,19 @@ class TestRandomizedVariation:
         assert abs(report.norm - ref.randomized_variation_reference(values, p)) <= 1e-12
 
     def test_ties_resolve_to_fewer_blocks_then_lexicographic(self):
+        # every set partition of a zero measure ties: the one block wins
         report = randomized_variation_norm(np.zeros((2, 1)), NormedSpace.l2(1))
-        assert report.grouping == Grouping([[0]], 2)
+        assert report.grouping == Grouping([[0, 1]], 2)
+        assert report.norm == 0.0
+        # a zero atom joins a block: {0, 1} ties with {0}{1}, one block fewer
+        report = randomized_variation_norm([[1.0], [0.0]], NormedSpace.l1(1))
+        assert report.grouping == Grouping([[0, 1]], 2)
+        assert report.norm == 1.0
+        # {0}{1, 2} ties with {0, 1}{2} and is lexicographically smaller,
+        # since (0,) sorts before (0, 1)
+        report = randomized_variation_norm([[1.0], [0.0], [-1.0]], NormedSpace.l1(1))
+        assert report.grouping == Grouping([[0], [1, 2]], 3)
+        assert report.norm == math.sqrt(2.0)
 
     def test_greedy_never_beats_exhaustive_and_finds_aligned_merges(self):
         rng = np.random.default_rng(65)
@@ -479,9 +489,10 @@ class TestBatchedExhaustiveSearch:
             report = randomized_variation_norm(values, space)
             assert (report.grouping, report.moment) == (grouping, moment)
 
-    def test_the_zero_measure_keeps_the_first_atom(self):
+    def test_the_zero_measure_takes_one_block(self):
+        # every set partition ties at zero, and one block is the fewest
         report = randomized_variation_norm(np.zeros((6, 2)), NormedSpace.l1(2))
-        assert report.grouping == Grouping([[0]], 6)
+        assert report.grouping == Grouping([range(6)], 6)
         assert report.norm == 0.0
 
     def test_value_dimension_is_checked(self):
@@ -499,9 +510,13 @@ class TestBatchedExhaustiveSearch:
     )
     def test_matches_the_reference_search_on_small_integers(self, values, p):
         # small integers keep every sum, square and division by 2^(k-1)
-        # exact, so the value and the tie-broken grouping must be equal
+        # exact, so the value must equal the supremum over every grouping,
+        # and the grouping the tie-broken winner among the set partitions
         report = randomized_variation_norm(values, NormedSpace(2, p), mode="exhaustive")
-        moment, blocks = ref.randomized_variation_search_reference(values, p)
+        moment, _ = ref.randomized_variation_search_reference(values, p)
+        assert report.moment.value == moment
+        partitions = ref.set_partitions_reference(range(len(values)))
+        moment, blocks = ref.randomized_variation_search_reference(values, p, partitions)
         assert report.moment.value == moment
         assert report.grouping.to_lists() == blocks
 
@@ -584,7 +599,7 @@ class TestEnsembleSearchAgainstTheReference:
         _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
 
     def test_eight_atoms_build_their_table_per_chunk(self, monkeypatch):
-        # 16 rows of 3 paths in R^2: the 255 distinct blocks of the 21146
+        # 16 rows of 3 paths in R^2: the 255 distinct blocks of the 4140
         # groupings take many tables, none past the budget
         tables = []
         distinct_sums = random_sums._distinct_sums
@@ -617,6 +632,71 @@ class TestEnsembleSearchAgainstTheReference:
         finally:
             tracemalloc.stop()
         assert peak < 21 << 20
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+_FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+class TestCoveringGroupingsReachTheSupremum:
+    """The searches see set partitions only; their values equal the brute
+    force over every disjoint block collection, covering or not."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.integers(1, 6).flatmap(
+                lambda n: arrays(float, (n, d), elements=st.integers(-3, 3).map(float))
+            )
+        ),
+        st.sampled_from([1.0, math.inf]),
+    )
+    def test_small_integer_values_equal_the_full_search(self, values, p):
+        # small integers keep every sum and sign average exact
+        report = randomized_variation_norm(values, NormedSpace(values.shape[1], p))
+        assert report.moment.value == ref.randomized_variation_search_reference(values, p)[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: arrays(float, (n, 2), elements=_FLOATS)),
+        st.sampled_from([1.5, 2.0]),
+    )
+    def test_l2_and_lp_values_equal_the_full_search(self, values, p):
+        report = randomized_variation_norm(values, NormedSpace(2, p))
+        want, _ = ref.randomized_variation_search_reference(values, p)
+        assert _close(report.moment.value, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        st.integers(1, 4).flatmap(lambda n: arrays(float, (n, 3, 2), elements=_FLOATS)),
+        st.sampled_from(["l1", "l2", "linf", {"lp": 1.5}]),
+    )
+    def test_ensembles_equal_the_full_search(self, contributions, tag):
+        base = NormedSpace.from_tag(2, tag)
+        report = randomized_variation_norm(contributions, EmpiricalL2Space(base))
+        want = ref.ensemble_randomized_search_reference(
+            contributions, base.norm_sq, base.is_hilbert
+        )["moment"]["value"]
+        assert _close(report.moment.value, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(1, 20), min_size=n, max_size=n),
+                arrays(float, (n, 2), elements=_FLOATS),
+            )
+        )
+    )
+    def test_gamma_variation_equals_the_full_search(self, case):
+        counts, values = case
+        weights = np.array(counts) / sum(counts)
+        measure = VectorMeasure(AtomPartition(weights), NormedSpace.l2(2), values)
+        report = gamma_variation_norm(measure, mode="exhaustive")
+        assert _close(report.norm, ref.gamma_variation_hilbert_reference(weights, values))
 
 
 class TestDualOperatorRoundTrip:

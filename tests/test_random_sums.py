@@ -250,14 +250,14 @@ class TestRademacherSumSq:
 
 
 def _batched_and_single_moments(values, space):
-    """Every grouping's moment from rademacher_moments over the label array,
-    paired with rademacher_sum_sq of its block_sums."""
+    """Every set partition's moment from rademacher_moments over the label
+    array, paired with rademacher_sum_sq of its block_sums."""
     ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
     table = subset_sums(values)
-    block_counts = labels.max(axis=1)
+    block_counts = labels.max(axis=1) + 1
     for k in range(1, int(block_counts.max()) + 1):
         rows = block_counts == k
-        batched = rademacher_moments(table, masks[rows, 1 : k + 1], space)
+        batched = rademacher_moments(table, masks[rows, :k], space)
         for row, value in zip(labels[rows], batched):
             grouping = grouping_from_labels(row)
             yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
@@ -269,9 +269,9 @@ class TestRademacherMoments:
     def test_every_grouping_matches_the_single_family_kernel_bitwise(self, p, dim):
         rng = np.random.default_rng(int(10 * p) if p < 10 else 99)
         # magnitudes spread over six decades, so association shows in the bits
-        values = rng.standard_normal((6, dim)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+        values = rng.standard_normal((7, dim)) * 10.0 ** rng.integers(-3, 4, (7, 1))
         pairs = list(_batched_and_single_moments(values, NormedSpace(dim, p)))
-        assert len(pairs) == 876
+        assert len(pairs) == 877  # Bell(7) set partitions
         assert all(batched == single for batched, single in pairs)
 
     @pytest.mark.parametrize("chunk", [1, 40, 200])
