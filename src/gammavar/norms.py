@@ -4,11 +4,13 @@ For a measure F on weighted atoms, the gamma-variation squared moment of a
 grouping {B_1..B_k} is E || sum_m g_m F(B_m)/sqrt(mu(B_m)) ||^2 with standard
 Gaussian coefficients; the norm is the supremum over groupings.  That is the
 second moment of a centred Gaussian vector with covariance
-Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the grouping searches
-(SharedDrawMoments) are exact in Hilbert spaces, in l1 and in the plane's
-linf, and share one set of Gaussian draws elsewhere.  The dual view
-is the Gaussian-summing norm of the operator with columns F(A_n)/sqrt(mu(A_n)),
-whose squared moment is E || T g ||^2 over the full normalized-indicator basis.
+Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the fast path and the
+grouping searches (SharedDrawMoments) are exact in Hilbert spaces, in l1 and
+in the plane's linf (_gaussian_moment).  Elsewhere the fast path samples and
+the searches share one set of Gaussian draws.  The dual view is the
+Gaussian-summing norm of the operator with columns F(A_n)/sqrt(mu(A_n)),
+whose squared moment is E || T g ||^2 over the full normalized-indicator
+basis, exact in the same spaces.
 
 The randomized variation drops the 1/sqrt(mu) normalization and uses
 Rademacher signs, so its supremum genuinely depends on the grouping and is
@@ -125,6 +127,23 @@ def grouping_moment_exact(measure: VectorMeasure, grouping: Grouping) -> float:
     return total
 
 
+def _gaussian_moment(
+    rows: np.ndarray,
+    space: NormedSpace,
+    stream: RandomStream | None = None,
+    samples: int = 0,
+) -> SumEstimate:
+    """E || sum_n g_n x_n ||^2 of the rows x_n with standard Gaussian g_n.
+
+    Hilbert spaces take gaussian_sum_sq's closed form; l1 and the plane's
+    linf take covariance_moment of Sigma = sum_n x_n x_n^T, which needs no
+    stream; every other space takes gaussian_sum_sq's Monte Carlo."""
+    if not space.is_hilbert and has_covariance_moment(space):
+        value = covariance_moment(rows.T @ rows, space)
+        return SumEstimate(value, 0.0, 0, METHOD_EXACT_COVARIANCE)
+    return gaussian_sum_sq(rows, space, stream, samples)
+
+
 class SharedDrawMoments:
     """Squared-moment values of many groupings of one measure.
 
@@ -163,12 +182,10 @@ class SharedDrawMoments:
             return _estimate_from_moments(stats.size, total, total_sq)
         if self.method == METHOD_EXACT_HILBERT:
             value = grouping_moment_exact(self.measure, grouping)
-        else:
-            # Sigma_G = sum_B F(B) F(B)^T / mu(B)
-            sums = block_sums(self._masses_values, grouping)
-            scaled = sums[:, 1:] / np.sqrt(sums[:, :1])
-            value = covariance_moment(scaled.T @ scaled, self.measure.space)
-        return SumEstimate(value=value, std_error=0.0, samples=0, method=self.method)
+            return SumEstimate(value=value, std_error=0.0, samples=0, method=self.method)
+        # rows F(B)/sqrt(mu(B)), so Sigma_G = sum_B F(B) F(B)^T / mu(B)
+        sums = block_sums(self._masses_values, grouping)
+        return _gaussian_moment(sums[:, 1:] / np.sqrt(sums[:, :1]), self.measure.space)
 
 
 def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
@@ -206,14 +223,16 @@ def gamma_variation_norm(
     every set partition, "contiguous" the partitions into intervals
     (groupings.enumerate_groupings: no grouping that leaves atoms uncovered
     can beat them).
-    The scans are exact in Hilbert spaces, l1 and the plane's linf, and
-    share Monte Carlo draws across all scanned groupings elsewhere
+    Every mode is exact in Hilbert spaces, l1 and the plane's linf, where the
+    stream and samples go unused; the fast path equals the scans' value of
+    the finest grouping bit for bit.  Elsewhere the fast path is Monte Carlo
+    and the scans share draws across all scanned groupings
     (SharedDrawMoments).
     """
     if mode not in VARIATION_MODES:
         raise ValueError(f"mode must be one of {VARIATION_MODES}, got {mode!r}")
     if mode == "fast_path":
-        moment = gaussian_sum_sq(
+        moment = _gaussian_moment(
             _normalized_vectors(measure), measure.space, stream, samples
         )
         grouping = Grouping.finest(measure.n_atoms)
@@ -233,8 +252,9 @@ def gamma_summing_norm(
 ) -> NormReport:
     """Gaussian-summing norm of an operator: sqrt(E || T g ||^2) over the full
     normalized-indicator basis (finite rank makes this the supremum over all
-    orthonormal systems)."""
-    moment = gaussian_sum_sq(operator.columns, operator.space, stream, samples)
+    orthonormal systems).  Exact from the covariance T T^* in Hilbert
+    spaces, l1 and the plane's linf; Monte Carlo elsewhere."""
+    moment = _gaussian_moment(operator.columns, operator.space, stream, samples)
     grouping = Grouping.finest(operator.n_atoms)
     return NormReport(float(np.sqrt(moment.value)), moment, grouping, "fast_path")
 
@@ -247,7 +267,9 @@ def verify_duality(
 ) -> DualityReport:
     """Check that the measure norm matches the dual operator norm.
 
-    The two sides use independent substreams; Hilbert spaces compare exactly.
+    The two sides use independent substreams.  Hilbert spaces, l1 and the
+    plane's linf compute both sides exactly and compare them to a rounding
+    tolerance (compare_estimates); other spaces run a z-test.
     """
     measure_report = gamma_variation_norm(
         measure, stream.substream(0), samples, mode="fast_path"

@@ -30,8 +30,12 @@ MIN_SAMPLES = 2
 ENUMERATION_LIMIT = 20
 # Fixed Monte Carlo batch structure (thread-count independent determinism).
 N_BATCHES = 8
-# Two exact estimates of the same quantity must agree to this tolerance.
+# Two exact estimates of the same quantity must agree to this tolerance,
+# relative to the larger value once that exceeds 1.
 EXACT_AGREEMENT_TOL = 1e-9
+# Second-moment routes rescale inputs by a power of two whose size lies
+# outside this range, so that the products of two such sizes stay normal.
+_SAFE_SCALE_MIN, _SAFE_SCALE_MAX = 2.0**-400, 2.0**400
 # Cap on floats materialized at once when sweeping sign patterns.
 _CHUNK_FLOATS = 1 << 23
 # Cap on combined floats per batch of ensemble groupings: 1 MB of sign
@@ -118,11 +122,13 @@ class Comparison:
 def compare_estimates(a: SumEstimate, b: SumEstimate, z: float = 3.0) -> Comparison:
     """Consistency of two estimates: |gap| <= z * sqrt(se_a^2 + se_b^2).
 
-    Two exact estimates must agree to EXACT_AGREEMENT_TOL instead.
+    Two exact estimates must agree to EXACT_AGREEMENT_TOL * max(1, |a|, |b|)
+    instead: absolute up to 1, relative beyond, since rounding grows with
+    the values.
     """
     gap = abs(a.value - b.value)
     if a.is_exact and b.is_exact:
-        tol = EXACT_AGREEMENT_TOL
+        tol = EXACT_AGREEMENT_TOL * max(1.0, abs(a.value), abs(b.value))
     else:
         tol = z * float(np.hypot(a.std_error, b.std_error))
     return Comparison(consistent=bool(gap <= tol), gap=gap, tolerance=tol, z=z)
@@ -199,7 +205,18 @@ def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
 def _monte_carlo_moment(
     values: np.ndarray, space, stream: RandomStream, samples: int, kind: str
 ) -> SumEstimate:
-    """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams."""
+    """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams.
+
+    The std error sums squared statistics, which under- or overflow for
+    values far from 1; such values are scaled by a power of two first (an
+    exact rescale in l1, l2 and linf)."""
+    peak = float(np.max(np.abs(values)))
+    # statistics scale as peak^2, and their squares as peak^4
+    if peak > 0.0 and not _SAFE_SCALE_MIN**0.5 <= peak <= _SAFE_SCALE_MAX**0.5:
+        shift = math.frexp(peak)[1]
+        est = _monte_carlo_moment(np.ldexp(values, -shift), space, stream, samples, kind)
+        value, error = (math.ldexp(x, 2 * shift) for x in (est.value, est.std_error))
+        return SumEstimate(value, error, est.samples, est.method)
     n = total = total_sq = 0
     for coeffs in _coefficient_batches(stream, samples, values.shape[0], kind):
         stats = space.norm_sq(coeffs @ values)
@@ -439,6 +456,12 @@ def covariance_moment(cov: np.ndarray, space) -> float:
     """
     if not has_covariance_moment(space):
         raise ValueError(f"no covariance closed form for {space!r}")
+    # the moment is linear in cov; far from 1 the products of two variances
+    # would under- or overflow, so scale cov by an exact power of two first
+    peak = float(np.max(np.abs(np.diagonal(cov))))
+    if peak > 0.0 and not _SAFE_SCALE_MIN <= peak <= _SAFE_SCALE_MAX:
+        shift = math.frexp(peak)[1]
+        return math.ldexp(covariance_moment(np.ldexp(cov, -shift), space), shift)
     if space.p == 1.0:
         diag = np.diagonal(cov)
         i, j = np.triu_indices(space.dim, 1)

@@ -94,10 +94,14 @@ def gaussian_norm_sq_plane_reference(cov, p: float) -> float:
     radial integrand is smooth and [0, 12] holds its mass far below 1e-15;
     the angular one is smooth between the angles where a coordinate of
     L u(t), or their sum or difference, vanishes (the kinks of the l1 and
-    sup norms), so [0, 2 pi] is split there.
+    sup norms), so [0, 2 pi] is split there.  The moment is linear in cov,
+    so cov is scaled by a power of two to unit size first: eigh loses
+    digits on a subnormal covariance.
     """
     cov = np.asarray(cov, dtype=float)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    peak = float(np.max(np.abs(cov)))
+    shift = math.frexp(peak)[1] if peak > 0.0 else 0
+    eigenvalues, eigenvectors = np.linalg.eigh(np.ldexp(cov, -shift))
     factor = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
     cuts = {0.0, 2.0 * math.pi}
     for form in (factor[0], factor[1], factor[0] - factor[1], factor[0] + factor[1]):
@@ -121,7 +125,7 @@ def gaussian_norm_sq_plane_reference(cov, p: float) -> float:
     else:
         norm_sq = np.sum(np.abs(ys) ** p, axis=-1) ** (2.0 / p)
     density = rs * np.exp(-0.5 * rs * rs) / (2.0 * math.pi)
-    return float(np.sum((rw * density)[:, None] * tw[None, :] * norm_sq))
+    return math.ldexp(float(np.sum((rw * density)[:, None] * tw[None, :] * norm_sq)), shift)
 
 
 @lru_cache(maxsize=None)

@@ -151,9 +151,10 @@ class TestVerifyCommand:
     def test_failing_checks_exit_with_two(self, tmp_path, capsys):
         # an off-euclidean duality instance with a microscopic tolerance: the
         # two monte carlo legs cannot agree to within z = 1e-6 standard errors
+        # (lp 1.5 has no covariance closed form, so both legs sample)
         document = {
             "partition": {"weights": [0.5, 0.5]},
-            "space": {"dim": 2, "norm": "l1"},
+            "space": {"dim": 2, "norm": {"lp": 1.5}},
             "input": {"measure": [[1.0, 2.0], [0.5, -1.0]]},
             "engine": {"samples": 2000, "z": 1e-6},
         }

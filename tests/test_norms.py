@@ -22,10 +22,12 @@ from gammavar import (
     enumerate_groupings,
     gamma_summing_norm,
     gamma_variation_norm,
+    gaussian_sum_sq,
     grouping_moment_exact,
     induced_randomized_measure,
     measure_from_density,
     measure_from_operator,
+    operator_from_measure,
     randomized_variation_norm,
     rademacher_sum_sq,
     sample_brownian,
@@ -73,10 +75,9 @@ class TestGammaVariationNorm:
             AtomPartition([0.5, 0.5]), NormedSpace.linf(2), [[s, 0.0], [0.0, s]]
         )
         report = gamma_variation_norm(measure, RandomStream(0, (910,)), 100_000)
-        assert (
-            abs(report.moment.value - ref.MAX_SQ_TWO_GAUSSIANS)
-            <= 3.0 * report.moment.std_error
-        )
+        assert report.moment.method == METHOD_EXACT_COVARIANCE
+        want = ref.MAX_SQ_TWO_GAUSSIANS
+        assert abs(report.moment.value - want) <= 1e-12 * want
 
     def test_search_modes_agree_with_the_fast_path_on_hilbert_inputs(self):
         rng = np.random.default_rng(50)
@@ -270,6 +271,53 @@ class TestExactCovarianceMoments:
             assert abs(moments.moment(moved).value - base.moment(grouping).value) <= bound
 
 
+class TestExactFastPath:
+    """The fast path and the summing norm take the covariance closed form in
+    l1 and the plane's linf, so they need no stream and agree with the
+    grouping scans, the quadrature reference and Monte Carlo."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures())
+    def test_fast_path_is_the_scans_finest_moment(self, measure):
+        fast = gamma_variation_norm(measure).moment
+        assert fast.method == METHOD_EXACT_COVARIANCE
+        assert (fast.std_error, fast.samples) == (0.0, 0)
+        finest = SharedDrawMoments(measure).moment(Grouping.finest(measure.n_atoms))
+        assert fast == finest
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures())
+    def test_searches_never_exceed_the_fast_path(self, measure):
+        fast = gamma_variation_norm(measure).moment.value
+        for mode in ("exhaustive", "contiguous"):
+            found = gamma_variation_norm(measure, mode=mode).moment.value
+            assert found <= fast + _rounding_bound(fast)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_exact_measures())
+    def test_summing_norm_equals_the_fast_path(self, measure):
+        fast = gamma_variation_norm(measure).moment.value
+        summing = gamma_summing_norm(operator_from_measure(measure)).moment
+        assert summing.method == METHOD_EXACT_COVARIANCE
+        assert abs(summing.value - fast) <= _rounding_bound(fast)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_exact_measures().filter(lambda m: m.space.dim == 2))
+    def test_plane_values_match_the_quadrature(self, measure):
+        rows = norms._normalized_vectors(measure)
+        want = ref.gaussian_norm_sq_plane_reference(rows.T @ rows, measure.space.p)
+        got = gamma_variation_norm(measure).moment.value
+        assert abs(got - want) <= 1e-10 * want
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_exact_measures())
+    def test_values_lie_within_monte_carlo_error(self, measure):
+        rows = norms._normalized_vectors(measure)
+        sampled = gaussian_sum_sq(rows, measure.space, RandomStream(0, (914,)), 100_000)
+        exact = gamma_variation_norm(measure).moment.value
+        assert abs(exact - sampled.value) <= 3.0 * sampled.std_error
+
+
 class TestGammaSummingNorm:
     def test_zero_operator(self):
         operator = DiscreteOperator(
@@ -317,7 +365,24 @@ class TestDuality:
         assert result.consistent
         expected = float(np.sum(np.abs(x))) ** 2
         moment = result.measure_report.moment
-        assert abs(moment.value - expected) <= 3.0 * moment.std_error
+        assert moment.method == METHOD_EXACT_COVARIANCE
+        assert abs(moment.value - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(2), NormedSpace.l2(2), NormedSpace.linf(2)], ids=repr
+    )
+    def test_a_tiny_atom_does_not_fail_on_rounding(self, space):
+        # an atom of mass 1e-7 lifts the moments to ~1e7, where two exact
+        # sides differ by more than 1e-9 from rounding alone
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            weights = np.append(rng.dirichlet(np.ones(5)) * (1.0 - 1e-7), 1e-7)
+            values = rng.standard_normal((6, space.dim))
+            measure = VectorMeasure(AtomPartition(weights), space, values)
+            result = verify_duality(measure, RandomStream(seed))
+            assert result.measure_report.moment.is_exact
+            assert result.operator_report.moment.is_exact
+            assert result.consistent, seed
 
     def test_seeded_off_hilbert_instance_is_consistent(self):
         rng = np.random.default_rng(61)

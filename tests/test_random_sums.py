@@ -83,11 +83,21 @@ class TestCompareEstimates:
         assert compare_estimates(a, b).consistent
 
     def test_exact_estimates_must_agree_to_the_tight_tolerance(self):
-        a = SumEstimate(2.0, 0.0, 0, METHOD_EXACT_HILBERT)
-        b = SumEstimate(2.0 + 5e-9, 0.0, 0, METHOD_EXACT_HILBERT)
+        # values up to 1 keep the absolute tolerance
+        a = SumEstimate(0.5, 0.0, 0, METHOD_EXACT_HILBERT)
+        b = SumEstimate(0.5 + 5e-9, 0.0, 0, METHOD_EXACT_HILBERT)
         result = compare_estimates(a, b)
         assert not result.consistent
         assert result.tolerance == 1e-9
+
+    @pytest.mark.parametrize("value", [2.0, 1e6, 1e12])
+    def test_exact_tolerance_is_relative_beyond_one(self, value):
+        a = SumEstimate(value, 0.0, 0, METHOD_EXACT_HILBERT)
+        rounding = SumEstimate(value * (1.0 + 4e-16), 0.0, 0, METHOD_EXACT_COVARIANCE)
+        assert compare_estimates(a, rounding).consistent
+        assert compare_estimates(a, rounding).tolerance == 1e-9 * rounding.value
+        discrepant = SumEstimate(value * (1.0 + 1e-6), 0.0, 0, METHOD_EXACT_COVARIANCE)
+        assert not compare_estimates(a, discrepant).consistent
 
     def test_z_scaled_combined_error(self):
         a = SumEstimate(2.00, 0.01, 100, METHOD_MONTE_CARLO)
@@ -118,6 +128,19 @@ class TestGaussianSumSq:
         estimate = gaussian_sum_sq([[1.0], [2.0]], NormedSpace(1, math.inf))
         assert estimate.method == METHOD_EXACT_HILBERT
         assert estimate.value == 5.0
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    @pytest.mark.parametrize("shift", [-500, 300])
+    def test_far_scales_keep_their_std_error(self, p, shift):
+        # squared statistics of values near 2^-500 underflow; the estimate of
+        # the rescaled values, scaled back, keeps the std error
+        x = np.array([[0.75, -0.5], [0.25, 0.5], [-0.5, 0.125]])
+        space = NormedSpace(2, p)
+        base = gaussian_sum_sq(x, space, RandomStream(5, (0,)), 1000)
+        far = gaussian_sum_sq(np.ldexp(x, shift), space, RandomStream(5, (0,)), 1000)
+        assert far.std_error > 0.0
+        assert far.value == math.ldexp(base.value, 2 * shift)
+        assert far.std_error == math.ldexp(base.std_error, 2 * shift)
 
     def test_sup_norm_pair_matches_the_quadrature_constant(self):
         estimate = gaussian_sum_sq(
@@ -343,6 +366,18 @@ class TestCovarianceMoment:
             exact = covariance_moment(x.T @ x, space)
             mc = gaussian_sum_sq(x, space, RandomStream(72, (space.dim, trial)), 100_000)
             assert abs(exact - mc.value) <= 3.0 * mc.std_error
+
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+    )
+    @pytest.mark.parametrize("shift", [-900, -500, 500, 900])
+    def test_far_scales_neither_underflow_nor_overflow(self, space, shift):
+        # the moment is linear in the covariance, and a power-of-two scale is
+        # exact, so it must carry over bit for bit
+        x = np.random.default_rng(73).standard_normal((4, space.dim))
+        cov = x.T @ x
+        want = math.ldexp(covariance_moment(cov, space), shift)
+        assert covariance_moment(np.ldexp(cov, shift), space) == want
 
     def test_the_method_counts_as_exact(self):
         estimate = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_COVARIANCE)

@@ -248,6 +248,30 @@ class TestNormsCommand:
         with pytest.raises(SizeLimitError, match="27644437"):
             run_norms(resolve_config(document))
 
+    @pytest.mark.parametrize(
+        "norm, kinds",
+        [("l1", ["rademacher"]), ({"lp": 1.5}, ["gaussian"] * 3 + ["rademacher"])],
+    )
+    def test_only_sampled_legs_draw_coefficients(self, monkeypatch, norm, kinds):
+        # l1 takes its variation and both duality moments from the covariance;
+        # with the sign enumeration capped at 4 blocks, the greedy search's
+        # 5-block start samples its Rademacher moment
+        drawn = []
+        draw = random_sums._coefficient_batches
+
+        def counting(stream, samples, k, kind):
+            drawn.append(kind)
+            return draw(stream, samples, k, kind)
+
+        monkeypatch.setattr(random_sums, "_coefficient_batches", counting)
+        monkeypatch.setattr(random_sums, "ENUMERATION_LIMIT", 4)
+        values = [[1.0, 2.0], [0.5, -1.0], [-0.3, 0.2], [2.0, 0.1], [0.0, -1.5]]
+        document = self._document(values, norm)
+        document["engine"] = {"mode": "greedy", "samples": 2000}
+        report = run_norms(resolve_config(document))
+        assert drawn == kinds
+        assert report.overall_pass
+
     def test_needs_an_input(self):
         with pytest.raises(ConfigError):
             run_norms(resolve_config({"partition": {"uniform": 2}, "space": {"dim": 1}}))
