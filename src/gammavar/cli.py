@@ -181,10 +181,11 @@ def main(argv: list[str] | None = None) -> int:
                 overrides=overrides,
             )
             report = run_integrate(config, threads=args.threads)
+        # rendering refuses a non-finite value (an input that overflowed)
+        _emit(report, args, document)
     except (ConfigError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(report, args, document)
     duration = time.monotonic() - started
     print(
         f"{report.suite}: {'pass' if report.overall_pass else 'FAIL'} "

@@ -33,8 +33,8 @@ N_BATCHES = 8
 # Two exact estimates of the same quantity must agree to this tolerance,
 # relative to the larger value once that exceeds 1.
 EXACT_AGREEMENT_TOL = 1e-9
-# Second-moment routes rescale inputs by a power of two whose size lies
-# outside this range, so that the products of two such sizes stay normal.
+# covariance_moment rescales a covariance by a power of two when its size lies
+# outside this range, so that the products of two variances stay normal.
 _SAFE_SCALE_MIN, _SAFE_SCALE_MAX = 2.0**-400, 2.0**400
 # Cap on floats materialized at once when sweeping sign patterns.
 _CHUNK_FLOATS = 1 << 23
@@ -205,18 +205,7 @@ def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
 def _monte_carlo_moment(
     values: np.ndarray, space, stream: RandomStream, samples: int, kind: str
 ) -> SumEstimate:
-    """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams.
-
-    The std error sums squared statistics, which under- or overflow for
-    values far from 1; such values are scaled by a power of two first (an
-    exact rescale in l1, l2 and linf)."""
-    peak = float(np.max(np.abs(values)))
-    # statistics scale as peak^2, and their squares as peak^4
-    if peak > 0.0 and not _SAFE_SCALE_MIN**0.5 <= peak <= _SAFE_SCALE_MAX**0.5:
-        shift = math.frexp(peak)[1]
-        est = _monte_carlo_moment(np.ldexp(values, -shift), space, stream, samples, kind)
-        value, error = (math.ldexp(x, 2 * shift) for x in (est.value, est.std_error))
-        return SumEstimate(value, error, est.samples, est.method)
+    """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams."""
     n = total = total_sq = 0
     for coeffs in _coefficient_batches(stream, samples, values.shape[0], kind):
         stats = space.norm_sq(coeffs @ values)
@@ -456,12 +445,19 @@ def covariance_moment(cov: np.ndarray, space) -> float:
     """
     if not has_covariance_moment(space):
         raise ValueError(f"no covariance closed form for {space!r}")
+    peak = float(np.max(np.abs(np.diagonal(cov))))
+    if peak == math.inf:
+        # an infinite variance (an overflowed cov) makes the moment infinite
+        return math.inf
     # the moment is linear in cov; far from 1 the products of two variances
     # would under- or overflow, so scale cov by an exact power of two first
-    peak = float(np.max(np.abs(np.diagonal(cov))))
     if peak > 0.0 and not _SAFE_SCALE_MIN <= peak <= _SAFE_SCALE_MAX:
         shift = math.frexp(peak)[1]
-        return math.ldexp(covariance_moment(np.ldexp(cov, -shift), space), shift)
+        moment = covariance_moment(np.ldexp(cov, -shift), space)
+        try:
+            return math.ldexp(moment, shift)
+        except OverflowError:
+            return math.inf
     if space.p == 1.0:
         diag = np.diagonal(cov)
         i, j = np.triu_indices(space.dim, 1)

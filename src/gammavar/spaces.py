@@ -19,9 +19,6 @@ WEIGHT_TOL = 1e-12
 # NormedSpace folds l1/linf/lp norms across columns below this dimension; from
 # 8 entries on numpy sums an axis pairwise, so the fold would change the bits.
 _COLUMN_FOLD_DIM_LIMIT = 8
-# The l2 squared norm folds columns up to this dimension; from 3 entries on
-# einsum's sum of products rounds differently.
-_SQUARE_FOLD_DIM_LIMIT = 2
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
@@ -153,9 +150,9 @@ class NormedSpace:
 
     def norm(self, values) -> np.ndarray:
         """l_p norm over the last axis; leading axes broadcast."""
-        if self.p == 2.0:
-            return np.sqrt(self.norm_sq(values))
         arr = np.asarray(values, dtype=float)
+        if self.p == 2.0:
+            return np.sqrt(np.einsum("...i,...i->...", arr, arr))
         if arr.ndim and 0 < arr.shape[-1] < _COLUMN_FOLD_DIM_LIMIT:
             return self._column_norm(arr)
         if self.p == 1.0:
@@ -193,12 +190,6 @@ class NormedSpace:
     def norm_sq(self, values) -> np.ndarray:
         if self.p == 2.0:
             arr = np.asarray(values, dtype=float)
-            if arr.ndim and 0 < arr.shape[-1] <= _SQUARE_FOLD_DIM_LIMIT:
-                # x0*x0 + x1*x1 in one pass per column: einsum's bits
-                out = arr[..., 0] * arr[..., 0]
-                if arr.shape[-1] == 2:
-                    out += arr[..., 1] * arr[..., 1]
-                return out
             return np.einsum("...i,...i->...", arr, arr)
         return self.norm(values) ** 2
 

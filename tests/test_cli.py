@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gammavar import __version__
@@ -215,6 +216,21 @@ class TestErrorHandling:
         path.write_text("[1, 2]", encoding="utf-8")
         assert main(["norms", "--config", str(path)]) == EXIT_ERROR
         assert "object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("norm", ["l1", {"lp": 1.5}], ids=["l1", "lp1.5"])
+    def test_overflowing_moments_exit_with_an_error(self, tmp_path, capsys, norm):
+        # squares of values near 1e160 overflow; the infinite moments cannot
+        # enter the report, and that surfaces as an error, not a traceback
+        path = _norms_config(
+            tmp_path,
+            space={"dim": 2, "norm": norm},
+            input={"measure": [[1e160, 0.0], [0.0, 1e160]]},
+            output={"report": str(tmp_path / "out.json")},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["norms", "--config", path]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: non-finite value")
+        assert not (tmp_path / "out.json").exists()
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert main(["--version"]) == EXIT_PASS

@@ -129,19 +129,6 @@ class TestGaussianSumSq:
         assert estimate.method == METHOD_EXACT_HILBERT
         assert estimate.value == 5.0
 
-    @pytest.mark.parametrize("p", [1.0, math.inf])
-    @pytest.mark.parametrize("shift", [-500, 300])
-    def test_far_scales_keep_their_std_error(self, p, shift):
-        # squared statistics of values near 2^-500 underflow; the estimate of
-        # the rescaled values, scaled back, keeps the std error
-        x = np.array([[0.75, -0.5], [0.25, 0.5], [-0.5, 0.125]])
-        space = NormedSpace(2, p)
-        base = gaussian_sum_sq(x, space, RandomStream(5, (0,)), 1000)
-        far = gaussian_sum_sq(np.ldexp(x, shift), space, RandomStream(5, (0,)), 1000)
-        assert far.std_error > 0.0
-        assert far.value == math.ldexp(base.value, 2 * shift)
-        assert far.std_error == math.ldexp(base.std_error, 2 * shift)
-
     def test_sup_norm_pair_matches_the_quadrature_constant(self):
         estimate = gaussian_sum_sq(
             [[1.0, 0.0], [0.0, 1.0]],
@@ -378,6 +365,21 @@ class TestCovarianceMoment:
         cov = x.T @ x
         want = math.ldexp(covariance_moment(cov, space), shift)
         assert covariance_moment(np.ldexp(cov, shift), space) == want
+
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+    )
+    def test_non_finite_moments_come_back_as_such(self, space):
+        # a finite covariance whose moment (above 1.6 times its variances)
+        # exceeds the largest float
+        big = np.eye(space.dim) * math.ldexp(1.9, 1023)
+        assert covariance_moment(big, space) == math.inf
+        # an overflowed covariance
+        x = np.random.default_rng(74).standard_normal((4, space.dim))
+        cov = x.T @ x
+        assert covariance_moment(cov * math.inf, space) == math.inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(covariance_moment(cov * math.nan, space))
 
     def test_the_method_counts_as_exact(self):
         estimate = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_COVARIANCE)
