@@ -18,18 +18,13 @@ del _var
 
 from ._version import __version__  # noqa: E402
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
-from .groupings import Grouping, SizeLimitError, bell_number, enumerate_groupings
+from .groupings import Grouping, SizeLimitError, enumerate_groupings
 from .measures import (
     DiscreteOperator,
     StepFunction,
     VectorMeasure,
-    density_from_document,
-    density_from_measure,
     measure_from_density,
-    measure_from_document,
-    measure_from_operator,
     operator_from_measure,
-    to_document,
 )
 from .random_sums import (
     Comparison,
@@ -42,10 +37,8 @@ from .random_sums import (
 from .norms import (
     DualityReport,
     NormReport,
-    SharedDrawMoments,
     gamma_summing_norm,
     gamma_variation_norm,
-    grouping_moment_exact,
     randomized_variation_norm,
     total_variation_norm,
     verify_duality,
@@ -54,7 +47,6 @@ from .brownian import (
     BrownianEnsemble,
     EmpiricalVectorMeasure,
     IntegralIdentityReport,
-    RandomisationCheck,
     check_randomisation_identity,
     dump_ensemble,
     induced_randomized_measure,
@@ -68,7 +60,6 @@ from .brownian import (
 from .embeddings import (
     EmbeddingReport,
     embedding_ratio,
-    l2_bochner_norm,
     run_embedding_trials,
     sup_norm_witness,
 )
@@ -101,33 +92,24 @@ __all__ = [
     "NormReport",
     "NormedSpace",
     "RandomStream",
-    "RandomisationCheck",
-    "SharedDrawMoments",
     "SizeLimitError",
     "StepFunction",
     "SuiteReport",
     "SumEstimate",
     "SUITE_NAMES",
     "VectorMeasure",
-    "bell_number",
     "check_randomisation_identity",
     "compare_estimates",
-    "density_from_document",
-    "density_from_measure",
     "dump_ensemble",
     "embedding_ratio",
     "enumerate_groupings",
     "gamma_summing_norm",
     "gamma_variation_norm",
     "gaussian_sum_sq",
-    "grouping_moment_exact",
     "induced_randomized_measure",
     "integral_moment",
-    "l2_bochner_norm",
     "load_ensemble_paths",
     "measure_from_density",
-    "measure_from_document",
-    "measure_from_operator",
     "operator_from_measure",
     "rademacher_sum_sq",
     "randomisation_identity_sweep",
@@ -143,7 +125,6 @@ __all__ = [
     "sample_brownian",
     "stochastic_integral",
     "sup_norm_witness",
-    "to_document",
     "total_variation_norm",
     "verify_duality",
     "verify_integral_identity",

@@ -227,9 +227,8 @@ def verify_integral_identity(
     """Check the triple identity between the variation norm of the density's
     measure, the randomized variation of the induced empirical measure, and
     the integral's root second moment."""
-    variation = gamma_variation_norm(
-        measure_from_density(density), stream.substream(0), samples, mode="fast_path"
-    )
+    measure = measure_from_density(density)
+    variation = gamma_variation_norm(measure, stream.substream(0), samples)
     ensemble = sample_brownian(density.partition, n_paths, stream.substream(1))
     empirical = induced_randomized_measure(density, ensemble)
     randomized = randomized_variation_norm(

@@ -83,46 +83,3 @@ def measure_from_density(density: StepFunction) -> VectorMeasure:
         density.space,
         density.partition.weights[:, None] * density.values,
     )
-
-
-def density_from_measure(measure: VectorMeasure) -> StepFunction:
-    return StepFunction(
-        measure.partition,
-        measure.space,
-        measure.values / measure.partition.weights[:, None],
-    )
-
-
-# --- JSON document codec (external interface) ---------------------------------
-#
-# {"weights": [...], "boundaries": [...]?, "dim": d,
-#  "norm": "l2" | "l1" | "linf" | {"lp": p}, "values": [[...], ...]}
-
-
-def to_document(obj: _AtomIndexed) -> dict:
-    doc = {
-        "weights": obj.partition.weights.tolist(),
-        "dim": obj.space.dim,
-        "norm": obj.space.norm_tag(),
-        "values": obj.values.tolist(),
-    }
-    if obj.partition.boundaries is not None:
-        doc["boundaries"] = obj.partition.boundaries.tolist()
-    return doc
-
-
-def _from_document(cls, doc: dict):
-    for key in ("weights", "dim", "norm", "values"):
-        if key not in doc:
-            raise ValueError(f"document is missing required key {key!r}")
-    partition = AtomPartition(doc["weights"], boundaries=doc.get("boundaries"))
-    space = NormedSpace.from_tag(int(doc["dim"]), doc["norm"])
-    return cls(partition, space, doc["values"])
-
-
-def measure_from_document(doc: dict) -> VectorMeasure:
-    return _from_document(VectorMeasure, doc)
-
-
-def density_from_document(doc: dict) -> StepFunction:
-    return _from_document(StepFunction, doc)

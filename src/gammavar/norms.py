@@ -2,15 +2,15 @@
 
 For a measure F on weighted atoms, the gamma-variation squared moment of a
 grouping {B_1..B_k} is E || sum_m g_m F(B_m)/sqrt(mu(B_m)) ||^2 with standard
-Gaussian coefficients; the norm is the supremum over groupings.  That is the
-second moment of a centred Gaussian vector with covariance
-Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the fast path and the
-grouping searches (SharedDrawMoments) are exact in Hilbert spaces, in l1 and
-in the plane's linf (_gaussian_moment).  Elsewhere the fast path samples and
-the searches share one set of Gaussian draws.  The dual view is the
-Gaussian-summing norm of the operator with columns F(A_n)/sqrt(mu(A_n)),
-whose squared moment is E || T g ||^2 over the full normalized-indicator
-basis, exact in the same spaces.
+Gaussian coefficients; the norm is the supremum over groupings, which the
+finest grouping attains.  That is the second moment of a centred Gaussian
+vector with covariance Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the
+norm and the per-grouping moments (SharedDrawMoments) are exact in Hilbert
+spaces, in l1 and in the plane's linf (_gaussian_moment).  Elsewhere the norm
+samples and SharedDrawMoments shares one set of Gaussian draws across
+groupings.  The dual view is the Gaussian-summing norm of the operator with
+columns F(A_n)/sqrt(mu(A_n)), whose squared moment is E || T g ||^2 over the
+full normalized-indicator basis, exact in the same spaces.
 
 The randomized variation drops the 1/sqrt(mu) normalization and uses
 Rademacher signs, so its supremum genuinely depends on the grouping and is
@@ -55,7 +55,6 @@ from .random_sums import (
 )
 from .spaces import NormedSpace
 
-VARIATION_MODES = ("fast_path", "exhaustive", "contiguous")
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
 
 
@@ -214,35 +213,19 @@ def gamma_variation_norm(
     measure: VectorMeasure,
     stream: RandomStream | None = None,
     samples: int = 0,
-    mode: str = "fast_path",
 ) -> NormReport:
-    """Gamma-variation norm of a measure.
-
-    mode="fast_path" evaluates only the finest covering grouping (the supremum
-    sits there; the search modes exist to verify that).  "exhaustive" scans
-    every set partition, "contiguous" the partitions into intervals
-    (groupings.enumerate_groupings: no grouping that leaves atoms uncovered
-    can beat them).
-    Every mode is exact in Hilbert spaces, l1 and the plane's linf, where the
-    stream and samples go unused; the fast path equals the scans' value of
-    the finest grouping bit for bit.  Elsewhere the fast path is Monte Carlo
-    and the scans share draws across all scanned groupings
-    (SharedDrawMoments).
+    """Gamma-variation norm of a measure: the moment of the finest covering
+    grouping, which attains the supremum (every grouping's covariance
+    Sigma_G lies below the finest one's in Loewner order, so Anderson's
+    inequality rules the others out; the finest-partition suite verifies
+    this with SharedDrawMoments).
+    Exact in Hilbert spaces, l1 and the plane's linf, where the stream and
+    samples go unused, bit for bit as SharedDrawMoments' finest moment;
+    Monte Carlo elsewhere.
     """
-    if mode not in VARIATION_MODES:
-        raise ValueError(f"mode must be one of {VARIATION_MODES}, got {mode!r}")
-    if mode == "fast_path":
-        moment = _gaussian_moment(
-            _normalized_vectors(measure), measure.space, stream, samples
-        )
-        grouping = Grouping.finest(measure.n_atoms)
-        return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
-    shared = SharedDrawMoments(measure, stream, samples)
-    enum_mode = "all" if mode == "exhaustive" else "contiguous"
-    grouping, moment = _search_best(
-        enumerate_groupings(measure.n_atoms, enum_mode), shared.moment
-    )
-    return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
+    moment = _gaussian_moment(_normalized_vectors(measure), measure.space, stream, samples)
+    grouping = Grouping.finest(measure.n_atoms)
+    return NormReport(float(np.sqrt(moment.value)), moment, grouping, "fast_path")
 
 
 def gamma_summing_norm(
@@ -271,9 +254,7 @@ def verify_duality(
     plane's linf compute both sides exactly and compare them to a rounding
     tolerance (compare_estimates); other spaces run a z-test.
     """
-    measure_report = gamma_variation_norm(
-        measure, stream.substream(0), samples, mode="fast_path"
-    )
+    measure_report = gamma_variation_norm(measure, stream.substream(0), samples)
     operator_report = gamma_summing_norm(
         operator_from_measure(measure), stream.substream(1), samples
     )

@@ -140,14 +140,6 @@ class NormedSpace:
     def is_hilbert(self) -> bool:
         return self.p == 2.0 or self.dim == 1
 
-    def check_vector(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
-        if arr.shape[-1] != self.dim:
-            raise ValueError(
-                f"value dimension {arr.shape[-1]} does not match space dim {self.dim}"
-            )
-        return arr
-
     def norm(self, values) -> np.ndarray:
         """l_p norm over the last axis; leading axes broadcast."""
         arr = np.asarray(values, dtype=float)

@@ -42,7 +42,8 @@ from .measures import (
     operator_from_measure,
 )
 from .norms import (
-    VARIATION_MODES,
+    DualityReport,
+    NormReport,
     SharedDrawMoments,
     gamma_summing_norm,
     gamma_variation_norm,
@@ -52,6 +53,7 @@ from .norms import (
 )
 from .random_sums import (
     MIN_SAMPLES,
+    Comparison,
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
@@ -204,6 +206,13 @@ class ExperimentConfig:
             doc["suite"] = self.suite
         return doc
 
+    @property
+    def search_mode(self) -> str:
+        """engine.mode as the randomized search's mode: "fast_path" is a
+        synonym of "auto".  The gamma-variation norm has one route and
+        ignores engine.mode."""
+        return "auto" if self.mode == "fast_path" else self.mode
+
     def root_stream(self, entry: str) -> RandomStream:
         return RandomStream(self.seed, (_NAMESPACES[entry],))
 
@@ -265,10 +274,7 @@ def _parse_space(doc) -> NormedSpace:
     if set(doc) - {"dim", "norm"}:
         raise ConfigError(f"space: unknown keys {sorted(set(doc) - {'dim', 'norm'})}")
     dim = _positive_int(doc.get("dim", 0), "space.dim")
-    try:
-        return NormedSpace.from_tag(dim, doc.get("norm", "l2"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"space.norm: {exc}") from exc
+    return _space_from_tag(doc.get("norm", "l2"), dim, "space.norm")
 
 
 def _space_from_tag(tag, dim: int, name: str) -> NormedSpace:
@@ -412,16 +418,69 @@ def _ordered_map(fn: Callable, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _random_partition(rng: np.random.Generator, n_atoms: int) -> AtomPartition:
+def _random_atoms(
+    stream: RandomStream, n_atoms: int, dim: int
+) -> tuple[AtomPartition, np.ndarray]:
+    """A random partition and one standard normal vector per atom, drawn
+    from the stream's substream 0."""
+    rng = stream.substream(0).generator()
     weights = rng.dirichlet(np.ones(n_atoms))
     weights = np.maximum(weights, 1e-9)  # guard against underflow
-    return AtomPartition(weights / weights.sum())
+    return AtomPartition(weights / weights.sum()), rng.standard_normal((n_atoms, dim))
 
 
-def _comparison_values(name_a: str, est_a: SumEstimate, name_b: str, est_b: SumEstimate):
-    values = {name_a: est_a.value, name_b: est_b.value}
-    errors = {name_a: est_a.std_error, name_b: est_b.std_error}
-    return values, errors
+def _suite_spaces(cells: list, count: int) -> list[NormedSpace]:
+    """The spaces of the (suite.norms tag, dim) cells that `count` instances
+    visit, instance i taking cell i % len(cells): the first `count` cells.
+    A bad tag fails here, before any instance starts."""
+    return [_space_from_tag(tag, dim, "suite.norms") for tag, dim in cells[:count]]
+
+
+def _comparison_record(
+    name: str,
+    estimates: dict[str, SumEstimate],
+    comparison: Comparison,
+    detail: str = "",
+) -> CheckRecord:
+    """The two compared estimates with their gap, tolerance and verdict."""
+    return CheckRecord(
+        name=name,
+        values={
+            **{key: estimate.value for key, estimate in estimates.items()},
+            "gap": comparison.gap,
+            "tolerance": comparison.tolerance,
+        },
+        std_errors={key: estimate.std_error for key, estimate in estimates.items()},
+        verdict="pass" if comparison.consistent else "fail",
+        detail=detail,
+    )
+
+
+def _duality_record(name: str, result: DualityReport, detail: str = "") -> CheckRecord:
+    estimates = {
+        "variation_moment": result.measure_report.moment,
+        "summing_moment": result.operator_report.moment,
+    }
+    return _comparison_record(name, estimates, result.comparison, detail)
+
+
+def _summary_record(name: str, checks: list[CheckRecord], instances: int) -> CheckRecord:
+    failures = sum(1 for c in checks if c.verdict == "fail")
+    return CheckRecord(
+        name=name,
+        values={"instances": instances, "failures": failures},
+        verdict="pass" if failures == 0 else "fail",
+    )
+
+
+def _norm_record(name: str, report: NormReport) -> CheckRecord:
+    return CheckRecord(
+        name=name,
+        values={"norm": report.norm, "moment": report.moment.value},
+        std_errors={"moment": report.moment.std_error},
+        verdict="info",
+        detail=f"mode={report.mode} grouping={report.grouping.to_lists()}",
+    )
 
 
 def _report(suite: str, config: ExperimentConfig, checks: list[CheckRecord]) -> SuiteReport:
@@ -433,28 +492,19 @@ def _report(suite: str, config: ExperimentConfig, checks: list[CheckRecord]) -> 
 # --- thm-2-3: measure norm vs dual operator norm ---------------------------------
 
 
-def _duality_instance(args) -> CheckRecord:
-    index, norm_tag, dim, n_atoms, stream, samples, z = args
-    rng = stream.substream(0).generator()
-    partition = _random_partition(rng, n_atoms)
-    space = _space_from_tag(norm_tag, dim, "suite.norms")
-    values = rng.standard_normal((n_atoms, dim))
+def _duality_instance(
+    index: int,
+    space: NormedSpace,
+    n_atoms: int,
+    stream: RandomStream,
+    samples: int,
+    z: float,
+) -> CheckRecord:
+    partition, values = _random_atoms(stream, n_atoms, space.dim)
     measure = VectorMeasure(partition, space, values)
     result = verify_duality(measure, stream.substream(1), samples, z=z)
-    values_doc, errors = _comparison_values(
-        "variation_moment",
-        result.measure_report.moment,
-        "summing_moment",
-        result.operator_report.moment,
-    )
-    comparison = result.comparison
-    return CheckRecord(
-        name=f"duality-{index:03d}",
-        values={**values_doc, "gap": comparison.gap, "tolerance": comparison.tolerance},
-        std_errors=errors,
-        verdict="pass" if result.consistent else "fail",
-        detail=f"norm={space.norm_tag()} dim={dim} atoms={n_atoms}",
-    )
+    detail = f"norm={space.norm_tag()} dim={space.dim} atoms={n_atoms}"
+    return _duality_record(f"duality-{index:03d}", result, detail)
 
 
 def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
@@ -463,144 +513,103 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     if config.measure_values is not None or config.density_values is not None:
         measure = config.measure()
         result = verify_duality(measure, root.substream(0), config.samples, z=config.z)
-        values, errors = _comparison_values(
-            "variation_moment",
-            result.measure_report.moment,
-            "summing_moment",
-            result.operator_report.moment,
-        )
-        checks = [
-            CheckRecord(
-                name="duality-explicit",
-                values=values,
-                std_errors=errors,
-                verdict="pass" if result.consistent else "fail",
-                detail="configured input",
-            )
-        ]
-        return _report("thm-2-3", config, checks)
+        record = _duality_record("duality-explicit", result, "configured input")
+        return _report("thm-2-3", config, [record])
 
-    cells = [
+    grid = [
         (norm_tag, dim, n)
         for norm_tag in params["norms"]
         for dim in params["dims"]
         for n in range(params["min_atoms"], params["max_atoms"] + 1)
     ]
-    if not cells:
+    if not grid:
         raise ConfigError("suite: empty instance grid")
-    jobs = []
-    for i in range(_positive_int(params["instances"], "suite.instances")):
-        norm_tag, dim, n = cells[i % len(cells)]
-        jobs.append((i, norm_tag, dim, n, root.substream(i), config.samples, config.z))
-    checks = _ordered_map(_duality_instance, jobs, threads)
-    failures = sum(1 for c in checks if c.verdict == "fail")
-    checks.append(
-        CheckRecord(
-            name="duality-summary",
-            values={"instances": len(jobs), "failures": failures},
-            verdict="pass" if failures == 0 else "fail",
-        )
-    )
-    return _report("thm-2-3", config, checks)
+    count = _positive_int(params["instances"], "suite.instances")
+    spaces = _suite_spaces([(norm_tag, dim) for norm_tag, dim, _ in grid], count)
+
+    def run_instance(i: int) -> CheckRecord:
+        j = i % len(spaces)
+        stream = root.substream(i)
+        return _duality_instance(i, spaces[j], grid[j][2], stream, config.samples, config.z)
+
+    checks = _ordered_map(run_instance, list(range(count)), threads)
+    summary = _summary_record("duality-summary", checks, count)
+    return _report("thm-2-3", config, checks + [summary])
 
 
 # --- thm-3-3: variation norm = randomized variation = integral moment ------------
 
 
-def _identity_records(index: int, label: str, report) -> list[CheckRecord]:
-    names = {
-        "variation_vs_randomized": ("variation_moment", "randomized_moment"),
-        "variation_vs_integral": ("variation_moment", "integral_moment"),
-        "randomized_vs_integral": ("randomized_moment", "integral_moment"),
-    }
+def _identity_checks(
+    config: ExperimentConfig,
+    density: StepFunction,
+    stream: RandomStream,
+    index: int,
+    label: str,
+) -> list[CheckRecord]:
+    """The pairwise records of the triple identity for one density, its
+    randomized variation searched in engine.mode."""
+    report = verify_integral_identity(
+        density,
+        config.paths,
+        stream,
+        config.samples,
+        search_mode=config.search_mode,
+        z=config.z,
+    )
     estimates = {
         "variation_moment": report.variation.moment,
         "randomized_moment": report.randomized.moment,
         "integral_moment": report.integral,
     }
     records = []
-    for pair, (left, right) in names.items():
-        comparison = report.comparisons[pair]
-        values, errors = _comparison_values(left, estimates[left], right, estimates[right])
+    for pair, comparison in report.comparisons.items():
+        left, right = (f"{side}_moment" for side in pair.split("_vs_"))
         records.append(
-            CheckRecord(
-                name=f"identity-{index:02d}-{pair.replace('_', '-')}",
-                values={**values, "gap": comparison.gap, "tolerance": comparison.tolerance},
-                std_errors=errors,
-                verdict="pass" if comparison.consistent else "fail",
-                detail=label,
+            _comparison_record(
+                f"identity-{index:02d}-{pair.replace('_', '-')}",
+                {left: estimates[left], right: estimates[right]},
+                comparison,
+                label,
             )
         )
     return records
 
 
-def _search_modes(mode: str) -> tuple[str, str]:
-    """engine.mode as (variation mode, randomized search mode).  The variation
-    norm has no "auto" or "greedy" search and takes its fast path for both;
-    the randomized search has no fast path and searches "auto" for it."""
-    variation = mode if mode in VARIATION_MODES else "fast_path"
-    return variation, "auto" if mode == "fast_path" else mode
-
-
-def _identity_instance(args) -> list[CheckRecord]:
-    index, norm_tag, dim, n_atoms, stream, paths, samples, mode, z = args
-    rng = stream.substream(0).generator()
-    partition = _random_partition(rng, n_atoms)
-    space = _space_from_tag(norm_tag, dim, "suite.norms")
-    density = StepFunction(partition, space, rng.standard_normal((n_atoms, dim)))
-    report = verify_integral_identity(
-        density, paths, stream.substream(1), samples, search_mode=mode, z=z
-    )
-    return _identity_records(
-        index, f"norm={space.norm_tag()} dim={dim} atoms={n_atoms}", report
-    )
+def _identity_instance(
+    index: int,
+    space: NormedSpace,
+    n_atoms: int,
+    stream: RandomStream,
+    config: ExperimentConfig,
+) -> list[CheckRecord]:
+    partition, values = _random_atoms(stream, n_atoms, space.dim)
+    density = StepFunction(partition, space, values)
+    label = f"norm={space.norm_tag()} dim={space.dim} atoms={n_atoms}"
+    return _identity_checks(config, density, stream.substream(1), index, label)
 
 
 def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("thm-3-3")
-    _, mode = _search_modes(config.mode)
     if config.density_values is not None:
-        report = verify_integral_identity(
-            config.density(),
-            config.paths,
-            root.substream(0),
-            config.samples,
-            search_mode=mode,
-            z=config.z,
-        )
-        checks = _identity_records(0, "configured input", report)
+        density = config.density()
+        checks = _identity_checks(config, density, root.substream(0), 0, "configured input")
         return _report("thm-3-3", config, checks)
 
-    jobs = []
-    norms, dims = params["norms"], params["dims"]
-    for i in range(_positive_int(params["instances"], "suite.instances")):
-        norm_tag = norms[i % len(norms)]
-        dim = dims[(i // len(norms)) % len(dims)]
-        jobs.append(
-            (
-                i,
-                norm_tag,
-                dim,
-                params["n_atoms"],
-                root.substream(i),
-                config.paths,
-                config.samples,
-                mode,
-                config.z,
-            )
-        )
-    nested = _ordered_map(_identity_instance, jobs, threads)
+    count = _positive_int(params["instances"], "suite.instances")
+    # instance i runs norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]
+    cells = [(norm_tag, dim) for dim in params["dims"] for norm_tag in params["norms"]]
+    spaces = _suite_spaces(cells, count)
+
+    def run_instance(i: int) -> list[CheckRecord]:
+        space = spaces[i % len(spaces)]
+        return _identity_instance(i, space, params["n_atoms"], root.substream(i), config)
+
+    nested = _ordered_map(run_instance, list(range(count)), threads)
     checks = [record for group in nested for record in group]
-    failures = sum(1 for c in checks if c.verdict == "fail")
-    checks.append(
-        CheckRecord(
-            name="identity-summary",
-            values={"instances": len(jobs), "failures": failures},
-            verdict="pass" if failures == 0 else "fail",
-        )
-    )
-    return _report("thm-3-3", config, checks)
+    summary = _summary_record("identity-summary", checks, count)
+    return _report("thm-3-3", config, checks + [summary])
 
 
 # --- cor-2-5: upper embedding constant (type-2 side) ------------------------------
@@ -609,13 +618,17 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("cor-2-5")
+    isometry_trials = _positive_int(params["isometry_trials"], "suite.isometry_trials")
+    witness_samples = _positive_int(params["witness_samples"], "suite.witness_samples")
+    survey_trials = _positive_int(params["survey_trials"], "suite.survey_trials")
+    survey_samples = _positive_int(params["survey_samples"], "suite.survey_samples")
     checks: list[CheckRecord] = []
 
     isometry = run_embedding_trials(
         "type2",
         NormedSpace.l2(params["isometry_dim"]),
         params["isometry_atoms"],
-        _positive_int(params["isometry_trials"], "suite.isometry_trials"),
+        isometry_trials,
         root.substream(0),
         samples=0,
     )
@@ -634,11 +647,7 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
     )
 
     target = math.sqrt(1.0 + 2.0 / math.pi)
-    ratio, se = embedding_ratio(
-        sup_norm_witness(),
-        root.substream(1),
-        _positive_int(params["witness_samples"], "suite.witness_samples"),
-    )
+    ratio, se = embedding_ratio(sup_norm_witness(), root.substream(1), witness_samples)
     gap = abs(ratio - target)
     tolerance = config.z * se
     checks.append(
@@ -655,9 +664,9 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
         "type2",
         NormedSpace.linf(2),
         2,
-        _positive_int(params["survey_trials"], "suite.survey_trials"),
+        survey_trials,
         root.substream(2),
-        samples=_positive_int(params["survey_samples"], "suite.survey_samples"),
+        samples=survey_samples,
     )
     checks.append(
         CheckRecord(
@@ -685,10 +694,11 @@ def _run_lower_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
     samples = _positive_int(params["trial_samples"], "suite.trial_samples")
     dim = _positive_int(params["dim"], "suite.dim")
     n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
+    norms = params["norms"]
+    spaces = _suite_spaces([(norm_tag, dim) for norm_tag in norms], len(norms))
 
-    def run_space(args):
-        j, norm_tag = args
-        space = _space_from_tag(norm_tag, dim, "suite.norms")
+    def run_space(j: int) -> CheckRecord:
+        space = spaces[j]
         report = run_embedding_trials(
             "cotype2", space, n_atoms, trials, root.substream(j), samples=samples
         )
@@ -701,7 +711,7 @@ def _run_lower_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
             f"requires at least {threshold!r}"
         )
         return CheckRecord(
-            name=f"lower-bound-{_norm_label(norm_tag)}",
+            name=f"lower-bound-{_norm_label(norms[j])}",
             values={
                 "min_ratio": report.worst_ratio,
                 "floor": floor,
@@ -714,8 +724,7 @@ def _run_lower_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
             detail=detail,
         )
 
-    jobs = list(enumerate(params["norms"]))
-    checks = _ordered_map(run_space, jobs, threads)
+    checks = _ordered_map(run_space, list(range(len(spaces))), threads)
     return _report("cor-2-6", config, checks)
 
 
@@ -755,8 +764,9 @@ def _fixed_grouping_family(n_atoms: int) -> list[Grouping]:
     return family
 
 
-def _divergence_point(args) -> list[CheckRecord]:
-    n, params, stream, paths, z = args
+def _divergence_point(
+    n: int, params: dict, stream: RandomStream, paths: int, z: float
+) -> list[CheckRecord]:
     partition = AtomPartition.uniform(n)
     expected_tv = math.sqrt(n)
     dense = n <= params["dense_limit"]
@@ -841,22 +851,21 @@ def _run_divergence_suite(config: ExperimentConfig, threads: int) -> SuiteReport
     grid = params["n_grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("suite.n_grid: expected a nonempty list of atom counts")
-    jobs = [
-        (_positive_int(n, "suite.n_grid"), params, root.substream(i), config.paths, config.z)
-        for i, n in enumerate(grid)
-    ]
-    nested = _ordered_map(_divergence_point, jobs, threads)
-    checks = [record for group in nested for record in group]
-    return _report("example-3-4", config, checks)
+    grid = [_positive_int(n, "suite.n_grid") for n in grid]
+
+    def run_point(i: int) -> list[CheckRecord]:
+        return _divergence_point(grid[i], params, root.substream(i), config.paths, config.z)
+
+    nested = _ordered_map(run_point, list(range(len(grid))), threads)
+    return _report("example-3-4", config, [record for group in nested for record in group])
 
 
 # --- finest-partition: coarsenings never beat the finest covering grouping --------
 
 
-def _domination_instance(args) -> CheckRecord:
-    label, norm_tag, values, partition, stream, samples, z = args
-    space = _space_from_tag(norm_tag, values.shape[1], "suite.norms")
-    measure = VectorMeasure(partition, space, values)
+def _domination_instance(
+    label: str, measure: VectorMeasure, stream: RandomStream, samples: int, z: float
+) -> CheckRecord:
     shared = SharedDrawMoments(measure, stream, samples)
     finest = Grouping.finest(measure.n_atoms)
     finest_moment = shared.moment(finest)
@@ -910,25 +919,22 @@ def _run_domination_suite(config: ExperimentConfig, threads: int) -> SuiteReport
     else:
         inputs = []
         for i in range(_positive_int(params["measures"], "suite.measures")):
-            rng = root.substream(i).substream(0).generator()
-            partition = _random_partition(rng, n_atoms)
-            inputs.append((f"{i:02d}", partition, rng.standard_normal((n_atoms, dim))))
+            inputs.append((f"{i:02d}", *_random_atoms(root.substream(i), n_atoms, dim)))
+    norms = params["norms"]
+    value_dim = inputs[0][2].shape[1]
+    spaces = _suite_spaces([(norm_tag, value_dim) for norm_tag in norms], len(norms))
 
-    jobs = []
-    for j, norm_tag in enumerate(params["norms"]):
-        for i, (label, partition, values) in enumerate(inputs):
-            jobs.append(
-                (
-                    f"{_norm_label(norm_tag)}-{label}",
-                    norm_tag,
-                    values,
-                    partition,
-                    root.substream(1000 + j * len(inputs) + i),
-                    config.samples,
-                    config.z,
-                )
-            )
-    checks = _ordered_map(_domination_instance, jobs, threads)
+    def run_instance(k: int) -> CheckRecord:
+        # norm j of input i is instance j * len(inputs) + i
+        j, i = divmod(k, len(inputs))
+        label, partition, values = inputs[i]
+        measure = VectorMeasure(partition, spaces[j], values)
+        stream = root.substream(1000 + k)
+        return _domination_instance(
+            f"{_norm_label(norms[j])}-{label}", measure, stream, config.samples, config.z
+        )
+
+    checks = _ordered_map(run_instance, list(range(len(spaces) * len(inputs))), threads)
     return _report("finest-partition", config, checks)
 
 
@@ -946,12 +952,17 @@ def _sweep_candidates(n_atoms: int, max_blocks: int) -> tuple[Grouping, ...]:
     )
 
 
-def _randomisation_instance(args) -> CheckRecord:
-    index, norm_tag, dim, n_atoms, max_blocks, stream, paths, z = args
-    rng = stream.substream(0).generator()
-    partition = _random_partition(rng, n_atoms)
-    space = _space_from_tag(norm_tag, dim, "suite.norms")
-    density = StepFunction(partition, space, rng.standard_normal((n_atoms, dim)))
+def _randomisation_instance(
+    index: int,
+    space: NormedSpace,
+    n_atoms: int,
+    max_blocks: int,
+    stream: RandomStream,
+    paths: int,
+    z: float,
+) -> CheckRecord:
+    partition, values = _random_atoms(stream, n_atoms, space.dim)
+    density = StepFunction(partition, space, values)
     ensemble = sample_brownian(partition, paths, stream.substream(1))
     empirical = induced_randomized_measure(density, ensemble)
     results = randomisation_identity_sweep(
@@ -989,21 +1000,19 @@ def _randomisation_instance(args) -> CheckRecord:
 def _run_randomisation_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("randomisation")
-    norms = params["norms"]
-    jobs = [
-        (
-            i,
-            norms[i % len(norms)],
-            _positive_int(params["dim"], "suite.dim"),
-            _positive_int(params["n_atoms"], "suite.n_atoms"),
-            _positive_int(params["max_blocks"], "suite.max_blocks"),
-            root.substream(i),
-            config.paths,
-            config.z,
+    count = _positive_int(params["measures"], "suite.measures")
+    dim = _positive_int(params["dim"], "suite.dim")
+    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
+    max_blocks = _positive_int(params["max_blocks"], "suite.max_blocks")
+    spaces = _suite_spaces([(norm_tag, dim) for norm_tag in params["norms"]], count)
+
+    def run_instance(i: int) -> CheckRecord:
+        space = spaces[i % len(spaces)]
+        return _randomisation_instance(
+            i, space, n_atoms, max_blocks, root.substream(i), config.paths, config.z
         )
-        for i in range(_positive_int(params["measures"], "suite.measures"))
-    ]
-    checks = _ordered_map(_randomisation_instance, jobs, threads)
+
+    checks = _ordered_map(run_instance, list(range(count)), threads)
     return _report("randomisation", config, checks)
 
 
@@ -1033,56 +1042,26 @@ def run_norms(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
     """All norms of the configured measure or density, with the duality check."""
     measure = config.measure()
     root = config.root_stream("norms")
-    variation_mode, randomized_mode = _search_modes(config.mode)
     needs_mc = not measure.space.is_hilbert
     stream = root.substream(0) if needs_mc else None
     samples = config.samples if needs_mc else 0
 
-    variation = gamma_variation_norm(measure, stream, samples, mode=variation_mode)
+    variation = gamma_variation_norm(measure, stream, samples)
     duality = verify_duality(measure, root.substream(1), samples, z=config.z)
     tv = total_variation_norm(measure)
     randomized = randomized_variation_norm(
         measure.values,
         measure.space,
-        mode=randomized_mode,
+        mode=config.search_mode,
         stream=root.substream(2),
         samples=config.samples,
     )
 
     checks = [
-        CheckRecord(
-            name="gamma-variation",
-            values={"norm": variation.norm, "moment": variation.moment.value},
-            std_errors={"moment": variation.moment.std_error},
-            verdict="info",
-            detail=f"mode={variation.mode} grouping={variation.grouping.to_lists()}",
-        ),
-        CheckRecord(
-            name="duality",
-            values={
-                "variation_moment": duality.measure_report.moment.value,
-                "summing_moment": duality.operator_report.moment.value,
-                "gap": duality.comparison.gap,
-                "tolerance": duality.comparison.tolerance,
-            },
-            std_errors={
-                "variation_moment": duality.measure_report.moment.std_error,
-                "summing_moment": duality.operator_report.moment.std_error,
-            },
-            verdict="pass" if duality.consistent else "fail",
-        ),
-        CheckRecord(
-            name="total-variation",
-            values={"norm": tv},
-            verdict="info",
-        ),
-        CheckRecord(
-            name="randomized-variation",
-            values={"norm": randomized.norm, "moment": randomized.moment.value},
-            std_errors={"moment": randomized.moment.std_error},
-            verdict="info",
-            detail=f"mode={randomized.mode} grouping={randomized.grouping.to_lists()}",
-        ),
+        _norm_record("gamma-variation", variation),
+        _duality_record("duality", duality),
+        CheckRecord(name="total-variation", values={"norm": tv}, verdict="info"),
+        _norm_record("randomized-variation", randomized),
     ]
     return _report("norms", config, checks)
 
@@ -1093,22 +1072,12 @@ def run_integrate(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
         raise ConfigError("input: the integrate command needs density values")
     density = config.density()
     root = config.root_stream("integrate")
-    _, mode = _search_modes(config.mode)
-    report = verify_integral_identity(
-        density,
-        config.paths,
-        root.substream(0),
-        config.samples,
-        search_mode=mode,
-        z=config.z,
-    )
-    operator = operator_from_measure(measure_from_density(density))
+    checks = _identity_checks(config, density, root.substream(0), 0, "configured density")
     operator_moment = gamma_summing_norm(
-        operator,
+        operator_from_measure(measure_from_density(density)),
         root.substream(1),
         0 if density.space.is_hilbert else config.samples,
     )
-    checks = _identity_records(0, "configured density", report)
     checks.append(
         CheckRecord(
             name="summing-moment",

@@ -99,8 +99,8 @@ class TestNormsCommand:
         assert capsys.readouterr().err.startswith("error: engine.samples: ")
 
     def test_greedy_mode_runs_the_variation_fast_path(self, tmp_path, capsys):
-        # the variation norm has no greedy search; only the randomized search
-        # merges greedily
+        # the variation norm has one route; only the randomized search merges
+        # greedily
         path = _norms_config(tmp_path, engine={"mode": "greedy"})
         code = main(["norms", "--config", path])
         checks = json.loads(capsys.readouterr().out)["checks"]
@@ -110,8 +110,9 @@ class TestNormsCommand:
         assert details["randomized-variation"].startswith("mode=greedy ")
 
     def test_exhaustive_searches_cover_a_zero_atom(self, tmp_path, capsys):
-        # atom 2 is zero: leaving it out ties exactly, and the searches
-        # report the tied set partitions with the fewest blocks
+        # atom 2 is zero: leaving it out ties exactly, and the randomized
+        # search reports the tied set partition with the fewest blocks; the
+        # variation norm reports the finest grouping under every engine.mode
         document = {
             "partition": {"uniform": 3},
             "space": {"dim": 2, "norm": "l2"},
@@ -122,7 +123,7 @@ class TestNormsCommand:
         checks = json.loads(capsys.readouterr().out)["checks"]
         details = {check["name"]: check.get("detail", "") for check in checks}
         assert code == EXIT_PASS
-        assert details["gamma-variation"] == "mode=exhaustive grouping=[[0], [1], [2]]"
+        assert details["gamma-variation"] == "mode=fast_path grouping=[[0], [1], [2]]"
         assert details["randomized-variation"] == "mode=exhaustive grouping=[[0, 1, 2]]"
 
 

@@ -10,10 +10,10 @@ from gammavar import (
     RandomStream,
     StepFunction,
     embedding_ratio,
-    l2_bochner_norm,
     run_embedding_trials,
     sup_norm_witness,
 )
+from gammavar.embeddings import l2_bochner_norm
 
 
 def _density(weights, space, values):

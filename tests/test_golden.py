@@ -18,6 +18,7 @@ reports are an invariant across changes: a change that alters them on
 purpose regenerates these files and says why.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +55,8 @@ def test_the_golden_set_is_present():
     assert NAMES == sorted(NORMS_NAMES + INTEGRATE_NAMES + list(VERIFY_SUITES))
 
 
-def _assert_golden(name, argv, capsys):
-    code = main(argv + ["--config", str(GOLDEN / f"{name}.config.json")])
+def _assert_golden(name, argv, capsys, config=None):
+    code = main(argv + ["--config", str(config or GOLDEN / f"{name}.config.json")])
     assert code == EXIT_PASS
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.report.json").read_bytes()
 
@@ -76,6 +77,17 @@ def test_integrate_report_is_byte_identical(name, threads, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_report_is_byte_identical(name, threads, capsys):
     _assert_golden(name, ["verify", VERIFY_SUITES[name], "--threads", threads], capsys)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_embedded_config_reruns_verbatim(name, tmp_path, capsys):
+    # a report embeds its resolved config, so feeding that config back
+    # through the same command reproduces the report
+    embedded = json.loads((GOLDEN / f"{name}.report.json").read_bytes())["config"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(embedded), encoding="utf-8")
+    command = ["verify", VERIFY_SUITES[name]] if name in VERIFY_SUITES else [name.split("-")[0]]
+    _assert_golden(name, command, capsys, config)
 
 
 def _module_entry_point_report(name):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _reference as ref
-from gammavar import Grouping, SizeLimitError, bell_number, enumerate_groupings
+from gammavar import Grouping, SizeLimitError, enumerate_groupings
 from gammavar.groupings import (
+    bell_number,
     MAX_ATOMS_ALL,
     MAX_ATOMS_CONTIGUOUS,
     _block_sum,

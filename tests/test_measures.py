@@ -11,17 +11,13 @@ from gammavar import (
     RandomStream,
     StepFunction,
     VectorMeasure,
-    density_from_document,
-    density_from_measure,
     measure_from_density,
-    measure_from_document,
-    measure_from_operator,
     operator_from_measure,
     sample_brownian,
     stochastic_integral,
-    to_document,
 )
 from gammavar.groupings import block_sums
+from gammavar.measures import measure_from_operator
 
 
 def _measure(weights, values, space=None):
@@ -110,8 +106,6 @@ class TestConversions:
         )
         back = measure_from_operator(operator_from_measure(measure))
         np.testing.assert_allclose(back.values, measure.values, atol=1e-12)
-        back = measure_from_density(density_from_measure(measure))
-        np.testing.assert_allclose(back.values, measure.values, atol=1e-12)
 
     def test_indicator_image_recovers_the_measure(self):
         # T applied to the plain indicator 1_{A_n} = sqrt(mu(A_n)) e_n is F(A_n)
@@ -119,39 +113,3 @@ class TestConversions:
         operator = operator_from_measure(measure)
         images = np.sqrt(operator.partition.weights)[:, None] * operator.columns
         np.testing.assert_allclose(images, measure.values, atol=1e-15)
-
-
-class TestDocuments:
-    def test_measure_document_round_trip(self):
-        measure = VectorMeasure(
-            AtomPartition([0.25, 0.75], boundaries=[0.0, 0.25, 1.0]),
-            NormedSpace(2, 1.5),
-            [[1.0, 2.0], [3.0, 4.0]],
-        )
-        doc = to_document(measure)
-        assert doc["norm"] == {"lp": 1.5}
-        assert doc["boundaries"] == [0.0, 0.25, 1.0]
-        back = measure_from_document(doc)
-        np.testing.assert_allclose(back.values, measure.values, atol=1e-15)
-        np.testing.assert_allclose(
-            back.partition.weights, measure.partition.weights, atol=1e-15
-        )
-        assert back.space.p == 1.5
-
-    def test_density_document_round_trip(self):
-        density = StepFunction(
-            AtomPartition([0.5, 0.5]), NormedSpace.linf(2), [[1.0, 1.0], [1.0, -1.0]]
-        )
-        back = density_from_document(to_document(density))
-        np.testing.assert_allclose(back.values, density.values, atol=1e-15)
-        assert math.isinf(back.space.p)
-
-    def test_boundaries_are_optional_in_documents(self):
-        measure = _measure([0.5, 0.5], [[1.0], [2.0]])
-        assert "boundaries" not in to_document(measure)
-
-    def test_missing_keys_are_named(self):
-        doc = to_document(_measure([0.5, 0.5], [[1.0], [2.0]]))
-        del doc["values"]
-        with pytest.raises(ValueError, match="values"):
-            measure_from_document(doc)

@@ -15,7 +15,6 @@ from gammavar import (
     Grouping,
     NormedSpace,
     RandomStream,
-    SharedDrawMoments,
     SizeLimitError,
     StepFunction,
     VectorMeasure,
@@ -23,10 +22,8 @@ from gammavar import (
     gamma_summing_norm,
     gamma_variation_norm,
     gaussian_sum_sq,
-    grouping_moment_exact,
     induced_randomized_measure,
     measure_from_density,
-    measure_from_operator,
     operator_from_measure,
     randomized_variation_norm,
     rademacher_sum_sq,
@@ -36,6 +33,8 @@ from gammavar import (
 )
 from gammavar import norms, random_sums
 from gammavar.groupings import block_sums
+from gammavar.measures import measure_from_operator
+from gammavar.norms import SharedDrawMoments, grouping_moment_exact
 from gammavar.random_sums import METHOD_EXACT_COVARIANCE, covariance_moment
 
 
@@ -65,9 +64,7 @@ class TestGammaVariationNorm:
         values = [[1.0], [2.0]]
         measure = VectorMeasure(AtomPartition(weights), NormedSpace.l2(1), values)
         expected = math.sqrt(1.0 / 0.25 + 4.0 / 0.75)
-        for mode in ("fast_path", "exhaustive", "contiguous"):
-            report = gamma_variation_norm(measure, mode=mode)
-            assert abs(report.norm - expected) <= 1e-12
+        assert abs(gamma_variation_norm(measure).norm - expected) <= 1e-12
 
     def test_sup_norm_measure_matches_the_quadrature_constant(self):
         s = 1.0 / math.sqrt(2.0)
@@ -79,40 +76,25 @@ class TestGammaVariationNorm:
         want = ref.MAX_SQ_TWO_GAUSSIANS
         assert abs(report.moment.value - want) <= 1e-12 * want
 
-    def test_search_modes_agree_with_the_fast_path_on_hilbert_inputs(self):
+    def test_the_fast_path_is_the_maximum_of_a_grouping_scan_on_hilbert_inputs(self):
         rng = np.random.default_rng(50)
         for _ in range(5):
             measure = _random_measure(rng, 5, 3)
             fast = gamma_variation_norm(measure)
-            exhaustive = gamma_variation_norm(measure, mode="exhaustive")
-            contiguous = gamma_variation_norm(measure, mode="contiguous")
-            assert abs(exhaustive.norm - fast.norm) <= 1e-12
-            assert abs(contiguous.norm - fast.norm) <= 1e-12
-            assert exhaustive.grouping == Grouping.finest(5)
+            shared = SharedDrawMoments(measure)
+            scanned = max(shared.moment(g).value for g in enumerate_groupings(5, "all"))
+            assert abs(math.sqrt(scanned) - fast.norm) <= 1e-12
+            assert fast.grouping == Grouping.finest(5)
 
-    def test_exhaustive_search_matches_the_brute_force_reference(self):
+    def test_the_fast_path_matches_the_brute_force_reference(self):
         rng = np.random.default_rng(51)
         for _ in range(5):
             measure = _random_measure(rng, 4, 2)
-            report = gamma_variation_norm(measure, mode="exhaustive")
+            report = gamma_variation_norm(measure)
             expected = ref.gamma_variation_hilbert_reference(
                 measure.partition.weights, measure.values
             )
             assert abs(report.norm - expected) <= 1e-12
-
-    def test_exhaustive_mode_respects_the_atom_cap(self):
-        measure = VectorMeasure(
-            AtomPartition.uniform(13), NormedSpace.l2(1), np.ones((13, 1))
-        )
-        with pytest.raises(SizeLimitError, match="27644437"):
-            gamma_variation_norm(measure, mode="exhaustive")
-
-    def test_unknown_mode_is_rejected(self):
-        measure = VectorMeasure(
-            AtomPartition.uniform(2), NormedSpace.l2(1), [[1.0], [1.0]]
-        )
-        with pytest.raises(ValueError):
-            gamma_variation_norm(measure, mode="sideways")
 
     def test_homogeneity(self):
         rng = np.random.default_rng(52)
@@ -226,12 +208,15 @@ class TestExactCovarianceMoments:
         assert abs(moment.value - ref.MAX_SQ_TWO_GAUSSIANS) <= 1e-14
 
     @pytest.mark.parametrize("space", EXACT_OFF_HILBERT, ids=repr)
-    def test_search_modes_find_the_finest_grouping_exactly(self, space):
+    def test_a_grouping_scan_peaks_at_the_fast_path(self, space):
         measure = _random_measure(np.random.default_rng(62), 5, space.dim, space)
-        for mode in ("exhaustive", "contiguous"):
-            report = gamma_variation_norm(measure, mode=mode)
-            assert report.grouping == Grouping.finest(5)
-            assert report.moment.is_exact
+        shared = SharedDrawMoments(measure)
+        # every set partition; the coarser ones only tie or lose
+        best = max(enumerate_groupings(5, "all"), key=lambda g: shared.moment(g).value)
+        fast = gamma_variation_norm(measure)
+        assert best == fast.grouping == Grouping.finest(5)
+        assert shared.moment(best) == fast.moment
+        assert fast.moment.is_exact
 
     @settings(derandomize=True, deadline=None)
     @given(_exact_measures())
@@ -287,11 +272,11 @@ class TestExactFastPath:
 
     @settings(derandomize=True, deadline=None)
     @given(_exact_measures())
-    def test_searches_never_exceed_the_fast_path(self, measure):
+    def test_no_scanned_grouping_exceeds_the_fast_path(self, measure):
         fast = gamma_variation_norm(measure).moment.value
-        for mode in ("exhaustive", "contiguous"):
-            found = gamma_variation_norm(measure, mode=mode).moment.value
-            assert found <= fast + _rounding_bound(fast)
+        shared = SharedDrawMoments(measure)
+        scanned = max(shared.moment(g).value for g in enumerate_groupings(measure.n_atoms, "all"))
+        assert fast <= scanned <= fast + _rounding_bound(fast)
 
     @settings(derandomize=True, deadline=None)
     @given(_exact_measures())
@@ -760,8 +745,53 @@ class TestCoveringGroupingsReachTheSupremum:
         counts, values = case
         weights = np.array(counts) / sum(counts)
         measure = VectorMeasure(AtomPartition(weights), NormedSpace.l2(2), values)
-        report = gamma_variation_norm(measure, mode="exhaustive")
+        report = gamma_variation_norm(measure)
         assert _close(report.norm, ref.gamma_variation_hilbert_reference(weights, values))
+
+
+_SCALES = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+class TestHomogeneityAndAtomOrder:
+    """norm(cF) = |c| norm(F) for the randomized and the total variation, and
+    the randomized value does not depend on the order of the atoms."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: arrays(float, (n, 2), elements=_SCALES)),
+        st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+        _SCALES,
+    )
+    def test_norms_scale_with_the_absolute_factor(self, values, p, c):
+        space = NormedSpace(2, p)
+        measure = VectorMeasure(AtomPartition.uniform(len(values)), space, values)
+        scaled = VectorMeasure(measure.partition, space, c * values)
+        for norm in (
+            total_variation_norm,
+            lambda m: randomized_variation_norm(m.values, m.space).norm,
+        ):
+            want = abs(c) * norm(measure)
+            assert abs(norm(scaled) - want) <= 1e-12 * want
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.integers(1, 6).flatmap(
+                lambda n: arrays(float, (n, d), elements=st.integers(-3, 3).map(float))
+            )
+        ),
+        st.sampled_from([1.0, 2.0, math.inf]),
+        st.randoms(use_true_random=False),
+    )
+    def test_the_randomized_value_does_not_depend_on_the_atom_order(self, values, p, random):
+        # small integers keep every sum and sign average exact, so the
+        # values agree bit for bit; the tie-broken grouping may differ
+        order = list(range(len(values)))
+        random.shuffle(order)
+        space = NormedSpace(values.shape[1], p)
+        base = randomized_variation_norm(values, space)
+        permuted = randomized_variation_norm(values[order], space)
+        assert permuted.moment.value == base.moment.value
 
 
 class TestDualOperatorRoundTrip:

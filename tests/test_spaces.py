@@ -142,10 +142,6 @@ class TestNormedSpace:
         with pytest.raises(ValueError):
             NormedSpace.from_tag(2, {"lp": 1.5, "extra": 1})
 
-    def test_check_vector_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            NormedSpace.l2(3).check_vector([1.0, 2.0])
-
 
 class TestEmpiricalL2Space:
     def test_norm_sq_averages_over_the_path_axis(self):

@@ -7,7 +7,6 @@ import pytest
 from gammavar import (
     ConfigError,
     Grouping,
-    SharedDrawMoments,
     SUITE_NAMES,
     SizeLimitError,
     __version__,
@@ -18,6 +17,7 @@ from gammavar import (
     run_suite,
 )
 from gammavar import random_sums, suites
+from gammavar.norms import SharedDrawMoments
 from gammavar.random_sums import RandomStream
 
 
@@ -326,6 +326,50 @@ class TestVerifySuites:
         assert _names(report) == ["duality-explicit"]
         assert report.overall_pass
 
+    def test_every_duality_record_carries_its_gap_and_tolerance(self):
+        document = {
+            "partition": {"weights": [0.5, 0.5]},
+            "space": {"dim": 2, "norm": "l1"},
+            "input": {"measure": [[1.0, 0.0], [0.0, 1.0]]},
+        }
+        records = [
+            run_suite("thm-2-3", resolve_config(document, "thm-2-3")).checks[0],
+            run_suite("thm-2-3", resolve_config({"suite": {"instances": 1}}, "thm-2-3")).checks[0],
+            _by_name(run_norms(resolve_config(document)), "duality"),
+        ]
+        for record in records:
+            assert sorted(record.values) == ["gap", "summing_moment", "tolerance", "variation_moment"]
+            assert sorted(record.std_errors) == ["summing_moment", "variation_moment"]
+
+    @pytest.mark.parametrize(
+        "suite_name, params, field",
+        [
+            ("thm-2-3", {"norms": ["l1", "l9"], "dims": [2], "max_atoms": 2}, "suite.norms"),
+            ("thm-3-3", {"norms": ["l1", "l9"], "instances": 2}, "suite.norms"),
+            ("cor-2-5", {"witness_samples": 0}, "suite.witness_samples"),
+            ("cor-2-6", {"norms": ["l1", "l9"]}, "suite.norms"),
+            ("finest-partition", {"norms": ["l1", "l9"], "measures": 1}, "suite.norms"),
+            ("randomisation", {"norms": ["l1", "l9"], "measures": 2}, "suite.norms"),
+        ],
+    )
+    def test_suite_fields_are_validated_before_any_instance_starts(
+        self, suite_name, params, field, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an instance started")
+
+        for name in (
+            "verify_duality",
+            "verify_integral_identity",
+            "run_embedding_trials",
+            "SharedDrawMoments",
+            "sample_brownian",
+        ):
+            monkeypatch.setattr(suites, name, no_work)
+        config = resolve_config({"suite": params}, suite_name)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            run_suite(suite_name, config)
+
     def test_duality_suite_random_instances(self):
         config = resolve_config(
             {"engine": {"samples": 4000}, "suite": {"instances": 6, "max_atoms": 4}},
@@ -387,7 +431,7 @@ class TestVerifySuites:
         params = dict(suites.SUITE_DEFAULTS["example-3-4"])
         tracemalloc.start()
         try:
-            checks = suites._divergence_point((100, params, RandomStream(0, (5, 2)), 10_000, 3.0))
+            checks = suites._divergence_point(100, params, RandomStream(0, (5, 2)), 10_000, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
