@@ -26,12 +26,11 @@ from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
-    _ENSEMBLE_CHUNK_FLOATS,
     _estimate_from_path_stats,
     _path_moments,
     _path_norm_sq,
-    _sign_means,
     compare_estimates,
+    ensemble_rademacher_moments,
 )
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 
@@ -276,25 +275,18 @@ def randomisation_identity_sweep(
     groupings,
     z: float = 3.0,
 ) -> list[RandomisationCheck]:
-    """check_randomisation_identity over many groupings, batched by block count.
+    """check_randomisation_identity over many groupings, batched.
 
     Independence and symmetry of the true block values make every sign pattern
     equidistributed, so the sign-enumerated average and the plain moment agree
     in expectation; both sides here share the measure's path ensemble.
 
-    Each distinct block of the groupings is summed once into a table, in
-    ascending atom order as block_sums sums it, and so is each distinct
-    covered atom set for the plain side; the table never holds a row per
-    subset of atoms, which a few-block grouping of many atoms would make
-    huge.  Groupings with k blocks gather their rows from the table and meet
-    the 2^(k-1) sign patterns in the sign loop of the ensemble search
-    (random_sums._sign_means): one matmul per chunk of at most
-    _ENSEMBLE_CHUNK_FLOATS combined floats, small enough to stay in cache
-    until the norms read it.  Chunks split only the grouping axis, so the
-    chunk size cannot move a bit; a grouping whose own sweep passes
-    random_sums._CHUNK_FLOATS is swept alone, in pattern chunks.  Path means
-    and errors are taken per chunk.  Sign enumeration holds for every norm,
-    the Euclidean one included.
+    The signed side is random_sums.ensemble_rademacher_moments, the kernel
+    of the randomized variation norm over ensembles: exact sign enumeration,
+    or in a Hilbert base the per-path closed form sum_m ||G(B_m)||^2, which
+    the parallelogram law makes the sign average.  The plain side sums each
+    distinct covered atom set once, in ascending atom order as block_sums
+    sums it.
     """
     groupings = list(groupings)
     for grouping in groupings:
@@ -304,43 +296,26 @@ def randomisation_identity_sweep(
                 f"got {grouping.n_blocks}"
             )
     n_paths, dim = measure.n_paths, measure.space.dim
+    signed = ensemble_rademacher_moments(
+        measure.contributions, groupings, measure.empirical_space
+    )
     flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
-    path_norm_sq = _path_norm_sq(measure.space, n_paths, dim)
-
-    n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
-    blocks, block_rows = _distinct_sums(flat, [b for g in groupings for b in g.blocks])
-    first_block = np.cumsum(n_blocks) - n_blocks
-    signed_value = np.empty(len(groupings))
-    signed_error = np.empty(len(groupings))
-    for k in np.unique(n_blocks).tolist():
-        members = np.flatnonzero(n_blocks == k)
-        rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
-        chunks = _sign_means(blocks, rows, path_norm_sq, _ENSEMBLE_CHUNK_FLOATS)
-        for chunk, path_stats in chunks:
-            part = members[chunk]
-            signed_value[part], signed_error[part] = _path_moments(path_stats)
-
     covered, covered_rows = _distinct_sums(flat, [g.covered for g in groupings])
+    path_norm_sq = _path_norm_sq(measure.space, n_paths, dim)
     plain_value, plain_error = _path_moments(path_norm_sq(covered))
     plains = [
         SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
         for value, error in zip(plain_value.tolist(), plain_error.tolist())
     ]
-    checks = []
-    for grouping, value, error, row in zip(
-        groupings, signed_value.tolist(), signed_error.tolist(), covered_rows.tolist()
-    ):
-        signed = SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
-        plain = plains[row]
-        checks.append(
-            RandomisationCheck(grouping, signed, plain, compare_estimates(signed, plain, z=z))
-        )
-    return checks
+    return [
+        RandomisationCheck(grouping, sign, plains[row], compare_estimates(sign, plains[row], z=z))
+        for grouping, sign, row in zip(groupings, signed, covered_rows.tolist())
+    ]
 
 
 def check_randomisation_identity(
     measure: EmpiricalVectorMeasure, grouping: Grouping, z: float = 3.0
 ) -> RandomisationCheck:
-    """Exact sign enumeration over the grouping's blocks against the plain
+    """The sign-averaged moment of the grouping's block sum against the plain
     empirical moment of the same block sum, paired on one path ensemble."""
     return randomisation_identity_sweep(measure, [grouping], z=z)[0]

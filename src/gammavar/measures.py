@@ -6,7 +6,6 @@ operator column, where e_n = 1_{A_n} / sqrt(mu(A_n)) is the n-th normalized
 indicator.  The conversions below move between them:
 
     operator_from_measure:  column_n = F(A_n) / sqrt(mu(A_n))
-    measure_from_operator:  F(A_n)   = sqrt(mu(A_n)) * column_n
     measure_from_density:   F(A_n)   = mu(A_n) * phi_n
 """
 
@@ -67,13 +66,6 @@ def operator_from_measure(measure: VectorMeasure) -> DiscreteOperator:
     scale = 1.0 / np.sqrt(measure.partition.weights)
     return DiscreteOperator(
         measure.partition, measure.space, scale[:, None] * measure.values
-    )
-
-
-def measure_from_operator(operator: DiscreteOperator) -> VectorMeasure:
-    scale = np.sqrt(operator.partition.weights)
-    return VectorMeasure(
-        operator.partition, operator.space, scale[:, None] * operator.values
     )
 
 

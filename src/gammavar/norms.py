@@ -6,8 +6,9 @@ Gaussian coefficients; the norm is the supremum over groupings, which the
 finest grouping attains.  That is the second moment of a centred Gaussian
 vector with covariance Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the
 norm and the per-grouping moments (SharedDrawMoments) are exact in Hilbert
-spaces, in l1 and in the plane's linf (_gaussian_moment).  Elsewhere the norm
-samples and SharedDrawMoments shares one set of Gaussian draws across
+spaces, in l1 and in the plane's linf, through one kernel (_gaussian_moment)
+that the finest-partition suite's scan and the norm share.  Elsewhere the
+norm samples and SharedDrawMoments shares one set of Gaussian draws across
 groupings.  The dual view is the Gaussian-summing norm of the operator with
 columns F(A_n)/sqrt(mu(A_n)), whose squared moment is E || T g ||^2 over the
 full normalized-indicator basis, exact in the same spaces.
@@ -39,8 +40,6 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_COVARIANCE,
-    METHOD_EXACT_HILBERT,
-    METHOD_MONTE_CARLO,
     _CHUNK_FLOATS,
     _check_values,
     _coefficient_batches,
@@ -117,15 +116,6 @@ def _grouping_matrix(measure: VectorMeasure, grouping: Grouping) -> np.ndarray:
     return np.sqrt(weights)[:, None] * mat
 
 
-def grouping_moment_exact(measure: VectorMeasure, grouping: Grouping) -> float:
-    """Hilbert closed form of a grouping's squared moment: sum ||F(B)||^2/mu(B)."""
-    masses = block_sums(measure.partition.weights, grouping)
-    total = 0.0
-    for value, mass in zip(block_sums(measure.values, grouping), masses):
-        total += float(measure.space.norm_sq(value)) / float(mass)
-    return total
-
-
 def _gaussian_moment(
     rows: np.ndarray,
     space: NormedSpace,
@@ -146,12 +136,12 @@ def _gaussian_moment(
 class SharedDrawMoments:
     """Squared-moment values of many groupings of one measure.
 
-    Exact where the space gives the moment in closed form: Hilbert spaces
-    take grouping_moment_exact, and l1 in any dimension and linf in the
-    plane take random_sums.covariance_moment of the grouping's covariance
-    Sigma_G = sum_B F(B) F(B)^T / mu(B); these need no stream.  Other spaces
-    share one set of Gaussian draws across all groupings (paired estimates)
-    and need a stream and samples."""
+    Exact where _gaussian_moment is, in Hilbert spaces, l1 in any dimension
+    and linf in the plane: the rows F(B)/sqrt(mu(B)) of a grouping's blocks
+    give its covariance Sigma_G = sum_B F(B) F(B)^T / mu(B), and the finest
+    grouping's moment is gamma_variation_norm's bit for bit; these need no
+    stream.  Other spaces share one set of Gaussian draws across all
+    groupings (paired estimates) and need a stream and samples."""
 
     def __init__(
         self,
@@ -161,30 +151,22 @@ class SharedDrawMoments:
     ):
         self.measure = measure
         space = measure.space
-        if space.is_hilbert:
-            self.method = METHOD_EXACT_HILBERT
-        elif has_covariance_moment(space):
-            self.method = METHOD_EXACT_COVARIANCE
+        self._exact = space.is_hilbert or has_covariance_moment(space)
+        if self._exact:
             # mu(A_n) next to F(A_n), so one block_sums call gives mu(B), F(B)
             self._masses_values = np.column_stack((measure.partition.weights, measure.values))
         else:
-            self.method = METHOD_MONTE_CARLO
             batches = _coefficient_batches(stream, samples, measure.n_atoms, "gaussian")
             self._draws = np.concatenate(list(batches), axis=0)
 
     def moment(self, grouping: Grouping) -> SumEstimate:
-        if self.method == METHOD_MONTE_CARLO:
-            stats = self.measure.space.norm_sq(
-                self._draws @ _grouping_matrix(self.measure, grouping)
-            )
-            total, total_sq = float(np.sum(stats)), float(np.sum(stats * stats))
-            return _estimate_from_moments(stats.size, total, total_sq)
-        if self.method == METHOD_EXACT_HILBERT:
-            value = grouping_moment_exact(self.measure, grouping)
-            return SumEstimate(value=value, std_error=0.0, samples=0, method=self.method)
-        # rows F(B)/sqrt(mu(B)), so Sigma_G = sum_B F(B) F(B)^T / mu(B)
-        sums = block_sums(self._masses_values, grouping)
-        return _gaussian_moment(sums[:, 1:] / np.sqrt(sums[:, :1]), self.measure.space)
+        if self._exact:
+            # rows F(B)/sqrt(mu(B)), so Sigma_G = sum_B F(B) F(B)^T / mu(B)
+            sums = block_sums(self._masses_values, grouping)
+            return _gaussian_moment(sums[:, 1:] / np.sqrt(sums[:, :1]), self.measure.space)
+        stats = self.measure.space.norm_sq(self._draws @ _grouping_matrix(self.measure, grouping))
+        total, total_sq = float(np.sum(stats)), float(np.sum(stats * stats))
+        return _estimate_from_moments(stats.size, total, total_sq)
 
 
 def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
@@ -220,8 +202,8 @@ def gamma_variation_norm(
     inequality rules the others out; the finest-partition suite verifies
     this with SharedDrawMoments).
     Exact in Hilbert spaces, l1 and the plane's linf, where the stream and
-    samples go unused, bit for bit as SharedDrawMoments' finest moment;
-    Monte Carlo elsewhere.
+    samples go unused; in all three it equals SharedDrawMoments' finest
+    moment bit for bit.  Monte Carlo elsewhere.
     """
     moment = _gaussian_moment(_normalized_vectors(measure), measure.space, stream, samples)
     grouping = Grouping.finest(measure.n_atoms)

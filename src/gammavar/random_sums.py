@@ -312,6 +312,11 @@ def ensemble_rademacher_moments(
     _ENSEMBLE_CHUNK_FLOATS combined floats, which splits only the grouping
     axis; a grouping whose own sweep passes _CHUNK_FLOATS keeps
     _sign_average's chunk order.  Path means and errors are taken per chunk.
+
+    Callers: the exhaustive randomized variation search over ensembles
+    (norms.randomized_variation_norm), example-3-4's fixed grouping families
+    and the signed side of the randomisation sweep
+    (brownian.randomisation_identity_sweep).
     """
     arr = _check_values(values, space)
     groupings = list(groupings)

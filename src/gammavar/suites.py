@@ -516,11 +516,13 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
         record = _duality_record("duality-explicit", result, "configured input")
         return _report("thm-2-3", config, [record])
 
+    min_atoms = _positive_int(params["min_atoms"], "suite.min_atoms")
+    max_atoms = _positive_int(params["max_atoms"], "suite.max_atoms")
     grid = [
         (norm_tag, dim, n)
         for norm_tag in params["norms"]
         for dim in params["dims"]
-        for n in range(params["min_atoms"], params["max_atoms"] + 1)
+        for n in range(min_atoms, max_atoms + 1)
     ]
     if not grid:
         raise ConfigError("suite: empty instance grid")
@@ -598,13 +600,14 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
         return _report("thm-3-3", config, checks)
 
     count = _positive_int(params["instances"], "suite.instances")
+    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
     # instance i runs norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]
     cells = [(norm_tag, dim) for dim in params["dims"] for norm_tag in params["norms"]]
     spaces = _suite_spaces(cells, count)
 
     def run_instance(i: int) -> list[CheckRecord]:
         space = spaces[i % len(spaces)]
-        return _identity_instance(i, space, params["n_atoms"], root.substream(i), config)
+        return _identity_instance(i, space, n_atoms, root.substream(i), config)
 
     nested = _ordered_map(run_instance, list(range(count)), threads)
     checks = [record for group in nested for record in group]
@@ -619,6 +622,8 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
     params = config.suite
     root = config.root_stream("cor-2-5")
     isometry_trials = _positive_int(params["isometry_trials"], "suite.isometry_trials")
+    isometry_dim = _positive_int(params["isometry_dim"], "suite.isometry_dim")
+    isometry_atoms = _positive_int(params["isometry_atoms"], "suite.isometry_atoms")
     witness_samples = _positive_int(params["witness_samples"], "suite.witness_samples")
     survey_trials = _positive_int(params["survey_trials"], "suite.survey_trials")
     survey_samples = _positive_int(params["survey_samples"], "suite.survey_samples")
@@ -626,8 +631,8 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
 
     isometry = run_embedding_trials(
         "type2",
-        NormedSpace.l2(params["isometry_dim"]),
-        params["isometry_atoms"],
+        NormedSpace.l2(isometry_dim),
+        isometry_atoms,
         isometry_trials,
         root.substream(0),
         samples=0,
@@ -852,6 +857,7 @@ def _run_divergence_suite(config: ExperimentConfig, threads: int) -> SuiteReport
     if not isinstance(grid, list) or not grid:
         raise ConfigError("suite.n_grid: expected a nonempty list of atom counts")
     grid = [_positive_int(n, "suite.n_grid") for n in grid]
+    _positive_int(params["empirical_limit"], "suite.empirical_limit", 0)
 
     def run_point(i: int) -> list[CheckRecord]:
         return _divergence_point(grid[i], params, root.substream(i), config.paths, config.z)

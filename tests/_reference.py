@@ -292,17 +292,21 @@ def sign_patterns_reference(k: int) -> np.ndarray:
     return patterns
 
 
-def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 3.0):
+def randomisation_sweep_reference(
+    contributions, norm_sq, hilbert: bool, groupings, z: float = 3.0
+):
     """The randomisation sweep one grouping at a time, as check documents.
 
     contributions has shape (atoms, paths, dim); groupings holds each
     grouping's blocks, each ascending, ordered by first atom.  A grouping's
-    block sums are stacked and met by its 2^(k-1) sign patterns (first sign
-    +1, sign j flipped where bit j - 1 of the row index is set) in one matmul;
-    the signed side averages norm_sq over patterns, the plain side norms the
-    covered atoms' sum.  Each side's value is the path mean, its std error the
-    ddof-1 path std over sqrt(paths).  norm_sq, the space's squared norm over
-    the last axis, is passed in: the two share the norm and nothing else.
+    block sums are stacked.  With hilbert, the signed side's path statistic
+    is sum_m norm_sq(B_m), added in block order.  Otherwise the stack is met
+    by its 2^(k-1) sign patterns (first sign +1, sign j flipped where bit
+    j - 1 of the row index is set) in one matmul, and the signed side
+    averages norm_sq over patterns.  The plain side norms the covered atoms'
+    sum.  Each side's value is the path mean, its std error the ddof-1 path
+    std over sqrt(paths).  norm_sq, the space's squared norm over the last
+    axis, is passed in: the two share the norm and nothing else.
     """
     arr = np.asarray(contributions, dtype=float)
     n_atoms, n_paths, dim = arr.shape
@@ -319,9 +323,12 @@ def randomisation_sweep_reference(contributions, norm_sq, groupings, z: float = 
     documents = []
     for blocks in groupings:
         stacked = np.stack([np.sum(flat[list(block)], axis=0) for block in blocks])
-        patterns = sign_patterns_reference(len(blocks))
-        combos = (patterns @ stacked).reshape(patterns.shape[0], n_paths, dim)
-        signed = estimate(np.mean(norm_sq(combos), axis=0))
+        if hilbert:
+            signed = estimate(np.sum(norm_sq(stacked.reshape(-1, n_paths, dim)), axis=0))
+        else:
+            patterns = sign_patterns_reference(len(blocks))
+            combos = (patterns @ stacked).reshape(patterns.shape[0], n_paths, dim)
+            signed = estimate(np.mean(norm_sq(combos), axis=0))
         covered = sorted(atom for block in blocks for atom in block)
         plain = estimate(norm_sq(np.sum(flat[covered], axis=0).reshape(n_paths, dim)))
         gap = abs(signed["value"] - plain["value"])

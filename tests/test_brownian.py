@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import tracemalloc
@@ -413,7 +414,10 @@ def _mixed_groupings(rng, n_atoms, count):
 def _assert_matches_the_reference(measure, groupings):
     checks = randomisation_identity_sweep(measure, groupings)
     want = ref.randomisation_sweep_reference(
-        measure.contributions, measure.space.norm_sq, [g.blocks for g in groupings]
+        measure.contributions,
+        measure.space.norm_sq,
+        measure.space.is_hilbert,
+        [g.blocks for g in groupings],
     )
     assert [c.to_document() for c in checks] == want
 
@@ -435,7 +439,7 @@ class TestSweepAgainstTheReference:
         # 6, 3 and 1 rows per chunk at 1, 2 and 4+ blocks of 40 paths in R^3
         sizes = {"one-float": 1, "few-rows": 6 * 40 * 3}
         if request.param in sizes:
-            monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", sizes[request.param])
+            monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", sizes[request.param])
         return request.param
 
     @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
@@ -450,6 +454,19 @@ class TestSweepAgainstTheReference:
         for measure in _tie_heavy_measures(rng, space):
             _assert_matches_the_reference(measure, _mixed_groupings(rng, 5, 40))
 
+    @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
+    def test_the_signed_side_is_the_ensemble_kernel(self, space):
+        # the randomized variation norm's kernel, estimate for estimate
+        rng = np.random.default_rng(75)
+        measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
+        for measure in measures:
+            groupings = _mixed_groupings(rng, 5, 40)
+            checks = randomisation_identity_sweep(measure, groupings)
+            kernel = random_sums.ensemble_rademacher_moments(
+                measure.contributions, groupings, measure.empirical_space
+            )
+            assert [check.signed for check in checks] == kernel
+
     def test_a_wide_measure_sums_only_its_blocks(self, monkeypatch):
         # 20 atoms in 2 blocks: a table per subset would hold 2^20 rows
         measure = _sampled_measure(np.random.default_rng(73), NormedSpace.l1(1), 20, 8)
@@ -457,11 +474,13 @@ class TestSweepAgainstTheReference:
         rows = []
         distinct_sums = brownian._distinct_sums
 
-        def recorded(flat, atom_sets):
-            table, index = distinct_sums(flat, atom_sets)
+        def recorded(values, atom_sets, reduce=None):
+            table, index = distinct_sums(values, atom_sets, reduce)
             rows.append(table.shape[0])
             return table, index
 
+        # the signed side's table in the ensemble kernel, then the plain side's
+        monkeypatch.setattr(random_sums, "_distinct_sums", recorded)
         monkeypatch.setattr(brownian, "_distinct_sums", recorded)
         tracemalloc.start()
         try:
@@ -474,15 +493,16 @@ class TestSweepAgainstTheReference:
         # a 2^20-row table of 8 paths would take 64 MiB
         assert peak < 1 << 20
         assert [check.to_document()] == ref.randomisation_sweep_reference(
-            measure.contributions, measure.space.norm_sq, [grouping.blocks]
+            measure.contributions, measure.space.norm_sq, True, [grouping.blocks]
         )
 
     def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
         measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(1), 21, 10)
 
-        def refused(flat, atom_sets):
+        def refused(values, atom_sets, reduce=None):
             pytest.fail("summed blocks of a grouping over the enumeration cap")
 
+        monkeypatch.setattr(random_sums, "_distinct_sums", refused)
         monkeypatch.setattr(brownian, "_distinct_sums", refused)
         groupings = [Grouping([[0], [1]], 21), Grouping.finest(21)]
         with pytest.raises(ValueError, match="21"):
@@ -517,13 +537,20 @@ class TestHilbertSweep:
     @settings(derandomize=True, deadline=None)
     @given(_hilbert_sweeps())
     def test_signs_average_to_the_sum_of_block_norms(self, case):
-        # over the sign patterns every cross term <B_i, B_j> cancels, so in
-        # l2 the signed side is the path mean of sum_m ||B_m||^2
+        # over the sign patterns every cross term <B_i, B_j> cancels, so the
+        # sweep's l2 closed form sum_m ||B_m||^2 is the average of
+        # ||sum_m e_m B_m||^2 over every sign pattern e, enumerated here
         measure, groupings = case
         for grouping, check in zip(groupings, randomisation_identity_sweep(measure, groupings)):
-            per_path = sum(
-                np.sum(np.sum(measure.contributions[list(b)], axis=0) ** 2, axis=-1)
-                for b in grouping.blocks
+            blocks = np.stack(
+                [np.sum(measure.contributions[list(b)], axis=0) for b in grouping.blocks]
+            )
+            per_path = np.mean(
+                [
+                    np.sum(np.einsum("k,kpd->pd", np.array(signs), blocks) ** 2, axis=-1)
+                    for signs in itertools.product([1.0, -1.0], repeat=grouping.n_blocks)
+                ],
+                axis=0,
             )
             want = float(np.mean(per_path))
             assert abs(check.signed.value - want) <= 1e-12 * want

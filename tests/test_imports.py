@@ -1,9 +1,11 @@
-"""Import hygiene: sibling imports are used, and documented names exist.
+"""Import hygiene: sibling imports are used, definitions are live, and
+documented names exist.
 
-A stdlib ``ast`` check: ``from .x import name`` in a submodule (the package
+Stdlib ``ast`` checks: ``from .x import name`` in a submodule (the package
 ``__init__`` re-exports, so it is exempt) must be followed by a use of
-``name`` in that module's code.  The README's library entry points block
-must import as written.
+``name`` in that module's code, and every module-level function and class is
+used by package code outside its own body or listed in ``gammavar.__all__``.
+The README's library entry points block must import as written.
 """
 
 import ast
@@ -32,6 +34,38 @@ def test_sibling_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} never uses {unused}"
+
+
+def _uses(tree):
+    """(top-level definition or None, name) for each name loaded and each
+    attribute read in a module."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+
+
+def test_every_definition_is_used_or_exported():
+    package = Path(gammavar.__file__).parent
+    definitions, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, top.name))
+        used.update((path.stem, owner, name) for owner, name in _uses(tree))
+    dead = [
+        f"{module}.{name}"
+        for module, name in definitions
+        if name not in gammavar.__all__
+        and not any(
+            use == name and (where, owner) != (module, name) for where, owner, use in used
+        )
+    ]
+    assert not dead, f"defined but never used nor exported: {dead}"
 
 
 def test_the_readme_entry_points_import():

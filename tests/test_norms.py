@@ -33,9 +33,12 @@ from gammavar import (
 )
 from gammavar import norms, random_sums
 from gammavar.groupings import block_sums
-from gammavar.measures import measure_from_operator
-from gammavar.norms import SharedDrawMoments, grouping_moment_exact
-from gammavar.random_sums import METHOD_EXACT_COVARIANCE, covariance_moment
+from gammavar.norms import SharedDrawMoments
+from gammavar.random_sums import (
+    METHOD_EXACT_COVARIANCE,
+    METHOD_EXACT_HILBERT,
+    covariance_moment,
+)
 
 
 def _random_measure(rng, n_atoms, dim, space=None):
@@ -106,39 +109,49 @@ class TestGammaVariationNorm:
         )
 
 
+def _exact_moment(measure, grouping):
+    return SharedDrawMoments(measure).moment(grouping).value
+
+
 class TestGroupingMoments:
     def test_exact_moment_hand_values(self):
         measure = VectorMeasure(
             AtomPartition([0.5, 0.5]), NormedSpace.l2(2), [[1.0, 0.0], [0.0, 1.0]]
         )
-        assert abs(grouping_moment_exact(measure, Grouping.finest(2)) - 4.0) <= 1e-12
+        assert abs(_exact_moment(measure, Grouping.finest(2)) - 4.0) <= 1e-12
         merged = Grouping([[0, 1]], 2)
-        assert abs(grouping_moment_exact(measure, merged) - 2.0) <= 1e-12
+        assert abs(_exact_moment(measure, merged) - 2.0) <= 1e-12
 
     def test_covering_groupings_never_beat_the_finest_in_hilbert(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
             measure = _random_measure(rng, 5, 2)
-            finest = grouping_moment_exact(measure, Grouping.finest(5))
+            finest = _exact_moment(measure, Grouping.finest(5))
             for grouping in enumerate_groupings(5, "all"):
-                assert grouping_moment_exact(measure, grouping) <= finest + 1e-12
+                assert _exact_moment(measure, grouping) <= finest + 1e-12
 
     def test_dropping_blocks_never_increases_the_moment(self):
         rng = np.random.default_rng(54)
         measure = _random_measure(rng, 4, 2)
-        covering_value = grouping_moment_exact(measure, Grouping.finest(4))
+        covering_value = _exact_moment(measure, Grouping.finest(4))
         for blocks in ref.groupings_reference(4):
             grouping = Grouping(blocks, 4)
-            assert grouping_moment_exact(measure, grouping) <= covering_value + 1e-12
+            assert _exact_moment(measure, grouping) <= covering_value + 1e-12
 
     def test_shared_draws_reproduce_the_exact_moment_in_hilbert(self):
         rng = np.random.default_rng(55)
         measure = _random_measure(rng, 4, 2)
         shared = SharedDrawMoments(measure)
+        weights, values = measure.partition.weights, measure.values
         for grouping in (Grouping.finest(4), Grouping([[0, 1, 2, 3]], 4)):
             estimate = shared.moment(grouping)
             assert estimate.is_exact
-            assert abs(estimate.value - grouping_moment_exact(measure, grouping)) <= 1e-12
+            # the Hilbert closed form sum_B ||F(B)||^2 / mu(B)
+            want = sum(
+                np.sum(np.sum(values[list(b)], axis=0) ** 2) / np.sum(weights[list(b)])
+                for b in grouping.blocks
+            )
+            assert abs(estimate.value - want) <= 1e-12
 
     def test_shared_draws_are_deterministic_and_paired(self):
         rng = np.random.default_rng(56)
@@ -269,6 +282,15 @@ class TestExactFastPath:
         assert (fast.std_error, fast.samples) == (0.0, 0)
         finest = SharedDrawMoments(measure).moment(Grouping.finest(measure.n_atoms))
         assert fast == finest
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fast_path_is_the_scans_finest_moment_in_l2(self, dim):
+        rng = np.random.default_rng(63)
+        for _ in range(5):
+            measure = _random_measure(rng, 5, dim)
+            fast = gamma_variation_norm(measure).moment
+            assert fast.method == METHOD_EXACT_HILBERT
+            assert fast == SharedDrawMoments(measure).moment(Grouping.finest(5))
 
     @settings(derandomize=True, deadline=None)
     @given(_exact_measures())
@@ -804,6 +826,11 @@ class TestDualOperatorRoundTrip:
             NormedSpace.l2(2),
             rng.standard_normal((4, 2)),
         )
-        measure_norm = gamma_variation_norm(measure_from_operator(operator)).norm
+        measure = VectorMeasure(
+            operator.partition,
+            operator.space,
+            np.sqrt(operator.partition.weights)[:, None] * operator.columns,
+        )
+        measure_norm = gamma_variation_norm(measure).norm
         operator_norm = gamma_summing_norm(operator).norm
         assert measure_norm <= operator_norm + 1e-12

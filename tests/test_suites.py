@@ -350,6 +350,12 @@ class TestVerifySuites:
             ("cor-2-6", {"norms": ["l1", "l9"]}, "suite.norms"),
             ("finest-partition", {"norms": ["l1", "l9"], "measures": 1}, "suite.norms"),
             ("randomisation", {"norms": ["l1", "l9"], "measures": 2}, "suite.norms"),
+            ("thm-2-3", {"min_atoms": "a"}, "suite.min_atoms"),
+            ("thm-2-3", {"min_atoms": 0, "max_atoms": 1}, "suite.min_atoms"),
+            ("thm-3-3", {"n_atoms": 0, "instances": 1}, "suite.n_atoms"),
+            ("example-3-4", {"empirical_limit": "x", "n_grid": [4]}, "suite.empirical_limit"),
+            ("cor-2-5", {"isometry_dim": 0, "isometry_trials": 2}, "suite.isometry_dim"),
+            ("cor-2-5", {"isometry_atoms": "x"}, "suite.isometry_atoms"),
         ],
     )
     def test_suite_fields_are_validated_before_any_instance_starts(
