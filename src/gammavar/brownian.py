@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .measures import StepFunction, measure_from_density
 from .norms import NormReport, gamma_variation_norm, randomized_variation_norm
 from .random_sums import (
     ENUMERATION_LIMIT,
-    METHOD_MONTE_CARLO,
     Comparison,
     RandomStream,
     SumEstimate,
     _estimate_from_path_stats,
+    _path_estimates,
     _path_moments,
     _path_norm_sq,
     compare_estimates,
@@ -73,18 +74,33 @@ class BrownianEnsemble:
         return self.partition.n_atoms
 
 
+def _increment_blocks(
+    partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The n_paths sampled paths of sample_brownian, as (span, block) pairs
+    of at most chunk paths each: block is a fresh (paths in span, n_atoms)
+    array, scaled in place.  Every block is drawn from the one generator of
+    the stream, which standard_normal consumes in order, so the blocks
+    stacked are sample_brownian's paths bit for bit at any chunk size."""
+    rng = stream.generator()
+    scale = np.sqrt(partition.weights)[None, :]
+    for start in range(0, n_paths, chunk):
+        block = rng.standard_normal((min(chunk, n_paths - start), partition.n_atoms))
+        block *= scale
+        yield slice(start, start + block.shape[0]), block
+
+
 def sample_brownian(
     partition: AtomPartition, n_paths: int, stream: RandomStream
 ) -> BrownianEnsemble:
-    """Draw an ensemble of independent scaled-Gaussian atom increments.  The
-    draws are scaled in place and become the ensemble's paths uncopied."""
+    """Draw an ensemble of independent scaled-Gaussian atom increments, as
+    one block of _increment_blocks.  The draws are scaled in place and
+    become the ensemble's paths uncopied."""
     if n_paths < MIN_PATHS:
         raise ValueError(
             f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
         )
-    rng = stream.generator()
-    paths = rng.standard_normal((n_paths, partition.n_atoms))
-    paths *= np.sqrt(partition.weights)[None, :]
+    ((_, paths),) = _increment_blocks(partition, n_paths, stream, n_paths)
     ensemble = BrownianEnsemble.__new__(BrownianEnsemble)
     ensemble._adopt(partition, paths)
     return ensemble
@@ -302,11 +318,7 @@ def randomisation_identity_sweep(
     flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
     covered, covered_rows = _distinct_sums(flat, [g.covered for g in groupings])
     path_norm_sq = _path_norm_sq(measure.space, n_paths, dim)
-    plain_value, plain_error = _path_moments(path_norm_sq(covered))
-    plains = [
-        SumEstimate(value, error, n_paths, METHOD_MONTE_CARLO)
-        for value, error in zip(plain_value.tolist(), plain_error.tolist())
-    ]
+    plains = _path_estimates(*_path_moments(path_norm_sq(covered)), n_paths)
     return [
         RandomisationCheck(grouping, sign, plains[row], compare_estimates(sign, plains[row], z=z))
         for grouping, sign, row in zip(groupings, signed, covered_rows.tolist())

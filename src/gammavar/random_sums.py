@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groupings import Grouping, _distinct_sums
+from .groupings import Grouping, _block_sum, _distinct_sums
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -301,25 +301,55 @@ def ensemble_rademacher_moments(
     G(B) is the block's sum.
 
     Item i equals rademacher_sum_sq(block_sums(values, groupings[i]), space)
-    bit for bit.  Each distinct block is summed once (groupings._distinct_sums)
-    into a table of at most _ENSEMBLE_TABLE_FLOATS floats; a candidate list
-    whose distinct blocks do not fit gets one table per run of candidates
-    that do, and a grouping with more blocks than the budget holds gets one
-    of its own.  A Hilbert base keeps only each block's (paths,) squared
-    norms and adds a grouping's rows in block order, as the closed form's sum
-    over blocks does.  Any other base meets the 2^(k-1) sign patterns of
-    the k-block groupings in one matmul per chunk of at most
-    _ENSEMBLE_CHUNK_FLOATS combined floats, which splits only the grouping
-    axis; a grouping whose own sweep passes _CHUNK_FLOATS keeps
-    _sign_average's chunk order.  Path means and errors are taken per chunk.
+    bit for bit: the path mean and std error (_path_moments) of each piece
+    of per-path statistics that _ensemble_path_stats gives.
 
     Callers: the exhaustive randomized variation search over ensembles
-    (norms.randomized_variation_norm), example-3-4's fixed grouping families
-    and the signed side of the randomisation sweep
-    (brownian.randomisation_identity_sweep).
+    (norms.randomized_variation_norm) and the signed side of the
+    randomisation sweep (brownian.randomisation_identity_sweep).
+    example-3-4's fixed grouping families stream their paths through
+    _ensemble_path_stats and take one _path_moments at the end
+    (suites._divergence_point).
     """
     arr = _check_values(values, space)
     groupings = list(groupings)
+    value = np.empty(len(groupings))
+    error = np.empty(len(groupings))
+    for members, path_stats in _ensemble_path_stats(arr, groupings, space):
+        value[members], error[members] = _path_moments(path_stats)
+    return _path_estimates(value, error, arr.shape[1])
+
+
+def _path_estimates(value: np.ndarray, error: np.ndarray, n_paths: int) -> list[SumEstimate]:
+    """Monte Carlo estimates from path means and std errors over n_paths."""
+    return [
+        SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
+        for v, e in zip(value.tolist(), error.tolist())
+    ]
+
+
+def _ensemble_path_stats(
+    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The per-path statistics of ensemble_rademacher_moments, as (members,
+    path_stats) pieces: path_stats[j] holds the (paths,) statistics of
+    groupings[members[j]], elementwise over paths, so a chunk of at least
+    two paths gets the bits of the same paths in the whole ensemble (numpy
+    sums the atoms of a lone path pairwise).
+
+    Each distinct block is summed once (groupings._distinct_sums) into a
+    table of at most _ENSEMBLE_TABLE_FLOATS floats; a candidate list whose
+    distinct blocks do not fit gets one table per run of candidates that
+    do.  A Hilbert base keeps only each block's (paths,) squared norms and
+    adds a grouping's rows in block order, as the closed form's sum over
+    blocks does; a grouping with more blocks than the table holds adds its
+    blocks' squared norms in the same order without a table.  Any other
+    base meets the 2^(k-1) sign patterns of the k-block groupings in one
+    matmul per chunk of at most _ENSEMBLE_CHUNK_FLOATS combined floats,
+    which splits only the grouping axis; a grouping whose own sweep passes
+    _CHUNK_FLOATS keeps _sign_average's chunk order, and one with more
+    blocks than the table holds gets a table of its own.
+    """
     _, n_paths, dim = arr.shape
     hilbert = space.is_hilbert
     too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
@@ -328,21 +358,25 @@ def ensemble_rademacher_moments(
             f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {too_many[0]}"
         )
     max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // (n_paths if hilbert else n_paths * dim))
-    value = np.empty(len(groupings))
-    error = np.empty(len(groupings))
     for part in _table_parts(groupings, max_rows):
-        value[part], error[part] = _table_part_moments(arr, groupings[part], space)
-    return [
-        SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
-        for v, e in zip(value.tolist(), error.tolist())
-    ]
+        if hilbert and groupings[part.start].n_blocks > max_rows:
+            # a part that starts past the budget holds this grouping alone
+            norm_sq = space.base.norm_sq
+            blocks = groupings[part.start].blocks
+            total = norm_sq(_block_sum(arr, list(blocks[0])))
+            for block in blocks[1:]:
+                total += norm_sq(_block_sum(arr, list(block)))
+            yield np.array([part.start]), total[None]
+            continue
+        for members, path_stats in _table_part_stats(arr, groupings[part], space):
+            yield part.start + members, path_stats
 
 
-def _table_part_moments(
+def _table_part_stats(
     arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
-) -> tuple[np.ndarray, np.ndarray]:
-    """Path means and std errors for ensemble_rademacher_moments, from one
-    table of the groupings' distinct blocks, freed on return."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_ensemble_path_stats of a run of groupings, from one table of their
+    distinct blocks, freed once the last piece is taken."""
     _, n_paths, dim = arr.shape
     hilbert = space.is_hilbert
     blocks = [b for g in groupings for b in g.blocks]
@@ -351,8 +385,6 @@ def _table_part_moments(
     table = table.reshape(table.shape[0], -1)
     n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
     first_block = np.cumsum(n_blocks) - n_blocks
-    value = np.empty(len(groupings))
-    error = np.empty(len(groupings))
     for k in np.unique(n_blocks).tolist():
         members = np.flatnonzero(n_blocks == k)
         rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
@@ -362,8 +394,7 @@ def _table_part_moments(
             norm_sq = _path_norm_sq(space.base, n_paths, dim)
             chunks = _sign_means(table, rows, norm_sq, _ENSEMBLE_CHUNK_FLOATS)
         for chunk, path_stats in chunks:
-            value[members[chunk]], error[members[chunk]] = _path_moments(path_stats)
-    return value, error
+            yield members[chunk], path_stats
 
 
 def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:

@@ -18,6 +18,7 @@ import numpy as np
 from ._version import __version__
 from .brownian import (
     MIN_PATHS,
+    _increment_blocks,
     induced_randomized_measure,
     randomisation_identity_sweep,
     sample_brownian,
@@ -57,8 +58,11 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
+    _ENSEMBLE_CHUNK_FLOATS,
+    _ensemble_path_stats,
+    _path_estimates,
+    _path_moments,
     compare_estimates,
-    ensemble_rademacher_moments,
     rademacher_sum_sq,
 )
 from .reports import CheckRecord, SuiteReport
@@ -429,6 +433,14 @@ def _random_atoms(
     return AtomPartition(weights / weights.sum()), rng.standard_normal((n_atoms, dim))
 
 
+def _suite_dims(params: dict) -> list[int]:
+    """suite.dims, a nonempty list of positive dimensions."""
+    dims = params["dims"]
+    if not isinstance(dims, list) or not dims:
+        raise ConfigError(f"suite.dims: expected a nonempty list of dimensions, got {dims!r}")
+    return [_positive_int(dim, "suite.dims") for dim in dims]
+
+
 def _suite_spaces(cells: list, count: int) -> list[NormedSpace]:
     """The spaces of the (suite.norms tag, dim) cells that `count` instances
     visit, instance i taking cell i % len(cells): the first `count` cells.
@@ -518,10 +530,11 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 
     min_atoms = _positive_int(params["min_atoms"], "suite.min_atoms")
     max_atoms = _positive_int(params["max_atoms"], "suite.max_atoms")
+    dims = _suite_dims(params)
     grid = [
         (norm_tag, dim, n)
         for norm_tag in params["norms"]
-        for dim in params["dims"]
+        for dim in dims
         for n in range(min_atoms, max_atoms + 1)
     ]
     if not grid:
@@ -602,7 +615,7 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     count = _positive_int(params["instances"], "suite.instances")
     n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
     # instance i runs norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]
-    cells = [(norm_tag, dim) for dim in params["dims"] for norm_tag in params["norms"]]
+    cells = [(norm_tag, dim) for dim in _suite_dims(params) for norm_tag in params["norms"]]
     spaces = _suite_spaces(cells, count)
 
     def run_instance(i: int) -> list[CheckRecord]:
@@ -772,6 +785,18 @@ def _fixed_grouping_family(n_atoms: int) -> list[Grouping]:
 def _divergence_point(
     n: int, params: dict, stream: RandomStream, paths: int, z: float
 ) -> list[CheckRecord]:
+    """The checks of one grid point of n uniform atoms: the total variation
+    sqrt(n), the exact randomized variation 1 and, up to empirical_limit,
+    its estimate on a path ensemble of one-dimensional increments.
+
+    The ensemble is drawn in chunks of paths (brownian._increment_blocks),
+    so no paths x n array is held twice.  Up to exhaustive_limit the chunks
+    fill one (n, paths, 1) contributions array for the exhaustive search.
+    Beyond it each chunk goes to the fixed family's per-path statistics
+    (random_sums._ensemble_path_stats) in a (family, paths) array, whose
+    path means and errors are taken once at the end; the statistics are
+    elementwise over paths, so the estimates keep the bits of
+    ensemble_rademacher_moments on the whole contributions."""
     partition = AtomPartition.uniform(n)
     expected_tv = math.sqrt(n)
     dense = n <= params["dense_limit"]
@@ -814,21 +839,31 @@ def _divergence_point(
     )
 
     if n <= params["empirical_limit"]:
-        # keep the contiguous transpose only; the ensemble's paths are freed
-        sampled = sample_brownian(partition, paths, stream).paths
-        contributions = np.ascontiguousarray(sampled.T)[:, :, None]
-        del sampled
         empirical_space = EmpiricalL2Space(NormedSpace.l2(1))
+        # chunks of at least two paths, the last one too: numpy sums a
+        # one-path (n, 1, 1) chunk pairwise along its atoms, which would
+        # change the bits
+        chunk = max(MIN_PATHS, _ENSEMBLE_CHUNK_FLOATS // n)
+        while paths % chunk == 1:
+            chunk += 1
+        blocks = _increment_blocks(partition, paths, stream, chunk)
         if n <= params["exhaustive_limit"]:
+            contributions = np.empty((n, paths, 1))
+            for span, block in blocks:
+                contributions[:, span, 0] = block.T
             report = randomized_variation_norm(
                 contributions, empirical_space, mode="exhaustive"
             )
             estimate = report.moment
         else:
             family = _fixed_grouping_family(n)
+            path_stats = np.empty((len(family), paths))
+            for span, block in blocks:
+                values = np.ascontiguousarray(block.T)[:, :, None]
+                for members, stats in _ensemble_path_stats(values, family, empirical_space):
+                    path_stats[members, span] = stats
             estimate = max(
-                ensemble_rademacher_moments(contributions, family, empirical_space),
-                key=lambda e: e.value,
+                _path_estimates(*_path_moments(path_stats), paths), key=lambda e: e.value
             )
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)

@@ -98,6 +98,17 @@ class TestSampling:
         assert ensemble.paths.nbytes == n_paths * n_atoms * 8
         assert peak < 1.25 * ensemble.paths.nbytes
 
+    @pytest.mark.parametrize("chunk", [1, 7, 49, 50])
+    def test_increment_blocks_stack_to_the_sampled_paths(self, chunk):
+        # 50 paths end on a partial block of 1 path at chunks of 7 and 49
+        partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
+        stream = RandomStream(15, (0,))
+        pairs = list(brownian._increment_blocks(partition, 50, stream, chunk))
+        assert [span.start for span, _ in pairs] == list(range(0, 50, chunk))
+        assert all(block.shape == (span.stop - span.start, 4) for span, block in pairs)
+        stacked = np.concatenate([block for _, block in pairs])
+        assert np.array_equal(stacked, sample_brownian(partition, 50, stream).paths)
+
     def test_the_ensemble_copies_the_callers_paths(self):
         paths = np.arange(12.0).reshape(4, 3)
         ensemble = BrownianEnsemble(AtomPartition.uniform(3), paths)

@@ -120,3 +120,10 @@ def test_the_module_entry_point_prints_the_ensemble_search_golden_bytes():
     # thm-3-3 runs the exhaustive ensemble search in l2, l1 and linf
     name = "verify-thm-3-3"
     assert _module_entry_point_report(name) == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+def test_the_module_entry_point_prints_the_example_golden_bytes():
+    # example-3-4 streams its 5000 paths in chunks of 1310 at n = 100, and
+    # ends on a partial chunk of 1070
+    name = "verify-example-3-4"
+    assert _module_entry_point_report(name) == (GOLDEN / f"{name}.report.json").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,26 @@ class TestEnsembleRademacherMoments:
         finest = [Grouping.finest(25)]
         got = ensemble_rademacher_moments(values, finest, space)
         assert got == _one_grouping_at_a_time(values, finest, space)
+
+    def test_a_hilbert_grouping_past_the_table_budget_gets_no_table(self, monkeypatch):
+        # a budget of 5 rows: the 40-block finest grouping once took a
+        # 40-row table of its own (2.8 MB traced); adding its blocks'
+        # squared norms in block order holds a few (paths,) rows at a time
+        n_paths = 5000
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 5 * n_paths)
+        values = np.random.default_rng(85).standard_normal((40, n_paths, 2))
+        values *= 10.0 ** np.random.default_rng(86).integers(-3, 4, (40, 1, 1))
+        groupings = [Grouping.finest(40), Grouping([range(20), range(20, 40)], 40)]
+        space = EmpiricalL2Space(NormedSpace.l2(2))
+        tracemalloc.start()
+        try:
+            got = ensemble_rademacher_moments(values, groupings[:1], space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_paths * 8
+        got += ensemble_rademacher_moments(values, groupings[1:], space)
+        assert got == _one_grouping_at_a_time(values, groupings, space)
 
     def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
         def refused(values, atom_sets, reduce=None):

@@ -2,9 +2,11 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gammavar import (
+    AtomPartition,
     ConfigError,
     Grouping,
     SUITE_NAMES,
@@ -15,10 +17,12 @@ from gammavar import (
     run_integrate,
     run_norms,
     run_suite,
+    sample_brownian,
 )
 from gammavar import random_sums, suites
-from gammavar.norms import SharedDrawMoments
+from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
+from gammavar.spaces import EmpiricalL2Space, NormedSpace
 
 
 def _names(report):
@@ -356,6 +360,14 @@ class TestVerifySuites:
             ("example-3-4", {"empirical_limit": "x", "n_grid": [4]}, "suite.empirical_limit"),
             ("cor-2-5", {"isometry_dim": 0, "isometry_trials": 2}, "suite.isometry_dim"),
             ("cor-2-5", {"isometry_atoms": "x"}, "suite.isometry_atoms"),
+            ("thm-2-3", {"dims": [0], "max_atoms": 2}, "suite.dims"),
+            ("thm-2-3", {"dims": 3}, "suite.dims"),
+            ("thm-2-3", {"dims": [2.5]}, "suite.dims"),
+            ("thm-2-3", {"dims": [2, True]}, "suite.dims"),
+            ("thm-3-3", {"dims": [0], "instances": 2}, "suite.dims"),
+            ("thm-3-3", {"dims": 3}, "suite.dims"),
+            ("thm-3-3", {"dims": [2.5]}, "suite.dims"),
+            ("thm-3-3", {"dims": []}, "suite.dims"),
         ],
     )
     def test_suite_fields_are_validated_before_any_instance_starts(
@@ -370,6 +382,7 @@ class TestVerifySuites:
             "run_embedding_trials",
             "SharedDrawMoments",
             "sample_brownian",
+            "_increment_blocks",
         ):
             monkeypatch.setattr(suites, name, no_work)
         config = resolve_config({"suite": params}, suite_name)
@@ -427,22 +440,63 @@ class TestVerifySuites:
         exact = _by_name(report, "randomized-exact-n4")
         assert abs(exact.values["randomized_variation"] - 1.0) <= 1e-12
 
-    def test_an_empirical_divergence_point_holds_two_copies_of_the_paths(self, monkeypatch):
-        # 100 atoms, 10k paths: the sampled paths and their contiguous
-        # transpose, then the transpose with one block table or one block
-        # gather at a time.  The table budget is set to 41 rows, as 100k
-        # paths get by default.  Sampling with a copy of the paths and
-        # keeping the ensemble during the search peaked at 4.1x.
-        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 41 * 10_000)
+    def test_an_empirical_divergence_point_streams_its_paths(self):
+        # 100 atoms, 100k paths, as at default: the paths in chunks of 1310,
+        # each chunk's block table and the (3, paths) statistics of the
+        # fixed family, but never the 80 MB paths x atoms array.  Holding the
+        # sampled paths, their transpose and the finest grouping's table
+        # peaked at 156 MB.
         params = dict(suites.SUITE_DEFAULTS["example-3-4"])
         tracemalloc.start()
         try:
-            checks = suites._divergence_point(100, params, RandomStream(0, (5, 2)), 10_000, 3.0)
+            checks = suites._divergence_point(100, params, RandomStream(0, (5, 3)), 100_000, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [c.verdict for c in checks] == ["pass"] * 3
-        assert peak < 2.5 * (100 * 10_000 * 8)
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, chunk_floats, paths",
+        [
+            (4, None, 3001),
+            (4, 1, 3001),
+            (16, None, 3001),
+            (16, 16 * 7, 3001),
+            (16, 1, 3001),
+            (16, 1, 5),
+            (100, None, 3001),
+            (100, 1, 5),
+        ],
+    )
+    def test_streamed_estimates_equal_the_kernel_on_the_whole_ensemble(
+        self, n, chunk_floats, paths, monkeypatch
+    ):
+        # 3001 paths end on a partial chunk: 381 paths at n = 100, 5 paths
+        # at 7 a chunk.  One float a chunk asks for chunks of 2 paths; 3000
+        # is a multiple of 2 to 6 (and 4 of 2), so the chunk grows to 7 (3
+        # at 5 paths) rather than leave one path alone, whose atoms numpy
+        # would sum pairwise: at this seed that moves the 5-path estimates
+        if chunk_floats is not None:
+            monkeypatch.setattr(suites, "_ENSEMBLE_CHUNK_FLOATS", chunk_floats)
+        params = dict(suites.SUITE_DEFAULTS["example-3-4"])
+        stream = RandomStream(86, (n,))
+        record = suites._divergence_point(n, params, stream, paths, 3.0)[-1]
+        partition = AtomPartition.uniform(n)
+        sampled = sample_brownian(partition, paths, stream).paths
+        contributions = np.ascontiguousarray(sampled.T)[:, :, None]
+        space = EmpiricalL2Space(NormedSpace.l2(1))
+        if n <= params["exhaustive_limit"]:
+            expected = randomized_variation_norm(contributions, space, mode="exhaustive").moment
+        else:
+            family = suites._fixed_grouping_family(n)
+            expected = max(
+                random_sums.ensemble_rademacher_moments(contributions, family, space),
+                key=lambda e: e.value,
+            )
+        assert record.name == f"randomized-empirical-n{n}"
+        assert record.values["randomized_moment"] == expected.value
+        assert record.std_errors["randomized_moment"] == expected.std_error
 
     def test_domination_suite_small_run(self):
         config = resolve_config(
