@@ -298,11 +298,12 @@ def randomisation_identity_sweep(
     in expectation; both sides here share the measure's path ensemble.
 
     The signed side is random_sums.ensemble_rademacher_moments, the kernel
-    of the randomized variation norm over ensembles: exact sign enumeration,
-    or in a Hilbert base the per-path closed form sum_m ||G(B_m)||^2, which
-    the parallelogram law makes the sign average.  The plain side sums each
-    distinct covered atom set once, in ascending atom order as block_sums
-    sums it.
+    of the randomized variation norm over ensembles: a subgroup mean of the
+    measure's atom-sign table, within random_sums._table_rounding_bound of
+    one sign enumeration per grouping, or in a Hilbert base the per-path
+    closed form sum_m ||G(B_m)||^2, which the parallelogram law makes the
+    sign average.  The plain side sums each distinct covered atom set once,
+    in ascending atom order as block_sums sums it.
     """
     groupings = list(groupings)
     for grouping in groupings:

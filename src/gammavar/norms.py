@@ -41,15 +41,17 @@ from .random_sums import (
     SumEstimate,
     METHOD_EXACT_COVARIANCE,
     _CHUNK_FLOATS,
+    _atom_sign_table,
     _check_values,
     _coefficient_batches,
     _estimate_from_moments,
+    _subgroup_means,
+    _table_rounding_bound,
     compare_estimates,
     covariance_moment,
     ensemble_rademacher_moments,
     gaussian_sum_sq,
     has_covariance_moment,
-    rademacher_moments,
     rademacher_sum_sq,
 )
 from .spaces import NormedSpace
@@ -165,8 +167,7 @@ class SharedDrawMoments:
             sums = block_sums(self._masses_values, grouping)
             return _gaussian_moment(sums[:, 1:] / np.sqrt(sums[:, :1]), self.measure.space)
         stats = self.measure.space.norm_sq(self._draws @ _grouping_matrix(self.measure, grouping))
-        total, total_sq = float(np.sum(stats)), float(np.sum(stats * stats))
-        return _estimate_from_moments(stats.size, total, total_sq)
+        return _estimate_from_moments([stats])
 
 
 def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
@@ -279,33 +280,62 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
         yield current
 
 
-def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> Grouping:
-    """The winner of the exhaustive search over (N, d) values, in the order of
-    _beats.  Set partitions come as label rows and their block sums from a
-    table of every subset's sum; all rows with k blocks are evaluated in one
-    batch, and Grouping objects are built only for the rows that tie at the
-    running maximum."""
-    n_atoms, dim = arr.shape
-    table = subset_sums(arr)
-    best_value, best = -np.inf, None
-    # a chunk's block sums hold at most rows * n_atoms * dim floats
-    max_rows = max(1, _CHUNK_FLOATS // (n_atoms * dim))
-    for labels, masks in grouping_labels(n_atoms, max_rows):
-        block_counts = labels.max(axis=1) + 1
-        for k in range(1, int(block_counts.max()) + 1):
-            rows = block_counts == k
-            if not rows.any():
-                continue
-            values = rademacher_moments(table, masks[rows, :k], space)
-            top = values.max()
-            # a tie with more blocks than the best can only lose
-            if not top >= best_value or (top == best_value and k > best.n_blocks):
-                continue
-            ties = (grouping_from_labels(row) for row in labels[rows][values == top])
-            candidate = min(ties, key=Grouping.sort_key)
-            if _beats(top, candidate, best_value, best):
-                best_value, best = top, candidate
+def _screened_best(values, n_blocks, grouping_of, bound: float, evaluate):
+    """The winner of evaluate, in the order of _beats, among the groupings
+    grouping_of(i) with screen values values[i] and n_blocks[i] blocks,
+    where |values[i] - evaluate(grouping_of(i)).value| <= bound.  The winner
+    lies within 2 bound of the top screen value.  A candidate visited in
+    sort_key order wins only above the best value so far, so one whose
+    screen value plus bound does not pass that is never evaluated."""
+    near = ~(values < np.max(values) - 2.0 * bound)
+    best = None
+    for k in np.flatnonzero(np.bincount(n_blocks[near])).tolist():
+        rows = np.flatnonzero(near & (n_blocks == k))
+        if best is not None:
+            rows = rows[~(values[rows] + bound <= best[1].value)]
+        for grouping in sorted(map(grouping_of, rows.tolist()), key=Grouping.sort_key):
+            estimate = evaluate(grouping)
+            if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
+                best = (grouping, estimate)
     return best
+
+
+def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> tuple[Grouping, SumEstimate]:
+    """The winner of the exhaustive search over (N, d) values with its
+    rademacher_sum_sq, in the order of _beats.  Set partitions come as label
+    rows with block masks (groupings.grouping_labels); the rows with k
+    blocks are screened in one batch, by the Hilbert closed form over every
+    subset's squared norm or by the subgroup means of the atom-sign table,
+    and only rows near the running top are kept for _screened_best."""
+    n_atoms, dim = arr.shape
+    bound = _table_rounding_bound(arr, space)
+    if space.is_hilbert:
+        subset_sq = space.norm_sq(subset_sums(arr))
+    else:
+        table = _atom_sign_table(arr, space.norm_sq)
+    top, kept = -np.inf, []
+    # a chunk holds at most _CHUNK_FLOATS / dim labels
+    for labels, masks in grouping_labels(n_atoms, max(1, _CHUNK_FLOATS // (n_atoms * dim))):
+        block_counts = labels.max(axis=1) + 1
+        values = np.empty(labels.shape[0])
+        for k in np.flatnonzero(np.bincount(block_counts)).tolist():
+            rows = np.flatnonzero(block_counts == k)
+            if space.is_hilbert:
+                values[rows] = np.sum(subset_sq[masks[rows, :k]], axis=-1)
+            else:
+                for piece, means in _subgroup_means(table, masks[rows, :k]):
+                    values[rows[piece]] = means
+        top = max(top, float(np.max(values)))
+        near = ~(values < top - 2.0 * bound)
+        kept.append((values[near], block_counts[near], labels[near]))
+    values, block_counts, labels = (np.concatenate(part) for part in zip(*kept))
+    return _screened_best(
+        values,
+        block_counts,
+        lambda i: grouping_from_labels(labels[i]),
+        bound,
+        lambda g: rademacher_sum_sq(block_sums(arr, g), space),
+    )
 
 
 def randomized_variation_norm(
@@ -328,15 +358,16 @@ def randomized_variation_norm(
 
     Every search sees covering groupings only (groupings.enumerate_groupings),
     which reach the supremum over all groupings.  The winner has the highest
-    objective, then the smallest sort_key.  The exhaustive search is batched,
-    bit for bit as one rademacher_sum_sq call per grouping would be.  On
-    (N, d) values it walks label arrays (groupings.grouping_labels), one row
-    per set partition, evaluates all partitions with k blocks in one
-    batch (random_sums.rademacher_moments) and reports the winner's
-    rademacher_sum_sq.  On ensemble values it evaluates every grouping in one
-    call of random_sums.ensemble_rademacher_moments, which sums each
-    distinct block once.  The contiguous and greedy modes evaluate one
-    grouping at a time.
+    objective, then the smallest sort_key.  The exhaustive search is batched
+    and finds the grouping and moment that one rademacher_sum_sq call per
+    grouping would.  It screens every set partition with its subgroup mean
+    of the atom-sign table (random_sums), or in a Hilbert base with the
+    closed form: on (N, d) values over label arrays
+    (groupings.grouping_labels), on ensemble values in one call of
+    random_sums.ensemble_rademacher_moments.  The partitions within twice
+    the table's rounding bound of the top are decided by rademacher_sum_sq
+    (_screened_best), and the winner's estimate is reported.  The
+    contiguous and greedy modes evaluate one grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
         raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
@@ -349,12 +380,16 @@ def randomized_variation_norm(
 
     if mode_used == "exhaustive":
         if isinstance(space, NormedSpace):
-            grouping = _exhaustive_label_search(_check_values(arr, space), space)
-            moment = rademacher_sum_sq(block_sums(arr, grouping), space)
+            grouping, moment = _exhaustive_label_search(_check_values(arr, space), space)
         else:
             every = list(enumerate_groupings(n_atoms, "all"))
-            moments = dict(zip(every, ensemble_rademacher_moments(arr, every, space)))
-            grouping, moment = _search_best(every, moments.__getitem__)
+            grouping, moment = _screened_best(
+                np.array([e.value for e in ensemble_rademacher_moments(arr, every, space)]),
+                np.array([g.n_blocks for g in every]),
+                every.__getitem__,
+                _table_rounding_bound(arr, space.base),
+                lambda g: rademacher_sum_sq(block_sums(arr, g), space),
+            )
         return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 
     cache: dict[Grouping, SumEstimate] = {}

@@ -9,7 +9,13 @@ linf (covariance_moment).  Everything else is Monte Carlo with a
 reproducible substream layout: an estimate is a deterministic function of
 (seed, stream_id, samples), independent of thread count, because draws are
 generated in a fixed number of batches with one substream per batch and
-combined in batch order.
+combined in batch order, at unit scale (_unit_shift).
+
+Batched Rademacher moments outside Hilbert bases come from one table per
+measure: a grouping's sign patterns are the atom sign vectors constant on
+its blocks, a subgroup H_G of {+-1}^N, so its moment is the mean over H_G
+of T[e] = ||sum_n e_n x_n||^2 (_subgroup_means), within
+_table_rounding_bound of rademacher_sum_sq of the block sums.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groupings import Grouping, _block_sum, _distinct_sums
+from .groupings import Grouping, _block_sum, _distinct_sums, block_sums
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -38,10 +44,11 @@ EXACT_AGREEMENT_TOL = 1e-9
 _SAFE_SCALE_MIN, _SAFE_SCALE_MAX = 2.0**-400, 2.0**400
 # Cap on floats materialized at once when sweeping sign patterns.
 _CHUNK_FLOATS = 1 << 23
-# Cap on combined floats per batch of ensemble groupings: 1 MB of sign
-# products, which stays in a 2 MB per-core L2 cache until the norms read it.
+# Cap on floats per gather of table rows: 1 MB, which stays in a 2 MB
+# per-core L2 cache until the sums read it.
 _ENSEMBLE_CHUNK_FLOATS = 1 << 17
-# Cap on floats in the ensemble kernel's table of distinct block rows (32 MB).
+# Cap on floats in a table (32 MB): the atom-sign table's 2^(N-1) x paths
+# statistics, or a Hilbert base's distinct block norms.
 _ENSEMBLE_TABLE_FLOATS = 1 << 22
 
 METHOD_EXACT_HILBERT = "exact_hilbert"
@@ -169,27 +176,58 @@ def _coefficient_batches(
             yield rng.integers(0, 2, size=(size, k)).astype(float) * 2.0 - 1.0
 
 
-def _estimate_from_moments(n: int, total: float, total_sq: float) -> SumEstimate:
+def _unit_shift(stats: np.ndarray) -> np.ndarray:
+    """The binary exponent of the largest statistic in each row of the last
+    axis, within +-1020 so that 2^shift is a normal float.  Every Monte Carlo
+    moment sums its squared statistics (squared norms, so >= 0) divided by
+    2^shift, near 1, where near 1e-150 they do not underflow, and scales
+    back by _scale_back.  A power of two scales sums, products and square
+    roots exactly, so moments whose unscaled sums stay normal keep their
+    bits."""
+    return np.clip(np.frexp(np.max(stats, axis=-1))[1], -1020, 1020)
+
+
+def _scale_back(shift, mean, error) -> tuple[np.ndarray, np.ndarray]:
+    """mean and error at the scale of the statistics: inf where that
+    overflows, and a mean that is inf (an infinite statistic, whose
+    exponent is 0) has an infinite error, not nan."""
+    with np.errstate(over="ignore"):
+        scale = np.exp2(shift)
+        mean, error = mean * scale, error * scale
+    return mean, np.where(np.isposinf(mean), np.inf, error)
+
+
+def _estimate_from_moments(batches: Iterable[np.ndarray]) -> SumEstimate:
+    """Monte Carlo estimate from the (size,) statistics of draw batches: their
+    sum and sum of squares, added up batch by batch in batch order at the
+    first batch's unit shift."""
+    n = total = total_sq = 0
+    for stats in batches:
+        if n == 0:
+            shift = _unit_shift(stats)
+            unit = np.exp2(-shift)
+        stats = stats * unit
+        n += stats.size
+        total += float(np.sum(stats))
+        total_sq += float(np.sum(stats * stats))
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return SumEstimate(
-        value=float(mean),
-        std_error=float(np.sqrt(var / n)),
-        samples=n,
-        method=METHOD_MONTE_CARLO,
-    )
+    value, error = _scale_back(shift, mean, np.sqrt(var / n))
+    return SumEstimate(float(value), float(error), n, METHOD_MONTE_CARLO)
 
 
 def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Path mean and ddof-1 std error over the last axis, for each row of a
-    (..., paths) array; the error is 0 for a single path.  numpy reduces a
-    contiguous last axis row by row, so every row gets the bits of a
-    one-row call."""
+    (..., paths) array, at unit shift; the error is 0 for a single path.
+    numpy reduces a contiguous last axis row by row, so every row gets the
+    bits of a one-row call."""
     m = path_stats.shape[-1]
-    mean = np.mean(path_stats, axis=-1)
+    shift = _unit_shift(path_stats)
+    scaled = path_stats * np.exp2(-shift)[..., None]
+    mean = np.mean(scaled, axis=-1)
     if m < 2:
-        return mean, np.zeros_like(mean)
-    return mean, np.std(path_stats, axis=-1, ddof=1) / np.sqrt(m)
+        return _scale_back(shift, mean, np.zeros_like(mean))
+    return _scale_back(shift, mean, np.std(scaled, axis=-1, ddof=1) / np.sqrt(m))
 
 
 def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
@@ -206,13 +244,8 @@ def _monte_carlo_moment(
     values: np.ndarray, space, stream: RandomStream, samples: int, kind: str
 ) -> SumEstimate:
     """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams."""
-    n = total = total_sq = 0
-    for coeffs in _coefficient_batches(stream, samples, values.shape[0], kind):
-        stats = space.norm_sq(coeffs @ values)
-        n += coeffs.shape[0]
-        total += float(np.sum(stats))
-        total_sq += float(np.sum(stats * stats))
-    return _estimate_from_moments(n, total, total_sq)
+    batches = _coefficient_batches(stream, samples, values.shape[0], kind)
+    return _estimate_from_moments(space.norm_sq(coeffs @ values) for coeffs in batches)
 
 
 def _path_norm_sq(base, n_paths: int, dim: int):
@@ -262,35 +295,85 @@ def _sign_patterns(k: int) -> np.ndarray:
     return patterns
 
 
-def _sign_average(values: np.ndarray, norm_sq):
-    """Average over all sign patterns e of norm_sq(sum_m e_m x_m).
-
-    values holds one flattened x_m per row; norm_sq maps the (patterns, m)
-    combinations to statistics indexed by pattern on axis 0.  Patterns are
-    swept in chunks of at most _CHUNK_FLOATS combined floats, and the chunk
-    sums are added in pattern order."""
+def _sign_sweep(values: np.ndarray, norm_sq) -> Iterator[np.ndarray]:
+    """norm_sq(sum_m e_m x_m) for the sign patterns e of _sign_patterns, in
+    pattern order.  values holds one flattened x_m per row; norm_sq maps the
+    (patterns, m) combinations to statistics indexed by pattern on axis 0.
+    Patterns are met in chunks of at most _CHUNK_FLOATS combined floats."""
     patterns = _sign_patterns(values.shape[0])
-    total = 0.0
     chunk = max(1, _CHUNK_FLOATS // max(1, values.shape[1]))
     for start in range(0, patterns.shape[0], chunk):
-        total += np.sum(norm_sq(patterns[start : start + chunk] @ values), axis=0)
-    return total / patterns.shape[0]
+        yield norm_sq(patterns[start : start + chunk] @ values)
 
 
-def rademacher_moments(table: np.ndarray, rows: np.ndarray, space) -> np.ndarray:
-    """Exact E || sum_m r_m x_m ||^2 over a NormedSpace of each family
-    table[rows[i]], where rows is a (families, k) index array into a table of
-    (dim,) vectors and k <= ENUMERATION_LIMIT.
+def _sign_average(values: np.ndarray, norm_sq):
+    """Average over all sign patterns e of norm_sq(sum_m e_m x_m), the chunk
+    sums of _sign_sweep added in pattern order."""
+    total = 0.0
+    for stats in _sign_sweep(values, norm_sq):
+        total += np.sum(stats, axis=0)
+    return total / (1 << (values.shape[0] - 1))
 
-    Item i equals rademacher_sum_sq(table[rows[i]], space).value bit for bit:
-    the same Hilbert closed form, or the same sign matmul, norm and sum over
-    patterns, batched over families in chunks of at most _CHUNK_FLOATS
-    combined floats (_sign_means).
-    """
-    if space.is_hilbert:
-        return np.sum(space.norm_sq(table[rows]), axis=-1)
-    chunks = _sign_means(table, rows, space.norm_sq, _CHUNK_FLOATS)
-    return np.concatenate([means for _, means in chunks])
+
+def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
+    """T[e] = norm_sq(sum_n e_n x_n) over the atom sign patterns of
+    _sign_patterns(N): atom n > 0 is flipped where bit n - 1 of e is set."""
+    return np.concatenate(list(_sign_sweep(values, norm_sq)))
+
+
+def _subgroup_means(table: np.ndarray, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """E || sum_m r_m F(B_m) ||^2 for each row of block masks (column m sets
+    bit a for each atom a of block m; block 0 holds atom 0), as (rows,
+    means) pairs: the mean of the atom-sign table over the patterns that
+    flip whole blocks other than block 0.  Flipping a set of blocks is row
+    (sum of their masks) >> 1.  Gathers hold <= _ENSEMBLE_CHUNK_FLOATS."""
+    k = masks.shape[1]
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // ((table.size // table.shape[0]) << (k - 1)))
+    shifted = masks[:, 1:] >> 1
+    for start in range(0, masks.shape[0], step):
+        part = shifted[start : start + step]
+        rows = np.zeros((part.shape[0], 1), dtype=masks.dtype)
+        for m in range(k - 1):
+            rows = np.concatenate((rows, rows + part[:, m, None]), axis=1)
+        yield slice(start, start + step), np.sum(table[rows], axis=1) / rows.shape[1]
+
+
+def _table_rounding_bound(values: np.ndarray, base) -> float:
+    """A bound on |table mean - rademacher_sum_sq value| over the groupings
+    of (N, d) values, or of their path means for (N, paths, d) values; 0 in
+    a Hilbert base, where both routes take the same closed form.
+
+    With A = sum_n ||x_n|| on a path and u = 2^-53: both routes add each
+    coordinate of a signed sum Y in at most N - 1 steps, so ||Y' - Y|| <=
+    N u A in these lattice norms.  The norm rounds by (d + 2) u relative
+    plus nu = (d 2^-1074)^(1/p) where p-th powers underflow (0 for l1 and
+    linf), the square by u and 2^-1074: ||Y||^2 is off by at most
+    (2N + 2d + 7) u B^2 + 3 nu B, B = A + nu.  The mean over <= 2^(N-1)
+    patterns adds 2^(N-1) u B^2, the pairwise mean over paths
+    (log2(paths) + 20) u B^2.  c = 4 doubles this for the two routes, and
+    again for second-order terms.
+
+    The bound is 0 where every signed sum of atoms is exact: each value
+    column holds one nonzero value at most (disjoint supports), or only
+    integers whose absolute sum is below 2^53.  Both routes then norm the
+    same vectors and add the same statistics in the same order, as long as
+    rademacher_sum_sq sweeps its patterns in one chunk (_sign_sweep)."""
+    if base.is_hilbert:
+        return 0.0
+    n_atoms, dim = values.shape[0], values.shape[-1]
+    flat = values.reshape(n_atoms, -1)
+    single = np.count_nonzero(flat, axis=0) <= 1
+    integral = np.all(flat == np.round(flat), axis=0) & (np.sum(np.abs(flat), axis=0) < 2.0**53)
+    if np.all(single | integral) and flat.shape[1] << (n_atoms - 1) <= _CHUNK_FLOATS:
+        return 0.0
+    paths = values.shape[1] if values.ndim == 3 else 1
+    tiny = np.finfo(float).smallest_subnormal
+    nu = 0.0 if base.p == 1.0 or math.isinf(base.p) else (dim * tiny) ** (1.0 / base.p)
+    terms = 2 * n_atoms + 2 * dim + (1 << (n_atoms - 1)) + math.log2(paths) + 28
+    with np.errstate(over="ignore"):
+        reach = np.sum(base.norm(values), axis=0) + nu
+        error = terms * 2.0**-53 * np.mean(reach * reach) + 3.0 * nu * np.mean(reach) + tiny
+    return 4.0 * float(error)
 
 
 def ensemble_rademacher_moments(
@@ -298,14 +381,16 @@ def ensemble_rademacher_moments(
 ) -> list[SumEstimate]:
     """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m for each grouping
     {B_m} of (N, paths, d) ensemble values over an EmpiricalL2Space, where
-    G(B) is the block's sum.
+    G(B) is the block's sum: the path mean and std error (_path_moments) of
+    each piece of per-path statistics that _ensemble_path_stats gives.
 
-    Item i equals rademacher_sum_sq(block_sums(values, groupings[i]), space)
-    bit for bit: the path mean and std error (_path_moments) of each piece
-    of per-path statistics that _ensemble_path_stats gives.
+    In a Hilbert base item i equals rademacher_sum_sq(block_sums(values,
+    groupings[i]), space) bit for bit.  In any other base it is a mean of
+    the atom-sign table, within _table_rounding_bound of that value.
 
     Callers: the exhaustive randomized variation search over ensembles
-    (norms.randomized_variation_norm) and the signed side of the
+    (norms.randomized_variation_norm), which decides between the groupings
+    near the top with rademacher_sum_sq, and the signed side of the
     randomisation sweep (brownian.randomisation_identity_sweep).
     example-3-4's fixed grouping families stream their paths through
     _ensemble_path_stats and take one _path_moments at the end
@@ -337,64 +422,54 @@ def _ensemble_path_stats(
     two paths gets the bits of the same paths in the whole ensemble (numpy
     sums the atoms of a lone path pairwise).
 
-    Each distinct block is summed once (groupings._distinct_sums) into a
-    table of at most _ENSEMBLE_TABLE_FLOATS floats; a candidate list whose
-    distinct blocks do not fit gets one table per run of candidates that
-    do.  A Hilbert base keeps only each block's (paths,) squared norms and
-    adds a grouping's rows in block order, as the closed form's sum over
-    blocks does; a grouping with more blocks than the table holds adds its
-    blocks' squared norms in the same order without a table.  Any other
-    base meets the 2^(k-1) sign patterns of the k-block groupings in one
-    matmul per chunk of at most _ENSEMBLE_CHUNK_FLOATS combined floats,
-    which splits only the grouping axis; a grouping whose own sweep passes
-    _CHUNK_FLOATS keeps _sign_average's chunk order, and one with more
-    blocks than the table holds gets a table of its own.
+    A base that is not Hilbert takes _sign_table_path_stats.  A Hilbert
+    base sums each distinct block once (groupings._distinct_sums) into a
+    table of its (paths,) squared norms, at most _ENSEMBLE_TABLE_FLOATS
+    floats; a candidate list whose distinct blocks do not fit gets one
+    table per run of candidates that do.  A grouping's rows are added in
+    block order, as the closed form's sum over blocks adds them; a grouping
+    with more blocks than a table holds adds its blocks' squared norms in
+    the same order without a table.
     """
-    _, n_paths, dim = arr.shape
-    hilbert = space.is_hilbert
-    too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
-    if too_many and not hilbert:
-        raise ValueError(
-            f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {too_many[0]}"
-        )
-    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // (n_paths if hilbert else n_paths * dim))
+    if not space.is_hilbert:
+        yield from _sign_table_path_stats(arr, groupings, space.base)
+        return
+    n_paths = arr.shape[1]
+    norm_sq = space.base.norm_sq
+    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
     for part in _table_parts(groupings, max_rows):
-        if hilbert and groupings[part.start].n_blocks > max_rows:
+        blocks = groupings[part.start].blocks
+        if len(blocks) > max_rows:
             # a part that starts past the budget holds this grouping alone
-            norm_sq = space.base.norm_sq
-            blocks = groupings[part.start].blocks
             total = norm_sq(_block_sum(arr, list(blocks[0])))
             for block in blocks[1:]:
                 total += norm_sq(_block_sum(arr, list(block)))
             yield np.array([part.start]), total[None]
             continue
-        for members, path_stats in _table_part_stats(arr, groupings[part], space):
+        for members, path_stats in _table_part_stats(arr, groupings[part], norm_sq):
             yield part.start + members, path_stats
 
 
 def _table_part_stats(
-    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+    arr: np.ndarray, groupings: list[Grouping], norm_sq
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_ensemble_path_stats of a run of groupings, from one table of their
-    distinct blocks, freed once the last piece is taken."""
-    _, n_paths, dim = arr.shape
-    hilbert = space.is_hilbert
+    """_ensemble_path_stats of a run of groupings in a Hilbert base, from one
+    table of their distinct blocks' squared norms, freed once the last
+    piece is taken; a piece adds at most _ENSEMBLE_CHUNK_FLOATS floats."""
     blocks = [b for g in groupings for b in g.blocks]
-    table, block_rows = _distinct_sums(arr, blocks, space.base.norm_sq if hilbert else None)
-    # (blocks, paths) squared norms, or (blocks, paths * dim) sums
-    table = table.reshape(table.shape[0], -1)
+    table, block_rows = _distinct_sums(arr, blocks, norm_sq)
     n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
     first_block = np.cumsum(n_blocks) - n_blocks
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // table.shape[1])
     for k in np.unique(n_blocks).tolist():
         members = np.flatnonzero(n_blocks == k)
         rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
-        if hilbert:
-            chunks = _block_order_sums(table, rows)
-        else:
-            norm_sq = _path_norm_sq(space.base, n_paths, dim)
-            chunks = _sign_means(table, rows, norm_sq, _ENSEMBLE_CHUNK_FLOATS)
-        for chunk, path_stats in chunks:
-            yield members[chunk], path_stats
+        for start in range(0, rows.shape[0], step):
+            part = rows[start : start + step]
+            total = table[part[:, 0]]
+            for j in range(1, k):
+                total += table[part[:, j]]
+            yield members[start : start + step], total
 
 
 def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:
@@ -409,39 +484,38 @@ def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:
     yield slice(start, len(groupings))
 
 
-def _block_order_sums(table: np.ndarray, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """For each family rows[i], the sum of its table rows, added in block
-    order as np.sum adds a (blocks, paths) array over its first axis, as
-    (families, sums) pairs in chunks of at most _ENSEMBLE_CHUNK_FLOATS
-    floats."""
-    step = max(1, _ENSEMBLE_CHUNK_FLOATS // table.shape[1])
-    for start in range(0, rows.shape[0], step):
-        part = rows[start : start + step]
-        total = table[part[:, 0]]
-        for j in range(1, part.shape[1]):
-            total += table[part[:, j]]
-        yield slice(start, start + step), total
-
-
-def _sign_means(
-    table: np.ndarray, rows: np.ndarray, norm_sq, chunk_floats: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """_sign_average of each family table[rows[i]] (k = rows.shape[1] rows
-    of the table), as (families, stats) pairs: norm_sq maps (..., width)
-    combinations to statistics, and a chunk of families meets the sign
-    patterns in one matmul of at most chunk_floats combined floats.  Chunks
-    split only the family axis.  A family whose own sweep passes
-    _CHUNK_FLOATS keeps _sign_average's chunk order."""
-    patterns = _sign_patterns(rows.shape[1])
-    per_family = patterns.shape[0] * table.shape[1]
-    if per_family > _CHUNK_FLOATS:
-        for i in range(rows.shape[0]):
-            yield slice(i, i + 1), _sign_average(table[rows[i]], norm_sq)[None]
-        return
-    step = max(1, chunk_floats // per_family)
-    for start in range(0, rows.shape[0], step):
-        combos = np.matmul(patterns, table[rows[start : start + step]])
-        yield slice(start, start + step), np.sum(norm_sq(combos), axis=1) / patterns.shape[0]
+def _sign_table_path_stats(
+    arr: np.ndarray, groupings: list[Grouping], base
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_ensemble_path_stats in a base that is not Hilbert: the subgroup means
+    of one atom-sign table over all N atoms.  A grouping that leaves atoms
+    uncovered takes _sign_average of its block sums, as rademacher_sum_sq
+    does, and so does every grouping where N passes ENUMERATION_LIMIT, the
+    (2^(N-1), paths) table would pass _ENSEMBLE_TABLE_FLOATS, or the
+    groupings' own sign patterns are fewer than the table's rows."""
+    n_atoms, n_paths, dim = arr.shape
+    too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
+    if too_many:
+        raise ValueError(
+            f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {too_many[0]}"
+        )
+    norm_sq = _path_norm_sq(base, n_paths, dim)
+    fits = n_atoms <= ENUMERATION_LIMIT and n_paths << (n_atoms - 1) <= _ENSEMBLE_TABLE_FLOATS
+    fits = fits and sum(1 << (g.n_blocks - 1) for g in groupings) >= 1 << (n_atoms - 1)
+    families: dict[int, list[int]] = {}
+    for i, g in enumerate(groupings):
+        if fits and len(g.covered) == n_atoms:
+            families.setdefault(g.n_blocks, []).append(i)
+        else:
+            sums = block_sums(arr, g).reshape(g.n_blocks, -1)
+            yield np.array([i]), _sign_average(sums, norm_sq)[None]
+    if families:
+        table = _atom_sign_table(arr.reshape(n_atoms, n_paths * dim), norm_sq)
+        dtype = np.min_scalar_type((1 << n_atoms) - 1)
+    for family in families.values():
+        masks = [[sum(1 << a for a in b) for b in groupings[i].blocks] for i in family]
+        for piece, path_stats in _subgroup_means(table, np.array(masks, dtype=dtype)):
+            yield np.array(family[piece]), path_stats
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

@@ -31,7 +31,10 @@ from .embeddings import (
     sup_norm_witness,
 )
 from .groupings import (
+    MAX_ATOMS_ALL,
     Grouping,
+    SizeLimitError,
+    bell_number,
     block_sums,
     check_enumeration_size,
     enumerate_groupings,
@@ -148,6 +151,11 @@ SUITE_DEFAULTS: dict[str, dict] = {
         "max_blocks": 8,
     },
 }
+
+# A batch of ensemble moments may take at most this many groupings times
+# paths: the default randomisation sweep takes 4140 x 1500 per measure, and
+# Bell(12) groupings of example-3-4 at 100k paths would take 4.2e11.
+MAX_GROUPING_PATHS = 1 << 27
 
 _ENGINE_OVERRIDES: dict[str, dict] = {
     "thm-3-3": {"paths": 30_000},
@@ -382,9 +390,11 @@ def resolve_config(
 
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
-    enumerate groupings past a cap; the message starts with the field that
-    asked for the enumeration."""
+    enumerate groupings past a cap, or take a batch of ensemble moments
+    past MAX_GROUPING_PATHS groupings times paths; the message starts with
+    the field that asked for the enumeration."""
     has_input = config.measure_values is not None or config.density_values is not None
+    batches = []  # (groupings, field, what) of each kind of ensemble batch
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
         if suite_name == "finest-partition" and has_input:
@@ -392,26 +402,59 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
         else:
             n_atoms = _positive_int(config.suite["n_atoms"], "suite.n_atoms")
             check_enumeration_size(n_atoms, "all", "suite.n_atoms")
+    if suite_name == "randomisation":
+        max_blocks = _positive_int(config.suite["max_blocks"], "suite.max_blocks")
+        batches.append((_partition_count(n_atoms, max_blocks), "suite.n_atoms", "each sweep"))
     if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
-        # grid points within both limits run an exhaustive search
+        # grid points within both limits run an exhaustive search, over an
+        # ensemble too up to empirical_limit
         limit = min(
             _positive_int(config.suite["exhaustive_limit"], "suite.exhaustive_limit", 0),
             _positive_int(config.suite["dense_limit"], "suite.dense_limit", 0),
         )
+        empirical = config.suite["empirical_limit"]  # the suite names a bad one
         for n in config.suite["n_grid"]:
             if _positive_int(n, "suite.n_grid") <= limit:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
+                if type(empirical) is int and n <= empirical:
+                    what = f"the search at n = {n}"
+                    batches.append((bell_number(n), "suite.exhaustive_limit", what))
     # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches a
-    # configured density or its own instances
-    if config.mode in ("exhaustive", "contiguous") and suite_name in (None, "thm-3-3"):
-        if suite_name == "thm-3-3" and config.density_values is None:
-            n_atoms = _positive_int(config.suite["n_atoms"], "suite.n_atoms")
-        elif has_input:
-            n_atoms = config.partition.n_atoms
-        else:
-            return
+    # configured density or its own instances, integrate a configured density
+    n_atoms = None
+    enumerates = config.mode in ("exhaustive", "contiguous")
+    if suite_name == "thm-3-3" and config.density_values is None:
+        n_atoms = config.suite["n_atoms"]
+        if enumerates:
+            n_atoms = _positive_int(n_atoms, "suite.n_atoms")
+        elif type(n_atoms) is not int:
+            n_atoms = None  # the suite names a bad one
+    elif has_input and suite_name in (None, "thm-3-3"):
+        n_atoms = config.partition.n_atoms
+    if n_atoms is not None and enumerates:
         enumeration = "all" if config.mode == "exhaustive" else "contiguous"
         check_enumeration_size(n_atoms, enumeration, "engine.mode")
+    exhaustive = config.mode == "exhaustive" or config.search_mode == "auto"
+    if n_atoms is not None and 1 <= n_atoms <= MAX_ATOMS_ALL and exhaustive:
+        if suite_name == "thm-3-3" or config.density_values is not None:
+            batches.append((bell_number(n_atoms), "engine.paths", "each ensemble's search"))
+    for groupings, field, what in batches:
+        if groupings * config.paths > MAX_GROUPING_PATHS:
+            raise SizeLimitError(
+                f"{field}: {what} takes {groupings} groupings on {config.paths} paths, an "
+                f"estimated {groupings * config.paths:.3g} grouping-paths; the limit is "
+                f"{MAX_GROUPING_PATHS} (2^27)"
+            )
+
+
+def _partition_count(n_atoms: int, max_blocks: int) -> int:
+    """The set partitions of n_atoms atoms into at most max_blocks blocks: a
+    sum of Stirling numbers of the second kind, S(n, k) = k S(n - 1, k) +
+    S(n - 1, k - 1)."""
+    row = [1]
+    for n in range(1, n_atoms + 1):
+        row = [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
+    return sum(row[: max_blocks + 1])
 
 
 def _ordered_map(fn: Callable, items: list, threads: int) -> list:

@@ -350,13 +350,14 @@ def randomisation_sweep_reference(
 
 
 def ensemble_randomized_search_reference(
-    contributions, norm_sq, hilbert: bool, chunk_floats: int = 1 << 23
+    contributions, norm_sq, hilbert: bool, chunk_floats: int = 1 << 23, candidates=None
 ):
     """The exhaustive randomized variation search over ensemble values, one
     block collection at a time, as a report document without the mode.
 
-    contributions has shape (atoms, paths, dim).  Each disjoint block
-    collection (blocks ascending, ordered by first atom) has its block sums
+    contributions has shape (atoms, paths, dim).  Each candidate block
+    collection (by default every disjoint one; blocks ascending, ordered by
+    first atom) has its block sums
     stacked.  With hilbert, a path's statistic is sum_m norm_sq(B_m), added
     in block order.  Otherwise it is the mean of norm_sq over the sign
     patterns, met chunk_floats // (paths * dim) patterns at a time, with the
@@ -369,7 +370,9 @@ def ensemble_randomized_search_reference(
     arr = np.asarray(contributions, dtype=float)
     n_atoms, n_paths, dim = arr.shape
     best = None
-    for blocks in groupings_reference(n_atoms):
+    if candidates is None:
+        candidates = groupings_reference(n_atoms)
+    for blocks in candidates:
         stacked = np.stack([np.sum(arr[list(block)], axis=0) for block in blocks])
         if hilbert:
             path_stats = np.sum(norm_sq(stacked), axis=0)

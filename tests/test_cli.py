@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gammavar import __version__
+from gammavar import __version__, cli
 from gammavar.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_PASS, main
 
 
@@ -232,6 +232,34 @@ class TestErrorHandling:
             assert main(["norms", "--config", path]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: non-finite value")
         assert not (tmp_path / "out.json").exists()
+
+    def test_overflowing_ensembles_exit_with_an_error(self, tmp_path, capsys):
+        # linf(3) samples the variation and takes path moments of the
+        # ensemble, which overflow to inf near 1e160, never to nan
+        path = _norms_config(
+            tmp_path,
+            engine={"samples": 1000, "paths": 200},
+            partition={"uniform": 3},
+            space={"dim": 3, "norm": "linf"},
+            input={"density": [[1e160, 0.0, 0.0], [0.0, 1e160, 0.0], [0.0, 0.0, 1e160]]},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["integrate", "--config", path]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: non-finite value inf")
+
+    def test_an_oversized_ensemble_batch_exits_before_it_starts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Bell(12) groupings at 100k paths: the estimate alone refuses it
+        def refused(*args, **kwargs):
+            pytest.fail("started an oversized run")
+
+        monkeypatch.setattr(cli, "run_suite", refused)
+        path = _write_config(tmp_path, {"suite": {"n_grid": [12]}})
+        assert main(["verify", "example-3-4", "--config", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: suite.exhaustive_limit: ")
+        assert "4213597 groupings on 100000 paths" in err
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert main(["--version"]) == EXIT_PASS

@@ -536,14 +536,34 @@ _TIE_HEAVY = np.array(
 )
 
 
+# two zero atoms: a plain atom-sign table mean puts the second one in a
+# block of its own, one ulp above the one-grouping-at-a-time winner, which
+# keeps it in the first block and so has fewer blocks
+_ONE_ULP_TIE = np.array(
+    [
+        [1.3166478203373606, 0.7381191695252466, -1.3804460312528912],
+        [-0.2673877057870027, -0.38033558246862037, -1.5488553043334206],
+        [-0.4638816211751379, -1.2500798351337994, -1.6655514460193832],
+        [0.21089625656145172, -0.04359127244566091, -0.6878149095751852],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.3869719823711992, 0.5228708948391112, 0.35786967764803124],
+        [-0.6631035145259176, -0.6165061466820784, 0.4348641034709542],
+    ]
+)
+
+
 class TestBatchedExhaustiveSearch:
     @pytest.mark.parametrize(
-        "p, dim", [(1.0, 2), (1.0, 1), (1.5, 3), (2.0, 2), (3.0, 2), (math.inf, 3)]
+        "p, dim", [(1.0, 2), (1.0, 1), (1.0, 3), (1.5, 3), (2.0, 2), (3.0, 2), (math.inf, 3)]
     )
     def test_matches_the_per_grouping_search(self, p, dim):
         rng = np.random.default_rng(70 + dim)
         space = NormedSpace(dim, p)
-        for values in (rng.standard_normal((6, dim)), _TIE_HEAVY[:, :dim]):
+        inputs = [rng.standard_normal((6, dim)), _TIE_HEAVY[:, :dim]]
+        if (p, dim) == (1.0, 3):
+            inputs.append(_ONE_ULP_TIE)
+        for values in inputs:
             grouping, moment = _per_grouping_search(values, space)
             report = randomized_variation_norm(values, space, mode="exhaustive")
             assert report.grouping == grouping
@@ -608,10 +628,12 @@ def _induced_contributions(rng, base, density, n_paths):
     return induced_randomized_measure(StepFunction(partition, base, density), ensemble).contributions
 
 
-def _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats=1 << 23):
+def _assert_ensemble_search_matches_the_reference(
+    contributions, base, chunk_floats=1 << 23, candidates=None
+):
     report = randomized_variation_norm(contributions, EmpiricalL2Space(base), mode="exhaustive")
     want = ref.ensemble_randomized_search_reference(
-        contributions, base.norm_sq, base.is_hilbert, chunk_floats
+        contributions, base.norm_sq, base.is_hilbert, chunk_floats, candidates
     )
     document = report.to_document()
     assert document.pop("mode") == "exhaustive"
@@ -670,25 +692,20 @@ class TestEnsembleSearchAgainstTheReference:
         contributions = _induced_contributions(rng, base, density, 12)
         _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
 
-    def test_eight_atoms_build_their_table_per_chunk(self, monkeypatch):
-        # 16 rows of 3 paths in R^2: the 255 distinct blocks of the 4140
-        # groupings take many tables, none past the budget
-        tables = []
-        distinct_sums = random_sums._distinct_sums
-
-        def recorded(values, atom_sets, reduce=None):
-            table, rows = distinct_sums(values, atom_sets, reduce)
-            tables.append(table.shape[0])
-            return table, rows
-
-        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 16 * 3 * 2)
-        monkeypatch.setattr(random_sums, "_distinct_sums", recorded)
-        rng = np.random.default_rng(94)
-        base = NormedSpace.linf(2)
-        contributions = _induced_contributions(rng, base, rng.standard_normal((8, 2)), 3)
-        _assert_ensemble_search_matches_the_reference(contributions, base)
-        assert len(tables) > 1
-        assert max(tables) == 16
+    @pytest.mark.parametrize("base", ENSEMBLE_BASES[1::3] + ENSEMBLE_BASES[2::3], ids=repr)
+    def test_zero_and_repeated_atoms(self, base, chunk_floats):
+        # 6 atoms of small integers over 6 paths: atoms 2 and 5 are zero and
+        # atom 4 repeats atom 1, so many set partitions tie exactly.  Dropping
+        # a zero atom that ends its block would win the lexicographic tie, so
+        # the reference searches the set partitions, as the search does.
+        rng = np.random.default_rng(96)
+        contributions = rng.integers(-2, 3, size=(6, 6, base.dim)).astype(float)
+        contributions[[2, 5]] = 0.0
+        contributions[4] = contributions[1]
+        partitions = ref.set_partitions_reference(range(6))
+        _assert_ensemble_search_matches_the_reference(
+            contributions, base, chunk_floats, partitions
+        )
 
     def test_the_integrate_shape_stays_near_the_per_grouping_peak(self):
         # N = 4 atoms, 100k paths in l2(2), as the default integrate runs it.

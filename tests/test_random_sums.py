@@ -15,18 +15,19 @@ from gammavar import (
     NormedSpace,
     RandomStream,
     SumEstimate,
+    VectorMeasure,
     compare_estimates,
     enumerate_groupings,
     gaussian_sum_sq,
     rademacher_sum_sq,
+    randomized_variation_norm,
     sample_brownian,
 )
-from gammavar import random_sums, suites
+from gammavar import norms, random_sums, suites
 from gammavar.groupings import (
     block_sums,
     grouping_from_labels,
     grouping_labels,
-    subset_sums,
 )
 from gammavar.random_sums import (
     METHOD_EXACT_COVARIANCE,
@@ -36,7 +37,6 @@ from gammavar.random_sums import (
     covariance_moment,
     ensemble_rademacher_moments,
     has_covariance_moment,
-    rademacher_moments,
 )
 
 
@@ -260,41 +260,128 @@ class TestRademacherSumSq:
         assert abs(mc.value - float(np.sum(values**2))) <= 3.0 * mc.std_error
 
 
-def _batched_and_single_moments(values, space):
-    """Every set partition's moment from rademacher_moments over the label
-    array, paired with rademacher_sum_sq of its block_sums."""
+def _table_and_single_moments(values, space):
+    """Every set partition's subgroup mean of the atom-sign table, paired
+    with rademacher_sum_sq of its block_sums."""
     ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
-    table = subset_sums(values)
+    table = random_sums._atom_sign_table(values, space.norm_sq)
     block_counts = labels.max(axis=1) + 1
     for k in range(1, int(block_counts.max()) + 1):
-        rows = block_counts == k
-        batched = rademacher_moments(table, masks[rows, :k], space)
-        for row, value in zip(labels[rows], batched):
-            grouping = grouping_from_labels(row)
-            yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
+        rows = np.flatnonzero(block_counts == k)
+        for piece, means in random_sums._subgroup_means(table, masks[rows, :k]):
+            for row, value in zip(labels[rows[piece]], means):
+                grouping = grouping_from_labels(row)
+                yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
 
 
-class TestRademacherMoments:
+def _six_decades(seed, shape):
+    """Normal values whose atoms spread over six decades of magnitude, so
+    that association shows in the bits."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-3, 4, (shape[0],) + (1,) * (len(shape) - 1))
+    return rng.standard_normal(shape) * scales
+
+
+class TestAtomSignTable:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_grouping_lies_within_the_rounding_bound(self, p, dim):
+        values = _six_decades(int(10 * p) if p < 10 else 99, (7, dim))
+        space = NormedSpace(dim, p)
+        pairs = list(_table_and_single_moments(values, space))
+        assert len(pairs) == 877  # Bell(7) set partitions
+        bound = random_sums._table_rounding_bound(values, space)
+        # the bound is a rounding bound, far below the moments
+        assert 0.0 < bound <= 1e-9 * max(single for _, single in pairs)
+        assert all(abs(table - single) <= bound for table, single in pairs)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_every_grouping_matches_the_single_family_kernel_bitwise(self, p, dim):
-        rng = np.random.default_rng(int(10 * p) if p < 10 else 99)
-        # magnitudes spread over six decades, so association shows in the bits
-        values = rng.standard_normal((7, dim)) * 10.0 ** rng.integers(-3, 4, (7, 1))
-        pairs = list(_batched_and_single_moments(values, NormedSpace(dim, p)))
-        assert len(pairs) == 877  # Bell(7) set partitions
-        assert all(batched == single for batched, single in pairs)
+    def test_the_label_search_matches_the_per_grouping_search(self, p, dim):
+        values = _six_decades(int(10 * p) if p < 10 else 99, (7, dim))
+        space = NormedSpace(dim, p)
+        grouping, moment = norms._search_best(
+            enumerate_groupings(7, "all"),
+            lambda g: rademacher_sum_sq(block_sums(values, g), space),
+        )
+        report = randomized_variation_norm(values, space, mode="exhaustive")
+        assert (report.grouping, report.moment) == (grouping, moment)
 
     @pytest.mark.parametrize("chunk", [1, 40, 200])
-    def test_small_chunks_keep_the_bits(self, monkeypatch, chunk):
-        # 40 and 200 floats split the families into several matmuls; 1 float
-        # is below one family's sweep, which then keeps its own chunk order
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal((5, 2))
+    def test_small_gathers_keep_the_means(self, monkeypatch, chunk):
+        # 40 and 200 floats split the families into several gathers; 1 float
+        # gathers one family at a time
+        values = np.random.default_rng(5).standard_normal((5, 2))
         space = NormedSpace(2, 1.5)
-        monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", chunk)
-        pairs = list(_batched_and_single_moments(values, space))
-        assert all(batched == single for batched, single in pairs)
+        whole = [table for table, _ in _table_and_single_moments(values, space)]
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", chunk)
+        assert [table for table, _ in _table_and_single_moments(values, space)] == whole
+
+    def test_hilbert_bases_and_exact_sums_need_no_bound(self, monkeypatch):
+        values = np.random.default_rng(6).standard_normal((7, 7))
+        assert random_sums._table_rounding_bound(values, NormedSpace.l2(7)) == 0.0
+        assert random_sums._table_rounding_bound(values[:, :1], NormedSpace.linf(1)) == 0.0
+        assert random_sums._table_rounding_bound(values, NormedSpace.l1(7)) > 0.0
+        # disjoint supports make every signed sum exact and every partition
+        # tie; the table means then equal the one-at-a-time values bit for
+        # bit, and the search evaluates one partition, not all 877
+        disjoint = np.diag(values[0])
+        for p in (1.0, 1.5, math.inf):
+            space = NormedSpace(7, p)
+            assert random_sums._table_rounding_bound(disjoint, space) == 0.0
+            pairs = _table_and_single_moments(disjoint, space)
+            assert all(table == single for table, single in pairs)
+            grouping, moment = norms._search_best(
+                enumerate_groupings(7, "all"),
+                lambda g: rademacher_sum_sq(block_sums(disjoint, g), space),
+            )
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return rademacher_sum_sq(*args)
+
+            monkeypatch.setattr(norms, "rademacher_sum_sq", counted)
+            report = randomized_variation_norm(disjoint, space, mode="exhaustive")
+            monkeypatch.undo()
+            assert (report.grouping, report.moment, len(calls)) == (grouping, moment, 1)
+
+
+def _far_scale_routes():
+    """The three Monte Carlo routes, each as values -> SumEstimate: plain
+    draws (gaussian_sum_sq), shared draws (SharedDrawMoments' sampled
+    branch) and path statistics (an ensemble's rademacher_sum_sq)."""
+    stream = RandomStream(97, (0,))
+    partition = AtomPartition(np.array([0.2, 0.3, 0.5]))
+    grouping = Grouping([[0, 2], [1]], 3)
+    return {
+        "draws": lambda v: gaussian_sum_sq(v[:, 0, :2], NormedSpace.linf(2), stream, 1000),
+        "shared-draws": lambda v: norms.SharedDrawMoments(
+            VectorMeasure(partition, NormedSpace.linf(3), v[:, 0]), stream, 1000
+        ).moment(grouping),
+        "paths": lambda v: rademacher_sum_sq(v, EmpiricalL2Space(NormedSpace.linf(3))),
+    }
+
+
+class TestFarScales:
+    """Every Monte Carlo route sums its statistics at unit scale."""
+
+    VALUES = np.random.default_rng(98).standard_normal((3, 50, 3))
+
+    @pytest.mark.parametrize("route", sorted(_far_scale_routes()))
+    def test_a_power_of_two_scale_carries_over_exactly(self, route):
+        # squared statistics near 2^-2000 once underflowed to a zero error
+        estimate = _far_scale_routes()[route]
+        unscaled, scaled = estimate(self.VALUES), estimate(np.ldexp(self.VALUES, -500))
+        assert scaled.std_error > 0.0
+        assert scaled.value == math.ldexp(unscaled.value, -1000)
+        assert scaled.std_error == math.ldexp(unscaled.std_error, -1000)
+
+    @pytest.mark.parametrize("route", sorted(_far_scale_routes()))
+    def test_overflowing_statistics_give_inf(self, route):
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate = _far_scale_routes()[route](self.VALUES * 1e160)
+        assert (estimate.value, estimate.std_error) == (math.inf, math.inf)
 
 
 def _plane_covariances():
@@ -437,9 +524,21 @@ def _one_grouping_at_a_time(values, groupings, space):
     return [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
 
 
+def assert_within_the_rounding_bound(got, want, values, base):
+    """Batched estimates against rademacher_sum_sq's: values and std errors
+    within the table's rounding bound, which lies far below the values."""
+    bound = random_sums._table_rounding_bound(values, base)
+    assert 0.0 < bound <= 1e-9 * max(w.value for w in want)
+    for g, w in zip(got, want, strict=True):
+        assert (g.samples, g.method) == (w.samples, w.method)
+        assert abs(g.value - w.value) <= bound
+        assert abs(g.std_error - w.std_error) <= bound
+
+
 class TestEnsembleRademacherMoments:
     """The batched ensemble kernel against one rademacher_sum_sq call per
-    grouping, estimate by estimate with ==."""
+    grouping, estimate by estimate: == in Hilbert bases, within the table's
+    rounding bound in the others."""
 
     @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
     def budget(self, request, monkeypatch):
@@ -464,7 +563,11 @@ class TestEnsembleRademacherMoments:
         groupings = every + [every[i] for i in rng.choice(len(every), size=20)]
         space = EmpiricalL2Space(base)
         got = ensemble_rademacher_moments(values, groupings, space)
-        assert got == _one_grouping_at_a_time(values, groupings, space)
+        want = _one_grouping_at_a_time(values, groupings, space)
+        if base.is_hilbert:
+            assert got == want
+        else:
+            assert_within_the_rounding_bound(got, want, values, base)
 
     @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (100, 12)])
     def test_the_example_3_4_family_matches_rademacher_sum_sq(self, n_atoms, n_paths):

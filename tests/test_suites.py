@@ -12,6 +12,7 @@ from gammavar import (
     SUITE_NAMES,
     SizeLimitError,
     __version__,
+    enumerate_groupings,
     render_json,
     resolve_config,
     run_integrate,
@@ -141,6 +142,54 @@ class TestConfigResolution:
     )
     def test_runs_within_the_caps_resolve(self, document, suite_name):
         resolve_config(document, suite_name)
+
+    @pytest.mark.parametrize(
+        "document, suite_name, field, estimate",
+        [
+            # Bell(12) groupings at 100k paths, the run that held 2.1 GB
+            ({"suite": {"n_grid": [4, 12]}}, "example-3-4", "suite.exhaustive_limit", "4.21e+11"),
+            ({"suite": {"n_atoms": 12, "max_blocks": 4}}, "randomisation", "suite.n_atoms", "1.05e+09"),
+            ({"engine": {"paths": 32_420}}, "randomisation", "suite.n_atoms", "1.34e+08"),
+            ({"suite": {"n_atoms": 10}}, "thm-3-3", "engine.paths", "3.48e+09"),
+            (_sized_input(9, "density", "auto"), "thm-3-3", "engine.paths", "6.34e+08"),
+            (_sized_input(9, "density", "exhaustive"), None, "engine.paths", "2.11e+09"),
+        ],
+    )
+    def test_oversized_ensemble_batches_are_refused_before_any_run(
+        self, document, suite_name, field, estimate
+    ):
+        # groupings times paths: Bell(12) x 1e5; 700075 x 1500 (at most 4
+        # blocks of 12 atoms); 4140 x 32420; Bell(10) x 30000; Bell(9) x
+        # 30000 and x 1e5
+        with pytest.raises(SizeLimitError) as exc:
+            resolve_config(document, suite_name)
+        message = str(exc.value)
+        assert message.startswith(f"{field}: ")
+        assert f"an estimated {estimate} grouping-paths" in message
+        assert str(suites.MAX_GROUPING_PATHS) in message
+
+    @pytest.mark.parametrize(
+        "document, suite_name",
+        [
+            # 4140 x 32419 lies just within the limit
+            ({"engine": {"paths": 32_419}}, "randomisation"),
+            # 88574 x 1500, at most 3 blocks of 12 atoms
+            ({"suite": {"n_atoms": 12, "max_blocks": 3}}, "randomisation"),
+            ({"suite": {"n_grid": [12], "empirical_limit": 4}}, "example-3-4"),
+            ({"suite": {"n_atoms": 10}, "engine": {"mode": "greedy"}}, "thm-3-3"),
+            (_sized_input(9, "density", "contiguous"), None),
+            (_sized_input(12, "measure", "exhaustive"), None),
+        ]
+        + [(None, name) for name in SUITE_NAMES],
+    )
+    def test_ensemble_batches_within_the_limit_resolve(self, document, suite_name):
+        resolve_config(document, suite_name)
+
+    def test_the_sweep_estimate_counts_its_groupings(self):
+        for n in range(1, 7):
+            blocks = [g.n_blocks for g in enumerate_groupings(n, "all")]
+            for k in range(1, n + 2):
+                assert suites._partition_count(n, k) == sum(b <= k for b in blocks)
 
     def test_partition_requires_exactly_one_form(self):
         for bad in ({}, {"uniform": 2, "weights": [0.5, 0.5]}, {"atoms": 3}):

@@ -1,0 +1,47 @@
+"""The benchmark's traced mode (perfbench/tracing.py) wraps the package's
+functions by name from outside.  Installing and undoing it here proves that
+every name it wraps still exists, so `perfbench/run.py --trace 1` keeps
+running after the package changes."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+# the modules the tracer imports, so that importing adds no names
+from gammavar import brownian, cli, embeddings, groupings, norms, random_sums  # noqa: F401
+from gammavar import reports, spaces, suites  # noqa: F401
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every module-level name of the package, and NormedSpace's methods."""
+    names = {
+        name: dict(vars(module))
+        for name, module in sys.modules.items()
+        if name == "gammavar" or name.startswith("gammavar.")
+    }
+    names["NormedSpace"] = dict(vars(spaces.NormedSpace))
+    return names
+
+
+def test_the_benchmark_tracer_installs_and_restores():
+    tracing = _load_tracing()
+    before = _bindings()
+    # install raises if a name it wraps is bound in no module
+    patches = tracing.install(tracing.Tracer())
+    try:
+        # a wrapped function is rebound where it is defined and where it is used
+        wrapped = before["gammavar.norms"]["randomized_variation_norm"]
+        assert norms.randomized_variation_norm is not wrapped
+        assert suites.randomized_variation_norm is not wrapped
+    finally:
+        patches.restore()
+    assert _bindings() == before
