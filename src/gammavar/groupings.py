@@ -142,17 +142,21 @@ def grouping_from_labels(labels: np.ndarray) -> Grouping:
 
 
 @lru_cache(maxsize=None)
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set (Bell triangle recurrence)."""
+def _partition_count(n: int, max_blocks: int) -> int:
+    """Number of set partitions of an n-element set into at most max_blocks
+    blocks: a sum of Stirling numbers of the second kind, S(n, k) =
+    k S(n - 1, k) + S(n - 1, k - 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return sum(row[: max_blocks + 1])
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-element set."""
+    return _partition_count(n, n)
 
 
 def check_enumeration_size(n_atoms: int, mode: str, field: str | None = None) -> None:

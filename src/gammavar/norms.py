@@ -366,7 +366,8 @@ def randomized_variation_norm(
     (groupings.grouping_labels), on ensemble values in one call of
     random_sums.ensemble_rademacher_moments.  The partitions within twice
     the table's rounding bound of the top are decided by rademacher_sum_sq
-    (_screened_best), and the winner's estimate is reported.  The
+    (_screened_best), and the winner's estimate is reported; an ensemble
+    whose bound is 0 is decided by its screen estimates.  The
     contiguous and greedy modes evaluate one grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
@@ -383,12 +384,17 @@ def randomized_variation_norm(
             grouping, moment = _exhaustive_label_search(_check_values(arr, space), space)
         else:
             every = list(enumerate_groupings(n_atoms, "all"))
+            estimates = ensemble_rademacher_moments(arr, every, space)
+            bound = _table_rounding_bound(arr, space.base)
             grouping, moment = _screened_best(
-                np.array([e.value for e in ensemble_rademacher_moments(arr, every, space)]),
+                np.array([e.value for e in estimates]),
                 np.array([g.n_blocks for g in every]),
                 every.__getitem__,
-                _table_rounding_bound(arr, space.base),
-                lambda g: rademacher_sum_sq(block_sums(arr, g), space),
+                bound,
+                # at bound 0 the estimates are rademacher_sum_sq's, bit for bit
+                dict(zip(every, estimates)).__getitem__
+                if bound == 0.0
+                else lambda g: rademacher_sum_sq(block_sums(arr, g), space),
             )
         return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 

@@ -372,7 +372,12 @@ def _table_rounding_bound(values: np.ndarray, base) -> float:
     terms = 2 * n_atoms + 2 * dim + (1 << (n_atoms - 1)) + math.log2(paths) + 28
     with np.errstate(over="ignore"):
         reach = np.sum(base.norm(values), axis=0) + nu
-        error = terms * 2.0**-53 * np.mean(reach * reach) + 3.0 * nu * np.mean(reach) + tiny
+        # B^2 at unit scale: a bound past the largest float where the
+        # moments stay finite would keep every partition near the top
+        shift = int(_unit_shift(np.ravel(reach)))
+        unit = reach * 2.0**-shift
+        error = np.ldexp(terms * 2.0**-53 * np.mean(unit * unit), 2 * shift)
+        error += 3.0 * nu * np.mean(reach) + tiny
     return 4.0 * float(error)
 
 
@@ -490,9 +495,8 @@ def _sign_table_path_stats(
     """_ensemble_path_stats in a base that is not Hilbert: the subgroup means
     of one atom-sign table over all N atoms.  A grouping that leaves atoms
     uncovered takes _sign_average of its block sums, as rademacher_sum_sq
-    does, and so does every grouping where N passes ENUMERATION_LIMIT, the
-    (2^(N-1), paths) table would pass _ENSEMBLE_TABLE_FLOATS, or the
-    groupings' own sign patterns are fewer than the table's rows."""
+    does, and so does every grouping where N passes ENUMERATION_LIMIT or the
+    (2^(N-1), paths) table would pass _ENSEMBLE_TABLE_FLOATS."""
     n_atoms, n_paths, dim = arr.shape
     too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
     if too_many:
@@ -501,7 +505,6 @@ def _sign_table_path_stats(
         )
     norm_sq = _path_norm_sq(base, n_paths, dim)
     fits = n_atoms <= ENUMERATION_LIMIT and n_paths << (n_atoms - 1) <= _ENSEMBLE_TABLE_FLOATS
-    fits = fits and sum(1 << (g.n_blocks - 1) for g in groupings) >= 1 << (n_atoms - 1)
     families: dict[int, list[int]] = {}
     for i, g in enumerate(groupings):
         if fits and len(g.covered) == n_atoms:

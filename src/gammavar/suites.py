@@ -34,6 +34,7 @@ from .groupings import (
     MAX_ATOMS_ALL,
     Grouping,
     SizeLimitError,
+    _partition_count,
     bell_number,
     block_sums,
     check_enumeration_size,
@@ -391,10 +392,9 @@ def resolve_config(
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
     enumerate groupings past a cap, or take a batch of ensemble moments
-    past MAX_GROUPING_PATHS groupings times paths; the message starts with
-    the field that asked for the enumeration."""
+    past MAX_GROUPING_PATHS groupings times paths (_check_batch); the
+    message starts with the field that asked for the enumeration."""
     has_input = config.measure_values is not None or config.density_values is not None
-    batches = []  # (groupings, field, what) of each kind of ensemble batch
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
         if suite_name == "finest-partition" and has_input:
@@ -404,7 +404,8 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
             check_enumeration_size(n_atoms, "all", "suite.n_atoms")
     if suite_name == "randomisation":
         max_blocks = _positive_int(config.suite["max_blocks"], "suite.max_blocks")
-        batches.append((_partition_count(n_atoms, max_blocks), "suite.n_atoms", "each sweep"))
+        sweep = _partition_count(n_atoms, max_blocks)
+        _check_batch(sweep, config.paths, "suite.n_atoms", "each sweep")
     if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
         # grid points within both limits run an exhaustive search, over an
         # ensemble too up to empirical_limit
@@ -418,9 +419,11 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
                 if type(empirical) is int and n <= empirical:
                     what = f"the search at n = {n}"
-                    batches.append((bell_number(n), "suite.exhaustive_limit", what))
-    # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches a
-    # configured density or its own instances, integrate a configured density
+                    _check_batch(bell_number(n), config.paths, "suite.exhaustive_limit", what)
+    # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches
+    # ensembles of a configured density or of its own instances.  A config
+    # without a suite may run norms, which searches no ensemble, so
+    # run_integrate checks its own search's batch
     n_atoms = None
     enumerates = config.mode in ("exhaustive", "contiguous")
     if suite_name == "thm-3-3" and config.density_values is None:
@@ -434,27 +437,26 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     if n_atoms is not None and enumerates:
         enumeration = "all" if config.mode == "exhaustive" else "contiguous"
         check_enumeration_size(n_atoms, enumeration, "engine.mode")
-    exhaustive = config.mode == "exhaustive" or config.search_mode == "auto"
-    if n_atoms is not None and 1 <= n_atoms <= MAX_ATOMS_ALL and exhaustive:
-        if suite_name == "thm-3-3" or config.density_values is not None:
-            batches.append((bell_number(n_atoms), "engine.paths", "each ensemble's search"))
-    for groupings, field, what in batches:
-        if groupings * config.paths > MAX_GROUPING_PATHS:
-            raise SizeLimitError(
-                f"{field}: {what} takes {groupings} groupings on {config.paths} paths, an "
-                f"estimated {groupings * config.paths:.3g} grouping-paths; the limit is "
-                f"{MAX_GROUPING_PATHS} (2^27)"
-            )
+    if n_atoms is not None and suite_name == "thm-3-3":
+        _check_search_batch(config, n_atoms)
 
 
-def _partition_count(n_atoms: int, max_blocks: int) -> int:
-    """The set partitions of n_atoms atoms into at most max_blocks blocks: a
-    sum of Stirling numbers of the second kind, S(n, k) = k S(n - 1, k) +
-    S(n - 1, k - 1)."""
-    row = [1]
-    for n in range(1, n_atoms + 1):
-        row = [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
-    return sum(row[: max_blocks + 1])
+def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
+    """_check_batch of an exhaustive randomized search over an ensemble of
+    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it."""
+    if 1 <= n_atoms <= MAX_ATOMS_ALL and config.search_mode in ("auto", "exhaustive"):
+        _check_batch(bell_number(n_atoms), config.paths, "engine.paths", "each ensemble's search")
+
+
+def _check_batch(groupings: int, paths: int, field: str, what: str) -> None:
+    """Raise SizeLimitError when a batch of ensemble moments takes more than
+    MAX_GROUPING_PATHS groupings times paths."""
+    if groupings * paths > MAX_GROUPING_PATHS:
+        raise SizeLimitError(
+            f"{field}: {what} takes {groupings} groupings on {paths} paths, an "
+            f"estimated {groupings * paths:.3g} grouping-paths; the limit is "
+            f"{MAX_GROUPING_PATHS} (2^27)"
+        )
 
 
 def _ordered_map(fn: Callable, items: list, threads: int) -> list:
@@ -1154,6 +1156,7 @@ def run_integrate(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
     """Ensemble statistics of the stochastic integral of the configured density."""
     if config.density_values is None:
         raise ConfigError("input: the integrate command needs density values")
+    _check_search_batch(config, config.partition.n_atoms)
     density = config.density()
     root = config.root_stream("integrate")
     checks = _identity_checks(config, density, root.substream(0), 0, "configured density")

@@ -87,6 +87,23 @@ class TestNormsCommand:
         assert "27644437" in capsys.readouterr().err
 
 
+    def test_a_density_at_the_defaults_searches_no_ensemble(self, tmp_path, capsys):
+        # an exhaustive search over an ensemble of these 8 atoms at the
+        # default 100k paths would take Bell(8) x 1e5 = 4.1e8 grouping-paths,
+        # past the limit; norms turns the density into an (N, d) measure and
+        # searches no ensemble
+        document = {
+            "partition": {"uniform": 8},
+            "space": {"dim": 2, "norm": "l1"},
+            "input": {"density": [[1.0, -0.5], [0.25, 2.0], [-1.5, 0.75], [0.5, 0.5]] * 2},
+        }
+        path = _write_config(tmp_path, document)
+        code = main(["norms", "--config", path])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        details = {check["name"]: check.get("detail", "") for check in checks}
+        assert code == EXIT_PASS
+        assert details["randomized-variation"].startswith("mode=exhaustive ")
+
     def test_a_count_below_two_names_its_field(self, tmp_path, capsys):
         path = _norms_config(tmp_path, space={"dim": 2, "norm": "l1"})
         assert main(["norms", "--config", path, "--samples", "1"]) == EXIT_ERROR

@@ -707,6 +707,20 @@ class TestEnsembleSearchAgainstTheReference:
             contributions, base, chunk_floats, partitions
         )
 
+    @pytest.mark.parametrize("base", [NormedSpace.l2(2), NormedSpace.l1(2)], ids=repr)
+    def test_a_zero_bound_evaluates_no_grouping_again(self, base, monkeypatch):
+        # a Hilbert base, and small integers whose signed sums are exact: the
+        # screen estimates are the per-grouping ones, and the search reports
+        # them without a rademacher_sum_sq call
+        contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
+        assert random_sums._table_rounding_bound(contributions, base) == 0.0
+
+        def refused(*args):
+            pytest.fail("evaluated a grouping again")
+
+        monkeypatch.setattr(norms, "rademacher_sum_sq", refused)
+        _assert_ensemble_search_matches_the_reference(contributions, base)
+
     def test_the_integrate_shape_stays_near_the_per_grouping_peak(self):
         # N = 4 atoms, 100k paths in l2(2), as the default integrate runs it.
         # One grouping at a time the search peaked at 12.2 MiB traced: a

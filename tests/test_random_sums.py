@@ -346,6 +346,30 @@ class TestAtomSignTable:
             monkeypatch.undo()
             assert (report.grouping, report.moment, len(calls)) == (grouping, moment, 1)
 
+    def test_the_bound_stays_finite_where_its_reach_squared_overflows(self, monkeypatch):
+        # reach = sum_n ||x_n||_1 = 3.5 a, so reach^2 = 2.2e308 overflows; the
+        # signed sums' squares 6.25 a^2 and 2.25 a^2 do not
+        values = 4.2e153 * np.array([[1.0, 1.0], [1.0, -0.5]])
+        space = NormedSpace.l1(2)
+        bound = random_sums._table_rounding_bound(values, space)
+        unit = random_sums._table_rounding_bound(values * 2.0**-512, space)
+        assert bound == unit * 2.0**512 * 2.0**512
+        assert 0.0 < bound < 1e-12 * 6.25 * 4.2e153 * 4.2e153
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rademacher_sum_sq(*args)
+
+        monkeypatch.setattr(norms, "rademacher_sum_sq", counted)
+        report = randomized_variation_norm(values, space, mode="exhaustive")
+        monkeypatch.undo()
+        # the finest grouping lies far below the top and is never decided
+        assert len(calls) == 1
+        assert report.grouping == Grouping([[0, 1]], 2)
+        assert report.moment == rademacher_sum_sq(block_sums(values, report.grouping), space)
+        assert math.isfinite(report.moment.value)
+
 
 def _far_scale_routes():
     """The three Monte Carlo routes, each as values -> SumEstimate: plain

@@ -20,7 +20,7 @@ from gammavar import (
     run_suite,
     sample_brownian,
 )
-from gammavar import random_sums, suites
+from gammavar import groupings, random_sums, suites
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
 from gammavar.spaces import EmpiricalL2Space, NormedSpace
@@ -152,7 +152,6 @@ class TestConfigResolution:
             ({"engine": {"paths": 32_420}}, "randomisation", "suite.n_atoms", "1.34e+08"),
             ({"suite": {"n_atoms": 10}}, "thm-3-3", "engine.paths", "3.48e+09"),
             (_sized_input(9, "density", "auto"), "thm-3-3", "engine.paths", "6.34e+08"),
-            (_sized_input(9, "density", "exhaustive"), None, "engine.paths", "2.11e+09"),
         ],
     )
     def test_oversized_ensemble_batches_are_refused_before_any_run(
@@ -160,7 +159,7 @@ class TestConfigResolution:
     ):
         # groupings times paths: Bell(12) x 1e5; 700075 x 1500 (at most 4
         # blocks of 12 atoms); 4140 x 32420; Bell(10) x 30000; Bell(9) x
-        # 30000 and x 1e5
+        # 30000
         with pytest.raises(SizeLimitError) as exc:
             resolve_config(document, suite_name)
         message = str(exc.value)
@@ -179,17 +178,33 @@ class TestConfigResolution:
             ({"suite": {"n_atoms": 10}, "engine": {"mode": "greedy"}}, "thm-3-3"),
             (_sized_input(9, "density", "contiguous"), None),
             (_sized_input(12, "measure", "exhaustive"), None),
+            # norms turns a density into an (N, d) measure and searches no
+            # ensemble; only integrate's search is refused at this size
+            (_sized_input(9, "density", "exhaustive"), None),
         ]
         + [(None, name) for name in SUITE_NAMES],
     )
     def test_ensemble_batches_within_the_limit_resolve(self, document, suite_name):
         resolve_config(document, suite_name)
 
+    def test_an_oversized_integrate_search_is_refused_before_it_starts(self, monkeypatch):
+        def refused(*args, **kwargs):
+            pytest.fail("started an oversized run")
+
+        monkeypatch.setattr(suites, "_identity_checks", refused)
+        monkeypatch.setattr(suites, "gamma_summing_norm", refused)
+        with pytest.raises(SizeLimitError) as exc:
+            run_integrate(resolve_config(_sized_input(9, "density", "exhaustive")))
+        message = str(exc.value)
+        # Bell(9) x 1e5
+        assert message.startswith("engine.paths: each ensemble's search takes 21147 ")
+        assert "an estimated 2.11e+09 grouping-paths" in message
+
     def test_the_sweep_estimate_counts_its_groupings(self):
         for n in range(1, 7):
             blocks = [g.n_blocks for g in enumerate_groupings(n, "all")]
             for k in range(1, n + 2):
-                assert suites._partition_count(n, k) == sum(b <= k for b in blocks)
+                assert groupings._partition_count(n, k) == sum(b <= k for b in blocks)
 
     def test_partition_requires_exactly_one_form(self):
         for bad in ({}, {"uniform": 2, "weights": [0.5, 0.5]}, {"atoms": 3}):
