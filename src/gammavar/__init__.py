@@ -47,7 +47,6 @@ from .brownian import (
     BrownianEnsemble,
     EmpiricalVectorMeasure,
     IntegralIdentityReport,
-    check_randomisation_identity,
     dump_ensemble,
     induced_randomized_measure,
     integral_moment,
@@ -98,7 +97,6 @@ __all__ = [
     "SumEstimate",
     "SUITE_NAMES",
     "VectorMeasure",
-    "check_randomisation_identity",
     "compare_estimates",
     "dump_ensemble",
     "embedding_ratio",

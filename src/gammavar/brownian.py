@@ -18,20 +18,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .groupings import Grouping, _distinct_sums
+from .groupings import Grouping, _block_sum
 from .measures import StepFunction, measure_from_density
 from .norms import NormReport, gamma_variation_norm, randomized_variation_norm
 from .random_sums import (
-    ENUMERATION_LIMIT,
+    METHOD_MONTE_CARLO,
     Comparison,
     RandomStream,
     SumEstimate,
+    _ensemble_moments,
     _estimate_from_path_stats,
-    _path_estimates,
-    _path_moments,
-    _path_norm_sq,
     compare_estimates,
-    ensemble_rademacher_moments,
 )
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 
@@ -273,10 +270,6 @@ class RandomisationCheck:
     plain: SumEstimate
     comparison: Comparison
 
-    @property
-    def consistent(self) -> bool:
-        return self.comparison.consistent
-
     def to_document(self) -> dict:
         return {
             "grouping": self.grouping.to_lists(),
@@ -286,49 +279,52 @@ class RandomisationCheck:
         }
 
 
+@dataclass(frozen=True)
+class RandomisationSweep:
+    """The randomisation identity over many groupings, as arrays indexed
+    like groupings, with the z-test gap <= tolerance = z * hypot(signed
+    error, plain error) of compare_estimates on Monte Carlo estimates."""
+
+    groupings: list[Grouping]
+    signed_value: np.ndarray
+    signed_error: np.ndarray
+    plain: SumEstimate
+    gap: np.ndarray
+    tolerance: np.ndarray
+    consistent: np.ndarray
+    z: float
+
+    def check(self, i: int) -> RandomisationCheck:
+        """Grouping i's check; both sides are means over the same paths."""
+        value, error = float(self.signed_value[i]), float(self.signed_error[i])
+        signed = SumEstimate(value, error, self.plain.samples, METHOD_MONTE_CARLO)
+        gap, tolerance = float(self.gap[i]), float(self.tolerance[i])
+        comparison = Comparison(bool(self.consistent[i]), gap, tolerance, self.z)
+        return RandomisationCheck(self.groupings[i], signed, self.plain, comparison)
+
+
 def randomisation_identity_sweep(
     measure: EmpiricalVectorMeasure,
     groupings,
     z: float = 3.0,
-) -> list[RandomisationCheck]:
-    """check_randomisation_identity over many groupings, batched.
+) -> RandomisationSweep:
+    """The sign-averaged moment of each grouping's block sum against the
+    plain moment of the same sum, paired on the measure's path ensemble.
+    Independence and symmetry of the true block values make every sign
+    pattern equidistributed, so the two agree in expectation.
 
-    Independence and symmetry of the true block values make every sign pattern
-    equidistributed, so the sign-enumerated average and the plain moment agree
-    in expectation; both sides here share the measure's path ensemble.
-
-    The signed side is random_sums.ensemble_rademacher_moments, the kernel
-    of the randomized variation norm over ensembles: a subgroup mean of the
-    measure's atom-sign table, within random_sums._table_rounding_bound of
-    one sign enumeration per grouping, or in a Hilbert base the per-path
-    closed form sum_m ||G(B_m)||^2, which the parallelogram law makes the
-    sign average.  The plain side sums each distinct covered atom set once,
-    in ascending atom order as block_sums sums it.
+    Every grouping must be a set partition of the measure's atoms
+    (ValueError otherwise), so the plain side is one estimate: all atoms
+    summed in ascending order.  The signed side is the randomized variation
+    norm's ensemble kernel (random_sums.ensemble_rademacher_moments) as
+    arrays: the atom-sign table's path mean and covariance, within
+    random_sums._table_rounding_bound of one sign enumeration per grouping,
+    or in a Hilbert base the per-path closed form sum_m ||G(B_m)||^2.
     """
     groupings = list(groupings)
-    for grouping in groupings:
-        if grouping.n_blocks > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, "
-                f"got {grouping.n_blocks}"
-            )
-    n_paths, dim = measure.n_paths, measure.space.dim
-    signed = ensemble_rademacher_moments(
-        measure.contributions, groupings, measure.empirical_space
-    )
-    flat = measure.contributions.reshape(measure.n_atoms, n_paths * dim)
-    covered, covered_rows = _distinct_sums(flat, [g.covered for g in groupings])
-    path_norm_sq = _path_norm_sq(measure.space, n_paths, dim)
-    plains = _path_estimates(*_path_moments(path_norm_sq(covered)), n_paths)
-    return [
-        RandomisationCheck(grouping, sign, plains[row], compare_estimates(sign, plains[row], z=z))
-        for grouping, sign, row in zip(groupings, signed, covered_rows.tolist())
-    ]
-
-
-def check_randomisation_identity(
-    measure: EmpiricalVectorMeasure, grouping: Grouping, z: float = 3.0
-) -> RandomisationCheck:
-    """The sign-averaged moment of the grouping's block sum against the plain
-    empirical moment of the same block sum, paired on one path ensemble."""
-    return randomisation_identity_sweep(measure, [grouping], z=z)[0]
+    value, error = _ensemble_moments(measure.contributions, groupings, measure.empirical_space)
+    total = _block_sum(measure.contributions, list(range(measure.n_atoms)))
+    plain = _estimate_from_path_stats(measure.space.norm_sq(total))
+    gap = np.abs(value - plain.value)
+    tolerance = z * np.hypot(error, plain.std_error)
+    return RandomisationSweep(groupings, value, error, plain, gap, tolerance, gap <= tolerance, z)

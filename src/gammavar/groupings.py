@@ -96,25 +96,6 @@ def _block_sum(values: np.ndarray, atoms: list[int]) -> np.ndarray:
     return np.sum(values[atoms], axis=0)
 
 
-def _distinct_sums(values: np.ndarray, atom_sets: list, reduce=None) -> tuple[np.ndarray, np.ndarray]:
-    """One row per distinct atom set (each a tuple), summed as block_sums sums
-    a block, and the row of every set in atom_sets.  With reduce, a row holds
-    reduce(sum) and the sum itself is not kept."""
-    index: dict[tuple[int, ...], int] = {}
-    rows = np.array(
-        [index.setdefault(atoms, len(index)) for atoms in atom_sets], dtype=np.int64
-    )
-    table = np.empty((0,) + values.shape[1:])
-    for atoms, row in index.items():
-        total = _block_sum(values, list(atoms))
-        if reduce is not None:
-            total = reduce(total)
-        if row == 0:
-            table = np.empty((len(index),) + total.shape)
-        table[row] = total
-    return table, rows
-
-
 def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
     """Sum values (atom-indexed on axis 0) over each block of the grouping."""
     return np.stack([_block_sum(values, list(b)) for b in grouping.blocks])

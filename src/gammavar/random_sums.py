@@ -15,7 +15,9 @@ Batched Rademacher moments outside Hilbert bases come from one table per
 measure: a grouping's sign patterns are the atom sign vectors constant on
 its blocks, a subgroup H_G of {+-1}^N, so its moment is the mean over H_G
 of T[e] = ||sum_n e_n x_n||^2 (_subgroup_means), within
-_table_rounding_bound of rademacher_sum_sq of the block sums.
+_table_rounding_bound of rademacher_sum_sq of the block sums.  On a path
+ensemble that mean's path mean and variance are forms in the path mean and
+centred path covariance of T (_sign_table_moments).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groupings import Grouping, _block_sum, _distinct_sums, block_sums
+from .groupings import Grouping, _block_sum, block_sums
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -184,7 +186,7 @@ def _unit_shift(stats: np.ndarray) -> np.ndarray:
     back by _scale_back.  A power of two scales sums, products and square
     roots exactly, so moments whose unscaled sums stay normal keep their
     bits."""
-    return np.clip(np.frexp(np.max(stats, axis=-1))[1], -1020, 1020)
+    return np.minimum(np.maximum(np.frexp(np.max(stats, axis=-1))[1], -1020), 1020)
 
 
 def _scale_back(shift, mean, error) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +310,16 @@ def _sign_sweep(values: np.ndarray, norm_sq) -> Iterator[np.ndarray]:
 
 def _sign_average(values: np.ndarray, norm_sq):
     """Average over all sign patterns e of norm_sq(sum_m e_m x_m), the chunk
-    sums of _sign_sweep added in pattern order."""
-    total = 0.0
+    sums of _sign_sweep added in pattern order at the unit shift
+    (_unit_shift) of the largest statistic so far, the total so far scaled
+    down exactly when a chunk raises it, and scaled back, so that a finite
+    average does not overflow in its sum."""
+    shift, total = -1020, 0.0
     for stats in _sign_sweep(values, norm_sq):
-        total += np.sum(stats, axis=0)
-    return total / (1 << (values.shape[0] - 1))
+        top = max(shift, int(_unit_shift(np.ravel(stats))))
+        total, shift = np.ldexp(total, shift - top), top
+        total += np.sum(np.ldexp(stats, -shift), axis=0)
+    return np.ldexp(total / (1 << (values.shape[0] - 1)), shift)
 
 
 def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
@@ -321,21 +328,32 @@ def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
     return np.concatenate(list(_sign_sweep(values, norm_sq)))
 
 
-def _subgroup_means(table: np.ndarray, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """E || sum_m r_m F(B_m) ||^2 for each row of block masks (column m sets
-    bit a for each atom a of block m; block 0 holds atom 0), as (rows,
-    means) pairs: the mean of the atom-sign table over the patterns that
-    flip whole blocks other than block 0.  Flipping a set of blocks is row
-    (sum of their masks) >> 1.  Gathers hold <= _ENSEMBLE_CHUNK_FLOATS."""
+def _subgroup_rows(masks: np.ndarray, floats: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The atom-sign table rows of the sign subgroup H_G of each row of block
+    masks (column m sets bit a for each atom a of block m; block 0 holds
+    atom 0): the patterns that flip whole blocks other than block 0, where
+    flipping a set of blocks is row (sum of their masks) >> 1.  Yields
+    (groupings, rows) pairs whose gathers of floats per row hold at most
+    _ENSEMBLE_CHUNK_FLOATS."""
     k = masks.shape[1]
-    step = max(1, _ENSEMBLE_CHUNK_FLOATS // ((table.size // table.shape[0]) << (k - 1)))
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (floats << (k - 1)))
     shifted = masks[:, 1:] >> 1
     for start in range(0, masks.shape[0], step):
         part = shifted[start : start + step]
         rows = np.zeros((part.shape[0], 1), dtype=masks.dtype)
         for m in range(k - 1):
             rows = np.concatenate((rows, rows + part[:, m, None]), axis=1)
-        yield slice(start, start + step), np.sum(table[rows], axis=1) / rows.shape[1]
+        yield slice(start, start + step), rows
+
+
+def _subgroup_means(table: np.ndarray, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """E || sum_m r_m F(B_m) ||^2 for each row of block masks, as (rows,
+    means) pairs: means of the (2^(N-1),) atom-sign table of (N, d) values
+    over _subgroup_rows, summed at the table's unit shift (_unit_shift)."""
+    shift = _unit_shift(table)
+    unit = np.ldexp(table, -shift)
+    for piece, rows in _subgroup_rows(masks, 1):
+        yield piece, np.ldexp(np.sum(unit[rows], axis=1) / rows.shape[1], shift)
 
 
 def _table_rounding_bound(values: np.ndarray, base) -> float:
@@ -353,18 +371,29 @@ def _table_rounding_bound(values: np.ndarray, base) -> float:
     (log2(paths) + 20) u B^2.  c = 4 doubles this for the two routes, and
     again for second-order terms.
 
-    The bound is 0 where every signed sum of atoms is exact: each value
-    column holds one nonzero value at most (disjoint supports), or only
-    integers whose absolute sum is below 2^53.  Both routes then norm the
-    same vectors and add the same statistics in the same order, as long as
-    rademacher_sum_sq sweeps its patterns in one chunk (_sign_sweep)."""
+    The means may come in either order: rademacher_sum_sq averages each
+    path's patterns first, the ensemble kernel (_sign_table_moments) each
+    pattern's paths.  Both sum the same statistics, each in [0, B^2], by a
+    pattern sum and a pairwise path sum, and a sum of nonnegative terms
+    errs by at most its depth times u times its value, so the same two
+    terms bound either order.  Unit shifts (_unit_shift) are exact on
+    normal floats.
+
+    The bound is 0 for (N, d) values where every signed sum of atoms is
+    exact: each value column holds one nonzero value at most (disjoint
+    supports), or only integers whose absolute sum is below 2^53.  Both
+    routes then norm the same vectors and add the same statistics in the
+    same order, as long as rademacher_sum_sq sweeps its patterns in one
+    chunk (_sign_sweep).  The ensemble kernel's means come in the other
+    order, so ensembles outside a Hilbert base never get 0."""
     if base.is_hilbert:
         return 0.0
     n_atoms, dim = values.shape[0], values.shape[-1]
     flat = values.reshape(n_atoms, -1)
     single = np.count_nonzero(flat, axis=0) <= 1
     integral = np.all(flat == np.round(flat), axis=0) & (np.sum(np.abs(flat), axis=0) < 2.0**53)
-    if np.all(single | integral) and flat.shape[1] << (n_atoms - 1) <= _CHUNK_FLOATS:
+    exact = values.ndim == 2 and np.all(single | integral)
+    if exact and flat.shape[1] << (n_atoms - 1) <= _CHUNK_FLOATS:
         return 0.0
     paths = values.shape[1] if values.ndim == 3 else 1
     tiny = np.finfo(float).smallest_subnormal
@@ -384,61 +413,65 @@ def _table_rounding_bound(values: np.ndarray, base) -> float:
 def ensemble_rademacher_moments(
     values, groupings: Sequence[Grouping], space: EmpiricalL2Space
 ) -> list[SumEstimate]:
-    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m for each grouping
-    {B_m} of (N, paths, d) ensemble values over an EmpiricalL2Space, where
-    G(B) is the block's sum: the path mean and std error (_path_moments) of
-    each piece of per-path statistics that _ensemble_path_stats gives.
+    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m for each set partition
+    {B_m} of the atoms of (N, paths, d) ensemble values over an
+    EmpiricalL2Space, where G(B) is the block's sum: a path mean and its
+    std error.  A grouping that is not a set partition raises ValueError,
+    and so does one of more than ENUMERATION_LIMIT blocks outside a Hilbert
+    base.
 
     In a Hilbert base item i equals rademacher_sum_sq(block_sums(values,
-    groupings[i]), space) bit for bit.  In any other base it is a mean of
-    the atom-sign table, within _table_rounding_bound of that value.
-
+    groupings[i]), space) bit for bit (_ensemble_path_stats).  In any other
+    base it comes from the atom-sign table's path mean and covariance
+    (_sign_table_moments), within _table_rounding_bound of that value.
     Callers: the exhaustive randomized variation search over ensembles
-    (norms.randomized_variation_norm), which decides between the groupings
-    near the top with rademacher_sum_sq, and the signed side of the
-    randomisation sweep (brownian.randomisation_identity_sweep).
-    example-3-4's fixed grouping families stream their paths through
-    _ensemble_path_stats and take one _path_moments at the end
-    (suites._divergence_point).
+    (norms.randomized_variation_norm) and, as arrays (_ensemble_moments),
+    the randomisation sweep (brownian.randomisation_identity_sweep).
     """
     arr = _check_values(values, space)
-    groupings = list(groupings)
+    value, error = _ensemble_moments(arr, list(groupings), space)
+    return [
+        SumEstimate(v, e, arr.shape[1], METHOD_MONTE_CARLO)
+        for v, e in zip(value.tolist(), error.tolist())
+    ]
+
+
+def _ensemble_moments(
+    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values and std errors of ensemble_rademacher_moments as arrays."""
+    n_atoms = arr.shape[0]
+    for g in groupings:
+        if g.n_atoms != n_atoms or sum(map(len, g.blocks)) != n_atoms:
+            raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms, got {g!r}")
+        if g.n_blocks > ENUMERATION_LIMIT and not space.is_hilbert:
+            raise ValueError(
+                f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {g.n_blocks}"
+            )
+    if not space.is_hilbert:
+        return _sign_table_moments(arr, groupings, space)
     value = np.empty(len(groupings))
     error = np.empty(len(groupings))
     for members, path_stats in _ensemble_path_stats(arr, groupings, space):
         value[members], error[members] = _path_moments(path_stats)
-    return _path_estimates(value, error, arr.shape[1])
-
-
-def _path_estimates(value: np.ndarray, error: np.ndarray, n_paths: int) -> list[SumEstimate]:
-    """Monte Carlo estimates from path means and std errors over n_paths."""
-    return [
-        SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
-        for v, e in zip(value.tolist(), error.tolist())
-    ]
+    return value, error
 
 
 def _ensemble_path_stats(
     arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The per-path statistics of ensemble_rademacher_moments, as (members,
-    path_stats) pieces: path_stats[j] holds the (paths,) statistics of
-    groupings[members[j]], elementwise over paths, so a chunk of at least
-    two paths gets the bits of the same paths in the whole ensemble (numpy
-    sums the atoms of a lone path pairwise).
+    """The per-path statistics sum_m ||G(B_m)||^2 of groupings of ensemble
+    values in a Hilbert base, as (members, path_stats) pieces: path_stats[j]
+    holds the (paths,) statistics of groupings[members[j]], elementwise over
+    paths, so a chunk of at least two paths gets the bits of the same paths
+    in the whole ensemble (numpy sums the atoms of a lone path pairwise).
 
-    A base that is not Hilbert takes _sign_table_path_stats.  A Hilbert
-    base sums each distinct block once (groupings._distinct_sums) into a
-    table of its (paths,) squared norms, at most _ENSEMBLE_TABLE_FLOATS
-    floats; a candidate list whose distinct blocks do not fit gets one
-    table per run of candidates that do.  A grouping's rows are added in
-    block order, as the closed form's sum over blocks adds them; a grouping
-    with more blocks than a table holds adds its blocks' squared norms in
-    the same order without a table.
+    A table of the distinct blocks' squared norms holds at most
+    _ENSEMBLE_TABLE_FLOATS floats, one table per run of candidates that
+    fits.  A grouping's rows are added in block order, as the closed form
+    adds them, without a table for a grouping with more blocks than a table
+    holds.
     """
-    if not space.is_hilbert:
-        yield from _sign_table_path_stats(arr, groupings, space.base)
-        return
     n_paths = arr.shape[1]
     norm_sq = space.base.norm_sq
     max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
@@ -459,14 +492,18 @@ def _table_part_stats(
     arr: np.ndarray, groupings: list[Grouping], norm_sq
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """_ensemble_path_stats of a run of groupings in a Hilbert base, from one
-    table of their distinct blocks' squared norms, freed once the last
-    piece is taken; a piece adds at most _ENSEMBLE_CHUNK_FLOATS floats."""
-    blocks = [b for g in groupings for b in g.blocks]
-    table, block_rows = _distinct_sums(arr, blocks, norm_sq)
+    table of their distinct blocks' squared norms, each block summed once,
+    freed once the last piece is taken; a piece adds at most
+    _ENSEMBLE_CHUNK_FLOATS floats."""
+    index: dict[tuple[int, ...], int] = {}
+    block_rows = np.array([index.setdefault(b, len(index)) for g in groupings for b in g.blocks])
+    table = np.empty((len(index), arr.shape[1]))
+    for block, row in index.items():
+        table[row] = norm_sq(_block_sum(arr, list(block)))
     n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
     first_block = np.cumsum(n_blocks) - n_blocks
     step = max(1, _ENSEMBLE_CHUNK_FLOATS // table.shape[1])
-    for k in np.unique(n_blocks).tolist():
+    for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
         members = np.flatnonzero(n_blocks == k)
         rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
         for start in range(0, rows.shape[0], step):
@@ -489,36 +526,43 @@ def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:
     yield slice(start, len(groupings))
 
 
-def _sign_table_path_stats(
-    arr: np.ndarray, groupings: list[Grouping], base
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_ensemble_path_stats in a base that is not Hilbert: the subgroup means
-    of one atom-sign table over all N atoms.  A grouping that leaves atoms
-    uncovered takes _sign_average of its block sums, as rademacher_sum_sq
-    does, and so does every grouping where N passes ENUMERATION_LIMIT or the
-    (2^(N-1), paths) table would pass _ENSEMBLE_TABLE_FLOATS."""
+def _sign_table_moments(
+    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """_ensemble_moments outside a Hilbert base, from the atom-sign table T
+    of all N atoms, (2^(N-1), paths), scaled to unit size (_unit_shift) and
+    centred in place.  A grouping's per-path statistic is the mean of T over
+    its subgroup rows H (_subgroup_rows), so its path mean is the mean over
+    H of T's path mean m, and its path variance sum C[H, H] / |H|^2 with
+    C = T_c T_c^T / (paths - 1); gathers hold <= _ENSEMBLE_CHUNK_FLOATS.
+    Where N passes ENUMERATION_LIMIT, or T or C would pass
+    _ENSEMBLE_TABLE_FLOATS, each grouping takes rademacher_sum_sq instead."""
     n_atoms, n_paths, dim = arr.shape
-    too_many = [g.n_blocks for g in groupings if g.n_blocks > ENUMERATION_LIMIT]
-    if too_many:
-        raise ValueError(
-            f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {too_many[0]}"
-        )
-    norm_sq = _path_norm_sq(base, n_paths, dim)
-    fits = n_atoms <= ENUMERATION_LIMIT and n_paths << (n_atoms - 1) <= _ENSEMBLE_TABLE_FLOATS
-    families: dict[int, list[int]] = {}
+    half = 1 << (n_atoms - 1)
+    if n_atoms > ENUMERATION_LIMIT or half * max(half, n_paths) > _ENSEMBLE_TABLE_FLOATS:
+        found = [rademacher_sum_sq(block_sums(arr, g), space) for g in groupings]
+        return np.array([e.value for e in found]), np.array([e.std_error for e in found])
+    norm_sq = _path_norm_sq(space.base, n_paths, dim)
+    table = _atom_sign_table(arr.reshape(n_atoms, n_paths * dim), norm_sq)
+    shift = _unit_shift(np.ravel(table))
+    table *= np.exp2(-shift)
+    mean = np.mean(table, axis=1)
+    table -= mean[:, None]
+    # one path leaves the centred table 0, and with it the variance; einsum
+    # runs numpy's own loops, as a BLAS product's packing buffers raised the
+    # peak memory of a run
+    cov = np.einsum("ip,jp->ij", table, table) / max(n_paths - 1, 1)
+    value, var = np.empty(len(groupings)), np.empty(len(groupings))
+    families: dict[int, list] = {}
     for i, g in enumerate(groupings):
-        if fits and len(g.covered) == n_atoms:
-            families.setdefault(g.n_blocks, []).append(i)
-        else:
-            sums = block_sums(arr, g).reshape(g.n_blocks, -1)
-            yield np.array([i]), _sign_average(sums, norm_sq)[None]
-    if families:
-        table = _atom_sign_table(arr.reshape(n_atoms, n_paths * dim), norm_sq)
-        dtype = np.min_scalar_type((1 << n_atoms) - 1)
-    for family in families.values():
-        masks = [[sum(1 << a for a in b) for b in groupings[i].blocks] for i in family]
-        for piece, path_stats in _subgroup_means(table, np.array(masks, dtype=dtype)):
-            yield np.array(family[piece]), path_stats
+        families.setdefault(g.n_blocks, []).append((i, [sum(1 << a for a in b) for b in g.blocks]))
+    for k, family in families.items():
+        members, masks = (np.array(column) for column in zip(*family))
+        for piece, rows in _subgroup_rows(masks, 1 << (k - 1)):
+            value[members[piece]] = np.sum(mean[rows], axis=1) / rows.shape[1]
+            gathered = cov[rows[:, :, None], rows[:, None, :]]
+            var[members[piece]] = np.sum(gathered, axis=(1, 2)) / rows.shape[1] ** 2
+    return _scale_back(shift, value, np.sqrt(np.maximum(var, 0.0) / n_paths))
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

@@ -62,9 +62,9 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
+    METHOD_MONTE_CARLO,
     _ENSEMBLE_CHUNK_FLOATS,
     _ensemble_path_stats,
-    _path_estimates,
     _path_moments,
     compare_estimates,
     rademacher_sum_sq,
@@ -907,8 +907,10 @@ def _divergence_point(
                 values = np.ascontiguousarray(block.T)[:, :, None]
                 for members, stats in _ensemble_path_stats(values, family, empirical_space):
                     path_stats[members, span] = stats
-            estimate = max(
-                _path_estimates(*_path_moments(path_stats), paths), key=lambda e: e.value
+            value, error = _path_moments(path_stats)
+            best = int(np.argmax(value))
+            estimate = SumEstimate(
+                float(value[best]), float(error[best]), paths, METHOD_MONTE_CARLO
             )
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)
@@ -1051,25 +1053,21 @@ def _randomisation_instance(
     density = StepFunction(partition, space, values)
     ensemble = sample_brownian(partition, paths, stream.substream(1))
     empirical = induced_randomized_measure(density, ensemble)
-    results = randomisation_identity_sweep(
-        empirical, _sweep_candidates(n_atoms, max_blocks), z=z
+    sweep = randomisation_identity_sweep(empirical, _sweep_candidates(n_atoms, max_blocks), z=z)
+    failures = np.flatnonzero(~sweep.consistent)
+    # the first largest gap / tolerance, taken as 0 where the tolerance is 0
+    ratio = np.divide(
+        sweep.gap, sweep.tolerance, out=np.zeros_like(sweep.gap), where=sweep.tolerance > 0
     )
-    failures = [r for r in results if not r.consistent]
-    worst = max(
-        results,
-        key=lambda r: abs(r.comparison.gap) / r.comparison.tolerance
-        if r.comparison.tolerance > 0
-        else 0.0,
-    )
-    detail = (
-        f"norm={space.norm_tag()} worst grouping {worst.grouping.to_lists()}"
-        + (f"; first failure {failures[0].grouping.to_lists()}" if failures else "")
-    )
+    worst = sweep.check(int(np.argmax(ratio)))
+    detail = f"norm={space.norm_tag()} worst grouping {worst.grouping.to_lists()}"
+    if failures.size:
+        detail += f"; first failure {sweep.groupings[failures[0]].to_lists()}"
     return CheckRecord(
         name=f"signs-{index:02d}",
         values={
-            "groupings": len(results),
-            "failures": len(failures),
+            "groupings": len(sweep.groupings),
+            "failures": int(failures.size),
             "worst_signed": worst.signed.value,
             "worst_plain": worst.plain.value,
             "worst_tolerance": worst.comparison.tolerance,
@@ -1078,7 +1076,7 @@ def _randomisation_instance(
             "worst_signed": worst.signed.std_error,
             "worst_plain": worst.plain.std_error,
         },
-        verdict="pass" if not failures else "fail",
+        verdict="fail" if failures.size else "pass",
         detail=detail,
     )
 

@@ -21,7 +21,7 @@ from gammavar import (
     RandomStream,
     SizeLimitError,
     StepFunction,
-    check_randomisation_identity,
+    compare_estimates,
     dump_ensemble,
     enumerate_groupings,
     induced_randomized_measure,
@@ -331,32 +331,33 @@ class TestRandomisationIdentity:
     def test_single_block_is_exactly_invariant(self):
         # one sign factors out of the norm, so both sides coincide path-wise
         measure = self._measure(n_paths=200)
-        check = check_randomisation_identity(measure, Grouping([[0, 1, 2, 3]], 4))
+        check = randomisation_identity_sweep(measure, [Grouping([[0, 1, 2, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert abs(check.signed.value - check.plain.value) <= 1e-12
 
     def test_finest_grouping_keeps_the_euclidean_moment(self):
         measure = self._measure(seed=52)
-        check = check_randomisation_identity(measure, Grouping.finest(4))
+        check = randomisation_identity_sweep(measure, [Grouping.finest(4)]).check(0)
         assert check.comparison.consistent
 
     def test_two_block_covering_grouping_is_consistent(self):
         measure = self._measure(seed=53, space=NormedSpace.l1(2))
-        check = check_randomisation_identity(measure, Grouping([[0, 2], [1, 3]], 4))
+        check = randomisation_identity_sweep(measure, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert check.grouping == Grouping([[0, 2], [1, 3]], 4)
 
-    def test_sweep_preserves_order_and_caches_plain_moments(self):
+    def test_sweep_preserves_order_and_shares_the_plain_moment(self):
         measure = self._measure(seed=54, n_paths=500)
         groupings = [
             Grouping([[0, 1], [2, 3]], 4),
             Grouping([[0, 2], [1, 3]], 4),
             Grouping.finest(4),
         ]
-        checks = randomisation_identity_sweep(measure, groupings)
-        assert [c.grouping for c in checks] == groupings
-        # same covered atom set: the unsigned side is shared across groupings
-        assert checks[0].plain == checks[1].plain
+        sweep = randomisation_identity_sweep(measure, groupings)
+        assert sweep.groupings == groupings
+        assert [sweep.check(i).grouping for i in range(3)] == groupings
+        # every set partition sums to the whole measure: one unsigned side
+        assert sweep.check(0).plain is sweep.check(2).plain is sweep.plain
 
     @pytest.mark.parametrize("chunk_floats", [None, 1200])
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l1(2)])
@@ -371,26 +372,29 @@ class TestRandomisationIdentity:
         covering = list(enumerate_groupings(5))
         picks = np.random.default_rng(57).choice(len(covering), size=15, replace=False)
         groupings = [covering[i] for i in picks]
-        checks = randomisation_identity_sweep(measure, groupings)
+        sweep = randomisation_identity_sweep(measure, groupings)
         bound = random_sums._table_rounding_bound(measure.contributions, space)
-        for grouping, check in zip(groupings, checks):
+        for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
             exact = rademacher_sum_sq(
                 block_sums(measure.contributions, grouping), measure.empirical_space
             )
-            assert abs(check.signed.value - exact.value) <= bound <= 1e-9 * exact.value
+            assert abs(signed - exact.value) <= bound <= 1e-9 * exact.value
 
     def test_sign_enumeration_cap(self):
+        # a Hilbert base needs no sign enumeration, and takes any grouping
         measure = self._measure(seed=55, n_atoms=21, dim=1, n_paths=10)
-        with pytest.raises(ValueError, match="21"):
-            check_randomisation_identity(measure, Grouping.finest(21))
+        randomisation_identity_sweep(measure, [Grouping.finest(21)])
+        measure = self._measure(seed=55, n_atoms=21, space=NormedSpace.l1(2), n_paths=10)
+        with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
+            randomisation_identity_sweep(measure, [Grouping.finest(21)])
 
-    def test_non_covering_groupings_compare_against_their_own_restriction(self):
-        measure = self._measure(seed=56, space=NormedSpace.linf(2))
-        partial = Grouping([[0], [2]], 4)
-        full = check_randomisation_identity(measure, Grouping.finest(4))
-        restricted = check_randomisation_identity(measure, partial)
-        assert restricted.comparison.consistent
-        assert restricted.plain.value != full.plain.value
+    @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l2(2)], ids=repr)
+    def test_groupings_must_be_set_partitions(self, space):
+        # a grouping that leaves atoms out, or that belongs to fewer atoms
+        measure = self._measure(seed=56, space=space, n_paths=50)
+        for grouping in (Grouping([[0], [2]], 4), Grouping.finest(3)):
+            with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
+                randomisation_identity_sweep(measure, [Grouping.finest(4), grouping])
 
 
 def _sampled_measure(rng, space, n_atoms, n_paths, density=None):
@@ -417,26 +421,27 @@ def _tie_heavy_measures(rng, space):
 
 
 def _mixed_groupings(rng, n_atoms, count):
-    """Covering and non-covering groupings, in a random order with repeats."""
-    every = [Grouping(blocks, n_atoms) for blocks in ref.groupings_reference(n_atoms)]
+    """Set partitions in a random order with repeats, then the finest and
+    the coarsest."""
+    every = [Grouping(blocks, n_atoms) for blocks in ref.set_partitions_reference(range(n_atoms))]
     picks = [every[i] for i in rng.choice(len(every), size=count)]
     return picks + [Grouping.finest(n_atoms), Grouping([range(n_atoms)], n_atoms)]
 
 
 def _assert_matches_the_reference(measure, groupings):
     """The sweep's check documents against the reference's: == in a Hilbert
-    base and where every signed sum is exact (a zero rounding bound);
-    otherwise the signed side, a mean of the atom-sign table, lies within
-    the table's rounding bound, and so do the gap and the tolerance computed
-    from it, while every other field and each verdict stay =="""
-    checks = randomisation_identity_sweep(measure, groupings)
+    base (a zero rounding bound); otherwise the signed side, from the
+    atom-sign table's path mean and covariance, lies within the table's
+    rounding bound, and so do the gap and the tolerance computed from it,
+    while every other field and each verdict stay =="""
+    sweep = randomisation_identity_sweep(measure, groupings)
     want = ref.randomisation_sweep_reference(
         measure.contributions,
         measure.space.norm_sq,
         measure.space.is_hilbert,
         [g.blocks for g in groupings],
     )
-    got = [c.to_document() for c in checks]
+    got = [sweep.check(i).to_document() for i in range(len(groupings))]
     bound = random_sums._table_rounding_bound(measure.contributions, measure.space)
     if bound == 0.0:
         assert got == want
@@ -495,35 +500,58 @@ class TestSweepAgainstTheReference:
         measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
         for measure in measures:
             groupings = _mixed_groupings(rng, 5, 40)
-            checks = randomisation_identity_sweep(measure, groupings)
+            sweep = randomisation_identity_sweep(measure, groupings)
             kernel = random_sums.ensemble_rademacher_moments(
                 measure.contributions, groupings, measure.empirical_space
             )
-            assert [check.signed for check in checks] == kernel
+            assert [sweep.check(i).signed for i in range(len(groupings))] == kernel
+
+    @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
+    @pytest.mark.parametrize("z", [0.3, 3.0])
+    def test_the_flags_are_compare_estimates(self, space, z):
+        # the whole-array z-test against compare_estimates of each
+        # grouping's estimates; at z = 0.3 some groupings fail
+        rng = np.random.default_rng(76)
+        measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
+        flags = []
+        for measure in measures:
+            groupings = _mixed_groupings(rng, 5, 40)
+            sweep = randomisation_identity_sweep(measure, groupings, z=z)
+            for i in range(len(groupings)):
+                check = sweep.check(i)
+                want = compare_estimates(check.signed, check.plain, z=z)
+                assert check.comparison == want
+                assert (sweep.consistent[i], sweep.gap[i], sweep.tolerance[i]) == (
+                    want.consistent,
+                    want.gap,
+                    want.tolerance,
+                )
+                flags.append(want.consistent)
+        assert any(flags) and (z == 3.0 or not all(flags))
 
     def test_a_wide_measure_sums_only_its_blocks(self, monkeypatch):
         # 20 atoms in 2 blocks: a table per subset would hold 2^20 rows
         measure = _sampled_measure(np.random.default_rng(73), NormedSpace.l1(1), 20, 8)
         grouping = Grouping([range(0, 20, 2), range(1, 20, 2)], 20)
-        rows = []
-        distinct_sums = brownian._distinct_sums
+        summed = []
+        block_sum = random_sums._block_sum
 
-        def recorded(values, atom_sets, reduce=None):
-            table, index = distinct_sums(values, atom_sets, reduce)
-            rows.append(table.shape[0])
-            return table, index
+        def recorded(values, atoms):
+            summed.append(atoms)
+            return block_sum(values, atoms)
 
-        # the signed side's table in the ensemble kernel, then the plain side's
-        monkeypatch.setattr(random_sums, "_distinct_sums", recorded)
-        monkeypatch.setattr(brownian, "_distinct_sums", recorded)
+        # the signed side's block table in the ensemble kernel, then the
+        # plain side
+        monkeypatch.setattr(random_sums, "_block_sum", recorded)
+        monkeypatch.setattr(brownian, "_block_sum", recorded)
         tracemalloc.start()
         try:
-            check = check_randomisation_identity(measure, grouping)
+            check = randomisation_identity_sweep(measure, [grouping]).check(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two blocks, then the one covered set
-        assert rows == [2, 1]
+        # the two blocks, then every atom
+        assert summed == [list(range(0, 20, 2)), list(range(1, 20, 2)), list(range(20))]
         # a 2^20-row table of 8 paths would take 64 MiB
         assert peak < 1 << 20
         assert [check.to_document()] == ref.randomisation_sweep_reference(
@@ -531,15 +559,16 @@ class TestSweepAgainstTheReference:
         )
 
     def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
-        measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(1), 21, 10)
+        measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(2), 21, 10)
 
-        def refused(values, atom_sets, reduce=None):
+        def refused(*args, **kwargs):
             pytest.fail("summed blocks of a grouping over the enumeration cap")
 
-        monkeypatch.setattr(random_sums, "_distinct_sums", refused)
-        monkeypatch.setattr(brownian, "_distinct_sums", refused)
-        groupings = [Grouping([[0], [1]], 21), Grouping.finest(21)]
-        with pytest.raises(ValueError, match="21"):
+        for name in ("_block_sum", "_atom_sign_table", "block_sums"):
+            monkeypatch.setattr(random_sums, name, refused)
+        monkeypatch.setattr(brownian, "_block_sum", refused)
+        groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
+        with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
             randomisation_identity_sweep(measure, groupings)
 
 
@@ -554,12 +583,8 @@ def _hilbert_sweeps(draw):
     contributions = np.where(signs, -values, values)
     groupings = []
     for _ in range(draw(st.integers(1, 4))):
-        labels = draw(
-            st.lists(st.integers(0, n_atoms), min_size=n_atoms, max_size=n_atoms).filter(any)
-        )
-        blocks = [
-            [a for a in range(n_atoms) if labels[a] == m] for m in range(1, n_atoms + 1)
-        ]
+        labels = draw(st.lists(st.integers(0, n_atoms - 1), min_size=n_atoms, max_size=n_atoms))
+        blocks = [[a for a in range(n_atoms) if labels[a] == m] for m in range(n_atoms)]
         groupings.append(Grouping([b for b in blocks if b], n_atoms))
     measure = EmpiricalVectorMeasure(
         AtomPartition.uniform(n_atoms), NormedSpace.l2(dim), contributions
@@ -575,7 +600,8 @@ class TestHilbertSweep:
         # sweep's l2 closed form sum_m ||B_m||^2 is the average of
         # ||sum_m e_m B_m||^2 over every sign pattern e, enumerated here
         measure, groupings = case
-        for grouping, check in zip(groupings, randomisation_identity_sweep(measure, groupings)):
+        sweep = randomisation_identity_sweep(measure, groupings)
+        for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
             blocks = np.stack(
                 [np.sum(measure.contributions[list(b)], axis=0) for b in grouping.blocks]
             )
@@ -587,4 +613,4 @@ class TestHilbertSweep:
                 axis=0,
             )
             want = float(np.mean(per_path))
-            assert abs(check.signed.value - want) <= 1e-12 * want
+            assert abs(signed - want) <= 1e-12 * want

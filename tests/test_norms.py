@@ -707,11 +707,10 @@ class TestEnsembleSearchAgainstTheReference:
             contributions, base, chunk_floats, partitions
         )
 
-    @pytest.mark.parametrize("base", [NormedSpace.l2(2), NormedSpace.l1(2)], ids=repr)
-    def test_a_zero_bound_evaluates_no_grouping_again(self, base, monkeypatch):
-        # a Hilbert base, and small integers whose signed sums are exact: the
-        # screen estimates are the per-grouping ones, and the search reports
-        # them without a rademacher_sum_sq call
+    def test_a_zero_bound_evaluates_no_grouping_again(self, monkeypatch):
+        # a Hilbert base: the screen estimates are the per-grouping ones,
+        # and the search reports them without a rademacher_sum_sq call
+        base = NormedSpace.l2(2)
         contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
         assert random_sums._table_rounding_bound(contributions, base) == 0.0
 
@@ -720,6 +719,24 @@ class TestEnsembleSearchAgainstTheReference:
 
         monkeypatch.setattr(norms, "rademacher_sum_sq", refused)
         _assert_ensemble_search_matches_the_reference(contributions, base)
+
+    def test_exact_sums_over_paths_are_decided_again(self, monkeypatch):
+        # small integers make every signed sum exact, but the screen takes
+        # the path means before the subgroup means, in another order than
+        # rademacher_sum_sq: the bound is not 0, and the partitions near the
+        # top are decided one at a time
+        base = NormedSpace.l1(2)
+        contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
+        assert random_sums._table_rounding_bound(contributions, base) > 0.0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rademacher_sum_sq(*args)
+
+        monkeypatch.setattr(norms, "rademacher_sum_sq", counted)
+        _assert_ensemble_search_matches_the_reference(contributions, base)
+        assert calls
 
     def test_the_integrate_shape_stays_near_the_per_grouping_peak(self):
         # N = 4 atoms, 100k paths in l2(2), as the default integrate runs it.

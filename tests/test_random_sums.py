@@ -631,14 +631,25 @@ class TestEnsembleRademacherMoments:
         assert got == _one_grouping_at_a_time(values, groupings, space)
 
     def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
-        def refused(values, atom_sets, reduce=None):
+        def refused(*args):
             pytest.fail("summed blocks of a grouping over the enumeration cap")
 
-        monkeypatch.setattr(random_sums, "_distinct_sums", refused)
+        for name in ("_block_sum", "_atom_sign_table", "block_sums"):
+            monkeypatch.setattr(random_sums, name, refused)
         values = np.ones((21, 4, 2))
-        groupings = [Grouping([[0], [1]], 21), Grouping.finest(21)]
-        with pytest.raises(ValueError, match="21"):
+        groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
+        with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
             ensemble_rademacher_moments(values, groupings, EmpiricalL2Space(NormedSpace.l1(2)))
+
+    @pytest.mark.parametrize("base", [NormedSpace.l2(2), NormedSpace.l1(2)], ids=repr)
+    def test_groupings_must_be_set_partitions(self, base):
+        # a grouping that leaves atoms out, or that belongs to more atoms
+        values = np.ones((4, 3, 2))
+        for grouping in (Grouping([[0], [2]], 4), Grouping.finest(5)):
+            with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
+                ensemble_rademacher_moments(
+                    values, [Grouping.finest(4), grouping], EmpiricalL2Space(base)
+                )
 
     def test_values_must_match_the_space(self):
         space = EmpiricalL2Space(NormedSpace.l1(2))
@@ -646,3 +657,73 @@ class TestEnsembleRademacherMoments:
             ensemble_rademacher_moments(np.ones((3, 4, 3)), [Grouping.finest(3)], space)
         with pytest.raises(ValueError, match="3 axes"):
             ensemble_rademacher_moments(np.ones((3, 2)), [Grouping.finest(3)], space)
+
+
+KERNEL_BASES = [
+    NormedSpace.from_tag(dim, tag) for tag in ("l1", "linf", {"lp": 1.5}) for dim in (2, 3)
+]
+
+
+class TestSignTableMoments:
+    """The ensemble kernel outside Hilbert bases, from the path mean and
+    covariance of the atom-sign table, against one rademacher_sum_sq per
+    set partition: values and std errors within the table's rounding
+    bound."""
+
+    @staticmethod
+    def _assert_matches_one_at_a_time(values, base):
+        every = list(enumerate_groupings(values.shape[0], "all"))
+        space = EmpiricalL2Space(base)
+        got = ensemble_rademacher_moments(values, every, space)
+        want = _one_grouping_at_a_time(values, every, space)
+        assert_within_the_rounding_bound(got, want, values, base)
+        return got
+
+    @pytest.mark.parametrize("base", KERNEL_BASES, ids=repr)
+    @pytest.mark.parametrize("n_paths", [1, 2, 9])
+    def test_tie_heavy_values(self, base, n_paths):
+        # a zero atom, a repeated atom and small integers make many
+        # partitions tie; one path has no std error
+        values = np.random.default_rng(87).integers(-2, 3, size=(6, n_paths, base.dim))
+        values = values.astype(float)
+        values[2] = 0.0
+        values[4] = values[1]
+        got = self._assert_matches_one_at_a_time(values, base)
+        assert all(g.std_error == 0.0 for g in got) == (n_paths == 1)
+
+    @pytest.mark.parametrize("base", KERNEL_BASES, ids=repr)
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_far_scales(self, base, exponent):
+        # squared norms near 2^-1000 and 2^1000, and path variances near
+        # their squares, are summed at unit scale
+        values = np.ldexp(np.random.default_rng(88).standard_normal((5, 6, base.dim)), exponent)
+        got = self._assert_matches_one_at_a_time(values, base)
+        assert all(math.isfinite(g.value) and g.std_error > 0.0 for g in got)
+
+
+def test_a_chunk_of_larger_statistics_rescales_the_sign_sum(monkeypatch):
+    # the first sign pattern's statistic is 1e-300 and the second's 4e300:
+    # met one pattern per chunk, the sum moves to the second one's scale
+    values = np.array([[1e150, 1e-150], [-1e150, 0.0]])
+    space = NormedSpace.l1(2)
+    whole = rademacher_sum_sq(values, space)
+    assert math.isfinite(whole.value)
+    monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", 2)
+    assert rademacher_sum_sq(values, space) == whole
+
+
+def test_moments_near_the_largest_float_are_summed_at_unit_scale():
+    # at 2^507 every squared norm of a signed sum of these 8 atoms is
+    # finite, but a sum over a subgroup's 2^(k-1) of them is not: the table,
+    # the one-at-a-time enumeration and the label search add them at unit
+    # scale, so each scales by exactly 2^1014 from the unscaled atoms
+    values = np.random.default_rng(1).standard_normal((8, 3))
+    far = np.ldexp(values, 507)
+    space = NormedSpace.l1(3)
+    pairs, far_pairs = (list(_table_and_single_moments(v, space)) for v in (values, far))
+    assert len(far_pairs) == 4140
+    assert far_pairs == [(math.ldexp(t, 1014), math.ldexp(s, 1014)) for t, s in pairs]
+    report = randomized_variation_norm(values, space, mode="exhaustive")
+    far_report = randomized_variation_norm(far, space, mode="exhaustive")
+    assert far_report.grouping == report.grouping
+    assert far_report.moment.value == math.ldexp(report.moment.value, 1014) < math.inf

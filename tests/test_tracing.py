@@ -4,6 +4,7 @@ every name it wraps still exists, so `perfbench/run.py --trace 1` keeps
 running after the package changes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,3 +46,31 @@ def test_the_benchmark_tracer_installs_and_restores():
     finally:
         patches.restore()
     assert _bindings() == before
+
+
+def test_a_traced_randomisation_run_records_the_sweep(tmp_path, capsys):
+    # the traced benchmark wraps the sweep and reads its arguments; a tiny
+    # run through the CLI must still exit 0 with the sweep on record
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "engine": {"paths": 40},
+                "suite": {"measures": 2, "n_atoms": 4, "norms": ["l1", "l2"]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        code = cli.main(["verify", "randomisation", "--config", str(config)])
+    finally:
+        patches.restore()
+    assert code == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["overall_pass"]
+    summary = tracer.summary()
+    # two measures of Bell(4) = 15 set partitions each
+    assert summary["counts"]["brownian.sweep_groupings"] == 30
+    assert summary["total"]["brownian.sweep"] > 0.0
