@@ -47,10 +47,8 @@ from .brownian import (
     BrownianEnsemble,
     EmpiricalVectorMeasure,
     IntegralIdentityReport,
-    dump_ensemble,
     induced_randomized_measure,
     integral_moment,
-    load_ensemble_paths,
     randomisation_identity_sweep,
     sample_brownian,
     stochastic_integral,
@@ -98,7 +96,6 @@ __all__ = [
     "SUITE_NAMES",
     "VectorMeasure",
     "compare_estimates",
-    "dump_ensemble",
     "embedding_ratio",
     "enumerate_groupings",
     "gamma_summing_norm",
@@ -106,7 +103,6 @@ __all__ = [
     "gaussian_sum_sq",
     "induced_randomized_measure",
     "integral_moment",
-    "load_ensemble_paths",
     "measure_from_density",
     "operator_from_measure",
     "rademacher_sum_sq",

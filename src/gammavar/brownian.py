@@ -12,7 +12,6 @@ leave the integral's second moment unchanged.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,10 +32,6 @@ from .random_sums import (
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
 
 MIN_PATHS = 2
-
-BINARY_MAGIC = b"GVLB"
-BINARY_VERSION = 1
-_HEADER = struct.Struct("<4sIII")  # magic, version, n_paths, n_atoms
 
 
 class BrownianEnsemble:
@@ -101,35 +96,6 @@ def sample_brownian(
     ensemble = BrownianEnsemble.__new__(BrownianEnsemble)
     ensemble._adopt(partition, paths)
     return ensemble
-
-
-def dump_ensemble(ensemble: BrownianEnsemble, file_path) -> None:
-    """Write paths as a flat binary dump: 16-byte header (magic GVLB, version,
-    n_paths, n_atoms as little-endian u32) then row-major little-endian doubles."""
-    with open(file_path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                BINARY_MAGIC, BINARY_VERSION, ensemble.n_paths, ensemble.n_atoms
-            )
-        )
-        fh.write(np.ascontiguousarray(ensemble.paths, dtype="<f8").tobytes())
-
-
-def load_ensemble_paths(file_path) -> np.ndarray:
-    """Read a binary dump back into an (n_paths, n_atoms) array."""
-    with open(file_path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated ensemble dump header")
-        magic, version, n_paths, n_atoms = _HEADER.unpack(header)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        if version != BINARY_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n_paths * n_atoms:
-        raise ValueError("ensemble dump payload does not match header shape")
-    return data.reshape(n_paths, n_atoms).astype(float)
 
 
 class EmpiricalVectorMeasure:
@@ -316,14 +282,23 @@ def randomisation_identity_sweep(
     Every grouping must be a set partition of the measure's atoms
     (ValueError otherwise), so the plain side is one estimate: all atoms
     summed in ascending order.  The signed side is the randomized variation
-    norm's ensemble kernel (random_sums.ensemble_rademacher_moments) as
-    arrays: the atom-sign table's path mean and covariance, within
-    random_sums._table_rounding_bound of one sign enumeration per grouping,
-    or in a Hilbert base the per-path closed form sum_m ||G(B_m)||^2.
+    norm's ensemble kernel (random_sums._ensemble_moments) on the groupings'
+    block masks, made once per call: the atom-sign table's path mean and
+    covariance, within random_sums._table_rounding_bound of one sign
+    enumeration per grouping, or in a Hilbert base the per-path closed form
+    sum_m ||G(B_m)||^2.  Past 64 atoms the masks are Python ints in an
+    object array, which the kernel takes as it takes integer masks.
     """
     groupings = list(groupings)
-    value, error = _ensemble_moments(measure.contributions, groupings, measure.empirical_space)
-    total = _block_sum(measure.contributions, list(range(measure.n_atoms)))
+    n_atoms = measure.n_atoms
+    rows = []
+    for g in groupings:
+        if g.n_atoms != n_atoms or sum(map(len, g.blocks)) != n_atoms:
+            raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms, got {g!r}")
+        rows.append([sum(1 << a for a in b) for b in g.blocks] + [0] * (n_atoms - g.n_blocks))
+    masks = np.array(rows, dtype=np.min_scalar_type((1 << n_atoms) - 1)).reshape(-1, n_atoms)
+    value, error = _ensemble_moments(measure.contributions, masks, measure.empirical_space)
+    total = _block_sum(measure.contributions, list(range(n_atoms)))
     plain = _estimate_from_path_stats(measure.space.norm_sq(total))
     gap = np.abs(value - plain.value)
     tolerance = z * np.hypot(error, plain.std_error)

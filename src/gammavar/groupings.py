@@ -9,6 +9,11 @@ block covariance grows in Loewner order, and Anderson's inequality applies),
 so the set partitions reach every supremum over groupings.  Enumeration sizes
 grow as Bell numbers, so the exhaustive mode is capped; the caps are named in
 the errors.
+
+A set partition has one representation that the enumeration, the exhaustive
+searches and the batched ensemble kernels share: a label row of
+grouping_labels with its block masks.  A Grouping is made from a row only
+where a caller needs its blocks (grouping_from_labels).
 """
 
 from __future__ import annotations
@@ -70,10 +75,6 @@ class Grouping:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def covered(self) -> tuple[int, ...]:
-        return tuple(sorted(a for b in self.blocks for a in b))
-
     def sort_key(self):
         """Tie-break key for searches: fewer blocks first, then lexicographic."""
         return (self.n_blocks, self.blocks)
@@ -101,25 +102,26 @@ def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
     return np.stack([_block_sum(values, list(b)) for b in grouping.blocks])
 
 
-def subset_sums(values: np.ndarray) -> np.ndarray:
-    """Sums of values (atom-indexed on axis 0) over every subset of atoms,
-    indexed by bitmask (bit a set for atom a); row 0 is zero.
-
-    Each row is the block sum block_sums gives for that block, bit for bit.
-    """
-    n_atoms = values.shape[0]
-    table = np.zeros((1 << n_atoms,) + values.shape[1:])
-    for mask in range(1, 1 << n_atoms):
-        table[mask] = _block_sum(values, [a for a in range(n_atoms) if mask >> a & 1])
-    return table
+def _mask_atoms(mask: int) -> list[int]:
+    """The atoms, ascending, whose bits an atom bitmask sets."""
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
-def grouping_from_labels(labels: np.ndarray) -> Grouping:
-    """The set partition one label row encodes: atom a sits in block
-    labels[a]."""
-    return Grouping(
-        [np.flatnonzero(labels == m) for m in range(int(labels.max()) + 1)], labels.size
-    )
+def grouping_from_labels(labels: list[int]) -> Grouping:
+    """The set partition one label row (grouping_labels, as a list of ints)
+    encodes: atom a sits in block labels[a].  A restricted-growth row lists
+    each block's atoms ascending and numbers blocks by their smallest atom,
+    so the blocks are canonical as they stand and skip Grouping's checks."""
+    blocks: list[list[int]] = []
+    for atom, label in enumerate(labels):
+        if label == len(blocks):
+            blocks.append([atom])
+        else:
+            blocks[label].append(atom)
+    grouping = object.__new__(Grouping)
+    object.__setattr__(grouping, "blocks", tuple(map(tuple, blocks)))
+    object.__setattr__(grouping, "n_atoms", len(labels))
+    return grouping
 
 
 @lru_cache(maxsize=None)
@@ -161,18 +163,6 @@ def check_enumeration_size(n_atoms: int, mode: str, field: str | None = None) ->
     raise SizeLimitError(f"{field}: {message}" if field else message)
 
 
-def _partitions_of(elements: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    """Set partitions of the given elements, in restricted-growth order."""
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    for partial in _partitions_of(rest):
-        yield [[first]] + partial
-        for i in range(len(partial)):
-            yield partial[:i] + [[first] + partial[i]] + partial[i + 1:]
-
-
 def _interval_partitions(n_atoms: int) -> Iterator[list[list[int]]]:
     """Set partitions whose blocks are intervals of consecutive atom indices."""
 
@@ -192,11 +182,12 @@ def _interval_partitions(n_atoms: int) -> Iterator[list[list[int]]]:
 def enumerate_groupings(n_atoms: int, mode: str = "all") -> Iterator[Grouping]:
     """Yield each covering grouping of ``n_atoms`` atoms exactly once.
 
-    mode="all" enumerates the Bell(n)-many set partitions, in the
-    restricted-growth order of _partitions_of.  mode="contiguous" restricts
-    blocks to intervals of consecutive indices; those partitions number
-    2^(n-1).  Non-covering groupings are never yielded: they cannot beat the
-    partition that adds their uncovered atoms as one more block.
+    mode="all" enumerates the Bell(n)-many set partitions: the Grouping of
+    each label row of grouping_labels, in its lexicographic
+    restricted-growth order.  mode="contiguous" restricts blocks to
+    intervals of consecutive indices; those partitions number 2^(n-1).
+    Non-covering groupings are never yielded: they cannot beat the partition
+    that adds their uncovered atoms as one more block.
 
     Raises SizeLimitError above MAX_ATOMS_ALL (=12) atoms for mode="all" and
     above MAX_ATOMS_CONTIGUOUS (=20) for mode="contiguous".
@@ -205,13 +196,14 @@ def enumerate_groupings(n_atoms: int, mode: str = "all") -> Iterator[Grouping]:
         raise ValueError("n_atoms must be at least 1")
     check_enumeration_size(n_atoms, mode)
     if mode == "all":
-        partitions = _partitions_of(tuple(range(n_atoms)))
+        # 4096 label rows at a time
+        for labels, _ in grouping_labels(n_atoms, 1 << 12):
+            yield from map(grouping_from_labels, labels.tolist())
     elif mode == "contiguous":
-        partitions = _interval_partitions(n_atoms)
+        for blocks in _interval_partitions(n_atoms):
+            yield Grouping(blocks, n_atoms)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
-    for blocks in partitions:
-        yield Grouping(blocks, n_atoms)
 
 
 def grouping_labels(

@@ -32,7 +32,6 @@ from .groupings import (
     enumerate_groupings,
     grouping_from_labels,
     grouping_labels,
-    subset_sums,
 )
 from .measures import DiscreteOperator, VectorMeasure, operator_from_measure
 from .random_sums import (
@@ -40,21 +39,20 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_COVARIANCE,
+    METHOD_MONTE_CARLO,
     _CHUNK_FLOATS,
-    _atom_sign_table,
     _check_values,
     _coefficient_batches,
+    _ensemble_screen,
     _estimate_from_moments,
-    _subgroup_means,
     _table_rounding_bound,
     compare_estimates,
     covariance_moment,
-    ensemble_rademacher_moments,
     gaussian_sum_sq,
     has_covariance_moment,
     rademacher_sum_sq,
 )
-from .spaces import NormedSpace
+from .spaces import EmpiricalL2Space, NormedSpace
 
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
 
@@ -280,62 +278,54 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
         yield current
 
 
-def _screened_best(values, n_blocks, grouping_of, bound: float, evaluate):
-    """The winner of evaluate, in the order of _beats, among the groupings
-    grouping_of(i) with screen values values[i] and n_blocks[i] blocks,
-    where |values[i] - evaluate(grouping_of(i)).value| <= bound.  The winner
-    lies within 2 bound of the top screen value.  A candidate visited in
-    sort_key order wins only above the best value so far, so one whose
-    screen value plus bound does not pass that is never evaluated."""
+def _exhaustive_label_search(arr: np.ndarray, space) -> tuple[Grouping, SumEstimate]:
+    """The winner of the exhaustive search over (N, d) values or (N, paths,
+    d) ensemble values, with its estimate, in the order of _beats.
+
+    Set partitions come as label rows with block masks
+    (groupings.grouping_labels), and each chunk of rows is screened in one
+    batch by the ensemble kernel (random_sums._ensemble_screen), which sees
+    (N, d) values as one path.  A screen value lies within bound
+    (_table_rounding_bound) of rademacher_sum_sq's, so the winner lies
+    within 2 bound of the top screen value, and only rows that near the
+    running top keep their values, errors and labels.  They are made
+    Groupings and evaluated in sort_key order by rademacher_sum_sq, except
+    in an ensemble whose bound is 0, where the screen takes
+    rademacher_sum_sq's closed form bit for bit and its estimate stands.  A
+    candidate wins only above the best value so far, so one whose screen
+    value plus bound does not pass that is never evaluated."""
+    n_atoms, dim = arr.shape[0], arr.shape[-1]
+    ensemble = isinstance(space, EmpiricalL2Space)
+    bound = _table_rounding_bound(arr, space.base if ensemble else space)
+    if ensemble:
+        screen = _ensemble_screen(arr, space)
+    else:
+        screen = _ensemble_screen(arr[:, None], EmpiricalL2Space(space))
+    top, kept = -np.inf, []
+    # a chunk holds at most _CHUNK_FLOATS / dim labels
+    for labels, masks in grouping_labels(n_atoms, max(1, _CHUNK_FLOATS // (n_atoms * dim))):
+        values, errors = screen(masks)
+        top = max(top, float(np.max(values)))
+        near = ~(values < top - 2.0 * bound)
+        kept.append((values[near], errors[near], labels[near]))
+    values, errors, labels = (np.concatenate(part) for part in zip(*kept))
+    n_blocks = labels.max(axis=1) + 1
     near = ~(values < np.max(values) - 2.0 * bound)
     best = None
     for k in np.flatnonzero(np.bincount(n_blocks[near])).tolist():
         rows = np.flatnonzero(near & (n_blocks == k))
         if best is not None:
             rows = rows[~(values[rows] + bound <= best[1].value)]
-        for grouping in sorted(map(grouping_of, rows.tolist()), key=Grouping.sort_key):
-            estimate = evaluate(grouping)
+        candidates = [(grouping_from_labels(labels[i].tolist()), i) for i in rows.tolist()]
+        for grouping, i in sorted(candidates, key=lambda pair: pair[0].sort_key()):
+            if ensemble and bound == 0.0:
+                value, error = float(values[i]), float(errors[i])
+                estimate = SumEstimate(value, error, arr.shape[1], METHOD_MONTE_CARLO)
+            else:
+                estimate = rademacher_sum_sq(block_sums(arr, grouping), space)
             if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
                 best = (grouping, estimate)
     return best
-
-
-def _exhaustive_label_search(arr: np.ndarray, space: NormedSpace) -> tuple[Grouping, SumEstimate]:
-    """The winner of the exhaustive search over (N, d) values with its
-    rademacher_sum_sq, in the order of _beats.  Set partitions come as label
-    rows with block masks (groupings.grouping_labels); the rows with k
-    blocks are screened in one batch, by the Hilbert closed form over every
-    subset's squared norm or by the subgroup means of the atom-sign table,
-    and only rows near the running top are kept for _screened_best."""
-    n_atoms, dim = arr.shape
-    bound = _table_rounding_bound(arr, space)
-    if space.is_hilbert:
-        subset_sq = space.norm_sq(subset_sums(arr))
-    else:
-        table = _atom_sign_table(arr, space.norm_sq)
-    top, kept = -np.inf, []
-    # a chunk holds at most _CHUNK_FLOATS / dim labels
-    for labels, masks in grouping_labels(n_atoms, max(1, _CHUNK_FLOATS // (n_atoms * dim))):
-        block_counts = labels.max(axis=1) + 1
-        values = np.empty(labels.shape[0])
-        for k in np.flatnonzero(np.bincount(block_counts)).tolist():
-            rows = np.flatnonzero(block_counts == k)
-            if space.is_hilbert:
-                values[rows] = np.sum(subset_sq[masks[rows, :k]], axis=-1)
-            else:
-                for piece, means in _subgroup_means(table, masks[rows, :k]):
-                    values[rows[piece]] = means
-        top = max(top, float(np.max(values)))
-        near = ~(values < top - 2.0 * bound)
-        kept.append((values[near], block_counts[near], labels[near]))
-    values, block_counts, labels = (np.concatenate(part) for part in zip(*kept))
-    return _screened_best(
-        values,
-        block_counts,
-        lambda i: grouping_from_labels(labels[i]),
-        bound,
-        lambda g: rademacher_sum_sq(block_sums(arr, g), space),
-    )
 
 
 def randomized_variation_norm(
@@ -356,19 +346,18 @@ def randomized_variation_norm(
     Objectives are exact sign enumerations up to 20 blocks; the stream and
     samples are only consulted past that.
 
-    Every search sees covering groupings only (groupings.enumerate_groupings),
-    which reach the supremum over all groupings.  The winner has the highest
-    objective, then the smallest sort_key.  The exhaustive search is batched
-    and finds the grouping and moment that one rademacher_sum_sq call per
-    grouping would.  It screens every set partition with its subgroup mean
-    of the atom-sign table (random_sums), or in a Hilbert base with the
-    closed form: on (N, d) values over label arrays
-    (groupings.grouping_labels), on ensemble values in one call of
-    random_sums.ensemble_rademacher_moments.  The partitions within twice
-    the table's rounding bound of the top are decided by rademacher_sum_sq
-    (_screened_best), and the winner's estimate is reported; an ensemble
-    whose bound is 0 is decided by its screen estimates.  The
-    contiguous and greedy modes evaluate one grouping at a time.
+    Every search sees covering groupings only, which reach the supremum over
+    all groupings.  The winner has the highest objective, then the smallest
+    sort_key.  The exhaustive search (_exhaustive_label_search) finds the
+    grouping and moment that one rademacher_sum_sq call per grouping would,
+    for (N, d) values and ensembles alike.  It walks the label rows of
+    groupings.grouping_labels and screens each chunk of them at once: with
+    its subgroup means of the atom-sign table (random_sums), or in a
+    Hilbert base with the closed form.  The partitions within twice the
+    table's rounding bound of the top are decided by rademacher_sum_sq, and
+    only they become Groupings; an ensemble whose bound is 0 is decided by
+    its screen estimates.  The contiguous and greedy modes evaluate one
+    grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
         raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
@@ -380,22 +369,7 @@ def randomized_variation_norm(
         mode_used = mode
 
     if mode_used == "exhaustive":
-        if isinstance(space, NormedSpace):
-            grouping, moment = _exhaustive_label_search(_check_values(arr, space), space)
-        else:
-            every = list(enumerate_groupings(n_atoms, "all"))
-            estimates = ensemble_rademacher_moments(arr, every, space)
-            bound = _table_rounding_bound(arr, space.base)
-            grouping, moment = _screened_best(
-                np.array([e.value for e in estimates]),
-                np.array([g.n_blocks for g in every]),
-                every.__getitem__,
-                bound,
-                # at bound 0 the estimates are rademacher_sum_sq's, bit for bit
-                dict(zip(every, estimates)).__getitem__
-                if bound == 0.0
-                else lambda g: rademacher_sum_sq(block_sums(arr, g), space),
-            )
+        grouping, moment = _exhaustive_label_search(_check_values(arr, space), space)
         return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 
     cache: dict[Grouping, SumEstimate] = {}

@@ -11,13 +11,16 @@ reproducible substream layout: an estimate is a deterministic function of
 generated in a fixed number of batches with one substream per batch and
 combined in batch order, at unit scale (_unit_shift).
 
-Batched Rademacher moments outside Hilbert bases come from one table per
-measure: a grouping's sign patterns are the atom sign vectors constant on
-its blocks, a subgroup H_G of {+-1}^N, so its moment is the mean over H_G
-of T[e] = ||sum_n e_n x_n||^2 (_subgroup_means), within
-_table_rounding_bound of rademacher_sum_sq of the block sums.  On a path
-ensemble that mean's path mean and variance are forms in the path mean and
-centred path covariance of T (_sign_table_moments).
+Batched Rademacher moments take set partitions as rows of block masks, in
+the layout of groupings.grouping_labels (_ensemble_moments).  Outside
+Hilbert bases they come from one table per measure: a partition's sign
+patterns are the atom sign vectors constant on its blocks, a subgroup H_G of
+{+-1}^N, so its moment is the mean over H_G of T[e] = ||sum_n e_n x_n||^2,
+within _table_rounding_bound of rademacher_sum_sq of the block sums.  On a
+path ensemble that mean's path mean and variance are forms in the path mean
+and centred path covariance of T (_sign_table_moments); (N, d) values are
+one path.  In a Hilbert base a table of the distinct blocks' squared norms
+gives the closed form (_hilbert_moments).
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groupings import Grouping, _block_sum, block_sums
+from .groupings import _block_sum, _mask_atoms
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -333,8 +336,8 @@ def _subgroup_rows(masks: np.ndarray, floats: int) -> Iterator[tuple[slice, np.n
     masks (column m sets bit a for each atom a of block m; block 0 holds
     atom 0): the patterns that flip whole blocks other than block 0, where
     flipping a set of blocks is row (sum of their masks) >> 1.  Yields
-    (groupings, rows) pairs whose gathers of floats per row hold at most
-    _ENSEMBLE_CHUNK_FLOATS."""
+    (mask rows, table rows) pairs whose gathers of floats per table row hold
+    at most _ENSEMBLE_CHUNK_FLOATS."""
     k = masks.shape[1]
     step = max(1, _ENSEMBLE_CHUNK_FLOATS // (floats << (k - 1)))
     shifted = masks[:, 1:] >> 1
@@ -344,16 +347,6 @@ def _subgroup_rows(masks: np.ndarray, floats: int) -> Iterator[tuple[slice, np.n
         for m in range(k - 1):
             rows = np.concatenate((rows, rows + part[:, m, None]), axis=1)
         yield slice(start, start + step), rows
-
-
-def _subgroup_means(table: np.ndarray, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """E || sum_m r_m F(B_m) ||^2 for each row of block masks, as (rows,
-    means) pairs: means of the (2^(N-1),) atom-sign table of (N, d) values
-    over _subgroup_rows, summed at the table's unit shift (_unit_shift)."""
-    shift = _unit_shift(table)
-    unit = np.ldexp(table, -shift)
-    for piece, rows in _subgroup_rows(masks, 1):
-        yield piece, np.ldexp(np.sum(unit[rows], axis=1) / rows.shape[1], shift)
 
 
 def _table_rounding_bound(values: np.ndarray, base) -> float:
@@ -410,159 +403,146 @@ def _table_rounding_bound(values: np.ndarray, base) -> float:
     return 4.0 * float(error)
 
 
-def ensemble_rademacher_moments(
-    values, groupings: Sequence[Grouping], space: EmpiricalL2Space
-) -> list[SumEstimate]:
-    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m for each set partition
-    {B_m} of the atoms of (N, paths, d) ensemble values over an
-    EmpiricalL2Space, where G(B) is the block's sum: a path mean and its
-    std error.  A grouping that is not a set partition raises ValueError,
-    and so does one of more than ENUMERATION_LIMIT blocks outside a Hilbert
-    base.
-
-    In a Hilbert base item i equals rademacher_sum_sq(block_sums(values,
-    groupings[i]), space) bit for bit (_ensemble_path_stats).  In any other
-    base it comes from the atom-sign table's path mean and covariance
-    (_sign_table_moments), within _table_rounding_bound of that value.
-    Callers: the exhaustive randomized variation search over ensembles
-    (norms.randomized_variation_norm) and, as arrays (_ensemble_moments),
-    the randomisation sweep (brownian.randomisation_identity_sweep).
-    """
-    arr = _check_values(values, space)
-    value, error = _ensemble_moments(arr, list(groupings), space)
-    return [
-        SumEstimate(v, e, arr.shape[1], METHOD_MONTE_CARLO)
-        for v, e in zip(value.tolist(), error.tolist())
-    ]
-
-
 def _ensemble_moments(
-    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
+    arr: np.ndarray, masks: np.ndarray, space: EmpiricalL2Space
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The values and std errors of ensemble_rademacher_moments as arrays."""
-    n_atoms = arr.shape[0]
-    for g in groupings:
-        if g.n_atoms != n_atoms or sum(map(len, g.blocks)) != n_atoms:
-            raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms, got {g!r}")
-        if g.n_blocks > ENUMERATION_LIMIT and not space.is_hilbert:
-            raise ValueError(
-                f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {g.n_blocks}"
-            )
-    if not space.is_hilbert:
-        return _sign_table_moments(arr, groupings, space)
-    value = np.empty(len(groupings))
-    error = np.empty(len(groupings))
-    for members, path_stats in _ensemble_path_stats(arr, groupings, space):
-        value[members], error[members] = _path_moments(path_stats)
+    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m, where G(B) is the
+    block's sum, for each row of block masks over (N, paths, d) ensemble
+    values in an EmpiricalL2Space: the path means and their std errors.
+
+    masks has the layout of groupings.grouping_labels: one row of N atom
+    bitmasks per set partition, column m for block m, blocks numbered by
+    their smallest atom and 0 past the last.  A row of more than
+    ENUMERATION_LIMIT blocks outside a Hilbert base raises ValueError before
+    any sum.  In a Hilbert base row i equals rademacher_sum_sq of its block
+    sums bit for bit (_hilbert_moments), elsewhere it lies within
+    _table_rounding_bound of it (_sign_table_moments).  The randomisation
+    sweep calls it, the exhaustive search its _ensemble_screen."""
+    n_blocks = np.count_nonzero(masks, axis=1)
+    if not space.is_hilbert and np.any(n_blocks > ENUMERATION_LIMIT):
+        raise ValueError(
+            f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {n_blocks.max()}"
+        )
+    return _ensemble_screen(arr, space)(masks)
+
+
+def _ensemble_screen(arr: np.ndarray, space: EmpiricalL2Space):
+    """_ensemble_moments of one measure as a function of the masks, with
+    what every row shares built once: outside a Hilbert base the atom-sign
+    table's statistics (_sign_table_moments), or, where N passes
+    ENUMERATION_LIMIT or T or C would pass _ENSEMBLE_TABLE_FLOATS, one
+    rademacher_sum_sq per row."""
+    n_atoms, n_paths = arr.shape[:2]
+    if space.is_hilbert:
+        return lambda masks: _hilbert_moments(arr, masks, space.base.norm_sq)
+    half = 1 << (n_atoms - 1)
+    if n_atoms <= ENUMERATION_LIMIT and half * max(half, n_paths) <= _ENSEMBLE_TABLE_FLOATS:
+        return _sign_table_moments(arr, space)
+
+    def one_row_at_a_time(masks):
+        found = [
+            rademacher_sum_sq(np.stack([_block_sum(arr, _mask_atoms(m)) for m in row if m]), space)
+            for row in masks.tolist()
+        ]
+        return np.array([e.value for e in found]), np.array([e.std_error for e in found])
+
+    return one_row_at_a_time
+
+
+def _table_runs(masks: np.ndarray, max_rows: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """(rows, columns, blocks): consecutive runs of mask rows, halved until
+    their distinct blocks, sorted, number at most max_rows; a lone row that
+    still has more comes in windows of max_rows columns."""
+    pending = [slice(0, masks.shape[0])]
+    while pending:
+        rows = pending.pop()
+        part = masks[rows]
+        blocks = np.unique(part[part != 0])
+        if blocks.size <= max_rows:
+            yield rows, slice(0, None), blocks
+        elif rows.stop - rows.start > 1:
+            middle = (rows.start + rows.stop) // 2
+            pending += [slice(middle, rows.stop), slice(rows.start, middle)]
+        else:
+            for start in range(0, blocks.size, max_rows):
+                window = slice(start, start + max_rows)
+                yield rows, window, np.sort(part[0, window])
+
+
+def _hilbert_moments(
+    arr: np.ndarray, masks: np.ndarray, norm_sq
+) -> tuple[np.ndarray, np.ndarray]:
+    """_ensemble_moments in a Hilbert base, from the per-path statistics
+    sum_m ||G(B_m)||^2 of each row, summed over the blocks as
+    rademacher_sum_sq's closed form sums them: elementwise over paths in
+    block order, and pairwise on a lone path, where the blocks' norms lie
+    contiguous.
+
+    Each run of _table_runs takes one table of its distinct blocks' squared
+    norms, each block summed once, of at most _ENSEMBLE_TABLE_FLOATS floats;
+    gathers hold at most _ENSEMBLE_CHUNK_FLOATS, or one row's blocks.  A
+    lone row's window, which needs more paths than _ENSEMBLE_TABLE_FLOATS /
+    N, adds its blocks on to the sum of the windows before it.
+    """
+    n_paths = arr.shape[1]
+    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
+    value, error = np.empty(masks.shape[0]), np.empty(masks.shape[0])
+    for rows, columns, blocks in _table_runs(masks, max_rows):
+        table = np.empty((blocks.size, n_paths))
+        for row, block in enumerate(blocks.tolist()):
+            table[row] = norm_sq(_block_sum(arr, _mask_atoms(block)))
+        part = masks[rows, columns]
+        n_blocks = np.count_nonzero(part, axis=1)
+        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
+            members = np.flatnonzero(n_blocks == k)
+            step = max(1, _ENSEMBLE_CHUNK_FLOATS // (k * n_paths))
+            for start in range(0, members.size, step):
+                piece = members[start : start + step]
+                gathered = table[np.searchsorted(blocks, part[piece, :k])]
+                if columns.start:
+                    gathered = np.concatenate((total[:, None], gathered), axis=1)
+                total = np.sum(gathered, axis=1)
+                value[rows.start + piece], error[rows.start + piece] = _path_moments(total)
     return value, error
 
 
-def _ensemble_path_stats(
-    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The per-path statistics sum_m ||G(B_m)||^2 of groupings of ensemble
-    values in a Hilbert base, as (members, path_stats) pieces: path_stats[j]
-    holds the (paths,) statistics of groupings[members[j]], elementwise over
-    paths, so a chunk of at least two paths gets the bits of the same paths
-    in the whole ensemble (numpy sums the atoms of a lone path pairwise).
-
-    A table of the distinct blocks' squared norms holds at most
-    _ENSEMBLE_TABLE_FLOATS floats, one table per run of candidates that
-    fits.  A grouping's rows are added in block order, as the closed form
-    adds them, without a table for a grouping with more blocks than a table
-    holds.
-    """
-    n_paths = arr.shape[1]
-    norm_sq = space.base.norm_sq
-    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
-    for part in _table_parts(groupings, max_rows):
-        blocks = groupings[part.start].blocks
-        if len(blocks) > max_rows:
-            # a part that starts past the budget holds this grouping alone
-            total = norm_sq(_block_sum(arr, list(blocks[0])))
-            for block in blocks[1:]:
-                total += norm_sq(_block_sum(arr, list(block)))
-            yield np.array([part.start]), total[None]
-            continue
-        for members, path_stats in _table_part_stats(arr, groupings[part], norm_sq):
-            yield part.start + members, path_stats
-
-
-def _table_part_stats(
-    arr: np.ndarray, groupings: list[Grouping], norm_sq
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_ensemble_path_stats of a run of groupings in a Hilbert base, from one
-    table of their distinct blocks' squared norms, each block summed once,
-    freed once the last piece is taken; a piece adds at most
-    _ENSEMBLE_CHUNK_FLOATS floats."""
-    index: dict[tuple[int, ...], int] = {}
-    block_rows = np.array([index.setdefault(b, len(index)) for g in groupings for b in g.blocks])
-    table = np.empty((len(index), arr.shape[1]))
-    for block, row in index.items():
-        table[row] = norm_sq(_block_sum(arr, list(block)))
-    n_blocks = np.array([g.n_blocks for g in groupings], dtype=np.int64)
-    first_block = np.cumsum(n_blocks) - n_blocks
-    step = max(1, _ENSEMBLE_CHUNK_FLOATS // table.shape[1])
-    for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
-        members = np.flatnonzero(n_blocks == k)
-        rows = block_rows[first_block[members, None] + np.arange(k)]  # (g, k)
-        for start in range(0, rows.shape[0], step):
-            part = rows[start : start + step]
-            total = table[part[:, 0]]
-            for j in range(1, k):
-                total += table[part[:, j]]
-            yield members[start : start + step], total
-
-
-def _table_parts(groupings: list[Grouping], max_rows: int) -> Iterator[slice]:
-    """Consecutive runs of groupings with at most max_rows distinct blocks
-    between them; a grouping with more blocks than that runs alone."""
-    start, seen = 0, set()
-    for i, grouping in enumerate(groupings):
-        seen.update(grouping.blocks)
-        if len(seen) > max_rows and i > start:
-            yield slice(start, i)
-            start, seen = i, set(grouping.blocks)
-    yield slice(start, len(groupings))
-
-
-def _sign_table_moments(
-    arr: np.ndarray, groupings: list[Grouping], space: EmpiricalL2Space
-) -> tuple[np.ndarray, np.ndarray]:
-    """_ensemble_moments outside a Hilbert base, from the atom-sign table T
-    of all N atoms, (2^(N-1), paths), scaled to unit size (_unit_shift) and
-    centred in place.  A grouping's per-path statistic is the mean of T over
-    its subgroup rows H (_subgroup_rows), so its path mean is the mean over
-    H of T's path mean m, and its path variance sum C[H, H] / |H|^2 with
-    C = T_c T_c^T / (paths - 1); gathers hold <= _ENSEMBLE_CHUNK_FLOATS.
-    Where N passes ENUMERATION_LIMIT, or T or C would pass
-    _ENSEMBLE_TABLE_FLOATS, each grouping takes rademacher_sum_sq instead."""
+def _sign_table_moments(arr: np.ndarray, space: EmpiricalL2Space):
+    """_ensemble_moments outside a Hilbert base as a function of the masks,
+    from the atom-sign table T of all N atoms, (2^(N-1), paths), built once:
+    scaled to unit size (_unit_shift) and centred in place.  A row's
+    per-path statistic is the mean of T over its subgroup rows H
+    (_subgroup_rows), so its path mean is the mean over H of T's path mean
+    m, and its path variance sum C[H, H] / |H|^2 with C = T_c T_c^T /
+    (paths - 1); gathers hold <= _ENSEMBLE_CHUNK_FLOATS.  One path, as the
+    search sees (N, d) values, has no variance and gathers m alone."""
     n_atoms, n_paths, dim = arr.shape
-    half = 1 << (n_atoms - 1)
-    if n_atoms > ENUMERATION_LIMIT or half * max(half, n_paths) > _ENSEMBLE_TABLE_FLOATS:
-        found = [rademacher_sum_sq(block_sums(arr, g), space) for g in groupings]
-        return np.array([e.value for e in found]), np.array([e.std_error for e in found])
     norm_sq = _path_norm_sq(space.base, n_paths, dim)
     table = _atom_sign_table(arr.reshape(n_atoms, n_paths * dim), norm_sq)
     shift = _unit_shift(np.ravel(table))
     table *= np.exp2(-shift)
     mean = np.mean(table, axis=1)
-    table -= mean[:, None]
-    # one path leaves the centred table 0, and with it the variance; einsum
-    # runs numpy's own loops, as a BLAS product's packing buffers raised the
-    # peak memory of a run
-    cov = np.einsum("ip,jp->ij", table, table) / max(n_paths - 1, 1)
-    value, var = np.empty(len(groupings)), np.empty(len(groupings))
-    families: dict[int, list] = {}
-    for i, g in enumerate(groupings):
-        families.setdefault(g.n_blocks, []).append((i, [sum(1 << a for a in b) for b in g.blocks]))
-    for k, family in families.items():
-        members, masks = (np.array(column) for column in zip(*family))
-        for piece, rows in _subgroup_rows(masks, 1 << (k - 1)):
-            value[members[piece]] = np.sum(mean[rows], axis=1) / rows.shape[1]
-            gathered = cov[rows[:, :, None], rows[:, None, :]]
-            var[members[piece]] = np.sum(gathered, axis=(1, 2)) / rows.shape[1] ** 2
-    return _scale_back(shift, value, np.sqrt(np.maximum(var, 0.0) / n_paths))
+    cov = None
+    if n_paths > 1:
+        table -= mean[:, None]
+        # einsum runs numpy's own loops, as a BLAS product's packing buffers
+        # raised the peak memory of a run
+        cov = np.einsum("ip,jp->ij", table, table) / (n_paths - 1)
+    del table
+
+    def moments(masks):
+        n_blocks = np.count_nonzero(masks, axis=1)
+        value, var = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
+        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
+            members = np.flatnonzero(n_blocks == k)
+            floats = 1 if cov is None else 1 << (k - 1)
+            for piece, rows in _subgroup_rows(masks[members, :k], floats):
+                value[members[piece]] = np.sum(mean[rows], axis=1) / rows.shape[1]
+                if cov is not None:
+                    gathered = cov[rows[:, :, None], rows[:, None, :]]
+                    var[members[piece]] = np.sum(gathered, axis=(1, 2)) / rows.shape[1] ** 2
+        return _scale_back(shift, value, np.sqrt(np.maximum(var, 0.0) / n_paths))
+
+    return moments
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

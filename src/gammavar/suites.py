@@ -64,7 +64,6 @@ from .random_sums import (
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
     _ENSEMBLE_CHUNK_FLOATS,
-    _ensemble_path_stats,
     _path_moments,
     compare_estimates,
     rademacher_sum_sq,
@@ -837,11 +836,11 @@ def _divergence_point(
     The ensemble is drawn in chunks of paths (brownian._increment_blocks),
     so no paths x n array is held twice.  Up to exhaustive_limit the chunks
     fill one (n, paths, 1) contributions array for the exhaustive search.
-    Beyond it each chunk goes to the fixed family's per-path statistics
-    (random_sums._ensemble_path_stats) in a (family, paths) array, whose
-    path means and errors are taken once at the end; the statistics are
-    elementwise over paths, so the estimates keep the bits of
-    ensemble_rademacher_moments on the whole contributions."""
+    Beyond it each chunk adds the fixed family's per-path statistics
+    sum_m ||G(B_m)||^2, the Hilbert closed form of rademacher_sum_sq, to a
+    (family, paths) array, whose path means and errors are taken once at
+    the end; the statistics are elementwise over paths, so the estimates
+    keep the bits of rademacher_sum_sq on the whole contributions."""
     partition = AtomPartition.uniform(n)
     expected_tv = math.sqrt(n)
     dense = n <= params["dense_limit"]
@@ -905,8 +904,9 @@ def _divergence_point(
             path_stats = np.empty((len(family), paths))
             for span, block in blocks:
                 values = np.ascontiguousarray(block.T)[:, :, None]
-                for members, stats in _ensemble_path_stats(values, family, empirical_space):
-                    path_stats[members, span] = stats
+                for i, grouping in enumerate(family):
+                    block_norms = empirical_space.base.norm_sq(block_sums(values, grouping))
+                    path_stats[i, span] = np.sum(block_norms, axis=0)
             value, error = _path_moments(path_stats)
             best = int(np.argmax(value))
             estimate = SumEstimate(

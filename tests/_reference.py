@@ -198,6 +198,17 @@ def label_masks_reference(labels) -> np.ndarray:
     return masks.reshape(rows, n_atoms)
 
 
+def block_masks_reference(block_lists, n_atoms: int) -> np.ndarray:
+    """One row of atom bitmasks per collection of blocks, in the order the
+    blocks are listed and 0 past the last, as grouping_labels lays out its
+    masks: bit a of a mask is set for each atom a of the block."""
+    masks = np.zeros((len(block_lists), n_atoms), dtype=np.min_scalar_type((1 << n_atoms) - 1))
+    for row, blocks in zip(masks, block_lists):
+        for m, block in enumerate(blocks):
+            row[m] = sum(1 << int(a) for a in block)
+    return masks
+
+
 def canonical_blocks(blocks) -> frozenset:
     """Order-free form of a block collection, for set comparisons."""
     return frozenset(frozenset(b) for b in blocks)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import struct
 import tracemalloc
 
 import _reference as ref
@@ -22,11 +21,9 @@ from gammavar import (
     SizeLimitError,
     StepFunction,
     compare_estimates,
-    dump_ensemble,
     enumerate_groupings,
     induced_randomized_measure,
     integral_moment,
-    load_ensemble_paths,
     measure_from_density,
     rademacher_sum_sq,
     randomisation_identity_sweep,
@@ -34,7 +31,7 @@ from gammavar import (
     stochastic_integral,
     verify_integral_identity,
 )
-from gammavar.brownian import BINARY_MAGIC, BINARY_VERSION, EmpiricalVectorMeasure
+from gammavar.brownian import EmpiricalVectorMeasure
 from gammavar.groupings import block_sums
 
 
@@ -124,45 +121,6 @@ class TestSampling:
         ensemble = BrownianEnsemble(partition, np.zeros((5, 3)))
         with pytest.raises(ValueError):
             ensemble.paths[0, 0] = 1.0
-
-
-class TestBinaryDumps:
-    def test_round_trip(self, tmp_path):
-        partition = AtomPartition([0.25, 0.75])
-        ensemble = sample_brownian(partition, 32, RandomStream(21, (0,)))
-        target = tmp_path / "paths.gvlb"
-        dump_ensemble(ensemble, target)
-        np.testing.assert_array_equal(load_ensemble_paths(target), ensemble.paths)
-
-    def test_header_fields(self, tmp_path):
-        ensemble = BrownianEnsemble(AtomPartition.uniform(3), np.zeros((4, 3)))
-        target = tmp_path / "paths.gvlb"
-        dump_ensemble(ensemble, target)
-        raw = target.read_bytes()
-        magic, version, n_paths, n_atoms = struct.unpack("<4sIII", raw[:16])
-        assert magic == BINARY_MAGIC
-        assert version == BINARY_VERSION
-        assert (n_paths, n_atoms) == (4, 3)
-        assert len(raw) == 16 + 4 * 3 * 8
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda raw: raw[:10],
-            lambda raw: b"XXXX" + raw[4:],
-            lambda raw: raw[:4] + struct.pack("<I", 99) + raw[8:],
-            lambda raw: raw[:-8],
-            lambda raw: raw + b"\x00" * 8,
-        ],
-        ids=["short-header", "bad-magic", "bad-version", "truncated", "oversized"],
-    )
-    def test_corrupt_dumps_are_rejected(self, tmp_path, mangle):
-        ensemble = BrownianEnsemble(AtomPartition.uniform(3), np.ones((4, 3)))
-        target = tmp_path / "paths.gvlb"
-        dump_ensemble(ensemble, target)
-        target.write_bytes(mangle(target.read_bytes()))
-        with pytest.raises(ValueError):
-            load_ensemble_paths(target)
 
 
 class TestStochasticIntegral:
@@ -501,10 +459,12 @@ class TestSweepAgainstTheReference:
         for measure in measures:
             groupings = _mixed_groupings(rng, 5, 40)
             sweep = randomisation_identity_sweep(measure, groupings)
-            kernel = random_sums.ensemble_rademacher_moments(
-                measure.contributions, groupings, measure.empirical_space
+            masks = ref.block_masks_reference([g.blocks for g in groupings], 5)
+            value, error = random_sums._ensemble_moments(
+                measure.contributions, masks, measure.empirical_space
             )
-            assert [sweep.check(i).signed for i in range(len(groupings))] == kernel
+            assert np.array_equal(sweep.signed_value, value)
+            assert np.array_equal(sweep.signed_error, error)
 
     @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
     @pytest.mark.parametrize("z", [0.3, 3.0])
@@ -558,13 +518,27 @@ class TestSweepAgainstTheReference:
             measure.contributions, measure.space.norm_sq, True, [grouping.blocks]
         )
 
+    @pytest.mark.parametrize("space", [NormedSpace.l2(1), NormedSpace.l1(2)], ids=repr)
+    def test_a_measure_past_64_atoms_takes_python_int_masks(self, space):
+        # 70 atoms need masks of 70 bits, wider than any numpy integer
+        measure = _sampled_measure(np.random.default_rng(77), space, 70, 6)
+        groupings = [
+            Grouping([range(0, 70, 2), range(1, 70, 2)], 70),
+            Grouping([range(70)], 70),
+            Grouping([range(10), range(10, 70)], 70),
+        ]
+        sweep = randomisation_identity_sweep(measure, groupings)
+        for i, grouping in enumerate(groupings):
+            values = block_sums(measure.contributions, grouping)
+            assert sweep.check(i).signed == rademacher_sum_sq(values, measure.empirical_space)
+
     def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
         measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(2), 21, 10)
 
         def refused(*args, **kwargs):
             pytest.fail("summed blocks of a grouping over the enumeration cap")
 
-        for name in ("_block_sum", "_atom_sign_table", "block_sums"):
+        for name in ("_block_sum", "_atom_sign_table"):
             monkeypatch.setattr(random_sums, name, refused)
         monkeypatch.setattr(brownian, "_block_sum", refused)
         groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]

@@ -17,7 +17,6 @@ from gammavar.groupings import (
     check_enumeration_size,
     grouping_from_labels,
     grouping_labels,
-    subset_sums,
 )
 
 
@@ -36,12 +35,7 @@ class TestGrouping:
     def test_finest_is_all_singletons(self):
         grouping = Grouping.finest(3)
         assert grouping.blocks == ((0,), (1,), (2,))
-        assert grouping.covered == (0, 1, 2)
         assert grouping.n_blocks == 3
-
-    def test_covered(self):
-        assert Grouping([[0, 2]], 4).covered == (0, 2)
-        assert Grouping([[3, 1], [2, 0]], 4).covered == (0, 1, 2, 3)
 
     def test_sort_key_prefers_fewer_blocks(self):
         merged = Grouping([[0, 1]], 2)
@@ -105,7 +99,7 @@ class TestEnumeration:
         groupings = list(enumerate_groupings(n, "contiguous"))
         assert len(groupings) == 2 ** (n - 1)
         for grouping in groupings:
-            assert grouping.covered == tuple(range(n))
+            assert sorted(a for b in grouping.blocks for a in b) == list(range(n))
             for block in grouping.blocks:
                 assert list(block) == list(range(block[0], block[-1] + 1))
 
@@ -158,9 +152,20 @@ class TestGroupingLabels:
         ((labels, _),) = grouping_labels(n, 1 << 20)
         assert labels.dtype == np.int8
         assert labels.shape == (ref.bell_reference(n), n)
-        groupings = [grouping_from_labels(row) for row in labels]
-        assert len(set(groupings)) == len(groupings)
-        assert set(groupings) == set(enumerate_groupings(n, "all"))
+        got = [ref.canonical_blocks(grouping_from_labels(row).blocks) for row in labels.tolist()]
+        assert len(set(got)) == len(got)
+        assert set(got) == {
+            ref.canonical_blocks(blocks) for blocks in ref.set_partitions_reference(range(n))
+        }
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_the_enumeration_yields_the_rows_in_order(self, n):
+        ((labels, _),) = grouping_labels(n, 1 << 20)
+        got = [g.blocks for g in enumerate_groupings(n, "all")]
+        assert got == [
+            tuple(tuple(np.flatnonzero(row == m).tolist()) for m in range(row.max() + 1))
+            for row in labels
+        ]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_canonical_restricted_growth_strings(self, n):
@@ -172,9 +177,9 @@ class TestGroupingLabels:
         keys = [tuple(row) for row in labels.tolist()]
         assert keys == sorted(set(keys))
         for row in labels[:: max(1, len(labels) // 50)]:
-            grouping = grouping_from_labels(row)
+            grouping = grouping_from_labels(row.tolist())
             assert grouping.n_blocks == row.max() + 1
-            assert grouping.covered == tuple(range(n))
+            assert sorted(a for b in grouping.blocks for a in b) == list(range(n))
             # block m of the grouping holds exactly the atoms labelled m
             for m, block in enumerate(grouping.blocks):
                 assert block == tuple(np.flatnonzero(row == m))
@@ -204,21 +209,6 @@ class TestGroupingLabels:
     def test_masks_equal_the_per_atom_scatter(self, n, max_rows):
         for labels, masks in grouping_labels(n, max_rows):
             assert np.array_equal(masks, ref.label_masks_reference(labels))
-
-    @pytest.mark.parametrize("tail", [(1,), (2,), (3,), (9,)])
-    def test_subset_sums_equal_block_sums_bitwise(self, tail):
-        # atoms past the first lie below half an ulp of it, so a block's sum
-        # depends on how its additions associate; numpy sums a (size, 1)
-        # block of 8 or more atoms pairwise, so 9 atoms tell the orders apart
-        scales = np.array([1.0] + [1e-17 * (3 + 2 * a) for a in range(8)])
-        values = np.abs(np.random.default_rng(7).standard_normal((9,) + tail))
-        values *= scales.reshape((9,) + (1,) * len(tail))
-        table = subset_sums(values)
-        assert np.all(table[0] == 0.0)
-        for mask in range(1, 1 << 9):
-            atoms = [a for a in range(9) if mask >> a & 1]
-            want = block_sums(values, Grouping([atoms], 9))[0]
-            assert np.array_equal(table[mask], want)
 
     def test_field_prefixes_the_cap_message(self):
         with pytest.raises(SizeLimitError, match=r"^engine\.mode: contiguous .* got 21$"):

@@ -754,6 +754,57 @@ class TestEnsembleSearchAgainstTheReference:
         assert peak < 21 << 20
 
 
+class TestEnsembleLabelSearch:
+    """The label search over ensembles against the one-grouping-at-a-time
+    search, and the Groupings it makes."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [NormedSpace.l2(1), NormedSpace.l1(2), NormedSpace.linf(2), NormedSpace(3, 1.5)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("n_paths", [1, 2, 9])
+    def test_tie_heavy_ensembles_match_the_per_grouping_search(self, base, n_paths):
+        # small integers with a zero atom and a repeated atom make many
+        # partitions tie; the Hilbert base reports its screen estimate, the
+        # others decide the rows near the top with rademacher_sum_sq
+        space = EmpiricalL2Space(base)
+        rng = np.random.default_rng(98)
+        for n_atoms in range(2, 7):
+            values = rng.integers(-2, 3, size=(n_atoms, n_paths, base.dim)).astype(float)
+            values[0] = 0.0
+            values[-1] = values[1]
+            grouping, moment = _per_grouping_search(values, space)
+            report = randomized_variation_norm(values, space, mode="exhaustive")
+            assert (report.grouping, report.moment) == (grouping, moment)
+            assert report.moment.samples == n_paths
+
+    def test_a_nine_atom_search_makes_groupings_of_the_near_rows_only(self, monkeypatch):
+        # listing every set partition as a Grouping makes Bell(9) = 21147
+        # of them
+        made = []
+        from_labels, init = norms.grouping_from_labels, Grouping.__init__
+
+        def counted_labels(labels):
+            made.append(labels)
+            return from_labels(labels)
+
+        def counted_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            pytest.fail("enumerated the groupings")
+
+        monkeypatch.setattr(norms, "grouping_from_labels", counted_labels)
+        monkeypatch.setattr(Grouping, "__init__", counted_init)
+        monkeypatch.setattr(norms, "enumerate_groupings", refused)
+        values = np.random.default_rng(99).standard_normal((9, 2, 1))
+        report = randomized_variation_norm(values, EmpiricalL2Space(NormedSpace.l2(1)))
+        assert report.mode == "exhaustive"
+        assert 0 < len(made) < 100
+
+
 def _close(got: float, want: float) -> bool:
     return abs(got - want) <= 1e-12 * abs(want)
 

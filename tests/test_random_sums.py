@@ -35,7 +35,6 @@ from gammavar.random_sums import (
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
     covariance_moment,
-    ensemble_rademacher_moments,
     has_covariance_moment,
 )
 
@@ -264,14 +263,10 @@ def _table_and_single_moments(values, space):
     """Every set partition's subgroup mean of the atom-sign table, paired
     with rademacher_sum_sq of its block_sums."""
     ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
-    table = random_sums._atom_sign_table(values, space.norm_sq)
-    block_counts = labels.max(axis=1) + 1
-    for k in range(1, int(block_counts.max()) + 1):
-        rows = np.flatnonzero(block_counts == k)
-        for piece, means in random_sums._subgroup_means(table, masks[rows, :k]):
-            for row, value in zip(labels[rows[piece]], means):
-                grouping = grouping_from_labels(row)
-                yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
+    means, _ = random_sums._sign_table_moments(values[:, None], EmpiricalL2Space(space))(masks)
+    for row, value in zip(labels.tolist(), means.tolist()):
+        grouping = grouping_from_labels(row)
+        yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
 
 
 def _six_decades(seed, shape):
@@ -548,6 +543,16 @@ def _one_grouping_at_a_time(values, groupings, space):
     return [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
 
 
+def ensemble_moments(values, groupings, space):
+    """The mask kernel on the groupings' block masks, as estimates."""
+    masks = ref.block_masks_reference([g.blocks for g in groupings], values.shape[0])
+    value, error = random_sums._ensemble_moments(values, masks, space)
+    return [
+        SumEstimate(v, e, values.shape[1], METHOD_MONTE_CARLO)
+        for v, e in zip(value.tolist(), error.tolist())
+    ]
+
+
 def assert_within_the_rounding_bound(got, want, values, base):
     """Batched estimates against rademacher_sum_sq's: values and std errors
     within the table's rounding bound, which lies far below the values."""
@@ -559,10 +564,10 @@ def assert_within_the_rounding_bound(got, want, values, base):
         assert abs(g.std_error - w.std_error) <= bound
 
 
-class TestEnsembleRademacherMoments:
-    """The batched ensemble kernel against one rademacher_sum_sq call per
-    grouping, estimate by estimate: == in Hilbert bases, within the table's
-    rounding bound in the others."""
+class TestEnsembleMoments:
+    """The batched ensemble kernel on block masks against one
+    rademacher_sum_sq call per grouping, estimate by estimate: == in
+    Hilbert bases, within the table's rounding bound in the others."""
 
     @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
     def budget(self, request, monkeypatch):
@@ -586,34 +591,33 @@ class TestEnsembleRademacherMoments:
         every = list(enumerate_groupings(5, "all"))
         groupings = every + [every[i] for i in rng.choice(len(every), size=20)]
         space = EmpiricalL2Space(base)
-        got = ensemble_rademacher_moments(values, groupings, space)
+        got = ensemble_moments(values, groupings, space)
         want = _one_grouping_at_a_time(values, groupings, space)
         if base.is_hilbert:
             assert got == want
         else:
             assert_within_the_rounding_bound(got, want, values, base)
 
-    @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (100, 12)])
+    @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (40, 12)])
     def test_the_example_3_4_family_matches_rademacher_sum_sq(self, n_atoms, n_paths):
         partition = AtomPartition.uniform(n_atoms)
         paths = sample_brownian(partition, n_paths, RandomStream(82, (n_atoms,))).paths
         contributions = np.ascontiguousarray(paths.T)[:, :, None]
         family = suites._fixed_grouping_family(n_atoms)
         space = EmpiricalL2Space(NormedSpace.l2(1))
-        got = ensemble_rademacher_moments(contributions, family, space)
+        got = ensemble_moments(contributions, family, space)
         assert got == _one_grouping_at_a_time(contributions, family, space)
 
     def test_a_hilbert_base_takes_any_number_of_blocks(self):
         values = np.random.default_rng(83).standard_normal((25, 6, 2))
         space = EmpiricalL2Space(NormedSpace.l2(2))
         finest = [Grouping.finest(25)]
-        got = ensemble_rademacher_moments(values, finest, space)
+        got = ensemble_moments(values, finest, space)
         assert got == _one_grouping_at_a_time(values, finest, space)
 
-    def test_a_hilbert_grouping_past_the_table_budget_gets_no_table(self, monkeypatch):
-        # a budget of 5 rows: the 40-block finest grouping once took a
-        # 40-row table of its own (2.8 MB traced); adding its blocks'
-        # squared norms in block order holds a few (paths,) rows at a time
+    def test_a_hilbert_grouping_past_the_table_budget_takes_windows(self, monkeypatch):
+        # a budget of 5 rows: the 40-block finest grouping adds its blocks'
+        # squared norms in windows of 5 blocks, in block order
         n_paths = 5000
         monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 5 * n_paths)
         values = np.random.default_rng(85).standard_normal((40, n_paths, 2))
@@ -622,41 +626,33 @@ class TestEnsembleRademacherMoments:
         space = EmpiricalL2Space(NormedSpace.l2(2))
         tracemalloc.start()
         try:
-            got = ensemble_rademacher_moments(values, groupings[:1], space)
+            got = ensemble_moments(values, groupings[:1], space)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n_paths * 8
-        got += ensemble_rademacher_moments(values, groupings[1:], space)
+        # a 5-row table, its gather with the running sum and a few (paths,)
+        # rows besides, where the whole grouping's table would take 40 rows
+        assert peak < 24 * n_paths * 8
+        got += ensemble_moments(values, groupings[1:], space)
         assert got == _one_grouping_at_a_time(values, groupings, space)
 
     def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
         def refused(*args):
             pytest.fail("summed blocks of a grouping over the enumeration cap")
 
-        for name in ("_block_sum", "_atom_sign_table", "block_sums"):
+        for name in ("_block_sum", "_atom_sign_table"):
             monkeypatch.setattr(random_sums, name, refused)
         values = np.ones((21, 4, 2))
         groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            ensemble_rademacher_moments(values, groupings, EmpiricalL2Space(NormedSpace.l1(2)))
+            ensemble_moments(values, groupings, EmpiricalL2Space(NormedSpace.l1(2)))
 
-    @pytest.mark.parametrize("base", [NormedSpace.l2(2), NormedSpace.l1(2)], ids=repr)
-    def test_groupings_must_be_set_partitions(self, base):
-        # a grouping that leaves atoms out, or that belongs to more atoms
-        values = np.ones((4, 3, 2))
-        for grouping in (Grouping([[0], [2]], 4), Grouping.finest(5)):
-            with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
-                ensemble_rademacher_moments(
-                    values, [Grouping.finest(4), grouping], EmpiricalL2Space(base)
-                )
-
-    def test_values_must_match_the_space(self):
+    def test_the_search_checks_values_against_the_space(self):
         space = EmpiricalL2Space(NormedSpace.l1(2))
         with pytest.raises(ValueError, match="space dim"):
-            ensemble_rademacher_moments(np.ones((3, 4, 3)), [Grouping.finest(3)], space)
+            randomized_variation_norm(np.ones((3, 4, 3)), space)
         with pytest.raises(ValueError, match="3 axes"):
-            ensemble_rademacher_moments(np.ones((3, 2)), [Grouping.finest(3)], space)
+            randomized_variation_norm(np.ones((3, 2)), space)
 
 
 KERNEL_BASES = [
@@ -674,7 +670,7 @@ class TestSignTableMoments:
     def _assert_matches_one_at_a_time(values, base):
         every = list(enumerate_groupings(values.shape[0], "all"))
         space = EmpiricalL2Space(base)
-        got = ensemble_rademacher_moments(values, every, space)
+        got = ensemble_moments(values, every, space)
         want = _one_grouping_at_a_time(values, every, space)
         assert_within_the_rounding_bound(got, want, values, base)
         return got

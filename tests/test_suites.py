@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import _reference as ref
 import numpy as np
 import pytest
 
@@ -11,8 +12,12 @@ from gammavar import (
     Grouping,
     SUITE_NAMES,
     SizeLimitError,
+    StepFunction,
     __version__,
     enumerate_groupings,
+    induced_randomized_measure,
+    rademacher_sum_sq,
+    randomisation_identity_sweep,
     render_json,
     resolve_config,
     run_integrate,
@@ -21,6 +26,7 @@ from gammavar import (
     sample_brownian,
 )
 from gammavar import groupings, random_sums, suites
+from gammavar.groupings import block_sums
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
 from gammavar.spaces import EmpiricalL2Space, NormedSpace
@@ -555,7 +561,7 @@ class TestVerifySuites:
         else:
             family = suites._fixed_grouping_family(n)
             expected = max(
-                random_sums.ensemble_rademacher_moments(contributions, family, space),
+                (rademacher_sum_sq(block_sums(contributions, g), space) for g in family),
                 key=lambda e: e.value,
             )
         assert record.name == f"randomized-empirical-n{n}"
@@ -675,3 +681,80 @@ class TestVerifySuites:
             "finest-partition",
             "randomisation",
         }
+
+
+def _label_order(n_atoms):
+    """The reference's set partitions of n_atoms atoms, blocks ascending and
+    ordered by their smallest atom, in lexicographic order of their
+    restricted-growth label strings (atom a labelled with its block)."""
+
+    def labels(blocks):
+        row = [0] * n_atoms
+        for m, block in enumerate(blocks):
+            for atom in block:
+                row[atom] = m
+        return row
+
+    partitions = [sorted(map(sorted, p)) for p in ref.set_partitions_reference(range(n_atoms))]
+    return sorted(partitions, key=labels)
+
+
+# atoms 0, 2 and 4 are zero: every grouping that only merges them ties
+_ZERO_HEAVY = [[0.0, 0.0], [1.0, -2.0], [0.0, 0.0], [2.0, 1.0], [0.0, 0.0]]
+
+
+class TestTiesFollowTheLabelOrder:
+    """On exact ties the worst-grouping details name the first tied
+    grouping in the enumeration order, the lexicographic order of label
+    rows."""
+
+    @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+    def test_finest_partition_names_the_first_tied_coarsening(self, norm):
+        document = {
+            "partition": {"uniform": 5},
+            "space": {"dim": 2, "norm": norm},
+            "input": {"measure": _ZERO_HEAVY},
+            "suite": {"norms": [norm]},
+        }
+        config = resolve_config(document, "finest-partition")
+        (check,) = run_suite("finest-partition", config).checks
+        assert check.detail == "worst grouping [[0, 2, 4], [1], [3]]"
+        assert (check.values["worst_excess"], check.values["failures"]) == (0.0, 0)
+        shared = SharedDrawMoments(config.measure())
+        finest = shared.moment(Grouping.finest(5)).value
+        tied = [
+            blocks
+            for blocks in _label_order(5)[:-1]  # the finest comes last
+            if shared.moment(Grouping(blocks, 5)).value - finest == 0.0
+        ]
+        assert len(tied) == 4 and tied[0] == [[0, 2, 4], [1], [3]]
+
+    @pytest.mark.parametrize(
+        "norm, worst",
+        [
+            ("l2", [[0, 1, 2], [3, 4]]),
+            ("l1", [[0, 1, 2], [3], [4]]),
+            ("linf", [[0, 1, 2, 4], [3]]),
+        ],
+    )
+    def test_the_sweep_names_the_first_tied_grouping(self, norm, worst, monkeypatch):
+        # atom 4 repeats atom 1, and small integers keep many sums exact
+        values = np.array(_ZERO_HEAVY)
+        values[4] = values[1]
+        partition = AtomPartition.uniform(5)
+        monkeypatch.setattr(suites, "_random_atoms", lambda stream, n, dim: (partition, values))
+        space = NormedSpace.from_tag(2, norm)
+        stream = RandomStream(5, (0,))
+        record = suites._randomisation_instance(0, space, 5, 5, stream, 40, 3.0)
+        assert record.detail == f"norm={norm} worst grouping {worst}"
+        assert (record.values["groupings"], record.values["failures"]) == (52, 0)
+        # the same sweep over the reference's partitions in label order
+        measure = induced_randomized_measure(
+            StepFunction(partition, space, values),
+            sample_brownian(partition, 40, stream.substream(1)),
+        )
+        order = _label_order(5)
+        sweep = randomisation_identity_sweep(measure, [Grouping(b, 5) for b in order])
+        ratio = sweep.gap / sweep.tolerance
+        assert order[int(np.argmax(ratio))] == worst
+        assert np.count_nonzero(ratio == np.max(ratio)) > 1

@@ -74,3 +74,30 @@ def test_a_traced_randomisation_run_records_the_sweep(tmp_path, capsys):
     # two measures of Bell(4) = 15 set partitions each
     assert summary["counts"]["brownian.sweep_groupings"] == 30
     assert summary["total"]["brownian.sweep"] > 0.0
+
+
+def test_a_traced_integrate_run_passes(tmp_path, capsys):
+    # the traced benchmark runs integrate, whose exhaustive search over the
+    # ensemble walks label rows, not the wrapped enumeration
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "partition": {"uniform": 4},
+                "space": {"dim": 2, "norm": "l2"},
+                "input": {"density": [[3.0, 4.0]] * 4},
+                "engine": {"paths": 200},
+            }
+        ),
+        encoding="utf-8",
+    )
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        code = cli.main(["integrate", "--config", str(config)])
+    finally:
+        patches.restore()
+    assert code == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["overall_pass"]
+    assert tracer.summary()["total"]["norms.randomized"] > 0.0
