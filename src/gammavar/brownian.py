@@ -287,8 +287,7 @@ def randomisation_identity_sweep(
     covariance, within random_sums._table_rounding_bound of one sign
     enumeration per grouping, or in a Hilbert base the per-path closed form
     sum_m ||G(B_m)||^2.  Past 64 atoms the masks are Python ints in an
-    object array, which the kernel takes as it takes integer masks.
-    """
+    object array, which the kernel takes as it takes integer masks."""
     groupings = list(groupings)
     n_atoms = measure.n_atoms
     rows = []

@@ -297,10 +297,7 @@ def _exhaustive_label_search(arr: np.ndarray, space) -> tuple[Grouping, SumEstim
     n_atoms, dim = arr.shape[0], arr.shape[-1]
     ensemble = isinstance(space, EmpiricalL2Space)
     bound = _table_rounding_bound(arr, space.base if ensemble else space)
-    if ensemble:
-        screen = _ensemble_screen(arr, space)
-    else:
-        screen = _ensemble_screen(arr[:, None], EmpiricalL2Space(space))
+    screen = _ensemble_screen(arr, space)
     top, kept = -np.inf, []
     # a chunk holds at most _CHUNK_FLOATS / dim labels
     for labels, masks in grouping_labels(n_atoms, max(1, _CHUNK_FLOATS // (n_atoms * dim))):
@@ -350,14 +347,9 @@ def randomized_variation_norm(
     all groupings.  The winner has the highest objective, then the smallest
     sort_key.  The exhaustive search (_exhaustive_label_search) finds the
     grouping and moment that one rademacher_sum_sq call per grouping would,
-    for (N, d) values and ensembles alike.  It walks the label rows of
-    groupings.grouping_labels and screens each chunk of them at once: with
-    its subgroup means of the atom-sign table (random_sums), or in a
-    Hilbert base with the closed form.  The partitions within twice the
-    table's rounding bound of the top are decided by rademacher_sum_sq, and
-    only they become Groupings; an ensemble whose bound is 0 is decided by
-    its screen estimates.  The contiguous and greedy modes evaluate one
-    grouping at a time.
+    for (N, d) values and ensembles alike, from label rows screened in
+    chunks; only rows near the top become Groupings.  The contiguous and
+    greedy modes evaluate one grouping at a time.
     """
     if mode not in RANDOMIZED_MODES:
         raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")

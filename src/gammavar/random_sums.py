@@ -19,16 +19,16 @@ patterns are the atom sign vectors constant on its blocks, a subgroup H_G of
 within _table_rounding_bound of rademacher_sum_sq of the block sums.  On a
 path ensemble that mean's path mean and variance are forms in the path mean
 and centred path covariance of T (_sign_table_moments); (N, d) values are
-one path.  In a Hilbert base a table of the distinct blocks' squared norms
-gives the closed form (_hilbert_moments).
+one path.  In a Hilbert base a table of the blocks' squared norms gives
+the closed form (_hilbert_moments).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, partial, reduce
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -227,11 +227,11 @@ def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numpy reduces a contiguous last axis row by row, so every row gets the
     bits of a one-row call."""
     m = path_stats.shape[-1]
+    if m < 2:  # the mean of one path is its statistic, exactly
+        return path_stats[..., 0].copy(), np.zeros(path_stats.shape[:-1])
     shift = _unit_shift(path_stats)
     scaled = path_stats * np.exp2(-shift)[..., None]
     mean = np.mean(scaled, axis=-1)
-    if m < 2:
-        return _scale_back(shift, mean, np.zeros_like(mean))
     return _scale_back(shift, mean, np.std(scaled, axis=-1, ddof=1) / np.sqrt(m))
 
 
@@ -332,12 +332,11 @@ def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
 
 
 def _subgroup_rows(masks: np.ndarray, floats: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The atom-sign table rows of the sign subgroup H_G of each row of block
-    masks (column m sets bit a for each atom a of block m; block 0 holds
-    atom 0): the patterns that flip whole blocks other than block 0, where
-    flipping a set of blocks is row (sum of their masks) >> 1.  Yields
-    (mask rows, table rows) pairs whose gathers of floats per table row hold
-    at most _ENSEMBLE_CHUNK_FLOATS."""
+    """The atom-sign table rows of the sign subgroup H_G of each mask row:
+    the patterns that flip whole blocks other than block 0, which holds atom
+    0, flipping a set of blocks being row (sum of their masks) >> 1.  Yields
+    (mask rows, table rows) pairs whose gathers of floats per table row
+    hold at most _ENSEMBLE_CHUNK_FLOATS."""
     k = masks.shape[1]
     step = max(1, _ENSEMBLE_CHUNK_FLOATS // (floats << (k - 1)))
     shifted = masks[:, 1:] >> 1
@@ -403,22 +402,25 @@ def _table_rounding_bound(values: np.ndarray, base) -> float:
     return 4.0 * float(error)
 
 
+def _block_counts(masks: np.ndarray) -> np.ndarray:
+    """Nonzero blocks per mask row, thrice as fast as count_nonzero."""
+    return (masks != 0) @ np.ones(masks.shape[1], dtype=np.int16)
+
+
 def _ensemble_moments(
     arr: np.ndarray, masks: np.ndarray, space: EmpiricalL2Space
 ) -> tuple[np.ndarray, np.ndarray]:
-    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m, where G(B) is the
-    block's sum, for each row of block masks over (N, paths, d) ensemble
-    values in an EmpiricalL2Space: the path means and their std errors.
+    """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m and block sums G(B),
+    for each row of block masks over (N, paths, d) ensemble values in an
+    EmpiricalL2Space: the path means and their std errors.
 
-    masks has the layout of groupings.grouping_labels: one row of N atom
-    bitmasks per set partition, column m for block m, blocks numbered by
-    their smallest atom and 0 past the last.  A row of more than
-    ENUMERATION_LIMIT blocks outside a Hilbert base raises ValueError before
-    any sum.  In a Hilbert base row i equals rademacher_sum_sq of its block
-    sums bit for bit (_hilbert_moments), elsewhere it lies within
-    _table_rounding_bound of it (_sign_table_moments).  The randomisation
-    sweep calls it, the exhaustive search its _ensemble_screen."""
-    n_blocks = np.count_nonzero(masks, axis=1)
+    masks has the layout of groupings.grouping_labels: a row of N atom
+    bitmasks per set partition, block m in column m, 0 past the last.  A
+    row of more than ENUMERATION_LIMIT blocks outside a Hilbert base raises
+    ValueError before any sum.  A Hilbert base gives rademacher_sum_sq's
+    bits (_hilbert_moments), others lie within _table_rounding_bound of it
+    (_sign_table_moments)."""
+    n_blocks = _block_counts(masks)
     if not space.is_hilbert and np.any(n_blocks > ENUMERATION_LIMIT):
         raise ValueError(
             f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {n_blocks.max()}"
@@ -426,15 +428,17 @@ def _ensemble_moments(
     return _ensemble_screen(arr, space)(masks)
 
 
-def _ensemble_screen(arr: np.ndarray, space: EmpiricalL2Space):
+def _ensemble_screen(arr: np.ndarray, space):
     """_ensemble_moments of one measure as a function of the masks, with
-    what every row shares built once: outside a Hilbert base the atom-sign
-    table's statistics (_sign_table_moments), or, where N passes
-    ENUMERATION_LIMIT or T or C would pass _ENSEMBLE_TABLE_FLOATS, one
-    rademacher_sum_sq per row."""
+    what every row shares built once: block norms in a Hilbert base
+    (_hilbert_moments), else the atom-sign table's statistics
+    (_sign_table_moments), or one rademacher_sum_sq per row where T or C
+    would not fit.  (N, d) values with a NormedSpace are one path."""
+    if not isinstance(space, EmpiricalL2Space):
+        arr, space = arr[:, None], EmpiricalL2Space(space)
     n_atoms, n_paths = arr.shape[:2]
     if space.is_hilbert:
-        return lambda masks: _hilbert_moments(arr, masks, space.base.norm_sq)
+        return _hilbert_moments(arr, space.base.norm_sq)
     half = 1 << (n_atoms - 1)
     if n_atoms <= ENUMERATION_LIMIT and half * max(half, n_paths) <= _ENSEMBLE_TABLE_FLOATS:
         return _sign_table_moments(arr, space)
@@ -449,61 +453,67 @@ def _ensemble_screen(arr: np.ndarray, space: EmpiricalL2Space):
     return one_row_at_a_time
 
 
-def _table_runs(masks: np.ndarray, max_rows: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """(rows, columns, blocks): consecutive runs of mask rows, halved until
-    their distinct blocks, sorted, number at most max_rows; a lone row that
-    still has more comes in windows of max_rows columns."""
-    pending = [slice(0, masks.shape[0])]
-    while pending:
-        rows = pending.pop()
-        part = masks[rows]
-        blocks = np.unique(part[part != 0])
-        if blocks.size <= max_rows:
-            yield rows, slice(0, None), blocks
-        elif rows.stop - rows.start > 1:
-            middle = (rows.start + rows.stop) // 2
-            pending += [slice(middle, rows.stop), slice(rows.start, middle)]
-        else:
-            for start in range(0, blocks.size, max_rows):
-                window = slice(start, start + max_rows)
-                yield rows, window, np.sort(part[0, window])
+def _block_norms(arr: np.ndarray, blocks: Sequence[int], norm_sq) -> np.ndarray:
+    """Per-path squared norms of each nonzero block mask, a row each."""
+    table = np.empty((len(blocks), arr.shape[1]))
+    for row, block in enumerate(blocks):
+        table[row] = norm_sq(_block_sum(arr, _mask_atoms(block)))
+    return table
 
 
-def _hilbert_moments(
-    arr: np.ndarray, masks: np.ndarray, norm_sq
-) -> tuple[np.ndarray, np.ndarray]:
-    """_ensemble_moments in a Hilbert base, from the per-path statistics
-    sum_m ||G(B_m)||^2 of each row, summed over the blocks as
-    rademacher_sum_sq's closed form sums them: elementwise over paths in
-    block order, and pairwise on a lone path, where the blocks' norms lie
-    contiguous.
-
-    Each run of _table_runs takes one table of its distinct blocks' squared
-    norms, each block summed once, of at most _ENSEMBLE_TABLE_FLOATS floats;
-    gathers hold at most _ENSEMBLE_CHUNK_FLOATS, or one row's blocks.  A
-    lone row's window, which needs more paths than _ENSEMBLE_TABLE_FLOATS /
-    N, adds its blocks on to the sum of the windows before it.
-    """
-    n_paths = arr.shape[1]
-    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
+def _summed_moments(table: np.ndarray, masks: np.ndarray, blocks=None):
+    """Path moments of each mask row's sum over its blocks of their table
+    rows: row i holds sorted blocks[i], or mask value i + 1 without blocks.
+    Gathers hold at most _ENSEMBLE_CHUNK_FLOATS, or one row's blocks."""
+    n_blocks = _block_counts(masks)
     value, error = np.empty(masks.shape[0]), np.empty(masks.shape[0])
-    for rows, columns, blocks in _table_runs(masks, max_rows):
-        table = np.empty((blocks.size, n_paths))
-        for row, block in enumerate(blocks.tolist()):
-            table[row] = norm_sq(_block_sum(arr, _mask_atoms(block)))
-        part = masks[rows, columns]
-        n_blocks = np.count_nonzero(part, axis=1)
-        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
-            members = np.flatnonzero(n_blocks == k)
-            step = max(1, _ENSEMBLE_CHUNK_FLOATS // (k * n_paths))
-            for start in range(0, members.size, step):
-                piece = members[start : start + step]
-                gathered = table[np.searchsorted(blocks, part[piece, :k])]
-                if columns.start:
-                    gathered = np.concatenate((total[:, None], gathered), axis=1)
-                total = np.sum(gathered, axis=1)
-                value[rows.start + piece], error[rows.start + piece] = _path_moments(total)
+    for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
+        members = np.flatnonzero(n_blocks == k)
+        step = max(1, _ENSEMBLE_CHUNK_FLOATS // (k * table.shape[1]))
+        for start in range(0, members.size, step):
+            piece = members[start : start + step]
+            part = masks[piece, :k]
+            index = part - 1 if blocks is None else np.searchsorted(blocks, part)
+            value[piece], error[piece] = _path_moments(np.sum(table[index], axis=1))
     return value, error
+
+
+def _hilbert_moments(arr: np.ndarray, norm_sq):
+    """_ensemble_moments in a Hilbert base as a function of the masks: each
+    row's per-path statistics sum_m ||G(B_m)||^2, summed as the closed form
+    of rademacher_sum_sq sums them, in block order over two or more paths
+    and pairwise, as contiguous norms, on one.  Tables of block norms hold
+    at most _ENSEMBLE_TABLE_FLOATS and norm each block once.  Where all
+    2^N - 1 blocks fit (searches up to 12 atoms on up to 1024 paths) one
+    table is built up front; else runs of rows, halved until their distinct
+    blocks fit, take one each, and a lone row past the budget norms and
+    adds its blocks one at a time."""
+    n_atoms, n_paths = arr.shape[:2]
+    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
+    if (1 << n_atoms) - 1 <= max_rows:
+        return partial(_summed_moments, _block_norms(arr, range(1, 1 << n_atoms), norm_sq))
+
+    def moments(masks):
+        value, error = np.empty(masks.shape[0]), np.empty(masks.shape[0])
+        pending = [slice(0, masks.shape[0])]
+        while pending:
+            rows = pending.pop()
+            part = masks[rows]
+            blocks = np.unique(part[part != 0])
+            if blocks.size <= max_rows:
+                table = _block_norms(arr, blocks.tolist(), norm_sq)
+                value[rows], error[rows] = _summed_moments(table, part, blocks)
+            elif rows.stop - rows.start > 1:
+                middle = (rows.start + rows.stop) // 2
+                pending += [slice(middle, rows.stop), slice(rows.start, middle)]
+            else:
+                norms = (norm_sq(_block_sum(arr, _mask_atoms(b))) for b in part[0].tolist() if b)
+                # in the order in which np.sum adds a gathered row's blocks
+                total = reduce(np.add, norms) if n_paths > 1 else np.sum(list(norms), axis=0)
+                value[rows], error[rows] = _path_moments(total[None])
+        return value, error
+
+    return moments
 
 
 def _sign_table_moments(arr: np.ndarray, space: EmpiricalL2Space):
@@ -530,7 +540,7 @@ def _sign_table_moments(arr: np.ndarray, space: EmpiricalL2Space):
     del table
 
     def moments(masks):
-        n_blocks = np.count_nonzero(masks, axis=1)
+        n_blocks = _block_counts(masks)
         value, var = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
         for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
             members = np.flatnonzero(n_blocks == k)

@@ -25,6 +25,7 @@ from gammavar import (
 )
 from gammavar import norms, random_sums, suites
 from gammavar.groupings import (
+    _mask_atoms,
     block_sums,
     grouping_from_labels,
     grouping_labels,
@@ -598,7 +599,7 @@ class TestEnsembleMoments:
         else:
             assert_within_the_rounding_bound(got, want, values, base)
 
-    @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (40, 12)])
+    @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (100, 12)])
     def test_the_example_3_4_family_matches_rademacher_sum_sq(self, n_atoms, n_paths):
         partition = AtomPartition.uniform(n_atoms)
         paths = sample_brownian(partition, n_paths, RandomStream(82, (n_atoms,))).paths
@@ -615,9 +616,10 @@ class TestEnsembleMoments:
         got = ensemble_moments(values, finest, space)
         assert got == _one_grouping_at_a_time(values, finest, space)
 
-    def test_a_hilbert_grouping_past_the_table_budget_takes_windows(self, monkeypatch):
-        # a budget of 5 rows: the 40-block finest grouping adds its blocks'
-        # squared norms in windows of 5 blocks, in block order
+    def test_a_hilbert_grouping_past_the_table_budget_gets_no_table(self, monkeypatch):
+        # a budget of 5 rows: the 40-block finest grouping once took a
+        # 40-row table of its own (2.8 MB traced); adding its blocks'
+        # squared norms in block order holds a few (paths,) rows at a time
         n_paths = 5000
         monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 5 * n_paths)
         values = np.random.default_rng(85).standard_normal((40, n_paths, 2))
@@ -630,11 +632,35 @@ class TestEnsembleMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a 5-row table, its gather with the running sum and a few (paths,)
-        # rows besides, where the whole grouping's table would take 40 rows
-        assert peak < 24 * n_paths * 8
+        assert peak < 8 * n_paths * 8
         got += ensemble_moments(values, groupings[1:], space)
         assert got == _one_grouping_at_a_time(values, groupings, space)
+
+    def test_one_path_past_the_table_budget_adds_its_blocks_pairwise(self, monkeypatch):
+        # numpy sums 8 or more contiguous norms pairwise, as the closed form
+        # does on one path, not in block order
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 1)
+        groupings = [Grouping.finest(12), Grouping([[0, 11], *([a] for a in range(1, 11))], 12)]
+        space = EmpiricalL2Space(NormedSpace.l2(2))
+        for seed in range(86, 92):
+            values = _six_decades(seed, (12, 1, 2))
+            got = ensemble_moments(values, groupings, space)
+            assert got == _one_grouping_at_a_time(values, groupings, space)
+
+    def test_a_table_of_every_block_norms_each_once(self, monkeypatch):
+        # 2^6 blocks x 10 paths fit the budget: each block is normed once,
+        # the empty block not at all
+        values = _six_decades(89, (6, 10, 2))
+        space = EmpiricalL2Space(NormedSpace.l2(2))
+        summed = []
+        block_sum = random_sums._block_sum
+        monkeypatch.setattr(
+            random_sums, "_block_sum", lambda arr, atoms: summed.append(atoms) or block_sum(arr, atoms)
+        )
+        every = list(enumerate_groupings(6, "all"))
+        got = ensemble_moments(values, every, space)
+        assert sorted(summed) == sorted(_mask_atoms(m) for m in range(1, 1 << 6))
+        assert got == _one_grouping_at_a_time(values, every, space)
 
     def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
         def refused(*args):
