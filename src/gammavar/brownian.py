@@ -19,14 +19,25 @@ import numpy as np
 
 from .groupings import Grouping, _block_sum
 from .measures import StepFunction, measure_from_density
-from .norms import NormReport, gamma_variation_norm, randomized_variation_norm
+from .norms import (
+    NormReport,
+    _ensemble_label_search,
+    _resolve_mode,
+    _search_best,
+    gamma_variation_norm,
+    randomized_variation_norm,
+)
 from .random_sums import (
     METHOD_MONTE_CARLO,
     Comparison,
     RandomStream,
     SumEstimate,
+    _ensemble_chunk,
+    _ensemble_decide,
     _ensemble_moments,
     _estimate_from_path_stats,
+    _path_spans,
+    _table_size,
     compare_estimates,
 )
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
@@ -70,16 +81,18 @@ def _increment_blocks(
     partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The n_paths sampled paths of sample_brownian, as (span, block) pairs
-    of at most chunk paths each: block is a fresh (paths in span, n_atoms)
-    array, scaled in place.  Every block is drawn from the one generator of
-    the stream, which standard_normal consumes in order, so the blocks
-    stacked are sample_brownian's paths bit for bit at any chunk size."""
+    over the spans of random_sums._path_spans, of chunk paths each but
+    never one path alone (unless n_paths is 1): block is a fresh (paths in
+    span, n_atoms) array, scaled in place.  Every block is drawn from the
+    one generator of the stream, which standard_normal consumes in order,
+    so the blocks stacked are sample_brownian's paths bit for bit at any
+    chunk size."""
     rng = stream.generator()
     scale = np.sqrt(partition.weights)[None, :]
-    for start in range(0, n_paths, chunk):
-        block = rng.standard_normal((min(chunk, n_paths - start), partition.n_atoms))
+    for span in _path_spans(n_paths, chunk):
+        block = rng.standard_normal((span.stop - span.start, partition.n_atoms))
         block *= scale
-        yield slice(start, start + block.shape[0]), block
+        yield span, block
 
 
 def sample_brownian(
@@ -194,6 +207,53 @@ class IntegralIdentityReport:
         }
 
 
+def ensemble_search(
+    density: StepFunction,
+    n_paths: int,
+    stream: RandomStream,
+    groupings: list[Grouping] | None = None,
+) -> tuple[Grouping, SumEstimate, SumEstimate]:
+    """The randomized variation of the empirical measure that density
+    induces on sample_brownian(density.partition, n_paths, stream), and the
+    integral's moment on the same paths, with no paths-sized array but a
+    few (paths,) rows: the winning grouping among every set partition, or
+    among groupings when given, its moment, and the integral moment.
+
+    The paths come in chunks of _increment_blocks, each turned into its
+    contributions phi_n dW_n.  A search takes two passes over the chunks,
+    drawn again for the second: the first screens every set partition
+    (random_sums._ensemble_screen) and keeps the integral's per-path
+    statistic, the second takes per-path statistics of the partitions near
+    the top only (norms._ensemble_label_search).  Given groupings, one
+    pass decides them all.  Every statistic is elementwise over paths, so
+    the estimates keep the bits of randomized_variation_norm and
+    integral_moment on the whole ensemble, as far as the products keep
+    theirs at every chunk size (_ensemble_chunk)."""
+    if n_paths < MIN_PATHS:
+        raise ValueError(
+            f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
+        )
+    partition, space = density.partition, density.space
+    # laid out as integral_moment's gathered copy
+    values = np.ascontiguousarray(density.values)
+    n_atoms, dim = values.shape
+    rows = n_atoms if groupings is not None else _table_size(n_atoms, space.is_hilbert)
+    chunk = _ensemble_chunk(n_atoms, dim, rows)
+    integral = np.empty(n_paths)
+
+    def chunks():
+        for span, block in _increment_blocks(partition, n_paths, stream, chunk):
+            integral[span] = space.norm_sq(block @ values)
+            yield np.einsum("mn,nd->nmd", block, values)
+
+    if groupings is None:
+        grouping, moment = _ensemble_label_search(chunks, chunks, space, n_atoms, n_paths)
+    else:
+        found = dict(zip(groupings, _ensemble_decide(chunks, space, n_paths)(groupings)))
+        grouping, moment = _search_best(groupings, found.__getitem__)
+    return grouping, moment, _estimate_from_path_stats(integral)
+
+
 def verify_integral_identity(
     density: StepFunction,
     n_paths: int,
@@ -204,19 +264,25 @@ def verify_integral_identity(
 ) -> IntegralIdentityReport:
     """Check the triple identity between the variation norm of the density's
     measure, the randomized variation of the induced empirical measure, and
-    the integral's root second moment."""
+    the integral's root second moment.  An exhaustive search streams its
+    paths (ensemble_search); the other modes search the sampled ensemble."""
     measure = measure_from_density(density)
     variation = gamma_variation_norm(measure, stream.substream(0), samples)
-    ensemble = sample_brownian(density.partition, n_paths, stream.substream(1))
-    empirical = induced_randomized_measure(density, ensemble)
-    randomized = randomized_variation_norm(
-        empirical.contributions,
-        empirical.empirical_space,
-        mode=search_mode,
-        stream=stream.substream(2),
-        samples=samples,
-    )
-    integral = integral_moment(density, ensemble)
+    mode = _resolve_mode(search_mode, density.n_atoms)
+    if mode == "exhaustive":
+        grouping, moment, integral = ensemble_search(density, n_paths, stream.substream(1))
+        randomized = NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
+    else:
+        ensemble = sample_brownian(density.partition, n_paths, stream.substream(1))
+        empirical = induced_randomized_measure(density, ensemble)
+        randomized = randomized_variation_norm(
+            empirical.contributions,
+            empirical.empirical_space,
+            mode=search_mode,
+            stream=stream.substream(2),
+            samples=samples,
+        )
+        integral = integral_moment(density, ensemble)
     comparisons = {
         "variation_vs_randomized": compare_estimates(
             variation.moment, randomized.moment, z=z

@@ -98,7 +98,11 @@ def _block_sum(values: np.ndarray, atoms: list[int]) -> np.ndarray:
 
 
 def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Sum values (atom-indexed on axis 0) over each block of the grouping."""
+    """Sum values (atom-indexed on axis 0) over each block of the grouping,
+    as a C-contiguous stack.  Singleton blocks alone add each atom to 0.0,
+    as np.sum over one atom does (so -0.0 becomes 0.0)."""
+    if grouping.n_blocks == grouping.n_atoms == values.shape[0]:
+        return np.add(values, 0.0, order="C")
     return np.stack([_block_sum(values, list(b)) for b in grouping.blocks])
 
 

@@ -39,13 +39,15 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_COVARIANCE,
-    METHOD_MONTE_CARLO,
-    _CHUNK_FLOATS,
     _check_values,
     _coefficient_batches,
+    _ensemble_chunk,
+    _ensemble_decide,
     _ensemble_screen,
     _estimate_from_moments,
+    _path_spans,
     _table_rounding_bound,
+    _table_size,
     compare_estimates,
     covariance_moment,
     gaussian_sum_sq,
@@ -55,6 +57,9 @@ from .random_sums import (
 from .spaces import EmpiricalL2Space, NormedSpace
 
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
+# Cap on the bytes of a chunk of label rows: the int8 labels and masks, and
+# the temporaries of grouping_labels and of the screen, about 64 bytes a row
+_LABEL_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -278,34 +283,31 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
         yield current
 
 
-def _exhaustive_label_search(arr: np.ndarray, space) -> tuple[Grouping, SumEstimate]:
-    """The winner of the exhaustive search over (N, d) values or (N, paths,
-    d) ensemble values, with its estimate, in the order of _beats.
+def _exhaustive_label_search(
+    n_atoms: int, screen, bound: float, decide
+) -> tuple[Grouping, SumEstimate]:
+    """The winner of the exhaustive search over the set partitions of
+    n_atoms atoms, with its estimate, in the order of _beats.
 
     Set partitions come as label rows with block masks
-    (groupings.grouping_labels), and each chunk of rows is screened in one
-    batch by the ensemble kernel (random_sums._ensemble_screen), which sees
-    (N, d) values as one path.  A screen value lies within bound
-    (_table_rounding_bound) of rademacher_sum_sq's, so the winner lies
-    within 2 bound of the top screen value, and only rows that near the
-    running top keep their values, errors and labels.  They are made
-    Groupings and evaluated in sort_key order by rademacher_sum_sq, except
-    in an ensemble whose bound is 0, where the screen takes
-    rademacher_sum_sq's closed form bit for bit and its estimate stands.  A
-    candidate wins only above the best value so far, so one whose screen
-    value plus bound does not pass that is never evaluated."""
-    n_atoms, dim = arr.shape[0], arr.shape[-1]
-    ensemble = isinstance(space, EmpiricalL2Space)
-    bound = _table_rounding_bound(arr, space.base if ensemble else space)
-    screen = _ensemble_screen(arr, space)
+    (groupings.grouping_labels), in chunks of _LABEL_CHUNK_BYTES, and each
+    chunk is screened in one batch: screen(masks) gives (values, errors)
+    whose values lie within bound of the estimates that decide(groupings)
+    gives, so the winner lies within 2 bound of the top screen value, and
+    only rows that near the running top keep their values and labels.
+    They are made Groupings and decided a block count at a time, in
+    sort_key order.  A candidate wins only above the best value so far, so
+    one whose screen value plus bound does not pass that is never
+    decided."""
+    mask_bytes = np.min_scalar_type((1 << n_atoms) - 1).itemsize
+    rows = max(1, _LABEL_CHUNK_BYTES // (2 * n_atoms * (1 + mask_bytes) + 64))
     top, kept = -np.inf, []
-    # a chunk holds at most _CHUNK_FLOATS / dim labels
-    for labels, masks in grouping_labels(n_atoms, max(1, _CHUNK_FLOATS // (n_atoms * dim))):
-        values, errors = screen(masks)
+    for labels, masks in grouping_labels(n_atoms, rows):
+        values, _ = screen(masks)
         top = max(top, float(np.max(values)))
         near = ~(values < top - 2.0 * bound)
-        kept.append((values[near], errors[near], labels[near]))
-    values, errors, labels = (np.concatenate(part) for part in zip(*kept))
+        kept.append((values[near], labels[near]))
+    values, labels = (np.concatenate(part) for part in zip(*kept))
     n_blocks = labels.max(axis=1) + 1
     near = ~(values < np.max(values) - 2.0 * bound)
     best = None
@@ -313,16 +315,37 @@ def _exhaustive_label_search(arr: np.ndarray, space) -> tuple[Grouping, SumEstim
         rows = np.flatnonzero(near & (n_blocks == k))
         if best is not None:
             rows = rows[~(values[rows] + bound <= best[1].value)]
-        candidates = [(grouping_from_labels(labels[i].tolist()), i) for i in rows.tolist()]
-        for grouping, i in sorted(candidates, key=lambda pair: pair[0].sort_key()):
-            if ensemble and bound == 0.0:
-                value, error = float(values[i]), float(errors[i])
-                estimate = SumEstimate(value, error, arr.shape[1], METHOD_MONTE_CARLO)
-            else:
-                estimate = rademacher_sum_sq(block_sums(arr, grouping), space)
+        candidates = sorted(
+            (grouping_from_labels(labels[i].tolist()) for i in rows.tolist()),
+            key=Grouping.sort_key,
+        )
+        for grouping, estimate in zip(candidates, decide(candidates)):
             if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
                 best = (grouping, estimate)
     return best
+
+
+def _ensemble_label_search(
+    screen_chunks, chunks, base, n_atoms: int, n_paths: int
+) -> tuple[Grouping, SumEstimate]:
+    """_exhaustive_label_search over an ensemble: one pass over
+    screen_chunks() screens (random_sums._ensemble_screen), and the
+    partitions near the top are decided over chunks()
+    (random_sums._ensemble_decide); both yield the ensemble's (N, paths, d)
+    values in chunks."""
+    screen, bound = _ensemble_screen(screen_chunks, base, n_atoms)
+    decide = _ensemble_decide(chunks, base, n_paths)
+    return _exhaustive_label_search(n_atoms, screen, bound, decide)
+
+
+def _resolve_mode(mode: str, n_atoms: int) -> str:
+    """The search mode that mode names: "auto" is exhaustive up to 12
+    atoms and contiguous-plus-greedy beyond."""
+    if mode not in RANDOMIZED_MODES:
+        raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
+    if mode == "auto":
+        return "exhaustive" if n_atoms <= 12 else "contiguous+greedy"
+    return mode
 
 
 def randomized_variation_norm(
@@ -348,20 +371,33 @@ def randomized_variation_norm(
     sort_key.  The exhaustive search (_exhaustive_label_search) finds the
     grouping and moment that one rademacher_sum_sq call per grouping would,
     for (N, d) values and ensembles alike, from label rows screened in
-    chunks; only rows near the top become Groupings.  The contiguous and
-    greedy modes evaluate one grouping at a time.
+    chunks; only rows near the top become Groupings.  An ensemble's tables
+    are built over chunk views of its paths.  The contiguous and greedy
+    modes evaluate one grouping at a time.
     """
-    if mode not in RANDOMIZED_MODES:
-        raise ValueError(f"mode must be one of {RANDOMIZED_MODES}, got {mode!r}")
     arr = np.asarray(values, dtype=float)
     n_atoms = arr.shape[0]
-    if mode == "auto":
-        mode_used = "exhaustive" if n_atoms <= 12 else "contiguous+greedy"
-    else:
-        mode_used = mode
+    mode_used = _resolve_mode(mode, n_atoms)
 
     if mode_used == "exhaustive":
-        grouping, moment = _exhaustive_label_search(_check_values(arr, space), space)
+        arr = _check_values(arr, space)
+        if isinstance(space, EmpiricalL2Space):
+            # the screen takes the paths in chunk views, the decision all of
+            # them at once
+            n_paths, dim = arr.shape[1:]
+            chunk = _ensemble_chunk(n_atoms, dim, _table_size(n_atoms, space.is_hilbert))
+            spans = list(_path_spans(n_paths, chunk))
+            grouping, moment = _ensemble_label_search(
+                lambda: (arr[:, s] for s in spans), lambda: [arr], space.base, n_atoms, n_paths
+            )
+        else:
+            screen, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
+
+            def decide(groupings):
+                return [rademacher_sum_sq(block_sums(arr, g), space) for g in groupings]
+
+            bound = _table_rounding_bound(arr, space)
+            grouping, moment = _exhaustive_label_search(n_atoms, screen, bound, decide)
         return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
 
     cache: dict[Grouping, SumEstimate] = {}

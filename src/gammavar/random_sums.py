@@ -16,23 +16,25 @@ the layout of groupings.grouping_labels (_ensemble_moments).  Outside
 Hilbert bases they come from one table per measure: a partition's sign
 patterns are the atom sign vectors constant on its blocks, a subgroup H_G of
 {+-1}^N, so its moment is the mean over H_G of T[e] = ||sum_n e_n x_n||^2,
-within _table_rounding_bound of rademacher_sum_sq of the block sums.  On a
-path ensemble that mean's path mean and variance are forms in the path mean
-and centred path covariance of T (_sign_table_moments); (N, d) values are
-one path.  In a Hilbert base a table of the blocks' squared norms gives
-the closed form (_hilbert_moments).
+within _table_rounding_bound of rademacher_sum_sq of the block sums.  In a
+Hilbert base a table of every block's squared norms gives the closed form.
+On a path ensemble a moment's path mean and variance are forms in the path
+sums and centred path covariance of its table, which come chunk by chunk
+of paths (_ensemble_screen); (N, d) values are one path.  The partitions
+near the top of a search are decided from their per-path statistics
+(_ensemble_decide), which need no ensemble held either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groupings import _block_sum, _mask_atoms
+from .groupings import Grouping, _block_sum, _mask_atoms, block_sums
 from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
@@ -259,28 +261,54 @@ def _path_norm_sq(base, n_paths: int, dim: int):
     return lambda rows: base.norm_sq(rows.reshape(rows.shape[:-1] + (n_paths, dim)))
 
 
+def _path_spans(n_paths: int, chunk: int) -> Iterator[slice]:
+    """Consecutive spans of at most chunk paths, except that a span that
+    would leave one path over takes it too: numpy adds the atoms and the
+    blocks of a lone path in another order than those of two or more, so
+    per-path statistics of every span keep the bits of the whole
+    ensemble's."""
+    start = 0
+    while start < n_paths:
+        stop = start + chunk
+        stop = n_paths if n_paths - stop <= 1 else stop
+        yield slice(start, stop)
+        start = stop
+
+
 def _empirical_moment(
     values: np.ndarray, space: EmpiricalL2Space, stream, samples: int, kind: str
 ) -> SumEstimate:
     """Ensemble-valued estimate: exact over signs where possible, std error over paths."""
     k, n_paths, dim = values.shape
     base = space.base
-    if base.is_hilbert:
-        # coefficient cross terms vanish in the Hilbert case, for Gaussian and
-        # Rademacher coefficients alike
-        path_stats = np.sum(base.norm_sq(values), axis=0)
-        return _estimate_from_path_stats(path_stats)
+    # coefficient cross terms vanish in the Hilbert case, for Gaussian and
+    # Rademacher coefficients alike
+    if base.is_hilbert or (kind == "rademacher" and k <= ENUMERATION_LIMIT):
+        return _estimate_from_path_stats(_rademacher_path_stats(values, base))
+    # Monte Carlo over coefficients, still paired over paths
     flat = values.reshape(k, n_paths * dim)
     path_norm_sq = _path_norm_sq(base, n_paths, dim)
-    if kind == "rademacher" and k <= ENUMERATION_LIMIT:
-        return _estimate_from_path_stats(_sign_average(flat, path_norm_sq))
-    # Monte Carlo over coefficients, still paired over paths
     path_sums = np.zeros(n_paths)
     drawn = 0
     for coeffs in _coefficient_batches(stream, samples, k, kind):
         path_sums += np.sum(path_norm_sq(coeffs @ flat), axis=0)
         drawn += coeffs.shape[0]
     return _estimate_from_path_stats(path_sums / drawn)
+
+
+def _rademacher_path_stats(values: np.ndarray, base, width: int | None = None) -> np.ndarray:
+    """The per-path statistics whose path mean rademacher_sum_sq takes of
+    (k, paths, d) block values in EmpiricalL2Space(base): the sum of the
+    blocks' squared norms in a Hilbert base, else the average over the
+    sign patterns (_sign_average), met in chunks of _CHUNK_FLOATS over
+    width floats a pattern, the blocks' own row length by default.  Every
+    statistic is elementwise over paths, so a chunk of two or more paths
+    that passes its ensemble's width keeps the bits of the whole
+    ensemble's, as far as its products do."""
+    if base.is_hilbert:
+        return np.sum(base.norm_sq(values), axis=0)
+    k, n_paths, dim = values.shape
+    return _sign_average(values.reshape(k, -1), _path_norm_sq(base, n_paths, dim), width)
 
 
 @lru_cache(maxsize=64)
@@ -300,25 +328,26 @@ def _sign_patterns(k: int) -> np.ndarray:
     return patterns
 
 
-def _sign_sweep(values: np.ndarray, norm_sq) -> Iterator[np.ndarray]:
+def _sign_sweep(values: np.ndarray, norm_sq, width: int | None = None) -> Iterator[np.ndarray]:
     """norm_sq(sum_m e_m x_m) for the sign patterns e of _sign_patterns, in
     pattern order.  values holds one flattened x_m per row; norm_sq maps the
     (patterns, m) combinations to statistics indexed by pattern on axis 0.
-    Patterns are met in chunks of at most _CHUNK_FLOATS combined floats."""
+    Patterns are met in chunks of at most _CHUNK_FLOATS over width floats,
+    a row's by default."""
     patterns = _sign_patterns(values.shape[0])
-    chunk = max(1, _CHUNK_FLOATS // max(1, values.shape[1]))
+    chunk = max(1, _CHUNK_FLOATS // max(1, width or values.shape[1]))
     for start in range(0, patterns.shape[0], chunk):
         yield norm_sq(patterns[start : start + chunk] @ values)
 
 
-def _sign_average(values: np.ndarray, norm_sq):
+def _sign_average(values: np.ndarray, norm_sq, width: int | None = None):
     """Average over all sign patterns e of norm_sq(sum_m e_m x_m), the chunk
     sums of _sign_sweep added in pattern order at the unit shift
     (_unit_shift) of the largest statistic so far, the total so far scaled
     down exactly when a chunk raises it, and scaled back, so that a finite
     average does not overflow in its sum."""
     shift, total = -1020, 0.0
-    for stats in _sign_sweep(values, norm_sq):
+    for stats in _sign_sweep(values, norm_sq, width):
         top = max(shift, int(_unit_shift(np.ravel(stats))))
         total, shift = np.ldexp(total, shift - top), top
         total += np.sum(np.ldexp(stats, -shift), axis=0)
@@ -331,80 +360,248 @@ def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
     return np.concatenate(list(_sign_sweep(values, norm_sq)))
 
 
-def _subgroup_rows(masks: np.ndarray, floats: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The atom-sign table rows of the sign subgroup H_G of each mask row:
-    the patterns that flip whole blocks other than block 0, which holds atom
-    0, flipping a set of blocks being row (sum of their masks) >> 1.  Yields
-    (mask rows, table rows) pairs whose gathers of floats per table row
-    hold at most _ENSEMBLE_CHUNK_FLOATS."""
+def _block_table(chunk: np.ndarray, base) -> np.ndarray:
+    """Squared norms of the sums of every nonempty block of the chunk's
+    atoms, (2^N - 1, paths), row mask - 1.  Each block adds its atoms in
+    ascending order from 0, as _block_sum does, one atom at a time over
+    the blocks of the atoms before it; one float per atom, which numpy
+    sums pairwise, takes _block_sum itself."""
+    n_atoms = chunk.shape[0]
+    if chunk[0].size < 2:
+        sums = np.stack([_block_sum(chunk, _mask_atoms(m)) for m in range(1, 1 << n_atoms)])
+        return base.norm_sq(sums)
+    sums = np.zeros((1 << n_atoms,) + chunk.shape[1:])
+    for atom in range(n_atoms):
+        np.add(sums[: 1 << atom], chunk[atom], out=sums[1 << atom : 2 << atom])
+    return base.norm_sq(sums[1:])
+
+
+def _table_size(n_atoms: int, hilbert: bool) -> int:
+    """Rows of a measure's table: every nonempty block in a Hilbert base,
+    else the atom sign patterns."""
+    return (1 << n_atoms) - 1 if hilbert else 1 << (n_atoms - 1)
+
+
+def _ensemble_chunk(n_atoms: int, dim: int, table_rows: int) -> int:
+    """Paths per chunk of an ensemble pass: about _ENSEMBLE_CHUNK_FLOATS
+    floats a chunk for the larger of its values and its table's block
+    sums or sign combinations, in a multiple of 8 paths.  OpenBLAS takes
+    the rows of a matrix-vector product in groups, so a chunk of any
+    other size can move the bits of a one-column integral (N >= 8)."""
+    return 8 * max(1, _ENSEMBLE_CHUNK_FLOATS // (8 * max(n_atoms, table_rows) * dim))
+
+
+def _reach(values: np.ndarray, base) -> float:
+    """The largest sum over atoms of their norms on one path."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(base.norm(values), axis=0)))
+
+
+def _rounding_bound(reach: float, n_atoms: int, dim: int, base, paths: int, chunks: int) -> float:
+    """A bound on |table moment - rademacher_sum_sq value| over the set
+    partitions of N atoms in R^d, for a table's path sums taken over
+    paths in chunks, sequentially from chunk to chunk, where no sum of
+    atom norms on a path passes reach.
+
+    With A <= reach on a path and u = 2^-53: both routes add each
+    coordinate of a signed sum Y in at most N - 1 steps, so ||Y' - Y|| <=
+    N u A in these lattice norms.  The norm rounds by (d + 2) u relative
+    plus nu = (d 2^-1074)^(1/p) where p-th powers underflow (0 for l1 and
+    linf), the square by u and 2^-1074: ||Y||^2 is off by at most
+    (2N + 2d + 7) u B^2 + 3 nu B, B = A + nu.  The mean over <= 2^(N-1)
+    patterns or N blocks adds 2^(N-1) u B^2, the pairwise mean over the
+    paths of a chunk (log2(paths) + 20) u B^2, and the chunks one u B^2
+    each.  c = 4 doubles this for the two routes, and again for
+    second-order terms.
+
+    The means may come in either order: rademacher_sum_sq averages each
+    path's patterns or adds its blocks first, the tables (_ensemble_screen)
+    take each pattern's or block's path mean first.  Both sum the same
+    statistics, each in [0, B^2], by a pattern or block sum and a path
+    sum, and a sum of nonnegative terms errs by at most its depth times u
+    times its value, so the same terms bound either order.  Unit shifts
+    (_unit_shift) are exact on normal floats."""
+    tiny = np.finfo(float).smallest_subnormal
+    nu = 0.0 if base.p == 1.0 or math.isinf(base.p) else (dim * tiny) ** (1.0 / base.p)
+    terms = 2 * n_atoms + 2 * dim + (1 << (n_atoms - 1)) + math.log2(paths) + chunks + 28
+    reach += nu
+    # B^2 at unit scale: a bound past the largest float where the moments
+    # stay finite would keep every partition near the top
+    shift = min(max(math.frexp(reach)[1], -1020), 1020)
+    unit = reach * 2.0**-shift
+    with np.errstate(over="ignore"):
+        error = np.ldexp(terms * 2.0**-53 * unit * unit, 2 * shift) + 3.0 * nu * reach + tiny
+    return 4.0 * float(error)
+
+
+def _table_rounding_bound(values: np.ndarray, base) -> float:
+    """_rounding_bound of (N, d) values, or of (N, paths, d) ensemble values
+    summed over their paths in one chunk.
+
+    It is 0 for (N, d) values in a Hilbert base, where the table and
+    rademacher_sum_sq add the same block norms in the same order, and
+    where every signed sum of atoms is exact: each value column holds one
+    nonzero value at most (disjoint supports), or only integers whose
+    absolute sum is below 2^53.  Both routes then norm the same vectors
+    and add the same statistics in the same order, as long as
+    rademacher_sum_sq sweeps its patterns in one chunk (_sign_sweep).  An
+    ensemble's table takes its path means first, in the other order, so
+    ensembles never get 0."""
+    n_atoms, dim = values.shape[0], values.shape[-1]
+    if values.ndim == 2:
+        if base.is_hilbert:
+            return 0.0
+        single = np.count_nonzero(values, axis=0) <= 1
+        integral = np.all(values == np.round(values), axis=0) & (
+            np.sum(np.abs(values), axis=0) < 2.0**53
+        )
+        if np.all(single | integral) and dim << (n_atoms - 1) <= _CHUNK_FLOATS:
+            return 0.0
+    paths = values.shape[1] if values.ndim == 3 else 1
+    return _rounding_bound(_reach(values, base), n_atoms, dim, base, paths, 1)
+
+
+def _block_counts(masks: np.ndarray) -> np.ndarray:
+    """Nonzero blocks per mask row, thrice as fast as count_nonzero."""
+    return (masks != 0) @ np.ones(masks.shape[1], dtype=np.int16)
+
+
+class _TableStats:
+    """Path sums of the rows of a table of nonnegative path statistics that
+    comes in chunks of (rows, paths), and with cross the centred
+    cross-products of its rows: each chunk is scaled to the running unit
+    shift (_unit_shift), the sums so far scaled down exactly when a chunk
+    raises it, and centred on its own mean, its cross-products merged as
+    Chan, Golub and LeVeque (1983) merge sample variances.  One chunk
+    takes np.mean's path means and the covariance of its centred rows."""
+
+    def __init__(self, cross: bool):
+        self.cross, self.paths, self.shift = cross, 0, -1020
+        self.sums = self.products = None
+
+    def add(self, table: np.ndarray) -> None:
+        """Fold in a (rows, paths) chunk, scaled and centred in place."""
+        top = max(self.shift, int(_unit_shift(np.ravel(table))))
+        if self.paths and top > self.shift:
+            self.sums = np.ldexp(self.sums, self.shift - top)
+            if self.products is not None:
+                self.products = np.ldexp(self.products, 2 * (self.shift - top))
+        self.shift = top
+        table *= np.exp2(-top)
+        n, before = table.shape[1], self.paths
+        sums = np.sum(table, axis=1)
+        if self.cross:
+            mean = sums / n
+            table -= mean[:, None]
+            # einsum runs numpy's own loops, as a BLAS product's packing
+            # buffers raised the peak memory of a run
+            products = np.einsum("ip,jp->ij", table, table)
+            if before:
+                delta = mean - self.sums / before
+                products += np.multiply.outer(delta, delta * (before * n / (before + n)))
+                products += self.products
+            self.products = products
+        self.sums = sums if not before else self.sums + sums
+        self.paths += n
+
+
+def _table_rows(masks: np.ndarray, hilbert: bool, floats: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The table rows of each mask row of k blocks: its blocks' rows (mask
+    - 1) in a Hilbert base, else the atom-sign table rows of its sign
+    subgroup H_G, the patterns that flip whole blocks other than block 0,
+    which holds atom 0, flipping a set of blocks being row (sum of their
+    masks) >> 1.  Yields (mask rows, table rows) pairs whose gathers of
+    floats per table row hold at most _ENSEMBLE_CHUNK_FLOATS."""
     k = masks.shape[1]
-    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (floats << (k - 1)))
-    shifted = masks[:, 1:] >> 1
+    width = k if hilbert else 1 << (k - 1)
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (floats * width))
     for start in range(0, masks.shape[0], step):
-        part = shifted[start : start + step]
+        if hilbert:
+            yield slice(start, start + step), masks[start : start + step].astype(np.intp) - 1
+            continue
+        part = masks[start : start + step, 1:] >> 1
         rows = np.zeros((part.shape[0], 1), dtype=masks.dtype)
         for m in range(k - 1):
             rows = np.concatenate((rows, rows + part[:, m, None]), axis=1)
         yield slice(start, start + step), rows
 
 
-def _table_rounding_bound(values: np.ndarray, base) -> float:
-    """A bound on |table mean - rademacher_sum_sq value| over the groupings
-    of (N, d) values, or of their path means for (N, paths, d) values; 0 in
-    a Hilbert base, where both routes take the same closed form.
+def _ensemble_screen(chunks, base, n_atoms: int, cross: bool = False):
+    """Moments of set partitions, given as rows of block masks in the
+    layout of groupings.grouping_labels, over the ensemble chunks that
+    chunks() yields, (N, paths, d) each, as a function of the masks; and a
+    bound on their distance to rademacher_sum_sq's (_rounding_bound).
 
-    With A = sum_n ||x_n|| on a path and u = 2^-53: both routes add each
-    coordinate of a signed sum Y in at most N - 1 steps, so ||Y' - Y|| <=
-    N u A in these lattice norms.  The norm rounds by (d + 2) u relative
-    plus nu = (d 2^-1074)^(1/p) where p-th powers underflow (0 for l1 and
-    linf), the square by u and 2^-1074: ||Y||^2 is off by at most
-    (2N + 2d + 7) u B^2 + 3 nu B, B = A + nu.  The mean over <= 2^(N-1)
-    patterns adds 2^(N-1) u B^2, the pairwise mean over paths
-    (log2(paths) + 20) u B^2.  c = 4 doubles this for the two routes, and
-    again for second-order terms.
+    One pass folds a table per chunk into _TableStats: in a Hilbert base
+    the squared norms of every block (_block_table), whose path means a
+    row adds over its blocks, else the atom-sign table T
+    (_atom_sign_table), whose path means a row averages over its sign
+    subgroup (_table_rows).  With cross the std errors come from the
+    table's path covariance C, as sqrt(sum C[H, H] / w^2 / paths) over
+    the row's table rows H, its blocks (w = 1) or its subgroup (w = |H|);
+    they are 0 without it or on one path.  Gathers hold <=
+    _ENSEMBLE_CHUNK_FLOATS, and moments are taken at unit scale and
+    scaled back."""
+    hilbert = base.is_hilbert
+    stats, reach, count = _TableStats(cross), 0.0, 0
+    for chunk in chunks():
+        n_paths, dim = chunk.shape[1:]
+        if hilbert:
+            table = _block_table(chunk, base)
+        else:
+            flat = chunk.reshape(n_atoms, n_paths * dim)
+            table = _atom_sign_table(flat, _path_norm_sq(base, n_paths, dim))
+        stats.add(table)
+        reach, count = max(reach, _reach(chunk, base)), count + 1
+    mean = stats.sums / stats.paths
+    cov = None
+    if cross and stats.paths > 1:
+        cov = stats.products / (stats.paths - 1)
 
-    The means may come in either order: rademacher_sum_sq averages each
-    path's patterns first, the ensemble kernel (_sign_table_moments) each
-    pattern's paths.  Both sum the same statistics, each in [0, B^2], by a
-    pattern sum and a pairwise path sum, and a sum of nonnegative terms
-    errs by at most its depth times u times its value, so the same two
-    terms bound either order.  Unit shifts (_unit_shift) are exact on
-    normal floats.
+    def moments(masks):
+        n_blocks = _block_counts(masks)
+        value, var = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
+        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
+            members = np.flatnonzero(n_blocks == k)
+            floats = 1 if cov is None else (k if hilbert else 1 << (k - 1))
+            for piece, rows in _table_rows(masks[members, :k], hilbert, floats):
+                weight = 1 if hilbert else rows.shape[1]
+                value[members[piece]] = np.sum(mean[rows], axis=1) / weight
+                if cov is not None:
+                    gathered = cov[rows[:, :, None], rows[:, None, :]]
+                    var[members[piece]] = np.sum(gathered, axis=(1, 2)) / weight**2
+        return _scale_back(stats.shift, value, np.sqrt(np.maximum(var, 0.0) / stats.paths))
 
-    The bound is 0 for (N, d) values where every signed sum of atoms is
-    exact: each value column holds one nonzero value at most (disjoint
-    supports), or only integers whose absolute sum is below 2^53.  Both
-    routes then norm the same vectors and add the same statistics in the
-    same order, as long as rademacher_sum_sq sweeps its patterns in one
-    chunk (_sign_sweep).  The ensemble kernel's means come in the other
-    order, so ensembles outside a Hilbert base never get 0."""
-    if base.is_hilbert:
-        return 0.0
-    n_atoms, dim = values.shape[0], values.shape[-1]
-    flat = values.reshape(n_atoms, -1)
-    single = np.count_nonzero(flat, axis=0) <= 1
-    integral = np.all(flat == np.round(flat), axis=0) & (np.sum(np.abs(flat), axis=0) < 2.0**53)
-    exact = values.ndim == 2 and np.all(single | integral)
-    if exact and flat.shape[1] << (n_atoms - 1) <= _CHUNK_FLOATS:
-        return 0.0
-    paths = values.shape[1] if values.ndim == 3 else 1
-    tiny = np.finfo(float).smallest_subnormal
-    nu = 0.0 if base.p == 1.0 or math.isinf(base.p) else (dim * tiny) ** (1.0 / base.p)
-    terms = 2 * n_atoms + 2 * dim + (1 << (n_atoms - 1)) + math.log2(paths) + 28
-    with np.errstate(over="ignore"):
-        reach = np.sum(base.norm(values), axis=0) + nu
-        # B^2 at unit scale: a bound past the largest float where the
-        # moments stay finite would keep every partition near the top
-        shift = int(_unit_shift(np.ravel(reach)))
-        unit = reach * 2.0**-shift
-        error = np.ldexp(terms * 2.0**-53 * np.mean(unit * unit), 2 * shift)
-        error += 3.0 * nu * np.mean(reach) + tiny
-    return 4.0 * float(error)
+    return moments, _rounding_bound(reach, n_atoms, dim, base, stats.paths, count)
 
 
-def _block_counts(masks: np.ndarray) -> np.ndarray:
-    """Nonzero blocks per mask row, thrice as fast as count_nonzero."""
-    return (masks != 0) @ np.ones(masks.shape[1], dtype=np.int16)
+def _ensemble_decide(chunks, base, n_paths: int):
+    """decide(groupings): rademacher_sum_sq's estimate on the block sums of
+    each grouping over the ensemble chunks that chunks() yields, (N, paths,
+    d) each.  Each pass over the chunks fills the per-path statistics
+    (_rademacher_path_stats) of at most _ENSEMBLE_TABLE_FLOATS / paths
+    groupings, whose path moments are taken at the end, as
+    rademacher_sum_sq takes them."""
+
+    def decide(groupings):
+        found = []
+        step = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
+        for start in range(0, len(groupings), step):
+            part = groupings[start : start + step]
+            stats, at = np.empty((len(part), n_paths)), 0
+            for chunk in chunks():
+                span, at = slice(at, at + chunk.shape[1]), at + chunk.shape[1]
+                width = n_paths * chunk.shape[2]
+                for row, grouping in zip(stats, part):
+                    row[span] = _rademacher_path_stats(block_sums(chunk, grouping), base, width)
+            value, error = _path_moments(stats)
+            found += [
+                SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
+                for v, e in zip(value.tolist(), error.tolist())
+            ]
+        return found
+
+    return decide
 
 
 def _ensemble_moments(
@@ -417,142 +614,35 @@ def _ensemble_moments(
     masks has the layout of groupings.grouping_labels: a row of N atom
     bitmasks per set partition, block m in column m, 0 past the last.  A
     row of more than ENUMERATION_LIMIT blocks outside a Hilbert base raises
-    ValueError before any sum.  A Hilbert base gives rademacher_sum_sq's
-    bits (_hilbert_moments), others lie within _table_rounding_bound of it
-    (_sign_table_moments)."""
+    ValueError before any sum.  Where the table's covariance fits
+    _ENSEMBLE_TABLE_FLOATS the rows read one table (_ensemble_screen) and
+    lie within _table_rounding_bound of rademacher_sum_sq, or of its
+    bound for the table's chunks in a Hilbert base; else each row takes
+    rademacher_sum_sq's bits (_ensemble_decide)."""
     n_blocks = _block_counts(masks)
-    if not space.is_hilbert and np.any(n_blocks > ENUMERATION_LIMIT):
+    base = space.base
+    if not base.is_hilbert and np.any(n_blocks > ENUMERATION_LIMIT):
         raise ValueError(
             f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {n_blocks.max()}"
         )
-    return _ensemble_screen(arr, space)(masks)
-
-
-def _ensemble_screen(arr: np.ndarray, space):
-    """_ensemble_moments of one measure as a function of the masks, with
-    what every row shares built once: block norms in a Hilbert base
-    (_hilbert_moments), else the atom-sign table's statistics
-    (_sign_table_moments), or one rademacher_sum_sq per row where T or C
-    would not fit.  (N, d) values with a NormedSpace are one path."""
-    if not isinstance(space, EmpiricalL2Space):
-        arr, space = arr[:, None], EmpiricalL2Space(space)
-    n_atoms, n_paths = arr.shape[:2]
-    if space.is_hilbert:
-        return _hilbert_moments(arr, space.base.norm_sq)
-    half = 1 << (n_atoms - 1)
-    if n_atoms <= ENUMERATION_LIMIT and half * max(half, n_paths) <= _ENSEMBLE_TABLE_FLOATS:
-        return _sign_table_moments(arr, space)
-
-    def one_row_at_a_time(masks):
-        found = [
-            rademacher_sum_sq(np.stack([_block_sum(arr, _mask_atoms(m)) for m in row if m]), space)
-            for row in masks.tolist()
-        ]
-        return np.array([e.value for e in found]), np.array([e.std_error for e in found])
-
-    return one_row_at_a_time
-
-
-def _block_norms(arr: np.ndarray, blocks: Sequence[int], norm_sq) -> np.ndarray:
-    """Per-path squared norms of each nonzero block mask, a row each."""
-    table = np.empty((len(blocks), arr.shape[1]))
-    for row, block in enumerate(blocks):
-        table[row] = norm_sq(_block_sum(arr, _mask_atoms(block)))
-    return table
-
-
-def _summed_moments(table: np.ndarray, masks: np.ndarray, blocks=None):
-    """Path moments of each mask row's sum over its blocks of their table
-    rows: row i holds sorted blocks[i], or mask value i + 1 without blocks.
-    Gathers hold at most _ENSEMBLE_CHUNK_FLOATS, or one row's blocks."""
-    n_blocks = _block_counts(masks)
-    value, error = np.empty(masks.shape[0]), np.empty(masks.shape[0])
-    for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
-        members = np.flatnonzero(n_blocks == k)
-        step = max(1, _ENSEMBLE_CHUNK_FLOATS // (k * table.shape[1]))
-        for start in range(0, members.size, step):
-            piece = members[start : start + step]
-            part = masks[piece, :k]
-            index = part - 1 if blocks is None else np.searchsorted(blocks, part)
-            value[piece], error[piece] = _path_moments(np.sum(table[index], axis=1))
-    return value, error
-
-
-def _hilbert_moments(arr: np.ndarray, norm_sq):
-    """_ensemble_moments in a Hilbert base as a function of the masks: each
-    row's per-path statistics sum_m ||G(B_m)||^2, summed as the closed form
-    of rademacher_sum_sq sums them, in block order over two or more paths
-    and pairwise, as contiguous norms, on one.  Tables of block norms hold
-    at most _ENSEMBLE_TABLE_FLOATS and norm each block once.  Where all
-    2^N - 1 blocks fit (searches up to 12 atoms on up to 1024 paths) one
-    table is built up front; else runs of rows, halved until their distinct
-    blocks fit, take one each, and a lone row past the budget norms and
-    adds its blocks one at a time."""
-    n_atoms, n_paths = arr.shape[:2]
-    max_rows = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
-    if (1 << n_atoms) - 1 <= max_rows:
-        return partial(_summed_moments, _block_norms(arr, range(1, 1 << n_atoms), norm_sq))
-
-    def moments(masks):
-        value, error = np.empty(masks.shape[0]), np.empty(masks.shape[0])
-        pending = [slice(0, masks.shape[0])]
-        while pending:
-            rows = pending.pop()
-            part = masks[rows]
-            blocks = np.unique(part[part != 0])
-            if blocks.size <= max_rows:
-                table = _block_norms(arr, blocks.tolist(), norm_sq)
-                value[rows], error[rows] = _summed_moments(table, part, blocks)
-            elif rows.stop - rows.start > 1:
-                middle = (rows.start + rows.stop) // 2
-                pending += [slice(middle, rows.stop), slice(rows.start, middle)]
-            else:
-                norms = (norm_sq(_block_sum(arr, _mask_atoms(b))) for b in part[0].tolist() if b)
-                # in the order in which np.sum adds a gathered row's blocks
-                total = reduce(np.add, norms) if n_paths > 1 else np.sum(list(norms), axis=0)
-                value[rows], error[rows] = _path_moments(total[None])
-        return value, error
-
-    return moments
-
-
-def _sign_table_moments(arr: np.ndarray, space: EmpiricalL2Space):
-    """_ensemble_moments outside a Hilbert base as a function of the masks,
-    from the atom-sign table T of all N atoms, (2^(N-1), paths), built once:
-    scaled to unit size (_unit_shift) and centred in place.  A row's
-    per-path statistic is the mean of T over its subgroup rows H
-    (_subgroup_rows), so its path mean is the mean over H of T's path mean
-    m, and its path variance sum C[H, H] / |H|^2 with C = T_c T_c^T /
-    (paths - 1); gathers hold <= _ENSEMBLE_CHUNK_FLOATS.  One path, as the
-    search sees (N, d) values, has no variance and gathers m alone."""
     n_atoms, n_paths, dim = arr.shape
-    norm_sq = _path_norm_sq(space.base, n_paths, dim)
-    table = _atom_sign_table(arr.reshape(n_atoms, n_paths * dim), norm_sq)
-    shift = _unit_shift(np.ravel(table))
-    table *= np.exp2(-shift)
-    mean = np.mean(table, axis=1)
-    cov = None
-    if n_paths > 1:
-        table -= mean[:, None]
-        # einsum runs numpy's own loops, as a BLAS product's packing buffers
-        # raised the peak memory of a run
-        cov = np.einsum("ip,jp->ij", table, table) / (n_paths - 1)
-    del table
-
-    def moments(masks):
-        n_blocks = _block_counts(masks)
-        value, var = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
-        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
-            members = np.flatnonzero(n_blocks == k)
-            floats = 1 if cov is None else 1 << (k - 1)
-            for piece, rows in _subgroup_rows(masks[members, :k], floats):
-                value[members[piece]] = np.sum(mean[rows], axis=1) / rows.shape[1]
-                if cov is not None:
-                    gathered = cov[rows[:, :, None], rows[:, None, :]]
-                    var[members[piece]] = np.sum(gathered, axis=(1, 2)) / rows.shape[1] ** 2
-        return _scale_back(shift, value, np.sqrt(np.maximum(var, 0.0) / n_paths))
-
-    return moments
+    rows = _table_size(n_atoms, base.is_hilbert)
+    fits = rows * rows <= _ENSEMBLE_TABLE_FLOATS
+    if base.is_hilbert:
+        # block norms need no product: chunks bound their block sums
+        chunk = _ensemble_chunk(n_atoms, dim, rows if fits else n_atoms)
+    else:
+        # an atom-sign table in one chunk where it fits, and each row on
+        # the whole ensemble, keep the bits of the products
+        chunk = max(2, _ENSEMBLE_TABLE_FLOATS // rows) if fits else n_paths
+    spans = list(_path_spans(n_paths, chunk))
+    chunks = lambda: (arr[:, s] for s in spans)  # noqa: E731
+    if fits:
+        moments, _ = _ensemble_screen(chunks, base, n_atoms, cross=True)
+        return moments(masks)
+    groupings = [Grouping([_mask_atoms(m) for m in row if m], n_atoms) for row in masks.tolist()]
+    found = _ensemble_decide(chunks, base, n_paths)(groupings)
+    return np.array([e.value for e in found]), np.array([e.std_error for e in found])
 
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:

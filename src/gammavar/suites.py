@@ -18,7 +18,7 @@ import numpy as np
 from ._version import __version__
 from .brownian import (
     MIN_PATHS,
-    _increment_blocks,
+    ensemble_search,
     induced_randomized_measure,
     randomisation_identity_sweep,
     sample_brownian,
@@ -62,14 +62,11 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
-    METHOD_MONTE_CARLO,
-    _ENSEMBLE_CHUNK_FLOATS,
-    _path_moments,
     compare_estimates,
     rademacher_sum_sq,
 )
 from .reports import CheckRecord, SuiteReport
-from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
+from .spaces import AtomPartition, NormedSpace
 
 SUITE_NAMES = (
     "thm-2-3",
@@ -152,10 +149,14 @@ SUITE_DEFAULTS: dict[str, dict] = {
     },
 }
 
-# A batch of ensemble moments may take at most this many groupings times
-# paths: the default randomisation sweep takes 4140 x 1500 per measure, and
-# Bell(12) groupings of example-3-4 at 100k paths would take 4.2e11.
+# A randomisation sweep may take at most this many groupings times paths:
+# the default sweep takes 4140 x 1500 per measure.
 MAX_GROUPING_PATHS = 1 << 27
+# An exhaustive ensemble search builds a table of 2^N rows over every path
+# and holds a few (paths,) rows: at most this many rows times paths, plus
+# its Bell(N) screened partitions.  example-3-4's search at 4 atoms on 100k
+# paths takes 1.8e6, one at 12 atoms would take 4.1e8.
+MAX_TABLE_PATHS = 1 << 28
 
 _ENGINE_OVERRIDES: dict[str, dict] = {
     "thm-3-3": {"paths": 30_000},
@@ -390,9 +391,10 @@ def resolve_config(
 
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
-    enumerate groupings past a cap, or take a batch of ensemble moments
-    past MAX_GROUPING_PATHS groupings times paths (_check_batch); the
-    message starts with the field that asked for the enumeration."""
+    enumerate groupings past a cap, sweep past MAX_GROUPING_PATHS
+    groupings times paths (_check_batch), or search an ensemble past
+    MAX_TABLE_PATHS (_check_table); the message starts with the field that
+    asked for the enumeration."""
     has_input = config.measure_values is not None or config.density_values is not None
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
@@ -418,7 +420,7 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
                 if type(empirical) is int and n <= empirical:
                     what = f"the search at n = {n}"
-                    _check_batch(bell_number(n), config.paths, "suite.exhaustive_limit", what)
+                    _check_table(n, config.paths, "suite.exhaustive_limit", what)
     # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches
     # ensembles of a configured density or of its own instances.  A config
     # without a suite may run norms, which searches no ensemble, so
@@ -441,10 +443,27 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
 
 
 def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
-    """_check_batch of an exhaustive randomized search over an ensemble of
+    """_check_table of an exhaustive randomized search over an ensemble of
     n_atoms atoms in engine.mode, as thm-3-3 and integrate run it."""
     if 1 <= n_atoms <= MAX_ATOMS_ALL and config.search_mode in ("auto", "exhaustive"):
-        _check_batch(bell_number(n_atoms), config.paths, "engine.paths", "each ensemble's search")
+        _check_table(n_atoms, config.paths, "engine.paths", "each ensemble's search")
+
+
+def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
+    """Raise SizeLimitError when an exhaustive search over an ensemble of
+    n_atoms atoms (brownian.ensemble_search) takes more than
+    MAX_TABLE_PATHS: 2^N table rows (every block's norms, or half as many
+    sign patterns) and two (paths,) rows, the integral's and a decided
+    partition's, times the paths, plus Bell(N) screened partitions.  Its
+    arrays are bounded by a chunk of paths; its time grows with this."""
+    rows = (1 << n_atoms) + 2
+    estimate = rows * paths + bell_number(n_atoms)
+    if estimate > MAX_TABLE_PATHS:
+        raise SizeLimitError(
+            f"{field}: {what} builds {rows} table rows on {paths} paths and screens "
+            f"{bell_number(n_atoms)} partitions, an estimated {estimate:.3g} table-paths; "
+            f"the limit is {MAX_TABLE_PATHS} (2^28)"
+        )
 
 
 def _check_batch(groupings: int, paths: int, field: str, what: str) -> None:
@@ -833,14 +852,10 @@ def _divergence_point(
     sqrt(n), the exact randomized variation 1 and, up to empirical_limit,
     its estimate on a path ensemble of one-dimensional increments.
 
-    The ensemble is drawn in chunks of paths (brownian._increment_blocks),
-    so no paths x n array is held twice.  Up to exhaustive_limit the chunks
-    fill one (n, paths, 1) contributions array for the exhaustive search.
-    Beyond it each chunk adds the fixed family's per-path statistics
-    sum_m ||G(B_m)||^2, the Hilbert closed form of rademacher_sum_sq, to a
-    (family, paths) array, whose path means and errors are taken once at
-    the end; the statistics are elementwise over paths, so the estimates
-    keep the bits of rademacher_sum_sq on the whole contributions."""
+    The ensemble estimate is brownian.ensemble_search's on the measure
+    that a density of ones induces, whose contributions are the
+    increments themselves: exhaustive up to exhaustive_limit, over the
+    fixed family beyond it."""
     partition = AtomPartition.uniform(n)
     expected_tv = math.sqrt(n)
     dense = n <= params["dense_limit"]
@@ -883,35 +898,9 @@ def _divergence_point(
     )
 
     if n <= params["empirical_limit"]:
-        empirical_space = EmpiricalL2Space(NormedSpace.l2(1))
-        # chunks of at least two paths, the last one too: numpy sums a
-        # one-path (n, 1, 1) chunk pairwise along its atoms, which would
-        # change the bits
-        chunk = max(MIN_PATHS, _ENSEMBLE_CHUNK_FLOATS // n)
-        while paths % chunk == 1:
-            chunk += 1
-        blocks = _increment_blocks(partition, paths, stream, chunk)
-        if n <= params["exhaustive_limit"]:
-            contributions = np.empty((n, paths, 1))
-            for span, block in blocks:
-                contributions[:, span, 0] = block.T
-            report = randomized_variation_norm(
-                contributions, empirical_space, mode="exhaustive"
-            )
-            estimate = report.moment
-        else:
-            family = _fixed_grouping_family(n)
-            path_stats = np.empty((len(family), paths))
-            for span, block in blocks:
-                values = np.ascontiguousarray(block.T)[:, :, None]
-                for i, grouping in enumerate(family):
-                    block_norms = empirical_space.base.norm_sq(block_sums(values, grouping))
-                    path_stats[i, span] = np.sum(block_norms, axis=0)
-            value, error = _path_moments(path_stats)
-            best = int(np.argmax(value))
-            estimate = SumEstimate(
-                float(value[best]), float(error[best]), paths, METHOD_MONTE_CARLO
-            )
+        ones = StepFunction(partition, NormedSpace.l2(1), np.ones((n, 1)))
+        family = None if n <= params["exhaustive_limit"] else _fixed_grouping_family(n)
+        _, estimate, _ = ensemble_search(ones, paths, stream, family)
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)
         checks.append(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gammavar.brownian as brownian
+import gammavar.groupings as groupings
 import gammavar.random_sums as random_sums
 
 from gammavar import (
@@ -31,8 +33,11 @@ from gammavar import (
     stochastic_integral,
     verify_integral_identity,
 )
-from gammavar.brownian import EmpiricalVectorMeasure
+from gammavar.brownian import EmpiricalVectorMeasure, ensemble_search
+from gammavar.cli import main
 from gammavar.groupings import block_sums
+from gammavar.norms import randomized_variation_norm
+from gammavar.spaces import EmpiricalL2Space
 
 
 def _scalar_density(weights, values):
@@ -95,13 +100,17 @@ class TestSampling:
         assert ensemble.paths.nbytes == n_paths * n_atoms * 8
         assert peak < 1.25 * ensemble.paths.nbytes
 
-    @pytest.mark.parametrize("chunk", [1, 7, 49, 50])
-    def test_increment_blocks_stack_to_the_sampled_paths(self, chunk):
-        # 50 paths end on a partial block of 1 path at chunks of 7 and 49
+    @pytest.mark.parametrize(
+        "chunk, sizes", [(1, [1] * 48 + [2]), (7, [7] * 6 + [8]), (49, [50]), (50, [50])]
+    )
+    def test_increment_blocks_stack_to_the_sampled_paths(self, chunk, sizes):
+        # 50 paths would end on a block of 1 path at chunks of 1, 7 and 49;
+        # that path joins the block before it
         partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
         stream = RandomStream(15, (0,))
         pairs = list(brownian._increment_blocks(partition, 50, stream, chunk))
-        assert [span.start for span, _ in pairs] == list(range(0, 50, chunk))
+        assert [span.stop - span.start for span, _ in pairs] == sizes
+        assert [span.start for span, _ in pairs] == [0, *np.cumsum(sizes)[:-1].tolist()]
         assert all(block.shape == (span.stop - span.start, 4) for span, block in pairs)
         stacked = np.concatenate([block for _, block in pairs])
         assert np.array_equal(stacked, sample_brownian(partition, 50, stream).paths)
@@ -387,9 +396,9 @@ def _mixed_groupings(rng, n_atoms, count):
 
 
 def _assert_matches_the_reference(measure, groupings):
-    """The sweep's check documents against the reference's: == in a Hilbert
-    base (a zero rounding bound); otherwise the signed side, from the
-    atom-sign table's path mean and covariance, lies within the table's
+    """The sweep's check documents against the reference's: the signed
+    side, from a table's path means and covariance (the atom-sign table's,
+    or every block's norms in a Hilbert base), lies within the table's
     rounding bound, and so do the gap and the tolerance computed from it,
     while every other field and each verdict stay =="""
     sweep = randomisation_identity_sweep(measure, groupings)
@@ -401,9 +410,6 @@ def _assert_matches_the_reference(measure, groupings):
     )
     got = [sweep.check(i).to_document() for i in range(len(groupings))]
     bound = random_sums._table_rounding_bound(measure.contributions, measure.space)
-    if bound == 0.0:
-        assert got == want
-        return
     assert bound <= 1e-9 * max(w["signed"]["value"] for w in want)
     for g, w in zip(got, want, strict=True):
         signed, comparison = g.pop("signed"), g.pop("comparison")
@@ -500,9 +506,10 @@ class TestSweepAgainstTheReference:
             summed.append(atoms)
             return block_sum(values, atoms)
 
-        # the signed side's block table in the ensemble kernel, then the
+        # the signed side's block sums in the ensemble kernel, then the
         # plain side
         monkeypatch.setattr(random_sums, "_block_sum", recorded)
+        monkeypatch.setattr(groupings, "_block_sum", recorded)
         monkeypatch.setattr(brownian, "_block_sum", recorded)
         tracemalloc.start()
         try:
@@ -588,3 +595,105 @@ class TestHilbertSweep:
             )
             want = float(np.mean(per_path))
             assert abs(signed - want) <= 1e-12 * want
+
+
+# The CLI's default integrate density, and the default shapes of thm-3-3
+# (4 atoms in l2, l1 and linf, in R^2 and R^3) and example-3-4 (4 atoms
+# searched, 16 atoms over the fixed family), on 3001 paths: chunks of 2
+# would leave one path over
+_STREAMED_RUNS = {
+    "integrate": (
+        ["integrate"],
+        {
+            "partition": {"uniform": 4},
+            "space": {"dim": 2, "norm": "l2"},
+            "input": {"density": [[3.0, 4.0]] * 4},
+            "engine": {"paths": 3001},
+        },
+    ),
+    "integrate-l1": (
+        ["integrate"],
+        {
+            "partition": {"weights": [0.1, 0.15, 0.2, 0.25, 0.3]},
+            "space": {"dim": 3, "norm": "l1"},
+            "input": {"density": [[1.0, -0.5, 2.0], [0.25, 1.5, -1.0], [-2.0, 0.5, 0.75],
+                                  [1.25, -1.25, 0.5], [0.5, 2.0, -0.25]]},
+            "engine": {"paths": 3001},
+        },
+    ),
+    "thm-3-3": (
+        ["verify", "thm-3-3"],
+        {"engine": {"paths": 3001, "samples": 2000}, "suite": {"instances": 6}},
+    ),
+    "example-3-4": (["verify", "example-3-4"], {"engine": {"paths": 3001}, "suite": {"n_grid": [4, 16]}}),
+}
+
+
+class TestStreamedEnsembles:
+    """ensemble_search draws its paths in chunks, twice for a search, and
+    keeps the bits of the search and the integral on the whole ensemble."""
+
+    @staticmethod
+    def _report(argv, document, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert main(argv + ["--config", str(config)]) in (0, 2)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("run", sorted(_STREAMED_RUNS))
+    def test_reports_keep_their_bytes_at_any_chunk(self, run, tmp_path, capsys, monkeypatch):
+        argv, document = _STREAMED_RUNS[run]
+        whole = self._report(argv, document, tmp_path, capsys)
+        for chunk in (2, 3, 7):
+            monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args, c=chunk: c)
+            assert self._report(argv, document, tmp_path, capsys) == whole
+
+    def test_integrate_memory_grows_by_a_few_path_rows(self):
+        # the default integrate density: 10k and 100k paths take the same
+        # chunks, and the larger run holds a few more (paths,) rows (the
+        # integral's, the winner's and their path moments'), never the
+        # (paths, atoms) draws or (atoms, paths, dim) contributions
+        density = StepFunction(AtomPartition.uniform(4), NormedSpace.l2(2), [[3.0, 4.0]] * 4)
+        peaks = {}
+        for n_paths in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                verify_integral_identity(density, n_paths, RandomStream(9, (0,)))
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] - peaks[10_000] <= 4 * 90_000 * 8
+
+    @pytest.mark.parametrize(
+        "space",
+        [NormedSpace.l1(2), NormedSpace.l2(2), NormedSpace.linf(2), NormedSpace.l2(1),
+         NormedSpace.from_tag(3, {"lp": 1.5})],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_tie_heavy_ensembles_name_the_in_memory_winner(self, space, chunk, monkeypatch):
+        # small integers, a zero atom and a repeated atom: many set
+        # partitions tie, some exactly
+        rng = np.random.default_rng(58)
+        density = rng.integers(-2, 3, size=(6, space.dim)).astype(float)
+        density[1] = 0.0
+        density[4] = density[2]
+        density = StepFunction(AtomPartition.uniform(6), space, density)
+        stream = RandomStream(58, (0,))
+        if chunk is not None:
+            monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args: chunk)
+        grouping, moment, integral = ensemble_search(density, 41, stream)
+        ensemble = sample_brownian(density.partition, 41, stream)
+        contributions = induced_randomized_measure(density, ensemble).contributions
+        report = randomized_variation_norm(contributions, EmpiricalL2Space(space), mode="exhaustive")
+        assert (grouping, moment) == (report.grouping, report.moment)
+        assert integral == integral_moment(density, ensemble)
+        # a family of two groupings is decided in one pass, the higher
+        # moment winning
+        family = [Grouping.finest(6), Grouping([[0, 1, 2], [3, 4, 5]], 6)]
+        moments = [
+            rademacher_sum_sq(block_sums(contributions, g), EmpiricalL2Space(space))
+            for g in family
+        ]
+        best = 1 if moments[1].value >= moments[0].value else 0
+        assert ensemble_search(density, 41, stream, family)[:2] == (family[best], moments[best])

@@ -88,10 +88,9 @@ class TestNormsCommand:
 
 
     def test_a_density_at_the_defaults_searches_no_ensemble(self, tmp_path, capsys):
-        # an exhaustive search over an ensemble of these 8 atoms at the
-        # default 100k paths would take Bell(8) x 1e5 = 4.1e8 grouping-paths,
-        # past the limit; norms turns the density into an (N, d) measure and
-        # searches no ensemble
+        # a density of 8 atoms at the default 100k paths: norms turns it into
+        # an (N, d) measure and searches no ensemble, whatever integrate's
+        # preflight would say of its ensemble search
         document = {
             "partition": {"uniform": 8},
             "space": {"dim": 2, "norm": "l1"},
@@ -267,7 +266,7 @@ class TestErrorHandling:
     def test_an_oversized_ensemble_batch_exits_before_it_starts(
         self, tmp_path, capsys, monkeypatch
     ):
-        # Bell(12) groupings at 100k paths: the estimate alone refuses it
+        # 2^12 + 2 table rows at 100k paths: the estimate alone refuses it
         def refused(*args, **kwargs):
             pytest.fail("started an oversized run")
 
@@ -276,7 +275,7 @@ class TestErrorHandling:
         assert main(["verify", "example-3-4", "--config", path]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: suite.exhaustive_limit: ")
-        assert "4213597 groupings on 100000 paths" in err
+        assert "4098 table rows on 100000 paths and screens 4213597 partitions" in err
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert main(["--version"]) == EXIT_PASS

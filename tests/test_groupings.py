@@ -276,3 +276,23 @@ class TestBlockSums:
         for atoms in ([7], list(range(3, 12)), list(range(40)), [0, 2, 3, 4], [5, 39]):
             want = np.sum(values[atoms], axis=0)
             assert np.array_equal(_block_sum(values, atoms), want)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 1), (6, 3), (6, 4, 2), (6, 1, 1)])
+    def test_the_finest_grouping_keeps_the_bits_of_the_per_block_sums(self, shape):
+        # every block a singleton: values + 0.0 against one _block_sum per
+        # atom, on -0.0, infinities, nan, repeated atoms and small integers
+        rng = np.random.default_rng(10)
+        values = rng.integers(-2, 3, shape).astype(float)
+        values[0] = -0.0
+        values[1] = np.inf
+        values[2] = -np.inf
+        values[3] = values[4]
+        values.reshape(-1)[-1] = np.nan
+        want = np.stack([_block_sum(values, [atom]) for atom in range(6)])
+        # laid out as the stack, also from a Fortran-ordered array, whose
+        # sums over atoms numpy would otherwise take pairwise
+        for layout in (values, np.asfortranarray(values)):
+            got = block_sums(layout, Grouping.finest(6))
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.any(np.signbit(got[0]))

@@ -73,3 +73,17 @@ def test_the_readme_entry_points_import():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert block.startswith("from gammavar import (")
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_the_suites_import_no_private_name_of_the_ensemble_layers():
+    # the suites reach random sums and ensembles through their public names
+    path = Path(gammavar.__file__).parent / "suites.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("random_sums", "brownian")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"suites.py imports {private}"

@@ -572,7 +572,8 @@ class TestBatchedExhaustiveSearch:
 
     def test_small_chunks_give_the_same_winner(self, monkeypatch):
         # ties then meet across label chunks, not only inside one batch
-        monkeypatch.setattr(norms, "_CHUNK_FLOATS", 64)
+        # label chunks of 5 rows of 6 atoms (88 bytes a row)
+        monkeypatch.setattr(norms, "_LABEL_CHUNK_BYTES", 5 * 88)
         monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", 64)
         rng = np.random.default_rng(75)
         space = NormedSpace.linf(2)
@@ -707,34 +708,22 @@ class TestEnsembleSearchAgainstTheReference:
             contributions, base, chunk_floats, partitions
         )
 
-    def test_a_zero_bound_evaluates_no_grouping_again(self, monkeypatch):
-        # a Hilbert base: the screen estimates are the per-grouping ones,
-        # and the search reports them without a rademacher_sum_sq call
-        base = NormedSpace.l2(2)
-        contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
-        assert random_sums._table_rounding_bound(contributions, base) == 0.0
-
-        def refused(*args):
-            pytest.fail("evaluated a grouping again")
-
-        monkeypatch.setattr(norms, "rademacher_sum_sq", refused)
-        _assert_ensemble_search_matches_the_reference(contributions, base)
-
-    def test_exact_sums_over_paths_are_decided_again(self, monkeypatch):
+    @pytest.mark.parametrize("base", [NormedSpace.l2(2), NormedSpace.l1(2)], ids=repr)
+    def test_exact_sums_over_paths_are_decided_again(self, base, monkeypatch):
         # small integers make every signed sum exact, but the screen takes
-        # the path means before the subgroup means, in another order than
-        # rademacher_sum_sq: the bound is not 0, and the partitions near the
-        # top are decided one at a time
-        base = NormedSpace.l1(2)
+        # the path means before the block or subgroup sums, in another order
+        # than rademacher_sum_sq: the bound is not 0, also in a Hilbert base,
+        # and the partitions near the top take their per-path statistics
         contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
         assert random_sums._table_rounding_bound(contributions, base) > 0.0
         calls = []
+        path_stats = random_sums._rademacher_path_stats
 
         def counted(*args):
             calls.append(args)
-            return rademacher_sum_sq(*args)
+            return path_stats(*args)
 
-        monkeypatch.setattr(norms, "rademacher_sum_sq", counted)
+        monkeypatch.setattr(random_sums, "_rademacher_path_stats", counted)
         _assert_ensemble_search_matches_the_reference(contributions, base)
         assert calls
 
@@ -766,8 +755,8 @@ class TestEnsembleLabelSearch:
     @pytest.mark.parametrize("n_paths", [1, 2, 9])
     def test_tie_heavy_ensembles_match_the_per_grouping_search(self, base, n_paths):
         # small integers with a zero atom and a repeated atom make many
-        # partitions tie; the Hilbert base reports its screen estimate, the
-        # others decide the rows near the top with rademacher_sum_sq
+        # partitions tie; the rows near the top are decided from their
+        # per-path statistics, as rademacher_sum_sq takes them
         space = EmpiricalL2Space(base)
         rng = np.random.default_rng(98)
         for n_atoms in range(2, 7):
@@ -933,3 +922,18 @@ class TestDualOperatorRoundTrip:
         measure_norm = gamma_variation_norm(measure).norm
         operator_norm = gamma_summing_norm(operator).norm
         assert measure_norm <= operator_norm + 1e-12
+
+
+def test_label_chunks_are_sized_by_the_bytes_of_a_row():
+    # 12 atoms in l2(1) on 2 paths: label chunks of _CHUNK_FLOATS / (N d)
+    # = 699k rows, counting neither the int8 labels nor the masks nor the
+    # walk's temporaries, peaked at 71.2 MiB traced
+    values = np.random.default_rng(12).standard_normal((12, 2, 1))
+    space = EmpiricalL2Space(NormedSpace.l2(1))
+    tracemalloc.start()
+    try:
+        randomized_variation_norm(values, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20

@@ -25,6 +25,7 @@ from gammavar import (
 )
 from gammavar import norms, random_sums, suites
 from gammavar.groupings import (
+    _block_sum,
     _mask_atoms,
     block_sums,
     grouping_from_labels,
@@ -264,7 +265,8 @@ def _table_and_single_moments(values, space):
     """Every set partition's subgroup mean of the atom-sign table, paired
     with rademacher_sum_sq of its block_sums."""
     ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
-    means, _ = random_sums._sign_table_moments(values[:, None], EmpiricalL2Space(space))(masks)
+    screen, _ = random_sums._ensemble_screen(lambda: [values[:, None]], space, values.shape[0])
+    means, _ = screen(masks)
     for row, value in zip(labels.tolist(), means.tolist()):
         grouping = grouping_from_labels(row)
         yield value, rademacher_sum_sq(block_sums(values, grouping), space).value
@@ -567,8 +569,8 @@ def assert_within_the_rounding_bound(got, want, values, base):
 
 class TestEnsembleMoments:
     """The batched ensemble kernel on block masks against one
-    rademacher_sum_sq call per grouping, estimate by estimate: == in
-    Hilbert bases, within the table's rounding bound in the others."""
+    rademacher_sum_sq call per grouping, estimate by estimate: within the
+    table's rounding bound, and == where a grouping takes no table."""
 
     @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
     def budget(self, request, monkeypatch):
@@ -594,7 +596,8 @@ class TestEnsembleMoments:
         space = EmpiricalL2Space(base)
         got = ensemble_moments(values, groupings, space)
         want = _one_grouping_at_a_time(values, groupings, space)
-        if base.is_hilbert:
+        if budget == "one-grouping-tables":
+            # no table fits: each row takes rademacher_sum_sq's bits
             assert got == want
         else:
             assert_within_the_rounding_bound(got, want, values, base)
@@ -618,10 +621,12 @@ class TestEnsembleMoments:
 
     def test_a_hilbert_grouping_past_the_table_budget_gets_no_table(self, monkeypatch):
         # a budget of 5 rows: the 40-block finest grouping once took a
-        # 40-row table of its own (2.8 MB traced); adding its blocks'
-        # squared norms in block order holds a few (paths,) rows at a time
+        # 40-row table of its own (2.8 MB traced); its per-path statistics
+        # take the block sums of chunks of 250 paths, and hold a few
+        # (paths,) rows at a time
         n_paths = 5000
         monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 5 * n_paths)
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", 40 * 2 * 250)
         values = np.random.default_rng(85).standard_normal((40, n_paths, 2))
         values *= 10.0 ** np.random.default_rng(86).integers(-3, 4, (40, 1, 1))
         groupings = [Grouping.finest(40), Grouping([range(20), range(20, 40)], 40)]
@@ -647,20 +652,22 @@ class TestEnsembleMoments:
             got = ensemble_moments(values, groupings, space)
             assert got == _one_grouping_at_a_time(values, groupings, space)
 
-    def test_a_table_of_every_block_norms_each_once(self, monkeypatch):
-        # 2^6 blocks x 10 paths fit the budget: each block is normed once,
-        # the empty block not at all
-        values = _six_decades(89, (6, 10, 2))
-        space = EmpiricalL2Space(NormedSpace.l2(2))
-        summed = []
-        block_sum = random_sums._block_sum
-        monkeypatch.setattr(
-            random_sums, "_block_sum", lambda arr, atoms: summed.append(atoms) or block_sum(arr, atoms)
+    @pytest.mark.parametrize("shape", [(6, 10, 2), (6, 3, 1), (6, 1, 3), (9, 1, 1)])
+    def test_the_block_table_has_the_bits_of_block_sum(self, shape):
+        # every block's atoms added one at a time over the blocks of the
+        # atoms before it, against _block_sum of each block: -0.0, inf, ties
+        # and six decades; one float per atom, which numpy sums pairwise
+        # from 8 atoms on, takes _block_sum itself
+        values = _six_decades(89, shape)
+        values[0, 0] = -0.0
+        values[1, -1] = np.inf
+        values[2] = values[3]
+        base = NormedSpace.l2(shape[2])
+        want = np.stack(
+            [base.norm_sq(_block_sum(values, _mask_atoms(m))) for m in range(1, 1 << shape[0])]
         )
-        every = list(enumerate_groupings(6, "all"))
-        got = ensemble_moments(values, every, space)
-        assert sorted(summed) == sorted(_mask_atoms(m) for m in range(1, 1 << 6))
-        assert got == _one_grouping_at_a_time(values, every, space)
+        got = random_sums._block_table(values, base)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_the_sign_cap_is_checked_before_any_sum(self, monkeypatch):
         def refused(*args):

@@ -25,7 +25,7 @@ from gammavar import (
     run_suite,
     sample_brownian,
 )
-from gammavar import groupings, random_sums, suites
+from gammavar import brownian, groupings, random_sums, suites
 from gammavar.groupings import block_sums
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
@@ -150,28 +150,31 @@ class TestConfigResolution:
         resolve_config(document, suite_name)
 
     @pytest.mark.parametrize(
-        "document, suite_name, field, estimate",
+        "document, suite_name, field, estimate, limit",
         [
-            # Bell(12) groupings at 100k paths, the run that held 2.1 GB
-            ({"suite": {"n_grid": [4, 12]}}, "example-3-4", "suite.exhaustive_limit", "4.21e+11"),
-            ({"suite": {"n_atoms": 12, "max_blocks": 4}}, "randomisation", "suite.n_atoms", "1.05e+09"),
-            ({"engine": {"paths": 32_420}}, "randomisation", "suite.n_atoms", "1.34e+08"),
-            ({"suite": {"n_atoms": 10}}, "thm-3-3", "engine.paths", "3.48e+09"),
-            (_sized_input(9, "density", "auto"), "thm-3-3", "engine.paths", "6.34e+08"),
+            # 2^12 + 2 table rows at 100k paths, plus Bell(12) partitions;
+            # Bell(12) x 1e5 groupings once held 2.1 GB
+            ({"suite": {"n_grid": [4, 12]}}, "example-3-4", "suite.exhaustive_limit", "4.14e+08", "table-paths"),
+            ({"suite": {"n_atoms": 12, "max_blocks": 4}}, "randomisation", "suite.n_atoms", "1.05e+09", "grouping-paths"),
+            ({"engine": {"paths": 32_420}}, "randomisation", "suite.n_atoms", "1.34e+08", "grouping-paths"),
+            ({"suite": {"n_atoms": 12}, "engine": {"paths": 100_000}}, "thm-3-3", "engine.paths", "4.14e+08", "table-paths"),
+            (_sized_input(12, "density", "auto") | {"engine": {"paths": 66_000}}, "thm-3-3", "engine.paths", "2.75e+08", "table-paths"),
         ],
     )
     def test_oversized_ensemble_batches_are_refused_before_any_run(
-        self, document, suite_name, field, estimate
+        self, document, suite_name, field, estimate, limit
     ):
-        # groupings times paths: Bell(12) x 1e5; 700075 x 1500 (at most 4
-        # blocks of 12 atoms); 4140 x 32420; Bell(10) x 30000; Bell(9) x
-        # 30000
+        # sweeps count groupings times paths: 700075 x 1500 (at most 4
+        # blocks of 12 atoms) and 4140 x 32420; searches count table rows
+        # times paths plus their partitions: 4098 x 1e5 + Bell(12) and
+        # 4098 x 66000 + Bell(12)
         with pytest.raises(SizeLimitError) as exc:
             resolve_config(document, suite_name)
         message = str(exc.value)
         assert message.startswith(f"{field}: ")
-        assert f"an estimated {estimate} grouping-paths" in message
-        assert str(suites.MAX_GROUPING_PATHS) in message
+        assert f"an estimated {estimate} {limit}" in message
+        cap = suites.MAX_TABLE_PATHS if limit == "table-paths" else suites.MAX_GROUPING_PATHS
+        assert str(cap) in message
 
     @pytest.mark.parametrize(
         "document, suite_name",
@@ -185,8 +188,15 @@ class TestConfigResolution:
             (_sized_input(9, "density", "contiguous"), None),
             (_sized_input(12, "measure", "exhaustive"), None),
             # norms turns a density into an (N, d) measure and searches no
-            # ensemble; only integrate's search is refused at this size
+            # ensemble
             (_sized_input(9, "density", "exhaustive"), None),
+            # searches that counted Bell(N) x paths were refused here:
+            # 115975 x 30000 and 21147 x 30000; their tables take 1026 x
+            # 30000 and 514 x 30000
+            ({"suite": {"n_atoms": 10}}, "thm-3-3"),
+            (_sized_input(9, "density", "auto"), "thm-3-3"),
+            # 4098 x 64000 + Bell(12) lies just within the limit
+            (_sized_input(12, "density", "auto") | {"engine": {"paths": 64_000}}, "thm-3-3"),
         ]
         + [(None, name) for name in SUITE_NAMES],
     )
@@ -200,11 +210,11 @@ class TestConfigResolution:
         monkeypatch.setattr(suites, "_identity_checks", refused)
         monkeypatch.setattr(suites, "gamma_summing_norm", refused)
         with pytest.raises(SizeLimitError) as exc:
-            run_integrate(resolve_config(_sized_input(9, "density", "exhaustive")))
+            run_integrate(resolve_config(_sized_input(12, "density", "exhaustive")))
         message = str(exc.value)
-        # Bell(9) x 1e5
-        assert message.startswith("engine.paths: each ensemble's search takes 21147 ")
-        assert "an estimated 2.11e+09 grouping-paths" in message
+        # 4098 x 1e5 + Bell(12)
+        assert message.startswith("engine.paths: each ensemble's search builds 4098 ")
+        assert "an estimated 4.14e+08 table-paths" in message
 
     def test_the_sweep_estimate_counts_its_groupings(self):
         for n in range(1, 7):
@@ -452,7 +462,7 @@ class TestVerifySuites:
             "run_embedding_trials",
             "SharedDrawMoments",
             "sample_brownian",
-            "_increment_blocks",
+            "ensemble_search",
         ):
             monkeypatch.setattr(suites, name, no_work)
         config = resolve_config({"suite": params}, suite_name)
@@ -527,28 +537,26 @@ class TestVerifySuites:
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
-        "n, chunk_floats, paths",
+        "n, chunk, paths",
         [
             (4, None, 3001),
-            (4, 1, 3001),
+            (4, 2, 3001),
+            (4, 7, 3001),
             (16, None, 3001),
-            (16, 16 * 7, 3001),
-            (16, 1, 3001),
-            (16, 1, 5),
+            (16, 3, 3001),
+            (16, 2, 5),
             (100, None, 3001),
-            (100, 1, 5),
+            (100, 2, 5),
         ],
     )
     def test_streamed_estimates_equal_the_kernel_on_the_whole_ensemble(
-        self, n, chunk_floats, paths, monkeypatch
+        self, n, chunk, paths, monkeypatch
     ):
-        # 3001 paths end on a partial chunk: 381 paths at n = 100, 5 paths
-        # at 7 a chunk.  One float a chunk asks for chunks of 2 paths; 3000
-        # is a multiple of 2 to 6 (and 4 of 2), so the chunk grows to 7 (3
-        # at 5 paths) rather than leave one path alone, whose atoms numpy
-        # would sum pairwise: at this seed that moves the 5-path estimates
-        if chunk_floats is not None:
-            monkeypatch.setattr(suites, "_ENSEMBLE_CHUNK_FLOATS", chunk_floats)
+        # 3001 paths end on a partial chunk: 3001 = 2 x 1500 + 1 and 7 x 428
+        # + 5, and 5 = 2 x 2 + 1, so chunks of 2 would leave one path alone,
+        # whose atoms numpy would sum pairwise; it joins the chunk before it
+        if chunk is not None:
+            monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args: chunk)
         params = dict(suites.SUITE_DEFAULTS["example-3-4"])
         stream = RandomStream(86, (n,))
         record = suites._divergence_point(n, params, stream, paths, 3.0)[-1]
@@ -732,7 +740,7 @@ class TestTiesFollowTheLabelOrder:
     @pytest.mark.parametrize(
         "norm, worst",
         [
-            ("l2", [[0, 1, 2], [3, 4]]),
+            ("l2", [[0, 1, 2, 3], [4]]),
             ("l1", [[0, 1, 2], [3], [4]]),
             ("linf", [[0, 1, 2, 4], [3]]),
         ],

@@ -77,8 +77,9 @@ def test_a_traced_randomisation_run_records_the_sweep(tmp_path, capsys):
 
 
 def test_a_traced_integrate_run_passes(tmp_path, capsys):
-    # the traced benchmark runs integrate, whose exhaustive search over the
-    # ensemble walks label rows, not the wrapped enumeration
+    # the traced benchmark runs integrate, whose exhaustive search streams
+    # its ensemble inside verify_integral_identity (brownian.ensemble_search)
+    # and walks label rows, not the wrapped enumeration
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -100,4 +101,4 @@ def test_a_traced_integrate_run_passes(tmp_path, capsys):
         patches.restore()
     assert code == cli.EXIT_PASS
     assert json.loads(capsys.readouterr().out)["overall_pass"]
-    assert tracer.summary()["total"]["norms.randomized"] > 0.0
+    assert tracer.summary()["total"]["brownian.identity"] > 0.0
