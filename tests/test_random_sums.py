@@ -756,3 +756,22 @@ def test_moments_near_the_largest_float_are_summed_at_unit_scale():
     far_report = randomized_variation_norm(far, space, mode="exhaustive")
     assert far_report.grouping == report.grouping
     assert far_report.moment.value == math.ldexp(report.moment.value, 1014) < math.inf
+
+
+@pytest.mark.parametrize("sizes", [[7, 5, 9], [1, 20], [3, 1, 1, 6]])
+def test_table_stats_merge_chunks_as_one_chunk(sizes):
+    # path sums and centred cross-products of a table met in chunks of
+    # paths, the later ones 2^40 larger, so that they raise the unit shift,
+    # against the same table met whole
+    rng = np.random.default_rng(31)
+    table = rng.exponential(size=(6, sum(sizes))) * 10.0 ** rng.integers(-3, 4, (6, 1))
+    table[:, sizes[0] :] *= 2.0**40
+    whole = random_sums._TableStats(cross=True)
+    whole.add(table.copy())
+    parts = random_sums._TableStats(cross=True)
+    for chunk in np.split(table, np.cumsum(sizes)[:-1], axis=1):
+        parts.add(chunk.copy())
+    assert (parts.paths, parts.shift) == (whole.paths, whole.shift)
+    np.testing.assert_allclose(parts.sums, whole.sums, rtol=1e-13)
+    scale = np.max(np.abs(whole.products))
+    np.testing.assert_allclose(parts.products, whole.products, rtol=0, atol=1e-13 * scale)
