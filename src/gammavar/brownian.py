@@ -81,9 +81,9 @@ def _increment_blocks(
     partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The n_paths sampled paths of sample_brownian, as (span, block) pairs
-    over the spans of random_sums._path_spans, of chunk paths each but
-    never one path alone (unless n_paths is 1): block is a fresh (paths in
-    span, n_atoms) array, scaled in place.  Every block is drawn from the
+    over the spans of random_sums._path_spans, of chunk paths each, a
+    one-path remainder joining the last: block is a fresh (paths in span,
+    n_atoms) array, scaled in place.  Every block is drawn from the
     one generator of the stream, which standard_normal consumes in order,
     so the blocks stacked are sample_brownian's paths bit for bit at any
     chunk size."""

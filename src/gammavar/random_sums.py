@@ -636,7 +636,10 @@ def _ensemble_moments(
         # the whole ensemble, keep the bits of the products
         chunk = max(2, _ENSEMBLE_TABLE_FLOATS // rows) if fits else n_paths
     spans = list(_path_spans(n_paths, chunk))
-    chunks = lambda: (arr[:, s] for s in spans)  # noqa: E731
+
+    def chunks():
+        return (arr[:, span] for span in spans)
+
     if fits:
         moments, _ = _ensemble_screen(chunks, base, n_atoms, cross=True)
         return moments(masks)
