@@ -18,7 +18,7 @@ del _var
 
 from ._version import __version__  # noqa: E402
 from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
-from .groupings import Grouping, SizeLimitError, enumerate_groupings
+from .groupings import Grouping, PartitionMasks, SizeLimitError, enumerate_groupings
 from .measures import (
     DiscreteOperator,
     StepFunction,
@@ -88,6 +88,7 @@ __all__ = [
     "IntegralIdentityReport",
     "NormReport",
     "NormedSpace",
+    "PartitionMasks",
     "RandomStream",
     "SizeLimitError",
     "StepFunction",

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groupings import Grouping, _block_sum
+from .groupings import Grouping, PartitionMasks, _block_sum
 from .measures import StepFunction, measure_from_density
 from .norms import (
     NormReport,
@@ -313,11 +313,12 @@ class RandomisationCheck:
 
 @dataclass(frozen=True)
 class RandomisationSweep:
-    """The randomisation identity over many groupings, as arrays indexed
-    like groupings, with the z-test gap <= tolerance = z * hypot(signed
-    error, plain error) of compare_estimates on Monte Carlo estimates."""
+    """The randomisation identity over many set partitions, as arrays
+    indexed like their block masks (groupings), with the z-test gap <=
+    tolerance = z * hypot(signed error, plain error) of compare_estimates
+    on Monte Carlo estimates."""
 
-    groupings: list[Grouping]
+    groupings: PartitionMasks
     signed_value: np.ndarray
     signed_error: np.ndarray
     plain: SumEstimate
@@ -327,7 +328,8 @@ class RandomisationSweep:
     z: float
 
     def check(self, i: int) -> RandomisationCheck:
-        """Grouping i's check; both sides are means over the same paths."""
+        """Partition i's check, the one whose Grouping it makes; both sides
+        are means over the same paths."""
         value, error = float(self.signed_value[i]), float(self.signed_error[i])
         signed = SumEstimate(value, error, self.plain.samples, METHOD_MONTE_CARLO)
         gap, tolerance = float(self.gap[i]), float(self.tolerance[i])
@@ -337,31 +339,25 @@ class RandomisationSweep:
 
 def randomisation_identity_sweep(
     measure: EmpiricalVectorMeasure,
-    groupings,
+    groupings: PartitionMasks,
     z: float = 3.0,
 ) -> RandomisationSweep:
-    """The sign-averaged moment of each grouping's block sum against the
-    plain moment of the same sum, paired on the measure's path ensemble.
-    Independence and symmetry of the true block values make every sign
-    pattern equidistributed, so the two agree in expectation.
+    """The sign-averaged moment of each set partition's block sum against
+    the plain moment of the same sum, paired on the measure's path
+    ensemble.  Independence and symmetry of the true block values make
+    every sign pattern equidistributed, so the two agree in expectation.
 
-    Every grouping must be a set partition of the measure's atoms
-    (ValueError otherwise), so the plain side is one estimate: all atoms
-    summed in ascending order.  The signed side is the randomized variation
-    norm's ensemble kernel (random_sums._ensemble_moments) on the groupings'
-    block masks, made once per call: the atom-sign table's path mean and
-    covariance, within random_sums._table_rounding_bound of one sign
-    enumeration per grouping, or in a Hilbert base the per-path closed form
-    sum_m ||G(B_m)||^2.  Past 64 atoms the masks are Python ints in an
-    object array, which the kernel takes as it takes integer masks."""
-    groupings = list(groupings)
-    n_atoms = measure.n_atoms
-    rows = []
-    for g in groupings:
-        if g.n_atoms != n_atoms or sum(map(len, g.blocks)) != n_atoms:
-            raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms, got {g!r}")
-        rows.append([sum(1 << a for a in b) for b in g.blocks] + [0] * (n_atoms - g.n_blocks))
-    masks = np.array(rows, dtype=np.min_scalar_type((1 << n_atoms) - 1)).reshape(-1, n_atoms)
+    The partitions come as block masks of the measure's atoms
+    (ValueError for another atom count), so the plain side is one
+    estimate: all atoms summed in ascending order.  The signed side is the
+    randomized variation norm's ensemble kernel
+    (random_sums._ensemble_moments) on the masks: the atom-sign table's
+    path mean and covariance, within random_sums._table_rounding_bound of
+    one sign enumeration per partition, or in a Hilbert base the per-path
+    closed form sum_m ||G(B_m)||^2."""
+    masks, n_atoms = groupings.masks, measure.n_atoms
+    if masks.shape[1] != n_atoms:
+        raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms")
     value, error = _ensemble_moments(measure.contributions, masks, measure.empirical_space)
     total = _block_sum(measure.contributions, list(range(n_atoms)))
     plain = _estimate_from_path_stats(measure.space.norm_sq(total))

@@ -13,11 +13,13 @@ the errors.
 A set partition has one representation that the enumeration, the exhaustive
 searches and the batched ensemble kernels share: a label row of
 grouping_labels with its block masks.  A Grouping is made from a row only
-where a caller needs its blocks (grouping_from_labels).
+where a caller needs its blocks (grouping_from_labels, or PartitionMasks
+for the masks alone).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -109,6 +111,47 @@ def block_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
 def _mask_atoms(mask: int) -> list[int]:
     """The atoms, ascending, whose bits an atom bitmask sets."""
     return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+
+class PartitionMasks(Sequence):
+    """Set partitions of N atoms as the rows of an (rows, N) array of block
+    masks in the layout of grouping_labels: column m of a row sets bit a for
+    each atom a of block m, blocks ordered by smallest atom, then 0 to the
+    end of the row.  Masks past 64 atoms are Python ints in an object array.
+    Item i is the Grouping of row i, made when it is read, so the kernels
+    that take the masks whole make none.
+
+    Raises ValueError unless every row is a set partition in that layout."""
+
+    def __init__(self, masks: np.ndarray):
+        if masks.ndim != 2 or not np.all(_in_label_layout(masks)):
+            raise ValueError(
+                f"groupings must be set partitions of the {masks.shape[-1]} atoms, as "
+                "block masks in the layout of grouping_labels"
+            )
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return self.masks.shape[0]
+
+    def __getitem__(self, i: int) -> Grouping:
+        blocks = [_mask_atoms(m) for m in self.masks[i].tolist() if m]
+        return Grouping(blocks, self.masks.shape[1])
+
+
+def _in_label_layout(masks: np.ndarray) -> np.ndarray:
+    """Whether each row of masks is a set partition of masks.shape[1] atoms
+    in the layout of grouping_labels: disjoint blocks that cover the atoms,
+    ordered by their lowest bit, then zeros."""
+    covered = np.zeros_like(masks[:, 0])
+    disjoint = np.ones(masks.shape[0], dtype=bool)
+    for column in masks.T:
+        disjoint &= (covered & column) == 0
+        covered |= column
+    blocks = masks != 0
+    lowest = masks & -masks
+    ordered = (blocks[:, :-1] & (lowest[:, :-1] < lowest[:, 1:])) | ~blocks[:, 1:]
+    return disjoint & (covered == (1 << masks.shape[1]) - 1) & np.all(ordered, axis=1)
 
 
 def grouping_from_labels(labels: list[int]) -> Grouping:

@@ -6,10 +6,13 @@ Gaussian coefficients; the norm is the supremum over groupings, which the
 finest grouping attains.  That is the second moment of a centred Gaussian
 vector with covariance Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the
 norm and the per-grouping moments (SharedDrawMoments) are exact in Hilbert
-spaces, in l1 and in the plane's linf, through one kernel (_gaussian_moment)
-that the finest-partition suite's scan and the norm share.  Elsewhere the
+spaces, in l1 and in the plane's linf, through one closed form in Sigma_G
+(random_sums.covariance_moment) or the Hilbert sum of squared row norms.
+The norm takes it on one matrix; the finest-partition suite's scan takes
+every set partition's Sigma_G in batches of label rows, gathered from one
+table of every block's mass and value, with the same bits.  Elsewhere the
 norm samples and SharedDrawMoments shares one set of Gaussian draws across
-groupings.  The dual view is the Gaussian-summing norm of the operator with
+groupings, one grouping at a time.  The dual view is the Gaussian-summing norm of the operator with
 columns F(A_n)/sqrt(mu(A_n)), whose squared moment is E || T g ||^2 over the
 full normalized-indicator basis, exact in the same spaces.
 
@@ -28,7 +31,10 @@ import numpy as np
 
 from .groupings import (
     Grouping,
+    _block_sum,
+    _mask_atoms,
     block_sums,
+    check_enumeration_size,
     enumerate_groupings,
     grouping_from_labels,
     grouping_labels,
@@ -39,6 +45,9 @@ from .random_sums import (
     RandomStream,
     SumEstimate,
     METHOD_EXACT_COVARIANCE,
+    METHOD_EXACT_HILBERT,
+    METHOD_MONTE_CARLO,
+    _block_counts,
     _check_values,
     _coefficient_batches,
     _ensemble_chunk,
@@ -46,6 +55,7 @@ from .random_sums import (
     _ensemble_screen,
     _estimate_from_moments,
     _path_spans,
+    _subset_sums,
     _table_rounding_bound,
     _table_size,
     compare_estimates,
@@ -59,6 +69,8 @@ from .spaces import EmpiricalL2Space, NormedSpace
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
 # Cap on the bytes of a chunk of label rows: the int8 labels and masks, and
 # the temporaries of grouping_labels and of the screen, about 64 bytes a row
+# (the finest-partition scan gathers a few hundred bytes a row, one block
+# count at a time)
 _LABEL_CHUNK_BYTES = 1 << 23
 
 
@@ -104,9 +116,9 @@ def _normalized_vectors(measure: VectorMeasure) -> np.ndarray:
     return measure.values / np.sqrt(measure.partition.weights)[:, None]
 
 
-def _grouping_matrix(measure: VectorMeasure, grouping: Grouping) -> np.ndarray:
-    """Atom-coefficient matrix realizing a grouping's Gaussian sum from the
-    finest one.
+def _grouping_matrix(measure: VectorMeasure, blocks: list[list[int]]) -> np.ndarray:
+    """Atom-coefficient matrix realizing the Gaussian sum of a grouping, given
+    as its blocks' atom lists, from the finest one.
 
     Row n is sqrt(w_n) F(B)/mu(B) for the block B containing atom n (zero for
     uncovered atoms), so right-multiplying a standard Gaussian matrix yields
@@ -114,10 +126,9 @@ def _grouping_matrix(measure: VectorMeasure, grouping: Grouping) -> np.ndarray:
     groupings for paired comparisons.
     """
     weights = measure.partition.weights
-    scaled = block_sums(measure.values, grouping) / block_sums(weights, grouping)[:, None]
     mat = np.zeros_like(measure.values)
-    for block, row in zip(grouping.blocks, scaled):
-        mat[list(block)] = row
+    for atoms in blocks:
+        mat[atoms] = _block_sum(measure.values, atoms) / _block_sum(weights, atoms)
     return np.sqrt(weights)[:, None] * mat
 
 
@@ -139,14 +150,21 @@ def _gaussian_moment(
 
 
 class SharedDrawMoments:
-    """Squared-moment values of many groupings of one measure.
+    """Squared-moment values of many groupings of one measure, given as rows
+    of block masks (moments) or one Grouping at a time (moment).
 
     Exact where _gaussian_moment is, in Hilbert spaces, l1 in any dimension
-    and linf in the plane: the rows F(B)/sqrt(mu(B)) of a grouping's blocks
-    give its covariance Sigma_G = sum_B F(B) F(B)^T / mu(B), and the finest
-    grouping's moment is gamma_variation_norm's bit for bit; these need no
-    stream.  Other spaces share one set of Gaussian draws across all
-    groupings (paired estimates) and need a stream and samples."""
+    and linf in the plane, and then capped at MAX_ATOMS_ALL atoms: one
+    table holds mu(B) and F(B) of every block B (random_sums._subset_sums,
+    with _block_sum's bits), a grouping's rows F(B)/sqrt(mu(B)) give its
+    covariance Sigma_G = sum_B F(B) F(B)^T / mu(B), and the rows of each
+    block count are taken in one batch, through covariance_moment's stacked
+    kernel or the Hilbert sum of squared row norms.  So a grouping's value
+    is that of _gaussian_moment on its rows, bit for bit, and the finest
+    grouping's is gamma_variation_norm's; these need no stream.  Other
+    spaces share one set of Gaussian draws across all groupings (paired
+    estimates), take them one grouping at a time, and need a stream and
+    samples."""
 
     def __init__(
         self,
@@ -158,19 +176,47 @@ class SharedDrawMoments:
         space = measure.space
         self._exact = space.is_hilbert or has_covariance_moment(space)
         if self._exact:
-            # mu(A_n) next to F(A_n), so one block_sums call gives mu(B), F(B)
-            self._masses_values = np.column_stack((measure.partition.weights, measure.values))
+            check_enumeration_size(measure.n_atoms, "all")
+            weights = measure.partition.weights
+            # mu(B) next to F(B), row mask B
+            self._blocks = _subset_sums(np.column_stack((weights, measure.values)))
+            self._method = METHOD_EXACT_HILBERT if space.is_hilbert else METHOD_EXACT_COVARIANCE
+            self._samples = 0
         else:
             batches = _coefficient_batches(stream, samples, measure.n_atoms, "gaussian")
             self._draws = np.concatenate(list(batches), axis=0)
+            self._method, self._samples = METHOD_MONTE_CARLO, self._draws.shape[0]
+
+    def moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values and std errors of the groupings whose blocks' atom
+        bitmasks the rows of masks hold, block m in column m and 0 past the
+        last, as groupings.grouping_labels lays them out."""
+        space = self.measure.space
+        n_blocks = _block_counts(masks)
+        values, errors = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
+        for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
+            members = np.flatnonzero(n_blocks == k)
+            if self._exact:
+                sums = self._blocks[masks[members, :k]]
+                # rows F(B)/sqrt(mu(B)), so Sigma_G = sum_B F(B) F(B)^T / mu(B)
+                rows = sums[..., 1:] / np.sqrt(sums[..., :1])
+                if space.is_hilbert:
+                    values[members] = np.sum(space.norm_sq(rows), axis=-1)
+                else:
+                    values[members] = covariance_moment(rows.transpose(0, 2, 1) @ rows, space)
+                continue
+            for i in members.tolist():
+                blocks = [_mask_atoms(m) for m in masks[i, :k].tolist()]
+                draws = self._draws @ _grouping_matrix(self.measure, blocks)
+                estimate = _estimate_from_moments([space.norm_sq(draws)])
+                values[i], errors[i] = estimate.value, estimate.std_error
+        return values, errors
 
     def moment(self, grouping: Grouping) -> SumEstimate:
-        if self._exact:
-            # rows F(B)/sqrt(mu(B)), so Sigma_G = sum_B F(B) F(B)^T / mu(B)
-            sums = block_sums(self._masses_values, grouping)
-            return _gaussian_moment(sums[:, 1:] / np.sqrt(sums[:, :1]), self.measure.space)
-        stats = self.measure.space.norm_sq(self._draws @ _grouping_matrix(self.measure, grouping))
-        return _estimate_from_moments([stats])
+        """One grouping's estimate: moments of its one mask row."""
+        row = [sum(1 << a for a in block) for block in grouping.blocks]
+        (value,), (error,) = self.moments(np.array([row]))
+        return SumEstimate(float(value), float(error), self._samples, self._method)
 
 
 def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) -> bool:
@@ -283,26 +329,32 @@ def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
         yield current
 
 
+def _label_chunks(n_atoms: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The label rows and block masks of groupings.grouping_labels, in
+    chunks of about _LABEL_CHUNK_BYTES."""
+    mask_bytes = np.min_scalar_type((1 << n_atoms) - 1).itemsize
+    rows = max(1, _LABEL_CHUNK_BYTES // (2 * n_atoms * (1 + mask_bytes) + 64))
+    return grouping_labels(n_atoms, rows)
+
+
 def _exhaustive_label_search(
     n_atoms: int, screen, bound: float, decide
 ) -> tuple[Grouping, SumEstimate]:
     """The winner of the exhaustive search over the set partitions of
     n_atoms atoms, with its estimate, in the order of _beats.
 
-    Set partitions come as label rows with block masks
-    (groupings.grouping_labels), in chunks of _LABEL_CHUNK_BYTES, and each
-    chunk is screened in one batch: screen(masks) gives (values, errors)
-    whose values lie within bound of the estimates that decide(groupings)
-    gives, so the winner lies within 2 bound of the top screen value, and
-    only rows that near the running top keep their values and labels.
+    Set partitions come as label rows with block masks, in chunks
+    (_label_chunks), and each chunk is screened in one batch:
+    screen(masks) gives (values, errors) whose values lie within bound of
+    the estimates that decide(groupings) gives, so the winner lies within
+    2 bound of the top screen value, and only rows that near the running
+    top keep their values and labels.
     They are made Groupings and decided a block count at a time, in
     sort_key order.  A candidate wins only above the best value so far, so
     one whose screen value plus bound does not pass that is never
     decided."""
-    mask_bytes = np.min_scalar_type((1 << n_atoms) - 1).itemsize
-    rows = max(1, _LABEL_CHUNK_BYTES // (2 * n_atoms * (1 + mask_bytes) + 64))
     top, kept = -np.inf, []
-    for labels, masks in grouping_labels(n_atoms, rows):
+    for labels, masks in _label_chunks(n_atoms):
         values, _ = screen(masks)
         top = max(top, float(np.max(values)))
         near = ~(values < top - 2.0 * bound)

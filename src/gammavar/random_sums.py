@@ -276,21 +276,21 @@ def _path_spans(n_paths: int, chunk: int) -> Iterator[slice]:
 
 
 def _empirical_moment(
-    values: np.ndarray, space: EmpiricalL2Space, stream, samples: int, kind: str
+    values: np.ndarray, space: EmpiricalL2Space, stream, samples: int
 ) -> SumEstimate:
-    """Ensemble-valued estimate: exact over signs where possible, std error over paths."""
+    """Ensemble-valued Rademacher estimate: exact over signs where possible,
+    std error over paths."""
     k, n_paths, dim = values.shape
     base = space.base
-    # coefficient cross terms vanish in the Hilbert case, for Gaussian and
-    # Rademacher coefficients alike
-    if base.is_hilbert or (kind == "rademacher" and k <= ENUMERATION_LIMIT):
+    # sign cross terms vanish in the Hilbert case
+    if base.is_hilbert or k <= ENUMERATION_LIMIT:
         return _estimate_from_path_stats(_rademacher_path_stats(values, base))
-    # Monte Carlo over coefficients, still paired over paths
+    # Monte Carlo over signs, still paired over paths
     flat = values.reshape(k, n_paths * dim)
     path_norm_sq = _path_norm_sq(base, n_paths, dim)
     path_sums = np.zeros(n_paths)
     drawn = 0
-    for coeffs in _coefficient_batches(stream, samples, k, kind):
+    for coeffs in _coefficient_batches(stream, samples, k, "rademacher"):
         path_sums += np.sum(path_norm_sq(coeffs @ flat), axis=0)
         drawn += coeffs.shape[0]
     return _estimate_from_path_stats(path_sums / drawn)
@@ -360,20 +360,27 @@ def _atom_sign_table(values: np.ndarray, norm_sq) -> np.ndarray:
     return np.concatenate(list(_sign_sweep(values, norm_sq)))
 
 
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of values (atom-indexed on axis 0) over every subset of the
+    atoms, (2^N, ...), row mask, the empty subset's row 0.  Each subset adds
+    its atoms in ascending order from 0, as _block_sum does, one atom at a
+    time over the subsets of the atoms before it; one float per atom, which
+    numpy sums pairwise, takes _block_sum itself."""
+    n_atoms = values.shape[0]
+    sums = np.zeros((1 << n_atoms,) + values.shape[1:])
+    if values[0].size < 2:
+        for m in range(1, 1 << n_atoms):
+            sums[m] = _block_sum(values, _mask_atoms(m))
+        return sums
+    for atom in range(n_atoms):
+        np.add(sums[: 1 << atom], values[atom], out=sums[1 << atom : 2 << atom])
+    return sums
+
+
 def _block_table(chunk: np.ndarray, base) -> np.ndarray:
     """Squared norms of the sums of every nonempty block of the chunk's
-    atoms, (2^N - 1, paths), row mask - 1.  Each block adds its atoms in
-    ascending order from 0, as _block_sum does, one atom at a time over
-    the blocks of the atoms before it; one float per atom, which numpy
-    sums pairwise, takes _block_sum itself."""
-    n_atoms = chunk.shape[0]
-    if chunk[0].size < 2:
-        sums = np.stack([_block_sum(chunk, _mask_atoms(m)) for m in range(1, 1 << n_atoms)])
-        return base.norm_sq(sums)
-    sums = np.zeros((1 << n_atoms,) + chunk.shape[1:])
-    for atom in range(n_atoms):
-        np.add(sums[: 1 << atom], chunk[atom], out=sums[1 << atom : 2 << atom])
-    return base.norm_sq(sums[1:])
+    atoms, (2^N - 1, paths), row mask - 1 (_subset_sums)."""
+    return base.norm_sq(_subset_sums(chunk)[1:])
 
 
 def _table_size(n_atoms: int, hilbert: bool) -> int:
@@ -675,9 +682,10 @@ def _abs_product_moments(var_u, var_v, cov_uv) -> np.ndarray:
     return (2.0 / math.pi) * scale * (np.sqrt(1.0 - r * r) + r * np.arcsin(r))
 
 
-def covariance_moment(cov: np.ndarray, space) -> float:
-    """E ||Y||^2 of a centred Gaussian Y in R^d with covariance cov (d x d),
-    exactly, where has_covariance_moment(space) holds.
+def covariance_moment(cov: np.ndarray, space):
+    """E ||Y||^2 of a centred Gaussian Y in R^d with covariance cov, exactly,
+    where has_covariance_moment(space) holds: a float for one (d, d) matrix,
+    an array of the moments of a (..., d, d) stack, matrix by matrix.
 
     l1: (sum_i |Y_i|)^2 has mean sum_i S_ii + 2 sum_{i<j} E|Y_i Y_j|.
     linf, d = 2: max(a^2, b^2) = (a^2 + b^2)/2 + |(a - b)(a + b)|/2, and
@@ -685,29 +693,30 @@ def covariance_moment(cov: np.ndarray, space) -> float:
     """
     if not has_covariance_moment(space):
         raise ValueError(f"no covariance closed form for {space!r}")
-    peak = float(np.max(np.abs(np.diagonal(cov))))
-    if peak == math.inf:
-        # an infinite variance (an overflowed cov) makes the moment infinite
-        return math.inf
+    peak = np.max(np.abs(np.diagonal(cov, 0, -2, -1)), axis=-1)
     # the moment is linear in cov; far from 1 the products of two variances
-    # would under- or overflow, so scale cov by an exact power of two first
-    if peak > 0.0 and not _SAFE_SCALE_MIN <= peak <= _SAFE_SCALE_MAX:
-        shift = math.frexp(peak)[1]
-        moment = covariance_moment(np.ldexp(cov, -shift), space)
-        try:
-            return math.ldexp(moment, shift)
-        except OverflowError:
-            return math.inf
-    if space.p == 1.0:
-        diag = np.diagonal(cov)
-        i, j = np.triu_indices(space.dim, 1)
-        cross = _abs_product_moments(diag[i], diag[j], cov[i, j])
-        return float(np.sum(diag) + 2.0 * np.sum(cross))
-    s00, s01, s11 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
-    trace = s00 + s11
-    # rounding can leave a degenerate direction's variance slightly negative
-    var_u, var_v = max(trace - 2.0 * s01, 0.0), max(trace + 2.0 * s01, 0.0)
-    return float(trace / 2.0 + _abs_product_moments(var_u, var_v, s00 - s11) / 2.0)
+    # would under- or overflow, so such a matrix is scaled by an exact power
+    # of two first (frexp gives an infinite peak the exponent 0)
+    far = (peak > 0.0) & ((peak < _SAFE_SCALE_MIN) | (peak > _SAFE_SCALE_MAX))
+    shift = np.where(far, np.frexp(peak)[1], 0)
+    cov = np.ldexp(cov, -shift[..., None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space.p == 1.0:
+            diag = np.diagonal(cov, 0, -2, -1)
+            i, j = np.triu_indices(space.dim, 1)
+            cross = _abs_product_moments(diag[..., i], diag[..., j], cov[..., i, j])
+            moment = np.sum(diag, axis=-1) + 2.0 * np.sum(cross, axis=-1)
+        else:
+            s00, s01, s11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
+            trace = s00 + s11
+            # rounding can leave a degenerate direction's variance slightly
+            # negative
+            var_u = np.maximum(trace - 2.0 * s01, 0.0)
+            var_v = np.maximum(trace + 2.0 * s01, 0.0)
+            moment = trace / 2.0 + _abs_product_moments(var_u, var_v, s00 - s11) / 2.0
+        # an infinite variance (an overflowed cov) makes the moment infinite
+        moment = np.where(peak == math.inf, math.inf, np.ldexp(moment, shift))
+    return float(moment) if moment.ndim == 0 else moment
 
 
 def gaussian_sum_sq(
@@ -717,11 +726,12 @@ def gaussian_sum_sq(
 
     Hilbert spaces use the exact closed form sum_n ||x_n||_2^2; everything else
     is Monte Carlo and requires a stream and samples >= 2.  Ensemble values
-    (EmpiricalL2Space) always carry a path-level std error.
+    (an EmpiricalL2Space) raise ValueError: their moments are Rademacher
+    (rademacher_sum_sq).
     """
-    arr = _check_values(values, space)
     if isinstance(space, EmpiricalL2Space):
-        return _empirical_moment(arr, space, stream, samples, "gaussian")
+        raise ValueError("gaussian_sum_sq takes no ensemble values; use rademacher_sum_sq")
+    arr = _check_values(values, space)
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
     return _monte_carlo_moment(arr, space, stream, samples, "gaussian")
@@ -737,7 +747,7 @@ def rademacher_sum_sq(
     """
     arr = _check_values(values, space)
     if isinstance(space, EmpiricalL2Space):
-        return _empirical_moment(arr, space, stream, samples, "rademacher")
+        return _empirical_moment(arr, space, stream, samples)
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
     if arr.shape[0] <= ENUMERATION_LIMIT:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,12 +32,13 @@ from .embeddings import (
 from .groupings import (
     MAX_ATOMS_ALL,
     Grouping,
+    PartitionMasks,
     SizeLimitError,
     _partition_count,
     bell_number,
     block_sums,
     check_enumeration_size,
-    enumerate_groupings,
+    grouping_from_labels,
 )
 from .measures import (
     StepFunction,
@@ -50,6 +50,7 @@ from .norms import (
     DualityReport,
     NormReport,
     SharedDrawMoments,
+    _label_chunks,
     gamma_summing_norm,
     gamma_variation_norm,
     randomized_variation_norm,
@@ -149,8 +150,9 @@ SUITE_DEFAULTS: dict[str, dict] = {
     },
 }
 
-# A randomisation sweep may take at most this many groupings times paths:
-# the default sweep takes 4140 x 1500 per measure.
+# A randomisation sweep may take at most this many groupings times paths,
+# counting as groupings the N (d + 1) floats a path of the ensemble it
+# holds: the default sweep takes (4140 + 24) x 1500 per measure.
 MAX_GROUPING_PATHS = 1 << 27
 # An exhaustive ensemble search builds a table of 2^N rows over every path
 # and holds a few (paths,) rows: at most this many rows times paths, plus
@@ -392,7 +394,7 @@ def resolve_config(
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
     enumerate groupings past a cap, sweep past MAX_GROUPING_PATHS
-    groupings times paths (_check_batch), or search an ensemble past
+    groupings times paths (_check_sweep), or search an ensemble past
     MAX_TABLE_PATHS (_check_table); the message starts with the field that
     asked for the enumeration."""
     has_input = config.measure_values is not None or config.density_values is not None
@@ -405,8 +407,8 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
             check_enumeration_size(n_atoms, "all", "suite.n_atoms")
     if suite_name == "randomisation":
         max_blocks = _positive_int(config.suite["max_blocks"], "suite.max_blocks")
-        sweep = _partition_count(n_atoms, max_blocks)
-        _check_batch(sweep, config.paths, "suite.n_atoms", "each sweep")
+        dim = _positive_int(config.suite["dim"], "suite.dim")
+        _check_sweep(_partition_count(n_atoms, max_blocks), n_atoms, dim, config.paths)
     if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
         # grid points within both limits run an exhaustive search, over an
         # ensemble too up to empirical_limit
@@ -466,14 +468,16 @@ def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
         )
 
 
-def _check_batch(groupings: int, paths: int, field: str, what: str) -> None:
-    """Raise SizeLimitError when a batch of ensemble moments takes more than
-    MAX_GROUPING_PATHS groupings times paths."""
-    if groupings * paths > MAX_GROUPING_PATHS:
+def _check_sweep(groupings: int, n_atoms: int, dim: int, paths: int) -> None:
+    """Raise SizeLimitError when a randomisation sweep takes more than
+    MAX_GROUPING_PATHS: its groupings times paths, plus the ensemble it
+    holds, each path's N increments and N contributions in R^d."""
+    estimate = (groupings + n_atoms * (dim + 1)) * paths
+    if estimate > MAX_GROUPING_PATHS:
         raise SizeLimitError(
-            f"{field}: {what} takes {groupings} groupings on {paths} paths, an "
-            f"estimated {groupings * paths:.3g} grouping-paths; the limit is "
-            f"{MAX_GROUPING_PATHS} (2^27)"
+            f"suite.n_atoms: each sweep takes {groupings} groupings on {paths} paths and "
+            f"holds {n_atoms * (dim + 1)} ensemble floats a path, an estimated "
+            f"{estimate:.3g} grouping-paths; the limit is {MAX_GROUPING_PATHS} (2^27)"
         )
 
 
@@ -943,42 +947,41 @@ def _run_divergence_suite(config: ExperimentConfig, threads: int) -> SuiteReport
 def _domination_instance(
     label: str, measure: VectorMeasure, stream: RandomStream, samples: int, z: float
 ) -> CheckRecord:
+    """Every coarsening's moment against the finest grouping's, the set
+    partitions taken in label chunks (SharedDrawMoments.moments).  The
+    worst, the first largest gap in label order, is the one row made a
+    Grouping."""
     shared = SharedDrawMoments(measure, stream, samples)
-    finest = Grouping.finest(measure.n_atoms)
-    finest_moment = shared.moment(finest)
-    worst_gap = -math.inf
-    worst_grouping = finest
-    failures = 0
-    count = 0
-    for grouping in enumerate_groupings(measure.n_atoms, "all"):
-        if grouping == finest:
-            continue
-        count += 1
-        moment = shared.moment(grouping)
-        if moment.is_exact and finest_moment.is_exact:
+    n_atoms = measure.n_atoms
+    finest_grouping = Grouping.finest(n_atoms)
+    finest = shared.moment(finest_grouping)
+    worst_gap, worst, failures = -math.inf, None, 0
+    for labels, masks in _label_chunks(n_atoms):
+        values, errors = shared.moments(masks)
+        gaps = values - finest.value
+        if finest.is_exact:
             # a rounding bound: the moments' rounding error grows with them
-            tolerance = 1e-12 * max(1.0, abs(finest_moment.value))
+            tolerance = 1e-12 * max(1.0, abs(finest.value))
         else:
-            tolerance = z * float(
-                np.hypot(moment.std_error, finest_moment.std_error)
-            )
-        gap = moment.value - finest_moment.value
-        if gap > worst_gap:
-            worst_gap = gap
-            worst_grouping = grouping
-        if gap > tolerance:
-            failures += 1
-    if count == 0:
-        worst_gap = 0.0
+            tolerance = z * np.hypot(errors, finest.std_error)
+        # the finest row alone has n_atoms blocks
+        coarser = labels.max(axis=1) < n_atoms - 1
+        failures += int(np.count_nonzero(coarser & (gaps > tolerance)))
+        ranked = np.where(coarser & ~np.isnan(gaps), gaps, -math.inf)
+        first = int(np.argmax(ranked))
+        if ranked[first] > worst_gap:
+            worst_gap, worst = float(ranked[first]), labels[first].tolist()
+    count = bell_number(n_atoms) - 1
+    worst_grouping = finest_grouping if worst is None else grouping_from_labels(worst)
     return CheckRecord(
         name=f"domination-{label}",
         values={
-            "finest_moment": finest_moment.value,
-            "worst_excess": worst_gap,
+            "finest_moment": finest.value,
+            "worst_excess": worst_gap if count else 0.0,
             "groupings": count,
             "failures": failures,
         },
-        std_errors={"finest_moment": finest_moment.std_error},
+        std_errors={"finest_moment": finest.std_error},
         verdict="pass" if failures == 0 else "fail",
         detail=f"worst grouping {worst_grouping.to_lists()}",
     )
@@ -1018,17 +1021,6 @@ def _run_domination_suite(config: ExperimentConfig, threads: int) -> SuiteReport
 # --- randomisation: sign-averaged block moments match plain ones -------------------
 
 
-@lru_cache(maxsize=4)
-def _sweep_candidates(n_atoms: int, max_blocks: int) -> tuple[Grouping, ...]:
-    """The covering groupings with at most max_blocks blocks, in enumeration
-    order; every measure of a randomisation run sweeps the same ones."""
-    return tuple(
-        g
-        for g in enumerate_groupings(n_atoms, "all")
-        if g.n_blocks <= max_blocks
-    )
-
-
 def _randomisation_instance(
     index: int,
     space: NormedSpace,
@@ -1042,7 +1034,9 @@ def _randomisation_instance(
     density = StepFunction(partition, space, values)
     ensemble = sample_brownian(partition, paths, stream.substream(1))
     empirical = induced_randomized_measure(density, ensemble)
-    sweep = randomisation_identity_sweep(empirical, _sweep_candidates(n_atoms, max_blocks), z=z)
+    # the set partitions of at most max_blocks blocks, in label order
+    rows = [masks[labels.max(axis=1) < max_blocks] for labels, masks in _label_chunks(n_atoms)]
+    sweep = randomisation_identity_sweep(empirical, PartitionMasks(np.concatenate(rows)), z=z)
     failures = np.flatnonzero(~sweep.consistent)
     # the first largest gap / tolerance, taken as 0 where the tolerance is 0
     ratio = np.divide(

@@ -128,6 +128,59 @@ def gaussian_norm_sq_plane_reference(cov, p: float) -> float:
     return math.ldexp(float(np.sum((rw * density)[:, None] * tw[None, :] * norm_sq)), shift)
 
 
+def covariance_moment_reference(cov, p: float) -> float:
+    """E ||Y||_p^2 of a centred Gaussian Y in R^d with covariance cov, for
+    p = 1, or p = inf in the plane, from the closed form of one matrix.
+
+    l1: sum_i S_ii + 2 sum_{i<j} E|Y_i Y_j|; the plane's sup norm:
+    (S_00 + S_11)/2 + E|U V|/2 with U = Y_0 - Y_1, V = Y_0 + Y_1.  E|U V| =
+    (2/pi) sqrt(var_u var_v) (sqrt(1 - r^2) + r asin r) with correlation r
+    (Nabeya 1951), taken with numpy's arcsin, whose bits math.asin does not
+    share.  A covariance whose largest variance lies outside [2^-400,
+    2^400] is scaled to unit size by a power of two first, and an infinite
+    variance gives an infinite moment."""
+    cov = np.asarray(cov, dtype=float)
+    peak = float(np.max(np.abs(np.diagonal(cov))))
+    if peak == math.inf:
+        return math.inf
+    if peak > 0.0 and not 2.0**-400 <= peak <= 2.0**400:
+        shift = math.frexp(peak)[1]
+        try:
+            return math.ldexp(covariance_moment_reference(np.ldexp(cov, -shift), p), shift)
+        except OverflowError:
+            return math.inf
+
+    def abs_product(var_u, var_v, cov_uv):
+        scale = np.sqrt(np.multiply(var_u, var_v))
+        r = np.divide(cov_uv, scale, out=np.zeros_like(scale), where=scale > 0.0)
+        r = np.clip(r, -1.0, 1.0)
+        return (2.0 / math.pi) * scale * (np.sqrt(1.0 - r * r) + r * np.arcsin(r))
+
+    if p == 1.0:
+        diag = np.diagonal(cov)
+        i, j = np.triu_indices(cov.shape[0], 1)
+        return float(np.sum(diag) + 2.0 * np.sum(abs_product(diag[i], diag[j], cov[i, j])))
+    s00, s01, s11 = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    trace = s00 + s11
+    var_u, var_v = max(trace - 2.0 * s01, 0.0), max(trace + 2.0 * s01, 0.0)
+    return float(trace / 2.0 + abs_product(var_u, var_v, s00 - s11) / 2.0)
+
+
+def gaussian_grouping_moment_reference(weights, values, blocks, p: float) -> float:
+    """E || sum_B g_B F(B)/sqrt(mu(B)) ||_p^2 of one grouping of an atomic
+    measure, with standard Gaussian g_B, for p = 2 (or d = 1), p = 1, or
+    p = inf in the plane.  Each block's mass and value are np.sum of its
+    gathered atoms' [mu, F] rows; the rows F(B)/sqrt(mu(B)) give the sum of
+    their squared Euclidean norms (p = 2 or d = 1) or
+    covariance_moment_reference of their covariance rows^T rows."""
+    masses_values = np.column_stack((weights, values))
+    sums = np.stack([np.sum(masses_values[list(block)], axis=0) for block in blocks])
+    rows = sums[:, 1:] / np.sqrt(sums[:, :1])
+    if p == 2.0 or rows.shape[1] == 1:
+        return float(np.sum(np.einsum("ij,ij->i", rows, rows)))
+    return covariance_moment_reference(rows.T @ rows, p)
+
+
 @lru_cache(maxsize=None)
 def bell_reference(n: int) -> int:
     """Bell numbers by the binomial convolution B(n) = sum C(n-1, k) B(k)."""

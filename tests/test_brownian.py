@@ -19,6 +19,7 @@ from gammavar import (
     BrownianEnsemble,
     Grouping,
     NormedSpace,
+    PartitionMasks,
     RandomStream,
     SizeLimitError,
     StepFunction,
@@ -38,6 +39,12 @@ from gammavar.cli import main
 from gammavar.groupings import block_sums
 from gammavar.norms import randomized_variation_norm
 from gammavar.spaces import EmpiricalL2Space
+
+
+def _sweep(measure, groupings, z=3.0):
+    """The randomisation sweep over the groupings' block masks."""
+    masks = ref.block_masks_reference([g.blocks for g in groupings], groupings[0].n_atoms)
+    return randomisation_identity_sweep(measure, PartitionMasks(masks), z=z)
 
 
 def _scalar_density(weights, values):
@@ -298,18 +305,18 @@ class TestRandomisationIdentity:
     def test_single_block_is_exactly_invariant(self):
         # one sign factors out of the norm, so both sides coincide path-wise
         measure = self._measure(n_paths=200)
-        check = randomisation_identity_sweep(measure, [Grouping([[0, 1, 2, 3]], 4)]).check(0)
+        check = _sweep(measure, [Grouping([[0, 1, 2, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert abs(check.signed.value - check.plain.value) <= 1e-12
 
     def test_finest_grouping_keeps_the_euclidean_moment(self):
         measure = self._measure(seed=52)
-        check = randomisation_identity_sweep(measure, [Grouping.finest(4)]).check(0)
+        check = _sweep(measure, [Grouping.finest(4)]).check(0)
         assert check.comparison.consistent
 
     def test_two_block_covering_grouping_is_consistent(self):
         measure = self._measure(seed=53, space=NormedSpace.l1(2))
-        check = randomisation_identity_sweep(measure, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
+        check = _sweep(measure, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert check.grouping == Grouping([[0, 2], [1, 3]], 4)
 
@@ -320,8 +327,8 @@ class TestRandomisationIdentity:
             Grouping([[0, 2], [1, 3]], 4),
             Grouping.finest(4),
         ]
-        sweep = randomisation_identity_sweep(measure, groupings)
-        assert sweep.groupings == groupings
+        sweep = _sweep(measure, groupings)
+        assert list(sweep.groupings) == groupings
         assert [sweep.check(i).grouping for i in range(3)] == groupings
         # every set partition sums to the whole measure: one unsigned side
         assert sweep.check(0).plain is sweep.check(2).plain is sweep.plain
@@ -339,7 +346,7 @@ class TestRandomisationIdentity:
         covering = list(enumerate_groupings(5))
         picks = np.random.default_rng(57).choice(len(covering), size=15, replace=False)
         groupings = [covering[i] for i in picks]
-        sweep = randomisation_identity_sweep(measure, groupings)
+        sweep = _sweep(measure, groupings)
         bound = random_sums._table_rounding_bound(measure.contributions, space)
         for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
             exact = rademacher_sum_sq(
@@ -350,10 +357,10 @@ class TestRandomisationIdentity:
     def test_sign_enumeration_cap(self):
         # a Hilbert base needs no sign enumeration, and takes any grouping
         measure = self._measure(seed=55, n_atoms=21, dim=1, n_paths=10)
-        randomisation_identity_sweep(measure, [Grouping.finest(21)])
+        _sweep(measure, [Grouping.finest(21)])
         measure = self._measure(seed=55, n_atoms=21, space=NormedSpace.l1(2), n_paths=10)
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            randomisation_identity_sweep(measure, [Grouping.finest(21)])
+            _sweep(measure, [Grouping.finest(21)])
 
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l2(2)], ids=repr)
     def test_groupings_must_be_set_partitions(self, space):
@@ -361,7 +368,10 @@ class TestRandomisationIdentity:
         measure = self._measure(seed=56, space=space, n_paths=50)
         for grouping in (Grouping([[0], [2]], 4), Grouping.finest(3)):
             with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
-                randomisation_identity_sweep(measure, [Grouping.finest(4), grouping])
+                _sweep(measure, [Grouping.finest(4), grouping])
+        # set partitions of 3 atoms, in the layout
+        with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
+            _sweep(measure, [Grouping.finest(3)])
 
 
 def _sampled_measure(rng, space, n_atoms, n_paths, density=None):
@@ -401,7 +411,7 @@ def _assert_matches_the_reference(measure, groupings):
     or every block's norms in a Hilbert base), lies within the table's
     rounding bound, and so do the gap and the tolerance computed from it,
     while every other field and each verdict stay =="""
-    sweep = randomisation_identity_sweep(measure, groupings)
+    sweep = _sweep(measure, groupings)
     want = ref.randomisation_sweep_reference(
         measure.contributions,
         measure.space.norm_sq,
@@ -464,7 +474,7 @@ class TestSweepAgainstTheReference:
         measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
         for measure in measures:
             groupings = _mixed_groupings(rng, 5, 40)
-            sweep = randomisation_identity_sweep(measure, groupings)
+            sweep = _sweep(measure, groupings)
             masks = ref.block_masks_reference([g.blocks for g in groupings], 5)
             value, error = random_sums._ensemble_moments(
                 measure.contributions, masks, measure.empirical_space
@@ -482,7 +492,7 @@ class TestSweepAgainstTheReference:
         flags = []
         for measure in measures:
             groupings = _mixed_groupings(rng, 5, 40)
-            sweep = randomisation_identity_sweep(measure, groupings, z=z)
+            sweep = _sweep(measure, groupings, z=z)
             for i in range(len(groupings)):
                 check = sweep.check(i)
                 want = compare_estimates(check.signed, check.plain, z=z)
@@ -513,7 +523,7 @@ class TestSweepAgainstTheReference:
         monkeypatch.setattr(brownian, "_block_sum", recorded)
         tracemalloc.start()
         try:
-            check = randomisation_identity_sweep(measure, [grouping]).check(0)
+            check = _sweep(measure, [grouping]).check(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,7 +544,7 @@ class TestSweepAgainstTheReference:
             Grouping([range(70)], 70),
             Grouping([range(10), range(10, 70)], 70),
         ]
-        sweep = randomisation_identity_sweep(measure, groupings)
+        sweep = _sweep(measure, groupings)
         for i, grouping in enumerate(groupings):
             values = block_sums(measure.contributions, grouping)
             assert sweep.check(i).signed == rademacher_sum_sq(values, measure.empirical_space)
@@ -550,7 +560,7 @@ class TestSweepAgainstTheReference:
         monkeypatch.setattr(brownian, "_block_sum", refused)
         groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            randomisation_identity_sweep(measure, groupings)
+            _sweep(measure, groupings)
 
 
 @st.composite
@@ -581,7 +591,7 @@ class TestHilbertSweep:
         # sweep's l2 closed form sum_m ||B_m||^2 is the average of
         # ||sum_m e_m B_m||^2 over every sign pattern e, enumerated here
         measure, groupings = case
-        sweep = randomisation_identity_sweep(measure, groupings)
+        sweep = _sweep(measure, groupings)
         for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
             blocks = np.stack(
                 [np.sum(measure.contributions[list(b)], axis=0) for b in grouping.blocks]

@@ -34,6 +34,7 @@ INTEGRATE_NAMES = [name for name in NAMES if name.startswith("integrate-")]
 VERIFY_SUITES = {
     "verify-example-3-4": "example-3-4",
     "verify-finest-partition-l2": "finest-partition",
+    "verify-finest-partition-mixed": "finest-partition",
     "verify-randomisation": "randomisation",
     "verify-randomisation-lp-d3": "randomisation",
     "verify-thm-2-3": "thm-2-3",
@@ -47,6 +48,7 @@ def test_the_golden_set_is_present():
     assert sorted(VERIFY_SUITES) == [
         "verify-example-3-4",
         "verify-finest-partition-l2",
+        "verify-finest-partition-mixed",
         "verify-randomisation",
         "verify-randomisation-lp-d3",
         "verify-thm-2-3",

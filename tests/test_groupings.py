@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _reference as ref
-from gammavar import Grouping, SizeLimitError, enumerate_groupings
+from gammavar import Grouping, PartitionMasks, SizeLimitError, enumerate_groupings
 from gammavar.groupings import (
     bell_number,
     MAX_ATOMS_ALL,
@@ -214,6 +214,34 @@ class TestGroupingLabels:
         with pytest.raises(SizeLimitError, match=r"^engine\.mode: contiguous .* got 21$"):
             check_enumeration_size(21, "contiguous", "engine.mode")
         check_enumeration_size(MAX_ATOMS_ALL, "all", "suite.n_atoms")
+
+
+class TestPartitionMasks:
+    def test_label_rows_read_as_their_groupings(self):
+        for n_atoms in range(1, 7):
+            ((_, masks),) = grouping_labels(n_atoms, 1 << 12)
+            assert list(PartitionMasks(masks)) == list(enumerate_groupings(n_atoms))
+
+    def test_masks_past_64_atoms_are_python_ints(self):
+        blocks = [list(range(0, 70, 2)), list(range(1, 70, 2))]
+        masks = ref.block_masks_reference([blocks], 70)
+        assert masks.dtype == object
+        assert PartitionMasks(masks)[0] == Grouping(blocks, 70)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 4, 0, 0],  # atom 1 and atom 3 are in no block
+            [3, 6, 8, 0],  # atom 1 is in two blocks
+            [2, 1, 12, 0],  # blocks out of the order of their smallest atoms
+            [1, 0, 14, 0],  # a zero before a block
+            [1, 2, 4, 24],  # a bit past the last atom
+        ],
+    )
+    def test_rows_outside_the_label_layout_are_refused(self, row):
+        masks = np.array([[1, 2, 4, 8], row], dtype=np.uint8)
+        with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
+            PartitionMasks(masks)
 
 
 @st.composite

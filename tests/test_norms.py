@@ -32,7 +32,7 @@ from gammavar import (
     verify_duality,
 )
 from gammavar import norms, random_sums
-from gammavar.groupings import block_sums
+from gammavar.groupings import bell_number, block_sums, grouping_from_labels, grouping_labels
 from gammavar.norms import SharedDrawMoments
 from gammavar.random_sums import (
     METHOD_EXACT_COVARIANCE,
@@ -267,6 +267,83 @@ class TestExactCovarianceMoments:
         for grouping in enumerate_groupings(n_atoms, "all"):
             moved = Grouping([[position[a] for a in b] for b in grouping.blocks], n_atoms)
             assert abs(moments.moment(moved).value - base.moment(grouping).value) <= bound
+
+
+# the exact spaces: Hilbert (l2, and every norm on R^1), l1 and the plane's linf
+BATCHED_SPACES = [
+    NormedSpace.from_tag(dim, tag) for tag in ("l1", "l2") for dim in (1, 2, 3)
+] + [NormedSpace.linf(2)]
+
+
+def _tie_heavy_measure(rng, n_atoms, space, shift=0):
+    """Small-integer values scaled by 2^shift, with atom 0 zero and atom 2
+    repeating atom 1, on small-integer weights."""
+    values = rng.integers(-2, 3, size=(n_atoms, space.dim)).astype(float)
+    values[0] = 0.0
+    values[2:3] = values[1:2]
+    counts = rng.integers(1, 4, size=n_atoms)
+    return VectorMeasure(AtomPartition(counts / counts.sum()), space, np.ldexp(values, shift))
+
+
+def _assert_the_scan_matches_the_reference(measure):
+    """moments over every set partition in one batch == the reference, one
+    grouping at a time, with zero std errors."""
+    n_atoms = measure.n_atoms
+    ((labels, masks),) = grouping_labels(n_atoms, bell_number(n_atoms))
+    values, errors = SharedDrawMoments(measure).moments(masks)
+    weights, p = measure.partition.weights, measure.space.p
+    want = [
+        ref.gaussian_grouping_moment_reference(
+            weights, measure.values, [np.flatnonzero(row == m) for m in range(row.max() + 1)], p
+        )
+        for row in labels
+    ]
+    assert values.tolist() == want
+    assert not np.any(errors)
+
+
+class TestBatchedScan:
+    """SharedDrawMoments.moments, every set partition's moment from one
+    block table and one stacked kernel call per block count, == the
+    one-grouping-at-a-time reference (ref.gaussian_grouping_moment_reference)."""
+
+    @pytest.mark.parametrize("space", BATCHED_SPACES, ids=repr)
+    def test_every_partition_of_up_to_8_atoms(self, space):
+        rng = np.random.default_rng(80)
+        for n_atoms in range(1, 9):
+            _assert_the_scan_matches_the_reference(_random_measure(rng, n_atoms, space.dim, space))
+            _assert_the_scan_matches_the_reference(_tie_heavy_measure(rng, n_atoms, space))
+
+    @pytest.mark.parametrize("space", BATCHED_SPACES, ids=repr)
+    @pytest.mark.parametrize("shift", [-250, 250])
+    def test_far_scales_rescale_each_covariance(self, space, shift):
+        # values of 2^(+-250) give covariances of 2^(+-500), outside the
+        # kernel's safe range
+        rng = np.random.default_rng(81)
+        for n_atoms in (2, 5, 7):
+            scaled = _random_measure(rng, n_atoms, space.dim, space)
+            scaled = VectorMeasure(scaled.partition, space, np.ldexp(scaled.values, shift))
+            _assert_the_scan_matches_the_reference(scaled)
+            _assert_the_scan_matches_the_reference(_tie_heavy_measure(rng, n_atoms, space, shift))
+
+    @pytest.mark.parametrize("space", [NormedSpace.linf(3), NormedSpace(2, 1.5)], ids=repr)
+    def test_sampled_spaces_keep_their_one_grouping_estimates(self, space):
+        # the shared draws, one grouping at a time, fed from mask rows
+        measure = _random_measure(np.random.default_rng(82), 4, space.dim, space)
+        shared = SharedDrawMoments(measure, RandomStream(3, (1,)), 500)
+        ((labels, masks),) = grouping_labels(4, bell_number(4))
+        values, errors = shared.moments(masks)
+        for row, value, error in zip(labels.tolist(), values, errors, strict=True):
+            grouping = grouping_from_labels(row)
+            draws = shared._draws @ norms._grouping_matrix(measure, grouping.to_lists())
+            want = random_sums._estimate_from_moments([space.norm_sq(draws)])
+            assert (value, error) == (want.value, want.std_error)
+            assert shared.moment(grouping) == want
+
+    def test_exact_tables_are_capped_with_the_enumeration(self):
+        measure = _random_measure(np.random.default_rng(83), 13, 2)
+        with pytest.raises(SizeLimitError, match="capped at 12 atoms"):
+            SharedDrawMoments(measure)
 
 
 class TestExactFastPath:

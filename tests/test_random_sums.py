@@ -491,6 +491,31 @@ class TestCovarianceMoment:
         with np.errstate(invalid="ignore"):
             assert math.isnan(covariance_moment(cov * math.nan, space))
 
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(1), NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)],
+        ids=repr,
+    )
+    def test_a_stack_gives_each_matrix_its_one_matrix_moment(self, space):
+        # random, zero, rank-one, far-scaled and overflowing covariances in
+        # one stack, each == the one-matrix reference and its own call
+        rng = np.random.default_rng(77)
+        x = rng.standard_normal((40, 3, space.dim))
+        covs = x.transpose(0, 2, 1) @ x
+        covs[1] = 0.0
+        covs[2] = np.outer(x[2, 0], x[2, 0])
+        for i, shift in enumerate((-900, -500, 500, 900)):
+            covs[3 + i] = np.ldexp(covs[3 + i], shift)
+        covs[7] = np.eye(space.dim) * math.ldexp(1.9, 1023)
+        covs[8] = math.inf
+        stacked = covariance_moment(covs, space)
+        assert stacked.shape == (40,)
+        assert stacked.tolist() == [ref.covariance_moment_reference(c, space.p) for c in covs]
+        assert stacked.tolist() == [covariance_moment(c, space) for c in covs]
+        assert stacked[8] == math.inf
+        dim = space.dim
+        nested = covariance_moment(covs.reshape(4, 10, dim, dim), space)
+        assert nested.tolist() == stacked.reshape(4, 10).tolist()
+
     def test_the_method_counts_as_exact(self):
         estimate = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_COVARIANCE)
         assert estimate.is_exact
@@ -502,7 +527,7 @@ class TestEnsembleValues:
         rng = np.random.default_rng(40)
         values = rng.standard_normal((3, 50, 2))
         space = EmpiricalL2Space(NormedSpace.l2(2))
-        estimate = gaussian_sum_sq(values, space)
+        estimate = rademacher_sum_sq(values, space)
         expected = np.sum(values**2, axis=(0, 2)).mean()
         assert abs(estimate.value - expected) <= 1e-12
         assert estimate.samples == 50  # paths carry the uncertainty
@@ -521,18 +546,26 @@ class TestEnsembleValues:
         expected = per_path / 8.0
         assert abs(estimate.value - expected.mean()) <= 1e-12
 
-    def test_gaussian_ensemble_sampling_is_reproducible(self):
+    def test_rademacher_ensemble_sampling_is_reproducible(self):
+        # past ENUMERATION_LIMIT signs are drawn, still paired over paths
         rng = np.random.default_rng(42)
-        values = rng.standard_normal((3, 30, 2))
+        values = rng.standard_normal((21, 30, 2))
         space = EmpiricalL2Space(NormedSpace.l1(2))
-        a = gaussian_sum_sq(values, space, RandomStream(9, (0,)), 2000)
-        b = gaussian_sum_sq(values, space, RandomStream(9, (0,)), 2000)
+        a = rademacher_sum_sq(values, space, RandomStream(9, (0,)), 2000)
+        b = rademacher_sum_sq(values, space, RandomStream(9, (0,)), 2000)
         assert a == b
+        assert (a.method, a.samples) == (METHOD_MONTE_CARLO, 30)
 
     def test_ensemble_values_need_three_axes(self):
         space = EmpiricalL2Space(NormedSpace.l2(2))
-        with pytest.raises(ValueError):
-            gaussian_sum_sq([[1.0, 2.0]], space)
+        with pytest.raises(ValueError, match="3 axes"):
+            rademacher_sum_sq([[1.0, 2.0]], space)
+
+    def test_gaussian_sums_take_no_ensemble_values(self):
+        values = np.ones((3, 30, 2))
+        for base in (NormedSpace.l2(2), NormedSpace.l1(2)):
+            with pytest.raises(ValueError, match="no ensemble values"):
+                gaussian_sum_sq(values, EmpiricalL2Space(base), RandomStream(9, (0,)), 2000)
 
 
 ENSEMBLE_BASES = [

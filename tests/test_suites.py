@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import sys
 import tracemalloc
 
 import _reference as ref
@@ -10,6 +10,7 @@ from gammavar import (
     AtomPartition,
     ConfigError,
     Grouping,
+    PartitionMasks,
     SUITE_NAMES,
     SizeLimitError,
     StepFunction,
@@ -25,7 +26,7 @@ from gammavar import (
     run_suite,
     sample_brownian,
 )
-from gammavar import brownian, groupings, random_sums, suites
+from gammavar import brownian, groupings, norms, random_sums, suites
 from gammavar.groupings import block_sums
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
@@ -156,7 +157,16 @@ class TestConfigResolution:
             # Bell(12) x 1e5 groupings once held 2.1 GB
             ({"suite": {"n_grid": [4, 12]}}, "example-3-4", "suite.exhaustive_limit", "4.14e+08", "table-paths"),
             ({"suite": {"n_atoms": 12, "max_blocks": 4}}, "randomisation", "suite.n_atoms", "1.05e+09", "grouping-paths"),
-            ({"engine": {"paths": 32_420}}, "randomisation", "suite.n_atoms", "1.34e+08", "grouping-paths"),
+            ({"engine": {"paths": 32_233}}, "randomisation", "suite.n_atoms", "1.34e+08", "grouping-paths"),
+            # one grouping, but an ensemble of 12 atoms in R^2 on 1e8 paths
+            # would hold 3.6e9 floats
+            (
+                {"suite": {"n_atoms": 12, "max_blocks": 1}, "engine": {"paths": 100_000_000}},
+                "randomisation",
+                "suite.n_atoms",
+                "3.7e+09",
+                "grouping-paths",
+            ),
             ({"suite": {"n_atoms": 12}, "engine": {"paths": 100_000}}, "thm-3-3", "engine.paths", "4.14e+08", "table-paths"),
             (_sized_input(12, "density", "auto") | {"engine": {"paths": 66_000}}, "thm-3-3", "engine.paths", "2.75e+08", "table-paths"),
         ],
@@ -164,10 +174,11 @@ class TestConfigResolution:
     def test_oversized_ensemble_batches_are_refused_before_any_run(
         self, document, suite_name, field, estimate, limit
     ):
-        # sweeps count groupings times paths: 700075 x 1500 (at most 4
-        # blocks of 12 atoms) and 4140 x 32420; searches count table rows
-        # times paths plus their partitions: 4098 x 1e5 + Bell(12) and
-        # 4098 x 66000 + Bell(12)
+        # sweeps count groupings, plus N (d + 1) ensemble floats a path,
+        # times paths: (700075 + 36) x 1500 (at most 4 blocks of 12
+        # atoms), (4140 + 24) x 32233 and (1 + 36) x 1e8; searches count
+        # table rows times paths plus their partitions: 4098 x 1e5 +
+        # Bell(12) and 4098 x 66000 + Bell(12)
         with pytest.raises(SizeLimitError) as exc:
             resolve_config(document, suite_name)
         message = str(exc.value)
@@ -179,8 +190,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "document, suite_name",
         [
-            # 4140 x 32419 lies just within the limit
-            ({"engine": {"paths": 32_419}}, "randomisation"),
+            # (4140 + 24) x 32232 lies just within the limit
+            ({"engine": {"paths": 32_232}}, "randomisation"),
             # 88574 x 1500, at most 3 blocks of 12 atoms
             ({"suite": {"n_atoms": 12, "max_blocks": 3}}, "randomisation"),
             ({"suite": {"n_grid": [12], "empirical_limit": 4}}, "example-3-4"),
@@ -601,17 +612,18 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
     def test_domination_flags_a_relative_excess_above_rounding(self, norm, monkeypatch):
+        # the batched scan's entry point inflates the target's mask row
         target = Grouping([[0, 1], [2], [3], [4]], 5)
-        exact = SharedDrawMoments.moment
+        row = ref.block_masks_reference([target.blocks], 5)[0]
+        exact = SharedDrawMoments.moments
 
-        def inflated(self, grouping):
-            estimate = exact(self, grouping)
-            if grouping != target:
-                return estimate
-            finest = exact(self, Grouping.finest(5)).value
-            return dataclasses.replace(estimate, value=estimate.value + 1e-9 * finest)
+        def inflated(self, masks):
+            values, errors = exact(self, masks)
+            (finest,), _ = exact(self, ref.block_masks_reference([Grouping.finest(5).blocks], 5))
+            hit = np.all(masks == row[: masks.shape[1]], axis=1)
+            return np.where(hit, values + 1e-9 * finest, values), errors
 
-        monkeypatch.setattr(SharedDrawMoments, "moment", inflated)
+        monkeypatch.setattr(SharedDrawMoments, "moments", inflated)
         config = resolve_config(_constant_density_input(norm, 1e6), "finest-partition")
         (check,) = run_suite("finest-partition", config).checks
         assert check.verdict == "fail"
@@ -762,7 +774,78 @@ class TestTiesFollowTheLabelOrder:
             sample_brownian(partition, 40, stream.substream(1)),
         )
         order = _label_order(5)
-        sweep = randomisation_identity_sweep(measure, [Grouping(b, 5) for b in order])
+        sweep = randomisation_identity_sweep(
+            measure, PartitionMasks(ref.block_masks_reference(order, 5))
+        )
         ratio = sweep.gap / sweep.tolerance
         assert order[int(np.argmax(ratio))] == worst
         assert np.count_nonzero(ratio == np.max(ratio)) > 1
+
+
+@pytest.fixture
+def made_groupings(monkeypatch):
+    """Counts the Groupings made through Grouping.__init__ and
+    grouping_from_labels, wherever a gammavar module binds it."""
+    made = []
+    init, from_labels = Grouping.__init__, groupings.grouping_from_labels
+
+    def counted_init(self, *args, **kwargs):
+        made.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_from_labels(labels):
+        made.append("labels")
+        return from_labels(labels)
+
+    monkeypatch.setattr(Grouping, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gammavar") and getattr(module, "grouping_from_labels", None) is from_labels:
+            monkeypatch.setattr(module, "grouping_from_labels", counted_from_labels)
+    return made
+
+
+class TestBatchedPartitionScans:
+    """Both suites that scan every set partition take label rows in
+    batches and make a Grouping only for a partition their report names."""
+
+    def test_a_finest_partition_run_at_8_atoms_makes_few_groupings(self, made_groupings):
+        config = resolve_config({"suite": {"measures": 1, "n_atoms": 8}}, "finest-partition")
+        report = run_suite("finest-partition", config)
+        assert report.overall_pass
+        assert [check.values["groupings"] for check in report.checks] == [4139] * 3
+        assert len(made_groupings) < 10
+
+    def test_a_randomisation_sweep_at_7_atoms_makes_few_groupings(self, made_groupings):
+        document = {"engine": {"paths": 40}, "suite": {"measures": 1, "n_atoms": 7, "max_blocks": 7}}
+        report = run_suite("randomisation", resolve_config(document, "randomisation"))
+        assert report.checks[0].values["groupings"] == 877
+        assert len(made_groupings) < 10
+
+    @pytest.mark.parametrize(
+        "suite_name, document",
+        [
+            (
+                "finest-partition",
+                {
+                    "engine": {"samples": 500},
+                    "suite": {"measures": 2, "n_atoms": 5, "norms": ["l1", "l2", "linf", {"lp": 1.5}]},
+                },
+            ),
+            ("randomisation", {"engine": {"paths": 40}, "suite": {"measures": 3, "n_atoms": 5}}),
+        ],
+    )
+    def test_the_report_does_not_depend_on_the_label_chunks(self, suite_name, document, monkeypatch):
+        config = resolve_config(document, suite_name)
+        whole = render_json(run_suite(suite_name, config).to_document())
+        # a label row of 5 atoms counts 84 bytes: chunks of 1 and of 3 rows
+        for size in (84, 3 * 84):
+            monkeypatch.setattr(norms, "_LABEL_CHUNK_BYTES", size)
+            assert render_json(run_suite(suite_name, config).to_document()) == whole
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf", {"lp": 1.5}])
+    def test_one_atom_has_no_coarsening(self, norm):
+        document = {"engine": {"samples": 100}, "suite": {"measures": 1, "n_atoms": 1, "norms": [norm]}}
+        (check,) = run_suite("finest-partition", resolve_config(document, "finest-partition")).checks
+        assert check.values["groupings"] == check.values["failures"] == 0
+        assert check.values["worst_excess"] == 0.0
+        assert check.detail == "worst grouping [[0]]"
