@@ -19,14 +19,7 @@ import numpy as np
 
 from .groupings import Grouping, PartitionMasks, _block_sum
 from .measures import StepFunction, measure_from_density
-from .norms import (
-    NormReport,
-    _ensemble_label_search,
-    _resolve_mode,
-    _search_best,
-    gamma_variation_norm,
-    randomized_variation_norm,
-)
+from .norms import NormReport, _resolve_mode, _search, gamma_variation_norm
 from .random_sums import (
     METHOD_MONTE_CARLO,
     Comparison,
@@ -35,6 +28,7 @@ from .random_sums import (
     _ensemble_chunk,
     _ensemble_decide,
     _ensemble_moments,
+    _ensemble_screen,
     _estimate_from_path_stats,
     _path_spans,
     _table_size,
@@ -156,9 +150,9 @@ def stochastic_integral(
     of atoms (all atoms when unspecified); returns shape (n_paths, dim)."""
     _check_same_partition(density.partition, ensemble.partition)
     if atoms is None:
-        idx = np.arange(density.n_atoms)
-    else:
-        idx = density.partition._indices(atoms)
+        # the paths as they stand, C-ordered as ensemble_search's chunks
+        return ensemble.paths @ density.values
+    idx = density.partition._indices(atoms)
     return ensemble.paths[:, idx] @ density.values[idx]
 
 
@@ -211,33 +205,32 @@ def ensemble_search(
     density: StepFunction,
     n_paths: int,
     stream: RandomStream,
-    groupings: list[Grouping] | None = None,
+    mode="exhaustive",
 ) -> tuple[Grouping, SumEstimate, SumEstimate]:
     """The randomized variation of the empirical measure that density
     induces on sample_brownian(density.partition, n_paths, stream), and the
     integral's moment on the same paths, with no paths-sized array but a
-    few (paths,) rows: the winning grouping among every set partition, or
-    among groupings when given, its moment, and the integral moment.
+    few (paths,) rows per grouping decided at once: the winner of the
+    search in a resolved mode (norms._resolve_mode), or among a list of
+    groupings, its moment, and the integral moment.
 
     The paths come in chunks of _increment_blocks, each turned into its
-    contributions phi_n dW_n.  A search takes two passes over the chunks,
-    drawn again for the second: the first screens every set partition
-    (random_sums._ensemble_screen) and keeps the integral's per-path
-    statistic, the second takes per-path statistics of the partitions near
-    the top only (norms._ensemble_label_search).  Given groupings, one
-    pass decides them all.  Every statistic is elementwise over paths, so
-    the estimates keep the bits of randomized_variation_norm and
-    integral_moment on the whole ensemble, as far as the products keep
-    theirs at every chunk size (_ensemble_chunk)."""
+    contributions phi_n dW_n, and are drawn again for every pass, each of
+    which keeps the integral's per-path statistic.  An exhaustive search
+    screens every set partition in one pass (random_sums._ensemble_screen);
+    every search (norms._search) decides its groupings in batches of one
+    pass each (random_sums._ensemble_decide).  Every statistic is
+    elementwise over paths, so the estimates keep the bits of
+    randomized_variation_norm and integral_moment on the whole ensemble,
+    as far as the products keep theirs at every chunk size
+    (_ensemble_chunk)."""
     if n_paths < MIN_PATHS:
         raise ValueError(
             f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
         )
-    partition, space = density.partition, density.space
-    # laid out as integral_moment's gathered copy
-    values = np.ascontiguousarray(density.values)
+    partition, space, values = density.partition, density.space, density.values
     n_atoms, dim = values.shape
-    rows = n_atoms if groupings is not None else _table_size(n_atoms, space.is_hilbert)
+    rows = _table_size(n_atoms, space.is_hilbert) if mode == "exhaustive" else n_atoms
     chunk = _ensemble_chunk(n_atoms, dim, rows)
     integral = np.empty(n_paths)
 
@@ -246,11 +239,10 @@ def ensemble_search(
             integral[span] = space.norm_sq(block @ values)
             yield np.einsum("mn,nd->nmd", block, values)
 
-    if groupings is None:
-        grouping, moment = _ensemble_label_search(chunks, chunks, space, n_atoms, n_paths)
-    else:
-        found = dict(zip(groupings, _ensemble_decide(chunks, space, n_paths)(groupings)))
-        grouping, moment = _search_best(groupings, found.__getitem__)
+    decide = _ensemble_decide(chunks, space, n_atoms, n_paths)
+    grouping, moment = _search(
+        n_atoms, mode, decide, lambda: _ensemble_screen(chunks, space, n_atoms)
+    )
     return grouping, moment, _estimate_from_path_stats(integral)
 
 
@@ -264,25 +256,13 @@ def verify_integral_identity(
 ) -> IntegralIdentityReport:
     """Check the triple identity between the variation norm of the density's
     measure, the randomized variation of the induced empirical measure, and
-    the integral's root second moment.  An exhaustive search streams its
-    paths (ensemble_search); the other modes search the sampled ensemble."""
+    the integral's root second moment.  The search in every mode streams
+    its paths (ensemble_search)."""
     measure = measure_from_density(density)
     variation = gamma_variation_norm(measure, stream.substream(0), samples)
     mode = _resolve_mode(search_mode, density.n_atoms)
-    if mode == "exhaustive":
-        grouping, moment, integral = ensemble_search(density, n_paths, stream.substream(1))
-        randomized = NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
-    else:
-        ensemble = sample_brownian(density.partition, n_paths, stream.substream(1))
-        empirical = induced_randomized_measure(density, ensemble)
-        randomized = randomized_variation_norm(
-            empirical.contributions,
-            empirical.empirical_space,
-            mode=search_mode,
-            stream=stream.substream(2),
-            samples=samples,
-        )
-        integral = integral_moment(density, ensemble)
+    grouping, moment, integral = ensemble_search(density, n_paths, stream.substream(1), mode)
+    randomized = NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
     comparisons = {
         "variation_vs_randomized": compare_estimates(
             variation.moment, randomized.moment, z=z

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .groupings import (
+    MAX_ATOMS_CONTIGUOUS,
     Grouping,
     _block_sum,
     _mask_atoms,
@@ -51,7 +52,6 @@ from .random_sums import (
     _check_values,
     _coefficient_batches,
     _ensemble_chunk,
-    _ensemble_decide,
     _ensemble_screen,
     _estimate_from_moments,
     _path_spans,
@@ -227,13 +227,10 @@ def _beats(value: float, grouping: Grouping, best_value: float, best: Grouping) 
     )
 
 
-def _search_best(
-    candidates: Iterable[Grouping], evaluate
-) -> tuple[Grouping, SumEstimate]:
-    """Maximize the estimate over candidates, in the order of _beats."""
+def _best(groupings: list[Grouping], estimates) -> tuple[Grouping, SumEstimate]:
+    """The grouping with the highest estimate, in the order of _beats."""
     best = None
-    for grouping in candidates:
-        estimate = evaluate(grouping)
+    for grouping, estimate in zip(groupings, estimates):
         if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
             best = (grouping, estimate)
     if best is None:
@@ -303,32 +300,6 @@ def total_variation_norm(measure: VectorMeasure) -> float:
 # --- randomized variation ------------------------------------------------------
 
 
-def _greedy_trajectory(n_atoms: int, evaluate) -> Iterator[Grouping]:
-    """Groupings visited by greedy merging from the finest covering grouping.
-
-    Each round merges the pair of blocks whose merge most increases the
-    objective; stops when no merge improves it.
-    """
-    current = Grouping.finest(n_atoms)
-    yield current
-    current_value = evaluate(current).value
-    while current.n_blocks > 1:
-        best = None
-        for i, j in itertools.combinations(range(current.n_blocks), 2):
-            merged_blocks = [
-                b for m, b in enumerate(current.blocks) if m not in (i, j)
-            ]
-            merged_blocks.append(current.blocks[i] + current.blocks[j])
-            candidate = Grouping(merged_blocks, n_atoms)
-            value = evaluate(candidate).value
-            if best is None or _beats(value, candidate, best[1], best[0]):
-                best = (candidate, value)
-        if best is None or best[1] <= current_value:
-            return
-        current, current_value = best
-        yield current
-
-
 def _label_chunks(n_atoms: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The label rows and block masks of groupings.grouping_labels, in
     chunks of about _LABEL_CHUNK_BYTES."""
@@ -362,32 +333,18 @@ def _exhaustive_label_search(
     values, labels = (np.concatenate(part) for part in zip(*kept))
     n_blocks = labels.max(axis=1) + 1
     near = ~(values < np.max(values) - 2.0 * bound)
-    best = None
+    groupings, estimates = [], []
     for k in np.flatnonzero(np.bincount(n_blocks[near])).tolist():
         rows = np.flatnonzero(near & (n_blocks == k))
-        if best is not None:
-            rows = rows[~(values[rows] + bound <= best[1].value)]
+        if groupings:
+            rows = rows[~(values[rows] + bound <= _best(groupings, estimates)[1].value)]
         candidates = sorted(
             (grouping_from_labels(labels[i].tolist()) for i in rows.tolist()),
             key=Grouping.sort_key,
         )
-        for grouping, estimate in zip(candidates, decide(candidates)):
-            if best is None or _beats(estimate.value, grouping, best[1].value, best[0]):
-                best = (grouping, estimate)
-    return best
-
-
-def _ensemble_label_search(
-    screen_chunks, chunks, base, n_atoms: int, n_paths: int
-) -> tuple[Grouping, SumEstimate]:
-    """_exhaustive_label_search over an ensemble: one pass over
-    screen_chunks() screens (random_sums._ensemble_screen), and the
-    partitions near the top are decided over chunks()
-    (random_sums._ensemble_decide); both yield the ensemble's (N, paths, d)
-    values in chunks."""
-    screen, bound = _ensemble_screen(screen_chunks, base, n_atoms)
-    decide = _ensemble_decide(chunks, base, n_paths)
-    return _exhaustive_label_search(n_atoms, screen, bound, decide)
+        groupings += candidates
+        estimates += decide(candidates)
+    return _best(groupings, estimates)
 
 
 def _resolve_mode(mode: str, n_atoms: int) -> str:
@@ -398,6 +355,56 @@ def _resolve_mode(mode: str, n_atoms: int) -> str:
     if mode == "auto":
         return "exhaustive" if n_atoms <= 12 else "contiguous+greedy"
     return mode
+
+
+def _search(n_atoms: int, mode, decide, screen) -> tuple[Grouping, SumEstimate]:
+    """The winner of a randomized-variation search over the covering
+    groupings of n_atoms atoms, with its estimate, in the order of _beats.
+
+    mode is a resolved mode (_resolve_mode) or a list of the groupings to
+    search.  decide(groupings) gives their estimates in one batch, and
+    each grouping is decided once.  An exhaustive search screens every set
+    partition with the (moments, bound) that screen() gives
+    (_exhaustive_label_search).  A greedy search starts from the finest
+    grouping and merges the pair of blocks whose merge most raises the
+    estimate, each round's merges decided in one batch (the first round's
+    with the finest grouping), until no merge raises it.
+    contiguous+greedy searches the contiguous groupings, up to
+    MAX_ATOMS_CONTIGUOUS atoms, and then greedily."""
+    if mode == "exhaustive":
+        return _exhaustive_label_search(n_atoms, *screen(), decide)
+    found: dict[Grouping, SumEstimate] = {}
+
+    def visit(groupings: list[Grouping]) -> list[SumEstimate]:
+        new = [g for g in groupings if g not in found]
+        found.update(zip(new, decide(new)))
+        return [found[g] for g in groupings]
+
+    if not isinstance(mode, str):
+        return _best(mode, visit(mode))
+    visited = []
+    if mode == "contiguous" or (mode == "contiguous+greedy" and n_atoms <= MAX_ATOMS_CONTIGUOUS):
+        visited = list(enumerate_groupings(n_atoms, "contiguous"))
+        visit(visited)
+    if mode != "contiguous":
+        current = Grouping.finest(n_atoms)
+        visited.append(current)
+        while True:
+            blocks = current.blocks
+            merges = [
+                Grouping(
+                    [b for m, b in enumerate(blocks) if m not in (i, j)] + [blocks[i] + blocks[j]],
+                    n_atoms,
+                )
+                for i, j in itertools.combinations(range(len(blocks)), 2)
+            ]
+            estimate, *estimates = visit([current, *merges])
+            merged = _best(merges, estimates) if merges else None
+            if merged is None or merged[1].value <= estimate.value:
+                break
+            current = merged[0]
+            visited.append(current)
+    return _best(visited, [found[g] for g in visited])
 
 
 def randomized_variation_norm(
@@ -418,64 +425,33 @@ def randomized_variation_norm(
     Objectives are exact sign enumerations up to 20 blocks; the stream and
     samples are only consulted past that.
 
-    Every search sees covering groupings only, which reach the supremum over
-    all groupings.  The winner has the highest objective, then the smallest
-    sort_key.  The exhaustive search (_exhaustive_label_search) finds the
-    grouping and moment that one rademacher_sum_sq call per grouping would,
-    for (N, d) values and ensembles alike, from label rows screened in
-    chunks; only rows near the top become Groupings.  An ensemble's tables
-    are built over chunk views of its paths.  The contiguous and greedy
-    modes evaluate one grouping at a time.
+    Every search (_search) sees covering groupings only, which reach the
+    supremum over all groupings.  The winner has the highest objective,
+    then the smallest sort_key.  Each grouping is decided by one
+    rademacher_sum_sq call, on the stream's substreams numbered in the
+    order of the calls.  The exhaustive search screens label rows in
+    chunks against one table, over chunk views of an ensemble's paths;
+    only rows near the top become Groupings and are decided.
     """
     arr = np.asarray(values, dtype=float)
     n_atoms = arr.shape[0]
     mode_used = _resolve_mode(mode, n_atoms)
+    arr = _check_values(arr, space)
+    streams = (stream.substream(k) if stream is not None else None for k in itertools.count())
 
-    if mode_used == "exhaustive":
-        arr = _check_values(arr, space)
-        if isinstance(space, EmpiricalL2Space):
-            # the screen takes the paths in chunk views, the decision all of
-            # them at once
-            n_paths, dim = arr.shape[1:]
-            chunk = _ensemble_chunk(n_atoms, dim, _table_size(n_atoms, space.is_hilbert))
-            spans = list(_path_spans(n_paths, chunk))
-            grouping, moment = _ensemble_label_search(
-                lambda: (arr[:, s] for s in spans), lambda: [arr], space.base, n_atoms, n_paths
-            )
-        else:
-            screen, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
+    def decide(groupings):
+        return [
+            rademacher_sum_sq(block_sums(arr, g), space, next(streams), samples) for g in groupings
+        ]
 
-            def decide(groupings):
-                return [rademacher_sum_sq(block_sums(arr, g), space) for g in groupings]
+    def screen():
+        if not isinstance(space, EmpiricalL2Space):
+            moments, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
+            return moments, _table_rounding_bound(arr, space)
+        n_paths, dim = arr.shape[1:]
+        chunk = _ensemble_chunk(n_atoms, dim, _table_size(n_atoms, space.is_hilbert))
+        spans = list(_path_spans(n_paths, chunk))
+        return _ensemble_screen(lambda: (arr[:, s] for s in spans), space.base, n_atoms)
 
-            bound = _table_rounding_bound(arr, space)
-            grouping, moment = _exhaustive_label_search(n_atoms, screen, bound, decide)
-        return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)
-
-    cache: dict[Grouping, SumEstimate] = {}
-    counter = itertools.count()
-
-    def evaluate(grouping: Grouping) -> SumEstimate:
-        found = cache.get(grouping)
-        if found is None:
-            sub = stream.substream(next(counter)) if stream is not None else None
-            found = rademacher_sum_sq(
-                block_sums(arr, grouping), space, sub, samples
-            )
-            cache[grouping] = found
-        return found
-
-    if mode_used == "contiguous":
-        candidates: Iterable[Grouping] = enumerate_groupings(n_atoms, "contiguous")
-    elif mode_used == "greedy":
-        candidates = _greedy_trajectory(n_atoms, evaluate)
-    else:  # contiguous+greedy
-        def chain() -> Iterator[Grouping]:
-            if n_atoms <= 20:
-                yield from enumerate_groupings(n_atoms, "contiguous")
-            yield from _greedy_trajectory(n_atoms, evaluate)
-
-        candidates = chain()
-
-    grouping, moment = _search_best(candidates, evaluate)
+    grouping, moment = _search(n_atoms, mode_used, decide, screen)
     return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)

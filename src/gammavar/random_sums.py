@@ -582,31 +582,31 @@ def _ensemble_screen(chunks, base, n_atoms: int, cross: bool = False):
     return moments, _rounding_bound(reach, n_atoms, dim, base, stats.paths, count)
 
 
-def _ensemble_decide(chunks, base, n_paths: int):
+def _ensemble_decide(chunks, base, n_atoms: int, n_paths: int):
     """decide(groupings): rademacher_sum_sq's estimate on the block sums of
     each grouping over the ensemble chunks that chunks() yields, (N, paths,
     d) each.  Each pass over the chunks fills the per-path statistics
-    (_rademacher_path_stats) of at most _ENSEMBLE_TABLE_FLOATS / paths
-    groupings, whose path moments are taken at the end, as
-    rademacher_sum_sq takes them."""
+    (_rademacher_path_stats) of at most N (d + 1) groupings, as many
+    (paths,) rows as the paths and contributions of the ensemble, and
+    takes their path moments one row at a time, as rademacher_sum_sq
+    takes them; a pass's rows are released before the next pass."""
+
+    def decide_batch(part):
+        stats, at = np.empty((len(part), n_paths)), 0
+        for chunk in chunks():
+            span, at = slice(at, at + chunk.shape[1]), at + chunk.shape[1]
+            width = n_paths * chunk.shape[2]
+            for i, grouping in enumerate(part):
+                stats[i, span] = _rademacher_path_stats(block_sums(chunk, grouping), base, width)
+        return [
+            SumEstimate(*map(float, _path_moments(row)), n_paths, METHOD_MONTE_CARLO)
+            for row in stats
+        ]
 
     def decide(groupings):
-        found = []
-        step = max(1, _ENSEMBLE_TABLE_FLOATS // n_paths)
-        for start in range(0, len(groupings), step):
-            part = groupings[start : start + step]
-            stats, at = np.empty((len(part), n_paths)), 0
-            for chunk in chunks():
-                span, at = slice(at, at + chunk.shape[1]), at + chunk.shape[1]
-                width = n_paths * chunk.shape[2]
-                for row, grouping in zip(stats, part):
-                    row[span] = _rademacher_path_stats(block_sums(chunk, grouping), base, width)
-            value, error = _path_moments(stats)
-            found += [
-                SumEstimate(v, e, n_paths, METHOD_MONTE_CARLO)
-                for v, e in zip(value.tolist(), error.tolist())
-            ]
-        return found
+        step = n_atoms * (base.dim + 1)
+        batches = (decide_batch(groupings[at : at + step]) for at in range(0, len(groupings), step))
+        return [estimate for batch in batches for estimate in batch]
 
     return decide
 
@@ -651,7 +651,7 @@ def _ensemble_moments(
         moments, _ = _ensemble_screen(chunks, base, n_atoms, cross=True)
         return moments(masks)
     groupings = [Grouping([_mask_atoms(m) for m in row if m], n_atoms) for row in masks.tolist()]
-    found = _ensemble_decide(chunks, base, n_paths)(groupings)
+    found = _ensemble_decide(chunks, base, n_atoms, n_paths)(groupings)
     return np.array([e.value for e in found]), np.array([e.std_error for e in found])
 
 
@@ -682,6 +682,12 @@ def _abs_product_moments(var_u, var_v, cov_uv) -> np.ndarray:
     return (2.0 / math.pi) * scale * (np.sqrt(1.0 - r * r) + r * np.arcsin(r))
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate pairs i < j of R^dim, np.triu_indices(dim, 1)."""
+    return np.triu_indices(dim, 1)
+
+
 def covariance_moment(cov: np.ndarray, space):
     """E ||Y||^2 of a centred Gaussian Y in R^d with covariance cov, exactly,
     where has_covariance_moment(space) holds: a float for one (d, d) matrix,
@@ -703,7 +709,7 @@ def covariance_moment(cov: np.ndarray, space):
     with np.errstate(over="ignore", invalid="ignore"):
         if space.p == 1.0:
             diag = np.diagonal(cov, 0, -2, -1)
-            i, j = np.triu_indices(space.dim, 1)
+            i, j = _upper_pairs(space.dim)
             cross = _abs_product_moments(diag[..., i], diag[..., j], cov[..., i, j])
             moment = np.sum(diag, axis=-1) + 2.0 * np.sum(cross, axis=-1)
         else:

@@ -58,6 +58,7 @@ from .norms import (
     verify_duality,
 )
 from .random_sums import (
+    ENUMERATION_LIMIT,
     MIN_SAMPLES,
     Comparison,
     RandomStream,
@@ -394,9 +395,10 @@ def resolve_config(
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
     enumerate groupings past a cap, sweep past MAX_GROUPING_PATHS
-    groupings times paths (_check_sweep), or search an ensemble past
-    MAX_TABLE_PATHS (_check_table); the message starts with the field that
-    asked for the enumeration."""
+    groupings times paths (_check_sweep), search an ensemble past
+    MAX_TABLE_PATHS (_check_table), or enumerate the signs of more than
+    ENUMERATION_LIMIT blocks of an ensemble (_check_search_batch); the
+    message starts with the field that asked for the enumeration."""
     has_input = config.measure_values is not None or config.density_values is not None
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
@@ -446,9 +448,22 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
 
 def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
     """_check_table of an exhaustive randomized search over an ensemble of
-    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it."""
+    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it.  A
+    greedy search there decides the finest grouping by enumerating its
+    signs, so past ENUMERATION_LIMIT atoms it is refused outside a Hilbert
+    base: in suite.n_atoms for thm-3-3's own instances, else in partition."""
     if 1 <= n_atoms <= MAX_ATOMS_ALL and config.search_mode in ("auto", "exhaustive"):
         _check_table(n_atoms, config.paths, "engine.paths", "each ensemble's search")
+    if n_atoms > ENUMERATION_LIMIT and config.search_mode in ("auto", "greedy"):
+        field, spaces = "partition", [config.space]
+        if config.density_values is None:
+            field, spaces = "suite.n_atoms", _identity_spaces(config.suite)
+        if not all(space.is_hilbert for space in spaces):
+            raise SizeLimitError(
+                f"{field}: a greedy search over an ensemble enumerates the signs of "
+                f"the finest grouping, capped at {ENUMERATION_LIMIT} atoms outside a "
+                f"Hilbert base; got {n_atoms}"
+            )
 
 
 def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
@@ -622,6 +637,14 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 # --- thm-3-3: variation norm = randomized variation = integral moment ------------
 
 
+def _identity_spaces(params: dict) -> list[NormedSpace]:
+    """The spaces of thm-3-3's own instances: instance i runs
+    norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]."""
+    count = _positive_int(params["instances"], "suite.instances")
+    cells = [(norm_tag, dim) for dim in _suite_dims(params) for norm_tag in params["norms"]]
+    return _suite_spaces(cells, count)
+
+
 def _identity_checks(
     config: ExperimentConfig,
     density: StepFunction,
@@ -681,9 +704,7 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 
     count = _positive_int(params["instances"], "suite.instances")
     n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-    # instance i runs norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]
-    cells = [(norm_tag, dim) for dim in _suite_dims(params) for norm_tag in params["norms"]]
-    spaces = _suite_spaces(cells, count)
+    spaces = _identity_spaces(params)
 
     def run_instance(i: int) -> list[CheckRecord]:
         space = spaces[i % len(spaces)]
@@ -903,8 +924,8 @@ def _divergence_point(
 
     if n <= params["empirical_limit"]:
         ones = StepFunction(partition, NormedSpace.l2(1), np.ones((n, 1)))
-        family = None if n <= params["exhaustive_limit"] else _fixed_grouping_family(n)
-        _, estimate, _ = ensemble_search(ones, paths, stream, family)
+        mode = "exhaustive" if n <= params["exhaustive_limit"] else _fixed_grouping_family(n)
+        _, estimate, _ = ensemble_search(ones, paths, stream, mode)
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)
         checks.append(

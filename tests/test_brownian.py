@@ -246,7 +246,40 @@ class TestIntegralMoment:
         assert abs(estimate.value - by_hand) <= 1e-12
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_atoms", range(1, 13))
+    def test_keeps_the_bits_of_the_streamed_integral(self, n_atoms, dim):
+        # the whole C-ordered paths take the product route of
+        # ensemble_search's chunks; a gathered copy of every atom, laid out
+        # in Fortran order, moved the last bit in R^1
+        rng = np.random.default_rng(100 * n_atoms + dim)
+        partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
+        density = StepFunction(partition, NormedSpace.l2(dim), rng.standard_normal((n_atoms, dim)))
+        for n_paths in (2, 3, 41, 1001, 4001):
+            stream = RandomStream(n_atoms, (dim, n_paths))
+            *_, integral = ensemble_search(density, n_paths, stream, [Grouping.finest(n_atoms)])
+            ensemble = sample_brownian(partition, n_paths, stream)
+            assert integral_moment(density, ensemble) == integral
+
+
 class TestIntegralIdentity:
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "contiguous", "greedy"])
+    def test_every_mode_streams_its_ensemble(self, mode, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the ensemble was held")
+
+        monkeypatch.setattr(brownian, "sample_brownian", refused)
+        monkeypatch.setattr(brownian, "induced_randomized_measure", refused)
+        rng = np.random.default_rng(45)
+        density = StepFunction(
+            AtomPartition.uniform(5), NormedSpace.l1(2), rng.standard_normal((5, 2))
+        )
+        report = verify_integral_identity(
+            density, 2000, RandomStream(45, (0,)), 2000, search_mode=mode
+        )
+        assert report.consistent
+        assert report.randomized.mode == ("exhaustive" if mode == "auto" else mode)
+
     def test_euclidean_identity_holds(self):
         rng = np.random.default_rng(46)
         density = StepFunction(
@@ -639,6 +672,20 @@ _STREAMED_RUNS = {
 }
 
 
+def _in_mode(run, mode):
+    argv, document = _STREAMED_RUNS[run]
+    return argv, document | {"engine": document["engine"] | {"mode": mode, "paths": 1001}}
+
+
+# the greedy and contiguous searches decide their groupings in batches of
+# passes over the same streamed paths, here 1001 of them
+_STREAMED_RUNS |= {
+    f"{run}-{mode}": _in_mode(run, mode)
+    for run in ("thm-3-3", "integrate-l1")
+    for mode in ("greedy", "contiguous")
+}
+
+
 class TestStreamedEnsembles:
     """ensemble_search draws its paths in chunks, twice for a search, and
     keeps the bits of the search and the integral on the whole ensemble."""
@@ -658,21 +705,23 @@ class TestStreamedEnsembles:
             monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args, c=chunk: c)
             assert self._report(argv, document, tmp_path, capsys) == whole
 
-    def test_integrate_memory_grows_by_a_few_path_rows(self):
+    @pytest.mark.parametrize("mode, rows", [("auto", 4), ("greedy", 14), ("contiguous", 14)])
+    def test_integrate_memory_grows_by_a_few_path_rows(self, mode, rows):
         # the default integrate density: 10k and 100k paths take the same
         # chunks, and the larger run holds a few more (paths,) rows (the
-        # integral's, the winner's and their path moments'), never the
-        # (paths, atoms) draws or (atoms, paths, dim) contributions
+        # integral's, the winner's and their path moments'; a greedy or
+        # contiguous batch's N (d + 1) = 12 and two more), never the (paths,
+        # atoms) draws or (atoms, paths, dim) contributions
         density = StepFunction(AtomPartition.uniform(4), NormedSpace.l2(2), [[3.0, 4.0]] * 4)
         peaks = {}
         for n_paths in (10_000, 100_000):
             tracemalloc.start()
             try:
-                verify_integral_identity(density, n_paths, RandomStream(9, (0,)))
+                verify_integral_identity(density, n_paths, RandomStream(9, (0,)), search_mode=mode)
                 peaks[n_paths] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[100_000] - peaks[10_000] <= 4 * 90_000 * 8
+        assert peaks[100_000] - peaks[10_000] <= rows * 90_000 * 8
 
     @pytest.mark.parametrize(
         "space",
@@ -681,7 +730,8 @@ class TestStreamedEnsembles:
         ids=repr,
     )
     @pytest.mark.parametrize("chunk", [None, 3])
-    def test_tie_heavy_ensembles_name_the_in_memory_winner(self, space, chunk, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exhaustive", "contiguous", "greedy"])
+    def test_tie_heavy_ensembles_name_the_in_memory_winner(self, space, chunk, mode, monkeypatch):
         # small integers, a zero atom and a repeated atom: many set
         # partitions tie, some exactly
         rng = np.random.default_rng(58)
@@ -692,10 +742,10 @@ class TestStreamedEnsembles:
         stream = RandomStream(58, (0,))
         if chunk is not None:
             monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args: chunk)
-        grouping, moment, integral = ensemble_search(density, 41, stream)
+        grouping, moment, integral = ensemble_search(density, 41, stream, mode)
         ensemble = sample_brownian(density.partition, 41, stream)
         contributions = induced_randomized_measure(density, ensemble).contributions
-        report = randomized_variation_norm(contributions, EmpiricalL2Space(space), mode="exhaustive")
+        report = randomized_variation_norm(contributions, EmpiricalL2Space(space), mode=mode)
         assert (grouping, moment) == (report.grouping, report.moment)
         assert integral == integral_moment(density, ensemble)
         # a family of two groupings is decided in one pass, the higher

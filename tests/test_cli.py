@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gammavar import __version__, cli
+from gammavar import __version__, cli, suites
 from gammavar.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_PASS, main
 
 
@@ -276,6 +276,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: suite.exhaustive_limit: ")
         assert "4098 table rows on 100000 paths and screens 4213597 partitions" in err
+
+    def test_a_greedy_integrate_past_the_sign_cap_exits_before_it_starts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the finest grouping of 21 atoms in l1 has 2^20 sign patterns
+        def refused(*args, **kwargs):
+            pytest.fail("started a search past the sign enumeration cap")
+
+        monkeypatch.setattr(suites, "verify_integral_identity", refused)
+        document = {
+            "partition": {"uniform": 21},
+            "space": {"dim": 3, "norm": "l1"},
+            "input": {"density": [[1.0, -0.5, 2.0]] * 21},
+            "engine": {"mode": "greedy", "paths": 40, "samples": 200},
+        }
+        path = _write_config(tmp_path, document)
+        assert main(["integrate", "--config", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: partition: ")
+        assert "capped at 20 atoms outside a Hilbert base; got 21" in err
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert main(["--version"]) == EXIT_PASS

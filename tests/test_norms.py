@@ -594,9 +594,9 @@ class TestRandomizedVariation:
 
 def _per_grouping_search(values, space):
     """The exhaustive search one rademacher_sum_sq call per grouping."""
-    return norms._search_best(
-        enumerate_groupings(values.shape[0], "all"),
-        lambda g: rademacher_sum_sq(block_sums(values, g), space),
+    groupings = list(enumerate_groupings(values.shape[0], "all"))
+    return norms._best(
+        groupings, [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
     )
 
 

@@ -298,9 +298,9 @@ class TestAtomSignTable:
     def test_the_label_search_matches_the_per_grouping_search(self, p, dim):
         values = _six_decades(int(10 * p) if p < 10 else 99, (7, dim))
         space = NormedSpace(dim, p)
-        grouping, moment = norms._search_best(
-            enumerate_groupings(7, "all"),
-            lambda g: rademacher_sum_sq(block_sums(values, g), space),
+        groupings = list(enumerate_groupings(7, "all"))
+        grouping, moment = norms._best(
+            groupings, [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
         )
         report = randomized_variation_norm(values, space, mode="exhaustive")
         assert (report.grouping, report.moment) == (grouping, moment)
@@ -329,9 +329,9 @@ class TestAtomSignTable:
             assert random_sums._table_rounding_bound(disjoint, space) == 0.0
             pairs = _table_and_single_moments(disjoint, space)
             assert all(table == single for table, single in pairs)
-            grouping, moment = norms._search_best(
-                enumerate_groupings(7, "all"),
-                lambda g: rademacher_sum_sq(block_sums(disjoint, g), space),
+            groupings = list(enumerate_groupings(7, "all"))
+            grouping, moment = norms._best(
+                groupings, [rademacher_sum_sq(block_sums(disjoint, g), space) for g in groupings]
             )
             calls = []
 

@@ -128,6 +128,12 @@ class TestConfigResolution:
                 "thm-3-3",
                 "engine.mode",
             ),
+            # a greedy search over an ensemble enumerates the signs of the
+            # finest grouping's 21 blocks
+            ({"engine": {"mode": "greedy"}, "suite": {"n_atoms": 21}}, "thm-3-3", "suite.n_atoms"),
+            ({"suite": {"n_atoms": 21, "norms": ["l2", "l1"]}}, "thm-3-3", "suite.n_atoms"),
+            (_sized_input(21, "density", "greedy"), "thm-3-3", "partition"),
+            (_sized_input(21, "density", "auto"), "thm-3-3", "partition"),
         ],
     )
     def test_enumeration_caps_are_checked_before_any_run(self, document, suite_name, field):
@@ -145,6 +151,17 @@ class TestConfigResolution:
             (_sized_input(13, "measure", "auto"), None),
             (_sized_input(20, "density", "contiguous"), None),
             ({"engine": {"mode": "exhaustive"}, "suite": {"n_atoms": 13}}, "cor-2-6"),
+            # greedy searches in a Hilbert base, or over 20 atoms, or of
+            # instances that visit only Hilbert bases
+            (_sized_input(21, "density", "greedy") | {"space": {"dim": 2, "norm": "l2"}}, "thm-3-3"),
+            (
+                _sized_input(21, "density", "greedy")
+                | {"space": {"dim": 1, "norm": "l1"}, "input": {"density": [[1.0]] * 21}},
+                "thm-3-3",
+            ),
+            (_sized_input(20, "density", "greedy"), "thm-3-3"),
+            ({"suite": {"n_atoms": 21, "norms": ["l2", "l1"], "instances": 1}}, "thm-3-3"),
+            ({"engine": {"mode": "greedy"}, "suite": {"n_atoms": 21, "dims": [1]}}, "thm-3-3"),
         ],
     )
     def test_runs_within_the_caps_resolve(self, document, suite_name):

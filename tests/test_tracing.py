@@ -8,6 +8,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 # the modules the tracer imports, so that importing adds no names
 from gammavar import brownian, cli, embeddings, groupings, norms, random_sums  # noqa: F401
 from gammavar import reports, spaces, suites  # noqa: F401
@@ -76,10 +78,13 @@ def test_a_traced_randomisation_run_records_the_sweep(tmp_path, capsys):
     assert summary["total"]["brownian.sweep"] > 0.0
 
 
-def test_a_traced_integrate_run_passes(tmp_path, capsys):
-    # the traced benchmark runs integrate, whose exhaustive search streams
-    # its ensemble inside verify_integral_identity (brownian.ensemble_search)
-    # and walks label rows, not the wrapped enumeration
+@pytest.mark.parametrize("mode", ["auto", "greedy", "contiguous"])
+def test_a_traced_integrate_run_passes(tmp_path, capsys, mode):
+    # the traced benchmark runs integrate, whose search streams its
+    # ensemble inside verify_integral_identity (brownian.ensemble_search)
+    # in every mode, calling neither the wrapped sample_brownian nor the
+    # wrapped randomized_variation_norm; an exhaustive one walks label
+    # rows, not the wrapped enumeration
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -87,7 +92,7 @@ def test_a_traced_integrate_run_passes(tmp_path, capsys):
                 "partition": {"uniform": 4},
                 "space": {"dim": 2, "norm": "l2"},
                 "input": {"density": [[3.0, 4.0]] * 4},
-                "engine": {"paths": 200},
+                "engine": {"paths": 200, "mode": mode},
             }
         ),
         encoding="utf-8",
