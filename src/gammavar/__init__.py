@@ -17,7 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
 del _var
 
 from ._version import __version__  # noqa: E402
-from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
+from .spaces import AtomPartition, NormedSpace
 from .groupings import Grouping, PartitionMasks, SizeLimitError, enumerate_groupings
 from .measures import (
     DiscreteOperator,
@@ -45,9 +45,7 @@ from .norms import (
 )
 from .brownian import (
     BrownianEnsemble,
-    EmpiricalVectorMeasure,
     IntegralIdentityReport,
-    induced_randomized_measure,
     integral_moment,
     randomisation_identity_sweep,
     sample_brownian,
@@ -81,8 +79,6 @@ __all__ = [
     "DiscreteOperator",
     "DualityReport",
     "EmbeddingReport",
-    "EmpiricalL2Space",
-    "EmpiricalVectorMeasure",
     "ExperimentConfig",
     "Grouping",
     "IntegralIdentityReport",
@@ -102,7 +98,6 @@ __all__ = [
     "gamma_summing_norm",
     "gamma_variation_norm",
     "gaussian_sum_sq",
-    "induced_randomized_measure",
     "integral_moment",
     "measure_from_density",
     "operator_from_measure",

@@ -3,11 +3,13 @@
 A Brownian ensemble holds M independent paths of atom increments, each entry
 distributed N(0, mu(A_n)) and independent across atoms.  Pairing a step
 density phi with an ensemble induces the empirical measure
-G(A) = sum_{n in A} phi_n * dW_n, whose values live in the empirical
-L2(paths; X) space.  The identities verified here: the gamma-variation norm of
-the density's measure, the randomized variation norm of G, and the root second
-moment of the full integral all estimate the same number, and block sign flips
-leave the integral's second moment unchanged.
+G(A) = sum_{n in A} phi_n * dW_n, whose values live in L2(paths; X).  The
+identities verified here: the gamma-variation norm of the density's measure,
+the randomized variation norm of G, and the root second moment of the full
+integral all estimate the same number, and block sign flips leave the
+integral's second moment unchanged.  Both checks stream their paths: the
+increments come in chunks of paths (_increment_blocks), each turned into its
+contributions phi_n dW_n, so no (N, paths, d) array of G is ever held.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .random_sums import (
     _table_size,
     compare_estimates,
 )
-from .spaces import AtomPartition, EmpiricalL2Space, NormedSpace
+from .spaces import AtomPartition
 
 MIN_PATHS = 2
 
@@ -89,80 +91,34 @@ def _increment_blocks(
         yield span, block
 
 
+def _check_paths(n_paths: int) -> None:
+    if n_paths < MIN_PATHS:
+        raise ValueError(
+            f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
+        )
+
+
 def sample_brownian(
     partition: AtomPartition, n_paths: int, stream: RandomStream
 ) -> BrownianEnsemble:
     """Draw an ensemble of independent scaled-Gaussian atom increments, as
     one block of _increment_blocks.  The draws are scaled in place and
     become the ensemble's paths uncopied."""
-    if n_paths < MIN_PATHS:
-        raise ValueError(
-            f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
-        )
+    _check_paths(n_paths)
     ((_, paths),) = _increment_blocks(partition, n_paths, stream, n_paths)
     ensemble = BrownianEnsemble.__new__(BrownianEnsemble)
     ensemble._adopt(partition, paths)
     return ensemble
 
 
-class EmpiricalVectorMeasure:
-    """Per-atom, per-path vector contributions phi_n * dW_n.
-
-    contributions has shape (n_atoms, n_paths, dim); the value of a union of
-    atoms is the contribution sum, an (n_paths, dim) sample of the true
-    measure's value in L2(paths; X)."""
-
-    def __init__(self, partition: AtomPartition, space: NormedSpace, contributions):
-        arr = np.asarray(contributions, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != partition.n_atoms or arr.shape[2] != space.dim:
-            raise ValueError(
-                f"contributions must have shape (n_atoms, n_paths, dim) = "
-                f"({partition.n_atoms}, *, {space.dim}), got {arr.shape}"
-            )
-        if arr.shape[1] < MIN_PATHS:
-            raise ValueError(f"need at least {MIN_PATHS} paths, got {arr.shape[1]}")
-        self.partition = partition
-        self.space = space
-        self.contributions = arr
-
-    @property
-    def n_atoms(self) -> int:
-        return self.partition.n_atoms
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.contributions.shape[1])
-
-    @property
-    def empirical_space(self) -> EmpiricalL2Space:
-        return EmpiricalL2Space(self.space)
-
-
-def _check_same_partition(a: AtomPartition, b: AtomPartition) -> None:
-    if a is not b and not np.array_equal(a.weights, b.weights):
+def stochastic_integral(density: StepFunction, ensemble: BrownianEnsemble) -> np.ndarray:
+    """Per-path integral of the step density against the ensemble; returns
+    shape (n_paths, dim)."""
+    ours, theirs = density.partition, ensemble.partition
+    if ours is not theirs and not np.array_equal(ours.weights, theirs.weights):
         raise ValueError("density and ensemble must share the same partition")
-
-
-def stochastic_integral(
-    density: StepFunction, ensemble: BrownianEnsemble, atoms=None
-) -> np.ndarray:
-    """Per-path integral of the step density against the ensemble over a union
-    of atoms (all atoms when unspecified); returns shape (n_paths, dim)."""
-    _check_same_partition(density.partition, ensemble.partition)
-    if atoms is None:
-        # the paths as they stand, C-ordered as ensemble_search's chunks
-        return ensemble.paths @ density.values
-    idx = density.partition._indices(atoms)
-    return ensemble.paths[:, idx] @ density.values[idx]
-
-
-def induced_randomized_measure(
-    density: StepFunction, ensemble: BrownianEnsemble
-) -> EmpiricalVectorMeasure:
-    """The empirical measure G(A_n) = phi_n * dW_n induced by density and ensemble."""
-    _check_same_partition(density.partition, ensemble.partition)
-    contributions = np.einsum("mn,nd->nmd", ensemble.paths, density.values)
-    return EmpiricalVectorMeasure(density.partition, density.space, contributions)
+    # the paths as they stand, C-ordered as ensemble_search's chunks
+    return ensemble.paths @ density.values
 
 
 def integral_moment(density: StepFunction, ensemble: BrownianEnsemble) -> SumEstimate:
@@ -215,28 +171,28 @@ def ensemble_search(
     groupings, its moment, and the integral moment.
 
     The paths come in chunks of _increment_blocks, each turned into its
-    contributions phi_n dW_n, and are drawn again for every pass, each of
-    which keeps the integral's per-path statistic.  An exhaustive search
-    screens every set partition in one pass (random_sums._ensemble_screen);
-    every search (norms._search) decides its groupings in batches of one
-    pass each (random_sums._ensemble_decide).  Every statistic is
-    elementwise over paths, so the estimates keep the bits of
-    randomized_variation_norm and integral_moment on the whole ensemble,
-    as far as the products keep theirs at every chunk size
-    (_ensemble_chunk)."""
-    if n_paths < MIN_PATHS:
-        raise ValueError(
-            f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
-        )
+    contributions phi_n dW_n, and are drawn again for every pass; the
+    first pass fills the integral's per-path statistic.  An exhaustive
+    search screens every set partition in one pass
+    (random_sums._ensemble_screen); every search (norms._search) decides
+    its groupings in batches of one pass each (random_sums._ensemble_decide).
+    Every statistic is elementwise over paths, so the estimates keep the
+    bits of the whole ensemble's, as far as the products keep theirs at
+    every chunk size (_ensemble_chunk): the integral's are integral_moment's
+    on sample_brownian's ensemble."""
+    _check_paths(n_paths)
     partition, space, values = density.partition, density.space, density.values
     n_atoms, dim = values.shape
     rows = _table_size(n_atoms, space.is_hilbert) if mode == "exhaustive" else n_atoms
     chunk = _ensemble_chunk(n_atoms, dim, rows)
-    integral = np.empty(n_paths)
+    integral, first = np.empty(n_paths), True
 
     def chunks():
+        nonlocal first
+        fill, first = first, False
         for span, block in _increment_blocks(partition, n_paths, stream, chunk):
-            integral[span] = space.norm_sq(block @ values)
+            if fill:
+                integral[span] = space.norm_sq(block @ values)
             yield np.einsum("mn,nd->nmd", block, values)
 
     decide = _ensemble_decide(chunks, space, n_atoms, n_paths)
@@ -318,29 +274,49 @@ class RandomisationSweep:
 
 
 def randomisation_identity_sweep(
-    measure: EmpiricalVectorMeasure,
+    density: StepFunction,
     groupings: PartitionMasks,
+    n_paths: int,
+    stream: RandomStream,
     z: float = 3.0,
 ) -> RandomisationSweep:
     """The sign-averaged moment of each set partition's block sum against
-    the plain moment of the same sum, paired on the measure's path
-    ensemble.  Independence and symmetry of the true block values make
-    every sign pattern equidistributed, so the two agree in expectation.
+    the plain moment of the same sum, paired on the paths of
+    sample_brownian(density.partition, n_paths, stream) and the empirical
+    measure G that density induces on them.  Independence and symmetry of
+    the true block values make every sign pattern equidistributed, so the
+    two agree in expectation.
 
-    The partitions come as block masks of the measure's atoms
+    The partitions come as block masks of the density's atoms
     (ValueError for another atom count), so the plain side is one
-    estimate: all atoms summed in ascending order.  The signed side is the
-    randomized variation norm's ensemble kernel
-    (random_sums._ensemble_moments) on the masks: the atom-sign table's
-    path mean and covariance, within random_sums._table_rounding_bound of
-    one sign enumeration per partition, or in a Hilbert base the per-path
-    closed form sum_m ||G(B_m)||^2."""
-    masks, n_atoms = groupings.masks, measure.n_atoms
+    estimate: all atoms summed in ascending order.  The signed side is
+    random_sums._ensemble_moments on the masks: the atom-sign table's path
+    mean and covariance, or in a Hilbert base the per-path closed form
+    sum_m ||G(B_m)||^2.  A partition of more than ENUMERATION_LIMIT blocks
+    outside a Hilbert base raises ValueError before any path is drawn.
+    The paths come in the chunks of _increment_blocks that the kernel asks
+    for, each turned into its contributions phi_n dW_n; the first pass
+    fills the plain side's per-path statistic."""
+    masks, n_atoms = groupings.masks, density.n_atoms
     if masks.shape[1] != n_atoms:
         raise ValueError(f"groupings must be set partitions of the {n_atoms} atoms")
-    value, error = _ensemble_moments(measure.contributions, masks, measure.empirical_space)
-    total = _block_sum(measure.contributions, list(range(n_atoms)))
-    plain = _estimate_from_path_stats(measure.space.norm_sq(total))
+    _check_paths(n_paths)
+    space, plain, first = density.space, np.empty(n_paths), True
+
+    def chunks(size):
+        nonlocal first
+        fill, first = first, False
+        for span, block in _increment_blocks(density.partition, n_paths, stream, size):
+            contributions = np.einsum("mn,nd->nmd", block, density.values)
+            if fill:
+                plain[span] = space.norm_sq(_block_sum(contributions, list(range(n_atoms))))
+            yield contributions
+
+    value, error = _ensemble_moments(chunks, masks, space, n_paths)
+    if first:  # no partition took a pass over the paths
+        for _ in chunks(n_paths):
+            pass
+    plain = _estimate_from_path_stats(plain)
     gap = np.abs(value - plain.value)
     tolerance = z * np.hypot(error, plain.std_error)
     return RandomisationSweep(groupings, value, error, plain, gap, tolerance, gap <= tolerance, z)

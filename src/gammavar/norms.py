@@ -51,20 +51,17 @@ from .random_sums import (
     _block_counts,
     _check_values,
     _coefficient_batches,
-    _ensemble_chunk,
     _ensemble_screen,
     _estimate_from_moments,
-    _path_spans,
     _subset_sums,
     _table_rounding_bound,
-    _table_size,
     compare_estimates,
     covariance_moment,
     gaussian_sum_sq,
     has_covariance_moment,
     rademacher_sum_sq,
 )
-from .spaces import EmpiricalL2Space, NormedSpace
+from .spaces import NormedSpace
 
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
 # Cap on the bytes of a chunk of label rows: the int8 labels and masks, and
@@ -418,20 +415,19 @@ def randomized_variation_norm(
     sqrt(E || sum_m r_m G(B_m) ||^2) with Rademacher signs and no weight
     normalization.
 
-    values is atom-indexed on axis 0: shape (N, d) with a NormedSpace, or
-    (N, paths, d) with an EmpiricalL2Space.  The supremum location depends on
-    the input (merging aligned blocks can win), so the default search is
-    exhaustive for N <= 12 and contiguous-plus-greedy-merge beyond that.
-    Objectives are exact sign enumerations up to 20 blocks; the stream and
-    samples are only consulted past that.
+    values is atom-indexed on axis 0, shape (N, d).  The supremum location
+    depends on the input (merging aligned blocks can win), so the default
+    search is exhaustive for N <= 12 and contiguous-plus-greedy-merge
+    beyond that.  Objectives are exact sign enumerations up to 20 blocks;
+    the stream and samples are only consulted past that.
 
     Every search (_search) sees covering groupings only, which reach the
     supremum over all groupings.  The winner has the highest objective,
     then the smallest sort_key.  Each grouping is decided by one
     rademacher_sum_sq call, on the stream's substreams numbered in the
     order of the calls.  The exhaustive search screens label rows in
-    chunks against one table, over chunk views of an ensemble's paths;
-    only rows near the top become Groupings and are decided.
+    chunks against one table, the values taken as one path; only rows
+    near the top become Groupings and are decided.
     """
     arr = np.asarray(values, dtype=float)
     n_atoms = arr.shape[0]
@@ -445,13 +441,8 @@ def randomized_variation_norm(
         ]
 
     def screen():
-        if not isinstance(space, EmpiricalL2Space):
-            moments, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
-            return moments, _table_rounding_bound(arr, space)
-        n_paths, dim = arr.shape[1:]
-        chunk = _ensemble_chunk(n_atoms, dim, _table_size(n_atoms, space.is_hilbert))
-        spans = list(_path_spans(n_paths, chunk))
-        return _ensemble_screen(lambda: (arr[:, s] for s in spans), space.base, n_atoms)
+        moments, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
+        return moments, _table_rounding_bound(arr, space)
 
     grouping, moment = _search(n_atoms, mode_used, decide, screen)
     return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)

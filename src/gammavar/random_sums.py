@@ -22,20 +22,20 @@ On a path ensemble a moment's path mean and variance are forms in the path
 sums and centred path covariance of its table, which come chunk by chunk
 of paths (_ensemble_screen); (N, d) values are one path.  The partitions
 near the top of a search are decided from their per-path statistics
-(_ensemble_decide), which need no ensemble held either.
+(_ensemble_decide).  Every ensemble kernel reads its paths from a chunk
+source, so no (N, paths, d) ensemble is ever held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .groupings import Grouping, _block_sum, _mask_atoms, block_sums
-from .spaces import EmpiricalL2Space
 
 # Monte Carlo estimates need at least this many samples for a std error.
 MIN_SAMPLES = 2
@@ -150,11 +150,8 @@ def compare_estimates(a: SumEstimate, b: SumEstimate, z: float = 3.0) -> Compari
 
 def _check_values(values, space) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    want = 3 if isinstance(space, EmpiricalL2Space) else 2
-    if arr.ndim != want or arr.shape[0] < 1:
-        raise ValueError(
-            f"values must be a nonempty array with {want} axes, got shape {arr.shape}"
-        )
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(f"values must be a nonempty (N, d) array, got shape {arr.shape}")
     if arr.shape[-1] != space.dim:
         raise ValueError(
             f"value dimension {arr.shape[-1]} does not match space dim {space.dim}"
@@ -275,36 +272,14 @@ def _path_spans(n_paths: int, chunk: int) -> Iterator[slice]:
         start = stop
 
 
-def _empirical_moment(
-    values: np.ndarray, space: EmpiricalL2Space, stream, samples: int
-) -> SumEstimate:
-    """Ensemble-valued Rademacher estimate: exact over signs where possible,
-    std error over paths."""
-    k, n_paths, dim = values.shape
-    base = space.base
-    # sign cross terms vanish in the Hilbert case
-    if base.is_hilbert or k <= ENUMERATION_LIMIT:
-        return _estimate_from_path_stats(_rademacher_path_stats(values, base))
-    # Monte Carlo over signs, still paired over paths
-    flat = values.reshape(k, n_paths * dim)
-    path_norm_sq = _path_norm_sq(base, n_paths, dim)
-    path_sums = np.zeros(n_paths)
-    drawn = 0
-    for coeffs in _coefficient_batches(stream, samples, k, "rademacher"):
-        path_sums += np.sum(path_norm_sq(coeffs @ flat), axis=0)
-        drawn += coeffs.shape[0]
-    return _estimate_from_path_stats(path_sums / drawn)
-
-
-def _rademacher_path_stats(values: np.ndarray, base, width: int | None = None) -> np.ndarray:
-    """The per-path statistics whose path mean rademacher_sum_sq takes of
-    (k, paths, d) block values in EmpiricalL2Space(base): the sum of the
-    blocks' squared norms in a Hilbert base, else the average over the
-    sign patterns (_sign_average), met in chunks of _CHUNK_FLOATS over
-    width floats a pattern, the blocks' own row length by default.  Every
-    statistic is elementwise over paths, so a chunk of two or more paths
-    that passes its ensemble's width keeps the bits of the whole
-    ensemble's, as far as its products do."""
+def _rademacher_path_stats(values: np.ndarray, base, width: int) -> np.ndarray:
+    """The per-path statistics of (k, paths, d) block values whose path
+    mean is their Rademacher moment: the sum of the blocks' squared norms
+    in a Hilbert base, else the average over the sign patterns
+    (_sign_average), met in chunks of _CHUNK_FLOATS over width floats a
+    pattern.  Every statistic is elementwise over paths, so a chunk of two
+    or more paths that passes its ensemble's width keeps the bits of the
+    whole ensemble's, as far as its products do."""
     if base.is_hilbert:
         return np.sum(base.norm_sq(values), axis=0)
     k, n_paths, dim = values.shape
@@ -405,10 +380,11 @@ def _reach(values: np.ndarray, base) -> float:
 
 
 def _rounding_bound(reach: float, n_atoms: int, dim: int, base, paths: int, chunks: int) -> float:
-    """A bound on |table moment - rademacher_sum_sq value| over the set
-    partitions of N atoms in R^d, for a table's path sums taken over
-    paths in chunks, sequentially from chunk to chunk, where no sum of
-    atom norms on a path passes reach.
+    """A bound on |table moment - per-path moment| over the set
+    partitions of N atoms in R^d, the per-path moment being the path mean
+    of _rademacher_path_stats (rademacher_sum_sq's value on one path), for
+    a table's path sums taken over paths in chunks, sequentially from
+    chunk to chunk, where no sum of atom norms on a path passes reach.
 
     With A <= reach on a path and u = 2^-53: both routes add each
     coordinate of a signed sum Y in at most N - 1 steps, so ||Y' - Y|| <=
@@ -421,7 +397,7 @@ def _rounding_bound(reach: float, n_atoms: int, dim: int, base, paths: int, chun
     each.  c = 4 doubles this for the two routes, and again for
     second-order terms.
 
-    The means may come in either order: rademacher_sum_sq averages each
+    The means may come in either order: the per-path route averages each
     path's patterns or adds its blocks first, the tables (_ensemble_screen)
     take each pattern's or block's path mean first.  Both sum the same
     statistics, each in [0, B^2], by a pattern or block sum and a path
@@ -442,30 +418,25 @@ def _rounding_bound(reach: float, n_atoms: int, dim: int, base, paths: int, chun
 
 
 def _table_rounding_bound(values: np.ndarray, base) -> float:
-    """_rounding_bound of (N, d) values, or of (N, paths, d) ensemble values
-    summed over their paths in one chunk.
+    """_rounding_bound of (N, d) values, one path in one chunk.
 
-    It is 0 for (N, d) values in a Hilbert base, where the table and
-    rademacher_sum_sq add the same block norms in the same order, and
-    where every signed sum of atoms is exact: each value column holds one
-    nonzero value at most (disjoint supports), or only integers whose
-    absolute sum is below 2^53.  Both routes then norm the same vectors
-    and add the same statistics in the same order, as long as
-    rademacher_sum_sq sweeps its patterns in one chunk (_sign_sweep).  An
-    ensemble's table takes its path means first, in the other order, so
-    ensembles never get 0."""
-    n_atoms, dim = values.shape[0], values.shape[-1]
-    if values.ndim == 2:
-        if base.is_hilbert:
-            return 0.0
-        single = np.count_nonzero(values, axis=0) <= 1
-        integral = np.all(values == np.round(values), axis=0) & (
-            np.sum(np.abs(values), axis=0) < 2.0**53
-        )
-        if np.all(single | integral) and dim << (n_atoms - 1) <= _CHUNK_FLOATS:
-            return 0.0
-    paths = values.shape[1] if values.ndim == 3 else 1
-    return _rounding_bound(_reach(values, base), n_atoms, dim, base, paths, 1)
+    It is 0 in a Hilbert base, where the table and rademacher_sum_sq add
+    the same block norms in the same order, and where every signed sum of
+    atoms is exact: each value column holds one nonzero value at most
+    (disjoint supports), or only integers whose absolute sum is below
+    2^53.  Both routes then norm the same vectors and add the same
+    statistics in the same order, as long as rademacher_sum_sq sweeps its
+    patterns in one chunk (_sign_sweep)."""
+    n_atoms, dim = values.shape
+    if base.is_hilbert:
+        return 0.0
+    single = np.count_nonzero(values, axis=0) <= 1
+    integral = np.all(values == np.round(values), axis=0) & (
+        np.sum(np.abs(values), axis=0) < 2.0**53
+    )
+    if np.all(single | integral) and dim << (n_atoms - 1) <= _CHUNK_FLOATS:
+        return 0.0
+    return _rounding_bound(_reach(values, base), n_atoms, dim, base, 1, 1)
 
 
 def _block_counts(masks: np.ndarray) -> np.ndarray:
@@ -537,7 +508,7 @@ def _ensemble_screen(chunks, base, n_atoms: int, cross: bool = False):
     """Moments of set partitions, given as rows of block masks in the
     layout of groupings.grouping_labels, over the ensemble chunks that
     chunks() yields, (N, paths, d) each, as a function of the masks; and a
-    bound on their distance to rademacher_sum_sq's (_rounding_bound).
+    bound on their distance to the per-path moments (_rounding_bound).
 
     One pass folds a table per chunk into _TableStats: in a Hilbert base
     the squared norms of every block (_block_table), whose path means a
@@ -583,13 +554,14 @@ def _ensemble_screen(chunks, base, n_atoms: int, cross: bool = False):
 
 
 def _ensemble_decide(chunks, base, n_atoms: int, n_paths: int):
-    """decide(groupings): rademacher_sum_sq's estimate on the block sums of
-    each grouping over the ensemble chunks that chunks() yields, (N, paths,
-    d) each.  Each pass over the chunks fills the per-path statistics
-    (_rademacher_path_stats) of at most N (d + 1) groupings, as many
-    (paths,) rows as the paths and contributions of the ensemble, and
-    takes their path moments one row at a time, as rademacher_sum_sq
-    takes them; a pass's rows are released before the next pass."""
+    """decide(groupings): the Rademacher moment of the block sums of each
+    grouping over the ensemble chunks that chunks() yields, (N, paths, d)
+    each, as the path mean and std error of its per-path statistics
+    (_rademacher_path_stats).  Each pass over the chunks fills the
+    statistics of at most N (d + 1) groupings, as many (paths,) rows as
+    the paths and contributions of the ensemble, and takes their path
+    moments one row at a time; a pass's rows are released before the
+    next pass."""
 
     def decide_batch(part):
         stats, at = np.empty((len(part), n_paths)), 0
@@ -612,46 +584,43 @@ def _ensemble_decide(chunks, base, n_atoms: int, n_paths: int):
 
 
 def _ensemble_moments(
-    arr: np.ndarray, masks: np.ndarray, space: EmpiricalL2Space
+    chunks, masks: np.ndarray, base, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """E || sum_m r_m G(B_m) ||^2 with Rademacher r_m and block sums G(B),
-    for each row of block masks over (N, paths, d) ensemble values in an
-    EmpiricalL2Space: the path means and their std errors.
+    for each row of block masks over an ensemble of n_paths paths of
+    values in the base space: the path means and their std errors.
+    chunks(size) yields the ensemble's (N, paths, d) values in chunks of
+    the spans of _path_spans(n_paths, size), and may be called again for
+    another pass.
 
     masks has the layout of groupings.grouping_labels: a row of N atom
     bitmasks per set partition, block m in column m, 0 past the last.  A
     row of more than ENUMERATION_LIMIT blocks outside a Hilbert base raises
-    ValueError before any sum.  Where the table's covariance fits
-    _ENSEMBLE_TABLE_FLOATS the rows read one table (_ensemble_screen) and
-    lie within _table_rounding_bound of rademacher_sum_sq, or of its
-    bound for the table's chunks in a Hilbert base; else each row takes
-    rademacher_sum_sq's bits (_ensemble_decide)."""
+    ValueError before chunks is called.  Where the table's covariance fits
+    _ENSEMBLE_TABLE_FLOATS the rows read one table (_ensemble_screen),
+    within its rounding bound of their per-path moments; else each row
+    takes its per-path moment (_ensemble_decide)."""
     n_blocks = _block_counts(masks)
-    base = space.base
     if not base.is_hilbert and np.any(n_blocks > ENUMERATION_LIMIT):
         raise ValueError(
             f"sign enumeration is capped at {ENUMERATION_LIMIT} blocks, got {n_blocks.max()}"
         )
-    n_atoms, n_paths, dim = arr.shape
+    n_atoms = masks.shape[1]
     rows = _table_size(n_atoms, base.is_hilbert)
     fits = rows * rows <= _ENSEMBLE_TABLE_FLOATS
     if base.is_hilbert:
         # block norms need no product: chunks bound their block sums
-        chunk = _ensemble_chunk(n_atoms, dim, rows if fits else n_atoms)
+        size = _ensemble_chunk(n_atoms, base.dim, rows if fits else n_atoms)
     else:
         # an atom-sign table in one chunk where it fits, and each row on
         # the whole ensemble, keep the bits of the products
-        chunk = max(2, _ENSEMBLE_TABLE_FLOATS // rows) if fits else n_paths
-    spans = list(_path_spans(n_paths, chunk))
-
-    def chunks():
-        return (arr[:, span] for span in spans)
-
+        size = max(2, _ENSEMBLE_TABLE_FLOATS // rows) if fits else n_paths
+    source = partial(chunks, size)
     if fits:
-        moments, _ = _ensemble_screen(chunks, base, n_atoms, cross=True)
+        moments, _ = _ensemble_screen(source, base, n_atoms, cross=True)
         return moments(masks)
     groupings = [Grouping([_mask_atoms(m) for m in row if m], n_atoms) for row in masks.tolist()]
-    found = _ensemble_decide(chunks, base, n_atoms, n_paths)(groupings)
+    found = _ensemble_decide(source, base, n_atoms, n_paths)(groupings)
     return np.array([e.value for e in found]), np.array([e.std_error for e in found])
 
 
@@ -731,12 +700,8 @@ def gaussian_sum_sq(
     """E || sum_n g_n x_n ||^2 for independent standard Gaussian g_n.
 
     Hilbert spaces use the exact closed form sum_n ||x_n||_2^2; everything else
-    is Monte Carlo and requires a stream and samples >= 2.  Ensemble values
-    (an EmpiricalL2Space) raise ValueError: their moments are Rademacher
-    (rademacher_sum_sq).
+    is Monte Carlo and requires a stream and samples >= 2.
     """
-    if isinstance(space, EmpiricalL2Space):
-        raise ValueError("gaussian_sum_sq takes no ensemble values; use rademacher_sum_sq")
     arr = _check_values(values, space)
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
@@ -752,8 +717,6 @@ def rademacher_sum_sq(
     for at most ENUMERATION_LIMIT coefficients; Monte Carlo otherwise.
     """
     arr = _check_values(values, space)
-    if isinstance(space, EmpiricalL2Space):
-        return _empirical_moment(arr, space, stream, samples)
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
     if arr.shape[0] <= ENUMERATION_LIMIT:

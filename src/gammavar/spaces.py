@@ -2,8 +2,7 @@
 
 Everything downstream works over a probability space with finitely many atoms
 (an :class:`AtomPartition`) and takes values in R^d equipped with an l_p norm
-(a :class:`NormedSpace`).  :class:`EmpiricalL2Space` wraps a normed space with
-the empirical path average used for ensemble-valued measures.
+(a :class:`NormedSpace`).
 """
 
 from __future__ import annotations
@@ -91,10 +90,6 @@ class AtomPartition:
 
     def mass(self, atoms) -> float:
         """Measure of a union of atoms, given by their 0-based indices."""
-        idx = self._indices(atoms)
-        return float(np.sum(self.weights[idx]))
-
-    def _indices(self, atoms) -> np.ndarray:
         idx = np.asarray(sorted(set(int(a) for a in atoms)), dtype=int)
         if idx.size == 0:
             raise ValueError("atom index set must be nonempty")
@@ -102,7 +97,7 @@ class AtomPartition:
             raise ValueError(
                 f"atom indices must lie in [0, {self.n_atoms - 1}], got {idx.tolist()}"
             )
-        return idx
+        return float(np.sum(self.weights[idx]))
 
     def __repr__(self) -> str:
         return f"AtomPartition(n_atoms={self.n_atoms})"
@@ -211,30 +206,3 @@ class NormedSpace:
     def __repr__(self) -> str:
         return f"NormedSpace(dim={self.dim}, p={self.p})"
 
-
-class EmpiricalL2Space:
-    """L2 over an empirical path ensemble with values in a base normed space.
-
-    Values are arrays of shape (..., n_paths, dim); the squared norm is the
-    plain average over paths of the base squared norm (no bias correction).
-    """
-
-    def __init__(self, base: NormedSpace):
-        self.base = base
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def is_hilbert(self) -> bool:
-        return self.base.is_hilbert
-
-    def norm_sq(self, values) -> np.ndarray:
-        return np.mean(self.base.norm_sq(values), axis=-1)
-
-    def norm(self, values) -> np.ndarray:
-        return np.sqrt(self.norm_sq(values))
-
-    def __repr__(self) -> str:
-        return f"EmpiricalL2Space(base={self.base!r})"

@@ -18,9 +18,7 @@ from ._version import __version__
 from .brownian import (
     MIN_PATHS,
     ensemble_search,
-    induced_randomized_measure,
     randomisation_identity_sweep,
-    sample_brownian,
     verify_integral_identity,
 )
 from .embeddings import (
@@ -152,8 +150,8 @@ SUITE_DEFAULTS: dict[str, dict] = {
 }
 
 # A randomisation sweep may take at most this many groupings times paths,
-# counting as groupings the N (d + 1) floats a path of the ensemble it
-# holds: the default sweep takes (4140 + 24) x 1500 per measure.
+# counting as groupings the N increments and N d contributions it forms a
+# path: the default sweep takes (4140 + 24) x 1500 per measure.
 MAX_GROUPING_PATHS = 1 << 27
 # An exhaustive ensemble search builds a table of 2^N rows over every path
 # and holds a few (paths,) rows: at most this many rows times paths, plus
@@ -485,13 +483,14 @@ def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
 
 def _check_sweep(groupings: int, n_atoms: int, dim: int, paths: int) -> None:
     """Raise SizeLimitError when a randomisation sweep takes more than
-    MAX_GROUPING_PATHS: its groupings times paths, plus the ensemble it
-    holds, each path's N increments and N contributions in R^d."""
+    MAX_GROUPING_PATHS: its groupings times paths, plus the floats it
+    draws and forms a path, N increments and N contributions in R^d,
+    which it holds a chunk of paths at a time but makes for every path."""
     estimate = (groupings + n_atoms * (dim + 1)) * paths
     if estimate > MAX_GROUPING_PATHS:
         raise SizeLimitError(
             f"suite.n_atoms: each sweep takes {groupings} groupings on {paths} paths and "
-            f"holds {n_atoms * (dim + 1)} ensemble floats a path, an estimated "
+            f"draws and forms {n_atoms * (dim + 1)} ensemble floats a path, an estimated "
             f"{estimate:.3g} grouping-paths; the limit is {MAX_GROUPING_PATHS} (2^27)"
         )
 
@@ -1053,11 +1052,10 @@ def _randomisation_instance(
 ) -> CheckRecord:
     partition, values = _random_atoms(stream, n_atoms, space.dim)
     density = StepFunction(partition, space, values)
-    ensemble = sample_brownian(partition, paths, stream.substream(1))
-    empirical = induced_randomized_measure(density, ensemble)
     # the set partitions of at most max_blocks blocks, in label order
     rows = [masks[labels.max(axis=1) < max_blocks] for labels, masks in _label_chunks(n_atoms)]
-    sweep = randomisation_identity_sweep(empirical, PartitionMasks(np.concatenate(rows)), z=z)
+    masks = PartitionMasks(np.concatenate(rows))
+    sweep = randomisation_identity_sweep(density, masks, paths, stream.substream(1), z=z)
     failures = np.flatnonzero(~sweep.consistent)
     # the first largest gap / tolerance, taken as 0 where the tolerance is 0
     ratio = np.divide(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import _reference as ref
@@ -25,26 +26,54 @@ from gammavar import (
     StepFunction,
     compare_estimates,
     enumerate_groupings,
-    induced_randomized_measure,
     integral_moment,
     measure_from_density,
-    rademacher_sum_sq,
     randomisation_identity_sweep,
     sample_brownian,
     stochastic_integral,
     verify_integral_identity,
 )
-from gammavar.brownian import EmpiricalVectorMeasure, ensemble_search
+from gammavar.brownian import ensemble_search
 from gammavar.cli import main
-from gammavar.groupings import block_sums
-from gammavar.norms import randomized_variation_norm
-from gammavar.spaces import EmpiricalL2Space
+from gammavar.norms import _search
+from gammavar.random_sums import SumEstimate
 
 
-def _sweep(measure, groupings, z=3.0):
-    """The randomisation sweep over the groupings' block masks."""
-    masks = ref.block_masks_reference([g.blocks for g in groupings], groupings[0].n_atoms)
-    return randomisation_identity_sweep(measure, PartitionMasks(masks), z=z)
+def _masks(groupings):
+    return ref.block_masks_reference([g.blocks for g in groupings], groupings[0].n_atoms)
+
+
+def _sweep(case, groupings, z=3.0):
+    """The randomisation sweep of a sampled case over the groupings' block
+    masks."""
+    density, n_paths, stream = case
+    masks = PartitionMasks(_masks(groupings))
+    return randomisation_identity_sweep(density, masks, n_paths, stream, z=z)
+
+
+def _contributions(case):
+    """The (atoms, paths, dim) values phi_n dW_n of a sampled case, each
+    one product of a sampled increment and a density value."""
+    density, n_paths, stream = case
+    paths = sample_brownian(density.partition, n_paths, stream).paths
+    return paths.T[:, :, None] * density.values[:, None, :]
+
+
+def _signed_kernel(contributions, groupings, base):
+    """random_sums._ensemble_moments, the sweep's signed side, on held
+    (atoms, paths, dim) contributions fed as one chunk."""
+    return random_sums._ensemble_moments(
+        lambda size: [contributions], _masks(groupings), base, contributions.shape[1]
+    )
+
+
+def _reference_moment(contributions, base, grouping) -> SumEstimate:
+    """The reference's estimate of one grouping's Rademacher moment."""
+    candidates = [grouping.blocks]
+    found = ref.ensemble_randomized_search_reference(
+        contributions, base.norm_sq, base.is_hilbert, candidates=candidates
+    )
+    return SumEstimate(**found["moment"])
 
 
 def _scalar_density(weights, values):
@@ -165,73 +194,11 @@ class TestStochasticIntegral:
         # E of the square is 0.5 * 1 + 0.5 * 4 = 2.5
         assert abs(moment - 2.5) <= 3.0 * float(np.std(integral**2)) / math.sqrt(m)
 
-    def test_atom_subsets_add_exactly(self):
-        rng = np.random.default_rng(33)
-        density = StepFunction(
-            AtomPartition([0.1, 0.2, 0.3, 0.4]),
-            NormedSpace.l2(2),
-            rng.standard_normal((4, 2)),
-        )
-        ensemble = sample_brownian(density.partition, 8, RandomStream(33, (0,)))
-        whole = stochastic_integral(density, ensemble)
-        part = stochastic_integral(density, ensemble, {0, 3}) + stochastic_integral(
-            density, ensemble, {1, 2}
-        )
-        np.testing.assert_allclose(part, whole, atol=1e-12)
-
     def test_partition_mismatch_is_rejected(self):
         density = _scalar_density([0.5, 0.5], [1.0, 1.0])
         other = sample_brownian(AtomPartition([0.4, 0.6]), 8, RandomStream(34, (0,)))
         with pytest.raises(ValueError):
             stochastic_integral(density, other)
-
-
-class TestInducedMeasure:
-    def test_total_value_collects_the_full_integral(self):
-        rng = np.random.default_rng(40)
-        density = StepFunction(
-            AtomPartition([0.25, 0.25, 0.5]),
-            NormedSpace.l2(2),
-            rng.standard_normal((3, 2)),
-        )
-        ensemble = sample_brownian(density.partition, 12, RandomStream(40, (0,)))
-        induced = induced_randomized_measure(density, ensemble)
-        np.testing.assert_allclose(
-            induced.contributions.sum(axis=0),
-            stochastic_integral(density, ensemble),
-            atol=1e-12,
-        )
-
-    def test_block_values_add_over_atoms(self):
-        rng = np.random.default_rng(41)
-        density = StepFunction(
-            AtomPartition.uniform(4), NormedSpace.l2(2), rng.standard_normal((4, 2))
-        )
-        ensemble = sample_brownian(density.partition, 6, RandomStream(41, (0,)))
-        induced = induced_randomized_measure(density, ensemble)
-        merged = block_sums(induced.contributions, Grouping([[0, 2]], 4))[0]
-        np.testing.assert_allclose(
-            merged, induced.contributions[0] + induced.contributions[2], atol=1e-12
-        )
-
-    def test_atom_magnitudes_concentrate_at_root_mass(self):
-        # |phi| = 1 everywhere, so each atom value has norm sqrt(w) on average
-        n = 4
-        density = _scalar_density([0.25] * n, [1.0] * n)
-        m = 20_000
-        ensemble = sample_brownian(density.partition, m, RandomStream(42, (0,)))
-        induced = induced_randomized_measure(density, ensemble)
-        for atom in range(n):
-            magnitude_sq = float(np.mean(induced.contributions[atom] ** 2))
-            assert abs(magnitude_sq - 0.25) <= 5.0 * 0.25 * math.sqrt(2.0 / m)
-
-    def test_zero_density_induces_the_zero_measure(self):
-        density = _scalar_density([0.5, 0.5], [0.0, 0.0])
-        ensemble = sample_brownian(density.partition, 6, RandomStream(43, (0,)))
-        induced = induced_randomized_measure(density, ensemble)
-        np.testing.assert_array_equal(
-            induced.contributions.sum(axis=0), np.zeros((6, 1))
-        )
 
 
 class TestIntegralMoment:
@@ -251,15 +218,18 @@ class TestIntegralMoment:
     def test_keeps_the_bits_of_the_streamed_integral(self, n_atoms, dim):
         # the whole C-ordered paths take the product route of
         # ensemble_search's chunks; a gathered copy of every atom, laid out
-        # in Fortran order, moved the last bit in R^1
+        # in Fortran order, moved the last bit in R^1.  A greedy search
+        # takes a pass per batch of merges, and its first pass alone
+        # writes the integral's row
         rng = np.random.default_rng(100 * n_atoms + dim)
         partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
         density = StepFunction(partition, NormedSpace.l2(dim), rng.standard_normal((n_atoms, dim)))
         for n_paths in (2, 3, 41, 1001, 4001):
             stream = RandomStream(n_atoms, (dim, n_paths))
-            *_, integral = ensemble_search(density, n_paths, stream, [Grouping.finest(n_atoms)])
             ensemble = sample_brownian(partition, n_paths, stream)
-            assert integral_moment(density, ensemble) == integral
+            for search in ([Grouping.finest(n_atoms)], "greedy"):
+                *_, integral = ensemble_search(density, n_paths, stream, search)
+                assert integral_moment(density, ensemble) == integral
 
 
 class TestIntegralIdentity:
@@ -269,7 +239,6 @@ class TestIntegralIdentity:
             raise AssertionError("the ensemble was held")
 
         monkeypatch.setattr(brownian, "sample_brownian", refused)
-        monkeypatch.setattr(brownian, "induced_randomized_measure", refused)
         rng = np.random.default_rng(45)
         density = StepFunction(
             AtomPartition.uniform(5), NormedSpace.l1(2), rng.standard_normal((5, 2))
@@ -324,43 +293,48 @@ class TestIntegralIdentity:
         assert set(doc) == {"variation", "randomized", "integral", "comparisons"}
 
 
-class TestRandomisationIdentity:
-    def _measure(self, seed=51, n_atoms=4, dim=2, space=None, n_paths=20_000):
-        rng = np.random.default_rng(seed)
-        density = StepFunction(
-            AtomPartition(rng.dirichlet(np.ones(n_atoms))),
-            space or NormedSpace.l2(dim),
-            rng.standard_normal((n_atoms, dim)),
-        )
-        ensemble = sample_brownian(density.partition, n_paths, RandomStream(seed, (0,)))
-        return induced_randomized_measure(density, ensemble)
+def _ensemble_bound(contributions, base) -> float:
+    """The rounding bound of a table over the contributions in one chunk."""
+    screen = random_sums._ensemble_screen(lambda: [contributions], base, contributions.shape[0])
+    return screen[1]
 
+
+def _seeded_case(seed=51, n_atoms=4, dim=2, space=None, n_paths=20_000):
+    """A random density with the paths it pairs with: (density, n_paths,
+    stream)."""
+    rng = np.random.default_rng(seed)
+    density = StepFunction(
+        AtomPartition(rng.dirichlet(np.ones(n_atoms))),
+        space or NormedSpace.l2(dim),
+        rng.standard_normal((n_atoms, dim)),
+    )
+    return density, n_paths, RandomStream(seed, (0,))
+
+
+class TestRandomisationIdentity:
     def test_single_block_is_exactly_invariant(self):
         # one sign factors out of the norm, so both sides coincide path-wise
-        measure = self._measure(n_paths=200)
-        check = _sweep(measure, [Grouping([[0, 1, 2, 3]], 4)]).check(0)
+        check = _sweep(_seeded_case(n_paths=200), [Grouping([[0, 1, 2, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert abs(check.signed.value - check.plain.value) <= 1e-12
 
     def test_finest_grouping_keeps_the_euclidean_moment(self):
-        measure = self._measure(seed=52)
-        check = _sweep(measure, [Grouping.finest(4)]).check(0)
+        check = _sweep(_seeded_case(seed=52), [Grouping.finest(4)]).check(0)
         assert check.comparison.consistent
 
     def test_two_block_covering_grouping_is_consistent(self):
-        measure = self._measure(seed=53, space=NormedSpace.l1(2))
-        check = _sweep(measure, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
+        case = _seeded_case(seed=53, space=NormedSpace.l1(2))
+        check = _sweep(case, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
         assert check.comparison.consistent
         assert check.grouping == Grouping([[0, 2], [1, 3]], 4)
 
     def test_sweep_preserves_order_and_shares_the_plain_moment(self):
-        measure = self._measure(seed=54, n_paths=500)
         groupings = [
             Grouping([[0, 1], [2, 3]], 4),
             Grouping([[0, 2], [1, 3]], 4),
             Grouping.finest(4),
         ]
-        sweep = _sweep(measure, groupings)
+        sweep = _sweep(_seeded_case(seed=54, n_paths=500), groupings)
         assert list(sweep.groupings) == groupings
         assert [sweep.check(i).grouping for i in range(3)] == groupings
         # every set partition sums to the whole measure: one unsigned side
@@ -369,65 +343,75 @@ class TestRandomisationIdentity:
     @pytest.mark.parametrize("chunk_floats", [None, 1200])
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l1(2)])
     def test_sweep_matches_the_exact_sign_enumeration(self, space, chunk_floats, monkeypatch):
-        # the sweep's atom-sign table against rademacher_sum_sq's own
-        # enumeration over the block sums, one grouping at a time, within
-        # the table's rounding bound; with 1200 floats the table of 300
-        # paths in R^2 is built 2 patterns at a time
+        # the sweep's atom-sign table against the reference's enumeration
+        # over the block sums, one grouping at a time, within the table's
+        # rounding bound; with 1200 floats the table of 300 paths in R^2 is
+        # built 2 patterns at a time
         if chunk_floats is not None:
             monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", chunk_floats)
-        measure = self._measure(seed=57, n_atoms=5, space=space, n_paths=300)
+        case = _seeded_case(seed=57, n_atoms=5, space=space, n_paths=300)
         covering = list(enumerate_groupings(5))
         picks = np.random.default_rng(57).choice(len(covering), size=15, replace=False)
         groupings = [covering[i] for i in picks]
-        sweep = _sweep(measure, groupings)
-        bound = random_sums._table_rounding_bound(measure.contributions, space)
+        sweep = _sweep(case, groupings)
+        contributions = _contributions(case)
+        bound = _ensemble_bound(contributions, space)
         for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
-            exact = rademacher_sum_sq(
-                block_sums(measure.contributions, grouping), measure.empirical_space
-            )
+            exact = _reference_moment(contributions, space, grouping)
             assert abs(signed - exact.value) <= bound <= 1e-9 * exact.value
 
     def test_sign_enumeration_cap(self):
         # a Hilbert base needs no sign enumeration, and takes any grouping
-        measure = self._measure(seed=55, n_atoms=21, dim=1, n_paths=10)
-        _sweep(measure, [Grouping.finest(21)])
-        measure = self._measure(seed=55, n_atoms=21, space=NormedSpace.l1(2), n_paths=10)
+        _sweep(_seeded_case(seed=55, n_atoms=21, dim=1, n_paths=10), [Grouping.finest(21)])
+        case = _seeded_case(seed=55, n_atoms=21, space=NormedSpace.l1(2), n_paths=10)
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            _sweep(measure, [Grouping.finest(21)])
+            _sweep(case, [Grouping.finest(21)])
 
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l2(2)], ids=repr)
     def test_groupings_must_be_set_partitions(self, space):
         # a grouping that leaves atoms out, or that belongs to fewer atoms
-        measure = self._measure(seed=56, space=space, n_paths=50)
+        case = _seeded_case(seed=56, space=space, n_paths=50)
         for grouping in (Grouping([[0], [2]], 4), Grouping.finest(3)):
             with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
-                _sweep(measure, [Grouping.finest(4), grouping])
+                _sweep(case, [Grouping.finest(4), grouping])
         # set partitions of 3 atoms, in the layout
         with pytest.raises(ValueError, match="set partitions of the 4 atoms"):
-            _sweep(measure, [Grouping.finest(3)])
+            _sweep(case, [Grouping.finest(3)])
+
+    @pytest.mark.parametrize("space", [NormedSpace.l2(1), NormedSpace.l1(2)], ids=repr)
+    def test_a_sweep_of_no_partitions_keeps_its_plain_side(self, space):
+        # 12 atoms in l2(1) take no table, so no partition asks for a pass;
+        # in l1(2) the atom-sign table takes one
+        case = _seeded_case(seed=60, n_atoms=12, dim=space.dim, space=space, n_paths=50)
+        density, n_paths, stream = case
+        masks = PartitionMasks(np.zeros((0, 12), dtype=np.int16))
+        empty = randomisation_identity_sweep(density, masks, n_paths, stream)
+        assert len(empty.groupings) == empty.signed_value.size == 0
+        assert empty.plain == _sweep(case, [Grouping.finest(12)]).plain
+
+    def test_a_sweep_needs_two_paths(self):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            _sweep(_seeded_case(n_paths=1), [Grouping.finest(4)])
 
 
-def _sampled_measure(rng, space, n_atoms, n_paths, density=None):
+def _sampled_case(rng, space, n_atoms, n_paths, density=None):
     if density is None:
         density = rng.standard_normal((n_atoms, space.dim))
     partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
-    ensemble = sample_brownian(partition, n_paths, RandomStream(int(rng.integers(1 << 30)), (0,)))
-    return induced_randomized_measure(StepFunction(partition, space, density), ensemble)
+    stream = RandomStream(int(rng.integers(1 << 30)), (0,))
+    return StepFunction(partition, space, density), n_paths, stream
 
 
-def _tie_heavy_measures(rng, space):
-    """A zero atom and two equal atoms: small-integer densities under a
-    sampled ensemble, and small-integer contributions outright."""
+def _tie_heavy_inputs(rng, space):
+    """A zero atom and two equal atoms: a sampled case of small-integer
+    densities, and small-integer contributions outright."""
     density = rng.integers(-2, 3, size=(5, space.dim)).astype(float)
     density[0] = 0.0
     density[2] = density[1]
     contributions = rng.integers(-2, 3, size=(5, 40, space.dim)).astype(float)
     contributions[0] = 0.0
     contributions[2] = contributions[1]
-    return [
-        _sampled_measure(rng, space, 5, 40, density),
-        EmpiricalVectorMeasure(AtomPartition.uniform(5), space, contributions),
-    ]
+    return _sampled_case(rng, space, 5, 40, density), contributions
 
 
 def _mixed_groupings(rng, n_atoms, count):
@@ -438,34 +422,55 @@ def _mixed_groupings(rng, n_atoms, count):
     return picks + [Grouping.finest(n_atoms), Grouping([range(n_atoms)], n_atoms)]
 
 
-def _assert_matches_the_reference(measure, groupings):
+def _assert_within_the_bound(signed, want, bound):
+    """A signed side against the reference's: value and std error within
+    the table's rounding bound, every other field =="""
+    signed, want = dict(signed), dict(want)
+    for key in ("value", "std_error"):
+        assert abs(signed.pop(key) - want.pop(key)) <= bound
+    assert signed == want
+
+
+def _assert_matches_the_reference(case, groupings):
     """The sweep's check documents against the reference's: the signed
     side, from a table's path means and covariance (the atom-sign table's,
     or every block's norms in a Hilbert base), lies within the table's
     rounding bound, and so do the gap and the tolerance computed from it,
     while every other field and each verdict stay =="""
-    sweep = _sweep(measure, groupings)
+    sweep = _sweep(case, groupings)
+    space = case[0].space
+    contributions = _contributions(case)
     want = ref.randomisation_sweep_reference(
-        measure.contributions,
-        measure.space.norm_sq,
-        measure.space.is_hilbert,
-        [g.blocks for g in groupings],
+        contributions, space.norm_sq, space.is_hilbert, [g.blocks for g in groupings]
     )
     got = [sweep.check(i).to_document() for i in range(len(groupings))]
-    bound = random_sums._table_rounding_bound(measure.contributions, measure.space)
+    bound = _ensemble_bound(contributions, space)
     assert bound <= 1e-9 * max(w["signed"]["value"] for w in want)
     for g, w in zip(got, want, strict=True):
         signed, comparison = g.pop("signed"), g.pop("comparison")
         want_signed, want_comparison = w.pop("signed"), w.pop("comparison")
         assert g == w
-        for key in ("value", "std_error"):
-            assert abs(signed.pop(key) - want_signed.pop(key)) <= bound
-        assert signed == want_signed
+        _assert_within_the_bound(signed, want_signed, bound)
         assert abs(comparison.pop("gap") - want_comparison.pop("gap")) <= bound
         # z times a hypot, which moves no more than its arguments
         tolerance = want_comparison.pop("tolerance")
         assert abs(comparison.pop("tolerance") - tolerance) <= 3.0 * bound + 1e-15 * tolerance
         assert comparison == want_comparison
+
+
+def _assert_the_kernel_matches_the_reference(contributions, base, groupings):
+    """The sweep's signed side on hand-made contributions against the
+    reference's, within the table's rounding bound."""
+    value, error = _signed_kernel(contributions, groupings, base)
+    want = ref.randomisation_sweep_reference(
+        contributions, base.norm_sq, base.is_hilbert, [g.blocks for g in groupings]
+    )
+    bound = _ensemble_bound(contributions, base)
+    assert bound <= 1e-9 * max(w["signed"]["value"] for w in want)
+    n_paths = contributions.shape[1]
+    for v, e, w in zip(value.tolist(), error.tolist(), want, strict=True):
+        got = SumEstimate(v, e, n_paths, "monte_carlo").to_document()
+        _assert_within_the_bound(got, w["signed"], bound)
 
 
 SWEEP_SPACES = [
@@ -491,27 +496,26 @@ class TestSweepAgainstTheReference:
     @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
     def test_random_measures(self, space, chunk):
         rng = np.random.default_rng(71)
-        measure = _sampled_measure(rng, space, 5, 40)
-        _assert_matches_the_reference(measure, _mixed_groupings(rng, 5, 60))
+        case = _sampled_case(rng, space, 5, 40)
+        _assert_matches_the_reference(case, _mixed_groupings(rng, 5, 60))
 
     @pytest.mark.parametrize("space", SWEEP_SPACES[::3] + SWEEP_SPACES[2::3], ids=repr)
     def test_tie_heavy_measures(self, space, chunk):
         rng = np.random.default_rng(72)
-        for measure in _tie_heavy_measures(rng, space):
-            _assert_matches_the_reference(measure, _mixed_groupings(rng, 5, 40))
+        case, contributions = _tie_heavy_inputs(rng, space)
+        _assert_matches_the_reference(case, _mixed_groupings(rng, 5, 40))
+        _assert_the_kernel_matches_the_reference(contributions, space, _mixed_groupings(rng, 5, 40))
 
     @pytest.mark.parametrize("space", SWEEP_SPACES, ids=repr)
     def test_the_signed_side_is_the_ensemble_kernel(self, space):
-        # the randomized variation norm's kernel, estimate for estimate
+        # the streamed sweep's signed side against the kernel on the held
+        # contributions of the same paths, estimate for estimate
         rng = np.random.default_rng(75)
-        measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
-        for measure in measures:
+        cases = [_sampled_case(rng, space, 5, 40), _tie_heavy_inputs(rng, space)[0]]
+        for case in cases:
             groupings = _mixed_groupings(rng, 5, 40)
-            sweep = _sweep(measure, groupings)
-            masks = ref.block_masks_reference([g.blocks for g in groupings], 5)
-            value, error = random_sums._ensemble_moments(
-                measure.contributions, masks, measure.empirical_space
-            )
+            sweep = _sweep(case, groupings)
+            value, error = _signed_kernel(_contributions(case), groupings, space)
             assert np.array_equal(sweep.signed_value, value)
             assert np.array_equal(sweep.signed_error, error)
 
@@ -521,11 +525,12 @@ class TestSweepAgainstTheReference:
         # the whole-array z-test against compare_estimates of each
         # grouping's estimates; at z = 0.3 some groupings fail
         rng = np.random.default_rng(76)
-        measures = [_sampled_measure(rng, space, 5, 40)] + _tie_heavy_measures(rng, space)
+        cases = [_sampled_case(rng, space, 5, 40), _tie_heavy_inputs(rng, space)[0]]
+        cases.append(_sampled_case(rng, space, 5, 40))
         flags = []
-        for measure in measures:
+        for case in cases:
             groupings = _mixed_groupings(rng, 5, 40)
-            sweep = _sweep(measure, groupings, z=z)
+            sweep = _sweep(case, groupings, z=z)
             for i in range(len(groupings)):
                 check = sweep.check(i)
                 want = compare_estimates(check.signed, check.plain, z=z)
@@ -540,7 +545,7 @@ class TestSweepAgainstTheReference:
 
     def test_a_wide_measure_sums_only_its_blocks(self, monkeypatch):
         # 20 atoms in 2 blocks: a table per subset would hold 2^20 rows
-        measure = _sampled_measure(np.random.default_rng(73), NormedSpace.l1(1), 20, 8)
+        case = _sampled_case(np.random.default_rng(73), NormedSpace.l1(1), 20, 8)
         grouping = Grouping([range(0, 20, 2), range(1, 20, 2)], 20)
         summed = []
         block_sum = random_sums._block_sum
@@ -549,51 +554,52 @@ class TestSweepAgainstTheReference:
             summed.append(atoms)
             return block_sum(values, atoms)
 
-        # the signed side's block sums in the ensemble kernel, then the
-        # plain side
+        # the plain side's sum as the chunk comes, then the signed side's
+        # block sums in the ensemble kernel
         monkeypatch.setattr(random_sums, "_block_sum", recorded)
         monkeypatch.setattr(groupings, "_block_sum", recorded)
         monkeypatch.setattr(brownian, "_block_sum", recorded)
         tracemalloc.start()
         try:
-            check = _sweep(measure, [grouping]).check(0)
+            check = _sweep(case, [grouping]).check(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two blocks, then every atom
-        assert summed == [list(range(0, 20, 2)), list(range(1, 20, 2)), list(range(20))]
+        # every atom, then the two blocks
+        assert summed == [list(range(20)), list(range(0, 20, 2)), list(range(1, 20, 2))]
         # a 2^20-row table of 8 paths would take 64 MiB
         assert peak < 1 << 20
         assert [check.to_document()] == ref.randomisation_sweep_reference(
-            measure.contributions, measure.space.norm_sq, True, [grouping.blocks]
+            _contributions(case), case[0].space.norm_sq, True, [grouping.blocks]
         )
 
     @pytest.mark.parametrize("space", [NormedSpace.l2(1), NormedSpace.l1(2)], ids=repr)
     def test_a_measure_past_64_atoms_takes_python_int_masks(self, space):
         # 70 atoms need masks of 70 bits, wider than any numpy integer
-        measure = _sampled_measure(np.random.default_rng(77), space, 70, 6)
+        case = _sampled_case(np.random.default_rng(77), space, 70, 6)
         groupings = [
             Grouping([range(0, 70, 2), range(1, 70, 2)], 70),
             Grouping([range(70)], 70),
             Grouping([range(10), range(10, 70)], 70),
         ]
-        sweep = _sweep(measure, groupings)
+        sweep = _sweep(case, groupings)
+        contributions = _contributions(case)
         for i, grouping in enumerate(groupings):
-            values = block_sums(measure.contributions, grouping)
-            assert sweep.check(i).signed == rademacher_sum_sq(values, measure.empirical_space)
+            assert sweep.check(i).signed == _reference_moment(contributions, space, grouping)
 
     def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
-        measure = _sampled_measure(np.random.default_rng(74), NormedSpace.l1(2), 21, 10)
+        case = _sampled_case(np.random.default_rng(74), NormedSpace.l1(2), 21, 10)
 
         def refused(*args, **kwargs):
-            pytest.fail("summed blocks of a grouping over the enumeration cap")
+            pytest.fail("drew paths or summed blocks of a grouping over the enumeration cap")
 
         for name in ("_block_sum", "_atom_sign_table"):
             monkeypatch.setattr(random_sums, name, refused)
         monkeypatch.setattr(brownian, "_block_sum", refused)
+        monkeypatch.setattr(brownian, "_increment_blocks", refused)
         groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            _sweep(measure, groupings)
+            _sweep(case, groupings)
 
 
 @st.composite
@@ -610,10 +616,7 @@ def _hilbert_sweeps(draw):
         labels = draw(st.lists(st.integers(0, n_atoms - 1), min_size=n_atoms, max_size=n_atoms))
         blocks = [[a for a in range(n_atoms) if labels[a] == m] for m in range(n_atoms)]
         groupings.append(Grouping([b for b in blocks if b], n_atoms))
-    measure = EmpiricalVectorMeasure(
-        AtomPartition.uniform(n_atoms), NormedSpace.l2(dim), contributions
-    )
-    return measure, groupings
+    return contributions, NormedSpace.l2(dim), groupings
 
 
 class TestHilbertSweep:
@@ -623,11 +626,11 @@ class TestHilbertSweep:
         # over the sign patterns every cross term <B_i, B_j> cancels, so the
         # sweep's l2 closed form sum_m ||B_m||^2 is the average of
         # ||sum_m e_m B_m||^2 over every sign pattern e, enumerated here
-        measure, groupings = case
-        sweep = _sweep(measure, groupings)
-        for grouping, signed in zip(groupings, sweep.signed_value, strict=True):
+        contributions, base, groupings = case
+        signed_values, _ = _signed_kernel(contributions, groupings, base)
+        for grouping, signed in zip(groupings, signed_values, strict=True):
             blocks = np.stack(
-                [np.sum(measure.contributions[list(b)], axis=0) for b in grouping.blocks]
+                [np.sum(contributions[list(b)], axis=0) for b in grouping.blocks]
             )
             per_path = np.mean(
                 [
@@ -638,6 +641,42 @@ class TestHilbertSweep:
             )
             want = float(np.mean(per_path))
             assert abs(signed - want) <= 1e-12 * want
+
+
+class TestStreamedSweep:
+    """The sweep draws its paths in chunks and holds no (atoms, paths,
+    dim) ensemble."""
+
+    def test_a_randomisation_run_samples_no_ensemble(self, monkeypatch, tmp_path, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("the ensemble was held")
+
+        sampled = brownian.sample_brownian
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gammavar") and getattr(module, "sample_brownian", None) is sampled:
+                monkeypatch.setattr(module, "sample_brownian", refused)
+        config = tmp_path / "config.json"
+        document = {"engine": {"paths": 200}, "suite": {"measures": 3, "n_atoms": 5}}
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["verify", "randomisation", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall_pass"]
+
+    def test_a_many_path_sweep_peaks_below_the_held_contributions(self):
+        # 4 atoms in l2(3) on 2e5 paths: the held contributions took
+        # 4 x 2e5 x 3 floats (18.3 MiB); the sweep keeps the plain side's
+        # (paths,) row and a chunk of paths at a time
+        n_atoms, n_paths, dim = 4, 200_000, 3
+        density, _, stream = _seeded_case(seed=59, n_atoms=n_atoms, dim=dim)
+        labelled = groupings.grouping_labels(n_atoms, 64)
+        masks = PartitionMasks(np.concatenate([m for _, m in labelled]))
+        tracemalloc.start()
+        try:
+            sweep = randomisation_identity_sweep(density, masks, n_paths, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sweep.groupings) == 15
+        assert peak < n_atoms * n_paths * dim * 8
 
 
 # The CLI's default integrate density, and the default shapes of thm-3-3
@@ -731,9 +770,11 @@ class TestStreamedEnsembles:
     )
     @pytest.mark.parametrize("chunk", [None, 3])
     @pytest.mark.parametrize("mode", ["exhaustive", "contiguous", "greedy"])
-    def test_tie_heavy_ensembles_name_the_in_memory_winner(self, space, chunk, mode, monkeypatch):
+    def test_tie_heavy_ensembles_name_the_reference_winner(self, space, chunk, mode, monkeypatch):
         # small integers, a zero atom and a repeated atom: many set
-        # partitions tie, some exactly
+        # partitions tie, some exactly.  The search driver, given the
+        # reference's estimate of each grouping it decides, names the
+        # streamed search's winner and estimate
         rng = np.random.default_rng(58)
         density = rng.integers(-2, 3, size=(6, space.dim)).astype(float)
         density[1] = 0.0
@@ -744,16 +785,23 @@ class TestStreamedEnsembles:
             monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args: chunk)
         grouping, moment, integral = ensemble_search(density, 41, stream, mode)
         ensemble = sample_brownian(density.partition, 41, stream)
-        contributions = induced_randomized_measure(density, ensemble).contributions
-        report = randomized_variation_norm(contributions, EmpiricalL2Space(space), mode=mode)
-        assert (grouping, moment) == (report.grouping, report.moment)
+        contributions = _contributions((density, 41, stream))
+
+        def decide(candidates):
+            return [_reference_moment(contributions, space, g) for g in candidates]
+
+        if mode == "exhaustive":
+            want = ref.ensemble_randomized_search_reference(
+                contributions, space.norm_sq, space.is_hilbert,
+                candidates=ref.set_partitions_reference(range(6)),
+            )
+            assert (grouping.to_lists(), moment.to_document()) == (want["grouping"], want["moment"])
+        else:
+            assert (grouping, moment) == _search(6, mode, decide, None)
         assert integral == integral_moment(density, ensemble)
         # a family of two groupings is decided in one pass, the higher
         # moment winning
         family = [Grouping.finest(6), Grouping([[0, 1, 2], [3, 4, 5]], 6)]
-        moments = [
-            rademacher_sum_sq(block_sums(contributions, g), EmpiricalL2Space(space))
-            for g in family
-        ]
+        moments = decide(family)
         best = 1 if moments[1].value >= moments[0].value else 0
         assert ensemble_search(density, 41, stream, family)[:2] == (family[best], moments[best])

@@ -3,8 +3,9 @@ documented names exist.
 
 Stdlib ``ast`` checks: ``from .x import name`` in a submodule (the package
 ``__init__`` re-exports, so it is exempt) must be followed by a use of
-``name`` in that module's code, and every module-level function and class is
-used by package code outside its own body or listed in ``gammavar.__all__``.
+``name`` in that module's code, and every module-level function, class and
+constant is used by package code outside its own body or assignment, or
+listed in ``gammavar.__all__``.
 The README's library entry points block must import as written.
 """
 
@@ -36,33 +37,52 @@ def test_sibling_imports_are_used(path):
     assert not unused, f"{path.name} never uses {unused}"
 
 
+def _defined(top) -> set[str]:
+    """The names a top-level statement defines: a function's or class's,
+    or an assignment's target names."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {top.name}
+    if isinstance(top, ast.Assign):
+        targets = top.targets
+    elif isinstance(top, ast.AnnAssign):
+        targets = [top.target]
+    else:
+        return set()
+    return {
+        node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)
+    }
+
+
 def _uses(tree):
-    """(top-level definition or None, name) for each name loaded and each
-    attribute read in a module."""
+    """(the names its top-level statement defines, name) for each name
+    loaded and each attribute read in a module."""
     for top in tree.body:
-        owner = getattr(top, "name", None)
+        owners = frozenset(_defined(top))
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                yield owner, node.id
+                yield owners, node.id
             elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
+                yield owners, node.attr
 
 
 def test_every_definition_is_used_or_exported():
+    # functions, classes and module-level constants; __all__ and
+    # __version__ are read from outside the package
     package = Path(gammavar.__file__).parent
     definitions, used = [], set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, top.name))
-        used.update((path.stem, owner, name) for owner, name in _uses(tree))
+            definitions += [(path.stem, name) for name in sorted(_defined(top))]
+        used.update((path.stem, owners, name) for owners, name in _uses(tree))
     dead = [
         f"{module}.{name}"
         for module, name in definitions
         if name not in gammavar.__all__
+        and name not in ("__all__", "__version__")
         and not any(
-            use == name and (where, owner) != (module, name) for where, owner, use in used
+            use == name and not (where == module and name in owners)
+            for where, owners, use in used
         )
     ]
     assert not dead, f"defined but never used nor exported: {dead}"

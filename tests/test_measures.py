@@ -7,13 +7,10 @@ from gammavar import (
     AtomPartition,
     Grouping,
     NormedSpace,
-    RandomStream,
     StepFunction,
     VectorMeasure,
     measure_from_density,
     operator_from_measure,
-    sample_brownian,
-    stochastic_integral,
 )
 from gammavar.groupings import block_sums
 
@@ -37,12 +34,6 @@ class TestVectorMeasure:
         np.testing.assert_allclose(
             block_sums(measure.values, Grouping([[0, 2]], 3)), [[1.0]]
         )
-
-    def test_empty_atom_set_is_rejected(self):
-        density = StepFunction(AtomPartition([0.5, 0.5]), NormedSpace.l2(1), [1.0, 2.0])
-        ensemble = sample_brownian(density.partition, 4, RandomStream(0, (0,)))
-        with pytest.raises(ValueError):
-            stochastic_integral(density, ensemble, [])
 
     def test_total_sums_all_atoms(self):
         measure = _measure([0.25, 0.75], [[1.0, 2.0], [3.0, -2.0]])

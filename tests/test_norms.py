@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import _reference as ref
 from gammavar import (
     AtomPartition,
     DiscreteOperator,
-    EmpiricalL2Space,
     Grouping,
     NormedSpace,
     RandomStream,
@@ -22,7 +22,6 @@ from gammavar import (
     gamma_summing_norm,
     gamma_variation_norm,
     gaussian_sum_sq,
-    induced_randomized_measure,
     measure_from_density,
     operator_from_measure,
     randomized_variation_norm,
@@ -576,13 +575,10 @@ class TestRandomizedVariation:
     def test_ensemble_valued_search_maximizes_over_groupings(self):
         rng = np.random.default_rng(66)
         contributions = rng.standard_normal((3, 30, 2))
-        space = EmpiricalL2Space(NormedSpace.linf(2))
-        report = randomized_variation_norm(contributions, space, mode="exhaustive")
-        best = max(
-            rademacher_sum_sq(block_sums(contributions, g), space).value
-            for g in enumerate_groupings(3, "all")
-        )
-        assert abs(report.moment.value - best) <= 1e-12
+        base = NormedSpace.linf(2)
+        _, moment = _ensemble_search(contributions, base)
+        best = ref.ensemble_randomized_search_reference(contributions, base.norm_sq, False)
+        assert abs(moment.value - best["moment"]["value"]) <= 1e-12
 
     def test_homogeneity_of_the_exact_search(self):
         rng = np.random.default_rng(67)
@@ -699,24 +695,42 @@ ENSEMBLE_BASES = [
 
 
 def _induced_contributions(rng, base, density, n_paths):
-    """A sampled ensemble's (atoms, paths, dim) contributions, laid out as
-    the integral identity passes them."""
+    """A sampled ensemble's (atoms, paths, dim) contributions phi_n dW_n,
+    each one product of a sampled increment and a density value."""
     partition = AtomPartition(rng.dirichlet(np.ones(density.shape[0])))
     ensemble = sample_brownian(partition, n_paths, RandomStream(int(rng.integers(1 << 30)), (0,)))
-    return induced_randomized_measure(StepFunction(partition, base, density), ensemble).contributions
+    return ensemble.paths.T[:, :, None] * density[:, None, :]
+
+
+def _ensemble_search(contributions, base, mode="exhaustive"):
+    """The streamed search's kernels (brownian.ensemble_search) on
+    hand-made (atoms, paths, dim) contributions, fed as one chunk:
+    the winner and its estimate."""
+    n_atoms, n_paths = contributions.shape[:2]
+
+    def chunks():
+        return [contributions]
+
+    decide = random_sums._ensemble_decide(chunks, base, n_atoms, n_paths)
+    return norms._search(
+        n_atoms, mode, decide, lambda: random_sums._ensemble_screen(chunks, base, n_atoms)
+    )
 
 
 def _assert_ensemble_search_matches_the_reference(
     contributions, base, chunk_floats=1 << 23, candidates=None
 ):
-    report = randomized_variation_norm(contributions, EmpiricalL2Space(base), mode="exhaustive")
+    grouping, moment = _ensemble_search(contributions, base)
     want = ref.ensemble_randomized_search_reference(
         contributions, base.norm_sq, base.is_hilbert, chunk_floats, candidates
     )
-    document = report.to_document()
-    assert document.pop("mode") == "exhaustive"
+    document = {
+        "norm": math.sqrt(moment.value),
+        "moment": moment.to_document(),
+        "grouping": grouping.to_lists(),
+    }
     assert document == want
-    return report
+    return grouping, moment
 
 
 class TestEnsembleSearchAgainstTheReference:
@@ -750,14 +764,18 @@ class TestEnsembleSearchAgainstTheReference:
         density[0] = 0.0
         density[1:] += density[1:] == 0.0
         contributions = _induced_contributions(rng, base, density, 12)
-        report = _assert_ensemble_search_matches_the_reference(contributions, base, chunk_floats)
+        grouping, moment = _assert_ensemble_search_matches_the_reference(
+            contributions, base, chunk_floats
+        )
         # the winner without its zero atom ties exactly; the lexicographic
         # rule keeps the block that holds the atom
-        blocks = [[a for a in block if a != 0] for block in report.grouping.blocks]
+        blocks = [[a for a in block if a != 0] for block in grouping.blocks]
         without = Grouping([b for b in blocks if b], 5)
-        assert without != report.grouping
-        space = EmpiricalL2Space(base)
-        assert rademacher_sum_sq(block_sums(contributions, without), space) == report.moment
+        assert without != grouping
+        want = ref.ensemble_randomized_search_reference(
+            contributions, base.norm_sq, base.is_hilbert, chunk_floats, [without.blocks]
+        )
+        assert want["moment"] == moment.to_document()
 
     @pytest.mark.parametrize("base", ENSEMBLE_BASES[::3] + ENSEMBLE_BASES[2::3], ids=repr)
     def test_two_equal_atoms(self, base, chunk_floats):
@@ -789,10 +807,10 @@ class TestEnsembleSearchAgainstTheReference:
     def test_exact_sums_over_paths_are_decided_again(self, base, monkeypatch):
         # small integers make every signed sum exact, but the screen takes
         # the path means before the block or subgroup sums, in another order
-        # than rademacher_sum_sq: the bound is not 0, also in a Hilbert base,
+        # than the per-path statistics: the bound is not 0, also in a Hilbert base,
         # and the partitions near the top take their per-path statistics
         contributions = np.random.default_rng(97).integers(-2, 3, size=(5, 12, 2)).astype(float)
-        assert random_sums._table_rounding_bound(contributions, base) > 0.0
+        assert random_sums._ensemble_screen(lambda: [contributions], base, 5)[1] > 0.0
         calls = []
         path_stats = random_sums._rademacher_path_stats
 
@@ -803,21 +821,6 @@ class TestEnsembleSearchAgainstTheReference:
         monkeypatch.setattr(random_sums, "_rademacher_path_stats", counted)
         _assert_ensemble_search_matches_the_reference(contributions, base)
         assert calls
-
-    def test_the_integrate_shape_stays_near_the_per_grouping_peak(self):
-        # N = 4 atoms, 100k paths in l2(2), as the default integrate runs it.
-        # One grouping at a time the search peaked at 12.2 MiB traced: a
-        # stack of up to 4 block sums and its parts.  The batched search holds
-        # the 15 distinct blocks' path norms (11.4 MiB) and one block sum's
-        # gather (6.1 MiB) at most.
-        contributions = np.random.default_rng(95).standard_normal((4, 100_000, 2))
-        tracemalloc.start()
-        try:
-            randomized_variation_norm(contributions, EmpiricalL2Space(NormedSpace.l2(2)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 21 << 20
 
 
 class TestEnsembleLabelSearch:
@@ -833,17 +836,24 @@ class TestEnsembleLabelSearch:
     def test_tie_heavy_ensembles_match_the_per_grouping_search(self, base, n_paths):
         # small integers with a zero atom and a repeated atom make many
         # partitions tie; the rows near the top are decided from their
-        # per-path statistics, as rademacher_sum_sq takes them
-        space = EmpiricalL2Space(base)
+        # per-path statistics, as the reference takes them (its std error
+        # of one path is nan, the search's 0)
         rng = np.random.default_rng(98)
         for n_atoms in range(2, 7):
             values = rng.integers(-2, 3, size=(n_atoms, n_paths, base.dim)).astype(float)
             values[0] = 0.0
             values[-1] = values[1]
-            grouping, moment = _per_grouping_search(values, space)
-            report = randomized_variation_norm(values, space, mode="exhaustive")
-            assert (report.grouping, report.moment) == (grouping, moment)
-            assert report.moment.samples == n_paths
+            partitions = ref.set_partitions_reference(range(n_atoms))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = ref.ensemble_randomized_search_reference(
+                    values, base.norm_sq, base.is_hilbert, candidates=partitions
+                )
+            if n_paths == 1:
+                want["moment"]["std_error"] = 0.0
+            grouping, moment = _ensemble_search(values, base)
+            assert (grouping.to_lists(), moment.to_document()) == (want["grouping"], want["moment"])
+            assert moment.samples == n_paths
 
     def test_a_nine_atom_search_makes_groupings_of_the_near_rows_only(self, monkeypatch):
         # listing every set partition as a Grouping makes Bell(9) = 21147
@@ -866,8 +876,7 @@ class TestEnsembleLabelSearch:
         monkeypatch.setattr(Grouping, "__init__", counted_init)
         monkeypatch.setattr(norms, "enumerate_groupings", refused)
         values = np.random.default_rng(99).standard_normal((9, 2, 1))
-        report = randomized_variation_norm(values, EmpiricalL2Space(NormedSpace.l2(1)))
-        assert report.mode == "exhaustive"
+        _ensemble_search(values, NormedSpace.l2(1))
         assert 0 < len(made) < 100
 
 
@@ -913,11 +922,11 @@ class TestCoveringGroupingsReachTheSupremum:
     )
     def test_ensembles_equal_the_full_search(self, contributions, tag):
         base = NormedSpace.from_tag(2, tag)
-        report = randomized_variation_norm(contributions, EmpiricalL2Space(base))
+        _, moment = _ensemble_search(contributions, base)
         want = ref.ensemble_randomized_search_reference(
             contributions, base.norm_sq, base.is_hilbert
         )["moment"]["value"]
-        assert _close(report.moment.value, want)
+        assert _close(moment.value, want)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -1006,10 +1015,9 @@ def test_label_chunks_are_sized_by_the_bytes_of_a_row():
     # = 699k rows, counting neither the int8 labels nor the masks nor the
     # walk's temporaries, peaked at 71.2 MiB traced
     values = np.random.default_rng(12).standard_normal((12, 2, 1))
-    space = EmpiricalL2Space(NormedSpace.l2(1))
     tracemalloc.start()
     try:
-        randomized_variation_norm(values, space)
+        _ensemble_search(values, NormedSpace.l2(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

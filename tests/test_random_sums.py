@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 import _reference as ref
 from gammavar import (
     AtomPartition,
-    EmpiricalL2Space,
     Grouping,
     NormedSpace,
     RandomStream,
@@ -372,7 +372,7 @@ class TestAtomSignTable:
 def _far_scale_routes():
     """The three Monte Carlo routes, each as values -> SumEstimate: plain
     draws (gaussian_sum_sq), shared draws (SharedDrawMoments' sampled
-    branch) and path statistics (an ensemble's rademacher_sum_sq)."""
+    branch) and path statistics (an ensemble's decide kernel)."""
     stream = RandomStream(97, (0,))
     partition = AtomPartition(np.array([0.2, 0.3, 0.5]))
     grouping = Grouping([[0, 2], [1]], 3)
@@ -381,7 +381,7 @@ def _far_scale_routes():
         "shared-draws": lambda v: norms.SharedDrawMoments(
             VectorMeasure(partition, NormedSpace.linf(3), v[:, 0]), stream, 1000
         ).moment(grouping),
-        "paths": lambda v: rademacher_sum_sq(v, EmpiricalL2Space(NormedSpace.linf(3))),
+        "paths": lambda v: _decided(v, [Grouping.finest(3)], NormedSpace.linf(3))[0],
     }
 
 
@@ -522,12 +522,18 @@ class TestCovarianceMoment:
         assert compare_estimates(estimate, SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)).consistent
 
 
+def _decided(values, groupings, base):
+    """The ensemble decide kernel on held (atoms, paths, dim) values fed as
+    one chunk: each grouping's estimate from its per-path statistics."""
+    n_atoms, n_paths = values.shape[:2]
+    return random_sums._ensemble_decide(lambda: [values], base, n_atoms, n_paths)(groupings)
+
+
 class TestEnsembleValues:
     def test_hilbert_base_reduces_to_per_path_sums(self):
         rng = np.random.default_rng(40)
         values = rng.standard_normal((3, 50, 2))
-        space = EmpiricalL2Space(NormedSpace.l2(2))
-        estimate = rademacher_sum_sq(values, space)
+        (estimate,) = _decided(values, [Grouping.finest(3)], NormedSpace.l2(2))
         expected = np.sum(values**2, axis=(0, 2)).mean()
         assert abs(estimate.value - expected) <= 1e-12
         assert estimate.samples == 50  # paths carry the uncertainty
@@ -535,8 +541,7 @@ class TestEnsembleValues:
     def test_rademacher_sign_enumeration_over_paths(self):
         rng = np.random.default_rng(41)
         values = rng.standard_normal((3, 40, 2))
-        space = EmpiricalL2Space(NormedSpace.linf(2))
-        estimate = rademacher_sum_sq(values, space)
+        (estimate,) = _decided(values, [Grouping.finest(3)], NormedSpace.linf(2))
         # direct average over all 8 sign patterns and all paths
         per_path = np.zeros(40)
         for signs in np.ndindex(2, 2, 2):
@@ -546,26 +551,12 @@ class TestEnsembleValues:
         expected = per_path / 8.0
         assert abs(estimate.value - expected.mean()) <= 1e-12
 
-    def test_rademacher_ensemble_sampling_is_reproducible(self):
-        # past ENUMERATION_LIMIT signs are drawn, still paired over paths
-        rng = np.random.default_rng(42)
-        values = rng.standard_normal((21, 30, 2))
-        space = EmpiricalL2Space(NormedSpace.l1(2))
-        a = rademacher_sum_sq(values, space, RandomStream(9, (0,)), 2000)
-        b = rademacher_sum_sq(values, space, RandomStream(9, (0,)), 2000)
-        assert a == b
-        assert (a.method, a.samples) == (METHOD_MONTE_CARLO, 30)
-
-    def test_ensemble_values_need_three_axes(self):
-        space = EmpiricalL2Space(NormedSpace.l2(2))
-        with pytest.raises(ValueError, match="3 axes"):
-            rademacher_sum_sq([[1.0, 2.0]], space)
-
-    def test_gaussian_sums_take_no_ensemble_values(self):
+    def test_sums_take_n_by_d_values_only(self):
         values = np.ones((3, 30, 2))
         for base in (NormedSpace.l2(2), NormedSpace.l1(2)):
-            with pytest.raises(ValueError, match="no ensemble values"):
-                gaussian_sum_sq(values, EmpiricalL2Space(base), RandomStream(9, (0,)), 2000)
+            for moment in (rademacher_sum_sq, gaussian_sum_sq):
+                with pytest.raises(ValueError, match=r"nonempty \(N, d\) array"):
+                    moment(values, base, RandomStream(9, (0,)), 2000)
 
 
 ENSEMBLE_BASES = [
@@ -575,14 +566,32 @@ ENSEMBLE_BASES = [
 ]
 
 
-def _one_grouping_at_a_time(values, groupings, space):
-    return [rademacher_sum_sq(block_sums(values, g), space) for g in groupings]
+def _one_grouping_at_a_time(values, groupings, base):
+    """The reference's estimate of each grouping, one at a time; its std
+    error of one path, nan, is the kernels' 0."""
+    n_paths = values.shape[1]
+    estimates = []
+    for grouping in groupings:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            found = ref.ensemble_randomized_search_reference(
+                values, base.norm_sq, base.is_hilbert, candidates=[grouping.blocks]
+            )["moment"]
+        if n_paths == 1:
+            found["std_error"] = 0.0
+        estimates.append(SumEstimate(**found))
+    return estimates
 
 
-def ensemble_moments(values, groupings, space):
-    """The mask kernel on the groupings' block masks, as estimates."""
+def ensemble_moments(values, groupings, base, chunks=None):
+    """The mask kernel on the groupings' block masks, over held values fed
+    as one chunk unless chunks is given, as estimates."""
     masks = ref.block_masks_reference([g.blocks for g in groupings], values.shape[0])
-    value, error = random_sums._ensemble_moments(values, masks, space)
+
+    def one_chunk(size):
+        return [values]
+
+    value, error = random_sums._ensemble_moments(chunks or one_chunk, masks, base, values.shape[1])
     return [
         SumEstimate(v, e, values.shape[1], METHOD_MONTE_CARLO)
         for v, e in zip(value.tolist(), error.tolist())
@@ -590,9 +599,10 @@ def ensemble_moments(values, groupings, space):
 
 
 def assert_within_the_rounding_bound(got, want, values, base):
-    """Batched estimates against rademacher_sum_sq's: values and std errors
-    within the table's rounding bound, which lies far below the values."""
-    bound = random_sums._table_rounding_bound(values, base)
+    """Batched estimates against per-path ones: values and std errors
+    within the rounding bound of a table over the values in one chunk,
+    which lies far below the values."""
+    bound = random_sums._ensemble_screen(lambda: [values], base, values.shape[0])[1]
     assert 0.0 < bound <= 1e-9 * max(w.value for w in want)
     for g, w in zip(got, want, strict=True):
         assert (g.samples, g.method) == (w.samples, w.method)
@@ -601,9 +611,9 @@ def assert_within_the_rounding_bound(got, want, values, base):
 
 
 class TestEnsembleMoments:
-    """The batched ensemble kernel on block masks against one
-    rademacher_sum_sq call per grouping, estimate by estimate: within the
-    table's rounding bound, and == where a grouping takes no table."""
+    """The batched ensemble kernel on block masks against each grouping's
+    per-path statistics: within the table's rounding bound, and == the
+    reference where a grouping takes no table."""
 
     @pytest.fixture(params=["default", "one-grouping-chunks", "chunked-sweeps", "one-grouping-tables"])
     def budget(self, request, monkeypatch):
@@ -620,70 +630,73 @@ class TestEnsembleMoments:
         return request.param
 
     @pytest.mark.parametrize("base", ENSEMBLE_BASES, ids=repr)
-    def test_every_grouping_matches_rademacher_sum_sq(self, base, budget):
+    def test_every_grouping_matches_its_per_path_statistics(self, base, budget):
         rng = np.random.default_rng(81)
         # magnitudes spread over six decades, so association shows in the bits
         values = rng.standard_normal((5, 10, base.dim)) * 10.0 ** rng.integers(-3, 4, (5, 1, 1))
         every = list(enumerate_groupings(5, "all"))
         groupings = every + [every[i] for i in rng.choice(len(every), size=20)]
-        space = EmpiricalL2Space(base)
-        got = ensemble_moments(values, groupings, space)
-        want = _one_grouping_at_a_time(values, groupings, space)
+        got = ensemble_moments(values, groupings, base)
         if budget == "one-grouping-tables":
-            # no table fits: each row takes rademacher_sum_sq's bits
-            assert got == want
+            # no table fits: each row takes the per-path statistics' bits
+            assert got == _one_grouping_at_a_time(values, groupings, base)
         else:
-            assert_within_the_rounding_bound(got, want, values, base)
+            assert_within_the_rounding_bound(got, _decided(values, groupings, base), values, base)
 
     @pytest.mark.parametrize("n_atoms, n_paths", [(16, 300), (100, 12)])
-    def test_the_example_3_4_family_matches_rademacher_sum_sq(self, n_atoms, n_paths):
+    def test_the_example_3_4_family_matches_the_reference(self, n_atoms, n_paths):
         partition = AtomPartition.uniform(n_atoms)
         paths = sample_brownian(partition, n_paths, RandomStream(82, (n_atoms,))).paths
         contributions = np.ascontiguousarray(paths.T)[:, :, None]
         family = suites._fixed_grouping_family(n_atoms)
-        space = EmpiricalL2Space(NormedSpace.l2(1))
-        got = ensemble_moments(contributions, family, space)
-        assert got == _one_grouping_at_a_time(contributions, family, space)
+        base = NormedSpace.l2(1)
+        got = ensemble_moments(contributions, family, base)
+        assert got == _one_grouping_at_a_time(contributions, family, base)
 
     def test_a_hilbert_base_takes_any_number_of_blocks(self):
         values = np.random.default_rng(83).standard_normal((25, 6, 2))
-        space = EmpiricalL2Space(NormedSpace.l2(2))
+        base = NormedSpace.l2(2)
         finest = [Grouping.finest(25)]
-        got = ensemble_moments(values, finest, space)
-        assert got == _one_grouping_at_a_time(values, finest, space)
+        got = ensemble_moments(values, finest, base)
+        assert got == _one_grouping_at_a_time(values, finest, base)
 
     def test_a_hilbert_grouping_past_the_table_budget_gets_no_table(self, monkeypatch):
         # a budget of 5 rows: the 40-block finest grouping once took a
         # 40-row table of its own (2.8 MB traced); its per-path statistics
-        # take the block sums of chunks of 250 paths, and hold a few
-        # (paths,) rows at a time
+        # take the block sums of the chunks of about 250 paths that the
+        # kernel asks for, here views of values drawn before the trace, and
+        # hold a few (paths,) rows at a time
         n_paths = 5000
         monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 5 * n_paths)
         monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", 40 * 2 * 250)
         values = np.random.default_rng(85).standard_normal((40, n_paths, 2))
         values *= 10.0 ** np.random.default_rng(86).integers(-3, 4, (40, 1, 1))
         groupings = [Grouping.finest(40), Grouping([range(20), range(20, 40)], 40)]
-        space = EmpiricalL2Space(NormedSpace.l2(2))
+        base = NormedSpace.l2(2)
+
+        def chunks(size):
+            return (values[:, span] for span in random_sums._path_spans(n_paths, size))
+
         tracemalloc.start()
         try:
-            got = ensemble_moments(values, groupings[:1], space)
+            got = ensemble_moments(values, groupings[:1], base, chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_paths * 8
-        got += ensemble_moments(values, groupings[1:], space)
-        assert got == _one_grouping_at_a_time(values, groupings, space)
+        got += ensemble_moments(values, groupings[1:], base, chunks)
+        assert got == _one_grouping_at_a_time(values, groupings, base)
 
     def test_one_path_past_the_table_budget_adds_its_blocks_pairwise(self, monkeypatch):
         # numpy sums 8 or more contiguous norms pairwise, as the closed form
         # does on one path, not in block order
         monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", 1)
         groupings = [Grouping.finest(12), Grouping([[0, 11], *([a] for a in range(1, 11))], 12)]
-        space = EmpiricalL2Space(NormedSpace.l2(2))
+        base = NormedSpace.l2(2)
         for seed in range(86, 92):
             values = _six_decades(seed, (12, 1, 2))
-            got = ensemble_moments(values, groupings, space)
-            assert got == _one_grouping_at_a_time(values, groupings, space)
+            got = ensemble_moments(values, groupings, base)
+            assert got == _one_grouping_at_a_time(values, groupings, base)
 
     @pytest.mark.parametrize("shape", [(6, 10, 2), (6, 3, 1), (6, 1, 3), (9, 1, 1)])
     def test_the_block_table_has_the_bits_of_block_sum(self, shape):
@@ -711,14 +724,14 @@ class TestEnsembleMoments:
         values = np.ones((21, 4, 2))
         groupings = [Grouping([range(20), [20]], 21), Grouping.finest(21)]
         with pytest.raises(ValueError, match="capped at 20 blocks, got 21"):
-            ensemble_moments(values, groupings, EmpiricalL2Space(NormedSpace.l1(2)))
+            ensemble_moments(values, groupings, NormedSpace.l1(2), refused)
 
     def test_the_search_checks_values_against_the_space(self):
-        space = EmpiricalL2Space(NormedSpace.l1(2))
+        space = NormedSpace.l1(2)
         with pytest.raises(ValueError, match="space dim"):
-            randomized_variation_norm(np.ones((3, 4, 3)), space)
-        with pytest.raises(ValueError, match="3 axes"):
-            randomized_variation_norm(np.ones((3, 2)), space)
+            randomized_variation_norm(np.ones((3, 3)), space)
+        with pytest.raises(ValueError, match=r"nonempty \(N, d\) array"):
+            randomized_variation_norm(np.ones((3, 4, 2)), space)
 
 
 KERNEL_BASES = [
@@ -728,17 +741,15 @@ KERNEL_BASES = [
 
 class TestSignTableMoments:
     """The ensemble kernel outside Hilbert bases, from the path mean and
-    covariance of the atom-sign table, against one rademacher_sum_sq per
-    set partition: values and std errors within the table's rounding
+    covariance of the atom-sign table, against each set partition's
+    per-path statistics: values and std errors within the table's rounding
     bound."""
 
     @staticmethod
     def _assert_matches_one_at_a_time(values, base):
         every = list(enumerate_groupings(values.shape[0], "all"))
-        space = EmpiricalL2Space(base)
-        got = ensemble_moments(values, every, space)
-        want = _one_grouping_at_a_time(values, every, space)
-        assert_within_the_rounding_bound(got, want, values, base)
+        got = ensemble_moments(values, every, base)
+        assert_within_the_rounding_bound(got, _decided(values, every, base), values, base)
         return got
 
     @pytest.mark.parametrize("base", KERNEL_BASES, ids=repr)

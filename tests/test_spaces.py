@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from gammavar import AtomPartition, EmpiricalL2Space, NormedSpace
+from gammavar import AtomPartition, NormedSpace
 
 
 class TestAtomPartition:
@@ -142,23 +142,3 @@ class TestNormedSpace:
         with pytest.raises(ValueError):
             NormedSpace.from_tag(2, {"lp": 1.5, "extra": 1})
 
-
-class TestEmpiricalL2Space:
-    def test_norm_sq_averages_over_the_path_axis(self):
-        space = EmpiricalL2Space(NormedSpace.l2(2))
-        values = np.array([[[3.0, 4.0], [0.0, 0.0]]])  # one atom, two paths
-        np.testing.assert_allclose(space.norm_sq(values), [12.5])
-        np.testing.assert_allclose(space.norm(values), [math.sqrt(12.5)])
-
-    def test_base_properties_pass_through(self):
-        space = EmpiricalL2Space(NormedSpace.linf(3))
-        assert space.dim == 3
-        assert not space.is_hilbert
-        assert EmpiricalL2Space(NormedSpace.l2(2)).is_hilbert
-
-    def test_matches_manual_average(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((4, 6, 2))
-        space = EmpiricalL2Space(NormedSpace.l1(2))
-        expected = (np.abs(values).sum(axis=-1) ** 2).mean(axis=-1)
-        np.testing.assert_allclose(space.norm_sq(values), expected, atol=1e-12)

@@ -16,8 +16,6 @@ from gammavar import (
     StepFunction,
     __version__,
     enumerate_groupings,
-    induced_randomized_measure,
-    rademacher_sum_sq,
     randomisation_identity_sweep,
     render_json,
     resolve_config,
@@ -30,7 +28,7 @@ from gammavar import brownian, groupings, norms, random_sums, suites
 from gammavar.groupings import block_sums
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
-from gammavar.spaces import EmpiricalL2Space, NormedSpace
+from gammavar.spaces import NormedSpace
 
 
 def _names(report):
@@ -176,7 +174,7 @@ class TestConfigResolution:
             ({"suite": {"n_atoms": 12, "max_blocks": 4}}, "randomisation", "suite.n_atoms", "1.05e+09", "grouping-paths"),
             ({"engine": {"paths": 32_233}}, "randomisation", "suite.n_atoms", "1.34e+08", "grouping-paths"),
             # one grouping, but an ensemble of 12 atoms in R^2 on 1e8 paths
-            # would hold 3.6e9 floats
+            # would form 3.6e9 floats
             (
                 {"suite": {"n_atoms": 12, "max_blocks": 1}, "engine": {"paths": 100_000_000}},
                 "randomisation",
@@ -489,7 +487,7 @@ class TestVerifySuites:
             "verify_integral_identity",
             "run_embedding_trials",
             "SharedDrawMoments",
-            "sample_brownian",
+            "randomisation_identity_sweep",
             "ensemble_search",
         ):
             monkeypatch.setattr(suites, name, no_work)
@@ -591,18 +589,16 @@ class TestVerifySuites:
         partition = AtomPartition.uniform(n)
         sampled = sample_brownian(partition, paths, stream).paths
         contributions = np.ascontiguousarray(sampled.T)[:, :, None]
-        space = EmpiricalL2Space(NormedSpace.l2(1))
-        if n <= params["exhaustive_limit"]:
-            expected = randomized_variation_norm(contributions, space, mode="exhaustive").moment
-        else:
-            family = suites._fixed_grouping_family(n)
-            expected = max(
-                (rademacher_sum_sq(block_sums(contributions, g), space) for g in family),
-                key=lambda e: e.value,
-            )
+        candidates = ref.set_partitions_reference(range(n))
+        if n > params["exhaustive_limit"]:
+            candidates = [g.blocks for g in suites._fixed_grouping_family(n)]
+        base = NormedSpace.l2(1)
+        expected = ref.ensemble_randomized_search_reference(
+            contributions, base.norm_sq, True, candidates=candidates
+        )["moment"]
         assert record.name == f"randomized-empirical-n{n}"
-        assert record.values["randomized_moment"] == expected.value
-        assert record.std_errors["randomized_moment"] == expected.std_error
+        assert record.values["randomized_moment"] == expected["value"]
+        assert record.std_errors["randomized_moment"] == expected["std_error"]
 
     def test_domination_suite_small_run(self):
         config = resolve_config(
@@ -786,13 +782,12 @@ class TestTiesFollowTheLabelOrder:
         assert record.detail == f"norm={norm} worst grouping {worst}"
         assert (record.values["groupings"], record.values["failures"]) == (52, 0)
         # the same sweep over the reference's partitions in label order
-        measure = induced_randomized_measure(
-            StepFunction(partition, space, values),
-            sample_brownian(partition, 40, stream.substream(1)),
-        )
         order = _label_order(5)
         sweep = randomisation_identity_sweep(
-            measure, PartitionMasks(ref.block_masks_reference(order, 5))
+            StepFunction(partition, space, values),
+            PartitionMasks(ref.block_masks_reference(order, 5)),
+            40,
+            stream.substream(1),
         )
         ratio = sweep.gap / sweep.tolerance
         assert order[int(np.argmax(ratio))] == worst
