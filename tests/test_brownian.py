@@ -201,6 +201,79 @@ class TestStochasticIntegral:
             stochastic_integral(density, other)
 
 
+class TestInducedMeasure:
+    """The empirical measure G(A) = sum_{n in A} phi_n dW_n that a density
+    induces on its streamed paths, as the search and the sweep see it."""
+
+    def test_total_value_collects_the_full_integral(self):
+        rng = np.random.default_rng(40)
+        density = StepFunction(
+            AtomPartition([0.25, 0.25, 0.5]),
+            NormedSpace.l2(2),
+            rng.standard_normal((3, 2)),
+        )
+        stream = RandomStream(40, (0,))
+        whole = Grouping([[0, 1, 2]], 3)
+        _, moment, integral = ensemble_search(density, 12, stream, [whole])
+        want = integral_moment(density, sample_brownian(density.partition, 12, stream))
+        assert integral == want
+        sweep = _sweep((density, 12, stream), [whole])
+        for value in (moment.value, sweep.plain.value, sweep.signed_value[0]):
+            assert abs(value - want.value) <= 1e-12 * want.value
+
+    def test_block_values_add_over_atoms(self):
+        rng = np.random.default_rng(41)
+        density = StepFunction(
+            AtomPartition.uniform(4), NormedSpace.l2(2), rng.standard_normal((4, 2))
+        )
+        stream = RandomStream(41, (0,))
+        grouping = Grouping([[0, 2], [1], [3]], 4)
+        contributions = _contributions((density, 6, stream))
+        blocks = [contributions[0] + contributions[2], contributions[1], contributions[3]]
+        # in a Hilbert base the signs drop out: sum_m ||G(B_m)||^2 per path
+        by_hand = float(np.mean(sum(np.sum(b**2, axis=-1) for b in blocks)))
+        _, moment, _ = ensemble_search(density, 6, stream, [grouping])
+        sweep = _sweep((density, 6, stream), [grouping])
+        assert abs(moment.value - by_hand) <= 1e-12 * by_hand
+        assert abs(sweep.signed_value[0] - by_hand) <= 1e-12 * by_hand
+
+    def test_atom_magnitudes_concentrate_at_root_mass(self):
+        # |phi| = 1 on one atom and 0 elsewhere, so G(Omega) = dW_n and its
+        # second moment is the atom's mass on average
+        n, m = 4, 20_000
+        partition = AtomPartition([0.25] * n)
+        stream = RandomStream(42, (0,))
+        for atom in range(n):
+            density = StepFunction(partition, NormedSpace.l2(1), np.eye(n)[:, atom : atom + 1])
+            *_, integral = ensemble_search(density, m, stream, [Grouping.finest(n)])
+            assert abs(integral.value - 0.25) <= 5.0 * 0.25 * math.sqrt(2.0 / m)
+
+    def test_zero_density_induces_the_zero_measure(self):
+        density = _scalar_density([0.5, 0.5], [0.0, 0.0])
+        stream = RandomStream(43, (0,))
+        sweep = _sweep((density, 6, stream), list(enumerate_groupings(2, "all")))
+        np.testing.assert_array_equal(sweep.signed_value, np.zeros(2))
+        assert sweep.plain.value == 0.0
+        _, moment, integral = ensemble_search(density, 6, stream, "exhaustive")
+        assert moment.value == integral.value == 0.0
+
+    def test_the_same_stream_induces_the_same_measure(self):
+        # outside a Hilbert base, so the signs are enumerated over each path
+        rng = np.random.default_rng(44)
+        density = StepFunction(
+            AtomPartition(rng.dirichlet(np.ones(6))), NormedSpace.l1(2), rng.standard_normal((6, 2))
+        )
+        groupings = list(enumerate_groupings(6, "contiguous"))
+        a, b, c = (RandomStream(9, (0,)), RandomStream(9, (0,)), RandomStream(9, (1,)))
+        first = ensemble_search(density, 30, a, "greedy")
+        assert first == ensemble_search(density, 30, b, "greedy")
+        assert first != ensemble_search(density, 30, c, "greedy")
+        first, again = (_sweep((density, 30, s), groupings) for s in (a, b))
+        np.testing.assert_array_equal(first.signed_value, again.signed_value)
+        np.testing.assert_array_equal(first.signed_error, again.signed_error)
+        assert first.plain == again.plain
+
+
 class TestIntegralMoment:
     def test_averages_the_path_statistics(self):
         density = _scalar_density([0.5, 0.5], [1.0, 2.0])

@@ -558,6 +558,29 @@ class TestEnsembleValues:
                 with pytest.raises(ValueError, match=r"nonempty \(N, d\) array"):
                     moment(values, base, RandomStream(9, (0,)), 2000)
 
+    def test_one_atom_moment_averages_the_norm_over_paths(self):
+        # a single sign leaves ||r x||^2 = ||x||^2: the empirical L2 norm
+        values = np.array([[[3.0, 4.0], [0.0, 0.0]]])  # one atom, two paths
+        (estimate,) = _decided(values, [Grouping.finest(1)], NormedSpace.l2(2))
+        assert estimate.value == 12.5
+        assert estimate.samples == 2
+        assert abs(estimate.std_error - 12.5) <= 1e-12  # std(25, 0) / sqrt(2)
+
+    @pytest.mark.parametrize(
+        "base", [NormedSpace.l2(2), NormedSpace.l1(2), NormedSpace.linf(2)], ids=repr
+    )
+    def test_one_atom_moments_match_the_manual_average(self, base):
+        # both kernels, the search's and the sweep's, in and outside a
+        # Hilbert base
+        values = np.random.default_rng(3).standard_normal((4, 6, 2))
+        for atom in values:
+            expected = base.norm_sq(atom).mean()
+            one = atom[None]
+            (decided,) = _decided(one, [Grouping.finest(1)], base)
+            (masked,) = ensemble_moments(one, [Grouping.finest(1)], base)
+            assert abs(decided.value - expected) <= 1e-12
+            assert abs(masked.value - expected) <= 1e-12
+
 
 ENSEMBLE_BASES = [
     NormedSpace.from_tag(dim, tag)
