@@ -64,14 +64,6 @@ class BrownianEnsemble:
         self.partition = partition
         self.paths = arr
 
-    @property
-    def n_paths(self) -> int:
-        return int(self.paths.shape[0])
-
-    @property
-    def n_atoms(self) -> int:
-        return self.partition.n_atoms
-
 
 def _increment_blocks(
     partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int
@@ -147,14 +139,6 @@ class IntegralIdentityReport:
     @property
     def consistent(self) -> bool:
         return all(c.consistent for c in self.comparisons.values())
-
-    def to_document(self) -> dict:
-        return {
-            "variation": self.variation.to_document(),
-            "randomized": self.randomized.to_document(),
-            "integral": self.integral.to_document(),
-            "comparisons": {k: c.to_document() for k, c in self.comparisons.items()},
-        }
 
 
 def ensemble_search(
@@ -237,14 +221,6 @@ class RandomisationCheck:
     signed: SumEstimate
     plain: SumEstimate
     comparison: Comparison
-
-    def to_document(self) -> dict:
-        return {
-            "grouping": self.grouping.to_lists(),
-            "signed": self.signed.to_document(),
-            "plain": self.plain.to_document(),
-            "comparison": self.comparison.to_document(),
-        }
 
 
 @dataclass(frozen=True)

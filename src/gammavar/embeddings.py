@@ -60,10 +60,7 @@ class EmbeddingReport:
     the smallest (lower constant).  ratios and std_errors are per-trial."""
 
     direction: str
-    space: NormedSpace
-    n_atoms: int
     trials: int
-    samples: int
     ratios: np.ndarray
     std_errors: np.ndarray
 
@@ -80,21 +77,6 @@ class EmbeddingReport:
     @property
     def worst_std_error(self) -> float:
         return float(self.std_errors[self.worst_index])
-
-    def to_document(self) -> dict:
-        return {
-            "direction": self.direction,
-            "space": {"dim": self.space.dim, "norm": self.space.norm_tag()},
-            "n_atoms": self.n_atoms,
-            "trials": self.trials,
-            "samples": self.samples,
-            "worst_ratio": self.worst_ratio,
-            "worst_std_error": self.worst_std_error,
-            "worst_trial": self.worst_index,
-            "mean_ratio": float(np.mean(self.ratios)),
-            "ratios": [float(r) for r in self.ratios],
-            "std_errors": [float(s) for s in self.std_errors],
-        }
 
 
 def _validate_direction(direction: str, space: NormedSpace) -> None:
@@ -172,15 +154,7 @@ def run_embedding_trials(
         ratios[t], std_errors[t] = embedding_ratio(
             density, stream=trial_stream.substream(1), samples=samples
         )
-    return EmbeddingReport(
-        direction=direction,
-        space=space,
-        n_atoms=n_atoms,
-        trials=trials,
-        samples=samples,
-        ratios=ratios,
-        std_errors=std_errors,
-    )
+    return EmbeddingReport(direction, trials, ratios, std_errors)
 
 
 def sup_norm_witness() -> StepFunction:

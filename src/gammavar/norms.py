@@ -80,14 +80,6 @@ class NormReport:
     grouping: Grouping
     mode: str
 
-    def to_document(self) -> dict:
-        return {
-            "norm": self.norm,
-            "moment": self.moment.to_document(),
-            "grouping": self.grouping.to_lists(),
-            "mode": self.mode,
-        }
-
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -100,13 +92,6 @@ class DualityReport:
     @property
     def consistent(self) -> bool:
         return self.comparison.consistent
-
-    def to_document(self) -> dict:
-        return {
-            "measure": self.measure_report.to_document(),
-            "operator": self.operator_report.to_document(),
-            "comparison": self.comparison.to_document(),
-        }
 
 
 def _normalized_vectors(measure: VectorMeasure) -> np.ndarray:

@@ -106,14 +106,6 @@ class SumEstimate:
             METHOD_EXACT_COVARIANCE,
         )
 
-    def to_document(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -123,14 +115,6 @@ class Comparison:
     gap: float
     tolerance: float
     z: float
-
-    def to_document(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "z": self.z,
-        }
 
 
 def compare_estimates(a: SumEstimate, b: SumEstimate, z: float = 3.0) -> Comparison:

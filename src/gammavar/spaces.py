@@ -88,17 +88,6 @@ class AtomPartition:
     def n_atoms(self) -> int:
         return int(self.weights.size)
 
-    def mass(self, atoms) -> float:
-        """Measure of a union of atoms, given by their 0-based indices."""
-        idx = np.asarray(sorted(set(int(a) for a in atoms)), dtype=int)
-        if idx.size == 0:
-            raise ValueError("atom index set must be nonempty")
-        if idx[0] < 0 or idx[-1] >= self.n_atoms:
-            raise ValueError(
-                f"atom indices must lie in [0, {self.n_atoms - 1}], got {idx.tolist()}"
-            )
-        return float(np.sum(self.weights[idx]))
-
     def __repr__(self) -> str:
         return f"AtomPartition(n_atoms={self.n_atoms})"
 

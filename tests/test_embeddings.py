@@ -138,15 +138,14 @@ class TestEmbeddingTrials:
         for r, se in zip(down.ratios, down.std_errors):
             assert r + 3.0 * se >= 1.0 / math.sqrt(2.0)
 
-    def test_document_lists_every_trial(self):
+    def test_the_report_lists_every_trial(self):
         report = run_embedding_trials(
             "cotype2", NormedSpace.l2(2), 3, 5, RandomStream(12, (0,))
         )
-        doc = report.to_document()
-        assert doc["direction"] == "cotype2"
-        assert doc["trials"] == 5
-        assert len(doc["ratios"]) == 5
-        assert doc["worst_ratio"] == report.worst_ratio
+        assert report.direction == "cotype2"
+        assert report.trials == 5
+        assert report.ratios.shape == report.std_errors.shape == (5,)
+        assert report.worst_ratio == report.ratios.min()
 
 
 class TestSupNormWitness:

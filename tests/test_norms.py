@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -473,12 +474,15 @@ class TestDuality:
         result = verify_duality(measure, RandomStream(0, (913,)), 100_000)
         assert result.consistent
 
-    def test_document_contains_both_sides(self):
+    def test_the_report_holds_both_sides(self):
         rng = np.random.default_rng(62)
         measure = _random_measure(rng, 3, 2)
-        doc = verify_duality(measure, RandomStream(3, (0,))).to_document()
-        assert set(doc) == {"measure", "operator", "comparison"}
-        assert doc["comparison"]["consistent"] is True
+        result = verify_duality(measure, RandomStream(3, (0,)))
+        assert result.measure_report.grouping == result.operator_report.grouping
+        assert result.comparison.gap == abs(
+            result.measure_report.moment.value - result.operator_report.moment.value
+        )
+        assert result.comparison.consistent is True
 
 
 class TestTotalVariation:
@@ -726,7 +730,7 @@ def _assert_ensemble_search_matches_the_reference(
     )
     document = {
         "norm": math.sqrt(moment.value),
-        "moment": moment.to_document(),
+        "moment": dataclasses.asdict(moment),
         "grouping": grouping.to_lists(),
     }
     assert document == want
@@ -775,7 +779,7 @@ class TestEnsembleSearchAgainstTheReference:
         want = ref.ensemble_randomized_search_reference(
             contributions, base.norm_sq, base.is_hilbert, chunk_floats, [without.blocks]
         )
-        assert want["moment"] == moment.to_document()
+        assert want["moment"] == dataclasses.asdict(moment)
 
     @pytest.mark.parametrize("base", ENSEMBLE_BASES[::3] + ENSEMBLE_BASES[2::3], ids=repr)
     def test_two_equal_atoms(self, base, chunk_floats):
@@ -852,7 +856,7 @@ class TestEnsembleLabelSearch:
             if n_paths == 1:
                 want["moment"]["std_error"] = 0.0
             grouping, moment = _ensemble_search(values, base)
-            assert (grouping.to_lists(), moment.to_document()) == (want["grouping"], want["moment"])
+            assert (grouping.to_lists(), dataclasses.asdict(moment)) == (want["grouping"], want["moment"])
             assert moment.samples == n_paths
 
     def test_a_nine_atom_search_makes_groupings_of_the_near_rows_only(self, monkeypatch):

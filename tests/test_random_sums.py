@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -68,14 +69,15 @@ class TestSumEstimate:
         assert SumEstimate(1.0, 0.0, 0, METHOD_EXACT_ENUMERATION).is_exact
         assert not SumEstimate(1.0, 0.1, 100, METHOD_MONTE_CARLO).is_exact
 
-    def test_document_shape(self):
-        doc = SumEstimate(2.0, 0.1, 50, METHOD_MONTE_CARLO).to_document()
-        assert doc == {
-            "value": 2.0,
-            "std_error": 0.1,
-            "samples": 50,
-            "method": "monte_carlo",
-        }
+    def test_fields_in_the_reference_layout(self):
+        # tests compare estimates with tests/_reference.py documents as dicts
+        doc = dataclasses.asdict(SumEstimate(2.0, 0.1, 50, METHOD_MONTE_CARLO))
+        assert list(doc.items()) == [
+            ("value", 2.0),
+            ("std_error", 0.1),
+            ("samples", 50),
+            ("method", "monte_carlo"),
+        ]
 
 
 class TestCompareEstimates:

@@ -17,18 +17,11 @@ class TestAtomPartition:
     def test_uniform_single_atom(self):
         partition = AtomPartition.uniform(1)
         assert partition.n_atoms == 1
-        assert partition.mass([0]) == 1.0
+        np.testing.assert_array_equal(partition.weights, [1.0])
 
     def test_from_boundaries_derives_weights(self):
         partition = AtomPartition.from_boundaries([0.0, 0.25, 1.0])
         np.testing.assert_allclose(partition.weights, [0.25, 0.75], atol=1e-15)
-
-    def test_mass_sums_selected_atoms(self):
-        partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
-        assert abs(partition.mass([0, 2]) - 0.4) <= 1e-15
-        assert abs(partition.mass([3]) - 0.4) <= 1e-15
-        # duplicates collapse: a set of atoms, not a multiset
-        assert abs(partition.mass([1, 1, 2]) - 0.5) <= 1e-15
 
     def test_weights_must_be_a_probability_vector(self):
         with pytest.raises(ValueError):
@@ -47,15 +40,6 @@ class TestAtomPartition:
             AtomPartition([0.5, 0.5], boundaries=[0.1, 0.6, 1.1])  # not 0..1
         with pytest.raises(ValueError):
             AtomPartition([0.5, 0.5], boundaries=[0.0, 0.7, 1.0])  # gap mismatch
-
-    def test_atom_index_validation(self):
-        partition = AtomPartition.uniform(3)
-        with pytest.raises(ValueError):
-            partition.mass([])
-        with pytest.raises(ValueError):
-            partition.mass([3])
-        with pytest.raises(ValueError):
-            partition.mass([-1])
 
     def test_uniform_needs_a_positive_count(self):
         with pytest.raises(ValueError):
