@@ -129,21 +129,19 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit(report: SuiteReport, args: argparse.Namespace, document: dict | None) -> None:
-    """Write the report everywhere it was asked for; flags beat config paths."""
-    outputs = {}
-    if document and isinstance(document.get("output"), dict):
-        outputs = document["output"]
+def _emit(report: SuiteReport, args: argparse.Namespace, outputs: dict[str, str]) -> None:
+    """Write the report everywhere it was asked for: the flags' paths, else
+    the config's output paths (ExperimentConfig.outputs)."""
     report_path = args.report or outputs.get("report")
     rendered = render_json(report.to_document())
     if report_path:
-        _write_text(str(report_path), rendered)
+        _write_text(report_path, rendered)
         print(f"report written to {report_path}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)
     csv_path = args.csv or outputs.get("csv")
     if csv_path:
-        _write_text(str(csv_path), render_csv(report))
+        _write_text(csv_path, render_csv(report))
         print(f"csv written to {csv_path}", file=sys.stderr)
     svg_path = args.svg or outputs.get("svg")
     if svg_path:
@@ -151,7 +149,7 @@ def _emit(report: SuiteReport, args: argparse.Namespace, document: dict | None) 
         if chart is None:
             print("no chart for this report; svg skipped", file=sys.stderr)
         else:
-            _write_text(str(svg_path), chart)
+            _write_text(svg_path, chart)
             print(f"svg written to {svg_path}", file=sys.stderr)
 
 
@@ -182,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             report = run_integrate(config, threads=args.threads)
         # rendering refuses a non-finite value (an input that overflowed)
-        _emit(report, args, document)
+        _emit(report, args, config.outputs)
     except (ConfigError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -51,10 +51,9 @@ from .random_sums import (
     _block_counts,
     _check_values,
     _coefficient_batches,
-    _ensemble_screen,
     _estimate_from_moments,
     _subset_sums,
-    _table_rounding_bound,
+    _table_screen,
     compare_estimates,
     covariance_moment,
     gaussian_sum_sq,
@@ -425,9 +424,5 @@ def randomized_variation_norm(
             rademacher_sum_sq(block_sums(arr, g), space, next(streams), samples) for g in groupings
         ]
 
-    def screen():
-        moments, _ = _ensemble_screen(lambda: [arr[:, None]], space, n_atoms)
-        return moments, _table_rounding_bound(arr, space)
-
-    grouping, moment = _search(n_atoms, mode_used, decide, screen)
+    grouping, moment = _search(n_atoms, mode_used, decide, lambda: _table_screen(arr, space))
     return NormReport(float(np.sqrt(moment.value)), moment, grouping, mode_used)

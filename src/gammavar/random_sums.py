@@ -16,7 +16,7 @@ the layout of groupings.grouping_labels (_ensemble_moments).  Outside
 Hilbert bases they come from one table per measure: a partition's sign
 patterns are the atom sign vectors constant on its blocks, a subgroup H_G of
 {+-1}^N, so its moment is the mean over H_G of T[e] = ||sum_n e_n x_n||^2,
-within _table_rounding_bound of rademacher_sum_sq of the block sums.  In a
+within _table_screen's bound of rademacher_sum_sq of the block sums.  In a
 Hilbert base a table of every block's squared norms gives the closed form.
 On a path ensemble a moment's path mean and variance are forms in the path
 sums and centred path covariance of its table, which come chunk by chunk
@@ -401,26 +401,26 @@ def _rounding_bound(reach: float, n_atoms: int, dim: int, base, paths: int, chun
     return 4.0 * float(error)
 
 
-def _table_rounding_bound(values: np.ndarray, base) -> float:
-    """_rounding_bound of (N, d) values, one path in one chunk.
+def _table_screen(values: np.ndarray, base):
+    """_ensemble_screen of (N, d) values, one path in one chunk: the
+    moments of set partitions given as mask rows, and their rounding
+    bound (_rounding_bound) to rademacher_sum_sq of the block sums.
 
-    It is 0 in a Hilbert base, where the table and rademacher_sum_sq add
-    the same block norms in the same order, and where every signed sum of
-    atoms is exact: each value column holds one nonzero value at most
-    (disjoint supports), or only integers whose absolute sum is below
-    2^53.  Both routes then norm the same vectors and add the same
-    statistics in the same order, as long as rademacher_sum_sq sweeps its
-    patterns in one chunk (_sign_sweep)."""
+    The bound is 0 in a Hilbert base, where the table and
+    rademacher_sum_sq add the same block norms in the same order, and
+    where every signed sum of atoms is exact: each value column holds one
+    nonzero value at most (disjoint supports), or only integers whose
+    absolute sum is below 2^53.  Both routes then norm the same vectors
+    and add the same statistics in the same order, as long as
+    rademacher_sum_sq sweeps its patterns in one chunk (_sign_sweep)."""
     n_atoms, dim = values.shape
-    if base.is_hilbert:
-        return 0.0
+    moments, bound = _ensemble_screen(lambda: [values[:, None]], base, n_atoms)
     single = np.count_nonzero(values, axis=0) <= 1
     integral = np.all(values == np.round(values), axis=0) & (
         np.sum(np.abs(values), axis=0) < 2.0**53
     )
-    if np.all(single | integral) and dim << (n_atoms - 1) <= _CHUNK_FLOATS:
-        return 0.0
-    return _rounding_bound(_reach(values, base), n_atoms, dim, base, 1, 1)
+    exact = np.all(single | integral) and dim << (n_atoms - 1) <= _CHUNK_FLOATS
+    return moments, 0.0 if base.is_hilbert or exact else bound
 
 
 def _block_counts(masks: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from .norms import (
     NormReport,
     SharedDrawMoments,
     _label_chunks,
+    _resolve_mode,
     gamma_summing_norm,
     gamma_variation_norm,
     randomized_variation_norm,
@@ -58,11 +59,13 @@ from .norms import (
 from .random_sums import (
     ENUMERATION_LIMIT,
     MIN_SAMPLES,
+    N_BATCHES,
     Comparison,
     RandomStream,
     SumEstimate,
     METHOD_EXACT_HILBERT,
     compare_estimates,
+    has_covariance_moment,
     rademacher_sum_sq,
 )
 from .reports import CheckRecord, SuiteReport
@@ -156,8 +159,13 @@ MAX_GROUPING_PATHS = 1 << 27
 # An exhaustive ensemble search builds a table of 2^N rows over every path
 # and holds a few (paths,) rows: at most this many rows times paths, plus
 # its Bell(N) screened partitions.  example-3-4's search at 4 atoms on 100k
-# paths takes 1.8e6, one at 12 atoms would take 4.1e8.
+# paths takes 1.8e6, one at 12 atoms would take 4.1e8.  A search that
+# decides its groupings in batches counts its batch's rows the same way.
 MAX_TABLE_PATHS = 1 << 28
+# A Monte Carlo leg may hold at most this many coefficient draws at once
+# (512 MB): finest-partition's shared draws take 1e5 x 6 at the default
+# shape in an lp space.
+MAX_DRAW_FLOATS = 1 << 26
 
 _ENGINE_OVERRIDES: dict[str, dict] = {
     "thm-3-3": {"paths": 30_000},
@@ -369,7 +377,10 @@ def resolve_config(
         unknown = set(output_doc) - {"report", "csv", "svg"}
         if unknown:
             raise ConfigError(f"output: unknown keys {sorted(unknown)}")
-        outputs = {k: str(v) for k, v in output_doc.items()}
+        for key, path in output_doc.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"output.{key}: expected a path string, got {path!r}")
+        outputs = dict(output_doc)
 
     config = ExperimentConfig(
         seed=int(seed),
@@ -394,9 +405,10 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
     enumerate groupings past a cap, sweep past MAX_GROUPING_PATHS
     groupings times paths (_check_sweep), search an ensemble past
-    MAX_TABLE_PATHS (_check_table), or enumerate the signs of more than
-    ENUMERATION_LIMIT blocks of an ensemble (_check_search_batch); the
-    message starts with the field that asked for the enumeration."""
+    MAX_TABLE_PATHS (_check_table, _check_decide), enumerate the signs of
+    more than ENUMERATION_LIMIT blocks of an ensemble (_check_search_batch)
+    or hold more than MAX_DRAW_FLOATS Monte Carlo draws (_check_draws);
+    the message starts with the field that asked for the work."""
     has_input = config.measure_values is not None or config.density_values is not None
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
@@ -412,17 +424,20 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
         # grid points within both limits run an exhaustive search, over an
         # ensemble too up to empirical_limit
-        limit = min(
-            _positive_int(config.suite["exhaustive_limit"], "suite.exhaustive_limit", 0),
-            _positive_int(config.suite["dense_limit"], "suite.dense_limit", 0),
-        )
+        exhaustive = _positive_int(config.suite["exhaustive_limit"], "suite.exhaustive_limit", 0)
+        dense = _positive_int(config.suite["dense_limit"], "suite.dense_limit", 0)
         empirical = config.suite["empirical_limit"]  # the suite names a bad one
         for n in config.suite["n_grid"]:
-            if _positive_int(n, "suite.n_grid") <= limit:
+            if _positive_int(n, "suite.n_grid") > dense:
+                continue
+            if n <= exhaustive:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
-                if type(empirical) is int and n <= empirical:
-                    what = f"the search at n = {n}"
+            if type(empirical) is int and n <= empirical:
+                what = f"the search at n = {n}"
+                if n <= exhaustive:
                     _check_table(n, config.paths, "suite.exhaustive_limit", what)
+                else:  # over the fixed family, of one-dimensional increments
+                    _check_decide(n, 1, config.paths, what)
     # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches
     # ensembles of a configured density or of its own instances.  A config
     # without a suite may run norms, which searches no ensemble, so
@@ -442,21 +457,27 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
         check_enumeration_size(n_atoms, enumeration, "engine.mode")
     if n_atoms is not None and suite_name == "thm-3-3":
         _check_search_batch(config, n_atoms)
+    _check_draws(config, suite_name, has_input)
 
 
 def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
     """_check_table of an exhaustive randomized search over an ensemble of
-    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it.  A
-    greedy search there decides the finest grouping by enumerating its
-    signs, so past ENUMERATION_LIMIT atoms it is refused outside a Hilbert
-    base: in suite.n_atoms for thm-3-3's own instances, else in partition."""
-    if 1 <= n_atoms <= MAX_ATOMS_ALL and config.search_mode in ("auto", "exhaustive"):
-        _check_table(n_atoms, config.paths, "engine.paths", "each ensemble's search")
+    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it, and
+    _check_decide of any other.  A greedy search there decides the finest
+    grouping by enumerating its signs, so past ENUMERATION_LIMIT atoms it
+    is refused outside a Hilbert base: in suite.n_atoms for thm-3-3's own
+    instances, else in partition."""
+    field, spaces = "partition", lambda: [config.space]
+    if config.density_values is None:
+        field, spaces = "suite.n_atoms", lambda: _identity_spaces(config.suite)
+    if _resolve_mode(config.search_mode, n_atoms) == "exhaustive":
+        if 1 <= n_atoms <= MAX_ATOMS_ALL:
+            _check_table(n_atoms, config.paths, "engine.paths", "each ensemble's search")
+    elif n_atoms >= 1:
+        dim = max(space.dim for space in spaces())
+        _check_decide(n_atoms, dim, config.paths, "each ensemble's search")
     if n_atoms > ENUMERATION_LIMIT and config.search_mode in ("auto", "greedy"):
-        field, spaces = "partition", [config.space]
-        if config.density_values is None:
-            field, spaces = "suite.n_atoms", _identity_spaces(config.suite)
-        if not all(space.is_hilbert for space in spaces):
+        if not all(space.is_hilbert for space in spaces()):
             raise SizeLimitError(
                 f"{field}: a greedy search over an ensemble enumerates the signs of "
                 f"the finest grouping, capped at {ENUMERATION_LIMIT} atoms outside a "
@@ -479,6 +500,91 @@ def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
             f"{bell_number(n_atoms)} partitions, an estimated {estimate:.3g} table-paths; "
             f"the limit is {MAX_TABLE_PATHS} (2^28)"
         )
+
+
+def _check_decide(n_atoms: int, dim: int, paths: int, what: str) -> None:
+    """Raise SizeLimitError when a search over an ensemble of n_atoms atoms
+    in R^dim that decides its groupings in batches, a greedy, contiguous
+    or fixed-family brownian.ensemble_search, takes more than
+    MAX_TABLE_PATHS: the integral's (paths,) row and a batch's, up to
+    N (d + 1) (random_sums._ensemble_decide), times the paths."""
+    rows = n_atoms * (dim + 1) + 1
+    estimate = rows * paths
+    if estimate > MAX_TABLE_PATHS:
+        raise SizeLimitError(
+            f"engine.paths: {what} decides batches of up to {rows - 1} groupings on {paths} "
+            f"paths besides the integral's row, an estimated {estimate:.3g} table-paths; "
+            f"the limit is {MAX_TABLE_PATHS} (2^28)"
+        )
+
+
+def _check_draws(config: ExperimentConfig, suite_name: str | None, has_input: bool) -> None:
+    """Raise SizeLimitError when a Monte Carlo leg would hold more than
+    MAX_DRAW_FLOATS coefficient floats at once, naming its samples field:
+    samples x N for the draws that SharedDrawMoments shares
+    (finest-partition), else ceil(samples / N_BATCHES) x N, a batch of
+    random_sums._coefficient_batches.  Only legs that sample count:
+    Gaussian moments outside Hilbert bases, l1 and the plane's linf
+    (norms._gaussian_moment), the embedding ratios outside Hilbert bases,
+    and for norms a greedy search's Rademacher moments past
+    ENUMERATION_LIMIT blocks outside a Hilbert base.  A bad suite field
+    is left for the suite to name before any instance starts."""
+    try:
+        legs = _draw_legs(config, suite_name, has_input)
+    except ConfigError:
+        return
+    for field, rows, n_atoms in legs:
+        if rows * n_atoms > MAX_DRAW_FLOATS:
+            raise SizeLimitError(
+                f"{field}: a Monte Carlo leg holds {rows} draws of {n_atoms} coefficients "
+                f"at once, an estimated {rows * n_atoms:.3g} floats; the limit is "
+                f"{MAX_DRAW_FLOATS} (2^26)"
+            )
+
+
+def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool) -> list:
+    """(samples field, draws held at once, the most atoms a sampled cell
+    takes, or 0) of each Monte Carlo leg of a run, as _check_draws counts
+    them."""
+    params, shared = config.suite, suite_name == "finest-partition"
+
+    def sampled(space: NormedSpace) -> bool:
+        return not (space.is_hilbert or has_covariance_moment(space))
+
+    if suite_name == "cor-2-5":
+        # the witness and the survey take two atoms in the plane's linf
+        legs = [(f"suite.{key}", params[key], [2]) for key in ("witness_samples", "survey_samples")]
+    elif suite_name == "cor-2-6":
+        n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
+        dim = _positive_int(params["dim"], "suite.dim")
+        spaces = _suite_spaces([(tag, dim) for tag in params["norms"]], len(params["norms"]))
+        atoms = [n_atoms for space in spaces if not space.is_hilbert]
+        legs = [("suite.trial_samples", params["trial_samples"], atoms)]
+    elif suite_name == "thm-2-3" and not has_input:
+        atoms = [n_atoms for space, n_atoms in _duality_cells(params) if sampled(space)]
+        legs = [("engine.samples", config.samples, atoms)]
+    elif suite_name == "thm-3-3" and config.density_values is None:
+        n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
+        atoms = [n_atoms for space in _identity_spaces(params) if sampled(space)]
+        legs = [("engine.samples", config.samples, atoms)]
+    elif shared:
+        if has_input:
+            n_atoms, dim = config.partition.n_atoms, config.space.dim
+        else:
+            n_atoms, dim = params["n_atoms"], _positive_int(params["dim"], "suite.dim")
+        spaces = _suite_spaces([(tag, dim) for tag in params["norms"]], len(params["norms"]))
+        legs = [("engine.samples", config.samples, [n_atoms for s in spaces if sampled(s)])]
+    elif has_input and suite_name in (None, "thm-2-3", "thm-3-3"):
+        space, n_atoms = config.space, config.partition.n_atoms
+        searches = suite_name is None and not space.is_hilbert and n_atoms > ENUMERATION_LIMIT
+        legs = [("engine.samples", config.samples, [n_atoms] if sampled(space) or searches else [])]
+    else:
+        return []
+    batches = 1 if shared else N_BATCHES
+    return [
+        (key, -(-_positive_int(samples, key) // batches), max(atoms, default=0))
+        for key, samples, atoms in legs
+    ]
 
 
 def _check_sweep(groupings: int, n_atoms: int, dim: int, paths: int) -> None:
@@ -600,15 +706,10 @@ def _duality_instance(
     return _duality_record(f"duality-{index:03d}", result, detail)
 
 
-def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
-    params = config.suite
-    root = config.root_stream("thm-2-3")
-    if config.measure_values is not None or config.density_values is not None:
-        measure = config.measure()
-        result = verify_duality(measure, root.substream(0), config.samples, z=config.z)
-        record = _duality_record("duality-explicit", result, "configured input")
-        return _report("thm-2-3", config, [record])
-
+def _duality_cells(params: dict) -> list[tuple[NormedSpace, int]]:
+    """The (space, atom count) cells of thm-2-3's own instances, instance
+    i taking cell i % len(cells): the first suite.instances cells of the
+    (norm, dim, atoms) grid."""
     min_atoms = _positive_int(params["min_atoms"], "suite.min_atoms")
     max_atoms = _positive_int(params["max_atoms"], "suite.max_atoms")
     dims = _suite_dims(params)
@@ -622,11 +723,24 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
         raise ConfigError("suite: empty instance grid")
     count = _positive_int(params["instances"], "suite.instances")
     spaces = _suite_spaces([(norm_tag, dim) for norm_tag, dim, _ in grid], count)
+    return [(space, n) for space, (_, _, n) in zip(spaces, grid)]
+
+
+def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
+    params = config.suite
+    root = config.root_stream("thm-2-3")
+    if config.measure_values is not None or config.density_values is not None:
+        measure = config.measure()
+        result = verify_duality(measure, root.substream(0), config.samples, z=config.z)
+        record = _duality_record("duality-explicit", result, "configured input")
+        return _report("thm-2-3", config, [record])
+
+    cells = _duality_cells(params)
+    count = params["instances"]
 
     def run_instance(i: int) -> CheckRecord:
-        j = i % len(spaces)
-        stream = root.substream(i)
-        return _duality_instance(i, spaces[j], grid[j][2], stream, config.samples, config.z)
+        space, n_atoms = cells[i % len(cells)]
+        return _duality_instance(i, space, n_atoms, root.substream(i), config.samples, config.z)
 
     checks = _ordered_map(run_instance, list(range(count)), threads)
     summary = _summary_record("duality-summary", checks, count)

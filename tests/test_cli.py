@@ -75,6 +75,28 @@ class TestNormsCommand:
         assert capsys.readouterr().out == ""
         assert target.exists()
 
+    def test_flags_beat_config_output_paths(self, tmp_path, capsys):
+        ignored, target = tmp_path / "from-config.json", tmp_path / "from-flag.json"
+        path = _norms_config(tmp_path, output={"report": str(ignored)})
+        assert main(["norms", "--config", path, "--report", str(target)]) == EXIT_PASS
+        assert capsys.readouterr().out == ""
+        assert target.exists() and not ignored.exists()
+
+    @pytest.mark.parametrize("command", [["norms"], ["verify", "thm-2-3"]])
+    def test_a_null_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # the config's output section is read once, validated: a null path
+        # once printed the report to stdout
+        def refused(*args, **kwargs):
+            pytest.fail("started a run with a bad output path")
+
+        monkeypatch.setattr(cli, "run_suite", refused)
+        monkeypatch.setattr(cli, "run_norms", refused)
+        path = _norms_config(tmp_path, output={"report": None})
+        assert main(command + ["--config", path]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: output.report: expected a path string, got None")
+
     def test_size_cap_surfaces_as_a_config_error(self, tmp_path, capsys):
         document = {
             "partition": {"uniform": 13},
@@ -276,6 +298,36 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: suite.exhaustive_limit: ")
         assert "4098 table rows on 100000 paths and screens 4213597 partitions" in err
+
+    @pytest.mark.parametrize(
+        "command, document, field",
+        [
+            (["verify", "thm-2-3"], {"engine": {"samples": 10**12}}, "engine.samples"),
+            (["verify", "cor-2-6"], {"suite": {"trial_samples": 10**12}}, "suite.trial_samples"),
+            (["verify", "thm-3-3"], {"engine": {"paths": 10**12, "mode": "greedy"}}, "engine.paths"),
+            (
+                ["integrate"],
+                {
+                    "partition": {"uniform": 4},
+                    "space": {"dim": 2, "norm": "l2"},
+                    "input": {"density": [[1.0, 2.0]] * 4},
+                    "engine": {"paths": 10**12, "mode": "greedy"},
+                },
+                "engine.paths",
+            ),
+        ],
+    )
+    def test_oversized_draws_and_batches_exit_before_they_start(
+        self, tmp_path, capsys, monkeypatch, command, document, field
+    ):
+        def refused(*args, **kwargs):
+            pytest.fail("started an oversized run")
+
+        for name in ("verify_duality", "run_embedding_trials", "verify_integral_identity"):
+            monkeypatch.setattr(suites, name, refused)
+        path = _write_config(tmp_path, document)
+        assert main(command + ["--config", path]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_a_greedy_integrate_past_the_sign_cap_exits_before_it_starts(
         self, tmp_path, capsys, monkeypatch

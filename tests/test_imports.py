@@ -5,11 +5,13 @@ Stdlib ``ast`` checks: ``from .x import name`` in a submodule (the package
 ``__init__`` re-exports, so it is exempt) must be followed by a use of
 ``name`` in that module's code, and every module-level function, class and
 constant is used by package code outside its own body or assignment, or
-listed in ``gammavar.__all__``.
+listed in ``gammavar.__all__``, and every public method or property of a
+class is read by name outside its own body, or allowed with a reason.
 The README's library entry points block must import as written.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,46 @@ def test_every_definition_is_used_or_exported():
         )
     ]
     assert not dead, f"defined but never used nor exported: {dead}"
+
+
+# Public members that no package code reads, each with the reason it stays
+UNREAD_MEMBERS = {
+    "spaces.NormedSpace.l1": "the constructor that pairs with l2 and linf",
+}
+
+
+def _members(tree):
+    """(class name, member name, node) for each public method or property
+    defined in a class body of a module."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node.name, node
+
+
+def _attribute_reads(node) -> list[str]:
+    return [
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def test_every_public_member_is_read():
+    # a member counts as read where package code outside its own
+    # definition reads an attribute of its name
+    package = Path(gammavar.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    reads = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
+    unread = {
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name, node in _members(tree)
+        if reads[name] == _attribute_reads(node).count(name)
+    }
+    assert unread == set(UNREAD_MEMBERS), (
+        f"public members no package code reads: {sorted(unread - set(UNREAD_MEMBERS))}; "
+        f"allowed but read or gone: {sorted(set(UNREAD_MEMBERS) - unread)}"
+    )
 
 
 def test_the_readme_entry_points_import():

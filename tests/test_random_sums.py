@@ -267,7 +267,7 @@ def _table_and_single_moments(values, space):
     """Every set partition's subgroup mean of the atom-sign table, paired
     with rademacher_sum_sq of its block_sums."""
     ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
-    screen, _ = random_sums._ensemble_screen(lambda: [values[:, None]], space, values.shape[0])
+    screen, _ = random_sums._table_screen(values, space)
     means, _ = screen(masks)
     for row, value in zip(labels.tolist(), means.tolist()):
         grouping = grouping_from_labels(row)
@@ -290,7 +290,7 @@ class TestAtomSignTable:
         space = NormedSpace(dim, p)
         pairs = list(_table_and_single_moments(values, space))
         assert len(pairs) == 877  # Bell(7) set partitions
-        bound = random_sums._table_rounding_bound(values, space)
+        bound = random_sums._table_screen(values, space)[1]
         # the bound is a rounding bound, far below the moments
         assert 0.0 < bound <= 1e-9 * max(single for _, single in pairs)
         assert all(abs(table - single) <= bound for table, single in pairs)
@@ -317,18 +317,32 @@ class TestAtomSignTable:
         monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", chunk)
         assert [table for table, _ in _table_and_single_moments(values, space)] == whole
 
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.l1(2), NormedSpace.linf(3), NormedSpace(2, 1.5), NormedSpace.l1(5)], ids=repr
+    )
+    def test_the_screen_bound_is_the_one_path_rounding_bound(self, space):
+        # off the exact cases the search screens (N, d) values with the
+        # table's own bound: one path in one chunk, at the values' reach
+        rng = np.random.default_rng(8)
+        for n_atoms in range(2, 11):
+            for scale in (1e-5, 1.0, 1e4):
+                values = scale * rng.standard_normal((n_atoms, space.dim))
+                reach = random_sums._reach(values, space)
+                want = random_sums._rounding_bound(reach, n_atoms, space.dim, space, 1, 1)
+                assert random_sums._table_screen(values, space)[1] == want
+
     def test_hilbert_bases_and_exact_sums_need_no_bound(self, monkeypatch):
         values = np.random.default_rng(6).standard_normal((7, 7))
-        assert random_sums._table_rounding_bound(values, NormedSpace.l2(7)) == 0.0
-        assert random_sums._table_rounding_bound(values[:, :1], NormedSpace.linf(1)) == 0.0
-        assert random_sums._table_rounding_bound(values, NormedSpace.l1(7)) > 0.0
+        assert random_sums._table_screen(values, NormedSpace.l2(7))[1] == 0.0
+        assert random_sums._table_screen(values[:, :1], NormedSpace.linf(1))[1] == 0.0
+        assert random_sums._table_screen(values, NormedSpace.l1(7))[1] > 0.0
         # disjoint supports make every signed sum exact and every partition
         # tie; the table means then equal the one-at-a-time values bit for
         # bit, and the search evaluates one partition, not all 877
         disjoint = np.diag(values[0])
         for p in (1.0, 1.5, math.inf):
             space = NormedSpace(7, p)
-            assert random_sums._table_rounding_bound(disjoint, space) == 0.0
+            assert random_sums._table_screen(disjoint, space)[1] == 0.0
             pairs = _table_and_single_moments(disjoint, space)
             assert all(table == single for table, single in pairs)
             groupings = list(enumerate_groupings(7, "all"))
@@ -351,8 +365,8 @@ class TestAtomSignTable:
         # signed sums' squares 6.25 a^2 and 2.25 a^2 do not
         values = 4.2e153 * np.array([[1.0, 1.0], [1.0, -0.5]])
         space = NormedSpace.l1(2)
-        bound = random_sums._table_rounding_bound(values, space)
-        unit = random_sums._table_rounding_bound(values * 2.0**-512, space)
+        bound = random_sums._table_screen(values, space)[1]
+        unit = random_sums._table_screen(values * 2.0**-512, space)[1]
         assert bound == unit * 2.0**512 * 2.0**512
         assert 0.0 < bound < 1e-12 * 6.25 * 4.2e153 * 4.2e153
         calls = []

@@ -229,6 +229,125 @@ class TestConfigResolution:
     def test_ensemble_batches_within_the_limit_resolve(self, document, suite_name):
         resolve_config(document, suite_name)
 
+    @pytest.mark.parametrize(
+        "document, suite_name, estimate",
+        [
+            # (16 + 1) x 1e12: 4 atoms in R^3 make batches of 16 groupings
+            ({"engine": {"paths": 10**12, "mode": "greedy"}}, "thm-3-3", "1.7e+13"),
+            ({"engine": {"paths": 10**12, "mode": "contiguous"}}, "thm-3-3", "1.7e+13"),
+            # auto past 12 atoms searches contiguous and greedy: (13 x 4 + 1)
+            # x 1e7 in R^3, (13 x 3 + 1) x 1e7 in R^2
+            ({"engine": {"paths": 10**7}, "suite": {"n_atoms": 13}}, "thm-3-3", "5.3e+08"),
+            (_sized_input(13, "density", "auto") | {"engine": {"paths": 10**7}}, "thm-3-3", "4e+08"),
+            # the fixed-family leg of 16 one-dimensional atoms: (16 x 2 + 1) x 1e12
+            ({"engine": {"paths": 10**12}, "suite": {"n_grid": [16]}}, "example-3-4", "3.3e+13"),
+            ({"engine": {"paths": 8_134_408}, "suite": {"n_grid": [16]}}, "example-3-4", "2.68e+08"),
+        ],
+    )
+    def test_oversized_decided_batches_are_refused_before_any_run(
+        self, document, suite_name, estimate
+    ):
+        with pytest.raises(SizeLimitError) as exc:
+            resolve_config(document, suite_name)
+        message = str(exc.value)
+        assert message.startswith("engine.paths: ")
+        assert f"an estimated {estimate} table-paths" in message
+        assert str(suites.MAX_TABLE_PATHS) in message
+
+    @pytest.mark.parametrize(
+        "document, suite_name",
+        [
+            # 33 x 8134407 lies just within the limit
+            ({"engine": {"paths": 8_134_407}, "suite": {"n_grid": [16]}}, "example-3-4"),
+            # past empirical_limit or dense_limit no ensemble is searched
+            ({"engine": {"paths": 10**12}, "suite": {"n_grid": [200]}}, "example-3-4"),
+            ({"engine": {"paths": 10**12}, "suite": {"n_grid": [300], "empirical_limit": 300}}, "example-3-4"),
+        ],
+    )
+    def test_decided_batches_within_the_limit_resolve(self, document, suite_name):
+        resolve_config(document, suite_name)
+
+    @pytest.mark.parametrize(
+        "document, suite_name, field, estimate",
+        [
+            # a batch of ceil(samples / 8) draws of 8 atoms (max_atoms)
+            ({"engine": {"samples": 10**12}}, "thm-2-3", "engine.samples", "1e+12"),
+            ({"engine": {"samples": 2**26 + 1}}, "thm-2-3", "engine.samples", "6.71e+07"),
+            # linf(3) samples, of 4 atoms
+            ({"engine": {"samples": 10**12}}, "thm-3-3", "engine.samples", "5e+11"),
+            # the shared draws: samples x 6 atoms at once
+            (
+                {"engine": {"samples": 10**12}, "suite": {"norms": ["l1", {"lp": 1.5}]}},
+                "finest-partition",
+                "engine.samples",
+                "6e+12",
+            ),
+            (
+                {"engine": {"samples": 11_184_811}, "suite": {"norms": [{"lp": 3}]}},
+                "finest-partition",
+                "engine.samples",
+                "6.71e+07",
+            ),
+            ({"suite": {"witness_samples": 10**12}}, "cor-2-5", "suite.witness_samples", "2.5e+11"),
+            ({"suite": {"survey_samples": 10**12}}, "cor-2-5", "suite.survey_samples", "2.5e+11"),
+            ({"suite": {"trial_samples": 10**12}}, "cor-2-6", "suite.trial_samples", "2.5e+11"),
+            # an explicit input's Gaussian legs, lp in R^2 with 13 atoms
+            (
+                _sized_input(13, "measure", "auto")
+                | {"space": {"dim": 2, "norm": {"lp": 3}}, "engine": {"samples": 10**12}},
+                None,
+                "engine.samples",
+                "1.62e+12",
+            ),
+            (
+                _sized_input(13, "density", "auto")
+                | {"space": {"dim": 2, "norm": {"lp": 3}}, "engine": {"samples": 10**12}},
+                "thm-2-3",
+                "engine.samples",
+                "1.62e+12",
+            ),
+            # norms' greedy search over 21 l1 atoms samples Rademacher signs
+            (_sized_input(21, "measure", "auto") | {"engine": {"samples": 10**9}}, None, "engine.samples", "2.62e+09"),
+        ],
+    )
+    def test_oversized_draws_are_refused_before_any_run(
+        self, document, suite_name, field, estimate
+    ):
+        with pytest.raises(SizeLimitError) as exc:
+            resolve_config(document, suite_name)
+        message = str(exc.value)
+        assert message.startswith(f"{field}: ")
+        assert f"an estimated {estimate} floats" in message
+        assert str(suites.MAX_DRAW_FLOATS) in message
+
+    @pytest.mark.parametrize(
+        "document, suite_name",
+        [
+            # 2^23 draws of 8 atoms lie just within the limit
+            ({"engine": {"samples": 2**26}}, "thm-2-3"),
+            ({"engine": {"samples": 11_184_810}, "suite": {"norms": [{"lp": 3}]}}, "finest-partition"),
+            # exact legs draw nothing: Hilbert bases, l1 and the plane's linf
+            ({"engine": {"samples": 10**12}, "suite": {"norms": ["l1", "linf"], "dims": [2]}}, "thm-2-3"),
+            ({"engine": {"samples": 10**12}}, "finest-partition"),
+            ({"engine": {"samples": 10**12}, "suite": {"norms": ["l2", "l1"]}}, "thm-3-3"),
+            (_sized_input(13, "measure", "auto") | {"engine": {"samples": 10**12}}, None),
+            # the embedding suites sample every non-Hilbert ratio, and no
+            # Hilbert one
+            ({"suite": {"trial_samples": 10**12, "norms": ["l2"]}}, "cor-2-6"),
+            # suites that take no Gaussian draws
+            ({"engine": {"samples": 10**12}}, "example-3-4"),
+            ({"engine": {"samples": 10**12}}, "randomisation"),
+            ({"engine": {"samples": 10**12}}, "cor-2-5"),
+        ],
+    )
+    def test_draws_within_the_limit_resolve(self, document, suite_name):
+        resolve_config(document, suite_name)
+
+    def test_output_paths_must_be_strings(self):
+        for key, path in (("report", None), ("csv", 5), ("svg", ["a.svg"])):
+            with pytest.raises(ConfigError, match=f"^output.{key}: expected a path string"):
+                resolve_config({"output": {key: path}}, "thm-2-3")
+
     def test_an_oversized_integrate_search_is_refused_before_it_starts(self, monkeypatch):
         def refused(*args, **kwargs):
             pytest.fail("started an oversized run")
