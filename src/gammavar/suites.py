@@ -28,7 +28,6 @@ from .embeddings import (
     sup_norm_witness,
 )
 from .groupings import (
-    MAX_ATOMS_ALL,
     Grouping,
     PartitionMasks,
     SizeLimitError,
@@ -306,6 +305,30 @@ def _space_from_tag(tag, dim: int, name: str) -> NormedSpace:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _check_suite(params: dict, suite_name: str) -> None:
+    """Validate each field of a merged suite section once, so that the
+    suites read it as it stands: norms is a nonempty list of norm tags,
+    dims and n_grid nonempty lists of positive integers, the limits of
+    example-3-4 integers >= 0 and every other field a positive integer."""
+    for key, value in params.items():
+        name = f"suite.{key}"
+        if key not in ("norms", "dims", "n_grid"):
+            _positive_int(value, name, 0 if key.endswith("_limit") else 1)
+        elif not isinstance(value, list) or not value:
+            raise ConfigError(f"{name}: expected a nonempty list, got {value!r}")
+        elif key != "norms":
+            for item in value:
+                _positive_int(item, name)
+        else:
+            # no tag's validity depends on the dimension
+            for space in [_space_from_tag(tag, 1, name) for tag in value]:
+                if suite_name == "cor-2-6":
+                    try:
+                        cotype2_floor(space)  # the cotype-2 direction takes p <= 2
+                    except ValueError as exc:
+                        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def resolve_config(
     document: dict | None,
     suite_name: str | None = None,
@@ -354,6 +377,7 @@ def resolve_config(
                 f"suite: unknown parameters {sorted(unknown)} for {suite_name}"
             )
         suite_params.update(suite_doc)
+        _check_suite(suite_params, suite_name)
     elif "suite" in document:
         raise ConfigError("suite: section only applies to 'verify' runs")
 
@@ -404,80 +428,114 @@ def resolve_config(
 def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     """Raise SizeLimitError before any work starts when the run would
     enumerate groupings past a cap, sweep past MAX_GROUPING_PATHS
-    groupings times paths (_check_sweep), search an ensemble past
-    MAX_TABLE_PATHS (_check_table, _check_decide), enumerate the signs of
-    more than ENUMERATION_LIMIT blocks of an ensemble (_check_search_batch)
-    or hold more than MAX_DRAW_FLOATS Monte Carlo draws (_check_draws);
-    the message starts with the field that asked for the work."""
+    groupings times paths, search an ensemble past MAX_TABLE_PATHS
+    (_check_search), enumerate the signs of more than ENUMERATION_LIMIT
+    blocks of an ensemble (_check_search_batch) or hold more than
+    MAX_DRAW_FLOATS Monte Carlo draws (_draw_legs); the message starts
+    with the field that asked for the work."""
+    params = config.suite
     has_input = config.measure_values is not None or config.density_values is not None
     if suite_name in ("finest-partition", "randomisation"):
         # both suites enumerate every covering grouping
         if suite_name == "finest-partition" and has_input:
             check_enumeration_size(config.partition.n_atoms, "all", "partition")
         else:
-            n_atoms = _positive_int(config.suite["n_atoms"], "suite.n_atoms")
-            check_enumeration_size(n_atoms, "all", "suite.n_atoms")
+            check_enumeration_size(params["n_atoms"], "all", "suite.n_atoms")
     if suite_name == "randomisation":
-        max_blocks = _positive_int(config.suite["max_blocks"], "suite.max_blocks")
-        dim = _positive_int(config.suite["dim"], "suite.dim")
-        _check_sweep(_partition_count(n_atoms, max_blocks), n_atoms, dim, config.paths)
-    if suite_name == "example-3-4" and isinstance(config.suite["n_grid"], list):
+        # a sweep takes its groupings on every path, and draws and forms a
+        # path's N increments and N contributions in R^d, which it holds a
+        # chunk of paths at a time but makes for every path
+        groupings = _partition_count(params["n_atoms"], params["max_blocks"])
+        floats = params["n_atoms"] * (params["dim"] + 1)
+        what = (
+            f"each sweep takes {groupings} groupings on {config.paths} paths and draws "
+            f"and forms {floats} ensemble floats a path"
+        )
+        estimate = (groupings + floats) * config.paths
+        _budget("suite.n_atoms", what, estimate, MAX_GROUPING_PATHS, "grouping-paths")
+    if suite_name == "example-3-4":
         # grid points within both limits run an exhaustive search, over an
-        # ensemble too up to empirical_limit
-        exhaustive = _positive_int(config.suite["exhaustive_limit"], "suite.exhaustive_limit", 0)
-        dense = _positive_int(config.suite["dense_limit"], "suite.dense_limit", 0)
-        empirical = config.suite["empirical_limit"]  # the suite names a bad one
-        for n in config.suite["n_grid"]:
-            if _positive_int(n, "suite.n_grid") > dense:
+        # ensemble too up to empirical_limit: beyond exhaustive_limit, over
+        # the fixed family, of one-dimensional increments
+        for n in params["n_grid"]:
+            exhaustive = n <= params["exhaustive_limit"]
+            if n > params["dense_limit"]:
                 continue
-            if n <= exhaustive:
+            if exhaustive:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
-            if type(empirical) is int and n <= empirical:
-                what = f"the search at n = {n}"
-                if n <= exhaustive:
-                    _check_table(n, config.paths, "suite.exhaustive_limit", what)
-                else:  # over the fixed family, of one-dimensional increments
-                    _check_decide(n, 1, config.paths, what)
+            if n <= params["empirical_limit"]:
+                field = "suite.exhaustive_limit" if exhaustive else "engine.paths"
+                _check_search(exhaustive, n, 1, config.paths, field, f"the search at n = {n}")
     # norms, integrate and thm-3-3 search in engine.mode; thm-3-3 searches
     # ensembles of a configured density or of its own instances.  A config
     # without a suite may run norms, which searches no ensemble, so
     # run_integrate checks its own search's batch
     n_atoms = None
-    enumerates = config.mode in ("exhaustive", "contiguous")
     if suite_name == "thm-3-3" and config.density_values is None:
-        n_atoms = config.suite["n_atoms"]
-        if enumerates:
-            n_atoms = _positive_int(n_atoms, "suite.n_atoms")
-        elif type(n_atoms) is not int:
-            n_atoms = None  # the suite names a bad one
+        n_atoms = params["n_atoms"]
     elif has_input and suite_name in (None, "thm-3-3"):
         n_atoms = config.partition.n_atoms
-    if n_atoms is not None and enumerates:
+    if n_atoms is not None and config.mode in ("exhaustive", "contiguous"):
         enumeration = "all" if config.mode == "exhaustive" else "contiguous"
         check_enumeration_size(n_atoms, enumeration, "engine.mode")
     if n_atoms is not None and suite_name == "thm-3-3":
         _check_search_batch(config, n_atoms)
-    _check_draws(config, suite_name, has_input)
+    for field, rows, atoms in _draw_legs(config, suite_name, has_input):
+        what = f"a Monte Carlo leg holds {rows} draws of {atoms} coefficients at once"
+        _budget(field, what, rows * atoms, MAX_DRAW_FLOATS, "floats")
+
+
+def _budget(field: str, what: str, estimate: int, limit: int, unit: str) -> None:
+    """Raise SizeLimitError, the message starting with field, when the
+    estimate of a run's work, counted in units as what says, exceeds
+    limit, a power of two."""
+    if estimate > limit:
+        raise SizeLimitError(
+            f"{field}: {what}, an estimated {estimate:.3g} {unit}; "
+            f"the limit is {limit} (2^{limit.bit_length() - 1})"
+        )
+
+
+def _check_search(
+    exhaustive: bool, n_atoms: int, dim: int, paths: int, field: str, what: str
+) -> None:
+    """Raise SizeLimitError when a brownian.ensemble_search over an
+    ensemble of n_atoms atoms in R^dim takes more than MAX_TABLE_PATHS.
+    An exhaustive search builds 2^N table rows (every block's norms, or
+    half as many sign patterns) and two (paths,) rows, the integral's and
+    a decided partition's, times the paths, plus Bell(N) screened
+    partitions.  Any other, greedy, contiguous or over a fixed family,
+    decides its groupings in batches of up to N (d + 1) rows
+    (random_sums._ensemble_decide) besides the integral's row.  Its
+    arrays are bounded by a chunk of paths; its time grows with this."""
+    if exhaustive:
+        rows, partitions = (1 << n_atoms) + 2, bell_number(n_atoms)
+        what += f" builds {rows} table rows on {paths} paths and screens {partitions} partitions"
+        estimate = rows * paths + partitions
+    else:
+        rows = n_atoms * (dim + 1)
+        what += (
+            f" decides batches of up to {rows} groupings on {paths} paths besides the "
+            "integral's row"
+        )
+        estimate = (rows + 1) * paths
+    _budget(field, what, estimate, MAX_TABLE_PATHS, "table-paths")
 
 
 def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
-    """_check_table of an exhaustive randomized search over an ensemble of
-    n_atoms atoms in engine.mode, as thm-3-3 and integrate run it, and
-    _check_decide of any other.  A greedy search there decides the finest
-    grouping by enumerating its signs, so past ENUMERATION_LIMIT atoms it
-    is refused outside a Hilbert base: in suite.n_atoms for thm-3-3's own
-    instances, else in partition."""
-    field, spaces = "partition", lambda: [config.space]
+    """_check_search of a randomized search over an ensemble of n_atoms
+    atoms in engine.mode, as thm-3-3 and integrate run it.  A greedy
+    search there decides the finest grouping by enumerating its signs, so
+    past ENUMERATION_LIMIT atoms it is refused outside a Hilbert base: in
+    suite.n_atoms for thm-3-3's own instances, else in partition."""
+    field, spaces = "partition", [config.space]
     if config.density_values is None:
-        field, spaces = "suite.n_atoms", lambda: _identity_spaces(config.suite)
-    if _resolve_mode(config.search_mode, n_atoms) == "exhaustive":
-        if 1 <= n_atoms <= MAX_ATOMS_ALL:
-            _check_table(n_atoms, config.paths, "engine.paths", "each ensemble's search")
-    elif n_atoms >= 1:
-        dim = max(space.dim for space in spaces())
-        _check_decide(n_atoms, dim, config.paths, "each ensemble's search")
+        field, spaces = "suite.n_atoms", _identity_spaces(config.suite)
+    exhaustive = _resolve_mode(config.search_mode, n_atoms) == "exhaustive"
+    dim = max(space.dim for space in spaces)
+    _check_search(exhaustive, n_atoms, dim, config.paths, "engine.paths", "each ensemble's search")
     if n_atoms > ENUMERATION_LIMIT and config.search_mode in ("auto", "greedy"):
-        if not all(space.is_hilbert for space in spaces()):
+        if not all(space.is_hilbert for space in spaces):
             raise SizeLimitError(
                 f"{field}: a greedy search over an ensemble enumerates the signs of "
                 f"the finest grouping, capped at {ENUMERATION_LIMIT} atoms outside a "
@@ -485,67 +543,16 @@ def _check_search_batch(config: ExperimentConfig, n_atoms: int) -> None:
             )
 
 
-def _check_table(n_atoms: int, paths: int, field: str, what: str) -> None:
-    """Raise SizeLimitError when an exhaustive search over an ensemble of
-    n_atoms atoms (brownian.ensemble_search) takes more than
-    MAX_TABLE_PATHS: 2^N table rows (every block's norms, or half as many
-    sign patterns) and two (paths,) rows, the integral's and a decided
-    partition's, times the paths, plus Bell(N) screened partitions.  Its
-    arrays are bounded by a chunk of paths; its time grows with this."""
-    rows = (1 << n_atoms) + 2
-    estimate = rows * paths + bell_number(n_atoms)
-    if estimate > MAX_TABLE_PATHS:
-        raise SizeLimitError(
-            f"{field}: {what} builds {rows} table rows on {paths} paths and screens "
-            f"{bell_number(n_atoms)} partitions, an estimated {estimate:.3g} table-paths; "
-            f"the limit is {MAX_TABLE_PATHS} (2^28)"
-        )
-
-
-def _check_decide(n_atoms: int, dim: int, paths: int, what: str) -> None:
-    """Raise SizeLimitError when a search over an ensemble of n_atoms atoms
-    in R^dim that decides its groupings in batches, a greedy, contiguous
-    or fixed-family brownian.ensemble_search, takes more than
-    MAX_TABLE_PATHS: the integral's (paths,) row and a batch's, up to
-    N (d + 1) (random_sums._ensemble_decide), times the paths."""
-    rows = n_atoms * (dim + 1) + 1
-    estimate = rows * paths
-    if estimate > MAX_TABLE_PATHS:
-        raise SizeLimitError(
-            f"engine.paths: {what} decides batches of up to {rows - 1} groupings on {paths} "
-            f"paths besides the integral's row, an estimated {estimate:.3g} table-paths; "
-            f"the limit is {MAX_TABLE_PATHS} (2^28)"
-        )
-
-
-def _check_draws(config: ExperimentConfig, suite_name: str | None, has_input: bool) -> None:
-    """Raise SizeLimitError when a Monte Carlo leg would hold more than
-    MAX_DRAW_FLOATS coefficient floats at once, naming its samples field:
-    samples x N for the draws that SharedDrawMoments shares
-    (finest-partition), else ceil(samples / N_BATCHES) x N, a batch of
+def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool) -> list:
+    """(samples field, draws held at once, the most atoms a sampled cell
+    takes, or 0) of each Monte Carlo leg of a run: samples x N for the
+    draws that SharedDrawMoments shares (finest-partition), else
+    ceil(samples / N_BATCHES) x N, a batch of
     random_sums._coefficient_batches.  Only legs that sample count:
     Gaussian moments outside Hilbert bases, l1 and the plane's linf
     (norms._gaussian_moment), the embedding ratios outside Hilbert bases,
     and for norms a greedy search's Rademacher moments past
-    ENUMERATION_LIMIT blocks outside a Hilbert base.  A bad suite field
-    is left for the suite to name before any instance starts."""
-    try:
-        legs = _draw_legs(config, suite_name, has_input)
-    except ConfigError:
-        return
-    for field, rows, n_atoms in legs:
-        if rows * n_atoms > MAX_DRAW_FLOATS:
-            raise SizeLimitError(
-                f"{field}: a Monte Carlo leg holds {rows} draws of {n_atoms} coefficients "
-                f"at once, an estimated {rows * n_atoms:.3g} floats; the limit is "
-                f"{MAX_DRAW_FLOATS} (2^26)"
-            )
-
-
-def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool) -> list:
-    """(samples field, draws held at once, the most atoms a sampled cell
-    takes, or 0) of each Monte Carlo leg of a run, as _check_draws counts
-    them."""
+    ENUMERATION_LIMIT blocks outside a Hilbert base."""
     params, shared = config.suite, suite_name == "finest-partition"
 
     def sampled(space: NormedSpace) -> bool:
@@ -555,24 +562,21 @@ def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool
         # the witness and the survey take two atoms in the plane's linf
         legs = [(f"suite.{key}", params[key], [2]) for key in ("witness_samples", "survey_samples")]
     elif suite_name == "cor-2-6":
-        n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-        dim = _positive_int(params["dim"], "suite.dim")
-        spaces = _suite_spaces([(tag, dim) for tag in params["norms"]], len(params["norms"]))
-        atoms = [n_atoms for space in spaces if not space.is_hilbert]
+        spaces = [NormedSpace.from_tag(params["dim"], tag) for tag in params["norms"]]
+        atoms = [params["n_atoms"] for space in spaces if not space.is_hilbert]
         legs = [("suite.trial_samples", params["trial_samples"], atoms)]
     elif suite_name == "thm-2-3" and not has_input:
         atoms = [n_atoms for space, n_atoms in _duality_cells(params) if sampled(space)]
         legs = [("engine.samples", config.samples, atoms)]
     elif suite_name == "thm-3-3" and config.density_values is None:
-        n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-        atoms = [n_atoms for space in _identity_spaces(params) if sampled(space)]
+        atoms = [params["n_atoms"] for space in _identity_spaces(params) if sampled(space)]
         legs = [("engine.samples", config.samples, atoms)]
     elif shared:
         if has_input:
             n_atoms, dim = config.partition.n_atoms, config.space.dim
         else:
-            n_atoms, dim = params["n_atoms"], _positive_int(params["dim"], "suite.dim")
-        spaces = _suite_spaces([(tag, dim) for tag in params["norms"]], len(params["norms"]))
+            n_atoms, dim = params["n_atoms"], params["dim"]
+        spaces = [NormedSpace.from_tag(dim, tag) for tag in params["norms"]]
         legs = [("engine.samples", config.samples, [n_atoms for s in spaces if sampled(s)])]
     elif has_input and suite_name in (None, "thm-2-3", "thm-3-3"):
         space, n_atoms = config.space, config.partition.n_atoms
@@ -581,24 +585,7 @@ def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool
     else:
         return []
     batches = 1 if shared else N_BATCHES
-    return [
-        (key, -(-_positive_int(samples, key) // batches), max(atoms, default=0))
-        for key, samples, atoms in legs
-    ]
-
-
-def _check_sweep(groupings: int, n_atoms: int, dim: int, paths: int) -> None:
-    """Raise SizeLimitError when a randomisation sweep takes more than
-    MAX_GROUPING_PATHS: its groupings times paths, plus the floats it
-    draws and forms a path, N increments and N contributions in R^d,
-    which it holds a chunk of paths at a time but makes for every path."""
-    estimate = (groupings + n_atoms * (dim + 1)) * paths
-    if estimate > MAX_GROUPING_PATHS:
-        raise SizeLimitError(
-            f"suite.n_atoms: each sweep takes {groupings} groupings on {paths} paths and "
-            f"draws and forms {n_atoms * (dim + 1)} ensemble floats a path, an estimated "
-            f"{estimate:.3g} grouping-paths; the limit is {MAX_GROUPING_PATHS} (2^27)"
-        )
+    return [(key, -(-samples // batches), max(atoms, default=0)) for key, samples, atoms in legs]
 
 
 def _ordered_map(fn: Callable, items: list, threads: int) -> list:
@@ -618,21 +605,6 @@ def _random_atoms(
     weights = rng.dirichlet(np.ones(n_atoms))
     weights = np.maximum(weights, 1e-9)  # guard against underflow
     return AtomPartition(weights / weights.sum()), rng.standard_normal((n_atoms, dim))
-
-
-def _suite_dims(params: dict) -> list[int]:
-    """suite.dims, a nonempty list of positive dimensions."""
-    dims = params["dims"]
-    if not isinstance(dims, list) or not dims:
-        raise ConfigError(f"suite.dims: expected a nonempty list of dimensions, got {dims!r}")
-    return [_positive_int(dim, "suite.dims") for dim in dims]
-
-
-def _suite_spaces(cells: list, count: int) -> list[NormedSpace]:
-    """The spaces of the (suite.norms tag, dim) cells that `count` instances
-    visit, instance i taking cell i % len(cells): the first `count` cells.
-    A bad tag fails here, before any instance starts."""
-    return [_space_from_tag(tag, dim, "suite.norms") for tag, dim in cells[:count]]
 
 
 def _comparison_record(
@@ -710,20 +682,15 @@ def _duality_cells(params: dict) -> list[tuple[NormedSpace, int]]:
     """The (space, atom count) cells of thm-2-3's own instances, instance
     i taking cell i % len(cells): the first suite.instances cells of the
     (norm, dim, atoms) grid."""
-    min_atoms = _positive_int(params["min_atoms"], "suite.min_atoms")
-    max_atoms = _positive_int(params["max_atoms"], "suite.max_atoms")
-    dims = _suite_dims(params)
     grid = [
         (norm_tag, dim, n)
         for norm_tag in params["norms"]
-        for dim in dims
-        for n in range(min_atoms, max_atoms + 1)
+        for dim in params["dims"]
+        for n in range(params["min_atoms"], params["max_atoms"] + 1)
     ]
     if not grid:
         raise ConfigError("suite: empty instance grid")
-    count = _positive_int(params["instances"], "suite.instances")
-    spaces = _suite_spaces([(norm_tag, dim) for norm_tag, dim, _ in grid], count)
-    return [(space, n) for space, (_, _, n) in zip(spaces, grid)]
+    return [(NormedSpace.from_tag(dim, tag), n) for tag, dim, n in grid[: params["instances"]]]
 
 
 def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
@@ -753,9 +720,8 @@ def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 def _identity_spaces(params: dict) -> list[NormedSpace]:
     """The spaces of thm-3-3's own instances: instance i runs
     norms[i % len(norms)] in dims[(i // len(norms)) % len(dims)]."""
-    count = _positive_int(params["instances"], "suite.instances")
-    cells = [(norm_tag, dim) for dim in _suite_dims(params) for norm_tag in params["norms"]]
-    return _suite_spaces(cells, count)
+    cells = [NormedSpace.from_tag(dim, tag) for dim in params["dims"] for tag in params["norms"]]
+    return cells[: params["instances"]]
 
 
 def _identity_checks(
@@ -815,8 +781,7 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
         checks = _identity_checks(config, density, root.substream(0), 0, "configured input")
         return _report("thm-3-3", config, checks)
 
-    count = _positive_int(params["instances"], "suite.instances")
-    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
+    count, n_atoms = params["instances"], params["n_atoms"]
     spaces = _identity_spaces(params)
 
     def run_instance(i: int) -> list[CheckRecord]:
@@ -835,19 +800,13 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("cor-2-5")
-    isometry_trials = _positive_int(params["isometry_trials"], "suite.isometry_trials")
-    isometry_dim = _positive_int(params["isometry_dim"], "suite.isometry_dim")
-    isometry_atoms = _positive_int(params["isometry_atoms"], "suite.isometry_atoms")
-    witness_samples = _positive_int(params["witness_samples"], "suite.witness_samples")
-    survey_trials = _positive_int(params["survey_trials"], "suite.survey_trials")
-    survey_samples = _positive_int(params["survey_samples"], "suite.survey_samples")
     checks: list[CheckRecord] = []
 
     isometry = run_embedding_trials(
         "type2",
-        NormedSpace.l2(isometry_dim),
-        isometry_atoms,
-        isometry_trials,
+        NormedSpace.l2(params["isometry_dim"]),
+        params["isometry_atoms"],
+        params["isometry_trials"],
         root.substream(0),
         samples=0,
     )
@@ -866,7 +825,7 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
     )
 
     target = math.sqrt(1.0 + 2.0 / math.pi)
-    ratio, se = embedding_ratio(sup_norm_witness(), root.substream(1), witness_samples)
+    ratio, se = embedding_ratio(sup_norm_witness(), root.substream(1), params["witness_samples"])
     gap = abs(ratio - target)
     tolerance = config.z * se
     checks.append(
@@ -883,9 +842,9 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
         "type2",
         NormedSpace.linf(2),
         2,
-        survey_trials,
+        params["survey_trials"],
         root.substream(2),
-        samples=survey_samples,
+        samples=params["survey_samples"],
     )
     checks.append(
         CheckRecord(
@@ -909,17 +868,13 @@ def _run_upper_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteR
 def _run_lower_embedding_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("cor-2-6")
-    trials = _positive_int(params["trials"], "suite.trials")
-    samples = _positive_int(params["trial_samples"], "suite.trial_samples")
-    dim = _positive_int(params["dim"], "suite.dim")
-    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-    norms = params["norms"]
-    spaces = _suite_spaces([(norm_tag, dim) for norm_tag in norms], len(norms))
+    trials, samples, norms = params["trials"], params["trial_samples"], params["norms"]
+    spaces = [NormedSpace.from_tag(params["dim"], tag) for tag in norms]
 
     def run_space(j: int) -> CheckRecord:
         space = spaces[j]
         report = run_embedding_trials(
-            "cotype2", space, n_atoms, trials, root.substream(j), samples=samples
+            "cotype2", space, params["n_atoms"], trials, root.substream(j), samples=samples
         )
         floor = cotype2_floor(space)
         threshold = floor - config.z * report.worst_std_error
@@ -1063,10 +1018,6 @@ def _run_divergence_suite(config: ExperimentConfig, threads: int) -> SuiteReport
     params = config.suite
     root = config.root_stream("example-3-4")
     grid = params["n_grid"]
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("suite.n_grid: expected a nonempty list of atom counts")
-    grid = [_positive_int(n, "suite.n_grid") for n in grid]
-    _positive_int(params["empirical_limit"], "suite.empirical_limit", 0)
 
     def run_point(i: int) -> list[CheckRecord]:
         return _divergence_point(grid[i], params, root.substream(i), config.paths, config.z)
@@ -1124,19 +1075,17 @@ def _domination_instance(
 def _run_domination_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("finest-partition")
-    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-    dim = _positive_int(params["dim"], "suite.dim")
-
     if config.measure_values is not None or config.density_values is not None:
         base = config.measure()
         inputs = [("explicit", base.partition, base.values)]
     else:
         inputs = []
-        for i in range(_positive_int(params["measures"], "suite.measures")):
-            inputs.append((f"{i:02d}", *_random_atoms(root.substream(i), n_atoms, dim)))
+        for i in range(params["measures"]):
+            atoms = _random_atoms(root.substream(i), params["n_atoms"], params["dim"])
+            inputs.append((f"{i:02d}", *atoms))
     norms = params["norms"]
     value_dim = inputs[0][2].shape[1]
-    spaces = _suite_spaces([(norm_tag, value_dim) for norm_tag in norms], len(norms))
+    spaces = [NormedSpace.from_tag(value_dim, tag) for tag in norms]
 
     def run_instance(k: int) -> CheckRecord:
         # norm j of input i is instance j * len(inputs) + i
@@ -1200,11 +1149,8 @@ def _randomisation_instance(
 def _run_randomisation_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     params = config.suite
     root = config.root_stream("randomisation")
-    count = _positive_int(params["measures"], "suite.measures")
-    dim = _positive_int(params["dim"], "suite.dim")
-    n_atoms = _positive_int(params["n_atoms"], "suite.n_atoms")
-    max_blocks = _positive_int(params["max_blocks"], "suite.max_blocks")
-    spaces = _suite_spaces([(norm_tag, dim) for norm_tag in params["norms"]], count)
+    count, n_atoms, max_blocks = params["measures"], params["n_atoms"], params["max_blocks"]
+    spaces = [NormedSpace.from_tag(params["dim"], tag) for tag in params["norms"]]
 
     def run_instance(i: int) -> CheckRecord:
         space = spaces[i % len(spaces)]
