@@ -25,6 +25,17 @@ from .spaces import AtomPartition, NormedSpace
 DIRECTIONS = ("type2", "cotype2")
 
 
+def _random_atoms(
+    stream: RandomStream, n_atoms: int, dim: int
+) -> tuple[AtomPartition, np.ndarray]:
+    """A partition of flat Dirichlet weights and one standard normal vector
+    per atom, drawn from the stream's substream 0."""
+    rng = stream.substream(0).generator()
+    weights = rng.dirichlet(np.ones(n_atoms))
+    weights = np.maximum(weights, 1e-9)  # guard against underflow
+    return AtomPartition(weights / weights.sum()), rng.standard_normal((n_atoms, dim))
+
+
 def l2_bochner_norm(density: StepFunction) -> float:
     """The L2(mu; X) norm sqrt(sum_n mu(A_n) ||phi_n||^2) of a step density."""
     weights = density.partition.weights
@@ -145,12 +156,8 @@ def run_embedding_trials(
     std_errors = np.empty(trials)
     for t in range(trials):
         trial_stream = stream.substream(t)
-        rng = trial_stream.substream(0).generator()
-        weights = rng.dirichlet(np.ones(n_atoms))
-        weights = np.maximum(weights, 1e-9)  # guard against underflow
-        weights = weights / weights.sum()
-        values = rng.standard_normal((n_atoms, space.dim))
-        density = StepFunction(AtomPartition(weights), space, values)
+        partition, values = _random_atoms(trial_stream, n_atoms, space.dim)
+        density = StepFunction(partition, space, values)
         ratios[t], std_errors[t] = embedding_ratio(
             density, stream=trial_stream.substream(1), samples=samples
         )

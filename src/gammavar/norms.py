@@ -164,8 +164,13 @@ class SharedDrawMoments:
             self._method = METHOD_EXACT_HILBERT if space.is_hilbert else METHOD_EXACT_COVARIANCE
             self._samples = 0
         else:
-            batches = _coefficient_batches(stream, samples, measure.n_atoms, "gaussian")
-            self._draws = np.concatenate(list(batches), axis=0)
+            # the batches fill one array in turn, each freed before the next
+            # is drawn: the peak is the draws and one batch
+            self._draws, start = np.empty((samples, measure.n_atoms)), 0
+            for batch in _coefficient_batches(stream, samples, measure.n_atoms, "gaussian"):
+                self._draws[start : start + len(batch)] = batch
+                start += len(batch)
+                del batch
             self._method, self._samples = METHOD_MONTE_CARLO, self._draws.shape[0]
 
     def moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from .brownian import (
     verify_integral_identity,
 )
 from .embeddings import (
+    _random_atoms,
     cotype2_floor,
     embedding_ratio,
     run_embedding_trials,
@@ -594,17 +595,6 @@ def _ordered_map(fn: Callable, items: list, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _random_atoms(
-    stream: RandomStream, n_atoms: int, dim: int
-) -> tuple[AtomPartition, np.ndarray]:
-    """A random partition and one standard normal vector per atom, drawn
-    from the stream's substream 0."""
-    rng = stream.substream(0).generator()
-    weights = rng.dirichlet(np.ones(n_atoms))
-    weights = np.maximum(weights, 1e-9)  # guard against underflow
-    return AtomPartition(weights / weights.sum()), rng.standard_normal((n_atoms, dim))
 
 
 def _comparison_record(

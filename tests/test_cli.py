@@ -329,6 +329,11 @@ class TestErrorHandling:
         assert main(command + ["--config", path]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    def test_an_empty_norm_list_exits_before_any_trial(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {"suite": {"norms": []}})
+        assert main(["verify", "cor-2-6", "--config", path]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: suite.norms: ")
+
     def test_a_greedy_integrate_past_the_sign_cap_exits_before_it_starts(
         self, tmp_path, capsys, monkeypatch
     ):

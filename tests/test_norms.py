@@ -164,6 +164,20 @@ class TestGroupingMoments:
         # identical grouping evaluated twice on one instance: same estimate
         assert a.moment(grouping) == a.moment(grouping)
 
+    def test_shared_draws_peak_near_their_own_bytes(self):
+        # the batches fill one array in turn, so the constructor holds the
+        # draws and one batch, not every batch and their concatenation
+        rng = np.random.default_rng(58)
+        measure = _random_measure(rng, 6, 2, NormedSpace(2, 1.5))
+        tracemalloc.start()
+        try:
+            shared = SharedDrawMoments(measure, RandomStream(2, (0,)), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 20_000 * 6 * 8
+        assert shared.moment(Grouping.finest(6)).samples == 20_000
+
     def test_shared_draws_require_sampling_parameters_off_hilbert(self):
         rng = np.random.default_rng(57)
         measure = _random_measure(rng, 3, 3, NormedSpace.linf(3))

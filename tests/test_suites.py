@@ -343,6 +343,44 @@ class TestConfigResolution:
     def test_draws_within_the_limit_resolve(self, document, suite_name):
         resolve_config(document, suite_name)
 
+    @pytest.mark.parametrize(
+        "document, suite_name, message",
+        [
+            (
+                {"suite": {"n_grid": [4, 12]}},
+                "example-3-4",
+                "suite.exhaustive_limit: the search at n = 12 builds 4098 table rows on 100000 "
+                "paths and screens 4213597 partitions, an estimated 4.14e+08 table-paths; the "
+                "limit is 268435456 (2^28)",
+            ),
+            (
+                {"engine": {"paths": 10**12, "mode": "greedy"}},
+                "thm-3-3",
+                "engine.paths: each ensemble's search decides batches of up to 16 groupings on "
+                "1000000000000 paths besides the integral's row, an estimated 1.7e+13 "
+                "table-paths; the limit is 268435456 (2^28)",
+            ),
+            (
+                {"engine": {"paths": 32_233}},
+                "randomisation",
+                "suite.n_atoms: each sweep takes 4140 groupings on 32233 paths and draws and "
+                "forms 24 ensemble floats a path, an estimated 1.34e+08 grouping-paths; the "
+                "limit is 134217728 (2^27)",
+            ),
+            (
+                {"engine": {"samples": 10**12}},
+                "thm-2-3",
+                "engine.samples: a Monte Carlo leg holds 125000000000 draws of 8 coefficients at "
+                "once, an estimated 1e+12 floats; the limit is 67108864 (2^26)",
+            ),
+        ],
+        ids=["exhaustive-table-paths", "decided-batch-table-paths", "grouping-paths", "floats"],
+    )
+    def test_each_budget_refuses_with_its_full_message(self, document, suite_name, message):
+        with pytest.raises(SizeLimitError) as exc:
+            resolve_config(document, suite_name)
+        assert str(exc.value) == message
+
     def test_output_paths_must_be_strings(self):
         for key, path in (("report", None), ("csv", 5), ("svg", ["a.svg"])):
             with pytest.raises(ConfigError, match=f"^output.{key}: expected a path string"):
