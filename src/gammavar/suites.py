@@ -459,9 +459,9 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
         # ensemble too up to empirical_limit: beyond exhaustive_limit, over
         # the fixed family, of one-dimensional increments
         for n in params["n_grid"]:
-            exhaustive = n <= params["exhaustive_limit"]
             if n > params["dense_limit"]:
                 continue
+            exhaustive = n <= params["exhaustive_limit"]
             if exhaustive:
                 check_enumeration_size(n, "all", "suite.exhaustive_limit")
             if n <= params["empirical_limit"]:
@@ -1069,10 +1069,10 @@ def _run_domination_suite(config: ExperimentConfig, threads: int) -> SuiteReport
         base = config.measure()
         inputs = [("explicit", base.partition, base.values)]
     else:
-        inputs = []
-        for i in range(params["measures"]):
-            atoms = _random_atoms(root.substream(i), params["n_atoms"], params["dim"])
-            inputs.append((f"{i:02d}", *atoms))
+        inputs = [
+            (f"{i:02d}", *_random_atoms(root.substream(i), params["n_atoms"], params["dim"]))
+            for i in range(params["measures"])
+        ]
     norms = params["norms"]
     value_dim = inputs[0][2].shape[1]
     spaces = [NormedSpace.from_tag(value_dim, tag) for tag in norms]
