@@ -24,6 +24,7 @@ from .measures import StepFunction, measure_from_density
 from .norms import NormReport, _resolve_mode, _search, gamma_variation_norm
 from .random_sums import (
     METHOD_MONTE_CARLO,
+    _ENSEMBLE_CHUNK_FLOATS,
     Comparison,
     RandomStream,
     SumEstimate,
@@ -66,7 +67,7 @@ class BrownianEnsemble:
 
 
 def _increment_blocks(
-    partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int
+    partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int, threads: int = 1
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The n_paths sampled paths of sample_brownian, as (span, block) pairs
     over the spans of random_sums._path_spans, of chunk paths each, a
@@ -74,13 +75,29 @@ def _increment_blocks(
     n_atoms) array, scaled in place.  Every block is drawn from the
     one generator of the stream, which standard_normal consumes in order,
     so the blocks stacked are sample_brownian's paths bit for bit at any
-    chunk size."""
+    chunk size.  With threads >= 2 and chunks of half _ENSEMBLE_CHUNK_FLOATS
+    draws or more (drawn ahead, the randomisation sweep's smaller chunks ran
+    slower), a helper thread, the generator's only user, draws each block
+    while the caller works on the one before; closing the pass joins it."""
     rng = stream.generator()
     scale = np.sqrt(partition.weights)[None, :]
-    for span in _path_spans(n_paths, chunk):
+    spans = list(_path_spans(n_paths, chunk))
+
+    def draw(span: slice) -> np.ndarray:
         block = rng.standard_normal((span.stop - span.start, partition.n_atoms))
         block *= scale
-        yield span, block
+        return block
+
+    if threads < 2 or len(spans) < 2 or 2 * chunk * partition.n_atoms < _ENSEMBLE_CHUNK_FLOATS:
+        yield from zip(spans, map(draw, spans))
+        return
+    # imported here: imported before suites compiles, it raised each run's peak RSS by 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(draw, spans[0])
+        for span, after in zip(spans, spans[1:] + [None]):
+            block, ahead = ahead.result(), after and helper.submit(draw, after)
+            yield span, block
 
 
 def _check_paths(n_paths: int) -> None:
@@ -146,6 +163,7 @@ def ensemble_search(
     n_paths: int,
     stream: RandomStream,
     mode="exhaustive",
+    threads: int = 1,
 ) -> tuple[Grouping, SumEstimate, SumEstimate]:
     """The randomized variation of the empirical measure that density
     induces on sample_brownian(density.partition, n_paths, stream), and the
@@ -174,7 +192,7 @@ def ensemble_search(
     def chunks():
         nonlocal first
         fill, first = first, False
-        for span, block in _increment_blocks(partition, n_paths, stream, chunk):
+        for span, block in _increment_blocks(partition, n_paths, stream, chunk, threads):
             if fill:
                 integral[span] = space.norm_sq(block @ values)
             yield np.einsum("mn,nd->nmd", block, values)
@@ -193,6 +211,7 @@ def verify_integral_identity(
     samples: int = 0,
     search_mode: str = "auto",
     z: float = 3.0,
+    threads: int = 1,
 ) -> IntegralIdentityReport:
     """Check the triple identity between the variation norm of the density's
     measure, the randomized variation of the induced empirical measure, and
@@ -201,7 +220,9 @@ def verify_integral_identity(
     measure = measure_from_density(density)
     variation = gamma_variation_norm(measure, stream.substream(0), samples)
     mode = _resolve_mode(search_mode, density.n_atoms)
-    grouping, moment, integral = ensemble_search(density, n_paths, stream.substream(1), mode)
+    grouping, moment, integral = ensemble_search(
+        density, n_paths, stream.substream(1), mode, threads
+    )
     randomized = NormReport(float(np.sqrt(moment.value)), moment, grouping, mode)
     comparisons = {
         "variation_vs_randomized": compare_estimates(
@@ -255,6 +276,7 @@ def randomisation_identity_sweep(
     n_paths: int,
     stream: RandomStream,
     z: float = 3.0,
+    threads: int = 1,
 ) -> RandomisationSweep:
     """The sign-averaged moment of each set partition's block sum against
     the plain moment of the same sum, paired on the paths of
@@ -282,7 +304,7 @@ def randomisation_identity_sweep(
     def chunks(size):
         nonlocal first
         fill, first = first, False
-        for span, block in _increment_blocks(density.partition, n_paths, stream, size):
+        for span, block in _increment_blocks(density.partition, n_paths, stream, size, threads):
             contributions = np.einsum("mn,nd->nmd", block, density.values)
             if fill:
                 plain[span] = space.norm_sq(_block_sum(contributions, list(range(n_atoms))))

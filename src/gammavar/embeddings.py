@@ -8,7 +8,9 @@ constant C: the ratio ||F||_variation / ||phi||_L2 is at least 1/C, which is
 below 1 off Hilbert space.  This module measures that ratio on seeded random
 inputs and on canonical witnesses and supplies a proven lower bound on 1/C
 for l_p targets; it records worst-case constants, leaving any assertion about
-them to the verification suites.
+them to the verification suites.  A run of trials draws every trial's atoms,
+then takes the Gaussian moments of blocks of trials, one stacked product per
+coefficient batch, each trial keeping the bits of a run of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import StepFunction
-from .random_sums import RandomStream, gaussian_sum_sq
+from .random_sums import RandomStream, _monte_carlo_moments
 from .spaces import AtomPartition, NormedSpace
 
 DIRECTIONS = ("type2", "cotype2")
@@ -42,6 +44,22 @@ def l2_bochner_norm(density: StepFunction) -> float:
     return float(np.sqrt(np.sum(weights * density.space.norm_sq(density.values))))
 
 
+def _embedding_ratios(
+    weights: np.ndarray, values: np.ndarray, space: NormedSpace, streams: list, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """embedding_ratio of each nonvanishing step density with a row of
+    weights and (N, d) values: the Hilbert closed form, or density t's
+    moment drawn from streams[t] (random_sums._monte_carlo_moments)."""
+    denominators = np.sqrt(np.sum(weights * space.norm_sq(values), axis=-1))
+    rows = np.sqrt(weights)[..., None] * values
+    if space.is_hilbert:
+        return np.sqrt(np.sum(space.norm_sq(rows), axis=-1)) / denominators, np.zeros(len(rows))
+    moments, errors, _ = _monte_carlo_moments(rows, space, streams, samples, "gaussian")
+    roots = np.sqrt(moments)
+    # delta method: se(sqrt(m)/b) = se(m) / (2 sqrt(m) b)
+    return roots / denominators, errors / (2.0 * roots * denominators)
+
+
 def embedding_ratio(
     density: StepFunction, stream: RandomStream | None = None, samples: int = 0
 ) -> tuple[float, float]:
@@ -51,16 +69,12 @@ def embedding_ratio(
     The variation norm is evaluated at the finest covering grouping, which
     attains the supremum; a shared stream makes the ratio exactly invariant
     under rescaling the density."""
-    denominator = l2_bochner_norm(density)
-    if denominator == 0.0:
+    if l2_bochner_norm(density) == 0.0:
         raise ValueError("a vanishing density has no embedding ratio")
-    rows = np.sqrt(density.partition.weights)[:, None] * density.values
-    moment = gaussian_sum_sq(rows, density.space, stream=stream, samples=samples)
-    ratio = float(np.sqrt(moment.value)) / denominator
-    if moment.is_exact:
-        return ratio, 0.0
-    # delta method: se(sqrt(m)/b) = se(m) / (2 sqrt(m) b)
-    return ratio, float(moment.std_error / (2.0 * np.sqrt(moment.value) * denominator))
+    (ratio,), (error,) = _embedding_ratios(
+        density.partition.weights[None], density.values[None], density.space, [stream], samples
+    )
+    return float(ratio), float(error)
 
 
 @dataclass(frozen=True)
@@ -152,15 +166,12 @@ def run_embedding_trials(
     _validate_direction(direction, space)
     if trials < 1:
         raise ValueError("need at least one trial")
-    ratios = np.empty(trials)
-    std_errors = np.empty(trials)
+    weights, values = np.empty((trials, n_atoms)), np.empty((trials, n_atoms, space.dim))
     for t in range(trials):
-        trial_stream = stream.substream(t)
-        partition, values = _random_atoms(trial_stream, n_atoms, space.dim)
-        density = StepFunction(partition, space, values)
-        ratios[t], std_errors[t] = embedding_ratio(
-            density, stream=trial_stream.substream(1), samples=samples
-        )
+        partition, values[t] = _random_atoms(stream.substream(t), n_atoms, space.dim)
+        weights[t] = partition.weights
+    streams = [stream.substream(t).substream(1) for t in range(trials)]
+    ratios, std_errors = _embedding_ratios(weights, values, space, streams, samples)
     return EmbeddingReport(direction, trials, ratios, std_errors)
 
 

@@ -167,7 +167,7 @@ class SharedDrawMoments:
             # the batches fill one array in turn, each freed before the next
             # is drawn: the peak is the draws and one batch
             self._draws, start = np.empty((samples, measure.n_atoms)), 0
-            for batch in _coefficient_batches(stream, samples, measure.n_atoms, "gaussian"):
+            for (batch,) in _coefficient_batches([stream], samples, measure.n_atoms, "gaussian"):
                 self._draws[start : start + len(batch)] = batch
                 start += len(batch)
                 del batch
@@ -194,8 +194,7 @@ class SharedDrawMoments:
             for i in members.tolist():
                 blocks = [_mask_atoms(m) for m in masks[i, :k].tolist()]
                 draws = self._draws @ _grouping_matrix(self.measure, blocks)
-                estimate = _estimate_from_moments([space.norm_sq(draws)])
-                values[i], errors[i] = estimate.value, estimate.std_error
+                values[i], errors[i], _ = _estimate_from_moments([space.norm_sq(draws)])
         return values, errors
 
     def moment(self, grouping: Grouping) -> SumEstimate:

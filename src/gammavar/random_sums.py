@@ -144,11 +144,13 @@ def _check_values(values, space) -> np.ndarray:
 
 
 def _coefficient_batches(
-    stream, samples: int, k: int, kind: str
+    streams: list, samples: int, k: int, kind: str
 ) -> Iterator[np.ndarray]:
-    """Coefficient draws of shape (size, k), "gaussian" or "rademacher", in
-    the N_BATCHES fixed batches, each drawn from its own substream."""
-    if stream is None or samples < MIN_SAMPLES:
+    """Coefficient draws of shape (len(streams), size, k), "gaussian" or
+    "rademacher", in the N_BATCHES fixed batches, row t of a batch drawn in
+    place from streams[t]'s substream of the batch; no batch is held past
+    its yield."""
+    if samples < MIN_SAMPLES or any(stream is None for stream in streams):
         raise ValueError(
             "Monte Carlo estimation requires a RandomStream and at least "
             f"{MIN_SAMPLES} samples"
@@ -156,12 +158,15 @@ def _coefficient_batches(
     base, extra = divmod(samples, N_BATCHES)
     # batches past the sample count are empty and get no substream
     for batch in range(min(samples, N_BATCHES)):
-        size = base + (1 if batch < extra else 0)
-        rng = stream.substream(batch).generator()
-        if kind == "gaussian":
-            yield rng.standard_normal((size, k))
-        else:
-            yield rng.integers(0, 2, size=(size, k)).astype(float) * 2.0 - 1.0
+        block = np.empty((len(streams), base + (1 if batch < extra else 0), k))
+        for t, stream in enumerate(streams):
+            rng = stream.substream(batch).generator()
+            if kind == "gaussian":
+                rng.standard_normal(out=block[t])
+            else:
+                block[t] = rng.integers(0, 2, size=block.shape[1:]) * 2.0 - 1.0
+        yield block
+        del block
 
 
 def _unit_shift(stats: np.ndarray) -> np.ndarray:
@@ -185,23 +190,23 @@ def _scale_back(shift, mean, error) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(np.isposinf(mean), np.inf, error)
 
 
-def _estimate_from_moments(batches: Iterable[np.ndarray]) -> SumEstimate:
-    """Monte Carlo estimate from the (size,) statistics of draw batches: their
-    sum and sum of squares, added up batch by batch in batch order at the
-    first batch's unit shift."""
+def _estimate_from_moments(batches: Iterable[np.ndarray]):
+    """Monte Carlo means and std errors of each row of the (..., size)
+    statistics of draw batches, with the sample count: their sums and sums
+    of squares, added up batch by batch in batch order at the first
+    batch's unit shift of the row."""
     n = total = total_sq = 0
     for stats in batches:
         if n == 0:
             shift = _unit_shift(stats)
-            unit = np.exp2(-shift)
+            unit = np.exp2(-shift)[..., None]
         stats = stats * unit
-        n += stats.size
-        total += float(np.sum(stats))
-        total_sq += float(np.sum(stats * stats))
+        n += stats.shape[-1]
+        total = total + np.sum(stats, axis=-1)
+        total_sq = total_sq + np.sum(stats * stats, axis=-1)
     mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    value, error = _scale_back(shift, mean, np.sqrt(var / n))
-    return SumEstimate(float(value), float(error), n, METHOD_MONTE_CARLO)
+    var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return _scale_back(shift, mean, np.sqrt(var / n)) + (n,)
 
 
 def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,21 +224,26 @@ def _path_moments(path_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
-    value, se = _path_moments(path_stats)
-    return SumEstimate(
-        value=float(value),
-        std_error=float(se),
-        samples=int(path_stats.size),
-        method=METHOD_MONTE_CARLO,
-    )
+    return SumEstimate(*map(float, _path_moments(path_stats)), path_stats.size, METHOD_MONTE_CARLO)
 
 
-def _monte_carlo_moment(
-    values: np.ndarray, space, stream: RandomStream, samples: int, kind: str
-) -> SumEstimate:
-    """Plain-space MC estimate of E||sum_n c_n x_n||^2 with batched substreams."""
-    batches = _coefficient_batches(stream, samples, values.shape[0], kind)
-    return _estimate_from_moments(space.norm_sq(coeffs @ values) for coeffs in batches)
+def _monte_carlo_moments(values: np.ndarray, space, streams: list, samples: int, kind: str):
+    """Plain-space MC means, std errors and sample count of E||sum_n c_n x_n||^2
+    for each (N, d) family of a (trials, N, d) stack, trial t drawing the
+    batches of streams[t].  Blocks of trials whose draws fit
+    _ENSEMBLE_CHUNK_FLOATS, one trial at least, take one stacked product a
+    batch, matrix by matrix, so each trial keeps its own estimate's bits
+    (blocks whose one batch filled it ran lp sums 30 % slower)."""
+    trials, k = values.shape[:2]
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (max(1, samples) * k))
+    means, errors = np.empty(trials), np.empty(trials)
+    for start in range(0, trials, step):
+        block = slice(start, start + step)
+        batches = _coefficient_batches(streams[block], samples, k, kind)
+        # map holds no batch while the next one is drawn
+        stats = map(lambda coeffs, rows=values[block]: space.norm_sq(coeffs @ rows), batches)
+        means[block], errors[block], n = _estimate_from_moments(stats)
+    return means, errors, n
 
 
 def _path_norm_sq(base, n_paths: int, dim: int):
@@ -610,12 +620,7 @@ def _ensemble_moments(
 
 def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:
     """The exact Hilbert-space moment sum_n ||x_n||_2^2."""
-    return SumEstimate(
-        value=float(np.sum(space.norm_sq(arr))),
-        std_error=0.0,
-        samples=0,
-        method=METHOD_EXACT_HILBERT,
-    )
+    return SumEstimate(float(np.sum(space.norm_sq(arr))), 0.0, 0, METHOD_EXACT_HILBERT)
 
 
 def has_covariance_moment(space) -> bool:
@@ -689,7 +694,8 @@ def gaussian_sum_sq(
     arr = _check_values(values, space)
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
-    return _monte_carlo_moment(arr, space, stream, samples, "gaussian")
+    (mean,), (error,), n = _monte_carlo_moments(arr[None], space, [stream], samples, "gaussian")
+    return SumEstimate(float(mean), float(error), n, METHOD_MONTE_CARLO)
 
 
 def rademacher_sum_sq(
@@ -704,10 +710,7 @@ def rademacher_sum_sq(
     if space.is_hilbert:
         return _hilbert_moment(arr, space)
     if arr.shape[0] <= ENUMERATION_LIMIT:
-        return SumEstimate(
-            value=float(_sign_average(arr, space.norm_sq)),
-            std_error=0.0,
-            samples=0,
-            method=METHOD_EXACT_ENUMERATION,
-        )
-    return _monte_carlo_moment(arr, space, stream, samples, "rademacher")
+        moment = float(_sign_average(arr, space.norm_sq))
+        return SumEstimate(moment, 0.0, 0, METHOD_EXACT_ENUMERATION)
+    (mean,), (error,), n = _monte_carlo_moments(arr[None], space, [stream], samples, "rademacher")
+    return SumEstimate(float(mean), float(error), n, METHOD_MONTE_CARLO)

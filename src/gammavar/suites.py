@@ -309,12 +309,14 @@ def _space_from_tag(tag, dim: int, name: str) -> NormedSpace:
 def _check_suite(params: dict, suite_name: str) -> None:
     """Validate each field of a merged suite section once, so that the
     suites read it as it stands: norms is a nonempty list of norm tags,
-    dims and n_grid nonempty lists of positive integers, the limits of
-    example-3-4 integers >= 0 and every other field a positive integer."""
+    dims and n_grid nonempty lists of positive integers, limits >= 0, sample
+    counts >= MIN_SAMPLES, max_atoms >= min_atoms and the rest positive."""
+    minimums = dict.fromkeys(("witness_samples", "survey_samples", "trial_samples"), MIN_SAMPLES)
+    minimums["max_atoms"] = params.get("min_atoms")  # checked first, as it comes first
     for key, value in params.items():
         name = f"suite.{key}"
         if key not in ("norms", "dims", "n_grid"):
-            _positive_int(value, name, 0 if key.endswith("_limit") else 1)
+            _positive_int(value, name, minimums.get(key, 0 if key.endswith("_limit") else 1))
         elif not isinstance(value, list) or not value:
             raise ConfigError(f"{name}: expected a nonempty list, got {value!r}")
         elif key != "norms":
@@ -678,8 +680,6 @@ def _duality_cells(params: dict) -> list[tuple[NormedSpace, int]]:
         for dim in params["dims"]
         for n in range(params["min_atoms"], params["max_atoms"] + 1)
     ]
-    if not grid:
-        raise ConfigError("suite: empty instance grid")
     return [(NormedSpace.from_tag(dim, tag), n) for tag, dim, n in grid[: params["instances"]]]
 
 
@@ -720,6 +720,7 @@ def _identity_checks(
     stream: RandomStream,
     index: int,
     label: str,
+    threads: int = 1,
 ) -> list[CheckRecord]:
     """The pairwise records of the triple identity for one density, its
     randomized variation searched in engine.mode."""
@@ -730,6 +731,7 @@ def _identity_checks(
         config.samples,
         search_mode=config.search_mode,
         z=config.z,
+        threads=threads,
     )
     estimates = {
         "variation_moment": report.variation.moment,
@@ -756,11 +758,12 @@ def _identity_instance(
     n_atoms: int,
     stream: RandomStream,
     config: ExperimentConfig,
+    threads: int,
 ) -> list[CheckRecord]:
     partition, values = _random_atoms(stream, n_atoms, space.dim)
     density = StepFunction(partition, space, values)
     label = f"norm={space.norm_tag()} dim={space.dim} atoms={n_atoms}"
-    return _identity_checks(config, density, stream.substream(1), index, label)
+    return _identity_checks(config, density, stream.substream(1), index, label, threads)
 
 
 def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
@@ -768,7 +771,7 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
     root = config.root_stream("thm-3-3")
     if config.density_values is not None:
         density = config.density()
-        checks = _identity_checks(config, density, root.substream(0), 0, "configured input")
+        checks = _identity_checks(config, density, root.substream(0), 0, "configured input", threads)
         return _report("thm-3-3", config, checks)
 
     count, n_atoms = params["instances"], params["n_atoms"]
@@ -776,7 +779,7 @@ def _run_identity_suite(config: ExperimentConfig, threads: int) -> SuiteReport:
 
     def run_instance(i: int) -> list[CheckRecord]:
         space = spaces[i % len(spaces)]
-        return _identity_instance(i, space, n_atoms, root.substream(i), config)
+        return _identity_instance(i, space, n_atoms, root.substream(i), config, threads)
 
     nested = _ordered_map(run_instance, list(range(count)), threads)
     checks = [record for group in nested for record in group]
@@ -929,7 +932,7 @@ def _fixed_grouping_family(n_atoms: int) -> list[Grouping]:
 
 
 def _divergence_point(
-    n: int, params: dict, stream: RandomStream, paths: int, z: float
+    n: int, params: dict, stream: RandomStream, paths: int, z: float, threads: int = 1
 ) -> list[CheckRecord]:
     """The checks of one grid point of n uniform atoms: the total variation
     sqrt(n), the exact randomized variation 1 and, up to empirical_limit,
@@ -983,7 +986,7 @@ def _divergence_point(
     if n <= params["empirical_limit"]:
         ones = StepFunction(partition, NormedSpace.l2(1), np.ones((n, 1)))
         mode = "exhaustive" if n <= params["exhaustive_limit"] else _fixed_grouping_family(n)
-        _, estimate, _ = ensemble_search(ones, paths, stream, mode)
+        _, estimate, _ = ensemble_search(ones, paths, stream, mode, threads)
         reference = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)
         comparison = compare_estimates(reference, estimate, z=z)
         checks.append(
@@ -1010,7 +1013,7 @@ def _run_divergence_suite(config: ExperimentConfig, threads: int) -> SuiteReport
     grid = params["n_grid"]
 
     def run_point(i: int) -> list[CheckRecord]:
-        return _divergence_point(grid[i], params, root.substream(i), config.paths, config.z)
+        return _divergence_point(grid[i], params, root.substream(i), config.paths, config.z, threads)
 
     nested = _ordered_map(run_point, list(range(len(grid))), threads)
     return _report("example-3-4", config, [record for group in nested for record in group])
@@ -1102,13 +1105,14 @@ def _randomisation_instance(
     stream: RandomStream,
     paths: int,
     z: float,
+    threads: int = 1,
 ) -> CheckRecord:
     partition, values = _random_atoms(stream, n_atoms, space.dim)
     density = StepFunction(partition, space, values)
     # the set partitions of at most max_blocks blocks, in label order
     rows = [masks[labels.max(axis=1) < max_blocks] for labels, masks in _label_chunks(n_atoms)]
     masks = PartitionMasks(np.concatenate(rows))
-    sweep = randomisation_identity_sweep(density, masks, paths, stream.substream(1), z=z)
+    sweep = randomisation_identity_sweep(density, masks, paths, stream.substream(1), z, threads)
     failures = np.flatnonzero(~sweep.consistent)
     # the first largest gap / tolerance, taken as 0 where the tolerance is 0
     ratio = np.divide(
@@ -1145,7 +1149,7 @@ def _run_randomisation_suite(config: ExperimentConfig, threads: int) -> SuiteRep
     def run_instance(i: int) -> CheckRecord:
         space = spaces[i % len(spaces)]
         return _randomisation_instance(
-            i, space, n_atoms, max_blocks, root.substream(i), config.paths, config.z
+            i, space, n_atoms, max_blocks, root.substream(i), config.paths, config.z, threads
         )
 
     checks = _ordered_map(run_instance, list(range(count)), threads)
@@ -1209,7 +1213,7 @@ def run_integrate(config: ExperimentConfig, threads: int = 1) -> SuiteReport:
     _check_search_batch(config, config.partition.n_atoms)
     density = config.density()
     root = config.root_stream("integrate")
-    checks = _identity_checks(config, density, root.substream(0), 0, "configured density")
+    checks = _identity_checks(config, density, root.substream(0), 0, "configured density", threads)
     operator_moment = gamma_summing_norm(
         operator_from_measure(measure_from_density(density)),
         root.substream(1),

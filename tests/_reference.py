@@ -460,3 +460,58 @@ def ensemble_randomized_search_reference(
             best = (key, moment)
     (_, _, grouping), moment = best
     return {"norm": math.sqrt(moment["value"]), "moment": moment, "grouping": grouping}
+
+
+def embedding_trials_reference(
+    seed: int, stream_id, p: float, dim: int, n_atoms: int, trials: int, samples: int
+):
+    """Embedding ratios and std errors of seeded random step densities,
+    one trial at a time.
+
+    Trial t draws from the PCG64 generators of SeedSequence(seed) with
+    spawn keys stream_id + (t, 0) for its atoms (flat Dirichlet weights
+    floored at 1e-9 and renormalised, then (N, dim) standard normal values)
+    and stream_id + (t, 1, b) for coefficient batch b of 8.  The ratio is
+    sqrt(E||sum_n g_n sqrt(w_n) x_n||_p^2) / sqrt(sum_n w_n ||x_n||_p^2),
+    the moment exact in a Hilbert space, else the batch statistics summed
+    batch by batch at the power of two of the first batch's largest, with
+    the delta-method std error.  ||.||_p^2 is einsum for p = 2, else
+    lp_norm_axis_reference squared.
+    """
+
+    def generator(*key):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream_id) + key)
+        return np.random.Generator(np.random.PCG64(seq))
+
+    def norm_sq(x):
+        return np.einsum("...i,...i->...", x, x) if p == 2.0 else lp_norm_axis_reference(x, p) ** 2
+
+    ratios, errors = [], []
+    base, extra = divmod(samples, 8)
+    for t in range(trials):
+        rng = generator(t, 0)
+        weights = np.maximum(rng.dirichlet(np.ones(n_atoms)), 1e-9)
+        weights = weights / weights.sum()
+        values = rng.standard_normal((n_atoms, dim))
+        denominator = float(np.sqrt(np.sum(weights * norm_sq(values))))
+        rows = np.sqrt(weights)[:, None] * values
+        if p == 2.0 or dim == 1:
+            ratios.append(math.sqrt(float(np.sum(norm_sq(rows)))) / denominator)
+            errors.append(0.0)
+            continue
+        n, total, total_sq = 0, 0.0, 0.0
+        for b in range(min(samples, 8)):
+            coefficients = generator(t, 1, b).standard_normal((base + (b < extra), n_atoms))
+            stats = norm_sq(coefficients @ rows)
+            if b == 0:
+                shift = min(max(int(np.frexp(np.max(stats))[1]), -1020), 1020)
+            stats = stats * 2.0**-shift
+            n += stats.size
+            total += float(np.sum(stats))
+            total_sq += float(np.sum(stats * stats))
+        mean = total / n
+        moment = mean * 2.0**shift
+        error = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n) * 2.0**shift
+        ratios.append(math.sqrt(moment) / denominator)
+        errors.append(error / (2.0 * math.sqrt(moment) * denominator))
+    return np.array(ratios), np.array(errors)

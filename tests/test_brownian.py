@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import _reference as ref
@@ -151,6 +152,39 @@ class TestSampling:
         assert all(block.shape == (span.stop - span.start, 4) for span, block in pairs)
         stacked = np.concatenate([block for _, block in pairs])
         assert np.array_equal(stacked, sample_brownian(partition, 50, stream).paths)
+
+    @pytest.mark.parametrize("n_paths, chunk", [(50, 7), (17, 8), (16, 8), (9, 8)])
+    def test_drawing_ahead_yields_the_same_blocks(self, monkeypatch, n_paths, chunk):
+        # 17 and 9 paths at chunks of 8 end on one path, which joins the
+        # block before it; 9 paths then make a single block
+        monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
+        partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
+        stream = RandomStream(15, (0,))
+        inline = list(brownian._increment_blocks(partition, n_paths, stream, chunk))
+        ahead = list(brownian._increment_blocks(partition, n_paths, stream, chunk, threads=2))
+        assert [span for span, _ in ahead] == [span for span, _ in inline]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(ahead, inline, strict=True))
+
+    def test_one_thread_or_small_chunks_draw_without_a_helper(self, monkeypatch):
+        # chunks of 7 paths of 4 atoms draw 28 floats: at a budget of 56
+        # floats or less they are drawn ahead, past it inline
+        partition, stream = AtomPartition.uniform(4), RandomStream(15, (1,))
+        before = threading.active_count()
+        for budget, threads, helpers in ((1, 1, 0), (57, 2, 0), (56, 2, 1)):
+            monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", budget)
+            blocks = brownian._increment_blocks(partition, 50, stream, 7, threads)
+            assert {threading.active_count() for _ in blocks} == {before + helpers}
+            assert threading.active_count() == before
+
+    def test_closing_a_pass_early_joins_its_helper(self, monkeypatch):
+        monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
+        before = threading.active_count()
+        blocks = brownian._increment_blocks(
+            AtomPartition.uniform(4), 50, RandomStream(15, (2,)), 7, threads=2
+        )
+        next(blocks)
+        blocks.close()
+        assert threading.active_count() == before
 
     def test_the_ensemble_copies_the_callers_paths(self):
         paths = np.arange(12.0).reshape(4, 3)
@@ -813,9 +847,13 @@ class TestStreamedEnsembles:
     def test_reports_keep_their_bytes_at_any_chunk(self, run, tmp_path, capsys, monkeypatch):
         argv, document = _STREAMED_RUNS[run]
         whole = self._report(argv, document, tmp_path, capsys)
-        for chunk in (2, 3, 7):
+        # at two threads, and a chunk budget of 1 float, every pass of
+        # many chunks draws one chunk ahead
+        for chunk, threads in ((2, "1"), (3, "1"), (7, "1"), (7, "2")):
             monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args, c=chunk: c)
-            assert self._report(argv, document, tmp_path, capsys) == whole
+            monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
+            report = self._report(argv + ["--threads", threads], document, tmp_path, capsys)
+            assert report == whole
 
     @pytest.mark.parametrize("mode, rows", [("auto", 4), ("greedy", 14), ("contiguous", 14)])
     def test_integrate_memory_grows_by_a_few_path_rows(self, mode, rows):

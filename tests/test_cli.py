@@ -329,6 +329,27 @@ class TestErrorHandling:
         assert main(command + ["--config", path]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "suite, params, field",
+        [
+            ("cor-2-5", {"witness_samples": 1}, "suite.witness_samples"),
+            ("cor-2-5", {"survey_samples": 1}, "suite.survey_samples"),
+            ("cor-2-6", {"trial_samples": 1}, "suite.trial_samples"),
+            ("thm-2-3", {"min_atoms": 3, "max_atoms": 2}, "suite.max_atoms"),
+        ],
+    )
+    def test_a_bad_count_exits_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, suite, params, field
+    ):
+        def refused(*args, **kwargs):
+            pytest.fail("started a refused run")
+
+        for name in ("verify_duality", "run_embedding_trials", "embedding_ratio"):
+            monkeypatch.setattr(suites, name, refused)
+        path = _write_config(tmp_path, {"suite": params})
+        assert main(["verify", suite, "--config", path]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_an_empty_norm_list_exits_before_any_trial(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"suite": {"norms": []}})
         assert main(["verify", "cor-2-6", "--config", path]) == EXIT_ERROR

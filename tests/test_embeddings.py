@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gammavar import (
     run_embedding_trials,
     sup_norm_witness,
 )
+from gammavar import random_sums
 from gammavar.embeddings import l2_bochner_norm
 
 
@@ -146,6 +148,66 @@ class TestEmbeddingTrials:
         assert report.trials == 5
         assert report.ratios.shape == report.std_errors.shape == (5,)
         assert report.worst_ratio == report.ratios.min()
+
+
+class TestEmbeddingKernel:
+    """The blocked trial kernel against the per-trial loop of
+    _reference.embedding_trials_reference."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [NormedSpace.l1(2), NormedSpace(2, 1.5), NormedSpace.linf(2), NormedSpace(3, 1.5),
+         NormedSpace.l2(2)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("samples", [2, 5, 8, 1001])
+    @pytest.mark.parametrize("chunk_floats", [1, 1 << 30])
+    def test_blocks_keep_the_bits_of_one_trial_at_a_time(
+        self, monkeypatch, space, samples, chunk_floats
+    ):
+        # a chunk of 1 float takes one trial a block, 2^30 every trial
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", chunk_floats)
+        direction = "cotype2" if space.p <= 2 else "type2"
+        report = run_embedding_trials(
+            direction, space, 3, 7, RandomStream(21, (4,)), samples=samples
+        )
+        ratios, errors = ref.embedding_trials_reference(21, (4,), space.p, space.dim, 3, 7, samples)
+        assert np.array_equal(report.ratios, ratios)
+        assert np.array_equal(report.std_errors, errors)
+
+    @pytest.mark.parametrize("chunk_floats", [10000, 1000])
+    def test_one_block_of_coefficients_is_held_at_a_time(self, monkeypatch, chunk_floats):
+        # 801 samples of 3 atoms draw 2403 floats a trial, in batches of 101
+        # and 100 draws (303 floats a trial's batch): 4 trials a block of
+        # 10000 floats, and 1 trial a block of 1000
+        draw, live, held = random_sums._coefficient_batches, set(), []
+
+        def track(block):
+            live.add(id(block))
+            weakref.finalize(block, live.discard, id(block))
+            held.append((len(live), block.size))
+            return block
+
+        def tracked(streams, samples, k, kind):
+            return map(track, draw(streams, samples, k, kind))
+
+        monkeypatch.setattr(random_sums, "_coefficient_batches", tracked)
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", chunk_floats)
+        stream = RandomStream(4, (0,))
+        run_embedding_trials("cotype2", NormedSpace.l1(2), 3, 10, stream, samples=801)
+        assert {count for count, _ in held} == {1}
+        assert max(size for _, size in held) == (1212 if chunk_floats == 10000 else 303)
+
+    def test_the_ratio_is_the_one_trial_case(self):
+        space = NormedSpace(2, 1.5)
+        report = run_embedding_trials("cotype2", space, 3, 4, RandomStream(5, (2,)), samples=999)
+        ratios, errors = ref.embedding_trials_reference(5, (2,), 1.5, 2, 3, 4, 999)
+        assert np.array_equal(report.ratios, ratios)
+        assert np.array_equal(report.std_errors, errors)
+        rng = RandomStream(5, (2, 3, 0)).generator()
+        weights = np.maximum(rng.dirichlet(np.ones(3)), 1e-9)
+        density = _density(weights / weights.sum(), space, rng.standard_normal((3, 2)))
+        assert embedding_ratio(density, RandomStream(5, (2, 3, 1)), 999) == (ratios[3], errors[3])
 
 
 class TestSupNormWitness:

@@ -32,6 +32,8 @@ NAMES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("*.conf
 NORMS_NAMES = [name for name in NAMES if name.startswith("norms-")]
 INTEGRATE_NAMES = [name for name in NAMES if name.startswith("integrate-")]
 VERIFY_SUITES = {
+    "verify-cor-2-5": "cor-2-5",
+    "verify-cor-2-6": "cor-2-6",
     "verify-example-3-4": "example-3-4",
     "verify-finest-partition-l2": "finest-partition",
     "verify-finest-partition-mixed": "finest-partition",
@@ -46,6 +48,8 @@ def test_the_golden_set_is_present():
     assert NORMS_NAMES == ["norms-l1-d2-n8", "norms-linf-d3-n7", "norms-lp1.5-d2-n7"]
     assert INTEGRATE_NAMES == ["integrate-l1-d3-n5"]
     assert sorted(VERIFY_SUITES) == [
+        "verify-cor-2-5",
+        "verify-cor-2-6",
         "verify-example-3-4",
         "verify-finest-partition-l2",
         "verify-finest-partition-mixed",

@@ -638,6 +638,13 @@ class TestVerifySuites:
             (suite_name, {"norms": norms}, "suite.norms")
             for suite_name in ("thm-2-3", "thm-3-3", "cor-2-6", "finest-partition", "randomisation")
             for norms in (5, [])
+        ]
+        + [
+            # an empty atom range, also next to an explicit input
+            ("thm-2-3", {"min_atoms": 3, "max_atoms": 2}, "suite.max_atoms"),
+            ("cor-2-5", {"witness_samples": 1}, "suite.witness_samples"),
+            ("cor-2-5", {"survey_samples": 1}, "suite.survey_samples"),
+            ("cor-2-6", {"trial_samples": 1}, "suite.trial_samples"),
         ],
     )
     def test_suite_fields_are_validated_before_any_instance_starts(
@@ -646,6 +653,18 @@ class TestVerifySuites:
         # a config refused while it resolves cannot start an instance
         with pytest.raises(ConfigError, match=f"^{field}: "):
             resolve_config({"suite": params}, suite_name)
+
+    def test_an_empty_atom_range_is_refused_next_to_an_input(self):
+        document = {
+            "partition": {"uniform": 2},
+            "space": {"dim": 2, "norm": "l1"},
+            "input": {"measure": [[1.0, 0.0], [0.0, 1.0]]},
+            "suite": {"min_atoms": 3, "max_atoms": 2},
+        }
+        with pytest.raises(ConfigError, match=r"^suite\.max_atoms: expected an integer >= 3, got 2"):
+            resolve_config(document, "thm-2-3")
+        document["suite"]["max_atoms"] = 3
+        assert resolve_config(document, "thm-2-3").suite["max_atoms"] == 3
 
     def test_duality_suite_random_instances(self):
         config = resolve_config(
