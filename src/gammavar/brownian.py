@@ -23,7 +23,6 @@ from .groupings import Grouping, PartitionMasks, _block_sum
 from .measures import StepFunction, measure_from_density
 from .norms import NormReport, _resolve_mode, _search, gamma_variation_norm
 from .random_sums import (
-    METHOD_MONTE_CARLO,
     _ENSEMBLE_CHUNK_FLOATS,
     Comparison,
     RandomStream,
@@ -235,16 +234,6 @@ def verify_integral_identity(
 
 
 @dataclass(frozen=True)
-class RandomisationCheck:
-    """Sign-averaged vs plain second moment of a grouping's block sum."""
-
-    grouping: Grouping
-    signed: SumEstimate
-    plain: SumEstimate
-    comparison: Comparison
-
-
-@dataclass(frozen=True)
 class RandomisationSweep:
     """The randomisation identity over many set partitions, as arrays
     indexed like their block masks (groupings), with the z-test gap <=
@@ -258,16 +247,6 @@ class RandomisationSweep:
     gap: np.ndarray
     tolerance: np.ndarray
     consistent: np.ndarray
-    z: float
-
-    def check(self, i: int) -> RandomisationCheck:
-        """Partition i's check, the one whose Grouping it makes; both sides
-        are means over the same paths."""
-        value, error = float(self.signed_value[i]), float(self.signed_error[i])
-        signed = SumEstimate(value, error, self.plain.samples, METHOD_MONTE_CARLO)
-        gap, tolerance = float(self.gap[i]), float(self.tolerance[i])
-        comparison = Comparison(bool(self.consistent[i]), gap, tolerance, self.z)
-        return RandomisationCheck(self.groupings[i], signed, self.plain, comparison)
 
 
 def randomisation_identity_sweep(
@@ -317,4 +296,4 @@ def randomisation_identity_sweep(
     plain = _estimate_from_path_stats(plain)
     gap = np.abs(value - plain.value)
     tolerance = z * np.hypot(error, plain.std_error)
-    return RandomisationSweep(groupings, value, error, plain, gap, tolerance, gap <= tolerance, z)
+    return RandomisationSweep(groupings, value, error, plain, gap, tolerance, gap <= tolerance)

@@ -8,9 +8,10 @@ constant C: the ratio ||F||_variation / ||phi||_L2 is at least 1/C, which is
 below 1 off Hilbert space.  This module measures that ratio on seeded random
 inputs and on canonical witnesses and supplies a proven lower bound on 1/C
 for l_p targets; it records worst-case constants, leaving any assertion about
-them to the verification suites.  A run of trials draws every trial's atoms,
-then takes the Gaussian moments of blocks of trials, one stacked product per
-coefficient batch, each trial keeping the bits of a run of its own.
+them to the verification suites.  A run of trials draws the atoms of one
+block of trials at a time and takes their Gaussian moments, one stacked
+product per coefficient batch, each trial keeping the bits of a run of its
+own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import StepFunction
-from .random_sums import RandomStream, _monte_carlo_moments
+from .random_sums import RandomStream, _draw_blocks, _monte_carlo_moments
 from .spaces import AtomPartition, NormedSpace
 
 DIRECTIONS = ("type2", "cotype2")
@@ -162,17 +163,19 @@ def run_embedding_trials(
     Trial t uses substream t: weights from a flat Dirichlet, density values
     with i.i.d. standard Gaussian coordinates, and an independent coefficient
     stream for the moment estimate, so the report is reproducible and each
-    trial is unaffected by the total trial count."""
+    trial is unaffected by the total trial count.  Each block of trials
+    (random_sums._draw_blocks) is drawn when its moments are taken."""
     _validate_direction(direction, space)
     if trials < 1:
         raise ValueError("need at least one trial")
-    weights, values = np.empty((trials, n_atoms)), np.empty((trials, n_atoms, space.dim))
-    for t in range(trials):
-        partition, values[t] = _random_atoms(stream.substream(t), n_atoms, space.dim)
-        weights[t] = partition.weights
-    streams = [stream.substream(t).substream(1) for t in range(trials)]
-    ratios, std_errors = _embedding_ratios(weights, values, space, streams, samples)
-    return EmbeddingReport(direction, trials, ratios, std_errors)
+    ratios, errors = np.empty(trials), np.empty(trials)
+    for block in _draw_blocks(trials, samples, n_atoms):
+        numbers = range(trials)[block]
+        atoms = [_random_atoms(stream.substream(t), n_atoms, space.dim) for t in numbers]
+        weights, values = np.array([p.weights for p, _ in atoms]), np.array([v for _, v in atoms])
+        streams = [stream.substream(t).substream(1) for t in numbers]
+        ratios[block], errors[block] = _embedding_ratios(weights, values, space, streams, samples)
+    return EmbeddingReport(direction, trials, ratios, errors)
 
 
 def sup_norm_witness() -> StepFunction:

@@ -30,6 +30,11 @@ import numpy as np
 # enumeration walks 2^(N-1) interval partitions.
 MAX_ATOMS_ALL = 12
 MAX_ATOMS_CONTIGUOUS = 20
+# Cap on the bytes of a chunk of label rows: the int8 labels and masks, and
+# the temporaries of grouping_labels and of the screen, about 64 bytes a row
+# (the finest-partition scan gathers a few hundred bytes a row, one block
+# count at a time)
+_LABEL_CHUNK_BYTES = 1 << 23
 
 
 class SizeLimitError(ValueError):
@@ -243,8 +248,7 @@ def enumerate_groupings(n_atoms: int, mode: str = "all") -> Iterator[Grouping]:
         raise ValueError("n_atoms must be at least 1")
     check_enumeration_size(n_atoms, mode)
     if mode == "all":
-        # 4096 label rows at a time
-        for labels, _ in grouping_labels(n_atoms, 1 << 12):
+        for labels, _ in grouping_labels(n_atoms):
             yield from map(grouping_from_labels, labels.tolist())
     elif mode == "contiguous":
         for blocks in _interval_partitions(n_atoms):
@@ -253,9 +257,7 @@ def enumerate_groupings(n_atoms: int, mode: str = "all") -> Iterator[Grouping]:
         raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
-def grouping_labels(
-    n_atoms: int, max_rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def grouping_labels(n_atoms: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every set partition of n_atoms atoms, as rows of int8 block labels
     with the atom bitmask of every label.
 
@@ -264,13 +266,17 @@ def grouping_labels(
     than the largest before it.  Atom a sits in block labels[a], and blocks
     0, 1, ... are numbered by their smallest atom, as Grouping orders them.
     The Bell(n_atoms) rows come in lexicographic order, in pairs (labels,
-    masks) of at most max_rows rows.  Column m of masks, the smallest
-    unsigned integer type that holds n_atoms bits, sets bit a for each atom a
-    in block m; each label a row gains adds its atom's bit there.
+    masks) of about _LABEL_CHUNK_BYTES: all prefixes grow a slot at a time
+    until the completions of each fit a chunk, and runs of consecutive
+    prefixes are then completed a chunk at a time.  Column m of masks, the
+    smallest unsigned integer type that holds n_atoms bits, sets bit a for
+    each atom a in block m; each label a row gains adds its atom's bit there.
 
     Raises SizeLimitError above MAX_ATOMS_ALL atoms.
     """
     check_enumeration_size(n_atoms, "all")
+    dtype = np.min_scalar_type((1 << n_atoms) - 1)
+    chunk_rows = max(1, _LABEL_CHUNK_BYTES // (2 * n_atoms * (1 + dtype.itemsize) + 64))
     # tails[r, m]: strings that complete a prefix with r slots left and
     # largest label m (labels 0..m keep m, label m + 1 raises it)
     tails = np.ones((n_atoms, n_atoms + 1), dtype=np.int64)
@@ -291,27 +297,21 @@ def grouping_labels(
             np.maximum(np.repeat(tops, counts), label),
         )
 
-    def walk(labels, masks, tops):
-        left = n_atoms - labels.shape[1]
-        sizes = tails[left, tops]
-        if sizes.sum() <= max_rows:
-            for _ in range(left):
-                labels, masks, tops = extend(labels, masks, tops)
-            yield labels, masks
-        elif labels.shape[0] == 1:
-            yield from walk(*extend(labels, masks, tops))
-        else:
-            # consecutive runs of prefixes whose completions fit max_rows
-            ends = np.cumsum(sizes)
-            start = 0
-            while start < labels.shape[0]:
-                stop = int(np.searchsorted(ends, ends[start] - sizes[start] + max_rows, "right"))
-                stop = max(stop, start + 1)
-                part = slice(start, stop)
-                yield from walk(labels[part], masks[part], tops[part])
-                start = stop
-
     # atom 0 opens block 0
-    masks = np.zeros((1, n_atoms), dtype=np.min_scalar_type((1 << n_atoms) - 1))
+    masks = np.zeros((1, n_atoms), dtype=dtype)
     masks[0, 0] = 1
-    yield from walk(np.zeros((1, 1), dtype=np.int8), masks, np.zeros(1, dtype=np.int64))
+    prefixes = np.zeros((1, 1), dtype=np.int8), masks, np.zeros(1, dtype=np.int64)
+    while np.max(tails[n_atoms - prefixes[0].shape[1], prefixes[2]]) > chunk_rows:
+        prefixes = extend(*prefixes)
+    left = n_atoms - prefixes[0].shape[1]
+    ends = np.cumsum(tails[left, prefixes[2]])
+    start = 0
+    while start < ends.size:
+        # the prefixes whose completions end within chunk_rows of the run's start
+        before = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, before + chunk_rows, "right"))
+        run = tuple(part[start:stop] for part in prefixes)
+        for _ in range(left):
+            run = extend(*run)
+        yield run[0], run[1]
+        start = stop

@@ -12,9 +12,10 @@ The norm takes it on one matrix; the finest-partition suite's scan takes
 every set partition's Sigma_G in batches of label rows, gathered from one
 table of every block's mass and value, with the same bits.  Elsewhere the
 norm samples and SharedDrawMoments shares one set of Gaussian draws across
-groupings, one grouping at a time.  The dual view is the Gaussian-summing norm of the operator with
-columns F(A_n)/sqrt(mu(A_n)), whose squared moment is E || T g ||^2 over the
-full normalized-indicator basis, exact in the same spaces.
+groupings, their coefficients gathered from the same table.  The dual view
+is the Gaussian-summing norm of the operator with columns F(A_n)/sqrt(mu(A_n)),
+whose squared moment is E || T g ||^2 over the full normalized-indicator
+basis, exact in the same spaces.
 
 The randomized variation drops the 1/sqrt(mu) normalization and uses
 Rademacher signs, so its supremum genuinely depends on the grouping and is
@@ -25,15 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .groupings import (
     MAX_ATOMS_CONTIGUOUS,
     Grouping,
-    _block_sum,
-    _mask_atoms,
     block_sums,
     check_enumeration_size,
     enumerate_groupings,
@@ -51,6 +49,7 @@ from .random_sums import (
     _block_counts,
     _check_values,
     _coefficient_batches,
+    _draw_blocks,
     _estimate_from_moments,
     _subset_sums,
     _table_screen,
@@ -63,11 +62,6 @@ from .random_sums import (
 from .spaces import NormedSpace
 
 RANDOMIZED_MODES = ("auto", "exhaustive", "contiguous", "greedy")
-# Cap on the bytes of a chunk of label rows: the int8 labels and masks, and
-# the temporaries of grouping_labels and of the screen, about 64 bytes a row
-# (the finest-partition scan gathers a few hundred bytes a row, one block
-# count at a time)
-_LABEL_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -97,22 +91,6 @@ def _normalized_vectors(measure: VectorMeasure) -> np.ndarray:
     return measure.values / np.sqrt(measure.partition.weights)[:, None]
 
 
-def _grouping_matrix(measure: VectorMeasure, blocks: list[list[int]]) -> np.ndarray:
-    """Atom-coefficient matrix realizing the Gaussian sum of a grouping, given
-    as its blocks' atom lists, from the finest one.
-
-    Row n is sqrt(w_n) F(B)/mu(B) for the block B containing atom n (zero for
-    uncovered atoms), so right-multiplying a standard Gaussian matrix yields
-    sum_m g_m F(B_m)/sqrt(mu(B_m)) in distribution, with draws shared across
-    groupings for paired comparisons.
-    """
-    weights = measure.partition.weights
-    mat = np.zeros_like(measure.values)
-    for atoms in blocks:
-        mat[atoms] = _block_sum(measure.values, atoms) / _block_sum(weights, atoms)
-    return np.sqrt(weights)[:, None] * mat
-
-
 def _gaussian_moment(
     rows: np.ndarray,
     space: NormedSpace,
@@ -132,20 +110,20 @@ def _gaussian_moment(
 
 class SharedDrawMoments:
     """Squared-moment values of many groupings of one measure, given as rows
-    of block masks (moments) or one Grouping at a time (moment).
+    of block masks (moments) or one Grouping at a time (moment), capped at
+    MAX_ATOMS_ALL atoms.  One table holds mu(B) and F(B) of every block B
+    (random_sums._subset_sums, with _block_sum's bits on the values).
 
     Exact where _gaussian_moment is, in Hilbert spaces, l1 in any dimension
-    and linf in the plane, and then capped at MAX_ATOMS_ALL atoms: one
-    table holds mu(B) and F(B) of every block B (random_sums._subset_sums,
-    with _block_sum's bits), a grouping's rows F(B)/sqrt(mu(B)) give its
+    and linf in the plane: a grouping's rows F(B)/sqrt(mu(B)) give its
     covariance Sigma_G = sum_B F(B) F(B)^T / mu(B), and the rows of each
     block count are taken in one batch, through covariance_moment's stacked
-    kernel or the Hilbert sum of squared row norms.  So a grouping's value
-    is that of _gaussian_moment on its rows, bit for bit, and the finest
-    grouping's is gamma_variation_norm's; these need no stream.  Other
-    spaces share one set of Gaussian draws across all groupings (paired
-    estimates), take them one grouping at a time, and need a stream and
-    samples."""
+    kernel or the Hilbert sum of squared row norms, so a grouping's value is
+    _gaussian_moment's on its rows, bit for bit, and the finest grouping's
+    is gamma_variation_norm's.  Other spaces share one set of Gaussian draws
+    g across all groupings (paired estimates) and need a stream and
+    samples: atom n takes the row sqrt(w_n) F(B)/mu(B) of its block B, so g
+    times these rows is sum_B g_B F(B)/sqrt(mu(B)) in distribution."""
 
     def __init__(
         self,
@@ -155,15 +133,15 @@ class SharedDrawMoments:
     ):
         self.measure = measure
         space = measure.space
+        check_enumeration_size(measure.n_atoms, "all")
+        # mu(B) next to F(B), row mask B
+        self._blocks = _subset_sums(np.column_stack((measure.partition.weights, measure.values)))
         self._exact = space.is_hilbert or has_covariance_moment(space)
         if self._exact:
-            check_enumeration_size(measure.n_atoms, "all")
-            weights = measure.partition.weights
-            # mu(B) next to F(B), row mask B
-            self._blocks = _subset_sums(np.column_stack((weights, measure.values)))
             self._method = METHOD_EXACT_HILBERT if space.is_hilbert else METHOD_EXACT_COVARIANCE
             self._samples = 0
         else:
+            self._scale = np.sqrt(measure.partition.weights)[:, None]
             # the batches fill one array in turn, each freed before the next
             # is drawn: the peak is the draws and one batch
             self._draws, start = np.empty((samples, measure.n_atoms)), 0
@@ -176,8 +154,9 @@ class SharedDrawMoments:
     def moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The values and std errors of the groupings whose blocks' atom
         bitmasks the rows of masks hold, block m in column m and 0 past the
-        last, as groupings.grouping_labels lays them out."""
-        space = self.measure.space
+        last, as groupings.grouping_labels lays them out.  Sampled rows take
+        one stacked product with the draws a block (random_sums._draw_blocks)."""
+        space, n_atoms = self.measure.space, self.measure.n_atoms
         n_blocks = _block_counts(masks)
         values, errors = np.empty(masks.shape[0]), np.zeros(masks.shape[0])
         for k in np.flatnonzero(np.bincount(n_blocks)).tolist():
@@ -191,10 +170,13 @@ class SharedDrawMoments:
                 else:
                     values[members] = covariance_moment(rows.transpose(0, 2, 1) @ rows, space)
                 continue
-            for i in members.tolist():
-                blocks = [_mask_atoms(m) for m in masks[i, :k].tolist()]
-                draws = self._draws @ _grouping_matrix(self.measure, blocks)
-                values[i], errors[i], _ = _estimate_from_moments([space.norm_sq(draws)])
+            for block in _draw_blocks(members.size, self._samples, space.dim):
+                part = members[block]
+                blocks = masks[part, :k, None]
+                # atom n's row of the table: the one block that sets bit n
+                sums = self._blocks[np.sum(blocks * (blocks >> np.arange(n_atoms) & 1), axis=1)]
+                stats = space.norm_sq(self._draws @ (self._scale * (sums[..., 1:] / sums[..., :1])))
+                values[part], errors[part], _ = _estimate_from_moments([stats])
         return values, errors
 
     def moment(self, grouping: Grouping) -> SumEstimate:
@@ -285,14 +267,6 @@ def total_variation_norm(measure: VectorMeasure) -> float:
 # --- randomized variation ------------------------------------------------------
 
 
-def _label_chunks(n_atoms: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The label rows and block masks of groupings.grouping_labels, in
-    chunks of about _LABEL_CHUNK_BYTES."""
-    mask_bytes = np.min_scalar_type((1 << n_atoms) - 1).itemsize
-    rows = max(1, _LABEL_CHUNK_BYTES // (2 * n_atoms * (1 + mask_bytes) + 64))
-    return grouping_labels(n_atoms, rows)
-
-
 def _exhaustive_label_search(
     n_atoms: int, screen, bound: float, decide
 ) -> tuple[Grouping, SumEstimate]:
@@ -300,7 +274,7 @@ def _exhaustive_label_search(
     n_atoms atoms, with its estimate, in the order of _beats.
 
     Set partitions come as label rows with block masks, in chunks
-    (_label_chunks), and each chunk is screened in one batch:
+    (grouping_labels), and each chunk is screened in one batch:
     screen(masks) gives (values, errors) whose values lie within bound of
     the estimates that decide(groupings) gives, so the winner lies within
     2 bound of the top screen value, and only rows that near the running
@@ -310,7 +284,7 @@ def _exhaustive_label_search(
     one whose screen value plus bound does not pass that is never
     decided."""
     top, kept = -np.inf, []
-    for labels, masks in _label_chunks(n_atoms):
+    for labels, masks in grouping_labels(n_atoms):
         values, _ = screen(masks)
         top = max(top, float(np.max(values)))
         near = ~(values < top - 2.0 * bound)

@@ -227,18 +227,23 @@ def _estimate_from_path_stats(path_stats: np.ndarray) -> SumEstimate:
     return SumEstimate(*map(float, _path_moments(path_stats)), path_stats.size, METHOD_MONTE_CARLO)
 
 
+def _draw_blocks(count: int, samples: int, k: int) -> Iterator[slice]:
+    """Consecutive blocks of count items, trials or groupings, whose samples
+    x k floats each fit _ENSEMBLE_CHUNK_FLOATS, one item at least (blocks
+    whose one batch filled it ran lp sums 30 % slower)."""
+    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (max(1, samples) * k))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _monte_carlo_moments(values: np.ndarray, space, streams: list, samples: int, kind: str):
     """Plain-space MC means, std errors and sample count of E||sum_n c_n x_n||^2
     for each (N, d) family of a (trials, N, d) stack, trial t drawing the
-    batches of streams[t].  Blocks of trials whose draws fit
-    _ENSEMBLE_CHUNK_FLOATS, one trial at least, take one stacked product a
-    batch, matrix by matrix, so each trial keeps its own estimate's bits
-    (blocks whose one batch filled it ran lp sums 30 % slower)."""
+    batches of streams[t].  Each block of _draw_blocks takes one stacked
+    product a batch, matrix by matrix, so each trial keeps its own
+    estimate's bits."""
     trials, k = values.shape[:2]
-    step = max(1, _ENSEMBLE_CHUNK_FLOATS // (max(1, samples) * k))
     means, errors = np.empty(trials), np.empty(trials)
-    for start in range(0, trials, step):
-        block = slice(start, start + step)
+    for block in _draw_blocks(trials, samples, k):
         batches = _coefficient_batches(streams[block], samples, k, kind)
         # map holds no batch while the next one is drawn
         stats = map(lambda coeffs, rows=values[block]: space.norm_sq(coeffs @ rows), batches)
@@ -564,10 +569,7 @@ def _ensemble_decide(chunks, base, n_atoms: int, n_paths: int):
             width = n_paths * chunk.shape[2]
             for i, grouping in enumerate(part):
                 stats[i, span] = _rademacher_path_stats(block_sums(chunk, grouping), base, width)
-        return [
-            SumEstimate(*map(float, _path_moments(row)), n_paths, METHOD_MONTE_CARLO)
-            for row in stats
-        ]
+        return list(map(_estimate_from_path_stats, stats))
 
     def decide(groupings):
         step = n_atoms * (base.dim + 1)

@@ -37,6 +37,7 @@ from .groupings import (
     block_sums,
     check_enumeration_size,
     grouping_from_labels,
+    grouping_labels,
 )
 from .measures import (
     StepFunction,
@@ -48,7 +49,6 @@ from .norms import (
     DualityReport,
     NormReport,
     SharedDrawMoments,
-    _label_chunks,
     _resolve_mode,
     gamma_summing_norm,
     gamma_variation_norm,
@@ -163,8 +163,10 @@ MAX_GROUPING_PATHS = 1 << 27
 # decides its groupings in batches counts its batch's rows the same way.
 MAX_TABLE_PATHS = 1 << 28
 # A Monte Carlo leg may hold at most this many coefficient draws at once
-# (512 MB): finest-partition's shared draws take 1e5 x 6 at the default
-# shape in an lp space.
+# (512 MB), and an example-3-4 grid point as many floats: finest-partition's
+# shared draws take 1e5 x 6 at the default shape in an lp space, and a grid
+# point of n atoms peaked at 5 n floats (n = 1e6, the scalar-magnitude
+# model) or 2.03 n^2 in the dense model (n = 1000), traced.
 MAX_DRAW_FLOATS = 1 << 26
 
 _ENGINE_OVERRIDES: dict[str, dict] = {
@@ -434,7 +436,8 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
     groupings times paths, search an ensemble past MAX_TABLE_PATHS
     (_check_search), enumerate the signs of more than ENUMERATION_LIMIT
     blocks of an ensemble (_check_search_batch) or hold more than
-    MAX_DRAW_FLOATS Monte Carlo draws (_draw_legs); the message starts
+    MAX_DRAW_FLOATS Monte Carlo draws (_draw_legs) or floats of an
+    example-3-4 grid point; the message starts
     with the field that asked for the work."""
     params = config.suite
     has_input = config.measure_values is not None or config.density_values is not None
@@ -457,11 +460,15 @@ def _check_size_caps(config: ExperimentConfig, suite_name: str | None) -> None:
         estimate = (groupings + floats) * config.paths
         _budget("suite.n_atoms", what, estimate, MAX_GROUPING_PATHS, "grouping-paths")
     if suite_name == "example-3-4":
-        # grid points within both limits run an exhaustive search, over an
-        # ensemble too up to empirical_limit: beyond exhaustive_limit, over
-        # the fixed family, of one-dimensional increments
+        # a grid point holds a partition and a measure; one within both limits
+        # runs an exhaustive search, over an ensemble too up to empirical_limit:
+        # beyond exhaustive_limit, over the fixed family, of 1-D increments
         for n in params["n_grid"]:
-            if n > params["dense_limit"]:
+            dense = n <= params["dense_limit"]
+            floats = n * (2 * n + 5) if dense else 5 * n
+            what = f"the grid point n = {n} holds its uniform partition and measure model"
+            _budget("suite.n_grid", what, floats, MAX_DRAW_FLOATS, "floats")
+            if not dense:
                 continue
             exhaustive = n <= params["exhaustive_limit"]
             if exhaustive:
@@ -1034,7 +1041,7 @@ def _domination_instance(
     finest_grouping = Grouping.finest(n_atoms)
     finest = shared.moment(finest_grouping)
     worst_gap, worst, failures = -math.inf, None, 0
-    for labels, masks in _label_chunks(n_atoms):
+    for labels, masks in grouping_labels(n_atoms):
         values, errors = shared.moments(masks)
         gaps = values - finest.value
         if finest.is_exact:
@@ -1110,7 +1117,7 @@ def _randomisation_instance(
     partition, values = _random_atoms(stream, n_atoms, space.dim)
     density = StepFunction(partition, space, values)
     # the set partitions of at most max_blocks blocks, in label order
-    rows = [masks[labels.max(axis=1) < max_blocks] for labels, masks in _label_chunks(n_atoms)]
+    rows = [masks[labels.max(axis=1) < max_blocks] for labels, masks in grouping_labels(n_atoms)]
     masks = PartitionMasks(np.concatenate(rows))
     sweep = randomisation_identity_sweep(density, masks, paths, stream.substream(1), z, threads)
     failures = np.flatnonzero(~sweep.consistent)
@@ -1118,8 +1125,8 @@ def _randomisation_instance(
     ratio = np.divide(
         sweep.gap, sweep.tolerance, out=np.zeros_like(sweep.gap), where=sweep.tolerance > 0
     )
-    worst = sweep.check(int(np.argmax(ratio)))
-    detail = f"norm={space.norm_tag()} worst grouping {worst.grouping.to_lists()}"
+    worst = int(np.argmax(ratio))
+    detail = f"norm={space.norm_tag()} worst grouping {sweep.groupings[worst].to_lists()}"
     if failures.size:
         detail += f"; first failure {sweep.groupings[failures[0]].to_lists()}"
     return CheckRecord(
@@ -1127,13 +1134,13 @@ def _randomisation_instance(
         values={
             "groupings": len(sweep.groupings),
             "failures": int(failures.size),
-            "worst_signed": worst.signed.value,
-            "worst_plain": worst.plain.value,
-            "worst_tolerance": worst.comparison.tolerance,
+            "worst_signed": float(sweep.signed_value[worst]),
+            "worst_plain": sweep.plain.value,
+            "worst_tolerance": float(sweep.tolerance[worst]),
         },
         std_errors={
-            "worst_signed": worst.signed.std_error,
-            "worst_plain": worst.plain.std_error,
+            "worst_signed": float(sweep.signed_error[worst]),
+            "worst_plain": sweep.plain.std_error,
         },
         verdict="fail" if failures.size else "pass",
         detail=detail,

@@ -181,6 +181,19 @@ def gaussian_grouping_moment_reference(weights, values, blocks, p: float) -> flo
     return covariance_moment_reference(rows.T @ rows, p)
 
 
+def grouping_matrix_reference(weights, values, blocks) -> np.ndarray:
+    """Atom-coefficient matrix of one grouping's Gaussian sum, block by
+    block: row n is sqrt(w_n) F(B)/mu(B) for the block B that holds atom n,
+    so standard Gaussian draws g times it are sum_B g_B F(B)/sqrt(mu(B)) in
+    distribution.  F(B) is np.sum of the block's gathered value rows, mu(B)
+    np.sum of its 1-D weights (pairwise from 8 atoms on)."""
+    mat = np.zeros_like(values)
+    for block in blocks:
+        atoms = list(block)
+        mat[atoms] = np.sum(values[atoms], axis=0) / np.sum(weights[atoms])
+    return np.sqrt(weights)[:, None] * mat
+
+
 @lru_cache(maxsize=None)
 def bell_reference(n: int) -> int:
     """Bell numbers by the binomial convolution B(n) = sum C(n-1, k) B(k)."""

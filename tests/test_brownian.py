@@ -415,19 +415,18 @@ def _seeded_case(seed=51, n_atoms=4, dim=2, space=None, n_paths=20_000):
 class TestRandomisationIdentity:
     def test_single_block_is_exactly_invariant(self):
         # one sign factors out of the norm, so both sides coincide path-wise
-        check = _sweep(_seeded_case(n_paths=200), [Grouping([[0, 1, 2, 3]], 4)]).check(0)
-        assert check.comparison.consistent
-        assert abs(check.signed.value - check.plain.value) <= 1e-12
+        sweep = _sweep(_seeded_case(n_paths=200), [Grouping([[0, 1, 2, 3]], 4)])
+        assert sweep.consistent[0]
+        assert abs(sweep.signed_value[0] - sweep.plain.value) <= 1e-12
 
     def test_finest_grouping_keeps_the_euclidean_moment(self):
-        check = _sweep(_seeded_case(seed=52), [Grouping.finest(4)]).check(0)
-        assert check.comparison.consistent
+        assert _sweep(_seeded_case(seed=52), [Grouping.finest(4)]).consistent[0]
 
     def test_two_block_covering_grouping_is_consistent(self):
         case = _seeded_case(seed=53, space=NormedSpace.l1(2))
-        check = _sweep(case, [Grouping([[0, 2], [1, 3]], 4)]).check(0)
-        assert check.comparison.consistent
-        assert check.grouping == Grouping([[0, 2], [1, 3]], 4)
+        sweep = _sweep(case, [Grouping([[0, 2], [1, 3]], 4)])
+        assert sweep.consistent[0]
+        assert sweep.groupings[0] == Grouping([[0, 2], [1, 3]], 4)
 
     def test_sweep_preserves_order_and_shares_the_plain_moment(self):
         groupings = [
@@ -437,9 +436,10 @@ class TestRandomisationIdentity:
         ]
         sweep = _sweep(_seeded_case(seed=54, n_paths=500), groupings)
         assert list(sweep.groupings) == groupings
-        assert [sweep.check(i).grouping for i in range(3)] == groupings
         # every set partition sums to the whole measure: one unsigned side
-        assert sweep.check(0).plain is sweep.check(2).plain is sweep.plain
+        assert sweep.tolerance.tolist() == [
+            3.0 * float(np.hypot(error, sweep.plain.std_error)) for error in sweep.signed_error
+        ]
 
     @pytest.mark.parametrize("chunk_floats", [None, 1200])
     @pytest.mark.parametrize("space", [NormedSpace.linf(2), NormedSpace.l1(2)])
@@ -523,10 +523,23 @@ def _mixed_groupings(rng, n_atoms, count):
     return picks + [Grouping.finest(n_atoms), Grouping([range(n_atoms)], n_atoms)]
 
 
-def _check_document(check):
-    """A randomisation check's fields in the layout of
+def _check_document(sweep, i, z=3.0):
+    """Partition i of a sweep, read from its arrays, in the layout of
     ref.randomisation_sweep_reference's documents."""
-    return dict(dataclasses.asdict(check), grouping=check.grouping.to_lists())
+    plain = dataclasses.asdict(sweep.plain)
+    signed = dict(plain, value=float(sweep.signed_value[i]), std_error=float(sweep.signed_error[i]))
+    comparison = {
+        "consistent": bool(sweep.consistent[i]),
+        "gap": float(sweep.gap[i]),
+        "tolerance": float(sweep.tolerance[i]),
+        "z": z,
+    }
+    return {
+        "grouping": sweep.groupings[i].to_lists(),
+        "signed": signed,
+        "plain": plain,
+        "comparison": comparison,
+    }
 
 
 def _assert_within_the_bound(signed, want, bound):
@@ -550,7 +563,7 @@ def _assert_matches_the_reference(case, groupings):
     want = ref.randomisation_sweep_reference(
         contributions, space.norm_sq, space.is_hilbert, [g.blocks for g in groupings]
     )
-    got = [_check_document(sweep.check(i)) for i in range(len(groupings))]
+    got = [_check_document(sweep, i) for i in range(len(groupings))]
     bound = _ensemble_bound(contributions, space)
     assert bound <= 1e-9 * max(w["signed"]["value"] for w in want)
     for g, w in zip(got, want, strict=True):
@@ -639,9 +652,8 @@ class TestSweepAgainstTheReference:
             groupings = _mixed_groupings(rng, 5, 40)
             sweep = _sweep(case, groupings, z=z)
             for i in range(len(groupings)):
-                check = sweep.check(i)
-                want = compare_estimates(check.signed, check.plain, z=z)
-                assert check.comparison == want
+                signed = SumEstimate(**_check_document(sweep, i, z)["signed"])
+                want = compare_estimates(signed, sweep.plain, z=z)
                 assert (sweep.consistent[i], sweep.gap[i], sweep.tolerance[i]) == (
                     want.consistent,
                     want.gap,
@@ -668,7 +680,7 @@ class TestSweepAgainstTheReference:
         monkeypatch.setattr(brownian, "_block_sum", recorded)
         tracemalloc.start()
         try:
-            check = _sweep(case, [grouping]).check(0)
+            sweep = _sweep(case, [grouping])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -676,7 +688,7 @@ class TestSweepAgainstTheReference:
         assert summed == [list(range(20)), list(range(0, 20, 2)), list(range(1, 20, 2))]
         # a 2^20-row table of 8 paths would take 64 MiB
         assert peak < 1 << 20
-        assert [_check_document(check)] == ref.randomisation_sweep_reference(
+        assert [_check_document(sweep, 0)] == ref.randomisation_sweep_reference(
             _contributions(case), case[0].space.norm_sq, True, [grouping.blocks]
         )
 
@@ -692,7 +704,8 @@ class TestSweepAgainstTheReference:
         sweep = _sweep(case, groupings)
         contributions = _contributions(case)
         for i, grouping in enumerate(groupings):
-            assert sweep.check(i).signed == _reference_moment(contributions, space, grouping)
+            signed = SumEstimate(**_check_document(sweep, i)["signed"])
+            assert signed == _reference_moment(contributions, space, grouping)
 
     def test_the_block_cap_is_checked_before_any_sum(self, monkeypatch):
         case = _sampled_case(np.random.default_rng(74), NormedSpace.l1(2), 21, 10)
@@ -774,8 +787,8 @@ class TestStreamedSweep:
         # (paths,) row and a chunk of paths at a time
         n_atoms, n_paths, dim = 4, 200_000, 3
         density, _, stream = _seeded_case(seed=59, n_atoms=n_atoms, dim=dim)
-        labelled = groupings.grouping_labels(n_atoms, 64)
-        masks = PartitionMasks(np.concatenate([m for _, m in labelled]))
+        ((_, masks),) = groupings.grouping_labels(n_atoms)
+        masks = PartitionMasks(masks)
         tracemalloc.start()
         try:
             sweep = randomisation_identity_sweep(density, masks, n_paths, stream)

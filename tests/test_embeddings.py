@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -197,6 +198,24 @@ class TestEmbeddingKernel:
         run_embedding_trials("cotype2", NormedSpace.l1(2), 3, 10, stream, samples=801)
         assert {count for count, _ in held} == {1}
         assert max(size for _, size in held) == (1212 if chunk_floats == 10000 else 303)
+
+    def test_a_run_holds_one_block_of_trials(self, monkeypatch):
+        # blocks of 16 trials; a run that drew every trial's atoms and
+        # streams first grew by about 300 bytes a trial, its results by 16
+        monkeypatch.setattr(random_sums, "_ENSEMBLE_CHUNK_FLOATS", 64)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_embedding_trials(
+                    "cotype2", NormedSpace.l1(2), 2, trials, RandomStream(6, (0,)), samples=2
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # the first call fills caches
+        assert peak(2000) - peak(200) < 1800 * 100
 
     def test_the_ratio_is_the_one_trial_case(self):
         space = NormedSpace(2, 1.5)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _reference as ref
-from gammavar import Grouping, PartitionMasks, SizeLimitError, enumerate_groupings
+from gammavar import Grouping, PartitionMasks, SizeLimitError, enumerate_groupings, groupings
 from gammavar.groupings import (
     bell_number,
     MAX_ATOMS_ALL,
@@ -146,10 +146,17 @@ class TestEnumeration:
             next(enumerate_groupings(3, "sideways"))
 
 
+def _chunk_rows(monkeypatch, n_atoms: int, max_rows: int) -> None:
+    """Set the label-chunk budget to the most bytes that hold max_rows rows
+    of n_atoms atoms under grouping_labels' per-row rule."""
+    row = 2 * n_atoms * (1 + np.min_scalar_type((1 << n_atoms) - 1).itemsize) + 64
+    monkeypatch.setattr(groupings, "_LABEL_CHUNK_BYTES", (max_rows + 1) * row - 1)
+
+
 class TestGroupingLabels:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_every_grouping_once(self, n):
-        ((labels, _),) = grouping_labels(n, 1 << 20)
+        ((labels, _),) = grouping_labels(n)
         assert labels.dtype == np.int8
         assert labels.shape == (ref.bell_reference(n), n)
         got = [ref.canonical_blocks(grouping_from_labels(row).blocks) for row in labels.tolist()]
@@ -160,7 +167,7 @@ class TestGroupingLabels:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_the_enumeration_yields_the_rows_in_order(self, n):
-        ((labels, _),) = grouping_labels(n, 1 << 20)
+        ((labels, _),) = grouping_labels(n)
         got = [g.blocks for g in enumerate_groupings(n, "all")]
         assert got == [
             tuple(tuple(np.flatnonzero(row == m).tolist()) for m in range(row.max() + 1))
@@ -169,7 +176,7 @@ class TestGroupingLabels:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_canonical_restricted_growth_strings(self, n):
-        ((labels, _),) = grouping_labels(n, 1 << 20)
+        ((labels, _),) = grouping_labels(n)
         assert np.all(labels[:, 0] == 0)
         running = np.maximum.accumulate(labels, axis=1)
         assert np.all(labels[:, 1:] <= running[:, :-1] + 1)
@@ -184,30 +191,54 @@ class TestGroupingLabels:
             for m, block in enumerate(grouping.blocks):
                 assert block == tuple(np.flatnonzero(row == m))
 
+    @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("max_rows", [1, 2, 5, 17, 200])
-    def test_small_chunks_concatenate_to_the_single_chunk(self, max_rows):
-        ((whole, whole_masks),) = grouping_labels(6, 1 << 20)
-        chunks = list(grouping_labels(6, max_rows))
+    def test_small_chunks_concatenate_to_the_default_chunks(self, n, max_rows, monkeypatch):
+        whole, whole_masks = map(np.concatenate, zip(*grouping_labels(n)))
+        _chunk_rows(monkeypatch, n, max_rows)
+        chunks = list(grouping_labels(n))
         assert all(0 < len(labels) <= max_rows for labels, _ in chunks)
         assert all(len(labels) == len(masks) for labels, masks in chunks)
         assert np.array_equal(np.concatenate([labels for labels, _ in chunks]), whole)
         assert np.array_equal(np.concatenate([masks for _, masks in chunks]), whole_masks)
 
+    @pytest.mark.parametrize("n", range(1, MAX_ATOMS_ALL + 1))
+    @pytest.mark.parametrize("max_rows", [1, 7, 300, 5000])
+    def test_chunks_keep_their_bound_and_the_order_up_to_the_cap(self, n, max_rows, monkeypatch):
+        # at most about 2000 chunks, each checked alone: no walk is held
+        max_rows = max(max_rows, bell_number(n) // 2000)
+        _chunk_rows(monkeypatch, n, max_rows)
+        weights = 13 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        previous, rows = -1, 0
+        for labels, masks in grouping_labels(n):
+            assert 0 < len(labels) <= max_rows
+            assert labels.dtype == np.int8 and masks.dtype == np.min_scalar_type((1 << n) - 1)
+            running = np.maximum.accumulate(labels, axis=1)
+            assert np.all(labels[:, 0] == 0) and np.all(labels[:, 1:] <= running[:, :-1] + 1)
+            # lexicographic order across chunks: labels < 13 are base-13 digits
+            keys = labels.astype(np.int64) @ weights
+            assert previous < keys[0] and np.all(np.diff(keys) > 0)
+            assert np.array_equal(masks, ref.label_masks_reference(labels))
+            previous, rows = keys[-1], rows + len(labels)
+        assert rows == ref.bell_reference(n)
+
     def test_cap_names_the_bell_number(self):
         with pytest.raises(SizeLimitError, match="27644437"):
-            next(grouping_labels(MAX_ATOMS_ALL + 1, 1 << 20))
+            next(grouping_labels(MAX_ATOMS_ALL + 1))
 
     def test_masks_mark_each_labels_atoms(self):
-        ((labels, masks),) = grouping_labels(5, 1 << 20)
+        ((labels, masks),) = grouping_labels(5)
         for row, row_masks in zip(labels, masks):
             for m in range(5):
                 atoms = np.flatnonzero(row == m)
                 assert row_masks[m] == sum(1 << int(a) for a in atoms)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    @pytest.mark.parametrize("max_rows", [200, 1 << 20])
-    def test_masks_equal_the_per_atom_scatter(self, n, max_rows):
-        for labels, masks in grouping_labels(n, max_rows):
+    @pytest.mark.parametrize("max_rows", [200, None])
+    def test_masks_equal_the_per_atom_scatter(self, n, max_rows, monkeypatch):
+        if max_rows:
+            _chunk_rows(monkeypatch, n, max_rows)
+        for labels, masks in grouping_labels(n):
             assert np.array_equal(masks, ref.label_masks_reference(labels))
 
     def test_field_prefixes_the_cap_message(self):
@@ -219,7 +250,7 @@ class TestGroupingLabels:
 class TestPartitionMasks:
     def test_label_rows_read_as_their_groupings(self):
         for n_atoms in range(1, 7):
-            ((_, masks),) = grouping_labels(n_atoms, 1 << 12)
+            ((_, masks),) = grouping_labels(n_atoms)
             assert list(PartitionMasks(masks)) == list(enumerate_groupings(n_atoms))
 
     def test_masks_past_64_atoms_are_python_ints(self):

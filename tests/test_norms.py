@@ -31,8 +31,8 @@ from gammavar import (
     total_variation_norm,
     verify_duality,
 )
-from gammavar import norms, random_sums
-from gammavar.groupings import bell_number, block_sums, grouping_from_labels, grouping_labels
+from gammavar import groupings, norms, random_sums
+from gammavar.groupings import block_sums, grouping_from_labels, grouping_labels
 from gammavar.norms import SharedDrawMoments
 from gammavar.random_sums import (
     METHOD_EXACT_COVARIANCE,
@@ -305,7 +305,7 @@ def _assert_the_scan_matches_the_reference(measure):
     """moments over every set partition in one batch == the reference, one
     grouping at a time, with zero std errors."""
     n_atoms = measure.n_atoms
-    ((labels, masks),) = grouping_labels(n_atoms, bell_number(n_atoms))
+    ((labels, masks),) = grouping_labels(n_atoms)
     values, errors = SharedDrawMoments(measure).moments(masks)
     weights, p = measure.partition.weights, measure.space.p
     want = [
@@ -342,25 +342,36 @@ class TestBatchedScan:
             _assert_the_scan_matches_the_reference(scaled)
             _assert_the_scan_matches_the_reference(_tie_heavy_measure(rng, n_atoms, space, shift))
 
-    @pytest.mark.parametrize("space", [NormedSpace.linf(3), NormedSpace(2, 1.5)], ids=repr)
-    def test_sampled_spaces_keep_their_one_grouping_estimates(self, space):
-        # the shared draws, one grouping at a time, fed from mask rows
-        measure = _random_measure(np.random.default_rng(82), 4, space.dim, space)
-        shared = SharedDrawMoments(measure, RandomStream(3, (1,)), 500)
-        ((labels, masks),) = grouping_labels(4, bell_number(4))
+    @pytest.mark.parametrize(
+        "space", [NormedSpace.linf(3), NormedSpace(2, 1.5), NormedSpace(3, 3.0)], ids=repr
+    )
+    @pytest.mark.parametrize("n_atoms", [*range(1, 8), 9])
+    def test_sampled_spaces_keep_their_one_grouping_estimates(self, space, n_atoms):
+        # the shared draws times each grouping's coefficient matrix, built
+        # block by block; the table adds a block's masses in order, which
+        # moves the last bits of a block of 8 atoms or more
+        measure = _random_measure(np.random.default_rng(82 + n_atoms), n_atoms, space.dim, space)
+        shared = SharedDrawMoments(measure, RandomStream(3, (1,)), 500 if n_atoms < 9 else 40)
+        ((labels, masks),) = grouping_labels(n_atoms)
         values, errors = shared.moments(masks)
-        for row, value, error in zip(labels.tolist(), values, errors, strict=True):
-            grouping = grouping_from_labels(row)
-            draws = shared._draws @ norms._grouping_matrix(measure, grouping.to_lists())
-            mean, se, n = random_sums._estimate_from_moments([space.norm_sq(draws)])
-            assert (value, error) == (mean, se)
-            want = SumEstimate(float(mean), float(se), n, METHOD_MONTE_CARLO)
-            assert shared.moment(grouping) == want
+        sizes = np.apply_along_axis(np.bincount, 1, labels, minlength=n_atoms)
+        for i in np.flatnonzero(np.max(sizes, axis=1) < 8).tolist():
+            grouping = grouping_from_labels(labels[i].tolist())
+            matrix = ref.grouping_matrix_reference(
+                measure.partition.weights, measure.values, grouping.blocks
+            )
+            mean, se, n = random_sums._estimate_from_moments([space.norm_sq(shared._draws @ matrix)])
+            assert (values[i], errors[i]) == (mean, se)
+            if n_atoms < 9:
+                want = SumEstimate(float(mean), float(se), n, METHOD_MONTE_CARLO)
+                assert shared.moment(grouping) == want
 
-    def test_exact_tables_are_capped_with_the_enumeration(self):
-        measure = _random_measure(np.random.default_rng(83), 13, 2)
+    @pytest.mark.parametrize("space", [NormedSpace.l2(2), NormedSpace(2, 1.5)], ids=repr)
+    def test_the_block_table_is_capped_with_the_enumeration(self, space):
+        # sampled spaces read their coefficients from the same table
+        measure = _random_measure(np.random.default_rng(83), 13, 2, space)
         with pytest.raises(SizeLimitError, match="capped at 12 atoms"):
-            SharedDrawMoments(measure)
+            SharedDrawMoments(measure, RandomStream(3, (1,)), 10)
 
 
 class TestExactFastPath:
@@ -667,7 +678,7 @@ class TestBatchedExhaustiveSearch:
     def test_small_chunks_give_the_same_winner(self, monkeypatch):
         # ties then meet across label chunks, not only inside one batch
         # label chunks of 5 rows of 6 atoms (88 bytes a row)
-        monkeypatch.setattr(norms, "_LABEL_CHUNK_BYTES", 5 * 88)
+        monkeypatch.setattr(groupings, "_LABEL_CHUNK_BYTES", 5 * 88)
         monkeypatch.setattr(random_sums, "_CHUNK_FLOATS", 64)
         rng = np.random.default_rng(75)
         space = NormedSpace.linf(2)

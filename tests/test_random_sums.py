@@ -266,7 +266,7 @@ class TestRademacherSumSq:
 def _table_and_single_moments(values, space):
     """Every set partition's subgroup mean of the atom-sign table, paired
     with rademacher_sum_sq of its block_sums."""
-    ((labels, masks),) = grouping_labels(values.shape[0], 1 << 20)
+    ((labels, masks),) = grouping_labels(values.shape[0])
     screen, _ = random_sums._table_screen(values, space)
     means, _ = screen(masks)
     for row, value in zip(labels.tolist(), means.tolist()):

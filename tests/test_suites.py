@@ -24,7 +24,7 @@ from gammavar import (
     run_suite,
     sample_brownian,
 )
-from gammavar import brownian, groupings, norms, random_sums, suites
+from gammavar import brownian, groupings, random_sums, suites
 from gammavar.groupings import block_sums
 from gammavar.norms import SharedDrawMoments, randomized_variation_norm
 from gammavar.random_sums import RandomStream
@@ -308,6 +308,15 @@ class TestConfigResolution:
             ),
             # norms' greedy search over 21 l1 atoms samples Rademacher signs
             (_sized_input(21, "measure", "auto") | {"engine": {"samples": 10**9}}, None, "engine.samples", "2.62e+09"),
+            # an example-3-4 grid point holds 5 floats an atom, or n (2n + 5)
+            # in the dense model
+            ({"suite": {"n_grid": [4, 10**9]}}, "example-3-4", "suite.n_grid", "5e+09"),
+            (
+                {"suite": {"n_grid": [6000], "dense_limit": 6000, "empirical_limit": 0}},
+                "example-3-4",
+                "suite.n_grid",
+                "7.2e+07",
+            ),
         ],
     )
     def test_oversized_draws_are_refused_before_any_run(
@@ -334,8 +343,11 @@ class TestConfigResolution:
             # the embedding suites sample every non-Hilbert ratio, and no
             # Hilbert one
             ({"suite": {"trial_samples": 10**12, "norms": ["l2"]}}, "cor-2-6"),
-            # suites that take no Gaussian draws
+            # suites that take no Gaussian draws, and the largest grid
+            # points of example-3-4's two models
             ({"engine": {"samples": 10**12}}, "example-3-4"),
+            ({"suite": {"n_grid": [suites.MAX_DRAW_FLOATS // 5]}}, "example-3-4"),
+            ({"suite": {"n_grid": [5000], "dense_limit": 5000, "empirical_limit": 0}}, "example-3-4"),
             ({"engine": {"samples": 10**12}}, "randomisation"),
             ({"engine": {"samples": 10**12}}, "cor-2-5"),
         ],
@@ -373,8 +385,17 @@ class TestConfigResolution:
                 "engine.samples: a Monte Carlo leg holds 125000000000 draws of 8 coefficients at "
                 "once, an estimated 1e+12 floats; the limit is 67108864 (2^26)",
             ),
+            (
+                {"suite": {"n_grid": [10**9]}},
+                "example-3-4",
+                "suite.n_grid: the grid point n = 1000000000 holds its uniform partition and "
+                "measure model, an estimated 5e+09 floats; the limit is 67108864 (2^26)",
+            ),
         ],
-        ids=["exhaustive-table-paths", "decided-batch-table-paths", "grouping-paths", "floats"],
+        ids=[
+            "exhaustive-table-paths", "decided-batch-table-paths", "grouping-paths", "floats",
+            "grid-floats",
+        ],
     )
     def test_each_budget_refuses_with_its_full_message(self, document, suite_name, message):
         with pytest.raises(SizeLimitError) as exc:
@@ -1022,7 +1043,7 @@ class TestBatchedPartitionScans:
         whole = render_json(run_suite(suite_name, config).to_document())
         # a label row of 5 atoms counts 84 bytes: chunks of 1 and of 3 rows
         for size in (84, 3 * 84):
-            monkeypatch.setattr(norms, "_LABEL_CHUNK_BYTES", size)
+            monkeypatch.setattr(groupings, "_LABEL_CHUNK_BYTES", size)
             assert render_json(run_suite(suite_name, config).to_document()) == whole
 
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf", {"lp": 1.5}])
