@@ -66,19 +66,19 @@ class BrownianEnsemble:
 
 
 def _increment_blocks(
-    partition: AtomPartition, n_paths: int, stream: RandomStream, chunk: int, threads: int = 1
+    partition: AtomPartition, n_paths: int, rng: np.random.Generator, chunk: int, threads: int = 1
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The n_paths sampled paths of sample_brownian, as (span, block) pairs
-    over the spans of random_sums._path_spans, of chunk paths each, a
-    one-path remainder joining the last: block is a fresh (paths in span,
-    n_atoms) array, scaled in place.  Every block is drawn from the
-    one generator of the stream, which standard_normal consumes in order,
-    so the blocks stacked are sample_brownian's paths bit for bit at any
-    chunk size.  With threads >= 2 and chunks of half _ENSEMBLE_CHUNK_FLOATS
+    """The next n_paths sampled paths from rng, those of sample_brownian
+    from a stream's generator, as (span, block) pairs over the spans of
+    random_sums._path_spans, of chunk paths each, a one-path remainder
+    joining the last: block is a fresh (paths in span, n_atoms) array,
+    scaled in place.  standard_normal consumes the generator in order, so
+    the blocks stacked are sample_brownian's paths bit for bit at any chunk
+    size, and a pass that ends leaves the generator at the path after its
+    last.  With threads >= 2 and chunks of half _ENSEMBLE_CHUNK_FLOATS
     draws or more (drawn ahead, the randomisation sweep's smaller chunks ran
     slower), a helper thread, the generator's only user, draws each block
     while the caller works on the one before; closing the pass joins it."""
-    rng = stream.generator()
     scale = np.sqrt(partition.weights)[None, :]
     spans = list(_path_spans(n_paths, chunk))
 
@@ -99,10 +99,10 @@ def _increment_blocks(
             yield span, block
 
 
-def _check_paths(n_paths: int) -> None:
-    if n_paths < MIN_PATHS:
+def _check_paths(n_paths: int, minimum: int = MIN_PATHS) -> None:
+    if n_paths < minimum:
         raise ValueError(
-            f"sampling an ensemble requires at least {MIN_PATHS} paths, got {n_paths}"
+            f"sampling an ensemble requires at least {minimum} paths, got {n_paths}"
         )
 
 
@@ -113,7 +113,7 @@ def sample_brownian(
     one block of _increment_blocks.  The draws are scaled in place and
     become the ensemble's paths uncopied."""
     _check_paths(n_paths)
-    ((_, paths),) = _increment_blocks(partition, n_paths, stream, n_paths)
+    ((_, paths),) = _increment_blocks(partition, n_paths, stream.generator(), n_paths)
     ensemble = BrownianEnsemble.__new__(BrownianEnsemble)
     ensemble._adopt(partition, paths)
     return ensemble
@@ -143,9 +143,12 @@ class IntegralIdentityReport:
     """Three routes to the same number, with pairwise consistency verdicts.
 
     variation: gamma-variation norm of the measure with density phi (exact for
-    Hilbert targets).  randomized: randomized variation norm of the induced
-    empirical measure.  integral: root second moment of the full integral.
-    The two empirical legs share one path ensemble (paired comparison)."""
+    Hilbert targets, l1 and linf up to R^3).  randomized: randomized
+    variation norm of the induced empirical measure, the held-out moment of
+    the grouping that the search selects (ensemble_search).  integral: root
+    second moment of the full integral.  The two empirical legs share one
+    path ensemble: the randomized moment is taken on its second half, the
+    integral on all of it."""
 
     variation: NormReport
     randomized: NormReport
@@ -169,37 +172,61 @@ def ensemble_search(
     integral's moment on the same paths, with no paths-sized array but a
     few (paths,) rows per grouping decided at once: the winner of the
     search in a resolved mode (norms._resolve_mode), or among a list of
-    groupings, its moment, and the integral moment.
+    groupings, its held-out moment, and the integral moment.
 
-    The paths come in chunks of _increment_blocks, each turned into its
-    contributions phi_n dW_n, and are drawn again for every pass; the
-    first pass fills the integral's per-path statistic.  An exhaustive
-    search screens every set partition in one pass
+    The search selects on the first n_paths // 2 paths, and the winner's
+    moment comes from one pass over the rest (sample splitting, Cox 1975):
+    the largest of many noisy estimates of one number is biased upward, an
+    estimate on paths it was not chosen on is not.  Each half takes at
+    least MIN_PATHS paths.  The paths come in chunks of _increment_blocks,
+    each turned into its contributions phi_n dW_n.  The selection draws its
+    paths again for every pass, and its first pass fills the integral's
+    per-path statistic on them and saves the generator's state, from which
+    the held-out pass draws the rest and fills their statistic.  An
+    exhaustive search screens every set partition in one pass
     (random_sums._ensemble_screen); every search (norms._search) decides
     its groupings in batches of one pass each (random_sums._ensemble_decide).
     Every statistic is elementwise over paths, so the estimates keep the
-    bits of the whole ensemble's, as far as the products keep theirs at
+    bits of their halves' ensembles, as far as the products keep theirs at
     every chunk size (_ensemble_chunk): the integral's are integral_moment's
     on sample_brownian's ensemble."""
-    _check_paths(n_paths)
+    _check_paths(n_paths, 2 * MIN_PATHS)
     partition, space, values = density.partition, density.space, density.values
     n_atoms, dim = values.shape
     rows = _table_size(n_atoms, space.is_hilbert) if mode == "exhaustive" else n_atoms
     chunk = _ensemble_chunk(n_atoms, dim, rows)
-    integral, first = np.empty(n_paths), True
+    selected, integral, state = n_paths // 2, np.empty(n_paths), None
+    carry = np.empty((0, n_atoms))
 
-    def chunks():
-        nonlocal first
-        fill, first = first, False
-        for span, block in _increment_blocks(partition, n_paths, stream, chunk, threads):
+    def blocks(rng, start, count):
+        nonlocal carry
+        fill = state is None or start > 0
+        for span, block in _increment_blocks(partition, count, rng, chunk, threads):
             if fill:
-                integral[span] = space.norm_sq(block @ values)
+                # the integral's products start at multiples of 8 paths, as
+                # the whole ensemble's groups do, and the last one ends it;
+                # the paths past the last multiple wait for the next block
+                paths, at = np.concatenate((carry, block)), start + span.start - len(carry)
+                end = len(paths) if at + len(paths) == n_paths else len(paths) // 8 * 8
+                integral[at : at + end] = space.norm_sq(paths[:end] @ values)
+                carry = paths[end:]
             yield np.einsum("mn,nd->nmd", block, values)
 
-    decide = _ensemble_decide(chunks, space, n_atoms, n_paths)
-    grouping, moment = _search(
+    def chunks():
+        nonlocal state
+        rng = stream.generator()
+        yield from blocks(rng, 0, selected)
+        state = state or rng.bit_generator.state
+
+    decide = _ensemble_decide(chunks, space, n_atoms, selected)
+    grouping, _ = _search(
         n_atoms, mode, decide, lambda: _ensemble_screen(chunks, space, n_atoms)
     )
+    rng = stream.generator()
+    rng.bit_generator.state = state
+    rest = n_paths - selected
+    held_out = _ensemble_decide(lambda: blocks(rng, selected, rest), space, n_atoms, rest)
+    (moment,) = held_out([grouping])
     return grouping, moment, _estimate_from_path_stats(integral)
 
 
@@ -215,7 +242,8 @@ def verify_integral_identity(
     """Check the triple identity between the variation norm of the density's
     measure, the randomized variation of the induced empirical measure, and
     the integral's root second moment.  The search in every mode streams
-    its paths (ensemble_search)."""
+    its paths, and the randomized moment is the selected grouping's on the
+    paths held out of the selection (ensemble_search)."""
     measure = measure_from_density(density)
     variation = gamma_variation_norm(measure, stream.substream(0), samples)
     mode = _resolve_mode(search_mode, density.n_atoms)
@@ -283,7 +311,8 @@ def randomisation_identity_sweep(
     def chunks(size):
         nonlocal first
         fill, first = first, False
-        for span, block in _increment_blocks(density.partition, n_paths, stream, size, threads):
+        rng = stream.generator()
+        for span, block in _increment_blocks(density.partition, n_paths, rng, size, threads):
             contributions = np.einsum("mn,nd->nmd", block, density.values)
             if fill:
                 plain[span] = space.norm_sq(_block_sum(contributions, list(range(n_atoms))))

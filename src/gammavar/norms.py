@@ -6,8 +6,9 @@ Gaussian coefficients; the norm is the supremum over groupings, which the
 finest grouping attains.  That is the second moment of a centred Gaussian
 vector with covariance Sigma_G = sum_m F(B_m) F(B_m)^T / mu(B_m), so the
 norm and the per-grouping moments (SharedDrawMoments) are exact in Hilbert
-spaces, in l1 and in the plane's linf, through one closed form in Sigma_G
-(random_sums.covariance_moment) or the Hilbert sum of squared row norms.
+spaces, in l1 and in linf up to R^3, through one exact route in Sigma_G
+(random_sums.covariance_moment: closed forms, and in linf(3) a quadrature
+tagged exact_quadrature) or the Hilbert sum of squared row norms.
 The norm takes it on one matrix; the finest-partition suite's scan takes
 every set partition's Sigma_G in batches of label rows, gathered from one
 table of every block's mass and value, with the same bits.  Elsewhere the
@@ -43,12 +44,12 @@ from .random_sums import (
     Comparison,
     RandomStream,
     SumEstimate,
-    METHOD_EXACT_COVARIANCE,
     METHOD_EXACT_HILBERT,
     METHOD_MONTE_CARLO,
     _block_counts,
     _check_values,
     _coefficient_batches,
+    _covariance_method,
     _draw_blocks,
     _estimate_from_moments,
     _subset_sums,
@@ -99,12 +100,12 @@ def _gaussian_moment(
 ) -> SumEstimate:
     """E || sum_n g_n x_n ||^2 of the rows x_n with standard Gaussian g_n.
 
-    Hilbert spaces take gaussian_sum_sq's closed form; l1 and the plane's
-    linf take covariance_moment of Sigma = sum_n x_n x_n^T, which needs no
+    Hilbert spaces take gaussian_sum_sq's closed form; l1 and linf up to
+    R^3 take covariance_moment of Sigma = sum_n x_n x_n^T, which needs no
     stream; every other space takes gaussian_sum_sq's Monte Carlo."""
     if not space.is_hilbert and has_covariance_moment(space):
         value = covariance_moment(rows.T @ rows, space)
-        return SumEstimate(value, 0.0, 0, METHOD_EXACT_COVARIANCE)
+        return SumEstimate(value, 0.0, 0, _covariance_method(space))
     return gaussian_sum_sq(rows, space, stream, samples)
 
 
@@ -115,10 +116,10 @@ class SharedDrawMoments:
     (random_sums._subset_sums, with _block_sum's bits on the values).
 
     Exact where _gaussian_moment is, in Hilbert spaces, l1 in any dimension
-    and linf in the plane: a grouping's rows F(B)/sqrt(mu(B)) give its
+    and linf up to R^3: a grouping's rows F(B)/sqrt(mu(B)) give its
     covariance Sigma_G = sum_B F(B) F(B)^T / mu(B), and the rows of each
     block count are taken in one batch, through covariance_moment's stacked
-    kernel or the Hilbert sum of squared row norms, so a grouping's value is
+    kernels or the Hilbert sum of squared row norms, so a grouping's value is
     _gaussian_moment's on its rows, bit for bit, and the finest grouping's
     is gamma_variation_norm's.  Other spaces share one set of Gaussian draws
     g across all groupings (paired estimates) and need a stream and
@@ -138,7 +139,7 @@ class SharedDrawMoments:
         self._blocks = _subset_sums(np.column_stack((measure.partition.weights, measure.values)))
         self._exact = space.is_hilbert or has_covariance_moment(space)
         if self._exact:
-            self._method = METHOD_EXACT_HILBERT if space.is_hilbert else METHOD_EXACT_COVARIANCE
+            self._method = METHOD_EXACT_HILBERT if space.is_hilbert else _covariance_method(space)
             self._samples = 0
         else:
             self._scale = np.sqrt(measure.partition.weights)[:, None]
@@ -215,7 +216,7 @@ def gamma_variation_norm(
     Sigma_G lies below the finest one's in Loewner order, so Anderson's
     inequality rules the others out; the finest-partition suite verifies
     this with SharedDrawMoments).
-    Exact in Hilbert spaces, l1 and the plane's linf, where the stream and
+    Exact in Hilbert spaces, l1 and linf up to R^3, where the stream and
     samples go unused; in all three it equals SharedDrawMoments' finest
     moment bit for bit.  Monte Carlo elsewhere.
     """
@@ -232,7 +233,7 @@ def gamma_summing_norm(
     """Gaussian-summing norm of an operator: sqrt(E || T g ||^2) over the full
     normalized-indicator basis (finite rank makes this the supremum over all
     orthonormal systems).  Exact from the covariance T T^* in Hilbert
-    spaces, l1 and the plane's linf; Monte Carlo elsewhere."""
+    spaces, l1 and linf up to R^3; Monte Carlo elsewhere."""
     moment = _gaussian_moment(operator.columns, operator.space, stream, samples)
     grouping = Grouping.finest(operator.n_atoms)
     return NormReport(float(np.sqrt(moment.value)), moment, grouping, "fast_path")
@@ -246,8 +247,8 @@ def verify_duality(
 ) -> DualityReport:
     """Check that the measure norm matches the dual operator norm.
 
-    The two sides use independent substreams.  Hilbert spaces, l1 and the
-    plane's linf compute both sides exactly and compare them to a rounding
+    The two sides use independent substreams.  Hilbert spaces, l1 and linf
+    up to R^3 compute both sides exactly and compare them to a rounding
     tolerance (compare_estimates); other spaces run a z-test.
     """
     measure_report = gamma_variation_norm(measure, stream.substream(0), samples)

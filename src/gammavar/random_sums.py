@@ -3,10 +3,10 @@
 The quantity of interest is E || sum_n c_n x_n ||^2 where the coefficients are
 either independent standard Gaussians or independent Rademacher signs and the
 x_n live in a normed space.  Exact routes: the Hilbert closed form
-sum_n ||x_n||_2^2, full sign enumeration for small families, and the closed
-form of a Gaussian sum's moment in its covariance for l1 and the plane's
-linf (covariance_moment).  Everything else is Monte Carlo with a
-reproducible substream layout: an estimate is a deterministic function of
+sum_n ||x_n||_2^2, full sign enumeration for small families, and a Gaussian
+sum's moment from its covariance (covariance_moment): a closed form in l1
+and the plane's linf, an angular quadrature in linf(3).  Everything else
+is Monte Carlo with a reproducible substream layout: an estimate is a deterministic function of
 (seed, stream_id, samples), independent of thread count, because draws are
 generated in a fixed number of batches with one substream per batch and
 combined in batch order, at unit scale (_unit_shift).
@@ -49,6 +49,12 @@ EXACT_AGREEMENT_TOL = 1e-9
 # covariance_moment rescales a covariance by a power of two when its size lies
 # outside this range, so that the products of two variances stay normal.
 _SAFE_SCALE_MIN, _SAFE_SCALE_MAX = 2.0**-400, 2.0**400
+# Gauss-Legendre nodes per polar piece of the linf(3) quadrature.
+_POLAR_NODES = 20
+# The polar cuts of every linf(3) quadrature: the pole, multiples of pi/8
+# and the equator.
+_POLAR_CUTS = np.arange(5) * (math.pi / 8.0)
+_KINK_SIGNS = np.array([1.0] * 3 + [-1.0] * 3)[:, None]
 # Cap on floats materialized at once when sweeping sign patterns.
 _CHUNK_FLOATS = 1 << 23
 # Cap on floats per gather of table rows: 1 MB, which stays in a 2 MB
@@ -61,6 +67,7 @@ _ENSEMBLE_TABLE_FLOATS = 1 << 22
 METHOD_EXACT_HILBERT = "exact_hilbert"
 METHOD_EXACT_ENUMERATION = "exact_enumeration"
 METHOD_EXACT_COVARIANCE = "exact_covariance"
+METHOD_EXACT_QUADRATURE = "exact_quadrature"
 METHOD_MONTE_CARLO = "monte_carlo"
 
 
@@ -104,6 +111,7 @@ class SumEstimate:
             METHOD_EXACT_HILBERT,
             METHOD_EXACT_ENUMERATION,
             METHOD_EXACT_COVARIANCE,
+            METHOD_EXACT_QUADRATURE,
         )
 
 
@@ -626,9 +634,92 @@ def _hilbert_moment(arr: np.ndarray, space) -> SumEstimate:
 
 
 def has_covariance_moment(space) -> bool:
-    """Whether covariance_moment has a closed form for the space: l1 in any
-    dimension, linf in the plane."""
-    return space.p == 1.0 or (math.isinf(space.p) and space.dim == 2)
+    """Whether covariance_moment has an exact route for the space: a closed
+    form in l1 in any dimension and in the plane's linf, a quadrature in
+    linf in R^3."""
+    return space.p == 1.0 or (math.isinf(space.p) and space.dim in (2, 3))
+
+
+def _covariance_method(space) -> str:
+    """The method tag of covariance_moment's values in the space."""
+    quadrature = space.dim == 3 and math.isinf(space.p)
+    return METHOD_EXACT_QUADRATURE if quadrature else METHOD_EXACT_COVARIANCE
+
+
+@lru_cache(maxsize=None)
+def _polar_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [0, 1] through theta = a + (b - a)(1 - cos pi t)/2:
+    the fractions (1 - cos pi t)/2 of a piece, and the weights of dtheta
+    per unit of b - a."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t = (t + 1.0) / 2.0
+    rule = (1.0 - np.cos(math.pi * t)) / 2.0, math.pi / 4.0 * np.sin(math.pi * t) * w
+    for x in rule:
+        x.setflags(write=False)
+    return rule
+
+
+def _sup_moments_3d(cov: np.ndarray, nodes: int = _POLAR_NODES) -> np.ndarray:
+    """E ||Y||_inf^2 of each (3, 3) covariance of a (k, 3, 3) stack, matrix
+    by matrix: Y = L z with L L^T = cov (eigh, eigenvalues clamped at 0), so
+    E ||Y||_inf^2 = 3 * the mean over the unit sphere of max_i (L_i . u)^2,
+    an even function of u: the mean over the upper half, polar angle theta
+    in [0, pi/2] and azimuth phi.
+
+    There L_i . u = A_i cos phi + B_i sin phi + C_i.  On a circle of fixed
+    theta the kinks, where two |L_i . u| tie, are the roots of (L_i +- L_j)
+    . u in closed form.  Between two of them one square is the largest
+    throughout, so the integral of the largest square is the largest of the
+    three squares' integrals, each in closed form.  The integral in theta is
+    Gauss-Legendre on the pieces between the latitudes where a kink circle
+    is tangent or two of them cross, and multiples of pi/8, mapped by theta
+    = a + (b - a)(1 - cos pi t)/2 against the square roots at the tangents.
+    Work is elementwise or along an axis of one matrix's arrays, so each
+    matrix of a stack gets the bits of a lone call."""
+    k = len(cov)
+    lam, vec = np.linalg.eigh(cov)
+    rows = vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    # the kink normals L_i + L_j, then L_i - L_j, over the pairs i < j
+    normals = rows[:, [0, 0, 1] * 2] + _KINK_SIGNS * rows[:, [1, 2, 2] * 2]
+    nx, ny, nz = normals[..., 0], normals[..., 1], normals[..., 2]
+    plane = np.hypot(nx, ny)
+    # kink circles p and q cross along n_p x n_q
+    p, q = _upper_pairs(6)
+    cx = ny[:, p] * nz[:, q] - nz[:, p] * ny[:, q]
+    cy = nz[:, p] * nx[:, q] - nx[:, p] * nz[:, q]
+    cz = nx[:, p] * ny[:, q] - ny[:, p] * nx[:, q]
+    cuts = (np.broadcast_to(_POLAR_CUTS, (k, 5)), np.arctan2(np.abs(nz), plane))
+    edges = np.sort(np.concatenate(cuts + (np.arctan2(np.hypot(cx, cy), np.abs(cz)),), axis=1))
+    fraction, weight = _polar_rule(nodes)
+    width = (edges[:, 1:] - edges[:, :-1])[..., None]
+    theta = (edges[:, :-1, None] + width * fraction).reshape(k, -1)
+    weight = (width * weight).reshape(k, -1) * np.sin(theta)
+    sin, cos = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    nx, ny, nz, plane = (x[..., None] for x in (nx, ny, nz, plane))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # n . u = |n_xy| sin(theta) cos(phi - alpha) + n_z cos(theta)
+        ratio = -nz * cos / (plane * sin)
+    half = np.arccos(np.where(np.abs(ratio) <= 1.0, ratio, np.nan))
+    alpha = np.arctan2(ny, nx)
+    roots = np.concatenate((alpha - half, alpha + half), axis=1)
+    roots += np.where(roots < 0.0, 2.0 * math.pi, 0.0)
+    # a missing root sits at 2 pi, and the pieces past it are empty
+    ends = np.zeros(sin.shape)
+    roots = np.sort(np.fmin(roots, 2.0 * math.pi), axis=1)
+    phi = np.concatenate((ends, roots, ends + 2.0 * math.pi), axis=1)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    double = (2.0 * sin_phi * cos_phi, cos_phi * cos_phi - sin_phi * sin_phi)
+    steps = [x[:, None, 1:] - x[:, None, :-1] for x in (phi, sin_phi, cos_phi, *double)]
+    # the integral of (A cos phi + B sin phi + C)^2 over each piece, row by
+    # row: its coefficients of the steps of phi, sin, cos, sin 2 phi, cos 2 phi
+    a, b, c = (rows[:, :, j, None] * x for j, x in enumerate((sin, sin, cos)))
+    terms = ((a * a + b * b) / 2.0 + c * c, 2.0 * a * c, -2.0 * b * c)
+    terms += ((a * a - b * b) / 4.0, -a * b / 2.0)
+    pieces = terms[0][:, :, None] * steps[0]
+    for term, step in zip(terms[1:], steps[1:]):
+        pieces += term[:, :, None] * step
+    largest = np.maximum(np.maximum(pieces[:, 0], pieces[:, 1]), pieces[:, 2])
+    return 3.0 / (2.0 * math.pi) * np.sum(np.sum(largest, axis=1) * weight, axis=-1)
 
 
 def _abs_product_moments(var_u, var_v, cov_uv) -> np.ndarray:
@@ -656,14 +747,19 @@ def covariance_moment(cov: np.ndarray, space):
     l1: (sum_i |Y_i|)^2 has mean sum_i S_ii + 2 sum_{i<j} E|Y_i Y_j|.
     linf, d = 2: max(a^2, b^2) = (a^2 + b^2)/2 + |(a - b)(a + b)|/2, and
     U = Y_0 - Y_1, V = Y_0 + Y_1 are again a centred Gaussian pair.
+    linf, d = 3: _sup_moments_3d's quadrature, exact to rounding (1e-12
+    relative against doubled nodes), tagged exact_quadrature.
     """
     if not has_covariance_moment(space):
-        raise ValueError(f"no covariance closed form for {space!r}")
+        raise ValueError(f"no exact covariance route for {space!r}")
     peak = np.max(np.abs(np.diagonal(cov, 0, -2, -1)), axis=-1)
     # the moment is linear in cov; far from 1 the products of two variances
     # would under- or overflow, so such a matrix is scaled by an exact power
-    # of two first (frexp gives an infinite peak the exponent 0)
-    far = (peak > 0.0) & ((peak < _SAFE_SCALE_MIN) | (peak > _SAFE_SCALE_MAX))
+    # of two first (frexp gives an infinite peak the exponent 0).  The
+    # quadrature's eigendecomposition does not scale exactly, so it always
+    # takes the unit scale
+    quadrature = _covariance_method(space) == METHOD_EXACT_QUADRATURE
+    far = (peak > 0.0) & ((peak < _SAFE_SCALE_MIN) | (peak > _SAFE_SCALE_MAX) | quadrature)
     shift = np.where(far, np.frexp(peak)[1], 0)
     cov = np.ldexp(cov, -shift[..., None, None])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -672,6 +768,17 @@ def covariance_moment(cov: np.ndarray, space):
             i, j = _upper_pairs(space.dim)
             cross = _abs_product_moments(diag[..., i], diag[..., j], cov[..., i, j])
             moment = np.sum(diag, axis=-1) + 2.0 * np.sum(cross, axis=-1)
+        elif quadrature:
+            # a matrix's pieces take 3 rows x 13 azimuth pieces x 25 polar
+            # pieces of nodes floats, so stacks of a few bound the arrays; a
+            # non-finite matrix gets no eigendecomposition
+            flat = cov.reshape(-1, 3, 3)
+            finite = np.all(np.isfinite(flat), axis=(1, 2))
+            flat = np.where(finite[:, None, None], flat, 0.0)
+            step = max(1, _ENSEMBLE_CHUNK_FLOATS // (3 * 13 * 25 * _POLAR_NODES))
+            parts = [_sup_moments_3d(flat[at : at + step]) for at in range(0, len(flat), step)]
+            moment = np.where(finite, np.concatenate([np.empty(0), *parts]), np.nan)
+            moment = moment.reshape(cov.shape[:-2])
         else:
             s00, s01, s11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
             trace = s00 + s11

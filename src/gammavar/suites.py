@@ -7,6 +7,7 @@ run the instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -364,7 +365,8 @@ def resolve_config(
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"engine.seed: expected a nonnegative integer, got {seed!r}")
     samples = _positive_int(engine["samples"], "engine.samples", MIN_SAMPLES)
-    paths = _positive_int(engine["paths"], "engine.paths", MIN_PATHS)
+    # an ensemble search selects on half of the paths and holds out the rest
+    paths = _positive_int(engine["paths"], "engine.paths", 2 * MIN_PATHS)
     z = engine["z"]
     if not isinstance(z, (int, float)) or isinstance(z, bool) or not z > 0:
         raise ConfigError(f"engine.z: expected a positive number, got {z!r}")
@@ -559,7 +561,7 @@ def _draw_legs(config: ExperimentConfig, suite_name: str | None, has_input: bool
     draws that SharedDrawMoments shares (finest-partition), else
     ceil(samples / N_BATCHES) x N, a batch of
     random_sums._coefficient_batches.  Only legs that sample count:
-    Gaussian moments outside Hilbert bases, l1 and the plane's linf
+    Gaussian moments outside Hilbert bases, l1 and linf up to R^3
     (norms._gaussian_moment), the embedding ratios outside Hilbert bases,
     and for norms a greedy search's Rademacher moments past
     ENUMERATION_LIMIT blocks outside a Hilbert base."""
@@ -680,14 +682,15 @@ def _duality_instance(
 def _duality_cells(params: dict) -> list[tuple[NormedSpace, int]]:
     """The (space, atom count) cells of thm-2-3's own instances, instance
     i taking cell i % len(cells): the first suite.instances cells of the
-    (norm, dim, atoms) grid."""
-    grid = [
+    (norm, dim, atoms) grid, the rest of the grid never built."""
+    grid = (
         (norm_tag, dim, n)
         for norm_tag in params["norms"]
         for dim in params["dims"]
         for n in range(params["min_atoms"], params["max_atoms"] + 1)
-    ]
-    return [(NormedSpace.from_tag(dim, tag), n) for tag, dim, n in grid[: params["instances"]]]
+    )
+    cells = itertools.islice(grid, params["instances"])
+    return [(NormedSpace.from_tag(dim, tag), n) for tag, dim, n in cells]
 
 
 def _run_duality_suite(config: ExperimentConfig, threads: int) -> SuiteReport:

@@ -166,6 +166,46 @@ def covariance_moment_reference(cov, p: float) -> float:
     return float(trace / 2.0 + abs_product(var_u, var_v, s00 - s11) / 2.0)
 
 
+def sup_norm_sq_diagonal_reference(variances) -> float:
+    """E max_i Y_i^2 for independent centred Gaussians Y_i with the given
+    variances: E M^2 = int_0^inf 2 s P(M > s) ds, where P(M <= s) is the
+    product of erf(s / sqrt(2 v_i)) over the nonzero variances, by composite
+    Gauss-Legendre on [0, 12 sqrt(max v)], which holds the mass far below
+    1e-15.  The integrand is smooth."""
+    scales = [math.sqrt(v) for v in variances if v > 0.0]
+    if not scales:
+        return 0.0
+    xs, ws = composite_gauss_legendre(0.0, 12.0 * max(scales), segments=24, order=32)
+    below = np.ones_like(xs)
+    for scale in scales:
+        below *= np.array([math.erf(x / (math.sqrt(2.0) * scale)) for x in xs])
+    return float(np.sum(ws * 2.0 * xs * (1.0 - below)))
+
+
+def sup_norm_sq_sphere_reference(cov, n_z: int = 600, n_phi: int = 1200) -> float:
+    """E ||Y||_inf^2 for a centred Gaussian Y in R^3 with covariance cov, by
+    a plain product rule on the unit sphere, with no splitting at the kinks.
+
+    Y = L z with L = V sqrt(Lambda) from the eigendecomposition of cov, and
+    |z|^2, of mean 3, is independent of u = z / |z|, so E ||Y||^2 = 3 * the
+    mean over u of max_i (L_i . u)^2.  The uniform measure on the sphere is
+    dz dphi / (4 pi) in the height z = cos(theta): Gauss-Legendre in z, the
+    midpoint rule in phi.  The kinks of the maximum slow both rules to
+    about h^2, which leaves some 1e-8 relative at the default nodes."""
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(cov, dtype=float))
+    factor = eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    heights, weights = np.polynomial.legendre.leggauss(n_z)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    total = 0.0
+    for start in range(0, n_z, 100):
+        z, w = heights[start : start + 100, None], weights[start : start + 100, None]
+        r = np.sqrt(1.0 - z * z)
+        u = np.stack((r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, r.shape[:1] + phi.shape)), axis=-1)
+        y = u @ factor.T
+        total += float(np.sum(w * np.max(y * y, axis=-1)))
+    return 3.0 * total * (2.0 * math.pi / n_phi) / (4.0 * math.pi)
+
+
 def gaussian_grouping_moment_reference(weights, values, blocks, p: float) -> float:
     """E || sum_B g_B F(B)/sqrt(mu(B)) ||_p^2 of one grouping of an atomic
     measure, with standard Gaussian g_B, for p = 2 (or d = 1), p = 1, or

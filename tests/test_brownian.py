@@ -38,7 +38,7 @@ from gammavar import (
 from gammavar.brownian import ensemble_search
 from gammavar.cli import main
 from gammavar.norms import _search
-from gammavar.random_sums import SumEstimate
+from gammavar.random_sums import SumEstimate, _path_spans
 
 
 def _masks(groupings):
@@ -146,7 +146,7 @@ class TestSampling:
         # that path joins the block before it
         partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
         stream = RandomStream(15, (0,))
-        pairs = list(brownian._increment_blocks(partition, 50, stream, chunk))
+        pairs = list(brownian._increment_blocks(partition, 50, stream.generator(), chunk))
         assert [span.stop - span.start for span, _ in pairs] == sizes
         assert [span.start for span, _ in pairs] == [0, *np.cumsum(sizes)[:-1].tolist()]
         assert all(block.shape == (span.stop - span.start, 4) for span, block in pairs)
@@ -160,8 +160,8 @@ class TestSampling:
         monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
         partition = AtomPartition([0.1, 0.2, 0.3, 0.4])
         stream = RandomStream(15, (0,))
-        inline = list(brownian._increment_blocks(partition, n_paths, stream, chunk))
-        ahead = list(brownian._increment_blocks(partition, n_paths, stream, chunk, threads=2))
+        inline = list(brownian._increment_blocks(partition, n_paths, stream.generator(), chunk))
+        ahead = list(brownian._increment_blocks(partition, n_paths, stream.generator(), chunk, threads=2))
         assert [span for span, _ in ahead] == [span for span, _ in inline]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(ahead, inline, strict=True))
 
@@ -172,7 +172,7 @@ class TestSampling:
         before = threading.active_count()
         for budget, threads, helpers in ((1, 1, 0), (57, 2, 0), (56, 2, 1)):
             monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", budget)
-            blocks = brownian._increment_blocks(partition, 50, stream, 7, threads)
+            blocks = brownian._increment_blocks(partition, 50, stream.generator(), 7, threads)
             assert {threading.active_count() for _ in blocks} == {before + helpers}
             assert threading.active_count() == before
 
@@ -180,7 +180,7 @@ class TestSampling:
         monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
         before = threading.active_count()
         blocks = brownian._increment_blocks(
-            AtomPartition.uniform(4), 50, RandomStream(15, (2,)), 7, threads=2
+            AtomPartition.uniform(4), 50, RandomStream(15, (2,)).generator(), 7, threads=2
         )
         next(blocks)
         blocks.close()
@@ -250,10 +250,14 @@ class TestInducedMeasure:
         stream = RandomStream(40, (0,))
         whole = Grouping([[0, 1, 2]], 3)
         _, moment, integral = ensemble_search(density, 12, stream, [whole])
-        want = integral_moment(density, sample_brownian(density.partition, 12, stream))
+        ensemble = sample_brownian(density.partition, 12, stream)
+        want = integral_moment(density, ensemble)
         assert integral == want
+        # the search's moment is held out, on the last 6 paths
+        held_out = float(np.mean(density.space.norm_sq(stochastic_integral(density, ensemble))[6:]))
+        assert abs(moment.value - held_out) <= 1e-12 * held_out
         sweep = _sweep((density, 12, stream), [whole])
-        for value in (moment.value, sweep.plain.value, sweep.signed_value[0]):
+        for value in (sweep.plain.value, sweep.signed_value[0]):
             assert abs(value - want.value) <= 1e-12 * want.value
 
     def test_block_values_add_over_atoms(self):
@@ -266,10 +270,11 @@ class TestInducedMeasure:
         contributions = _contributions((density, 6, stream))
         blocks = [contributions[0] + contributions[2], contributions[1], contributions[3]]
         # in a Hilbert base the signs drop out: sum_m ||G(B_m)||^2 per path
-        by_hand = float(np.mean(sum(np.sum(b**2, axis=-1) for b in blocks)))
+        per_path = sum(np.sum(b**2, axis=-1) for b in blocks)
+        by_hand, held_out = float(np.mean(per_path)), float(np.mean(per_path[3:]))
         _, moment, _ = ensemble_search(density, 6, stream, [grouping])
         sweep = _sweep((density, 6, stream), [grouping])
-        assert abs(moment.value - by_hand) <= 1e-12 * by_hand
+        assert abs(moment.value - held_out) <= 1e-12 * held_out
         assert abs(sweep.signed_value[0] - by_hand) <= 1e-12 * by_hand
 
     def test_atom_magnitudes_concentrate_at_root_mass(self):
@@ -332,7 +337,8 @@ class TestIntegralMoment:
         rng = np.random.default_rng(100 * n_atoms + dim)
         partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
         density = StepFunction(partition, NormedSpace.l2(dim), rng.standard_normal((n_atoms, dim)))
-        for n_paths in (2, 3, 41, 1001, 4001):
+        # the search takes MIN_PATHS paths or more on each side of its split
+        for n_paths in (4, 5, 41, 1001, 4001):
             stream = RandomStream(n_atoms, (dim, n_paths))
             ensemble = sample_brownian(partition, n_paths, stream)
             for search in ([Grouping.finest(n_atoms)], "greedy"):
@@ -845,6 +851,42 @@ _STREAMED_RUNS |= {
 }
 
 
+class TestHeldOutWinner:
+    """ensemble_search selects on the first half of its paths and takes the
+    winner's moment from one pass over the rest, drawn on from the
+    generator where the selection's first pass stopped."""
+
+    def test_each_half_takes_at_least_min_paths(self):
+        density = _scalar_density([0.5, 0.5], [1.0, 2.0])
+        stream = RandomStream(59, (0,))
+        with pytest.raises(ValueError, match="at least 4 paths, got 3"):
+            ensemble_search(density, 3, stream, "exhaustive")
+        _, moment, integral = ensemble_search(density, 4, stream, "exhaustive")
+        assert (moment.samples, integral.samples) == (2, 4)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_held_out_pass_resumes_the_generator(self, mode, threads, monkeypatch):
+        rng = np.random.default_rng(60)
+        density = StepFunction(AtomPartition.uniform(4), NormedSpace.l1(2), rng.standard_normal((4, 2)))
+        stream, passes = RandomStream(60, (0,)), []
+        paths = sample_brownian(density.partition, 37, stream).paths
+        draw = brownian._increment_blocks
+
+        def recorded(partition, n_paths, generator, chunk, threads=1):
+            blocks = [block for _, block in draw(partition, n_paths, generator, chunk, threads)]
+            passes.append(np.concatenate(blocks))
+            yield from zip(_path_spans(n_paths, chunk), blocks)
+
+        monkeypatch.setattr(brownian, "_ENSEMBLE_CHUNK_FLOATS", 1)
+        monkeypatch.setattr(brownian, "_increment_blocks", recorded)
+        *_, integral = ensemble_search(density, 37, stream, mode, threads)
+        *selection, held_out = passes
+        assert len(selection) >= 1 and all(np.array_equal(p, paths[:18]) for p in selection)
+        assert np.array_equal(held_out, paths[18:])
+        assert integral == integral_moment(density, BrownianEnsemble(density.partition, paths))
+
+
 class TestStreamedEnsembles:
     """ensemble_search draws its paths in chunks, twice for a search, and
     keeps the bits of the search and the integral on the whole ensemble."""
@@ -897,8 +939,9 @@ class TestStreamedEnsembles:
     def test_tie_heavy_ensembles_name_the_reference_winner(self, space, chunk, mode, monkeypatch):
         # small integers, a zero atom and a repeated atom: many set
         # partitions tie, some exactly.  The search driver, given the
-        # reference's estimate of each grouping it decides, names the
-        # streamed search's winner and estimate
+        # reference's estimate on the first 20 paths of each grouping it
+        # decides, names the streamed search's winner, whose estimate is the
+        # reference's on the other 21
         rng = np.random.default_rng(58)
         density = rng.integers(-2, 3, size=(6, space.dim)).astype(float)
         density[1] = 0.0
@@ -910,22 +953,25 @@ class TestStreamedEnsembles:
         grouping, moment, integral = ensemble_search(density, 41, stream, mode)
         ensemble = sample_brownian(density.partition, 41, stream)
         contributions = _contributions((density, 41, stream))
+        selection, held_out = contributions[:, :20], contributions[:, 20:]
 
         def decide(candidates):
-            return [_reference_moment(contributions, space, g) for g in candidates]
+            return [_reference_moment(selection, space, g) for g in candidates]
 
         if mode == "exhaustive":
             want = ref.ensemble_randomized_search_reference(
-                contributions, space.norm_sq, space.is_hilbert,
+                selection, space.norm_sq, space.is_hilbert,
                 candidates=ref.set_partitions_reference(range(6)),
             )
-            assert (grouping.to_lists(), dataclasses.asdict(moment)) == (want["grouping"], want["moment"])
+            assert grouping.to_lists() == want["grouping"]
         else:
-            assert (grouping, moment) == _search(6, mode, decide, None)
+            assert grouping == _search(6, mode, decide, None)[0]
+        assert moment == _reference_moment(held_out, space, grouping)
         assert integral == integral_moment(density, ensemble)
         # a family of two groupings is decided in one pass, the higher
         # moment winning
         family = [Grouping.finest(6), Grouping([[0, 1, 2], [3, 4, 5]], 6)]
         moments = decide(family)
-        best = 1 if moments[1].value >= moments[0].value else 0
-        assert ensemble_search(density, 41, stream, family)[:2] == (family[best], moments[best])
+        best = family[1 if moments[1].value >= moments[0].value else 0]
+        want = (best, _reference_moment(held_out, space, best))
+        assert ensemble_search(density, 41, stream, family)[:2] == want

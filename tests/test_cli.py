@@ -272,14 +272,14 @@ class TestErrorHandling:
         assert not (tmp_path / "out.json").exists()
 
     def test_overflowing_ensembles_exit_with_an_error(self, tmp_path, capsys):
-        # linf(3) samples the variation and takes path moments of the
+        # linf(4) samples the variation and takes path moments of the
         # ensemble, which overflow to inf near 1e160, never to nan
         path = _norms_config(
             tmp_path,
             engine={"samples": 1000, "paths": 200},
-            partition={"uniform": 3},
-            space={"dim": 3, "norm": "linf"},
-            input={"density": [[1e160, 0.0, 0.0], [0.0, 1e160, 0.0], [0.0, 0.0, 1e160]]},
+            partition={"uniform": 4},
+            space={"dim": 4, "norm": "linf"},
+            input={"density": (1e160 * np.eye(4)).tolist()},
         )
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["integrate", "--config", path]) == EXIT_ERROR
@@ -302,7 +302,11 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "command, document, field",
         [
-            (["verify", "thm-2-3"], {"engine": {"samples": 10**12}}, "engine.samples"),
+            (
+                ["verify", "thm-2-3"],
+                {"engine": {"samples": 10**12}, "suite": {"norms": ["l1", {"lp": 3}]}},
+                "engine.samples",
+            ),
             (["verify", "cor-2-6"], {"suite": {"trial_samples": 10**12}}, "suite.trial_samples"),
             (["verify", "thm-3-3"], {"engine": {"paths": 10**12, "mode": "greedy"}}, "engine.paths"),
             (

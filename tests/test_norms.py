@@ -37,6 +37,7 @@ from gammavar.norms import SharedDrawMoments
 from gammavar.random_sums import (
     METHOD_EXACT_COVARIANCE,
     METHOD_EXACT_HILBERT,
+    METHOD_EXACT_QUADRATURE,
     METHOD_MONTE_CARLO,
     SumEstimate,
     covariance_moment,
@@ -157,8 +158,8 @@ class TestGroupingMoments:
 
     def test_shared_draws_are_deterministic_and_paired(self):
         rng = np.random.default_rng(56)
-        # linf in R^3 has no covariance closed form, so it keeps the draws
-        measure = _random_measure(rng, 4, 3, NormedSpace.linf(3))
+        # lp3 in R^3 has no exact covariance route, so it keeps the draws
+        measure = _random_measure(rng, 4, 3, NormedSpace(3, 3.0))
         a = SharedDrawMoments(measure, RandomStream(1, (0,)), 2000)
         b = SharedDrawMoments(measure, RandomStream(1, (0,)), 2000)
         grouping = Grouping([[0, 1], [2], [3]], 4)
@@ -182,7 +183,7 @@ class TestGroupingMoments:
 
     def test_shared_draws_require_sampling_parameters_off_hilbert(self):
         rng = np.random.default_rng(57)
-        measure = _random_measure(rng, 3, 3, NormedSpace.linf(3))
+        measure = _random_measure(rng, 3, 4, NormedSpace.linf(4))
         with pytest.raises(ValueError):
             SharedDrawMoments(measure)
 
@@ -343,7 +344,7 @@ class TestBatchedScan:
             _assert_the_scan_matches_the_reference(_tie_heavy_measure(rng, n_atoms, space, shift))
 
     @pytest.mark.parametrize(
-        "space", [NormedSpace.linf(3), NormedSpace(2, 1.5), NormedSpace(3, 3.0)], ids=repr
+        "space", [NormedSpace.linf(4), NormedSpace(2, 1.5), NormedSpace(3, 3.0)], ids=repr
     )
     @pytest.mark.parametrize("n_atoms", [*range(1, 8), 9])
     def test_sampled_spaces_keep_their_one_grouping_estimates(self, space, n_atoms):
@@ -372,6 +373,51 @@ class TestBatchedScan:
         measure = _random_measure(np.random.default_rng(83), 13, 2, space)
         with pytest.raises(SizeLimitError, match="capped at 12 atoms"):
             SharedDrawMoments(measure, RandomStream(3, (1,)), 10)
+
+
+class TestSupNormQuadratureRoutes:
+    """linf in R^3 takes covariance_moment's quadrature on every Gaussian
+    route: the fast path, the summing norm and SharedDrawMoments' batches."""
+
+    SPACE = NormedSpace.linf(3)
+
+    def test_every_route_is_exact_and_draws_nothing(self):
+        measure = _random_measure(np.random.default_rng(64), 5, 3, self.SPACE)
+        shared = SharedDrawMoments(measure)
+        assert not hasattr(shared, "_draws")
+        fast = gamma_variation_norm(measure).moment
+        summing = gamma_summing_norm(operator_from_measure(measure)).moment
+        finest = shared.moment(Grouping.finest(5))
+        for estimate in (fast, summing, finest):
+            assert (estimate.method, estimate.std_error, estimate.samples) == (
+                METHOD_EXACT_QUADRATURE,
+                0.0,
+                0,
+            )
+        assert fast == finest
+        assert abs(summing.value - fast.value) <= _rounding_bound(fast.value)
+
+    @pytest.mark.parametrize("n_atoms", range(1, 7))
+    def test_a_batched_scan_gives_each_grouping_its_lone_moment(self, n_atoms):
+        # the rows F(B)/sqrt(mu(B)) of each grouping, their covariance and
+        # one covariance_moment call each, against the stacked batches;
+        # no coarsening beats the finest grouping (Anderson's inequality)
+        rng = np.random.default_rng(65 + n_atoms)
+        for measure in (
+            _random_measure(rng, n_atoms, 3, self.SPACE),
+            _tie_heavy_measure(rng, n_atoms, self.SPACE),
+        ):
+            ((labels, masks),) = grouping_labels(n_atoms)
+            values, errors = SharedDrawMoments(measure).moments(masks)
+            table = np.column_stack((measure.partition.weights, measure.values))
+            want = []
+            for row in labels:
+                sums = np.stack([np.sum(table[row == m], axis=0) for m in range(row.max() + 1)])
+                rows = sums[:, 1:] / np.sqrt(sums[:, :1])
+                want.append(covariance_moment(rows.T @ rows, self.SPACE))
+            assert values.tolist() == want
+            assert not np.any(errors)
+            assert np.all(values <= values[-1] + _rounding_bound(values[-1]))
 
 
 class TestExactFastPath:

@@ -36,6 +36,7 @@ from gammavar.random_sums import (
     METHOD_EXACT_COVARIANCE,
     METHOD_EXACT_ENUMERATION,
     METHOD_EXACT_HILBERT,
+    METHOD_EXACT_QUADRATURE,
     METHOD_MONTE_CARLO,
     covariance_moment,
     has_covariance_moment,
@@ -318,7 +319,7 @@ class TestAtomSignTable:
         assert [table for table, _ in _table_and_single_moments(values, space)] == whole
 
     @pytest.mark.parametrize(
-        "space", [NormedSpace.l1(2), NormedSpace.linf(3), NormedSpace(2, 1.5), NormedSpace.l1(5)], ids=repr
+        "space", [NormedSpace.l1(2), NormedSpace.linf(4), NormedSpace(2, 1.5), NormedSpace.l1(5)], ids=repr
     )
     def test_the_screen_bound_is_the_one_path_rounding_bound(self, space):
         # off the exact cases the search screens (N, d) values with the
@@ -395,7 +396,10 @@ def _far_scale_routes():
     return {
         "draws": lambda v: gaussian_sum_sq(v[:, 0, :2], NormedSpace.linf(2), stream, 1000),
         "shared-draws": lambda v: norms.SharedDrawMoments(
-            VectorMeasure(partition, NormedSpace.linf(3), v[:, 0]), stream, 1000
+            # linf(4), which keeps the draws, on four coordinates of each atom
+            VectorMeasure(partition, NormedSpace.linf(4), np.concatenate((v[:, 0], v[:, 1, :1]), axis=1)),
+            stream,
+            1000,
         ).moment(grouping),
         "paths": lambda v: _decided(v, [Grouping.finest(3)], NormedSpace.linf(3))[0],
     }
@@ -435,14 +439,16 @@ def _plane_covariances():
 
 
 class TestCovarianceMoment:
-    def test_closed_forms_exist_for_l1_and_the_plane_sup_norm(self):
+    def test_exact_routes_exist_for_l1_and_the_sup_norm_up_to_r3(self):
         assert has_covariance_moment(NormedSpace.l1(2))
         assert has_covariance_moment(NormedSpace.l1(7))
         assert has_covariance_moment(NormedSpace.linf(2))
-        assert not has_covariance_moment(NormedSpace.linf(3))
+        assert has_covariance_moment(NormedSpace.linf(3))
+        assert not has_covariance_moment(NormedSpace.linf(4))
         assert not has_covariance_moment(NormedSpace(2, 1.5))
+        assert not has_covariance_moment(NormedSpace(3, 3.0))
         with pytest.raises(ValueError):
-            covariance_moment(np.eye(3), NormedSpace.linf(3))
+            covariance_moment(np.eye(4), NormedSpace.linf(4))
 
     def test_identity_gives_the_reference_constants(self):
         l1 = covariance_moment(np.eye(2), NormedSpace.l1(2))
@@ -469,7 +475,7 @@ class TestCovarianceMoment:
         assert abs(value - float(np.max(x * x))) <= 1e-15 * float(np.max(x * x))
 
     @pytest.mark.parametrize(
-        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2), NormedSpace.linf(3)], ids=repr
     )
     def test_agrees_with_monte_carlo(self, space):
         # E||sum_n g_n x_n||^2 is the moment of a Gaussian with covariance X^T X
@@ -481,7 +487,7 @@ class TestCovarianceMoment:
             assert abs(exact - mc.value) <= 3.0 * mc.std_error
 
     @pytest.mark.parametrize(
-        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2), NormedSpace.linf(3)], ids=repr
     )
     @pytest.mark.parametrize("shift", [-900, -500, 500, 900])
     def test_far_scales_neither_underflow_nor_overflow(self, space, shift):
@@ -493,7 +499,7 @@ class TestCovarianceMoment:
         assert covariance_moment(np.ldexp(cov, shift), space) == want
 
     @pytest.mark.parametrize(
-        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2)], ids=repr
+        "space", [NormedSpace.l1(2), NormedSpace.l1(3), NormedSpace.linf(2), NormedSpace.linf(3)], ids=repr
     )
     def test_non_finite_moments_come_back_as_such(self, space):
         # a finite covariance whose moment (above 1.6 times its variances)
@@ -532,10 +538,108 @@ class TestCovarianceMoment:
         nested = covariance_moment(covs.reshape(4, 10, dim, dim), space)
         assert nested.tolist() == stacked.reshape(4, 10).tolist()
 
-    def test_the_method_counts_as_exact(self):
-        estimate = SumEstimate(1.0, 0.0, 0, METHOD_EXACT_COVARIANCE)
+    @pytest.mark.parametrize("method", [METHOD_EXACT_COVARIANCE, METHOD_EXACT_QUADRATURE])
+    def test_the_method_counts_as_exact(self, method):
+        estimate = SumEstimate(1.0, 0.0, 0, method)
         assert estimate.is_exact
         assert compare_estimates(estimate, SumEstimate(1.0, 0.0, 0, METHOD_EXACT_HILBERT)).consistent
+
+
+def _space_covariances():
+    """Named 3 x 3 covariances: random, rank one and two, near-singular
+    (two coordinates nearly tied), zero, the identity (where every kink
+    circle meets others), repeated rows and small integers."""
+    rng = np.random.default_rng(79)
+    x = rng.standard_normal((5, 3))
+    near = rng.standard_normal((4, 3))
+    near[:, 2] = near[:, 0] * (1.0 + 1e-6)
+    repeated = rng.standard_normal((4, 3))
+    repeated[:, 1] = repeated[:, 0]
+    ones = np.array([[1.0, -2.0, 0.5]])
+    two = rng.standard_normal((2, 3))
+    integers = rng.integers(-2, 3, size=(4, 3)).astype(float)
+    return {
+        "random": x.T @ x,
+        "rank-1": ones.T @ ones,
+        "rank-2": two.T @ two,
+        "near-singular": near.T @ near,
+        "zero": np.zeros((3, 3)),
+        "identity": np.eye(3),
+        "repeated-rows": repeated.T @ repeated,
+        "integers": integers.T @ integers,
+    }
+
+
+class TestSupNormQuadrature:
+    """covariance_moment in linf(3): the nested angular quadrature
+    (random_sums._sup_moments_3d)."""
+
+    SPACE = NormedSpace.linf(3)
+
+    @pytest.mark.parametrize("name", sorted(_space_covariances()))
+    @pytest.mark.parametrize("shift", [0, -500, 500])
+    def test_doubled_nodes_agree_to_1e_12(self, name, shift):
+        cov = np.ldexp(_space_covariances()[name], shift)
+        nodes = random_sums._POLAR_NODES
+        once, twice = (random_sums._sup_moments_3d(cov[None], n)[0] for n in (nodes, 2 * nodes))
+        assert abs(once - twice) <= 1e-12 * abs(twice)
+
+    @pytest.mark.parametrize("name", sorted(_space_covariances()))
+    @pytest.mark.parametrize("shift", [-900, -500, 500, 900])
+    def test_far_scales_carry_over_exactly(self, name, shift):
+        cov = _space_covariances()[name]
+        want = math.ldexp(covariance_moment(cov, self.SPACE), shift)
+        assert covariance_moment(np.ldexp(cov, shift), self.SPACE) == want
+
+    @pytest.mark.parametrize("v", [[1.0, -2.0, 0.5], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0], [2.0, -2.0, 1e-9]])
+    def test_rank_one_gives_the_largest_square(self, v):
+        # Y = g v, so ||Y||_inf^2 = max_i v_i^2 g^2
+        v = np.array(v)
+        want = float(np.max(v * v))
+        assert abs(covariance_moment(np.outer(v, v), self.SPACE) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "variances", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1e-3, 1.0, 10.0], [0.0, 2.0, 5.0], [4.0, 0.0, 0.0]]
+    )
+    def test_diagonal_covariances_match_the_one_dimensional_integral(self, variances):
+        want = ref.sup_norm_sq_diagonal_reference(variances)
+        got = covariance_moment(np.diag(variances), self.SPACE)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", ["random", "rank-2", "near-singular", "integers"])
+    def test_matches_the_plain_product_rule(self, name):
+        cov = _space_covariances()[name]
+        want = ref.sup_norm_sq_sphere_reference(cov)
+        assert abs(covariance_moment(cov, self.SPACE) - want) <= 1e-6 * want
+
+    def test_agrees_loosely_with_draws(self):
+        rng = np.random.default_rng(80)
+        for name, cov in _space_covariances().items():
+            lam, vec = np.linalg.eigh(cov)
+            y = rng.standard_normal((200_000, 3)) @ (vec * np.sqrt(np.clip(lam, 0.0, None))).T
+            stats = np.max(y * y, axis=1)
+            se = float(np.std(stats)) / math.sqrt(stats.size)
+            assert abs(covariance_moment(cov, self.SPACE) - float(np.mean(stats))) <= 4.0 * se + 1e-300, name
+
+    def test_a_stack_gives_each_matrix_the_bits_of_a_lone_call(self):
+        # more matrices than one quadrature chunk holds, with zero, rank-one,
+        # far-scaled, overflowing and nan covariances among them
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal((20, 4, 3))
+        covs = x.transpose(0, 2, 1) @ x
+        for i, cov in enumerate(_space_covariances().values()):
+            covs[i] = cov
+        covs[9], covs[10] = np.ldexp(covs[9], -500), np.ldexp(covs[10], 700)
+        covs[11], covs[12] = math.inf, math.nan
+        with np.errstate(invalid="ignore"):
+            stacked = covariance_moment(covs, self.SPACE)
+            lone = [covariance_moment(c, self.SPACE) for c in covs]
+        assert stacked.shape == (20,)
+        assert stacked[:11].tolist() == lone[:11] and stacked[13:].tolist() == lone[13:]
+        assert stacked[11] == lone[11] == math.inf
+        assert math.isnan(stacked[12]) and math.isnan(lone[12])
+        nested = covariance_moment(covs[13:17].reshape(2, 2, 3, 3), self.SPACE)
+        assert nested.tolist() == stacked[13:17].reshape(2, 2).tolist()
 
 
 def _decided(values, groupings, base):

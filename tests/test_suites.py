@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 
 import _reference as ref
@@ -51,6 +52,10 @@ def _constant_density_input(norm, scale):
     }
 
 
+# thm-2-3 and thm-3-3 cells in lp3, whose Gaussian moments are sampled
+_LP3_CELLS = {"norms": ["l1", {"lp": 3}]}
+
+
 def _sized_input(n_atoms, kind, mode):
     return {
         "partition": {"uniform": n_atoms},
@@ -99,6 +104,7 @@ class TestConfigResolution:
             {"seed": -1},
             {"samples": 0},
             {"paths": "many"},
+            {"paths": 3},
             {"z": 0.0},
             {"mode": "sideways"},
         ],
@@ -106,6 +112,18 @@ class TestConfigResolution:
     def test_engine_field_validation(self, engine):
         with pytest.raises(ConfigError):
             resolve_config({"engine": engine})
+
+    def test_an_ensemble_takes_min_paths_on_each_side_of_its_split(self):
+        with pytest.raises(ConfigError, match=r"engine.paths: expected an integer >= 4, got 3"):
+            resolve_config({"engine": {"paths": 3}}, "thm-3-3")
+        assert resolve_config({"engine": {"paths": 4}}, "thm-3-3").paths == 4
+
+    def test_a_huge_atom_range_resolves_without_building_its_grid(self):
+        # only the first suite.instances cells of the grid are built
+        start = time.perf_counter()
+        config = resolve_config({"suite": {"max_atoms": 10**9}}, "thm-2-3")
+        assert time.perf_counter() - start < 0.1
+        assert len(suites._duality_cells(config.suite)) == 100
 
     @pytest.mark.parametrize(
         "document, suite_name, field",
@@ -270,11 +288,12 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "document, suite_name, field, estimate",
         [
-            # a batch of ceil(samples / 8) draws of 8 atoms (max_atoms)
-            ({"engine": {"samples": 10**12}}, "thm-2-3", "engine.samples", "1e+12"),
-            ({"engine": {"samples": 2**26 + 1}}, "thm-2-3", "engine.samples", "6.71e+07"),
-            # linf(3) samples, of 4 atoms
-            ({"engine": {"samples": 10**12}}, "thm-3-3", "engine.samples", "5e+11"),
+            # a batch of ceil(samples / 8) draws of 8 atoms (max_atoms) in
+            # lp3, which samples
+            ({"engine": {"samples": 10**12}, "suite": _LP3_CELLS}, "thm-2-3", "engine.samples", "1e+12"),
+            ({"engine": {"samples": 2**26 + 1}, "suite": _LP3_CELLS}, "thm-2-3", "engine.samples", "6.71e+07"),
+            # lp3 samples, of 4 atoms
+            ({"engine": {"samples": 10**12}, "suite": _LP3_CELLS}, "thm-3-3", "engine.samples", "5e+11"),
             # the shared draws: samples x 6 atoms at once
             (
                 {"engine": {"samples": 10**12}, "suite": {"norms": ["l1", {"lp": 1.5}]}},
@@ -333,11 +352,14 @@ class TestConfigResolution:
         "document, suite_name",
         [
             # 2^23 draws of 8 atoms lie just within the limit
-            ({"engine": {"samples": 2**26}}, "thm-2-3"),
+            ({"engine": {"samples": 2**26}, "suite": _LP3_CELLS}, "thm-2-3"),
             ({"engine": {"samples": 11_184_810}, "suite": {"norms": [{"lp": 3}]}}, "finest-partition"),
-            # exact legs draw nothing: Hilbert bases, l1 and the plane's linf
+            # exact legs draw nothing: Hilbert bases, l1 and linf up to R^3
             ({"engine": {"samples": 10**12}, "suite": {"norms": ["l1", "linf"], "dims": [2]}}, "thm-2-3"),
+            ({"engine": {"samples": 10**12}}, "thm-2-3"),
+            ({"engine": {"samples": 10**12}}, "thm-3-3"),
             ({"engine": {"samples": 10**12}}, "finest-partition"),
+            ({"engine": {"samples": 10**12}, "suite": {"norms": ["linf"], "dim": 3}}, "finest-partition"),
             ({"engine": {"samples": 10**12}, "suite": {"norms": ["l2", "l1"]}}, "thm-3-3"),
             (_sized_input(13, "measure", "auto") | {"engine": {"samples": 10**12}}, None),
             # the embedding suites sample every non-Hilbert ratio, and no
@@ -380,7 +402,7 @@ class TestConfigResolution:
                 "limit is 134217728 (2^27)",
             ),
             (
-                {"engine": {"samples": 10**12}},
+                {"engine": {"samples": 10**12}, "suite": _LP3_CELLS},
                 "thm-2-3",
                 "engine.samples: a Monte Carlo leg holds 125000000000 draws of 8 coefficients at "
                 "once, an estimated 1e+12 floats; the limit is 67108864 (2^26)",
@@ -770,9 +792,10 @@ class TestVerifySuites:
     def test_streamed_estimates_equal_the_kernel_on_the_whole_ensemble(
         self, n, chunk, paths, monkeypatch
     ):
-        # 3001 paths end on a partial chunk: 3001 = 2 x 1500 + 1 and 7 x 428
-        # + 5, and 5 = 2 x 2 + 1, so chunks of 2 would leave one path alone,
-        # whose atoms numpy would sum pairwise; it joins the chunk before it
+        # the search selects on the first paths // 2 paths and holds out the
+        # rest: 1501 = 2 x 750 + 1 and 7 x 214 + 3, and 3 = 2 + 1, so chunks
+        # of 2 would leave one path alone, whose atoms numpy would sum
+        # pairwise; it joins the chunk before it
         if chunk is not None:
             monkeypatch.setattr(brownian, "_ensemble_chunk", lambda *args: chunk)
         params = dict(suites.SUITE_DEFAULTS["example-3-4"])
@@ -785,8 +808,12 @@ class TestVerifySuites:
         if n > params["exhaustive_limit"]:
             candidates = [g.blocks for g in suites._fixed_grouping_family(n)]
         base = NormedSpace.l2(1)
+        half = paths // 2
+        winner = ref.ensemble_randomized_search_reference(
+            contributions[:, :half], base.norm_sq, True, candidates=candidates
+        )["grouping"]
         expected = ref.ensemble_randomized_search_reference(
-            contributions, base.norm_sq, True, candidates=candidates
+            contributions[:, half:], base.norm_sq, True, candidates=[winner]
         )["moment"]
         assert record.name == f"randomized-empirical-n{n}"
         assert record.values["randomized_moment"] == expected["value"]
