@@ -99,6 +99,14 @@ def _increment_blocks(
             yield span, block
 
 
+def _contributions(block: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The contributions phi_n dW_n of a (paths, N) block of increments,
+    (N, paths, d) and C-ordered, so that the kernels' block sums over
+    runs of atoms take slice views and their reshapes copy nothing: the
+    same single products in any layout."""
+    return np.einsum("mn,nd->nmd", block, values, order="C")
+
+
 def _check_paths(n_paths: int, minimum: int = MIN_PATHS) -> None:
     if n_paths < minimum:
         raise ValueError(
@@ -206,11 +214,12 @@ def ensemble_search(
                 # the integral's products start at multiples of 8 paths, as
                 # the whole ensemble's groups do, and the last one ends it;
                 # the paths past the last multiple wait for the next block
-                paths, at = np.concatenate((carry, block)), start + span.start - len(carry)
+                paths = np.concatenate((carry, block)) if len(carry) else block
+                at = start + span.start - len(carry)
                 end = len(paths) if at + len(paths) == n_paths else len(paths) // 8 * 8
                 integral[at : at + end] = space.norm_sq(paths[:end] @ values)
                 carry = paths[end:]
-            yield np.einsum("mn,nd->nmd", block, values)
+            yield _contributions(block, values)
 
     def chunks():
         nonlocal state
@@ -313,7 +322,7 @@ def randomisation_identity_sweep(
         fill, first = first, False
         rng = stream.generator()
         for span, block in _increment_blocks(density.partition, n_paths, rng, size, threads):
-            contributions = np.einsum("mn,nd->nmd", block, density.values)
+            contributions = _contributions(block, density.values)
             if fill:
                 plain[span] = space.norm_sq(_block_sum(contributions, list(range(n_atoms))))
             yield contributions

@@ -42,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--config", metavar="PATH", help="JSON config document")
-        sub.add_argument("--seed", type=int, metavar="U64", help="override engine.seed")
+        sub.add_argument(
+            "--seed", type=int, metavar="SEED", help="override engine.seed, a nonnegative integer"
+        )
         sub.add_argument(
             "--samples", type=int, metavar="N", help="override engine.samples"
         )

@@ -171,9 +171,10 @@ def run_embedding_trials(
     ratios, errors = np.empty(trials), np.empty(trials)
     for block in _draw_blocks(trials, samples, n_atoms):
         numbers = range(trials)[block]
-        atoms = [_random_atoms(stream.substream(t), n_atoms, space.dim) for t in numbers]
+        trial_streams = [stream.substream(t) for t in numbers]
+        atoms = [_random_atoms(trial, n_atoms, space.dim) for trial in trial_streams]
         weights, values = np.array([p.weights for p, _ in atoms]), np.array([v for _, v in atoms])
-        streams = [stream.substream(t).substream(1) for t in numbers]
+        streams = [trial.substream(1) for trial in trial_streams]
         ratios[block], errors[block] = _embedding_ratios(weights, values, space, streams, samples)
     return EmbeddingReport(direction, trials, ratios, errors)
 

@@ -9,7 +9,9 @@ and the plane's linf, an angular quadrature in linf(3).  Everything else
 is Monte Carlo with a reproducible substream layout: an estimate is a deterministic function of
 (seed, stream_id, samples), independent of thread count, because draws are
 generated in a fixed number of batches with one substream per batch and
-combined in batch order, at unit scale (_unit_shift).
+combined in batch order, at unit scale (_unit_shift).  A stream's generator
+is PCG64 on numpy's SeedSequence(seed, spawn_key=stream_id), its hashing
+computed incrementally along substream chains, bit for bit.
 
 Batched Rademacher moments take set partitions as rows of block masks, in
 the layout of groupings.grouping_labels (_ensemble_moments).  Outside
@@ -29,6 +31,7 @@ source, so no (N, paths, d) ensemble is ever held.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator
@@ -71,12 +74,83 @@ METHOD_EXACT_QUADRATURE = "exact_quadrature"
 METHOD_MONTE_CARLO = "monte_carlo"
 
 
+# numpy's SeedSequence hashing (NEP 19): the start and multiplier of the
+# hash constant of its pool and of generate_state, and its mix multipliers
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _uint32_words(n) -> list[int]:
+    """An entropy integer as SeedSequence's 32-bit words, lowest first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(seed) -> tuple[list[int], int]:
+    """SeedSequence(seed)'s pool and hash constant, 4 hashes per seed word
+    and at least 16: numpy hashes zeros into the slots a short seed leaves
+    with or without a spawn key."""
+    hash_const = _INIT_A * pow(_MULT_A, 4 * max(4, len(_uint32_words(seed))), 1 << 32)
+    return np.random.SeedSequence(seed).pool.tolist(), hash_const & _MASK32
+
+
+def _mix_in(pool: list[int], hash_const: int, words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool past its first four entropy words: each further
+    word, hashed anew for each pool word, is mixed into it in turn."""
+    for word in words:
+        mixed = []
+        for x in pool:
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            x = _MIX_L * x - _MIX_R * (value ^ value >> 16) & _MASK32
+            mixed.append(x ^ x >> 16)
+        pool = mixed
+    return pool, hash_const
+
+
+@lru_cache(maxsize=1)
+def _pool_seed_class():
+    """numpy's ISeedSequence on a SeedSequence pool, defined at the first
+    draw, where numpy.random is first imported."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PoolSeed(ISeedSequence):
+        def __init__(self, pool: list[int]):
+            self.pool = pool
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            """SeedSequence.generate_state: the pool's words in turn, each
+            hashed with the next constant; a uint64 word is a little-endian
+            pair of them."""
+            wide = np.dtype(dtype) == np.uint64
+            hash_const, words = _INIT_B, []
+            for i in range(n_words << wide):
+                value = self.pool[i & 3] ^ hash_const
+                hash_const = hash_const * _MULT_B & _MASK32
+                value = value * hash_const & _MASK32
+                words.append(value ^ value >> 16)
+            state = np.array(words, "<u4").view("<u8" if wide else "<u4")
+            return state.astype(dtype, copy=False)
+
+    return PoolSeed
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Addressable randomness: (seed, stream_id) pins every draw bit-exactly.
 
     stream_id may be an int or a tuple of ints; substream(k) appends k, so a
-    tree of fan-outs never collides.
+    tree of fan-outs never collides.  The generator is PCG64 seeded by
+    numpy's SeedSequence(seed, spawn_key=stream_id), bit for bit, from the
+    same hashing computed incrementally: SeedSequence mixes the spawn key's
+    words into its pool one at a time, so a substream mixes its k into its
+    parent's pool, once, at its first draw, and builds no SeedSequence.
     """
 
     seed: int
@@ -88,12 +162,27 @@ class RandomStream:
             sid = (sid,)
         object.__setattr__(self, "stream_id", tuple(int(s) for s in sid))
 
+    def _pool(self) -> tuple[list[int], int]:
+        """The stream's SeedSequence pool and hash constant, mixed once."""
+        if "_mixed" not in self.__dict__:
+            parent = self.__dict__.get("_parent")
+            if parent is None:
+                pool, ids = _seed_pool(self.seed), self.stream_id
+            else:
+                pool, ids = parent._pool(), self.stream_id[-1:]
+            words = [w for k in ids for w in _uint32_words(k)]
+            object.__setattr__(self, "_mixed", _mix_in(*pool, words))
+        return self._mixed
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_id)
-        return np.random.Generator(np.random.PCG64(seq))
+        seed_sequence = _pool_seed_class()(self._pool()[0])
+        return np.random.Generator(np.random.PCG64(seed_sequence))
 
     def substream(self, k: int) -> "RandomStream":
-        return RandomStream(self.seed, self.stream_id + (int(k),))
+        # the parent's fields are normalized already: skip __init__
+        child = object.__new__(RandomStream)
+        child.__dict__.update(seed=self.seed, stream_id=self.stream_id + (int(k),), _parent=self)
+        return child
 
 
 @dataclass(frozen=True)

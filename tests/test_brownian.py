@@ -887,6 +887,77 @@ class TestHeldOutWinner:
         assert integral == integral_moment(density, BrownianEnsemble(density.partition, paths))
 
 
+def _draw_order_contributions(block, values):
+    """The contributions in the einsum's default layout, which keeps the
+    draws' path-major order: strides (8 d, 8 N d, 8) for N atoms."""
+    return np.einsum("mn,nd->nmd", block, values)
+
+
+def _layout_cases():
+    rng = np.random.default_rng(61)
+    for space in (NormedSpace.l1(1), NormedSpace.l1(2), NormedSpace.l2(1), NormedSpace.l2(2),
+                  NormedSpace.linf(1), NormedSpace.linf(2)):
+        for n_atoms in (5, 9):
+            # small integers, a zero atom and repeated atoms
+            values = rng.integers(-2, 3, size=(n_atoms, space.dim)).astype(float)
+            values[1] = 0.0
+            values[3] = values[4] = values[0]
+            partition = AtomPartition(rng.dirichlet(np.ones(n_atoms)))
+            yield pytest.param(StepFunction(partition, space, values), id=f"{space!r}-n{n_atoms}")
+
+
+class TestContributionLayout:
+    """The kernels get C-ordered contributions, and the estimates keep the
+    bits they had from the draws' own layout."""
+
+    @staticmethod
+    def _searches(density):
+        stream = RandomStream(62, (density.n_atoms,))
+        modes = ["greedy", "contiguous"] + (["exhaustive"] if density.n_atoms <= 5 else [])
+        return [ensemble_search(density, 41, stream, mode) for mode in modes]
+
+    @staticmethod
+    def _sweeps(density, monkeypatch):
+        # one row per partition, then one atom-sign or block table
+        n_atoms = density.n_atoms
+        partitions = itertools.islice(ref.set_partitions_reference(range(n_atoms)), 60)
+        masks = PartitionMasks(ref.block_masks_reference(list(partitions), n_atoms))
+        stream, found = RandomStream(63, (n_atoms,)), []
+        for table_floats in (1, random_sums._ENSEMBLE_TABLE_FLOATS):
+            monkeypatch.setattr(random_sums, "_ENSEMBLE_TABLE_FLOATS", table_floats)
+            sweep = randomisation_identity_sweep(density, masks, 40, stream)
+            found.append((sweep.signed_value.tolist(), sweep.signed_error.tolist(), sweep.plain))
+        return found
+
+    @pytest.mark.parametrize("density", _layout_cases())
+    def test_the_kernels_read_c_ordered_chunks(self, density, monkeypatch):
+        seen = []
+
+        def spied(kernel):
+            def call(chunks, *args):
+                def source(*size):
+                    for chunk in chunks(*size):
+                        seen.append(chunk.flags.c_contiguous)
+                        yield chunk
+
+                return kernel(source, *args)
+
+            return call
+
+        for name in ("_ensemble_screen", "_ensemble_decide", "_ensemble_moments"):
+            monkeypatch.setattr(brownian, name, spied(getattr(brownian, name)))
+        self._searches(density)
+        self._sweeps(density, monkeypatch)
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("density", _layout_cases())
+    def test_estimates_keep_the_bits_of_the_draw_order(self, density, monkeypatch):
+        searches, sweeps = self._searches(density), self._sweeps(density, monkeypatch)
+        monkeypatch.setattr(brownian, "_contributions", _draw_order_contributions)
+        assert self._searches(density) == searches
+        assert self._sweeps(density, monkeypatch) == sweeps
+
+
 class TestStreamedEnsembles:
     """ensemble_search draws its paths in chunks, twice for a search, and
     keeps the bits of the search and the integral on the whole ensemble."""

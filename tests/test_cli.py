@@ -228,6 +228,19 @@ class TestVerifyCommand:
         assert engine["seed"] == 9
         assert engine["samples"] == 2000
 
+    def test_the_seed_flag_takes_any_nonnegative_integer(self, tmp_path, capsys):
+        assert main(["verify", "--help"]) == EXIT_PASS
+        assert "--seed SEED" in " ".join(capsys.readouterr().out.split())
+        config = _write_config(tmp_path, {"suite": {"instances": 2, "max_atoms": 3}})
+        # seeds past 64 bits are SeedSequence entropy of several words
+        seed = 2**64 + 3
+        code = main(["verify", "thm-2-3", "--config", config, "--seed", str(seed)])
+        out, _ = capsys.readouterr()
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
+        assert json.loads(out)["config"]["engine"]["seed"] == seed
+        assert main(["verify", "thm-2-3", "--config", config, "--seed", "-1"]) == EXIT_ERROR
+        assert "engine.seed: expected a nonnegative integer" in capsys.readouterr().err
+
 
 class TestIntegrateCommand:
     def test_runs_with_a_built_in_demo_config(self, capsys):
@@ -435,3 +448,29 @@ class TestBlasThreadPin:
 
     def test_a_value_the_user_set_wins(self):
         assert self._probe(OPENBLAS_NUM_THREADS="2") == ["2", "2"]
+
+
+# The benchmark's set-up region, then a stream's first draw.
+_SET_UP_PROBE = """
+import sys
+
+import gammavar.cli
+from gammavar.suites import SUITE_DEFAULTS, resolve_config
+
+for suite in SUITE_DEFAULTS:
+    resolve_config(None, suite_name=suite)
+resolve_config(gammavar.cli._DEFAULT_INTEGRATE_CONFIG)
+loaded = "numpy.random" in sys.modules
+gammavar.RandomStream(0).generator()
+print(loaded, "numpy.random" in sys.modules)
+"""
+
+
+def test_set_up_leaves_numpy_random_to_the_first_draw():
+    # numpy.random loads in about 8 ms: imported at set-up, that time
+    # would only move out of the run
+    result = subprocess.run(
+        [sys.executable, "-c", _SET_UP_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -62,6 +63,82 @@ class TestRandomStream:
 
     def test_integer_stream_id_normalizes_to_a_tuple(self):
         assert RandomStream(7, 5).stream_id == (5,)
+
+
+def _seed_sequence_state(seed, key):
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)).state
+
+
+def _chained(seed, key):
+    stream = RandomStream(seed, key[:1])
+    for k in key[1:]:
+        stream = stream.substream(k)
+    return stream
+
+
+# word boundaries of SeedSequence's entropy: one word, two, three, five
+# (past the pool's four), then seeds random in size
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1] + [
+    random.Random(bits).getrandbits(bits) for bits in (20, 63, 100, 200, 256)
+]
+
+
+class TestSeedSequencePools:
+    """RandomStream's incremental pools give the generator numpy's
+    SeedSequence(seed, spawn_key=stream_id) seeds, bit for bit."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_generators_take_the_seed_sequence_state(self, seed):
+        rng = random.Random(seed)
+        for length in range(1, 7):
+            words = [0, 1, 2**32, rng.getrandbits(32), rng.getrandbits(40), rng.getrandbits(70)]
+            key = tuple(rng.choice(words) for _ in range(length))
+            want = _seed_sequence_state(seed, key)
+            direct, chained = RandomStream(seed, key), _chained(seed, key)
+            assert direct.generator().bit_generator.state == want
+            assert chained.generator().bit_generator.state == want
+            assert chained == direct and hash(chained) == hash(direct)
+            assert repr(chained) == repr(direct)
+
+    def test_keys_of_zeros_and_of_big_words(self):
+        for key in [(0,), (0, 0), (0,) * 6, (2**32,), (2**32, 0, 2**64 - 1), (2**40, 2**33, 5)]:
+            for seed in (0, 2**64, 2**128 + 1):
+                want = _seed_sequence_state(seed, key)
+                assert RandomStream(seed, key).generator().bit_generator.state == want
+                assert _chained(seed, key).generator().bit_generator.state == want
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_the_empty_stream_id_is_the_unpadded_seed(self, seed):
+        # without a spawn key numpy does not zero-pad the seed's words
+        root = RandomStream(seed, ())
+        assert root.stream_id == ()
+        assert root.generator().bit_generator.state == _seed_sequence_state(seed, ())
+        assert root.substream(3).generator().bit_generator.state == _seed_sequence_state(seed, (3,))
+
+    def test_parents_that_drew_first_or_never_give_the_same_children(self):
+        drawn, fresh = RandomStream(2026, (4,)), RandomStream(2026, (4,))
+        drawn.generator()
+        a = drawn.substream(1).substream(7).generator().standard_normal(16)
+        b = fresh.substream(1).substream(7).generator().standard_normal(16)
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026, spawn_key=(4, 1, 7))))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, want.standard_normal(16))
+
+    def test_negative_seeds_and_keys_raise_as_numpy_does(self):
+        for seed, key in [(-1, (0,)), (0, (-1,)), (5, (3, -2)), (2**64, (1, 2, -(2**40)))]:
+            with pytest.raises(ValueError):
+                np.random.SeedSequence(entropy=seed, spawn_key=key)
+            with pytest.raises(ValueError, match="non-negative"):
+                RandomStream(seed, key).generator()
+            if seed >= 0:
+                with pytest.raises(ValueError, match="non-negative"):
+                    _chained(seed, key).generator()
+
+    def test_a_seed_past_64_bits_runs_through_the_cli_config(self):
+        config = suites.resolve_config(None, "thm-2-3", {"seed": 2**64 + 3})
+        stream = config.root_stream("thm-2-3").substream(5)
+        want = _seed_sequence_state(2**64 + 3, (1, 5))
+        assert stream.generator().bit_generator.state == want
 
 
 class TestSumEstimate:
